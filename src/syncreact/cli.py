@@ -1,9 +1,10 @@
 """Command line surface tying the analyses together.
 
 Results go to stdout, diagnostics to stderr.  Boolean queries print
-``true`` or ``false`` on the last line.  Exit statuses: 0 success, 2
-usage, parse or type errors, 3 resource limits, 4 internal invariant
-breaches.
+``true`` or ``false`` on the last line.  Exit statuses follow the error
+class: 0 success, 2 usage and :class:`UserError` (parse, type and build
+errors, incomplete systems), 3 :class:`ResourceError`, 4 any other
+internal invariant breach.
 """
 
 from __future__ import annotations
@@ -15,17 +16,11 @@ from . import abstraction, compose, dot, reactivity, sls
 from . import psyc as psyc_frontend
 from .core import SynchronousSystem, bisim_quotient, non_bisimilar, validate
 from .errors import (
-    FormatError,
-    NotReactive,
     PreconditionFailed,
-    PsySyntaxError,
     PsyTypeError,
-    RoundDivergence,
-    SignatureMismatch,
-    StateBudgetExceeded,
+    ResourceError,
     SyncReactError,
-    UnknownState,
-    UnknownSymbol,
+    UserError,
 )
 from .lasso import format_effect_sequence, format_pair_set, format_pair_set_sequence
 
@@ -34,21 +29,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-_USAGE_ERRORS = (
-    FormatError,
-    PsySyntaxError,
-    PsyTypeError,
-    UnknownState,
-    UnknownSymbol,
-    SignatureMismatch,
-    NotReactive,
-    PreconditionFailed,
-)
-_RESOURCE_ERRORS = (StateBudgetExceeded, RoundDivergence)
 
-
-def _load(path: str) -> SynchronousSystem:
-    return sls.load(path)
+def _load_complete(path: str) -> SynchronousSystem:
+    """Load a system for analysis; every analysis assumes completeness."""
+    sys = sls.load(path)
+    report = validate(sys)
+    if report:
+        raise PreconditionFailed(f"{path}: {report[0]}")
+    return sys
 
 
 def _word(text: str) -> list[str]:
@@ -61,7 +49,7 @@ def _print_bool(value: bool) -> int:
 
 
 def cmd_check(args) -> int:
-    sys = _load(args.file)
+    sys = sls.load(args.file)
     report = validate(sys)
     for issue in report:
         print(issue, file=_sys.stderr)
@@ -72,7 +60,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     partition, quotient = bisim_quotient(sys)
     sls.dump(quotient, args.output)
     print(f"classes {len(partition.classes)}")
@@ -80,7 +68,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     witness = non_bisimilar(sys, args.p, sys, args.q)
     if witness is not None:
         print(f"witness depth {witness.depth}", file=_sys.stderr)
@@ -88,7 +76,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_seppairs(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     result = reactivity.separating_pairs(sys, args.state)
     det = set(result.deterministic_subset)
     for pair in result.pairs:
@@ -99,7 +87,7 @@ def cmd_seppairs(args) -> int:
 
 
 def cmd_separators(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     found = reactivity.separators(sys, args.p, sys, args.q, args.max_len)
     for (word, deterministic) in found:
         suffix = " det" if deterministic else ""
@@ -110,7 +98,7 @@ def cmd_separators(args) -> int:
 
 
 def cmd_strongsep(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     verdict = reactivity.strongly_separable(sys, args.p, sys, args.q)
     if verdict.separable:
         print(f"bound {verdict.bound}", file=_sys.stderr)
@@ -121,7 +109,7 @@ def cmd_strongsep(args) -> int:
 
 
 def cmd_reactime(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     result = reactivity.det_reaction_time(sys, args.state)
     if not result.is_finite:
         print("reactime infinite")
@@ -133,7 +121,7 @@ def cmd_reactime(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     word = _word(args.word)
     table = reactivity.diff(sys, args.p, sys, args.q, word)
     for index, values in enumerate(table):
@@ -145,7 +133,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_doe(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     if not reactivity.separating_pairs(sys, args.state).reactive:
         print(f"note: state {args.state} is not reactive", file=_sys.stderr)
     print(format_effect_sequence(abstraction.doe(sys, args.state)))
@@ -153,11 +141,11 @@ def cmd_doe(args) -> int:
 
 
 def cmd_ssp(args) -> int:
-    sys_a = _load(args.file)
+    sys_a = _load_complete(args.file)
     if len(args.rest) == 1:
         sys_b, q = sys_a, args.rest[0]
     elif len(args.rest) == 2:
-        sys_b, q = _load(args.rest[0]), args.rest[1]
+        sys_b, q = _load_complete(args.rest[0]), args.rest[1]
     else:
         print("error: ssp takes FILE P [FILE2] Q", file=_sys.stderr)
         return EXIT_USAGE
@@ -167,14 +155,14 @@ def cmd_ssp(args) -> int:
 
 
 def cmd_sspseq(args) -> int:
-    sys = _load(args.file)
+    sys = _load_complete(args.file)
     print(format_pair_set_sequence(abstraction.ssp_seq(sys, args.state)))
     return EXIT_OK
 
 
 def cmd_compose(args) -> int:
-    sys_f = _load(args.f)
-    sys_g = _load(args.g)
+    sys_f = _load_complete(args.f)
+    sys_g = _load_complete(args.g)
     if args.seq:
         composed = compose.seq_compose(sys_f, sys_g)
     else:
@@ -185,8 +173,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    sys_f = _load(args.f)
-    sys_g = _load(args.g)
+    sys_f = _load_complete(args.f)
+    sys_g = _load_complete(args.g)
     verdict = abstraction.lemma_check(sys_f, args.qf, sys_g, args.qg)
     if verdict.guaranteed:
         print(f"GuaranteedReactive {verdict.index}")
@@ -196,8 +184,8 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_doe_compose(args) -> int:
-    sys_f = _load(args.f)
-    sys_g = _load(args.g)
+    sys_f = _load_complete(args.f)
+    sys_g = _load_complete(args.g)
     result = abstraction.doe_compose(sys_f, args.qf, sys_g, args.qg, args.t)
     print(format_effect_sequence(result))
     return EXIT_OK
@@ -223,7 +211,7 @@ def cmd_psyc_build(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    sys = _load(args.file)
+    sys = sls.load(args.file)
     text = dot.export_dot(sys)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -353,10 +341,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UserError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    except _RESOURCE_ERRORS as exc:
+    except ResourceError as exc:
         print(f"resource limit: {exc}", file=_sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:

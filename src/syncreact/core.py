@@ -10,10 +10,12 @@ non-bisimilarity witnesses.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import NotAProductSymbol, SignatureMismatch, UnknownState, UnknownSymbol
 
@@ -194,12 +196,13 @@ def validate(sys: SynchronousSystem) -> list[str]:
     remaining checkable invariant is completeness.  Violations are data,
     not exceptions.
     """
-    report = []
-    for q in sys.states:
-        for sym in sys.inputs:
-            if not sys.successors(q, sym):
-                report.append(f"incomplete: state {q} has no transition on input {sym}")
-    return report
+    succ = sys._succ
+    return [
+        f"incomplete: state {q} has no transition on input {sym}"
+        for q in sys.states
+        for sym in sys.inputs.symbols
+        if (q, sym) not in succ
+    ]
 
 
 @dataclass(frozen=True)
@@ -266,53 +269,137 @@ class Partition:
         return self.class_of[p] == self.class_of[q]
 
 
-def _refine(sys: SynchronousSystem, class_of: dict[str, int]) -> dict[str, int]:
-    """One Kanellakis-Smolka refinement round on successor-class signatures."""
-    signatures = {}
-    for q in sys.states:
-        sig = (
-            class_of[q],
-            tuple(
-                frozenset(class_of[t] for t in sys.successors(q, sym))
-                for sym in sys.inputs
-            ),
-        )
-        signatures[q] = sig
-    order: dict = {}
-    new_class = {}
-    for q in sys.states:
-        sig = signatures[q]
-        if sig not in order:
-            order[sig] = len(order)
-        new_class[q] = order[sig]
-    return new_class
+class _Refinement:
+    """Signature refinement from output equality that records its history.
+
+    Round 0 groups the states by output.  Round k regroups every block by
+    the sets of round-(k-1) block ids its members reach on each input, so
+    the round-k partition is the k-step bisimulation approximant
+    (Kanellakis and Smolka 1990).  A round re-signs only the states with a
+    successor whose id changed in the previous round: the other members of
+    a block still share its signature and stay together.  When a block
+    splits, its largest part keeps the block id and every other part gets
+    a fresh one, so a state changes id at most log2(n) times (Paige and
+    Tarjan 1987) and a round costs what its re-signed states cost.  Each
+    change is appended to the state's history as ``(round, id)``; ids name
+    blocks uniquely, so two states share a block at round k iff their ids
+    at round k are equal.
+    """
+
+    def __init__(self, sys: SynchronousSystem):
+        states = sys.states
+        self.states = states
+        self.index = index = {q: i for i, q in enumerate(states)}
+        table = sys._succ
+        self.succ = succ = [
+            tuple(tuple(index[t] for t in table.get((q, a), ())) for a in sys.inputs)
+            for q in states
+        ]
+        preds: list[list[int]] = [[] for _ in states]
+        for i, moves in enumerate(succ):
+            for j in set(itertools.chain.from_iterable(moves)):
+                preds[j].append(i)
+        deterministic = all(len(ts) == 1 for moves in succ for ts in moves)
+        first: dict[str, int] = {}
+        cls = [first.setdefault(sys.out_label[q], len(first)) for q in states]
+        members: list[set[int]] = [set() for _ in first]
+        for i, c in enumerate(cls):
+            members[c].add(i)
+        history = [[(0, c)] for c in cls]
+        rounds = 0
+        dirty: Iterable[int] = range(len(states))
+        while dirty:
+            rounds += 1
+            parts: dict[tuple, list[int]] = {}
+            for i in dirty:
+                if deterministic:
+                    key = (cls[i], *[cls[t] for (t,) in succ[i]])
+                else:
+                    key = (cls[i], *[frozenset([cls[t] for t in ts]) for ts in succ[i]])
+                parts.setdefault(key, []).append(i)
+            splits: dict[int, list] = {}
+            for key, part in parts.items():
+                splits.setdefault(key[0], []).append(part)
+            moved: list[int] = []
+            for block, split in splits.items():
+                rest = members[block]
+                for part in split:
+                    rest.difference_update(part)
+                biggest = max(split, key=len)
+                if len(rest) < len(biggest):
+                    split.remove(biggest)
+                    split.append(rest)
+                    members[block] = set(biggest)
+                for part in split:
+                    if not part:
+                        continue
+                    fresh = len(members)
+                    members.append(set(part))
+                    for i in part:
+                        cls[i] = fresh
+                        history[i].append((rounds, fresh))
+                    moved.extend(part)
+            dirty = {p for i in moved for p in preds[i]}
+        self.cls = cls
+        self.history = history
+        self.rounds = rounds
+
+    def id_at(self, i: int, k: int) -> int:
+        """Block id of state ``i`` after round ``k``."""
+        h = self.history[i]
+        return h[bisect.bisect_right(h, (k, math.inf)) - 1][1]
+
+    def depth(self, i: int, j: int) -> Optional[int]:
+        """Least round at which the ids of i and j differ, None if never."""
+        if self.cls[i] == self.cls[j]:
+            return None
+        lo, hi = 0, self.rounds
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.id_at(i, mid) == self.id_at(j, mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def move(self, i: int, j: int, k: int) -> tuple[int, str, int, list[tuple[int, int]]]:
+        """First move of a depth-k proof that i and j differ, k > 0.
+
+        Returns the input index, the side that moves, its chosen successor
+        and the successor pairs the opponent can answer with, each of
+        which differs at round k-1.  Inputs, sides and successors are
+        tried in declaration order.
+        """
+        below = k - 1
+        id_at = self.id_at
+        for a, (ps, qs) in enumerate(zip(self.succ[i], self.succ[j])):
+            for p2 in ps:
+                c = id_at(p2, below)
+                if all(id_at(q2, below) != c for q2 in qs):
+                    return a, "left", p2, [(p2, q2) for q2 in qs]
+            for q2 in qs:
+                c = id_at(q2, below)
+                if all(id_at(p2, below) != c for p2 in ps):
+                    return a, "right", q2, [(p2, q2) for p2 in ps]
+        raise AssertionError("refinement history is inconsistent")
+
+    def partition(self) -> Partition:
+        """Final blocks, numbered in order of their first member state."""
+        number: dict[int, int] = {}
+        class_of = {}
+        representative = {}
+        for q, c in zip(self.states, self.cls):
+            n = number.get(c)
+            if n is None:
+                n = number[c] = len(number)
+                representative[n] = q
+            class_of[q] = n
+        return Partition(class_of, tuple(range(len(number))), representative)
 
 
 def bisim_classes(sys: SynchronousSystem) -> Partition:
     """Coarsest partition refining output equality and stable under steps."""
-    class_of = {}
-    order: dict[str, int] = {}
-    for q in sys.states:
-        o = sys.out(q)
-        if o not in order:
-            order[o] = len(order)
-        class_of[q] = order[o]
-    while True:
-        refined = _refine(sys, class_of)
-        if len(set(refined.values())) == len(set(class_of.values())):
-            class_of = refined
-            break
-        class_of = refined
-    # Renumber classes by their lowest-ordered member state.
-    reps: dict[int, str] = {}
-    for q in sys.states:
-        reps.setdefault(class_of[q], q)
-    ordered = sorted(reps, key=lambda c: sys.states.index(reps[c]))
-    renumber = {old: new for new, old in enumerate(ordered)}
-    class_of = {q: renumber[c] for q, c in class_of.items()}
-    classes = tuple(range(len(ordered)))
-    representative = {renumber[c]: reps[c] for c in ordered}
-    return Partition(class_of, classes, representative)
+    return _Refinement(sys).partition()
 
 
 def bisim_quotient(
@@ -376,8 +463,9 @@ def disjoint_union(
 class BisimOracle:
     """Non-bisimilarity queries between two (possibly identical) systems.
 
-    Builds the disjoint union once and reuses its partition and
-    separation depths for every query.
+    Refines the disjoint union once; the final partition answers
+    :meth:`distinct` and the refinement history answers :meth:`depth`
+    and the moves of every witness.
     """
 
     def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
@@ -388,56 +476,17 @@ class BisimOracle:
             self.pa = self.pb = ""
         else:
             self.union, self.pa, self.pb = disjoint_union(sys_a, sys_b)
-        self.partition = bisim_classes(self.union)
-        self._depths: Optional[dict[tuple[str, str], int]] = None
+        self._refinement = _Refinement(self.union)
+        self.partition = self._refinement.partition()
 
     def distinct(self, qa: str, qb: str) -> bool:
         """True iff the two states are non-bisimilar."""
         return not self.partition.same_class(self.pa + qa, self.pb + qb)
 
-    def _separation_depths(self) -> dict[tuple[str, str], int]:
-        """Least approximant level separating each union state pair."""
-        if self._depths is not None:
-            return self._depths
-        u = self.union
-        depth: dict[tuple[str, str], int] = {}
-        for p, q in itertools.product(u.states, repeat=2):
-            if u.out(p) != u.out(q):
-                depth[(p, q)] = 0
-        level = 0
-        changed = True
-        while changed:
-            changed = False
-            level += 1
-            for p, q in itertools.product(u.states, repeat=2):
-                if (p, q) in depth:
-                    continue
-                if self._separated_below(u, depth, p, q, level):
-                    depth[(p, q)] = level
-                    changed = True
-        self._depths = depth
-        return depth
-
-    @staticmethod
-    def _separated_below(u, depth, p, q, level) -> bool:
-        for sym in u.inputs:
-            ps = u.successors(p, sym)
-            qs = u.successors(q, sym)
-            if any(
-                all(depth.get((p2, q2), level) < level for q2 in qs) for p2 in ps
-            ):
-                return True
-            if any(
-                all(depth.get((p2, q2), level) < level for p2 in ps) for q2 in qs
-            ):
-                return True
-        return False
-
     def depth(self, qa: str, qb: str) -> Optional[int]:
         """Least k at which the k-step approximants separate, None if bisimilar."""
-        if not self.distinct(qa, qb):
-            return None
-        return self._separation_depths()[(self.pa + qa, self.pb + qb)]
+        ref = self._refinement
+        return ref.depth(ref.index[self.pa + qa], ref.index[self.pb + qb])
 
 
 @dataclass(frozen=True)
@@ -472,7 +521,23 @@ class IndWitness:
 
     @property
     def depth(self) -> int:
-        return 1 + max(w.depth for (_, w) in self.children)
+        """Longest path to a base witness; an opponent with no move ends at 1."""
+        depth_of: dict[int, int] = {}
+        stack: list[IndWitness] = [self]
+        while stack:
+            w = stack[-1]
+            pending = [
+                c for (_, c) in w.children
+                if isinstance(c, IndWitness) and id(c) not in depth_of
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            depth_of[id(w)] = 1 + max(
+                (depth_of.get(id(c), 0) for (_, c) in w.children), default=0
+            )
+        return depth_of[id(self)]
 
 
 NonBisimWitness = Union[BaseWitness, IndWitness]
@@ -490,6 +555,7 @@ def non_bisimilar(
     The witness depth equals the least k at which the k-step
     bisimulation approximants separate the states.  A precomputed oracle
     for the same system pair may be passed to amortize repeated queries.
+    Each state pair's sub-witness is built once and shared.
     """
     sys_a.check_state(qa)
     sys_b.check_state(qb)
@@ -497,48 +563,75 @@ def non_bisimilar(
         oracle = BisimOracle(sys_a, sys_b)
     if not oracle.distinct(qa, qb):
         return None
+    ref = oracle._refinement
     u = oracle.union
-    depths = oracle._separation_depths()
-
-    def build(p: str, q: str) -> NonBisimWitness:
-        k = depths[(p, q)]
-        if k == 0:
-            return BaseWitness(p, q, u.out(p), u.out(q))
-        for sym in u.inputs:
-            ps = u.successors(p, sym)
-            qs = u.successors(q, sym)
-            for p2 in ps:
-                if all(depths.get((p2, q2), k) <= k - 1 for q2 in qs):
-                    children = tuple((q2, build(p2, q2)) for q2 in qs)
-                    return IndWitness(p, q, sym, "left", p2, children)
-            for q2 in qs:
-                if all(depths.get((p2, q2), k) <= k - 1 for p2 in ps):
-                    children = tuple((p2, build(p2, q2)) for p2 in ps)
-                    return IndWitness(p, q, sym, "right", q2, children)
-        raise AssertionError("separation depth table is inconsistent")
-
-    return build(oracle.pa + qa, oracle.pb + qb)
+    names = u.states
+    root = (ref.index[oracle.pa + qa], ref.index[oracle.pb + qb])
+    built: dict[tuple[int, int], NonBisimWitness] = {}
+    moves: dict[tuple[int, int], tuple] = {}
+    stack = [root]
+    while stack:
+        pair = stack[-1]
+        if pair in built:
+            stack.pop()
+            continue
+        move = moves.get(pair)
+        if move is None:
+            p, q = pair
+            k = ref.depth(p, q)
+            if k == 0:
+                built[pair] = BaseWitness(
+                    names[p], names[q], u.out_label[names[p]], u.out_label[names[q]]
+                )
+                stack.pop()
+                continue
+            move = moves[pair] = ref.move(p, q, k)
+        pending = [c for c in move[3] if c not in built]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        a, side, chosen, children = move
+        opponent = 1 if side == "left" else 0
+        built[pair] = IndWitness(
+            names[pair[0]],
+            names[pair[1]],
+            u.inputs.symbols[a],
+            side,
+            names[chosen],
+            tuple((names[c[opponent]], built[c]) for c in children),
+        )
+    return built[root]
 
 
 def replay_witness(
     union: SynchronousSystem, witness: NonBisimWitness
 ) -> bool:
     """Re-derive p != q by replaying the witness against the union system."""
-    if isinstance(witness, BaseWitness):
-        return (
-            union.out(witness.p) == witness.out_p
-            and union.out(witness.q) == witness.out_q
-            and witness.out_p != witness.out_q
-        )
-    if witness.side == "left":
-        movers = union.successors(witness.p, witness.input)
-        opponents = union.successors(witness.q, witness.input)
-    else:
-        movers = union.successors(witness.q, witness.input)
-        opponents = union.successors(witness.p, witness.input)
-    if witness.chosen not in movers:
-        return False
-    covered = {s for (s, _) in witness.children}
-    if covered != set(opponents):
-        return False
-    return all(replay_witness(union, w) for (_, w) in witness.children)
+    seen: set[int] = set()
+    stack = [witness]
+    while stack:
+        w = stack.pop()
+        if id(w) in seen:
+            continue
+        seen.add(id(w))
+        if isinstance(w, BaseWitness):
+            if not (
+                union.out(w.p) == w.out_p
+                and union.out(w.q) == w.out_q
+                and w.out_p != w.out_q
+            ):
+                return False
+            continue
+        if w.side == "left":
+            movers = union.successors(w.p, w.input)
+            opponents = union.successors(w.q, w.input)
+        else:
+            movers = union.successors(w.q, w.input)
+            opponents = union.successors(w.p, w.input)
+        if w.chosen not in movers:
+            return False
+        if {s for (s, _) in w.children} != set(opponents):
+            return False
+        stack.extend(child for (_, child) in w.children)
+    return True

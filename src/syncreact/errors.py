@@ -1,39 +1,52 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package.
+
+Every error is a :class:`UserError` (bad input: the command line exits
+2), a :class:`ResourceError` (a bound was hit: exit 3), or neither, which
+marks a broken internal invariant (exit 4).
+"""
 
 
 class SyncReactError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnknownSymbol(SyncReactError):
+class UserError(SyncReactError):
+    """The input is malformed, ill-typed or outside an analysis's preconditions."""
+
+
+class ResourceError(SyncReactError):
+    """A state, step or size bound was exceeded before an answer was found."""
+
+
+class UnknownSymbol(UserError):
     pass
 
 
-class UnknownState(SyncReactError):
+class UnknownState(UserError):
     pass
 
 
-class SignatureMismatch(SyncReactError):
+class SignatureMismatch(UserError):
     """Two systems were combined whose input/output alphabets do not line up."""
 
 
-class NotAProductSymbol(SyncReactError):
+class NotAProductSymbol(UserError):
     pass
 
 
-class NotReactive(SyncReactError):
+class NotReactive(UserError):
     """An operation that requires a reactive state was given a non-reactive one."""
 
 
-class PreconditionFailed(SyncReactError):
+class PreconditionFailed(UserError):
     pass
 
 
-class FormatError(SyncReactError):
+class FormatError(UserError):
     """Malformed `.sls` or report text; carries file/line context in the message."""
 
 
-class PsySyntaxError(SyncReactError):
+class PsySyntaxError(UserError):
     """Concrete-syntax error in a `.psy` program, with line and column."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -42,7 +55,7 @@ class PsySyntaxError(SyncReactError):
         self.column = column
 
 
-class PsyTypeError(SyncReactError):
+class PsyTypeError(UserError):
     """A typing rule was violated; the message names the rule."""
 
 
@@ -50,23 +63,23 @@ class StuckConfiguration(SyncReactError):
     """No reduction rule applies. Signals an evaluator bug for typed programs."""
 
 
-class StateBudgetExceeded(SyncReactError):
+class StateBudgetExceeded(ResourceError):
     def __init__(self, bound: int):
         super().__init__(f"state budget of {bound} states exceeded")
         self.bound = bound
 
 
-class NonFiniteIntRange(SyncReactError):
+class NonFiniteIntRange(UserError):
     """An integer variable has no declared finite range."""
 
 
-class IntRangeExceeded(SyncReactError):
+class IntRangeExceeded(UserError):
     """A program assigned an integer outside its declared range."""
 
 
-class RoundDivergence(SyncReactError):
+class RoundDivergence(ResourceError):
     """A program ran for too many reduction steps without reaching a tick."""
 
 
-class BuildError(SyncReactError):
+class BuildError(UserError):
     """A program cannot be realized as a finite synchronous system."""

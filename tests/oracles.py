@@ -2,7 +2,8 @@
 
 Everything here recomputes results straight from the definitions, with
 no shared code paths with the library algorithms it checks: bisimilarity
-as a greatest fixpoint over state pairs, separators by exhaustive word
+as a greatest fixpoint over state pairs, separation depths as the first
+iterated pair relation that drops a pair, separators by exhaustive word
 enumeration over run pairs, and reaction time by per-word guaranteed
 difference search.
 """
@@ -48,6 +49,53 @@ def naive_bisimilar_pairs(sys: SynchronousSystem) -> set:
         if keep == rel:
             return rel
         rel = keep
+
+
+def naive_approximants(sys: SynchronousSystem) -> list[set]:
+    """The k-step bisimulation approximants as pair relations, k = 0, 1, ...
+
+    Level 0 relates states with equal outputs; level k+1 keeps the pairs
+    of level k whose every move is matched, on the same input, by a move
+    of the other state to a level-k related successor.  The list stops at
+    the first level equal to its predecessor, which is bisimilarity.
+    """
+    levels = [
+        {
+            (p, q)
+            for p in sys.states
+            for q in sys.states
+            if sys.out(p) == sys.out(q)
+        }
+    ]
+    while True:
+        rel = levels[-1]
+        nxt = {
+            (p, q)
+            for (p, q) in rel
+            if all(
+                all(any((p2, q2) in rel for q2 in sys.successors(q, sym))
+                    for p2 in sys.successors(p, sym))
+                and all(any((p2, q2) in rel for p2 in sys.successors(p, sym))
+                        for q2 in sys.successors(q, sym))
+                for sym in sys.inputs
+            )
+        }
+        if nxt == rel:
+            return levels
+        levels.append(nxt)
+
+
+def naive_separation_depth(sys, p, q, approximants=None):
+    """Least k with (p, q) outside the k-step approximant, None if bisimilar.
+
+    ``approximants`` may carry :func:`naive_approximants` of ``sys`` to
+    amortize queries on every pair of one system.
+    """
+    levels = approximants if approximants is not None else naive_approximants(sys)
+    for k, rel in enumerate(levels):
+        if (p, q) not in rel:
+            return k
+    return None
 
 
 def naive_non_bisimilar(sys_a, qa, sys_b, qb) -> bool:

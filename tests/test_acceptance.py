@@ -41,7 +41,9 @@ from .oracles import (
     brute_separators,
     chain_sender,
     guaranteed_diff_index,
+    naive_approximants,
     naive_bisimilar_pairs,
+    naive_separation_depth,
     random_system,
 )
 
@@ -244,15 +246,29 @@ def test_criterion_6_lemma_soundness_sweep():
 
 def test_criterion_7a_bisimulation_oracle_equivalence():
     rng = random.Random(701)
-    for i in range(200):
-        sys = random_system(rng, f"r{i}", 8, ("a", "b"), ("0", "1"))
+    systems = [
+        random_system(rng, f"r{i}", 8, ("a", "b"), ("0", "1")) for i in range(200)
+    ]
+    systems += [
+        random_system(rng, f"d{i}", 8, ("a", "b"), ("0", "1"), nondet_prob=0.0)
+        for i in range(200)
+    ]
+    for sys in systems:
         naive = naive_bisimilar_pairs(sys)
+        levels = naive_approximants(sys)
         oracle = BisimOracle(sys, sys)
         for p in sys.states:
             for q in sys.states:
                 witness = non_bisimilar(sys, p, sys, q, oracle)
                 assert (witness is None) == ((p, q) in naive)
-    report(7, "(a) witnesses agree with the naive fixpoint on 200 systems")
+                depth = naive_separation_depth(sys, p, q, levels)
+                assert oracle.depth(p, q) == depth
+                assert (None if witness is None else witness.depth) == depth
+    report(
+        7,
+        "(a) witnesses and separation depths agree with the naive fixpoint"
+        " and approximants on 200 nondeterministic and 200 deterministic systems",
+    )
 
 
 def test_criterion_7b_separator_oracle_equivalence():

@@ -1,13 +1,25 @@
 """Command line surface: exit codes and stable final lines."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import syncreact
 from syncreact import sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES
+from .oracles import chain_sender
 
 BROKEN = "system b\ninputs a b\noutputs 0\ninit c0\nstate c0 0\ntrans c0 a c0\n"
+# s1 has no move on b; s0 and s1 differ only in that.
+INCOMPLETE = (
+    "system inc\ninputs a b\noutputs 0 1\ninit s0\nstate s0 0\nstate s1 0\n"
+    "trans s0 a s0\ntrans s0 b s0\ntrans s1 a s1\n"
+)
 
 
 def run(capsys, *argv):
@@ -39,6 +51,42 @@ class TestCheck:
         code, _, err = run(capsys, "bisim", target, "a", "b")
         assert code == 2
         assert "error" in err
+
+
+class TestIncompleteRejected:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bisim", "s0", "s1"),
+            ("strongsep", "s0", "s1"),
+            ("diff", "s0", "s1", "-w", "b"),
+            ("separators", "s0", "s1"),
+            ("reactime", "s0"),
+            ("doe", "s0"),
+            ("quotient", "-o", "q.sls"),
+        ],
+    )
+    def test_analysis_exits_2_naming_the_missing_move(self, capsys, tmp_path, argv):
+        target = tmp_path / "inc.sls"
+        target.write_text(INCOMPLETE)
+        code, out, err = run(capsys, argv[0], target, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "incomplete: state s1 has no transition on input b" in err
+
+    def test_second_file_is_checked_too(self, capsys, tmp_path):
+        target = tmp_path / "inc.sls"
+        target.write_text(INCOMPLETE)
+        code, _, err = run(capsys, "ssp", FIXTURES / "union1.sls", "u0", target, "s0")
+        assert code == 2
+        assert "inc.sls" in err
+
+    def test_dot_still_exports(self, capsys, tmp_path):
+        target = tmp_path / "inc.sls"
+        target.write_text(INCOMPLETE)
+        code, out, _ = run(capsys, "dot", target)
+        assert code == 0
+        assert out.count("->") == 3
 
 
 class TestQueries:
@@ -133,6 +181,23 @@ class TestQueries:
         code, _, err = run(capsys, "seppairs", FIXTURES / "p1.sls", "zz")
         assert code == 2
         assert "error" in err
+
+
+class TestDeepWitness:
+    def test_bisim_1500_deep_chain_in_a_fresh_interpreter(self, tmp_path):
+        target = tmp_path / "chain.sls"
+        sls.dump(chain_sender(1500, ("x", "y", "z")), target)
+        src = pathlib.Path(syncreact.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "syncreact.cli", "bisim", str(target), "l0", "m0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "witness depth 1500\n"
+        assert last_line(done.stdout) == "false"
 
 
 class TestComposeAndLemma:
@@ -301,6 +366,33 @@ class TestPsyc:
         )
         assert code == 3
         assert "resource" in err
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                (FIXTURES / "program2.psy").read_text().replace("int[0..4]", "int[0..3]"),
+                "leaves range [0..3]",
+            ),
+            (
+                "inputs tt ff\noutputs tt ff\nvar y : int\n"
+                "y := 2;\nwhile tt do tick(ff) done\n",
+                "needs a declared range",
+            ),
+            (
+                "inputs tt ff\noutputs tt ff\nvar x : bool\nx := ff\n",
+                "terminates before its first tick",
+            ),
+        ],
+        ids=["IntRangeExceeded", "NonFiniteIntRange", "BuildError"],
+    )
+    def test_build_user_errors_exit_2(self, capsys, tmp_path, source, message):
+        src = tmp_path / "bad.psy"
+        src.write_text(source)
+        code, _, err = run(capsys, "psyc", "build", src, "-o", tmp_path / "x.sls")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
 
     def test_type_error_exits_2(self, capsys, tmp_path):
         src = tmp_path / "bad.psy"

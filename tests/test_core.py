@@ -7,6 +7,7 @@ import pytest
 from syncreact import (
     Alphabet,
     BaseWitness,
+    BisimOracle,
     IndWitness,
     SynchronousSystem,
     bisim_classes,
@@ -28,7 +29,7 @@ from syncreact.errors import (
     UnknownSymbol,
 )
 
-from .oracles import naive_bisimilar_pairs, random_system
+from .oracles import chain_sender, naive_bisimilar_pairs, random_system
 
 
 def make_incomplete_const():
@@ -223,6 +224,40 @@ class TestNonBisimilar:
                     witness = non_bisimilar(sys, p, sys, q)
                     if witness is not None:
                         assert replay_witness(sys, witness)
+
+    def test_deep_witness_without_recursion(self):
+        # Depth 1500 exceeds the default recursion limit of 1000 frames.
+        sys = chain_sender(1500, ("x", "y", "z"))
+        oracle = BisimOracle(sys, sys)
+        witness = non_bisimilar(sys, "l0", sys, "m0", oracle)
+        assert oracle.depth("l0", "m0") == 1500
+        assert witness.depth == 1500
+        assert replay_witness(sys, witness)
+
+    def test_shared_subwitnesses_are_built_once(self):
+        sys = SynchronousSystem(
+            name="fan",
+            inputs=Alphabet(("a",)),
+            outputs=Alphabet(("0", "1")),
+            states=("p", "q", "x", "y1", "y2", "z", "w"),
+            transitions=(
+                ("p", "a", "x"),
+                ("q", "a", "y1"),
+                ("q", "a", "y2"),
+                ("x", "a", "z"),
+                ("y1", "a", "w"),
+                ("y2", "a", "w"),
+                ("z", "a", "z"),
+                ("w", "a", "w"),
+            ),
+            out_label={"p": "0", "q": "0", "x": "0", "y1": "0", "y2": "0", "z": "0", "w": "1"},
+            initial="p",
+        )
+        witness = non_bisimilar(sys, "p", sys, "q")
+        assert witness.depth == 2
+        (_, first), (_, second) = witness.children
+        assert first.children[0][1] is second.children[0][1]
+        assert replay_witness(sys, witness)
 
     def test_cross_system_signature_check(self, p1_sys, toggle_sys):
         with pytest.raises(SignatureMismatch):
