@@ -57,7 +57,6 @@ from .lasso import (
     parse_pair_set_sequence,
 )
 from .reactivity import (
-    PairGraph,
     ReactionTime,
     SepPairSet,
     StrongSepResult,

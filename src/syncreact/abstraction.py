@@ -18,12 +18,14 @@ frontier hashing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import BisimOracle, SynchronousSystem
-from .errors import NotReactive, PreconditionFailed, SignatureMismatch
+from .compose import feed_of, seq_step
+from .core import BisimOracle, Product, SynchronousSystem, frontier_image, lasso_walk, pair_step
+from .errors import NotReactive, PreconditionFailed
 from .lasso import (
     STAR,
     STAR_FOREVER,
@@ -35,7 +37,7 @@ from .lasso import (
     obs_leq,
     star_prepend,
 )
-from .reactivity import separating_pairs
+from .reactivity import orientations, reactive, separating_pairs
 
 __all__ = [
     "ObsOrder",
@@ -52,21 +54,6 @@ __all__ = [
     "LemmaVerdict",
 ]
 
-Pair = tuple[str, str]
-
-
-def _successor_combos(
-    sys: SynchronousSystem, q: str, pair: tuple[str, str]
-) -> set[Pair]:
-    """All (a1-successor, a2-successor) combinations in pair orientation."""
-    a1, a2 = pair
-    return {
-        (r1, r2)
-        for r1 in sys.successors(q, a1)
-        for r2 in sys.successors(q, a2)
-    }
-
-
 def doe_levels(
     sys: SynchronousSystem, q: str
 ) -> tuple[list[frozenset], int]:
@@ -74,31 +61,18 @@ def doe_levels(
 
     Level 0 holds every successor combination of every separating pair
     of q in input declaration order; level i+1 holds all one-step
-    synchronized successors.  Returns the level list and the index its
-    tail loops back to.
+    synchronized successors.  Pairs are of state ids.  Returns the level
+    list and the index its tail loops back to.
     """
     sys.check_state(q)
     oracle = BisimOracle(sys, sys)
     sep = separating_pairs(sys, q, oracle)
     if not sep.reactive:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    level: set[Pair] = set()
-    for pair in sep.pairs:
-        level |= _successor_combos(sys, q, pair)
-    seen: dict[frozenset, int] = {}
-    levels: list[frozenset] = []
-    frontier = frozenset(level)
-    while frontier not in seen:
-        seen[frontier] = len(levels)
-        levels.append(frontier)
-        frontier = frozenset(
-            (r1, r2)
-            for (p1, p2) in frontier
-            for sym in sys.inputs
-            for r1 in sys.successors(p1, sym)
-            for r2 in sys.successors(p2, sym)
-        )
-    return levels, seen[frontier]
+    succ, i = sys.kernel.succ, sys.kernel.index[q]
+    columns = [(None, *map(sys.inputs.index, pair)) for pair in sep.pairs]
+    level = frontier_image(pair_step(succ, succ, lambda node: columns))(frozenset({(i, i)}))
+    return lasso_walk(level, frontier_image(Product(sys, sys).step))
 
 
 def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
@@ -117,17 +91,18 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
         levels, start = doe_levels(sys, q)
     except NotReactive:
         return STAR_FOREVER
-    values = [_level_effect(sys, level) for level in levels]
+    return _effects(sys, levels, start)
+
+
+def _effects(sys: SynchronousSystem, levels: list[frozenset], start: int) -> EffectSequence:
+    out = sys.kernel.out
+    names = sys.outputs.symbols
+    values: list[EffectSymbol] = []
+    for level in levels:
+        outs = {(out[r1], out[r2]) for (r1, r2) in level}
+        x1, x2 = outs.pop() if len(outs) == 1 else (0, 0)
+        values.append(STAR if x1 == x2 else (names[x1], names[x2]))
     return EffectSequence(tuple(values[:start]), tuple(values[start:]))
-
-
-def _level_effect(sys: SynchronousSystem, level: frozenset) -> EffectSymbol:
-    outs = {(sys.out(r1), sys.out(r2)) for (r1, r2) in level}
-    if len(outs) == 1:
-        (x1, x2) = next(iter(outs))
-        if x1 != x2:
-            return (x1, x2)
-    return STAR
 
 
 def ssp(
@@ -147,25 +122,9 @@ def ssp(
     sys_a.require_same_signature(sys_b)
     sys_a.check_state(q1)
     sys_b.check_state(q2)
-    if oracle is None:
-        oracle = BisimOracle(sys_a, sys_b)
-    out = []
-    for (a1, a2) in sys_a.inputs.unordered_pairs():
-        if _ssp_orientations(sys_a, q1, sys_b, q2, (a1, a2), oracle):
-            out.append((a1, a2))
-    return tuple(out)
-
-
-def _ssp_orientations(sys_a, q1, sys_b, q2, pair, oracle) -> list[tuple[str, str]]:
-    """Orientations (exists-input, forall-input) under which the pair holds."""
-    a1, a2 = pair
-    found = []
-    for (ae, af) in ((a1, a2), (a2, a1)):
-        movers = sys_a.successors(q1, ae)
-        blockers = sys_b.successors(q2, af)
-        if any(all(oracle.distinct(x, y) for y in blockers) for x in movers):
-            found.append((ae, af))
-    return found
+    space = _PairSpace(sys_a, sys_b, oracle)
+    node = (sys_a.kernel.index[q1], sys_b.kernel.index[q2])
+    return space.names(space.ssp_of(node))
 
 
 @dataclass(frozen=True)
@@ -207,79 +166,66 @@ def obs_order(sys: SynchronousSystem, q: str) -> ObsOrder:
 class _PairSpace:
     """Orientation-following successor relation over cross-state pairs.
 
-    Pairs hold one state of each system (the same system twice for the
-    single-state queries).  Successors of a pair follow every
+    Pairs hold one state id of each system (the same system twice for
+    the single-state queries).  Successors of a pair follow every
     orientation under which one of its strongly separating pairs holds;
     the intersection of SSP over the n-step frontier is the n-th level
     of the SSPseq greatest fixpoint.
     """
 
-    def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
-        sys_a.require_same_signature(sys_b)
-        self.sys_a = sys_a
-        self.sys_b = sys_b
-        self.oracle = BisimOracle(sys_a, sys_b)
-        self.full = frozenset(sys_a.inputs.unordered_pairs())
-        self._ssp_cache: dict[Pair, tuple] = {}
-        self._succ_cache: dict[Pair, frozenset] = {}
+    def __init__(
+        self,
+        sys_a: SynchronousSystem,
+        sys_b: SynchronousSystem,
+        oracle: Optional[BisimOracle] = None,
+    ):
+        product = Product(sys_a, sys_b)
+        self.succ_a, self.succ_b = product.succ_a, product.succ_b
+        self.oracle = oracle if oracle is not None else BisimOracle(sys_a, sys_b)
+        self.symbols = sys_a.inputs.symbols
+        self.candidates = tuple(itertools.combinations(range(len(self.symbols)), 2))
+        self._ssp: dict[tuple[int, int], frozenset] = {}
+        self._columns: dict[tuple[int, int], list] = {}
+        self._named: dict[frozenset, frozenset] = {}
+        step = pair_step(self.succ_a, self.succ_b, self._held)
+        self.image = frontier_image(step)
 
-    def ssp_of(self, pair: Pair) -> tuple:
-        if pair not in self._ssp_cache:
-            q1, q2 = pair
-            out = []
-            orientations = {}
-            for cand in self.sys_a.inputs.unordered_pairs():
-                held = self._orientations(q1, q2, cand)
+    def ssp_of(self, node: tuple[int, int]) -> frozenset:
+        """SSP of a pair as input id pairs; its held orientations become step columns."""
+        if node not in self._ssp:
+            moves_a, moves_b = self.succ_a[node[0]], self.succ_b[node[1]]
+            cls_a, cls_b = self.oracle.cls_a, self.oracle.cls_b
+            pairs = []
+            columns = []
+            for (a1, a2) in self.candidates:
+                held = orientations(moves_a, moves_b, cls_a, cls_b, a1, a2)
                 if held:
-                    out.append(cand)
-                    orientations[cand] = held
-            self._ssp_cache[pair] = (tuple(out), orientations)
-        return self._ssp_cache[pair]
+                    pairs.append((a1, a2))
+                    columns += [(None, ae, af) for (ae, af) in held]
+            self._ssp[node] = frozenset(pairs)
+            self._columns[node] = columns
+        return self._ssp[node]
 
-    def _orientations(self, q1, q2, pair):
-        a1, a2 = pair
-        found = []
-        for (ae, af) in ((a1, a2), (a2, a1)):
-            movers = self.sys_a.successors(q1, ae)
-            blockers = self.sys_b.successors(q2, af)
-            if any(
-                all(self.oracle.distinct(x, y) for y in blockers) for x in movers
-            ):
-                found.append((ae, af))
-        return found
+    def _held(self, node: tuple[int, int]) -> list:
+        self.ssp_of(node)
+        return self._columns[node]
 
-    def successors(self, pair: Pair) -> frozenset:
-        if pair not in self._succ_cache:
-            q1, q2 = pair
-            _, orientations = self.ssp_of(pair)
-            succ = set()
-            for held in orientations.values():
-                for (ae, af) in held:
-                    for r1 in self.sys_a.successors(q1, ae):
-                        for r2 in self.sys_b.successors(q2, af):
-                            succ.add((r1, r2))
-            self._succ_cache[pair] = frozenset(succ)
-        return self._succ_cache[pair]
+    def names(self, pairs) -> tuple[tuple[str, str], ...]:
+        """Input id pairs as symbol pairs, in declaration order."""
+        return tuple((self.symbols[a1], self.symbols[a2]) for (a1, a2) in sorted(pairs))
 
     def level_value(self, frontier: frozenset) -> frozenset:
-        """Intersection of SSP over the frontier; full set when empty."""
-        value = set(self.full)
-        for pair in frontier:
-            value &= set(self.ssp_of(pair)[0])
-            if not value:
-                break
-        return frozenset(value)
+        """Intersection of SSP over a walked frontier, full when empty; one object per value."""
+        distinct = set(map(self._ssp.__getitem__, frontier))
+        value = frozenset(self.candidates).intersection(*distinct)
+        if value not in self._named:
+            self._named[value] = frozenset(self.names(value))
+        return self._named[value]
 
-    def sequence_from(self, frontier: frozenset) -> PairSetSequence:
-        seen: dict[frozenset, int] = {}
-        values: list[frozenset] = []
-        while frontier not in seen:
-            seen[frontier] = len(values)
-            values.append(self.level_value(frontier))
-            frontier = frozenset(
-                succ for pair in frontier for succ in self.successors(pair)
-            )
-        start = seen[frontier]
+    def sequence_from(self, node: tuple[int, int]) -> PairSetSequence:
+        # The walk steps every node of every level, which caches its SSP.
+        levels, start = lasso_walk(frozenset({node}), self.image)
+        values = [self.level_value(level) for level in levels]
         return PairSetSequence(tuple(values[:start]), tuple(values[start:]))
 
 
@@ -293,9 +239,10 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     """
     sys.check_state(q)
     space = _PairSpace(sys, sys)
-    if not ssp(sys, q, sys, q, space.oracle):
+    i = sys.kernel.index[q]
+    if not space.ssp_of((i, i)):
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    return space.sequence_from(frozenset({(q, q)}))
+    return space.sequence_from((i, i))
 
 
 def ssp_seq_pair(
@@ -304,51 +251,18 @@ def ssp_seq_pair(
     """SSPseq of a cross pair; both states must be reactive."""
     sys_a.check_state(q1)
     sys_b.check_state(q2)
-    if not reactive_state(sys_a, q1):
+    if not reactive(sys_a, q1):
         raise NotReactive(f"state {q1} of {sys_a.name} is not reactive")
-    if not reactive_state(sys_b, q2):
+    if not reactive(sys_b, q2):
         raise NotReactive(f"state {q2} of {sys_b.name} is not reactive")
     space = _PairSpace(sys_a, sys_b)
-    return space.sequence_from(frozenset({(q1, q2)}))
+    return space.sequence_from((sys_a.kernel.index[q1], sys_b.kernel.index[q2]))
 
 
-def reactive_state(sys: SynchronousSystem, q: str) -> bool:
-    return separating_pairs(sys, q).reactive
-
-
-def _receiver_pairs_at(
-    sys_f: SynchronousSystem,
-    q_f: str,
-    sys_g: SynchronousSystem,
-    q_g: str,
-    levels: list[frozenset],
-    loop: int,
-    depth: int,
-) -> set[Pair]:
-    """Receiver state pairs reachable while tracking the two sender runs.
-
-    Both receiver copies first consume the sender's current output, then
-    at step j+2 the output pair of some sender level-j run pair.  The
-    per-level output-pair sets over-approximate the feeds, so the result
-    covers every synchronized composite run pair.
-    """
-    first = sys_f.out(q_f)
-    pairs = {
-        (g1, g2)
-        for g1 in sys_g.successors(q_g, first)
-        for g2 in sys_g.successors(q_g, first)
-    }
-    for j in range(depth):
-        level = levels[j] if j < len(levels) else levels[loop + (j - loop) % (len(levels) - loop)]
-        feeds = {(sys_f.out(r1), sys_f.out(r2)) for (r1, r2) in level}
-        pairs = {
-            (t1, t2)
-            for (r1, r2) in pairs
-            for (y1, y2) in feeds
-            for t1 in sys_g.successors(r1, y1)
-            for t2 in sys_g.successors(r2, y2)
-        }
-    return pairs
+def _effect_fits(d: EffectSequence, s: PairSetSequence, sys_g: SynchronousSystem, i: int) -> bool:
+    """The sender's effect at i is a strongly separating pair of the receiver at level i+1."""
+    value = d[i]
+    return value is not STAR and sys_g.inputs.canonical_pair(*value) in s[i + 1]
 
 
 def lemma_check(
@@ -374,33 +288,35 @@ def lemma_check(
     its non-silent positions, since a weakening only erases positions.
     Returns the least witness index i.
     """
-    if not sys_f.outputs.same_symbols(sys_g.inputs):
-        raise SignatureMismatch(
-            f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
-        )
+    fed = feed_of(sys_f, sys_g)
     sys_f.check_state(q_f)
     sys_g.check_state(q_g)
-    if not reactive_state(sys_f, q_f) or not reactive_state(sys_g, q_g):
+    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
         return LemmaVerdict(False)
-    d = doe(sys_f, q_f)
-    s = ssp_seq(sys_g, q_g)
     levels, loop = doe_levels(sys_f, q_f)
+    d = _effects(sys_f, levels, loop)
+    s = ssp_seq(sys_g, q_g)
+    # Receiver pairs reachable while tracking the two sender runs: both
+    # copies first consume the sender's current output, then at step j+2
+    # the output pair of some sender level-j run pair.  The per-level
+    # output-pair sets over-approximate the feeds, so the pairs cover
+    # every synchronized composite run pair.
+    succ_g, out_g = sys_g.kernel.succ, sys_g.kernel.out
+    moves = succ_g[sys_g.kernel.index[q_g]][fed[sys_f.kernel.index[q_f]]]
+    pairs, depth = frozenset(itertools.product(moves, moves)), 0
+    period = len(levels) - loop
     window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
     for i in range(window):
-        value = d[i]
-        if value is STAR:
+        if not _effect_fits(d, s, sys_g, i):
             continue
-        if sys_g.inputs.canonical_pair(*value) not in s[i + 1]:
-            continue
-        receiver_pairs = _receiver_pairs_at(sys_f, q_f, sys_g, q_g, levels, loop, i)
-        x1, x2 = value
-        forced = all(
-            sys_g.out(t1) != sys_g.out(t2)
-            for (r1, r2) in receiver_pairs
-            for t1 in sys_g.successors(r1, x1)
-            for t2 in sys_g.successors(r2, x2)
-        )
-        if forced:
+        for j in range(depth, i):
+            level = levels[j if j < len(levels) else loop + (j - loop) % period]
+            feeds = {(None, fed[r1], fed[r2]) for (r1, r2) in level}
+            pairs = frontier_image(pair_step(succ_g, succ_g, lambda node: feeds))(pairs)
+        depth = i
+        effect = [(None, *map(sys_g.inputs.index, d[i]))]
+        consume = pair_step(succ_g, succ_g, lambda node: effect)
+        if all(out_g[t1] != out_g[t2] for pair in pairs for (_, (t1, t2)) in consume(pair)):
             return LemmaVerdict(True, i)
     return LemmaVerdict(False)
 
@@ -420,33 +336,24 @@ def doe_compose(
     composite steps; the leading silent tick is the communication delay
     of the synchronous model.
     """
-    if not sys_f.outputs.same_symbols(sys_g.inputs):
-        raise SignatureMismatch(
-            f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
-        )
+    step = seq_step(sys_f, sys_g)
     sys_f.check_state(q_f)
     sys_g.check_state(q_g)
     if t < 0:
         raise PreconditionFailed("witness index must be nonnegative")
-    if not reactive_state(sys_f, q_f) or not reactive_state(sys_g, q_g):
+    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
         raise PreconditionFailed("both composed states must be reactive")
     d = doe(sys_f, q_f)
     s = ssp_seq(sys_g, q_g)
-    value = d[t]
-    if value is STAR or sys_g.inputs.canonical_pair(*value) not in s[t + 1]:
+    if not _effect_fits(d, s, sys_g, t):
         raise PreconditionFailed(
             f"effect at index {t} is not a strongly separating pair at level {t + 1}"
         )
     # Composite frontier after exactly t+1 steps from (q_f, q_g).
-    frontier = {(q_f, q_g)}
+    frontier = frozenset({(sys_f.kernel.index[q_f], sys_g.kernel.index[q_g])})
+    advance = frontier_image(step)
     for _ in range(t + 1):
-        frontier = {
-            (qf2, qg2)
-            for (qf, qg) in frontier
-            for sym in sys_f.inputs
-            for qf2 in sys_f.successors(qf, sym)
-            for qg2 in sys_g.successors(qg, sys_f.out(qf))
-        }
-    receivers = sorted({qg for (_, qg) in frontier})
+        frontier = advance(frontier)
+    receivers = sorted({sys_g.states[g] for (_, g) in frontier})
     merged = merge_sequences([doe(sys_g, g) for g in receivers])
     return star_prepend(t + 1, merged)

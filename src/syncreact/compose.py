@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Alphabet, SynchronousSystem, pair_symbol
+from .core import Alphabet, SynchronousSystem, pair_step, pair_symbol, reach
 from .errors import SignatureMismatch
 
 # `*` is reserved in state names to join the two component state names.
@@ -34,6 +34,56 @@ def _pair_state(qf: str, qg: str) -> str:
     return f"{qf}{STATE_JOIN}{qg}"
 
 
+def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
+    """The receiver input id each sender state emits, matched by symbol.
+
+    The sender's output symbols must equal the receiver's input symbols
+    as sets; their declaration orders may differ.
+    """
+    if not sys_f.outputs.same_symbols(sys_g.inputs):
+        raise SignatureMismatch(
+            f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
+        )
+    feed = [sys_g.inputs.index(o) for o in sys_f.outputs]
+    return [feed[o] for o in sys_f.kernel.out]
+
+
+def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):
+    """Step of the sequential composite on state id pairs, labelled by input id.
+
+    On input a the first machine steps on a and the second on the first
+    machine's current output.
+    """
+    fed = feed_of(sys_f, sys_g)
+    by_feed = [[(a, a, y) for a in range(len(sys_f.inputs))] for y in range(len(sys_g.inputs))]
+    return pair_step(sys_f.kernel.succ, sys_g.kernel.succ, lambda node: by_feed[fed[node[0]]])
+
+
+def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> SynchronousSystem:
+    """The part of a product reachable from the state pair ``start``.
+
+    Composite states are named ``qf*qg``; an edge label indexes
+    ``inputs`` and ``output(node)`` names a composite state's output.
+    """
+    graph = reach((sys_f.kernel.index[start[0]], sys_g.kernel.index[start[1]]), step)
+    state = {
+        node: _pair_state(sys_f.states[node[0]], sys_g.states[node[1]]) for node in graph
+    }
+    return SynchronousSystem(
+        name=name,
+        inputs=inputs,
+        outputs=outputs,
+        states=tuple(state.values()),
+        transitions=tuple(
+            (state[node], inputs.symbols[label], state[t])
+            for node, edges in graph.items()
+            for (label, t) in edges
+        ),
+        out_label={state[node]: output(node) for node in graph},
+        initial=_pair_state(*start),
+    )
+
+
 def seq_compose(
     sys_f: SynchronousSystem,
     sys_g: SynchronousSystem,
@@ -49,41 +99,20 @@ def seq_compose(
     machine's output.  ``start`` overrides the initial pair, which is
     used to explore composites from non-initial states.
     """
-    if not sys_f.outputs.same_symbols(sys_g.inputs):
-        raise SignatureMismatch(
-            f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
-        )
+    step = seq_step(sys_f, sys_g)
     if start is None:
         start = (sys_f.initial, sys_g.initial)
     sys_f.check_state(start[0])
     sys_g.check_state(start[1])
-    states: list[tuple[str, str]] = [start]
-    seen = {start}
-    transitions: list[tuple[str, str, str]] = []
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for (qf, qg) in frontier:
-            feed = sys_f.out(qf)
-            for sym in sys_f.inputs:
-                for qf2 in sys_f.successors(qf, sym):
-                    for qg2 in sys_g.successors(qg, feed):
-                        transitions.append(
-                            (_pair_state(qf, qg), sym, _pair_state(qf2, qg2))
-                        )
-                        if (qf2, qg2) not in seen:
-                            seen.add((qf2, qg2))
-                            states.append((qf2, qg2))
-                            next_frontier.append((qf2, qg2))
-        frontier = next_frontier
-    system = SynchronousSystem(
-        name=name or f"{sys_g.name}.{sys_f.name}",
-        inputs=sys_f.inputs,
-        outputs=sys_g.outputs,
-        states=tuple(_pair_state(qf, qg) for (qf, qg) in states),
-        transitions=tuple(transitions),
-        out_label={_pair_state(qf, qg): sys_g.out(qg) for (qf, qg) in states},
-        initial=_pair_state(*start),
+    system = _composite(
+        name or f"{sys_g.name}.{sys_f.name}",
+        sys_f.inputs,
+        sys_g.outputs,
+        sys_f,
+        sys_g,
+        start,
+        step,
+        lambda node: sys_g.out_label[sys_g.states[node[1]]],
     )
     return ComposedSystem(system, "seq", sys_f.name, sys_g.name)
 
@@ -100,38 +129,20 @@ def par_compose(
     outputs = Alphabet(
         tuple(pair_symbol(b, d) for b in sys_f.outputs for d in sys_g.outputs)
     )
-    start = (sys_f.initial, sys_g.initial)
-    states: list[tuple[str, str]] = [start]
-    seen = {start}
-    transitions: list[tuple[str, str, str]] = []
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for (qf, qg) in frontier:
-            for a in sys_f.inputs:
-                for c in sys_g.inputs:
-                    sym = pair_symbol(a, c)
-                    for qf2 in sys_f.successors(qf, a):
-                        for qg2 in sys_g.successors(qg, c):
-                            transitions.append(
-                                (_pair_state(qf, qg), sym, _pair_state(qf2, qg2))
-                            )
-                            if (qf2, qg2) not in seen:
-                                seen.add((qf2, qg2))
-                                states.append((qf2, qg2))
-                                next_frontier.append((qf2, qg2))
-        frontier = next_frontier
-    out_label = {
-        _pair_state(qf, qg): pair_symbol(sys_f.out(qf), sys_g.out(qg))
-        for (qf, qg) in states
-    }
-    system = SynchronousSystem(
-        name=name or f"{sys_f.name}-par-{sys_g.name}",
-        inputs=inputs,
-        outputs=outputs,
-        states=tuple(_pair_state(qf, qg) for (qf, qg) in states),
-        transitions=tuple(transitions),
-        out_label=out_label,
-        initial=_pair_state(*start),
+    width = len(sys_g.inputs)
+    columns = [
+        (a * width + c, a, c) for a in range(len(sys_f.inputs)) for c in range(width)
+    ]
+    system = _composite(
+        name or f"{sys_f.name}-par-{sys_g.name}",
+        inputs,
+        outputs,
+        sys_f,
+        sys_g,
+        (sys_f.initial, sys_g.initial),
+        pair_step(sys_f.kernel.succ, sys_g.kernel.succ, lambda node: columns),
+        lambda node: outputs.symbols[
+            sys_f.kernel.out[node[0]] * len(sys_g.outputs) + sys_g.kernel.out[node[1]]
+        ],
     )
     return ComposedSystem(system, "par", sys_f.name, sys_g.name)

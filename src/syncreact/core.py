@@ -15,7 +15,8 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import NotAProductSymbol, SignatureMismatch, UnknownState, UnknownSymbol
 
@@ -173,6 +174,11 @@ class SynchronousSystem:
         self.check_state(q)
         return self.out_label[q]
 
+    @cached_property
+    def kernel(self) -> "Kernel":
+        """Integer view of the system, built on first use (a thread race builds equal ones)."""
+        return Kernel(self)
+
     def is_deterministic(self) -> bool:
         """Derived predicate: at most one successor per (state, input)."""
         return all(len(v) <= 1 for v in self._succ.values())
@@ -257,6 +263,121 @@ def output_language(
     return sorted(words)
 
 
+class Kernel:
+    """Integer view of a system, the encoding every analysis walks.
+
+    ``index`` numbers the states in declaration order, ``succ[q][a]`` is
+    the tuple of successor ids of state id q on input id a (inputs in
+    declaration order, successors in transition order) and ``out[q]`` is
+    the id of q's output symbol.  Names are checked at the API entry and
+    turned back into names only where results are returned.
+    """
+
+    def __init__(self, sys: SynchronousSystem):
+        self.index = index = {q: i for i, q in enumerate(sys.states)}
+        table = sys._succ
+        self.succ = [
+            tuple(tuple(index[t] for t in table.get((q, a), ())) for a in sys.inputs)
+            for q in sys.states
+        ]
+        out_id = {o: i for i, o in enumerate(sys.outputs)}
+        self.out = [out_id[sys.out_label[q]] for q in sys.states]
+
+    @cached_property
+    def refinement(self) -> "_Refinement":
+        """The system's own bisimulation refinement, computed once."""
+        return _Refinement(self)
+
+
+def pair_step(succ_a: Sequence, succ_b: Sequence, columns: Callable) -> Callable:
+    """Step function of a product of two successor tables, on id pairs.
+
+    ``columns(node)`` lists ``(label, a, b)``: the left state moves on
+    input id a, the right one on input id b, and every combination of
+    their successors is one labelled edge, in that order.
+    """
+
+    def step(node):
+        moves_a, moves_b = succ_a[node[0]], succ_b[node[1]]
+        return [
+            (label, (p2, q2))
+            for (label, a, b) in columns(node)
+            for p2 in moves_a[a]
+            for q2 in moves_b[b]
+        ]
+
+    return step
+
+
+class Product:
+    """Synchronized product of two systems of one signature, explored lazily.
+
+    Both sides step on the same input.  Signatures compare symbol sets,
+    not their order, so ``sys_b`` is read through ``sys_a``'s input and
+    output numbering: a node is EQ iff its two output ids are equal.
+    """
+
+    def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
+        sys_a.require_same_signature(sys_b)
+        self.succ_a, self.out_a = sys_a.kernel.succ, sys_a.kernel.out
+        self.succ_b, self.out_b = sys_b.kernel.succ, sys_b.kernel.out
+        columns = [sys_b.inputs.index(a) for a in sys_a.inputs]
+        if columns != sorted(columns):
+            self.succ_b = [tuple(moves[c] for c in columns) for moves in self.succ_b]
+        renumber = [sys_a.outputs.index(o) for o in sys_b.outputs]
+        if renumber != sorted(renumber):
+            self.out_b = [renumber[o] for o in self.out_b]
+        steps = [(a, a, a) for a in range(len(columns))]
+        self.step = pair_step(self.succ_a, self.succ_b, lambda node: steps)
+
+    def eq(self, node) -> bool:
+        return self.out_a[node[0]] == self.out_b[node[1]]
+
+
+def reach(start, step: Callable, keep: Optional[Callable] = None) -> dict:
+    """Breadth-first exploration from ``start``.
+
+    Returns ``node -> [(label, successor)]`` in discovery order, keeping
+    only the edges into nodes that satisfy ``keep`` (all when None), so
+    the region explored is the one reachable through kept nodes.
+    """
+    graph = {start: []}
+    queue = [start]
+    for node in queue:
+        edges = graph[node] = [e for e in step(node) if keep is None or keep(e[1])]
+        for (_, t) in edges:
+            if t not in graph:
+                graph[t] = []
+                queue.append(t)
+    return graph
+
+
+def frontier_image(step: Callable) -> Callable[[frozenset], frozenset]:
+    """One step of every node of a frontier, each node's successors cached as one tuple."""
+    targets: dict = {}
+
+    def image(frontier: frozenset) -> frozenset:
+        for node in frontier.difference(targets):
+            targets[node] = tuple(dict.fromkeys(t for (_, t) in step(node)))
+        # Copied from a finished set, a frozenset gets the smallest table.
+        return frozenset(set(itertools.chain.from_iterable(map(targets.__getitem__, frontier))))
+
+    return image
+
+
+def lasso_walk(frontier: frozenset, image: Callable) -> tuple[list[frozenset], int]:
+    """Iterate ``image`` from ``frontier`` until a frontier repeats.
+
+    Finitely many frontiers exist, so the sequence is a lasso: returns
+    the frontiers in order and the index the last one loops back to.
+    """
+    seen: dict[frozenset, int] = {}
+    while frontier not in seen:
+        seen[frontier] = len(seen)
+        frontier = image(frontier)
+    return list(seen), seen[frontier]
+
+
 @dataclass(frozen=True)
 class Partition:
     """Bisimulation partition: total map from states onto class indices."""
@@ -286,28 +407,21 @@ class _Refinement:
     at round k are equal.
     """
 
-    def __init__(self, sys: SynchronousSystem):
-        states = sys.states
-        self.states = states
-        self.index = index = {q: i for i, q in enumerate(states)}
-        table = sys._succ
-        self.succ = succ = [
-            tuple(tuple(index[t] for t in table.get((q, a), ())) for a in sys.inputs)
-            for q in states
-        ]
-        preds: list[list[int]] = [[] for _ in states]
+    def __init__(self, kernel: Kernel):
+        self.succ = succ = kernel.succ
+        preds: list[list[int]] = [[] for _ in succ]
         for i, moves in enumerate(succ):
             for j in set(itertools.chain.from_iterable(moves)):
                 preds[j].append(i)
         deterministic = all(len(ts) == 1 for moves in succ for ts in moves)
-        first: dict[str, int] = {}
-        cls = [first.setdefault(sys.out_label[q], len(first)) for q in states]
+        first: dict[int, int] = {}
+        cls = [first.setdefault(o, len(first)) for o in kernel.out]
         members: list[set[int]] = [set() for _ in first]
         for i, c in enumerate(cls):
             members[c].add(i)
         history = [[(0, c)] for c in cls]
         rounds = 0
-        dirty: Iterable[int] = range(len(states))
+        dirty: Iterable[int] = range(len(succ))
         while dirty:
             rounds += 1
             parts: dict[tuple, list[int]] = {}
@@ -383,23 +497,22 @@ class _Refinement:
                     return a, "right", q2, [(p2, q2) for p2 in ps]
         raise AssertionError("refinement history is inconsistent")
 
-    def partition(self) -> Partition:
-        """Final blocks, numbered in order of their first member state."""
-        number: dict[int, int] = {}
-        class_of = {}
-        representative = {}
-        for q, c in zip(self.states, self.cls):
-            n = number.get(c)
-            if n is None:
-                n = number[c] = len(number)
-                representative[n] = q
-            class_of[q] = n
-        return Partition(class_of, tuple(range(len(number))), representative)
-
 
 def bisim_classes(sys: SynchronousSystem) -> Partition:
-    """Coarsest partition refining output equality and stable under steps."""
-    return _Refinement(sys).partition()
+    """Coarsest partition refining output equality and stable under steps.
+
+    Classes are numbered in order of their first member state.
+    """
+    number: dict[int, int] = {}
+    class_of = {}
+    representative = {}
+    for q, c in zip(sys.states, sys.kernel.refinement.cls):
+        n = number.get(c)
+        if n is None:
+            n = number[c] = len(number)
+            representative[n] = q
+        class_of[q] = n
+    return Partition(class_of, tuple(range(len(number))), representative)
 
 
 def bisim_quotient(
@@ -463,30 +576,33 @@ def disjoint_union(
 class BisimOracle:
     """Non-bisimilarity queries between two (possibly identical) systems.
 
-    Refines the disjoint union once; the final partition answers
-    :meth:`distinct` and the refinement history answers :meth:`depth`
-    and the moves of every witness.
+    Refines the disjoint union once, or reuses a system's own cached
+    refinement when both sides are one system.  ``cls_a`` and ``cls_b``
+    give the final block of each state id of either side (equal blocks
+    iff bisimilar); the refinement history answers :meth:`depth` and the
+    moves of every witness.
     """
 
     def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
-        self.sys_a = sys_a
-        self.sys_b = sys_b
         if sys_a is sys_b:
             self.union = sys_a
             self.pa = self.pb = ""
         else:
             self.union, self.pa, self.pb = disjoint_union(sys_a, sys_b)
-        self._refinement = _Refinement(self.union)
-        self.partition = self._refinement.partition()
+        self._refinement = ref = self.union.kernel.refinement
+        # The union lists sys_a's states first.
+        self.cls_a = ref.cls
+        self.cls_b = ref.cls if sys_a is sys_b else ref.cls[len(sys_a.states):]
 
     def distinct(self, qa: str, qb: str) -> bool:
         """True iff the two states are non-bisimilar."""
-        return not self.partition.same_class(self.pa + qa, self.pb + qb)
+        index, cls = self.union.kernel.index, self._refinement.cls
+        return cls[index[self.pa + qa]] != cls[index[self.pb + qb]]
 
     def depth(self, qa: str, qb: str) -> Optional[int]:
         """Least k at which the k-step approximants separate, None if bisimilar."""
-        ref = self._refinement
-        return ref.depth(ref.index[self.pa + qa], ref.index[self.pb + qb])
+        index = self.union.kernel.index
+        return self._refinement.depth(index[self.pa + qa], index[self.pb + qb])
 
 
 @dataclass(frozen=True)
@@ -503,13 +619,15 @@ class BaseWitness:
         return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class IndWitness:
     """One inductive layer of a non-bisimilarity proof.
 
     ``side`` is 'left' when the existential player moves from p, 'right'
     when it moves from q.  ``children`` maps every opposing successor to
-    a witness separating it from ``chosen``.
+    a witness separating it from ``chosen``.  Witnesses can be thousands
+    of layers deep, so equality and hashing go by identity and the repr
+    shows one layer.
     """
 
     p: str
@@ -518,6 +636,12 @@ class IndWitness:
     side: str
     chosen: str
     children: tuple[tuple[str, Union["BaseWitness", "IndWitness"]], ...]
+
+    def __repr__(self) -> str:
+        return (
+            f"IndWitness(p={self.p!r}, q={self.q!r}, input={self.input!r}, "
+            f"side={self.side!r}, chosen={self.chosen!r}, children={len(self.children)})"
+        )
 
     @property
     def depth(self) -> int:
@@ -566,7 +690,8 @@ def non_bisimilar(
     ref = oracle._refinement
     u = oracle.union
     names = u.states
-    root = (ref.index[oracle.pa + qa], ref.index[oracle.pb + qb])
+    index = u.kernel.index
+    root = (index[oracle.pa + qa], index[oracle.pb + qb])
     built: dict[tuple[int, int], NonBisimWitness] = {}
     moves: dict[tuple[int, int], tuple] = {}
     stack = [root]

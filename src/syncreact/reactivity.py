@@ -1,77 +1,26 @@
 """Separating pairs, separators, observable effects, and reaction time.
 
-Everything here runs on synchronized pair graphs: the product of two
-state spaces stepping on one shared input per tick.  Nodes are
-classified EQ when both components emit the same output and DIFF
-otherwise.  Quantifications over infinite input words are discharged by
-graph arguments: completeness and finite branching make the set of
-run-pair paths a finitely-branching tree, so an infinite all-EQ path
-exists iff the EQ-reachable subgraph has a cycle, and worst-case first
-difference indices are longest paths in the acyclic case.
+Everything here walks the synchronized product of two state spaces
+stepping on one shared input per tick (:class:`core.Product`), lazily
+and only as far as a query needs.  A node is EQ when both components
+emit the same output and DIFF otherwise.  Quantifications over infinite
+input words are discharged by graph arguments: completeness and finite
+branching make the set of run-pair paths a finitely-branching tree, so
+an infinite all-EQ path exists iff the region reachable through EQ
+nodes has a cycle, and worst-case first difference indices are longest
+paths in the acyclic case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BisimOracle, SynchronousSystem
+from .core import BisimOracle, Product, SynchronousSystem, reach
 from .lasso import STAR
 
 Pair = tuple[str, str]
-
-EQ = "EQ"
-DIFF = "DIFF"
-
-
-@dataclass
-class PairGraph:
-    """Synchronized product of two state spaces from an origin pair."""
-
-    sys_a: SynchronousSystem
-    sys_b: SynchronousSystem
-    origin: Pair
-    nodes: tuple[Pair, ...] = field(init=False)
-    edges: tuple[tuple[Pair, str, Pair], ...] = field(init=False)
-    classification: dict = field(init=False)
-
-    def __post_init__(self):
-        self.sys_a.require_same_signature(self.sys_b)
-        self.sys_a.check_state(self.origin[0])
-        self.sys_b.check_state(self.origin[1])
-        nodes: list[Pair] = [self.origin]
-        seen = {self.origin}
-        edges = []
-        frontier = [self.origin]
-        while frontier:
-            next_frontier = []
-            for (p, q) in frontier:
-                for sym in self.sys_a.inputs:
-                    for p2 in self.sys_a.successors(p, sym):
-                        for q2 in self.sys_b.successors(q, sym):
-                            edges.append(((p, q), sym, (p2, q2)))
-                            if (p2, q2) not in seen:
-                                seen.add((p2, q2))
-                                nodes.append((p2, q2))
-                                next_frontier.append((p2, q2))
-            frontier = next_frontier
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        self.classification = {
-            (p, q): EQ if self.sys_a.out(p) == self.sys_b.out(q) else DIFF
-            for (p, q) in nodes
-        }
-
-    def successors(self, node: Pair, sym: str) -> list[Pair]:
-        p, q = node
-        return [
-            (p2, q2)
-            for p2 in self.sys_a.successors(p, sym)
-            for q2 in self.sys_b.successors(q, sym)
-        ]
-
-    def is_eq(self, node: Pair) -> bool:
-        return self.classification[node] == EQ
 
 
 @dataclass(frozen=True)
@@ -84,6 +33,23 @@ class SepPairSet:
     @property
     def reactive(self) -> bool:
         return bool(self.pairs)
+
+
+def orientations(moves_a, moves_b, cls_a, cls_b, a1: int, a2: int) -> list[tuple[int, int]]:
+    """Orientations (ae, af) of the input pair (a1, a2) that separate.
+
+    ``moves_a`` and ``moves_b`` are the successor ids per input id of one
+    state on each side, ``cls_a`` and ``cls_b`` the final bisimulation
+    blocks of each side's state ids.  Input ae beats af when some
+    ae-successor on the left is non-bisimilar to every af-successor on
+    the right.
+    """
+    held = []
+    for (ae, af) in ((a1, a2), (a2, a1)):
+        blockers = {cls_b[y] for y in moves_b[af]}
+        if any(cls_a[x] not in blockers for x in moves_a[ae]):
+            held.append((ae, af))
+    return held
 
 
 def separating_pairs(
@@ -99,17 +65,17 @@ def separating_pairs(
     sys.check_state(q)
     if oracle is None:
         oracle = BisimOracle(sys, sys)
+    moves = sys.kernel.succ[sys.kernel.index[q]]
+    cls_a, cls_b = oracle.cls_a, oracle.cls_b
+    symbols = sys.inputs.symbols
     pairs = []
     deterministic = []
-    for (a1, a2) in sys.inputs.unordered_pairs():
-        s1 = sys.successors(q, a1)
-        s2 = sys.successors(q, a2)
-        forward = any(all(oracle.distinct(x, y) for y in s2) for x in s1)
-        backward = any(all(oracle.distinct(x, y) for x in s1) for y in s2)
-        if forward or backward:
-            pairs.append((a1, a2))
-            if all(oracle.distinct(x, y) for x in s1 for y in s2):
-                deterministic.append((a1, a2))
+    for (a1, a2) in itertools.combinations(range(len(symbols)), 2):
+        if orientations(moves, moves, cls_a, cls_b, a1, a2):
+            pair = (symbols[a1], symbols[a2])
+            pairs.append(pair)
+            if not {cls_a[x] for x in moves[a1]} & {cls_b[y] for y in moves[a2]}:
+                deterministic.append(pair)
     return SepPairSet(tuple(pairs), tuple(deterministic))
 
 
@@ -117,19 +83,12 @@ def reactive(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = Non
     return separating_pairs(sys, q, oracle).reactive
 
 
-def separator_pair_orientations(
-    sys: SynchronousSystem, q: str, pair: tuple[str, str], oracle: BisimOracle
-) -> list[tuple[str, str]]:
-    """Orientations (a_exists, a_forall) under which the pair separates q."""
-    a1, a2 = pair
-    out = []
-    s1 = sys.successors(q, a1)
-    s2 = sys.successors(q, a2)
-    if any(all(oracle.distinct(x, y) for y in s2) for x in s1):
-        out.append((a1, a2))
-    if any(all(oracle.distinct(x, y) for x in s1) for y in s2):
-        out.append((a2, a1))
-    return out
+def _rooted(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):
+    """The product of the two systems and its node for (p, q)."""
+    product = Product(sys_a, sys_b)
+    sys_a.check_state(p)
+    sys_b.check_state(q)
+    return product, (sys_a.kernel.index[p], sys_b.kernel.index[q])
 
 
 def separators(
@@ -147,41 +106,28 @@ def separators(
     extending a deterministic separator are pruned: they carry no new
     information because every extension still separates.
     """
-    graph = PairGraph(sys_a, sys_b, (p, q))
-    results: list[tuple[tuple[str, ...], bool]] = []
-    # Frontier state per candidate word: nodes reached along all-EQ
-    # paths and nodes reached along paths that already saw a DIFF node.
-    root = graph.origin
-    if graph.is_eq(root):
-        start = (frozenset({root}), frozenset())
-    else:
-        start = (frozenset(), frozenset({root}))
-    frontier: list[tuple[tuple[str, ...], frozenset, frozenset]] = [
-        ((), start[0], start[1])
-    ]
-    if start[1]:
+    product, root = _rooted(sys_a, p, sys_b, q)
+    if not product.eq(root):
         # The empty word already separates: output at index 0 differs.
-        results.append(((), True))
-        return results
+        return [((), True)]
+    symbols = sys_a.inputs.symbols
+    results: list[tuple[tuple[str, ...], bool]] = []
+    # Frontier per candidate word: the nodes its run pairs reach, each
+    # flagged once the path to it has passed a DIFF node.
+    frontier: list[tuple[tuple[str, ...], set]] = [((), {(root, False)})]
     for _ in range(max_len):
         next_frontier = []
-        for (word, eq_nodes, diff_nodes) in frontier:
-            for sym in sys_a.inputs:
-                new_eq = set()
-                new_diff = set()
-                for node in eq_nodes:
-                    for succ in graph.successors(node, sym):
-                        (new_eq if graph.is_eq(succ) else new_diff).add(succ)
-                for node in diff_nodes:
-                    for succ in graph.successors(node, sym):
-                        new_diff.add(succ)
-                new_word = word + (sym,)
-                is_separator = bool(new_diff)
-                is_deterministic = is_separator and not new_eq
-                if is_separator:
-                    results.append((new_word, is_deterministic))
-                if not is_deterministic:
-                    next_frontier.append((new_word, frozenset(new_eq), frozenset(new_diff)))
+        for (word, nodes) in frontier:
+            reached: list[set] = [set() for _ in symbols]
+            for (node, differed) in nodes:
+                for (a, t) in product.step(node):
+                    reached[a].add((t, differed or not product.eq(t)))
+            for a, sym in enumerate(symbols):
+                flags = {differed for (_, differed) in reached[a]}
+                if True in flags:
+                    results.append((word + (sym,), False not in flags))
+                if flags != {True}:
+                    next_frontier.append((word + (sym,), reached[a]))
         frontier = next_frontier
     return results
 
@@ -206,130 +152,80 @@ def strongly_separable(
 ) -> StrongSepResult:
     """True iff every infinite input word has a deterministic separator prefix.
 
-    On finite complete systems this reduces to acyclicity of the
-    EQ-classified subgraph reachable from (p, q) through EQ nodes.
+    On finite complete systems this reduces to acyclicity of the EQ
+    region reachable from (p, q) through EQ nodes.
     """
-    graph = PairGraph(sys_a, sys_b, (p, q))
-    root = graph.origin
-    if not graph.is_eq(root):
-        return StrongSepResult(True, bound=0)
-    # Restrict to EQ nodes reachable through EQ nodes only.
-    eq_succ: dict[Pair, list[tuple[str, Pair]]] = {}
-    stack = [root]
-    reach = {root}
-    while stack:
-        node = stack.pop()
-        succs = []
-        for sym in sys_a.inputs:
-            for t in graph.successors(node, sym):
-                if graph.is_eq(t):
-                    succs.append((sym, t))
-                    if t not in reach:
-                        reach.add(t)
-                        stack.append(t)
-        eq_succ[node] = succs
-    cycle = _find_cycle(root, eq_succ)
+    product, root = _rooted(sys_a, p, sys_b, q)
+    cycle, word = _strong_separation(product, root)
+    if cycle is None:
+        return StrongSepResult(True, bound=len(word))
+    symbols = sys_a.inputs.symbols
+    return StrongSepResult(
+        False,
+        cycle=tuple(
+            ((sys_a.states[x], sys_b.states[y]), symbols[a]) for ((x, y), a) in cycle
+        ),
+    )
+
+
+def _strong_separation(product: Product, root) -> tuple[Optional[tuple], tuple[int, ...]]:
+    """An EQ lasso from root, or else one longest all-EQ word (input ids).
+
+    A DIFF root has neither: its empty region gives ``(None, ())``.
+    """
+    if not product.eq(root):
+        return None, ()
+    region = reach(root, product.step, product.eq)
+    cycle, postorder = _search(root, region)
     if cycle is not None:
-        return StrongSepResult(False, cycle=cycle)
-    return StrongSepResult(True, bound=_longest_path(root, eq_succ))
+        return cycle, ()
+    return None, _longest_path_witness(root, region, postorder)
 
 
-def _find_cycle(root, eq_succ):
-    """Iterative DFS cycle search; returns the lasso edge list if found."""
+def _search(root, region):
+    """Iterative DFS from root: ``(cycle, postorder)``, cycle None when the region is acyclic."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: 0 for node in eq_succ}
+    color = {node: WHITE for node in region}
     path: list[tuple] = []
+    postorder = []
     stack: list[tuple] = [("enter", root, None)]
     while stack:
         action, node, via = stack.pop()
         if action == "exit":
             color[node] = BLACK
+            postorder.append(node)
             path.pop()
             continue
-        if color[node] == BLACK:
-            continue
-        if color[node] == GRAY:
+        if color[node] != WHITE:
             continue
         color[node] = GRAY
         path.append((node, via))
         stack.append(("exit", node, None))
-        for (sym, t) in eq_succ[node]:
+        for (label, t) in region[node]:
             if color[t] == GRAY:
                 # Found a back edge: slice the cycle out of the path.
-                nodes_on_path = [n for (n, _) in path]
-                start = nodes_on_path.index(t)
-                cycle = []
-                for i in range(start, len(path) - 1):
-                    cycle.append((path[i][0], path[i + 1][1]))
-                cycle.append((node, sym))
-                return tuple(cycle)
+                start = [n for (n, _) in path].index(t)
+                cycle = [(path[i][0], path[i + 1][1]) for i in range(start, len(path) - 1)]
+                return tuple(cycle) + ((node, label),), postorder
             if color[t] == WHITE:
-                stack.append(("enter", t, sym))
-    return None
+                stack.append(("enter", t, label))
+    return None, postorder
 
 
-def _longest_path(root, eq_succ) -> int:
-    """Longest edge count from root in the acyclic EQ subgraph."""
-    memo: dict = {}
-
-    def depth(node) -> int:
-        if node in memo:
-            return memo[node]
-        best = 0
-        for (_, t) in eq_succ[node]:
-            best = max(best, 1 + depth(t))
-        memo[node] = best
-        return best
-
-    # Postorder guarantees children are memoized before their parents.
-    for node in _topological(root, eq_succ):
-        depth(node)
-    return depth(root)
-
-
-def _longest_path_witness(root, eq_succ) -> tuple[str, ...]:
-    """Input word spelled by one longest all-EQ path from root."""
-    memo: dict = {}
-
-    def depth(node) -> int:
-        if node in memo:
-            return memo[node]
-        best = 0
-        for (_, t) in eq_succ[node]:
-            best = max(best, 1 + depth(t))
-        memo[node] = best
-        return best
-
-    for node in _topological(root, eq_succ):
-        depth(node)
+def _longest_path_witness(root, region, postorder) -> tuple:
+    """Labels of one longest path from root in the acyclic region."""
+    length: dict = {}
+    for node in postorder:
+        length[node] = max((1 + length[t] for (_, t) in region[node]), default=0)
     word = []
     node = root
-    while memo[node] > 0:
-        for (sym, t) in eq_succ[node]:
-            if memo[t] == memo[node] - 1:
-                word.append(sym)
+    while length[node] > 0:
+        for (label, t) in region[node]:
+            if length[t] == length[node] - 1:
+                word.append(label)
                 node = t
                 break
     return tuple(word)
-
-
-def _topological(root, eq_succ):
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for (_, t) in eq_succ[node]:
-            if t not in seen:
-                stack.append((t, False))
-    return order
 
 
 def diff(
@@ -347,19 +243,21 @@ def diff(
     Indices run from 0 to len(word) inclusive; a singleton non-silent
     set means a guaranteed effect at that index.
     """
-    graph = PairGraph(sys_a, sys_b, (p, q))
+    product, root = _rooted(sys_a, p, sys_b, q)
     sys_a.check_word(word)
-    frontier = {graph.origin}
+    inputs = [sys_a.inputs.index(sym) for sym in word]
+    outputs = sys_a.outputs.symbols
+    frontier = {root}
     result = []
     for i in range(len(word) + 1):
         values: set = set()
         for (r1, r2) in frontier:
-            o1, o2 = sys_a.out(r1), sys_b.out(r2)
-            values.add((o1, o2) if o1 != o2 else STAR)
+            o1, o2 = product.out_a[r1], product.out_b[r2]
+            values.add((outputs[o1], outputs[o2]) if o1 != o2 else STAR)
         result.append(values)
         if i < len(word):
             frontier = {
-                succ for node in frontier for succ in graph.successors(node, word[i])
+                t for node in frontier for (a, t) in product.step(node) if a == inputs[i]
             }
     return result
 
@@ -383,50 +281,25 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     successor pair of one fails strong separability.  Otherwise the
     maximum, over deterministic separating pairs, successor combinations
     and infinite words, of the first index at which every run pair has
-    differed: one past the longest all-EQ path of each pair graph.  The
-    witness spells a longest all-EQ path plus one forcing symbol.
+    differed: one past the longest all-EQ path from each successor pair.
+    The witness spells a longest all-EQ path plus one forcing symbol.
     """
     sys.check_state(q)
     oracle = BisimOracle(sys, sys)
     sep = separating_pairs(sys, q, oracle)
     if not sep.deterministic_subset:
         return ReactionTime(None)
-    best_time = -1
-    best_witness: tuple[str, ...] = ()
+    product = Product(sys, sys)
+    moves = sys.kernel.succ[sys.kernel.index[q]]
+    candidates = []
     for (a1, a2) in sep.deterministic_subset:
-        for q1 in sys.successors(q, a1):
-            for q2 in sys.successors(q, a2):
-                verdict = strongly_separable(sys, q1, sys, q2)
-                if not verdict.separable:
+        for q1 in moves[sys.inputs.index(a1)]:
+            for q2 in moves[sys.inputs.index(a2)]:
+                cycle, path_word = _strong_separation(product, (q1, q2))
+                if cycle is not None:
                     return ReactionTime(None)
-                if sys.out(q1) != sys.out(q2):
-                    candidate_t, candidate_w = 0, ()
-                else:
-                    graph = PairGraph(sys, sys, (q1, q2))
-                    eq_succ = _eq_subgraph(graph)
-                    path_word = _longest_path_witness((q1, q2), eq_succ)
-                    candidate_t = len(path_word) + 1
-                    candidate_w = path_word + (sys.inputs.symbols[0],)
-                if candidate_t > best_time:
-                    best_time = candidate_t
-                    best_witness = candidate_w
-    return ReactionTime(best_time, best_witness)
-
-
-def _eq_subgraph(graph: PairGraph):
-    root = graph.origin
-    eq_succ: dict[Pair, list[tuple[str, Pair]]] = {}
-    stack = [root]
-    reach = {root}
-    while stack:
-        node = stack.pop()
-        succs = []
-        for sym in graph.sys_a.inputs:
-            for t in graph.successors(node, sym):
-                if graph.is_eq(t):
-                    succs.append((sym, t))
-                    if t not in reach:
-                        reach.add(t)
-                        stack.append(t)
-        eq_succ[node] = succs
-    return eq_succ
+                differ = not product.eq((q1, q2))
+                candidates.append((0, ()) if differ else (len(path_word) + 1, path_word + (0,)))
+    # The first worst case wins ties.
+    time, witness = max(candidates, key=lambda c: c[0], default=(-1, ()))
+    return ReactionTime(time, tuple(sys.inputs.symbols[a] for a in witness))

@@ -2,13 +2,26 @@ import pathlib
 
 import pytest
 
-from syncreact import sls
+from syncreact import core, sls
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def load_fixture(name: str):
     return sls.load(FIXTURES / name)
+
+
+def count_refinements(monkeypatch) -> list:
+    """Record the kernel of every bisimulation refinement built from now on."""
+    built = []
+    original = core._Refinement.__init__
+
+    def counting(self, kernel):
+        built.append(kernel)
+        original(self, kernel)
+
+    monkeypatch.setattr(core._Refinement, "__init__", counting)
+    return built
 
 
 @pytest.fixture(scope="session")

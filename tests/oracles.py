@@ -10,6 +10,7 @@ difference search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -107,6 +108,82 @@ def naive_non_bisimilar(sys_a, qa, sys_b, qb) -> bool:
 
 def all_words(alphabet: Alphabet, length: int):
     return itertools.product(alphabet.symbols, repeat=length)
+
+
+def _naive_distinct(sys):
+    """Memoised naive non-bisimilarity of two states of one system."""
+    return functools.lru_cache(maxsize=None)(
+        lambda x, y: naive_non_bisimilar(sys, x, sys, y)
+    )
+
+
+def _beats(distinct, p, q, ae, af, sys):
+    """Some ae-successor of p is non-bisimilar to every af-successor of q."""
+    return any(
+        all(distinct(x, y) for y in sys.successors(q, af))
+        for x in sys.successors(p, ae)
+    )
+
+
+def _naive_ssp(distinct, sys, p, q):
+    """Strongly separating pairs of (p, q) straight from the definition."""
+    return frozenset(
+        (a1, a2)
+        for (a1, a2) in itertools.combinations(sys.inputs.symbols, 2)
+        if _beats(distinct, p, q, a1, a2, sys) or _beats(distinct, p, q, a2, a1, sys)
+    )
+
+
+def brute_doe(sys, q, n):
+    """First n positions of the deterministic observable effects of q.
+
+    Position i collects, for every separating pair (a1, a2) of q in
+    declaration order and every word w of length i, the outputs at index
+    i + 1 of every pair of runs on a1.w and a2.w from q; it is that pair
+    when exactly one unequal pair shows up, silent (None) otherwise.
+    """
+    pairs = _naive_ssp(_naive_distinct(sys), sys, q, q)
+    positions = []
+    for i in range(n):
+        seen = set()
+        for (a1, a2) in pairs:
+            for word in all_words(sys.inputs, i):
+                ends_1 = {r.states()[-1] for r in runs(sys, q, (a1,) + word)}
+                ends_2 = {r.states()[-1] for r in runs(sys, q, (a2,) + word)}
+                seen |= {(sys.out(x), sys.out(y)) for x in ends_1 for y in ends_2}
+        x1, x2 = seen.pop() if len(seen) == 1 else (None, None)
+        positions.append((x1, x2) if x1 != x2 else None)
+    return tuple(positions)
+
+
+def brute_ssp_seq(sys, q, n):
+    """First n levels of the strongly separating pair sequence of q.
+
+    Level k intersects the strongly separating pairs of the end pair of
+    every pair of runs from (q, q) on two words of length k that moves,
+    at each step, along an orientation (ae, af) holding at its current
+    pair: ae beats af there.  With no such run pair the level is every
+    input pair.
+    """
+    distinct = _naive_distinct(sys)
+    everything = frozenset(itertools.combinations(sys.inputs.symbols, 2))
+    levels = []
+    for k in range(n):
+        value = everything
+        for w1 in all_words(sys.inputs, k):
+            for w2 in all_words(sys.inputs, k):
+                if any(a == b for a, b in zip(w1, w2)):
+                    continue
+                for r1 in runs(sys, q, w1):
+                    for r2 in runs(sys, q, w2):
+                        path = list(zip(r1.states(), r2.states()))
+                        if all(
+                            _beats(distinct, p1, p2, ae, af, sys)
+                            for (p1, p2), ae, af in zip(path, w1, w2)
+                        ):
+                            value &= _naive_ssp(distinct, sys, *path[-1])
+        levels.append(value)
+    return tuple(levels)
 
 
 def brute_separators(sys_a, p, sys_b, q, max_len):

@@ -21,7 +21,8 @@ from syncreact import (
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
-from .oracles import chain_sender, random_system
+from .conftest import count_refinements, load_fixture
+from .oracles import brute_doe, brute_ssp_seq, chain_sender, random_system
 
 
 class TestDoe:
@@ -43,6 +44,22 @@ class TestDoe:
         # Successors (s1, s0) differ at once; afterwards the shared-input
         # frontier holds both diagonal pairs, so nothing stays forced.
         assert doe(toggle_sys, "s0") == EffectSequence((("1", "0"),), (STAR,))
+
+
+class TestLevelOracles:
+    @pytest.mark.parametrize("inputs, n", [(("a", "b"), 6), (("a", "b", "c"), 4)])
+    def test_doe_and_ssp_seq_match_brute_force(self, inputs, n):
+        rng = random.Random(43 + len(inputs))
+        reactive_states = 0
+        index = 0
+        while reactive_states < 100:
+            sys = random_system(rng, f"r{index}", 5, inputs, ("0", "1", "2"))
+            index += 1
+            for q in sys.states:
+                assert doe(sys, q).window(n) == brute_doe(sys, q, n)
+                if separating_pairs(sys, q).reactive:
+                    assert ssp_seq(sys, q).window(n) == brute_ssp_seq(sys, q, n)
+                    reactive_states += 1
 
 
 class TestObsOrder:
@@ -124,6 +141,12 @@ class TestLemmaCheck:
     def test_signature_mismatch(self, delay1_sys, p1_sys):
         with pytest.raises(SignatureMismatch):
             lemma_check(delay1_sys, "s0", p1_sys, "p0")
+
+    def test_refines_each_system_once(self, monkeypatch):
+        built = count_refinements(monkeypatch)
+        sender, receiver = load_fixture("delay1.sls"), load_fixture("receiver.sls")
+        assert lemma_check(sender, "s0", receiver, "g0").guaranteed
+        assert sorted(map(id, built)) == sorted({id(sender.kernel), id(receiver.kernel)})
 
     def test_soundness_on_random_pairs(self):
         # The full 500-pair sweep lives in the acceptance suite; this is

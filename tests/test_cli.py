@@ -11,7 +11,7 @@ import syncreact
 from syncreact import sls, validate
 from syncreact.cli import main
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, count_refinements
 from .oracles import chain_sender
 
 BROKEN = "system b\ninputs a b\noutputs 0\ninit c0\nstate c0 0\ntrans c0 a c0\n"
@@ -144,6 +144,12 @@ class TestQueries:
         code, out, _ = run(capsys, "doe", FIXTURES / "delay1.sls", "s0")
         assert code == 0
         assert last_line(out) == "* | (1,2)"
+
+    def test_doe_refines_once(self, capsys, monkeypatch):
+        built = count_refinements(monkeypatch)
+        code, out, _ = run(capsys, "doe", FIXTURES / "delay1.sls", "s0")
+        assert code == 0 and last_line(out) == "* | (1,2)"
+        assert len(built) == 1
 
     def test_doe_nonreactive_note(self, capsys):
         code, out, err = run(capsys, "doe", FIXTURES / "const.sls", "c0")

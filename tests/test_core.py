@@ -29,6 +29,7 @@ from syncreact.errors import (
     UnknownSymbol,
 )
 
+from .conftest import count_refinements
 from .oracles import chain_sender, naive_bisimilar_pairs, random_system
 
 
@@ -233,6 +234,18 @@ class TestNonBisimilar:
         assert oracle.depth("l0", "m0") == 1500
         assert witness.depth == 1500
         assert replay_witness(sys, witness)
+        assert repr(witness) == (
+            "IndWitness(p='l0', q='m0', input='a', side='left', chosen='l1', children=1)"
+        )
+        assert hash(witness) == hash(witness) and witness in {witness}
+
+    def test_self_oracles_share_one_refinement(self, monkeypatch):
+        built = count_refinements(monkeypatch)
+        sys = chain_sender(3, ("x", "y", "z"))
+        first, second = BisimOracle(sys, sys), BisimOracle(sys, sys)
+        assert first.depth("l0", "m0") == second.depth("l0", "m0") == 3
+        assert len(bisim_classes(sys).classes) == len(sys.states)
+        assert len(built) == 1
 
     def test_shared_subwitnesses_are_built_once(self):
         sys = SynchronousSystem(
