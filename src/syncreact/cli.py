@@ -13,7 +13,6 @@ import argparse
 import sys as _sys
 
 from . import abstraction, compose, dot, reactivity, sls
-from . import psyc as psyc_frontend
 from .core import SynchronousSystem, bisim_quotient, non_bisimilar, validate
 from .errors import (
     PreconditionFailed,
@@ -192,12 +191,16 @@ def cmd_doe_compose(args) -> int:
 
 
 def cmd_psyc_typecheck(args) -> int:
+    from . import psyc as psyc_frontend  # here, so other commands skip its import
+
     program = psyc_frontend.load(args.file)
     print(str(program.typecheck()))
     return EXIT_OK
 
 
 def cmd_psyc_build(args) -> int:
+    from . import psyc as psyc_frontend
+
     program = psyc_frontend.load(args.file)
     ty = program.typecheck()
     if str(ty) != "comm":

@@ -3,9 +3,17 @@
 A configuration is a store, a pending input symbol, and a program.  One
 reduction either rewrites the configuration (a leaf) or fires a tick,
 producing a node that emits the evaluated output tuple and branches
-over every input symbol.  Context rules extend the rewrite through
-sequencing, dereference, assignment, conditionals and tick arguments by
-mapping over the leaves of the produced tree.
+over every input symbol.
+
+Reduction is organised by refocusing.  ``_decompose`` walks from a
+term down to its redex, pushing one context frame per level it passes
+(sequencing, dereference, assignment, conditionals, operators and tick
+arguments); ``Machine._contract`` applies one rule at the redex; and
+``_plug`` rebuilds the term around the result.  ``Machine.step`` is
+one decompose, contract and plug.  ``Machine.run_round`` keeps the
+frames between reductions instead: it contracts each redex where it
+sits, pops only the frame around a result that is a value or ``skip``,
+and plugs the program once, when the tick fires.
 
 The coinductive limit of this process is realized by interning: each
 tick node is keyed by its emitted output, its continuation program, and
@@ -61,15 +69,6 @@ class Config:
     pending: str
     prog: Ast
 
-    def lookup(self, name: str) -> Value:
-        for (n, v) in self.store:
-            if n == name:
-                return v
-        raise StuckConfiguration(f"variable {name!r} missing from store")
-
-    def updated(self, name: str, value: Value) -> Store:
-        return tuple((n, value if n == name else v) for (n, v) in self.store)
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -85,14 +84,6 @@ class Node:
 EvalTree = Union[Leaf, Node]
 
 
-def map_leaves(wrap, tree: EvalTree) -> EvalTree:
-    """Apply a program rewriting to every leaf of a partial tree."""
-    if isinstance(tree, Leaf):
-        cfg = tree.config
-        return Leaf(Config(cfg.store, cfg.pending, wrap(cfg.prog)))
-    return Node(tree.out, tuple((a, map_leaves(wrap, t)) for (a, t) in tree.branches))
-
-
 @dataclass(frozen=True)
 class VarDecl:
     name: str
@@ -104,8 +95,97 @@ class VarDecl:
         return False if self.base == "bool" else 0
 
 
+_SKIP = Skip()
+_TRUE = BoolLit(True)
+_FALSE = BoolLit(False)
+
+# A contraction to one of these may change what its enclosing frame does
+# next: the frame becomes a redex or moves its hole to the next operand.
+_SETTLED = (Skip, BoolLit, IntLit, VarRef)
+
+
 def _literal(value: Value) -> Ast:
-    return BoolLit(value) if isinstance(value, bool) else IntLit(value)
+    if isinstance(value, bool):
+        return _TRUE if value else _FALSE
+    return IntLit(value)
+
+
+def _lookup(store: Store, name: str) -> Value:
+    for (n, v) in store:
+        if n == name:
+            return v
+    raise StuckConfiguration(f"variable {name!r} missing from store")
+
+
+def _updated(store: Store, name: str, value: Value) -> Store:
+    return tuple((n, value if n == name else v) for (n, v) in store)
+
+
+# A context frame: a node and the position of the hole being reduced in it.
+Frame = tuple[Ast, int]
+
+
+def _decompose(term: Ast, frames: list[Frame]) -> Ast:
+    """The redex of ``term``; pushes one frame per level walked through."""
+    while True:
+        cls = term.__class__
+        hole, child = 0, None  # the operand reduced next; None at a redex
+        if cls is Seq:
+            if not isinstance(term.first, Skip):
+                child = term.first
+        elif cls is If:
+            if not isinstance(term.cond, BoolLit):
+                child = term.cond
+        elif cls is Assign:
+            if not is_value(term.value):
+                child = term.value
+        elif cls is Deref:
+            if not isinstance(term.target, VarRef):
+                child = term.target
+        elif cls is Dec or cls is NotZero:
+            if not isinstance(term.inner, IntLit):
+                child = term.inner
+        elif cls is Conj:
+            if not isinstance(term.left, BoolLit):
+                child = term.left
+            elif not isinstance(term.right, BoolLit):
+                hole, child = 1, term.right
+        elif cls is Tick:
+            for (i, arg) in enumerate(term.args):
+                if not is_value(arg):
+                    hole, child = i, arg
+                    break
+        elif cls is not While and cls is not Get:
+            raise StuckConfiguration(f"no rule applies to {unparse(term)!r}")
+        if child is None:
+            return term
+        frames.append((term, hole))
+        term = child
+
+
+def _rebuild(node: Ast, hole: int, child: Ast) -> Ast:
+    """``node`` with ``child`` in the hole of its frame."""
+    cls = node.__class__
+    if cls is Seq:
+        return Seq(child, node.second)
+    if cls is If:
+        return If(child, node.then_branch, node.else_branch)
+    if cls is Assign:
+        return Assign(node.target, child)
+    if cls is Conj:
+        return Conj(child, node.right) if hole == 0 else Conj(node.left, child)
+    if cls is Tick:
+        args = node.args
+        return Tick(args[:hole] + (child,) + args[hole + 1 :])
+    return cls(child)  # Deref, Dec, NotZero
+
+
+def _plug(frames: list[Frame], term: Ast) -> Ast:
+    """The whole program: ``term`` rebuilt into every frame, innermost first."""
+    while frames:
+        node, hole = frames.pop()
+        term = _rebuild(node, hole, term)
+    return term
 
 
 def _component_value(text: str, base: str) -> Value:
@@ -174,113 +254,65 @@ class Machine:
             raise BuildError(f"program emits undeclared output symbol {text!r}")
         return text
 
+    def _contract(self, redex: Ast, store: Store, pending: str) -> tuple[Ast, Store]:
+        """One reduction rule at a redex other than a tick."""
+        cls = redex.__class__
+        if cls is Seq:
+            return redex.second, store
+        if cls is While:
+            return If(redex.cond, Seq(redex.body, redex), _SKIP), store
+        if cls is If:
+            branch = redex.then_branch if redex.cond.value else redex.else_branch
+            return branch, store
+        if cls is Assign:
+            name = redex.target.name
+            value = redex.value.value
+            self.check_assignment(name, value)
+            return _SKIP, _updated(store, name, value)
+        if cls is Deref:
+            return _literal(_lookup(store, redex.target.name)), store
+        if cls is Get:
+            return _literal(self.input_component(pending, redex.index)), store
+        if cls is Dec:
+            return IntLit(redex.inner.value - 1), store
+        if cls is NotZero:
+            return _literal(redex.inner.value != 0), store
+        return _literal(redex.left.value and redex.right.value), store  # Conj
+
     def step(self, config: Config) -> EvalTree:
         """One application of the reduction relation."""
-        st, pend, prog = config.store, config.pending, config.prog
-
-        def leaf(new_store: Store, new_prog: Ast) -> Leaf:
-            return Leaf(Config(new_store, pend, new_prog))
-
-        if isinstance(prog, Seq):
-            if isinstance(prog.first, Skip):
-                return leaf(st, prog.second)
-            tail = prog.second
-            return map_leaves(
-                lambda p, tail=tail: Seq(p, tail),
-                self.step(Config(st, pend, prog.first)),
-            )
-        if isinstance(prog, While):
-            unfolded = If(prog.cond, Seq(prog.body, prog), Skip())
-            return leaf(st, unfolded)
-        if isinstance(prog, If):
-            if isinstance(prog.cond, BoolLit):
-                return leaf(st, prog.then_branch if prog.cond.value else prog.else_branch)
-            t, e = prog.then_branch, prog.else_branch
-            return map_leaves(
-                lambda p, t=t, e=e: If(p, t, e),
-                self.step(Config(st, pend, prog.cond)),
-            )
-        if isinstance(prog, Assign):
-            if is_value(prog.value):
-                name = prog.target.name
-                value = prog.value.value
-                self.check_assignment(name, value)
-                return leaf(config.updated(name, value), Skip())
-            target = prog.target
-            return map_leaves(
-                lambda p, target=target: Assign(target, p),
-                self.step(Config(st, pend, prog.value)),
-            )
-        if isinstance(prog, Deref):
-            if isinstance(prog.target, VarRef):
-                return leaf(st, _literal(config.lookup(prog.target.name)))
-            return map_leaves(
-                lambda p: Deref(p), self.step(Config(st, pend, prog.target))
-            )
-        if isinstance(prog, Get):
-            return leaf(st, _literal(self.input_component(pend, prog.index)))
-        if isinstance(prog, Dec):
-            if isinstance(prog.inner, IntLit):
-                return leaf(st, IntLit(prog.inner.value - 1))
-            return map_leaves(lambda p: Dec(p), self.step(Config(st, pend, prog.inner)))
-        if isinstance(prog, NotZero):
-            if isinstance(prog.inner, IntLit):
-                return leaf(st, BoolLit(prog.inner.value != 0))
-            return map_leaves(
-                lambda p: NotZero(p), self.step(Config(st, pend, prog.inner))
-            )
-        if isinstance(prog, Conj):
-            if isinstance(prog.left, BoolLit) and isinstance(prog.right, BoolLit):
-                return leaf(st, BoolLit(prog.left.value and prog.right.value))
-            if isinstance(prog.left, BoolLit):
-                left = prog.left
-                return map_leaves(
-                    lambda p, left=left: Conj(left, p),
-                    self.step(Config(st, pend, prog.right)),
-                )
-            right = prog.right
-            return map_leaves(
-                lambda p, right=right: Conj(p, right),
-                self.step(Config(st, pend, prog.left)),
-            )
-        if isinstance(prog, Tick):
-            for i, arg in enumerate(prog.args):
-                if not is_value(arg):
-                    before = prog.args[:i]
-                    after = prog.args[i + 1 :]
-                    return map_leaves(
-                        lambda p, before=before, after=after: Tick(
-                            before + (p,) + after
-                        ),
-                        self.step(Config(st, pend, arg)),
-                    )
-            out = self.emit_symbol(prog.args)
+        frames: list[Frame] = []
+        redex = _decompose(config.prog, frames)
+        if isinstance(redex, Tick):
+            out, cont = self.emit_symbol(redex.args), _plug(frames, _SKIP)
             branches = tuple(
-                (symbol, Leaf(Config(st, symbol, Skip())))
+                (symbol, Leaf(Config(config.store, symbol, cont)))
                 for symbol in self.inputs
             )
             return Node(out, branches)
-        raise StuckConfiguration(f"no rule applies to {unparse(prog)!r}")
+        prog, store = self._contract(redex, config.store, config.pending)
+        return Leaf(Config(store, config.pending, _plug(frames, prog)))
 
     def run_round(self, config: Config) -> Optional[tuple[str, dict[str, Config]]]:
         """Reduce until a tick fires; None when the program terminates.
 
-        All trees produced by :meth:`step` have depth at most one, so a
-        fired tick surfaces immediately with leaf children.
+        Reduces exactly as repeated :meth:`step` calls would, but keeps
+        the program as frames around a focus term between reductions,
+        so one reduction costs the redex and its frame, not the program.
         """
+        store, pending, term = config.store, config.pending, config.prog
+        frames: list[Frame] = []
         for _ in range(ROUND_STEP_BUDGET):
-            if isinstance(config.prog, Skip):
+            if not frames and isinstance(term, Skip):
                 return None
-            tree = self.step(config)
-            if isinstance(tree, Leaf):
-                config = tree.config
-                continue
-            branches = {}
-            for (symbol, child) in tree.branches:
-                if not isinstance(child, Leaf):
-                    raise StuckConfiguration("tick produced a nested tree")
-                branches[symbol] = child.config
-            return tree.out, branches
+            redex = _decompose(term, frames)
+            if isinstance(redex, Tick):
+                out, cont = self.emit_symbol(redex.args), _plug(frames, _SKIP)
+                return out, {symbol: Config(store, symbol, cont) for symbol in self.inputs}
+            term, store = self._contract(redex, store, pending)
+            if frames and isinstance(term, _SETTLED):
+                node, hole = frames.pop()
+                term = _rebuild(node, hole, term)
         raise RoundDivergence(
             f"no tick after {ROUND_STEP_BUDGET} reduction steps"
         )
@@ -299,8 +331,23 @@ def reads(expr: Ast) -> frozenset:
     return frozenset()
 
 
-def live_in(prog: Ast, live_out: frozenset) -> frozenset:
-    """Backward liveness: variables whose value may be read before reassignment."""
+def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> frozenset:
+    """Backward liveness: variables whose value may be read before reassignment.
+
+    ``memo`` keeps the answer for every (term, live-out set) met, so
+    calls that share it share the work on common subterms; the builder
+    passes one for all the continuations of a program.
+    """
+    if memo is None:
+        memo = {}
+    key = (prog, live_out)
+    live = memo.get(key)
+    if live is None:
+        live = memo[key] = _live_in(prog, live_out, memo)
+    return live
+
+
+def _live_in(prog: Ast, live_out: frozenset, memo: dict) -> frozenset:
     if isinstance(prog, Skip):
         return live_out
     if isinstance(prog, Assign):
@@ -308,17 +355,26 @@ def live_in(prog: Ast, live_out: frozenset) -> frozenset:
             return (live_out - {prog.target.name}) | reads(prog.value)
         return live_out | reads(prog.value)
     if isinstance(prog, Seq):
-        return live_in(prog.first, live_in(prog.second, live_out))
+        # Every suffix of a ';' spine has the same live-out set: walk down
+        # to the first suffix already answered, then fold back up.
+        spine = []
+        while isinstance(prog, Seq) and (prog, live_out) not in memo:
+            spine.append(prog)
+            prog = prog.second
+        live = live_in(prog, live_out, memo)
+        for seq in reversed(spine):
+            live = memo[(seq, live_out)] = live_in(seq.first, live, memo)
+        return live
     if isinstance(prog, If):
         return (
             reads(prog.cond)
-            | live_in(prog.then_branch, live_out)
-            | live_in(prog.else_branch, live_out)
+            | live_in(prog.then_branch, live_out, memo)
+            | live_in(prog.else_branch, live_out, memo)
         )
     if isinstance(prog, While):
         live = live_out | reads(prog.cond)
         while True:
-            refined = live | live_in(prog.body, live)
+            refined = live | live_in(prog.body, live, memo)
             if refined == live:
                 return live
             live = refined
@@ -366,8 +422,10 @@ def build_lts(
         raise BuildError("program terminates before its first tick")
     out0, branches0 = first
 
+    liveness: dict = {}  # shared by all continuations; see live_in
+
     def intern_key(out: str, config: Config):
-        live = live_in(config.prog, frozenset())
+        live = live_in(config.prog, frozenset(), liveness)
         store = tuple((n, v) for (n, v) in config.store if n in live)
         return (out, store, config.prog)
 

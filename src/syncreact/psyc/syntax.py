@@ -32,80 +32,166 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Skip:
-    pass
+class Term:
+    """Base of the AST node classes: structural equality, hash fixed once.
+
+    Each node computes its hash at construction from its class name, its
+    own fields and the stored hashes of its children, so hashing a term
+    is O(1) and interning a term costs only its new nodes.  Equality is
+    structural and walks both terms with an explicit stack, so neither
+    recurses down long ``;`` spines.  Nodes are never changed after
+    construction.
+    """
+
+    __slots__ = ("_hash",)  # each subclass's __slots__ names its fields
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for name in a.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Term):
+                    todo.append((x, y))
+                elif isinstance(x, tuple):
+                    if len(x) != len(y):
+                        return False
+                    todo.extend(zip(x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class Skip(Term):
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash("Skip")
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class VarRef(Term):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash(("VarRef", name))
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class BoolLit(Term):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
+        self._hash = hash(("BoolLit", value))
 
 
-@dataclass(frozen=True)
-class Deref:
-    target: "Ast"
+class IntLit(Term):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+        self._hash = hash(("IntLit", value))
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: "Ast"
-    value: "Ast"
+class Deref(Term):
+    __slots__ = ("target",)
+
+    def __init__(self, target: "Ast"):
+        self.target = target
+        self._hash = hash(("Deref", target._hash))
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Ast"
-    second: "Ast"
+class Assign(Term):
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: "Ast", value: "Ast"):
+        self.target = target
+        self.value = value
+        self._hash = hash(("Assign", target._hash, value._hash))
 
 
-@dataclass(frozen=True)
-class If:
-    cond: "Ast"
-    then_branch: "Ast"
-    else_branch: "Ast"
+class Seq(Term):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: "Ast", second: "Ast"):
+        self.first = first
+        self.second = second
+        self._hash = hash(("Seq", first._hash, second._hash))
 
 
-@dataclass(frozen=True)
-class While:
-    cond: "Ast"
-    body: "Ast"
+class If(Term):
+    __slots__ = ("cond", "then_branch", "else_branch")
+
+    def __init__(self, cond: "Ast", then_branch: "Ast", else_branch: "Ast"):
+        self.cond = cond
+        self.then_branch = then_branch
+        self.else_branch = else_branch
+        self._hash = hash(("If", cond._hash, then_branch._hash, else_branch._hash))
 
 
-@dataclass(frozen=True)
-class Tick:
-    args: tuple
+class While(Term):
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: "Ast", body: "Ast"):
+        self.cond = cond
+        self.body = body
+        self._hash = hash(("While", cond._hash, body._hash))
 
 
-@dataclass(frozen=True)
-class Get:
-    index: int
+class Tick(Term):
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        self.args = args
+        self._hash = hash(("Tick", *(a._hash for a in args)))
 
 
-@dataclass(frozen=True)
-class Dec:
-    inner: "Ast"
+class Get(Term):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+        self._hash = hash(("Get", index))
 
 
-@dataclass(frozen=True)
-class NotZero:
-    inner: "Ast"
+class Dec(Term):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Ast"):
+        self.inner = inner
+        self._hash = hash(("Dec", inner._hash))
 
 
-@dataclass(frozen=True)
-class Conj:
-    left: "Ast"
-    right: "Ast"
+class NotZero(Term):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Ast"):
+        self.inner = inner
+        self._hash = hash(("NotZero", inner._hash))
+
+
+class Conj(Term):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Ast", right: "Ast"):
+        self.left = left
+        self.right = right
+        self._hash = hash(("Conj", left._hash, right._hash))
 
 
 Ast = Union[
@@ -145,7 +231,12 @@ def unparse(node: Ast) -> str:
     if isinstance(node, Assign):
         return f"{unparse(node.target)} := {unparse(node.value)}"
     if isinstance(node, Seq):
-        return f"{unparse(node.first)}; {unparse(node.second)}"
+        parts = []
+        while isinstance(node, Seq):
+            parts.append(unparse(node.first))
+            node = node.second
+        parts.append(unparse(node))
+        return "; ".join(parts)
     if isinstance(node, If):
         return (
             f"if {unparse(node.cond)} then {unparse(node.then_branch)}"

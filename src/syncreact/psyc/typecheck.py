@@ -87,10 +87,13 @@ def typecheck(
                 )
             return COMM
         if isinstance(n, Seq):
-            first = check(n.first)
-            if first != COMM:
-                raise PsyTypeError(f"Seq: left of ';' has type {first}, not comm")
-            check(n.second)
+            # Walk the right spine in a loop: sequences can be long.
+            while isinstance(n, Seq):
+                first = check(n.first)
+                if first != COMM:
+                    raise PsyTypeError(f"Seq: left of ';' has type {first}, not comm")
+                n = n.second
+            check(n)
             return COMM
         if isinstance(n, If):
             cond = check(n.cond)

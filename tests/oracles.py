@@ -4,8 +4,9 @@ Everything here recomputes results straight from the definitions, with
 no shared code paths with the library algorithms it checks: bisimilarity
 as a greatest fixpoint over state pairs, separation depths as the first
 iterated pair relation that drops a pair, separators by exhaustive word
-enumeration over run pairs, and reaction time by per-word guaranteed
-difference search.
+enumeration over run pairs, reaction time by per-word guaranteed
+difference search, and `.psy` rounds by the original small-step
+evaluator, which rebuilds the whole program after every reduction.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import namedtuple
 
 from syncreact.core import (
     Alphabet,
@@ -21,6 +23,33 @@ from syncreact.core import (
     disjoint_union,
     run_outputs,
     runs,
+    symbol_components,
+)
+from syncreact.errors import (
+    BuildError,
+    IntRangeExceeded,
+    NonFiniteIntRange,
+    RoundDivergence,
+    StateBudgetExceeded,
+    StuckConfiguration,
+)
+from syncreact.psyc.syntax import (
+    Assign,
+    BoolLit,
+    Conj,
+    Dec,
+    Deref,
+    Get,
+    If,
+    IntLit,
+    NotZero,
+    Seq,
+    Skip,
+    Tick,
+    VarRef,
+    While,
+    is_value,
+    unparse,
 )
 
 
@@ -304,4 +333,256 @@ def chain_sender(
         transitions=tuple(transitions),
         out_label=out_label,
         initial="r",
+    )
+
+
+# The original small-step evaluator of `.psy` programs.  A configuration
+# is a (store, pending input, program) triple; ``machine`` is only read
+# for its declarations (alphabets, component types, variables).
+
+NAIVE_ROUND_STEP_BUDGET = 100_000
+
+NaiveConfig = namedtuple("NaiveConfig", "store pending prog")
+NaiveLeaf = namedtuple("NaiveLeaf", "config")
+NaiveNode = namedtuple("NaiveNode", "out branches")
+
+
+def naive_map_leaves(wrap, tree):
+    """Apply a program rewriting to every leaf of a partial tree."""
+    if isinstance(tree, NaiveLeaf):
+        cfg = tree.config
+        return NaiveLeaf(NaiveConfig(cfg.store, cfg.pending, wrap(cfg.prog)))
+    return NaiveNode(
+        tree.out, tuple((a, naive_map_leaves(wrap, t)) for (a, t) in tree.branches)
+    )
+
+
+def _naive_lookup(store, name):
+    for (n, v) in store:
+        if n == name:
+            return v
+    raise StuckConfiguration(f"variable {name!r} missing from store")
+
+
+def _naive_literal(value):
+    return BoolLit(value) if isinstance(value, bool) else IntLit(value)
+
+
+def _naive_check_assignment(machine, name, value):
+    decl = {v.name: v for v in machine.variables}.get(name)
+    if decl is None:
+        raise StuckConfiguration(f"assignment to undeclared variable {name}")
+    if decl.base == "int" and not isinstance(value, bool):
+        if decl.low is None:
+            raise NonFiniteIntRange(f"integer variable {name} has no declared range")
+        if not decl.low <= value <= decl.high:
+            raise IntRangeExceeded(
+                f"assignment {name} := {value} leaves range"
+                f" [{decl.low}..{decl.high}]"
+            )
+
+
+def _naive_input_component(machine, pending, index):
+    text = symbol_components(pending)[index]
+    return text == "tt" if machine.in_types[index] == "bool" else int(text)
+
+
+def _naive_emit_symbol(machine, args):
+    def text(value):
+        if isinstance(value, bool):
+            return "tt" if value else "ff"
+        return str(value)
+
+    symbol = ",".join(text(a.value) for a in args)
+    if symbol not in machine.outputs:
+        raise BuildError(f"program emits undeclared output symbol {symbol!r}")
+    return symbol
+
+
+def naive_step(machine, config):
+    """One application of the reduction relation."""
+    st, pend, prog = config.store, config.pending, config.prog
+
+    def leaf(new_store, new_prog):
+        return NaiveLeaf(NaiveConfig(new_store, pend, new_prog))
+
+    def sub(p):
+        return naive_step(machine, NaiveConfig(st, pend, p))
+
+    if isinstance(prog, Seq):
+        if isinstance(prog.first, Skip):
+            return leaf(st, prog.second)
+        tail = prog.second
+        return naive_map_leaves(lambda p, tail=tail: Seq(p, tail), sub(prog.first))
+    if isinstance(prog, While):
+        unfolded = If(prog.cond, Seq(prog.body, prog), Skip())
+        return leaf(st, unfolded)
+    if isinstance(prog, If):
+        if isinstance(prog.cond, BoolLit):
+            return leaf(st, prog.then_branch if prog.cond.value else prog.else_branch)
+        t, e = prog.then_branch, prog.else_branch
+        return naive_map_leaves(lambda p, t=t, e=e: If(p, t, e), sub(prog.cond))
+    if isinstance(prog, Assign):
+        if is_value(prog.value):
+            name = prog.target.name
+            value = prog.value.value
+            _naive_check_assignment(machine, name, value)
+            updated = tuple((n, value if n == name else v) for (n, v) in st)
+            return leaf(updated, Skip())
+        target = prog.target
+        return naive_map_leaves(
+            lambda p, target=target: Assign(target, p), sub(prog.value)
+        )
+    if isinstance(prog, Deref):
+        if isinstance(prog.target, VarRef):
+            return leaf(st, _naive_literal(_naive_lookup(st, prog.target.name)))
+        return naive_map_leaves(lambda p: Deref(p), sub(prog.target))
+    if isinstance(prog, Get):
+        value = _naive_input_component(machine, pend, prog.index)
+        return leaf(st, _naive_literal(value))
+    if isinstance(prog, Dec):
+        if isinstance(prog.inner, IntLit):
+            return leaf(st, IntLit(prog.inner.value - 1))
+        return naive_map_leaves(lambda p: Dec(p), sub(prog.inner))
+    if isinstance(prog, NotZero):
+        if isinstance(prog.inner, IntLit):
+            return leaf(st, BoolLit(prog.inner.value != 0))
+        return naive_map_leaves(lambda p: NotZero(p), sub(prog.inner))
+    if isinstance(prog, Conj):
+        if isinstance(prog.left, BoolLit) and isinstance(prog.right, BoolLit):
+            return leaf(st, BoolLit(prog.left.value and prog.right.value))
+        if isinstance(prog.left, BoolLit):
+            left = prog.left
+            return naive_map_leaves(lambda p, left=left: Conj(left, p), sub(prog.right))
+        right = prog.right
+        return naive_map_leaves(lambda p, right=right: Conj(p, right), sub(prog.left))
+    if isinstance(prog, Tick):
+        for i, arg in enumerate(prog.args):
+            if not is_value(arg):
+                before = prog.args[:i]
+                after = prog.args[i + 1 :]
+                return naive_map_leaves(
+                    lambda p, before=before, after=after: Tick(before + (p,) + after),
+                    sub(arg),
+                )
+        out = _naive_emit_symbol(machine, prog.args)
+        branches = tuple(
+            (symbol, NaiveLeaf(NaiveConfig(st, symbol, Skip())))
+            for symbol in machine.inputs
+        )
+        return NaiveNode(out, branches)
+    raise StuckConfiguration(f"no rule applies to {unparse(prog)!r}")
+
+
+def naive_run_round(machine, config, budget=None):
+    """Reduce until a tick fires: (output, {input: config}); None on termination."""
+    if budget is None:
+        budget = NAIVE_ROUND_STEP_BUDGET
+    for _ in range(budget):
+        if isinstance(config.prog, Skip):
+            return None
+        tree = naive_step(machine, config)
+        if isinstance(tree, NaiveLeaf):
+            config = tree.config
+            continue
+        return tree.out, {symbol: child.config for (symbol, child) in tree.branches}
+    raise RoundDivergence(f"no tick after {budget} reduction steps")
+
+
+def _naive_reads(expr):
+    if isinstance(expr, Deref):
+        if isinstance(expr.target, VarRef):
+            return frozenset({expr.target.name})
+        return _naive_reads(expr.target)
+    if isinstance(expr, (Dec, NotZero)):
+        return _naive_reads(expr.inner)
+    if isinstance(expr, Conj):
+        return _naive_reads(expr.left) | _naive_reads(expr.right)
+    return frozenset()
+
+
+def naive_live_in(prog, live_out):
+    """Backward liveness, recursing down every subterm."""
+    if isinstance(prog, Skip):
+        return live_out
+    if isinstance(prog, Assign):
+        if isinstance(prog.target, VarRef):
+            return (live_out - {prog.target.name}) | _naive_reads(prog.value)
+        return live_out | _naive_reads(prog.value)
+    if isinstance(prog, Seq):
+        return naive_live_in(prog.first, naive_live_in(prog.second, live_out))
+    if isinstance(prog, If):
+        return (
+            _naive_reads(prog.cond)
+            | naive_live_in(prog.then_branch, live_out)
+            | naive_live_in(prog.else_branch, live_out)
+        )
+    if isinstance(prog, While):
+        live = live_out | _naive_reads(prog.cond)
+        while True:
+            refined = live | naive_live_in(prog.body, live)
+            if refined == live:
+                return live
+            live = refined
+    if isinstance(prog, Tick):
+        out = live_out
+        for arg in prog.args:
+            out |= _naive_reads(arg)
+        return out
+    return live_out | _naive_reads(prog)
+
+
+def naive_build(machine, program, max_states, name="program"):
+    """The reachable system of a program, round by round on the naive evaluator.
+
+    States are numbered in breadth-first order of their first round and
+    interned by output, continuation and live store, as the builder's
+    contract says.
+    """
+    for v in machine.variables:
+        if v.base == "int" and v.low is None:
+            raise NonFiniteIntRange(
+                f"integer variable {v.name} needs a declared range [lo..hi]"
+            )
+    store = []
+    for v in machine.variables:
+        if v.base == "int" and not v.low <= 0 <= v.high:
+            raise BuildError(f"default 0 outside declared range of variable {v.name}")
+        store.append((v.name, False if v.base == "bool" else 0))
+    config = NaiveConfig(tuple(store), machine.inputs.symbols[0], program)
+    first = naive_run_round(machine, config)
+    if first is None:
+        raise BuildError("program terminates before its first tick")
+
+    def key(out, branches):
+        cfg = branches[machine.inputs.symbols[0]]
+        live = naive_live_in(cfg.prog, frozenset())
+        return (out, tuple((n, v) for (n, v) in cfg.store if n in live), cfg.prog)
+
+    names = {key(*first): "q0"}
+    info = {"q0": first}
+    order = ["q0"]
+    transitions = []
+    for state in order:  # grows while it is walked: breadth-first
+        _, branches = info[state]
+        for symbol in machine.inputs:
+            result = naive_run_round(machine, branches[symbol])
+            if result is None:
+                raise BuildError("program terminates; cannot build a complete system")
+            k = key(*result)
+            if k not in names:
+                if len(names) >= max_states:
+                    raise StateBudgetExceeded(max_states)
+                names[k] = f"q{len(names)}"
+                info[names[k]] = result
+                order.append(names[k])
+            transitions.append((state, symbol, names[k]))
+    return SynchronousSystem(
+        name=name,
+        inputs=machine.inputs,
+        outputs=machine.outputs,
+        states=tuple(order),
+        transitions=tuple(transitions),
+        out_label={state: info[state][0] for state in order},
+        initial="q0",
     )

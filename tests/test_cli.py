@@ -407,6 +407,28 @@ class TestPsyc:
         assert code == 2
         assert "Assign" in err
 
+    def test_2000_statement_loop_body_in_a_fresh_interpreter(self, tmp_path):
+        src = tmp_path / "long.psy"
+        body = ";\n".join(["  tick(ff)"] * 2000)
+        src.write_text(f"inputs tt ff\noutputs tt ff\nwhile tt do\n{body}\ndone\n")
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(pathlib.Path(syncreact.__file__).resolve().parents[1]),
+        }
+        for argv, last in (
+            (["typecheck", str(src)], "comm"),
+            (["build", str(src), "-o", str(tmp_path / "long.sls")], "states 2000"),
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "syncreact.cli", "psyc", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            assert last_line(done.stdout) == last
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):

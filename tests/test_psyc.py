@@ -14,7 +14,7 @@ from syncreact.errors import (
     RoundDivergence,
     StateBudgetExceeded,
 )
-from syncreact.psyc import build_lts, loads, parse, typecheck, unparse
+from syncreact.psyc import build_lts, live_in, loads, parse, typecheck, unparse
 from syncreact.psyc.semantics import Config, Leaf, Node
 from syncreact.psyc.syntax import (
     Assign,
@@ -82,6 +82,46 @@ class TestParse:
     def test_unparse_round_trips(self):
         source = "x := ff; while tt do tick(!x); x := get done"
         assert parse(unparse(parse(source))) == parse(source)
+
+
+def spine(length: int, last=None):
+    """``tick(ff); ...; tick(ff)`` built bottom-up, as the parser builds it."""
+    node = last or Tick((BoolLit(False),))
+    for _ in range(length - 1):
+        node = Seq(Tick((BoolLit(False),)), node)
+    return node
+
+
+class TestTermHashing:
+    def test_equal_terms_built_apart_compare_and_hash_equal(self):
+        source = "x := ff; while get && !y != 0 do y := !y - 1; tick(!x) done"
+        first, second = parse(source), parse(source)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert parse(unparse(first)) == first
+        assert hash(parse(unparse(first))) == hash(first)
+
+    def test_different_terms_compare_unequal(self):
+        assert parse("x := tt") != parse("x := ff")
+        assert parse("tick(tt)") != parse("tick(tt, tt)")
+        assert BoolLit(True) != IntLit(1)
+        assert Skip() == Skip()
+        assert Skip() != BoolLit(False)
+
+    def test_deep_spine_hashes_and_compares_without_recursion(self):
+        deep = spine(5000)
+        assert isinstance(hash(deep), int)
+        assert deep == spine(5000)
+        assert hash(deep) == hash(spine(5000))
+        assert deep != spine(5000, last=Tick((BoolLit(True),)))
+        assert {deep: 1}[spine(5000)] == 1
+
+    def test_deep_spine_typechecks_unparses_and_has_liveness(self):
+        deep = spine(5000)
+        assert typecheck(deep, {}, ("bool",), ("bool",)) == COMM
+        assert parse(unparse(deep)) == deep
+        assert live_in(deep, frozenset({"x"})) == frozenset({"x"})
 
 
 class TestTypecheck:
