@@ -37,7 +37,8 @@ from .lasso import (
     obs_leq,
     star_prepend,
 )
-from .reactivity import orientations, reactive, separating_pairs
+# separating_pairs stays importable from here, where the benchmark tracer patches it.
+from .reactivity import _separating_ids, orientations, reactive, separating_pairs  # noqa: F401
 
 __all__ = [
     "ObsOrder",
@@ -65,12 +66,11 @@ def doe_levels(
     list and the index its tail loops back to.
     """
     sys.check_state(q)
-    oracle = BisimOracle(sys, sys)
-    sep = separating_pairs(sys, q, oracle)
-    if not sep.reactive:
+    pairs, _ = _separating_ids(sys, q)
+    if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    succ, i = sys.kernel.succ, sys.kernel.index[q]
-    columns = [(None, *map(sys.inputs.index, pair)) for pair in sep.pairs]
+    succ, i = sys.succ, sys.index[q]
+    columns = [(None, a1, a2) for (a1, a2) in pairs]
     level = frontier_image(pair_step(succ, succ, lambda node: columns))(frozenset({(i, i)}))
     return lasso_walk(level, frontier_image(Product(sys, sys).step))
 
@@ -95,7 +95,7 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
 
 
 def _effects(sys: SynchronousSystem, levels: list[frozenset], start: int) -> EffectSequence:
-    out = sys.kernel.out
+    out = sys.out_ids
     names = sys.outputs.symbols
     values: list[EffectSymbol] = []
     for level in levels:
@@ -123,7 +123,7 @@ def ssp(
     sys_a.check_state(q1)
     sys_b.check_state(q2)
     space = _PairSpace(sys_a, sys_b, oracle)
-    node = (sys_a.kernel.index[q1], sys_b.kernel.index[q2])
+    node = (sys_a.index[q1], sys_b.index[q2])
     return space.names(space.ssp_of(node))
 
 
@@ -239,7 +239,7 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     """
     sys.check_state(q)
     space = _PairSpace(sys, sys)
-    i = sys.kernel.index[q]
+    i = sys.index[q]
     if not space.ssp_of((i, i)):
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     return space.sequence_from((i, i))
@@ -256,7 +256,7 @@ def ssp_seq_pair(
     if not reactive(sys_b, q2):
         raise NotReactive(f"state {q2} of {sys_b.name} is not reactive")
     space = _PairSpace(sys_a, sys_b)
-    return space.sequence_from((sys_a.kernel.index[q1], sys_b.kernel.index[q2]))
+    return space.sequence_from((sys_a.index[q1], sys_b.index[q2]))
 
 
 def _effect_fits(d: EffectSequence, s: PairSetSequence, sys_g: SynchronousSystem, i: int) -> bool:
@@ -301,8 +301,8 @@ def lemma_check(
     # the output pair of some sender level-j run pair.  The per-level
     # output-pair sets over-approximate the feeds, so the pairs cover
     # every synchronized composite run pair.
-    succ_g, out_g = sys_g.kernel.succ, sys_g.kernel.out
-    moves = succ_g[sys_g.kernel.index[q_g]][fed[sys_f.kernel.index[q_f]]]
+    succ_g, out_g = sys_g.succ, sys_g.out_ids
+    moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
     pairs, depth = frozenset(itertools.product(moves, moves)), 0
     period = len(levels) - loop
     window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
@@ -350,7 +350,7 @@ def doe_compose(
             f"effect at index {t} is not a strongly separating pair at level {t + 1}"
         )
     # Composite frontier after exactly t+1 steps from (q_f, q_g).
-    frontier = frozenset({(sys_f.kernel.index[q_f], sys_g.kernel.index[q_g])})
+    frontier = frozenset({(sys_f.index[q_f], sys_g.index[q_g])})
     advance = frontier_image(step)
     for _ in range(t + 1):
         frontier = advance(frontier)

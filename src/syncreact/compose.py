@@ -45,7 +45,7 @@ def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
             f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
         )
     feed = [sys_g.inputs.index(o) for o in sys_f.outputs]
-    return [feed[o] for o in sys_f.kernel.out]
+    return [feed[o] for o in sys_f.out_ids]
 
 
 def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):
@@ -56,7 +56,7 @@ def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):
     """
     fed = feed_of(sys_f, sys_g)
     by_feed = [[(a, a, y) for a in range(len(sys_f.inputs))] for y in range(len(sys_g.inputs))]
-    return pair_step(sys_f.kernel.succ, sys_g.kernel.succ, lambda node: by_feed[fed[node[0]]])
+    return pair_step(sys_f.succ, sys_g.succ, lambda node: by_feed[fed[node[0]]])
 
 
 def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> SynchronousSystem:
@@ -65,7 +65,7 @@ def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> Sync
     Composite states are named ``qf*qg``; an edge label indexes
     ``inputs`` and ``output(node)`` names a composite state's output.
     """
-    graph = reach((sys_f.kernel.index[start[0]], sys_g.kernel.index[start[1]]), step)
+    graph = reach((sys_f.index[start[0]], sys_g.index[start[1]]), step)
     state = {
         node: _pair_state(sys_f.states[node[0]], sys_g.states[node[1]]) for node in graph
     }
@@ -140,9 +140,9 @@ def par_compose(
         sys_f,
         sys_g,
         (sys_f.initial, sys_g.initial),
-        pair_step(sys_f.kernel.succ, sys_g.kernel.succ, lambda node: columns),
+        pair_step(sys_f.succ, sys_g.succ, lambda node: columns),
         lambda node: outputs.symbols[
-            sys_f.kernel.out[node[0]] * len(sys_g.outputs) + sys_g.kernel.out[node[1]]
+            sys_f.out_ids[node[0]] * len(sys_g.outputs) + sys_g.out_ids[node[1]]
         ],
     )
     return ComposedSystem(system, "par", sys_f.name, sys_g.name)

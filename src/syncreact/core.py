@@ -110,6 +110,12 @@ class SynchronousSystem:
 
     Immutable after construction; every operation in this package is a
     pure query, so instances can be shared freely across threads.
+
+    Construction validates the names and compiles them into the integer
+    tables every analysis walks: ``index`` numbers the states in
+    declaration order, ``succ[q][a]`` holds the successor ids of state q
+    on input a in transition order, and ``out_ids[q]`` is q's output id.
+    Ids are turned back into names only where results are returned.
     """
 
     name: str
@@ -119,7 +125,9 @@ class SynchronousSystem:
     transitions: tuple[Transition, ...]
     out_label: Mapping[str, str]
     initial: str
-    _succ: dict = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    succ: list[tuple[tuple[int, ...], ...]] = field(init=False, repr=False, compare=False)
+    out_ids: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_token(self.name):
@@ -131,13 +139,18 @@ class SynchronousSystem:
             if q in index:
                 raise UnknownState(f"duplicate state {q!r}")
             index[q] = len(index)
+        column = {a: i for i, a in enumerate(self.inputs)}
+        succ = [[[] for _ in column] for _ in index]
         for (src, sym, dst) in self.transitions:
-            if src not in index:
+            s, t, a = index.get(src), index.get(dst), column.get(sym)
+            if s is None:
                 raise UnknownState(f"transition from undeclared state {src!r}")
-            if dst not in index:
+            if t is None:
                 raise UnknownState(f"transition to undeclared state {dst!r}")
-            if sym not in self.inputs:
+            if a is None:
                 raise UnknownSymbol(f"transition on undeclared input {sym!r}")
+            if t not in succ[s][a]:
+                succ[s][a].append(t)
         for q in self.states:
             if q not in self.out_label:
                 raise UnknownState(f"state {q!r} has no output label")
@@ -147,15 +160,13 @@ class SynchronousSystem:
                 )
         if self.initial not in index:
             raise UnknownState(f"initial state {self.initial!r} not declared")
-        succ: dict[tuple[str, str], list[str]] = {}
-        for (src, sym, dst) in self.transitions:
-            succ.setdefault((src, sym), [])
-            if dst not in succ[(src, sym)]:
-                succ[(src, sym)].append(dst)
-        self._succ = {k: tuple(v) for k, v in succ.items()}
+        out_id = {o: i for i, o in enumerate(self.outputs)}
+        self.index = index
+        self.succ = [tuple(map(tuple, moves)) for moves in succ]
+        self.out_ids = [out_id[self.out_label[q]] for q in self.states]
 
     def check_state(self, q: str) -> None:
-        if q not in self.out_label:
+        if q not in self.index:
             raise UnknownState(f"unknown state {q!r} in system {self.name}")
 
     def check_word(self, word: Sequence[str]) -> None:
@@ -168,20 +179,21 @@ class SynchronousSystem:
         self.check_state(q)
         if sym not in self.inputs:
             raise UnknownSymbol(f"unknown input symbol {sym!r} in system {self.name}")
-        return self._succ.get((q, sym), ())
+        states = self.states
+        return tuple(states[t] for t in self.succ[self.index[q]][self.inputs.index(sym)])
 
     def out(self, q: str) -> str:
         self.check_state(q)
         return self.out_label[q]
 
     @cached_property
-    def kernel(self) -> "Kernel":
-        """Integer view of the system, built on first use (a thread race builds equal ones)."""
-        return Kernel(self)
+    def refinement(self) -> "_Refinement":
+        """The system's own bisimulation refinement, built once (a race builds equal ones)."""
+        return _Refinement(self.succ, self.out_ids)
 
     def is_deterministic(self) -> bool:
         """Derived predicate: at most one successor per (state, input)."""
-        return all(len(v) <= 1 for v in self._succ.values())
+        return all(len(ts) <= 1 for moves in self.succ for ts in moves)
 
     def same_signature(self, other: "SynchronousSystem") -> bool:
         return self.inputs.same_symbols(other.inputs) and self.outputs.same_symbols(
@@ -202,12 +214,12 @@ def validate(sys: SynchronousSystem) -> list[str]:
     remaining checkable invariant is completeness.  Violations are data,
     not exceptions.
     """
-    succ = sys._succ
+    symbols = sys.inputs.symbols
     return [
-        f"incomplete: state {q} has no transition on input {sym}"
-        for q in sys.states
-        for sym in sys.inputs.symbols
-        if (q, sym) not in succ
+        f"incomplete: state {q} has no transition on input {symbols[a]}"
+        for q, moves in zip(sys.states, sys.succ)
+        for a, ts in enumerate(moves)
+        if not ts
     ]
 
 
@@ -263,32 +275,6 @@ def output_language(
     return sorted(words)
 
 
-class Kernel:
-    """Integer view of a system, the encoding every analysis walks.
-
-    ``index`` numbers the states in declaration order, ``succ[q][a]`` is
-    the tuple of successor ids of state id q on input id a (inputs in
-    declaration order, successors in transition order) and ``out[q]`` is
-    the id of q's output symbol.  Names are checked at the API entry and
-    turned back into names only where results are returned.
-    """
-
-    def __init__(self, sys: SynchronousSystem):
-        self.index = index = {q: i for i, q in enumerate(sys.states)}
-        table = sys._succ
-        self.succ = [
-            tuple(tuple(index[t] for t in table.get((q, a), ())) for a in sys.inputs)
-            for q in sys.states
-        ]
-        out_id = {o: i for i, o in enumerate(sys.outputs)}
-        self.out = [out_id[sys.out_label[q]] for q in sys.states]
-
-    @cached_property
-    def refinement(self) -> "_Refinement":
-        """The system's own bisimulation refinement, computed once."""
-        return _Refinement(self)
-
-
 def pair_step(succ_a: Sequence, succ_b: Sequence, columns: Callable) -> Callable:
     """Step function of a product of two successor tables, on id pairs.
 
@@ -309,25 +295,36 @@ def pair_step(succ_a: Sequence, succ_b: Sequence, columns: Callable) -> Callable
     return step
 
 
+def align(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, list]:
+    """``sys_b``'s successor and output tables in ``sys_a``'s numbering.
+
+    Signatures compare symbol sets, not their order, so input column a
+    of the result is ``sys_b``'s column for ``sys_a``'s a-th input, and
+    output ids name ``sys_a``'s output symbols.
+    """
+    sys_a.require_same_signature(sys_b)
+    succ, out = sys_b.succ, sys_b.out_ids
+    columns = [sys_b.inputs.index(a) for a in sys_a.inputs]
+    if columns != sorted(columns):
+        succ = [tuple(moves[c] for c in columns) for moves in succ]
+    renumber = [sys_a.outputs.index(o) for o in sys_b.outputs]
+    if renumber != sorted(renumber):
+        out = [renumber[o] for o in out]
+    return succ, out
+
+
 class Product:
     """Synchronized product of two systems of one signature, explored lazily.
 
-    Both sides step on the same input.  Signatures compare symbol sets,
-    not their order, so ``sys_b`` is read through ``sys_a``'s input and
-    output numbering: a node is EQ iff its two output ids are equal.
+    Both sides step on the same input.  ``sys_b`` is read through
+    ``sys_a``'s input and output numbering (:func:`align`): a node is EQ
+    iff its two output ids are equal.
     """
 
     def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
-        sys_a.require_same_signature(sys_b)
-        self.succ_a, self.out_a = sys_a.kernel.succ, sys_a.kernel.out
-        self.succ_b, self.out_b = sys_b.kernel.succ, sys_b.kernel.out
-        columns = [sys_b.inputs.index(a) for a in sys_a.inputs]
-        if columns != sorted(columns):
-            self.succ_b = [tuple(moves[c] for c in columns) for moves in self.succ_b]
-        renumber = [sys_a.outputs.index(o) for o in sys_b.outputs]
-        if renumber != sorted(renumber):
-            self.out_b = [renumber[o] for o in self.out_b]
-        steps = [(a, a, a) for a in range(len(columns))]
+        self.succ_a, self.out_a = sys_a.succ, sys_a.out_ids
+        self.succ_b, self.out_b = align(sys_a, sys_b)
+        steps = [(a, a, a) for a in range(len(sys_a.inputs))]
         self.step = pair_step(self.succ_a, self.succ_b, lambda node: steps)
 
     def eq(self, node) -> bool:
@@ -407,15 +404,15 @@ class _Refinement:
     at round k are equal.
     """
 
-    def __init__(self, kernel: Kernel):
-        self.succ = succ = kernel.succ
+    def __init__(self, succ: Sequence[tuple[tuple[int, ...], ...]], out: Sequence[int]):
+        self.succ = succ
         preds: list[list[int]] = [[] for _ in succ]
         for i, moves in enumerate(succ):
             for j in set(itertools.chain.from_iterable(moves)):
                 preds[j].append(i)
         deterministic = all(len(ts) == 1 for moves in succ for ts in moves)
         first: dict[int, int] = {}
-        cls = [first.setdefault(o, len(first)) for o in kernel.out]
+        cls = [first.setdefault(o, len(first)) for o in out]
         members: list[set[int]] = [set() for _ in first]
         for i, c in enumerate(cls):
             members[c].add(i)
@@ -506,7 +503,7 @@ def bisim_classes(sys: SynchronousSystem) -> Partition:
     number: dict[int, int] = {}
     class_of = {}
     representative = {}
-    for q, c in zip(sys.states, sys.kernel.refinement.cls):
+    for q, c in zip(sys.states, sys.refinement.cls):
         n = number.get(c)
         if n is None:
             n = number[c] = len(number)
@@ -521,16 +518,9 @@ def bisim_quotient(
     """Quotient by bisimilarity; quotient states are class representatives."""
     partition = bisim_classes(sys)
     rep_of = {q: partition.representative[partition.class_of[q]] for q in sys.states}
-    states = tuple(
-        partition.representative[c] for c in partition.classes
-    )
-    transitions = []
-    seen = set()
-    for (src, sym, dst) in sys.transitions:
-        t = (rep_of[src], sym, rep_of[dst])
-        if t not in seen:
-            seen.add(t)
-            transitions.append(t)
+    states = tuple(partition.representative[c] for c in partition.classes)
+    # Each quotient transition once, where it first occurs.
+    transitions = dict.fromkeys((rep_of[s], a, rep_of[t]) for (s, a, t) in sys.transitions)
     quotient = SynchronousSystem(
         name=f"{sys.name}_q",
         inputs=sys.inputs,
@@ -549,25 +539,20 @@ def disjoint_union(
     """Disjoint union with ``A.``/``B.`` prefixed state names.
 
     Returns the union plus the two prefixes; requires equal signatures.
-    Cross-system analyses run on this union so that states of distinct
-    systems can be compared directly.
+    Its states are those a cross-system :class:`BisimOracle` refines, so
+    the witnesses of :func:`non_bisimilar` replay against it.
     """
     sys_a.require_same_signature(sys_b)
-    states = tuple(f"A.{q}" for q in sys_a.states) + tuple(
-        f"B.{q}" for q in sys_b.states
-    )
-    transitions = tuple(
-        (f"A.{s}", a, f"A.{t}") for (s, a, t) in sys_a.transitions
-    ) + tuple((f"B.{s}", a, f"B.{t}") for (s, a, t) in sys_b.transitions)
-    out_label = {f"A.{q}": sys_a.out(q) for q in sys_a.states}
-    out_label.update({f"B.{q}": sys_b.out(q) for q in sys_b.states})
+    sides = (("A.", sys_a), ("B.", sys_b))
     union = SynchronousSystem(
         name=f"{sys_a.name}+{sys_b.name}",
         inputs=sys_a.inputs,
         outputs=sys_a.outputs,
-        states=states,
-        transitions=transitions,
-        out_label=out_label,
+        states=tuple(p + q for (p, side) in sides for q in side.states),
+        transitions=tuple(
+            (p + s, a, p + t) for (p, side) in sides for (s, a, t) in side.transitions
+        ),
+        out_label={p + q: side.out_label[q] for (p, side) in sides for q in side.states},
         initial=f"A.{sys_a.initial}",
     )
     return union, "A.", "B."
@@ -576,33 +561,49 @@ def disjoint_union(
 class BisimOracle:
     """Non-bisimilarity queries between two (possibly identical) systems.
 
-    Refines the disjoint union once, or reuses a system's own cached
-    refinement when both sides are one system.  ``cls_a`` and ``cls_b``
-    give the final block of each state id of either side (equal blocks
-    iff bisimilar); the refinement history answers :meth:`depth` and the
-    moves of every witness.
+    Reuses a system's own cached refinement when both sides are one
+    system.  Otherwise it refines ``sys_a``'s tables followed by
+    ``sys_b``'s aligned ones (:func:`align`), with ``sys_b``'s ids offset
+    by the number of ``sys_a``'s states: the tables of
+    :func:`disjoint_union`, whose ``A.``/``B.`` state names the witnesses
+    carry.  ``cls_a`` and ``cls_b`` give the final block of each state id
+    of either side (equal blocks iff bisimilar); the refinement history
+    answers :meth:`depth` and the moves of every witness.
     """
 
     def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
+        self.sys_a, self.sys_b = sys_a, sys_b
         if sys_a is sys_b:
-            self.union = sys_a
-            self.pa = self.pb = ""
-        else:
-            self.union, self.pa, self.pb = disjoint_union(sys_a, sys_b)
-        self._refinement = ref = self.union.kernel.refinement
-        # The union lists sys_a's states first.
-        self.cls_a = ref.cls
-        self.cls_b = ref.cls if sys_a is sys_b else ref.cls[len(sys_a.states):]
+            self.offset = 0
+            self.out_ids = sys_a.out_ids
+            self._refinement = ref = sys_a.refinement
+            self.cls_a = self.cls_b = ref.cls
+            return
+        succ_b, out_b = align(sys_a, sys_b)
+        self.offset = n = len(sys_a.states)
+        self.out_ids = sys_a.out_ids + out_b
+        shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
+        self._refinement = ref = _Refinement(sys_a.succ + shifted, self.out_ids)
+        self.cls_a, self.cls_b = ref.cls, ref.cls[n:]
+
+    def ids(self, qa: str, qb: str) -> tuple[int, int]:
+        """Refined ids of a state of each side."""
+        return self.sys_a.index[qa], self.offset + self.sys_b.index[qb]
+
+    def name(self, i: int) -> str:
+        """Witness name of a refined id, ``A.``/``B.`` prefixed when the sides differ."""
+        if self.sys_a is self.sys_b:
+            return self.sys_a.states[i]
+        n = self.offset
+        return f"A.{self.sys_a.states[i]}" if i < n else f"B.{self.sys_b.states[i - n]}"
 
     def distinct(self, qa: str, qb: str) -> bool:
         """True iff the two states are non-bisimilar."""
-        index, cls = self.union.kernel.index, self._refinement.cls
-        return cls[index[self.pa + qa]] != cls[index[self.pb + qb]]
+        return self.cls_a[self.sys_a.index[qa]] != self.cls_b[self.sys_b.index[qb]]
 
     def depth(self, qa: str, qb: str) -> Optional[int]:
         """Least k at which the k-step approximants separate, None if bisimilar."""
-        index = self.union.kernel.index
-        return self._refinement.depth(index[self.pa + qa], index[self.pb + qb])
+        return self._refinement.depth(*self.ids(qa, qb))
 
 
 @dataclass(frozen=True)
@@ -687,11 +688,9 @@ def non_bisimilar(
         oracle = BisimOracle(sys_a, sys_b)
     if not oracle.distinct(qa, qb):
         return None
-    ref = oracle._refinement
-    u = oracle.union
-    names = u.states
-    index = u.kernel.index
-    root = (index[oracle.pa + qa], index[oracle.pb + qb])
+    ref, name, out = oracle._refinement, oracle.name, oracle.out_ids
+    inputs, outputs = sys_a.inputs.symbols, sys_a.outputs.symbols
+    root = oracle.ids(qa, qb)
     built: dict[tuple[int, int], NonBisimWitness] = {}
     moves: dict[tuple[int, int], tuple] = {}
     stack = [root]
@@ -705,9 +704,7 @@ def non_bisimilar(
             p, q = pair
             k = ref.depth(p, q)
             if k == 0:
-                built[pair] = BaseWitness(
-                    names[p], names[q], u.out_label[names[p]], u.out_label[names[q]]
-                )
+                built[pair] = BaseWitness(name(p), name(q), outputs[out[p]], outputs[out[q]])
                 stack.pop()
                 continue
             move = moves[pair] = ref.move(p, q, k)
@@ -719,12 +716,12 @@ def non_bisimilar(
         a, side, chosen, children = move
         opponent = 1 if side == "left" else 0
         built[pair] = IndWitness(
-            names[pair[0]],
-            names[pair[1]],
-            u.inputs.symbols[a],
+            name(pair[0]),
+            name(pair[1]),
+            inputs[a],
             side,
-            names[chosen],
-            tuple((names[c[opponent]], built[c]) for c in children),
+            name(chosen),
+            tuple((name(c[opponent]), built[c]) for c in children),
         )
     return built[root]
 

@@ -320,15 +320,20 @@ class Machine:
 
 def reads(expr: Ast) -> frozenset:
     """Variables read through a dereference anywhere in an expression."""
-    if isinstance(expr, Deref):
-        if isinstance(expr.target, VarRef):
-            return frozenset({expr.target.name})
-        return reads(expr.target)
-    if isinstance(expr, (Dec, NotZero)):
-        return reads(expr.inner)
-    if isinstance(expr, Conj):
-        return reads(expr.left) | reads(expr.right)
-    return frozenset()
+    names = set()
+    todo = [expr]  # operator chains can be thousands of levels deep
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Deref):
+            if isinstance(node.target, VarRef):
+                names.add(node.target.name)
+            else:
+                todo.append(node.target)
+        elif isinstance(node, (Dec, NotZero)):
+            todo.append(node.inner)
+        elif isinstance(node, Conj):
+            todo += (node.left, node.right)
+    return frozenset(names)
 
 
 def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> frozenset:

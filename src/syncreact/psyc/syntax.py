@@ -73,8 +73,23 @@ class Term:
         return True
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
+        """``Cls(field=value, ...)``, built with an explicit stack."""
+        text = []
+        todo: list[tuple[bool, object]] = [(False, self)]  # (is literal text, item)
+        while todo:
+            literal, item = todo.pop()
+            if literal:
+                text.append(item)
+            elif isinstance(item, Term):
+                names = item.__slots__
+                todo.append((True, ")"))
+                for k in reversed(range(len(names))):
+                    todo.append((False, getattr(item, names[k])))
+                    todo.append((True, f"{', ' if k else ''}{names[k]}="))
+                todo.append((True, f"{item.__class__.__name__}("))
+            else:
+                text.append(repr(item))
+        return "".join(text)
 
 
 class Skip(Term):
@@ -249,11 +264,20 @@ def unparse(node: Ast) -> str:
     if isinstance(node, Get):
         return f"get {node.index}" if node.index else "get"
     if isinstance(node, Dec):
-        return f"({unparse(node.inner)} - 1)"
+        # Left-nested operator chains are unparsed in a loop.
+        depth = 0
+        while isinstance(node, Dec):
+            node, depth = node.inner, depth + 1
+        return "(" * depth + unparse(node) + " - 1)" * depth
     if isinstance(node, NotZero):
         return f"({unparse(node.inner)} != 0)"
     if isinstance(node, Conj):
-        return f"({unparse(node.left)} && {unparse(node.right)})"
+        rights = []
+        while isinstance(node, Conj):
+            rights.append(node.right)
+            node = node.left
+        tail = "".join(f" && {unparse(r)})" for r in reversed(rights))
+        return "(" * len(rights) + unparse(node) + tail
     raise TypeError(f"not an AST node: {node!r}")
 
 

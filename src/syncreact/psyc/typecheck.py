@@ -136,7 +136,11 @@ def typecheck(
                 )
             return Ty("exp", in_types[n.index])
         if isinstance(n, Dec):
-            inner = check(n.inner)
+            # Walk a '- 1' chain in a loop: only its innermost operand can
+            # fail, since every decrement above it has type exp(int).
+            while isinstance(n, Dec):
+                n = n.inner
+            inner = check(n)
             if inner != Ty("exp", "int"):
                 raise PsyTypeError(f"Dec: operand has type {inner}, not exp(int)")
             return Ty("exp", "int")
@@ -146,7 +150,15 @@ def typecheck(
                 raise PsyTypeError(f"NotZero: operand has type {inner}, not exp(int)")
             return Ty("exp", "bool")
         if isinstance(n, Conj):
-            for side, sub in (("left", n.left), ("right", n.right)):
+            # Walk a left-nested '&&' chain in a loop, checking its operands
+            # left to right; every conjunction above the first has a
+            # well-typed left operand.
+            rights = []
+            while isinstance(n, Conj):
+                rights.append(n.right)
+                n = n.left
+            operands = [("left", n)] + [("right", r) for r in reversed(rights)]
+            for side, sub in operands:
                 ty = check(sub)
                 if ty != Ty("exp", "bool"):
                     raise PsyTypeError(

@@ -52,6 +52,21 @@ def orientations(moves_a, moves_b, cls_a, cls_b, a1: int, a2: int) -> list[tuple
     return held
 
 
+def _separating_ids(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None):
+    """Separating pairs of q and their deterministic subset, as input id pairs in order."""
+    if oracle is None:
+        oracle = BisimOracle(sys, sys)
+    moves = sys.succ[sys.index[q]]
+    cls_a, cls_b = oracle.cls_a, oracle.cls_b
+    pairs, deterministic = [], []
+    for (a1, a2) in itertools.combinations(range(len(sys.inputs)), 2):
+        if orientations(moves, moves, cls_a, cls_b, a1, a2):
+            pairs.append((a1, a2))
+            if not {cls_a[x] for x in moves[a1]} & {cls_b[y] for y in moves[a2]}:
+                deterministic.append((a1, a2))
+    return pairs, deterministic
+
+
 def separating_pairs(
     sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None
 ) -> SepPairSet:
@@ -63,20 +78,12 @@ def separating_pairs(
     reported with symbols in input declaration order.
     """
     sys.check_state(q)
-    if oracle is None:
-        oracle = BisimOracle(sys, sys)
-    moves = sys.kernel.succ[sys.kernel.index[q]]
-    cls_a, cls_b = oracle.cls_a, oracle.cls_b
     symbols = sys.inputs.symbols
-    pairs = []
-    deterministic = []
-    for (a1, a2) in itertools.combinations(range(len(symbols)), 2):
-        if orientations(moves, moves, cls_a, cls_b, a1, a2):
-            pair = (symbols[a1], symbols[a2])
-            pairs.append(pair)
-            if not {cls_a[x] for x in moves[a1]} & {cls_b[y] for y in moves[a2]}:
-                deterministic.append(pair)
-    return SepPairSet(tuple(pairs), tuple(deterministic))
+    pairs, deterministic = (
+        tuple((symbols[a1], symbols[a2]) for (a1, a2) in ids)
+        for ids in _separating_ids(sys, q, oracle)
+    )
+    return SepPairSet(pairs, deterministic)
 
 
 def reactive(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None) -> bool:
@@ -88,7 +95,7 @@ def _rooted(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):
     product = Product(sys_a, sys_b)
     sys_a.check_state(p)
     sys_b.check_state(q)
-    return product, (sys_a.kernel.index[p], sys_b.kernel.index[q])
+    return product, (sys_a.index[p], sys_b.index[q])
 
 
 def separators(
@@ -285,16 +292,15 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     The witness spells a longest all-EQ path plus one forcing symbol.
     """
     sys.check_state(q)
-    oracle = BisimOracle(sys, sys)
-    sep = separating_pairs(sys, q, oracle)
-    if not sep.deterministic_subset:
+    _, deterministic = _separating_ids(sys, q)
+    if not deterministic:
         return ReactionTime(None)
     product = Product(sys, sys)
-    moves = sys.kernel.succ[sys.kernel.index[q]]
+    moves = sys.succ[sys.index[q]]
     candidates = []
-    for (a1, a2) in sep.deterministic_subset:
-        for q1 in moves[sys.inputs.index(a1)]:
-            for q2 in moves[sys.inputs.index(a2)]:
+    for (a1, a2) in deterministic:
+        for q1 in moves[a1]:
+            for q2 in moves[a2]:
                 cycle, path_word = _strong_separation(product, (q1, q2))
                 if cycle is not None:
                     return ReactionTime(None)

@@ -12,13 +12,13 @@ def load_fixture(name: str):
 
 
 def count_refinements(monkeypatch) -> list:
-    """Record the kernel of every bisimulation refinement built from now on."""
+    """Record the successor table of every bisimulation refinement built from now on."""
     built = []
     original = core._Refinement.__init__
 
-    def counting(self, kernel):
-        built.append(kernel)
-        original(self, kernel)
+    def counting(self, succ, out):
+        built.append(succ)
+        original(self, succ, out)
 
     monkeypatch.setattr(core._Refinement, "__init__", counting)
     return built

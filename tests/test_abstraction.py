@@ -146,7 +146,7 @@ class TestLemmaCheck:
         built = count_refinements(monkeypatch)
         sender, receiver = load_fixture("delay1.sls"), load_fixture("receiver.sls")
         assert lemma_check(sender, "s0", receiver, "g0").guaranteed
-        assert sorted(map(id, built)) == sorted({id(sender.kernel), id(receiver.kernel)})
+        assert sorted(map(id, built)) == sorted({id(sender.succ), id(receiver.succ)})
 
     def test_soundness_on_random_pairs(self):
         # The full 500-pair sweep lives in the acceptance suite; this is

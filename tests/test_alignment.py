@@ -14,9 +14,12 @@ from syncreact import (
     Alphabet,
     SynchronousSystem,
     diff,
+    disjoint_union,
     doe_compose,
     lemma_check,
+    non_bisimilar,
     reactive,
+    replay_witness,
     separators,
     seq_compose,
     ssp,
@@ -26,7 +29,7 @@ from syncreact import (
 from syncreact.errors import PreconditionFailed
 
 from .conftest import load_fixture
-from .oracles import chain_sender, random_system
+from .oracles import chain_sender, naive_approximants, naive_separation_depth, random_system
 
 
 def reorder(sys, inputs=None, outputs=None):
@@ -78,6 +81,24 @@ def test_pair_queries_ignore_the_second_systems_declaration_order(sys_a, sys_b):
             assert diff(sys_a, p, permuted, q, word) == diff(sys_a, p, sys_b, q, word)
             if reactive(sys_a, p) and reactive(sys_b, q):
                 assert ssp_seq_pair(sys_a, p, permuted, q) == ssp_seq_pair(sys_a, p, sys_b, q)
+
+
+@pytest.mark.parametrize("sys_a, sys_b", same_signature_cases())
+def test_cross_system_oracle_ignores_the_second_systems_declaration_order(sys_a, sys_b):
+    permuted = reorder(
+        sys_b, rotated(sys_b.inputs.symbols), tuple(reversed(sys_b.outputs.symbols))
+    )
+    union, pa, pb = disjoint_union(sys_a, permuted)
+    approximants = naive_approximants(union)
+    for p in sys_a.states:
+        for q in sys_b.states:
+            witness = non_bisimilar(sys_a, p, permuted, q)
+            expected = non_bisimilar(sys_a, p, sys_b, q)
+            depth = naive_separation_depth(union, pa + p, pb + q, approximants)
+            assert (witness is None) == (expected is None) == (depth is None)
+            if witness is not None:
+                assert witness.depth == expected.depth == depth
+                assert replay_witness(union, witness)
 
 
 def composition_cases():

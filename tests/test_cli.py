@@ -429,6 +429,49 @@ class TestPsyc:
             assert done.returncode == 0, done.stderr
             assert last_line(done.stdout) == last
 
+    def _psyc_fresh(self, argv):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(pathlib.Path(syncreact.__file__).resolve().parents[1]),
+        }
+        return subprocess.run(
+            [sys.executable, "-m", "syncreact.cli", "psyc", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def test_1500_conjuncts_in_a_fresh_interpreter(self, tmp_path):
+        src = tmp_path / "conj.psy"
+        chain = " && ".join(["tt"] * 1500)
+        src.write_text(
+            "inputs tt ff\noutputs tt ff\nvar x : bool\n"
+            f"while tt do x := {chain}; tick(!x) done\n"
+        )
+        done = self._psyc_fresh(["typecheck", str(src)])
+        assert done.returncode == 0, done.stderr
+        assert last_line(done.stdout) == "comm"
+        done = self._psyc_fresh(["build", str(src), "-o", str(tmp_path / "conj.sls")])
+        assert done.returncode == 0, done.stderr
+        assert last_line(done.stdout) == "states 1"
+
+    def test_1500_decrements_in_a_tick_continuation_in_a_fresh_interpreter(self, tmp_path):
+        # Liveness reads the chain when the tick fires; the assignment
+        # then leaves the range.
+        src = tmp_path / "dec.psy"
+        chain = " - ".join(["!y"] + ["1"] * 1500)
+        src.write_text(
+            "inputs tt ff\noutputs tt ff\nvar y : int[0..3]\n"
+            f"while tt do tick(tt); y := {chain} done\n"
+        )
+        done = self._psyc_fresh(["typecheck", str(src)])
+        assert done.returncode == 0, done.stderr
+        assert last_line(done.stdout) == "comm"
+        done = self._psyc_fresh(["build", str(src), "-o", str(tmp_path / "dec.sls")])
+        assert done.returncode == 2
+        assert done.stderr == "error: assignment y := -1500 leaves range [0..3]\n"
+
 
 class TestUsage:
     def test_no_command_exits_2(self, capsys):

@@ -123,6 +123,22 @@ class TestTermHashing:
         assert parse(unparse(deep)) == deep
         assert live_in(deep, frozenset({"x"})) == frozenset({"x"})
 
+    def test_deep_operator_chains_typecheck_unparse_and_repr_without_recursion(self):
+        conj = parse("x := " + " && ".join(["!x"] * 5000))
+        dec = parse("y := " + " - ".join(["!y"] + ["1"] * 5000))
+        env = {"x": "bool", "y": "int"}
+        for deep in (conj, dec):
+            assert typecheck(deep, env, ("bool",), ("bool",)) == COMM
+            assert repr(deep).startswith("Assign(target=VarRef(name=")
+        # Re-parsing the fully parenthesized text would recurse in the parser.
+        assert unparse(conj) == "x := " + "(" * 4999 + "!x" + " && !x)" * 4999
+        assert unparse(dec) == "y := " + "(" * 5000 + "!y" + " - 1)" * 5000
+        assert repr(dec).endswith("inner=Deref(target=VarRef(name='y')))" + ")" * 5000)
+        assert unparse(parse("x := tt && ff && !x")) == "x := ((tt && ff) && !x)"
+        assert unparse(parse("y := !y - 1 - 1")) == "y := ((!y - 1) - 1)"
+        assert live_in(conj, frozenset()) == frozenset({"x"})
+        assert live_in(dec, frozenset()) == frozenset({"y"})
+
 
 class TestTypecheck:
     def test_program1_is_comm(self):

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncreact import (
     bisim_quotient,
@@ -201,6 +203,68 @@ class TestStronglySeparable:
                     assert n1 in sys.successors(s1, sym)
                     assert n2 in sys.successors(s2, sym)
 
+
+
+def uncovered(deterministic: set, symbols, length: int):
+    """Input words of ``length`` none of whose prefixes is in ``deterministic``, lazily."""
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        if word in deterministic:
+            continue
+        if len(word) == length:
+            yield word
+            continue
+        stack.extend(word + (a,) for a in symbols)
+
+
+def random_pair(seed: int):
+    """Two random complete systems of one signature (often one system) and two states.
+
+    The second state shares the first one's output where it can, so that
+    most pairs are not told apart by the empty word.
+    """
+    rng = random.Random(seed)
+    sys_a = random_system(rng, "a", 8, ("a", "b"), ("0", "1", "2"))
+    if rng.random() < 0.3:
+        sys_b = sys_a
+    else:
+        sys_b = random_system(rng, "b", 8, ("a", "b"), ("0", "1", "2"))
+    p = rng.choice(sys_a.states)
+    alike = [
+        q for q in sys_b.states
+        if sys_b.out(q) == sys_a.out(p) and (sys_b is not sys_a or q != p)
+    ]
+    return sys_a, p, sys_b, rng.choice(alike or sys_b.states)
+
+
+class TestStrongSeparabilityAgreesWithSeparators:
+    """``strongly_separable`` against the deterministic separators it promises."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_plus_one_is_covered_and_bound_is_not(self, seed):
+        sys_a, p, sys_b, q = random_pair(seed)
+        verdict = strongly_separable(sys_a, p, sys_b, q)
+        if not verdict.separable:
+            return
+        b = verdict.bound
+        found = separators(sys_a, p, sys_b, q, b + 1)
+        deterministic = {word for (word, det) in found if det}
+        symbols = sys_a.inputs.symbols
+        assert next(uncovered(deterministic, symbols, b + 1), None) is None
+        if b >= 1:
+            assert next(uncovered(deterministic, symbols, b), None) is not None
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_non_separable_pair_leaves_a_length_4_word_uncovered(self, seed):
+        sys_a, p, sys_b, q = random_pair(seed)
+        if strongly_separable(sys_a, p, sys_b, q).separable:
+            return
+        found = separators(sys_a, p, sys_b, q, 4)
+        deterministic = {word for (word, det) in found if det}
+        assert next(uncovered(deterministic, sys_a.inputs.symbols, 4), None) is not None
 
 class TestDiff:
     def test_p1_effect_at_index_one(self, p1_sys):
