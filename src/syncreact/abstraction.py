@@ -13,7 +13,8 @@ Per-position universal quantifications over infinite words are
 discharged exactly by level-set constructions: the frontier of run
 pairs after n shared inputs ranges over a finite powerset, so both DOE
 and SSPseq are ultimately periodic and are extracted as lassos by
-frontier hashing.
+frontier hashing.  Frontiers are per-row bitsets walked by
+:class:`core.PairRows`; each level keeps only the value a query reads.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .compose import feed_of, seq_step
-from .core import BisimOracle, Product, SynchronousSystem, frontier_image, lasso_walk, pair_step
+from .compose import feed_of
+from .core import BisimOracle, PairRows, SynchronousSystem, align, lasso_at
 from .errors import NotReactive, PreconditionFailed
 from .lasso import (
     STAR,
@@ -38,7 +39,14 @@ from .lasso import (
     star_prepend,
 )
 # separating_pairs stays importable from here, where the benchmark tracer patches it.
-from .reactivity import _separating_ids, orientations, reactive, separating_pairs  # noqa: F401
+from .reactivity import (  # noqa: F401
+    _separating_ids,
+    class_gaps,
+    orientations,
+    reactive,
+    row_orientations,
+    separating_pairs,
+)
 
 __all__ = [
     "ObsOrder",
@@ -58,21 +66,56 @@ __all__ = [
 def doe_levels(
     sys: SynchronousSystem, q: str
 ) -> tuple[list[frozenset], int]:
-    """Run-pair level sets of a reactive state, as a lasso.
+    """Output pairs of the run-pair level sets of a reactive state, as a lasso.
 
     Level 0 holds every successor combination of every separating pair
     of q in input declaration order; level i+1 holds all one-step
-    synchronized successors.  Pairs are of state ids.  Returns the level
-    list and the index its tail loops back to.
+    synchronized successors.  Each level is given by the set of output
+    id pairs its run pairs show.  Returns one set per level and the
+    index the tail loops back to.
     """
     sys.check_state(q)
     pairs, _ = _separating_ids(sys, q)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     succ, i = sys.succ, sys.index[q]
-    columns = [(None, a1, a2) for (a1, a2) in pairs]
-    level = frontier_image(pair_step(succ, succ, lambda node: columns))(frozenset({(i, i)}))
-    return lasso_walk(level, frontier_image(Product(sys, sys).step))
+    rows = PairRows(succ, succ)
+    split = [(a1, a2, -1) for (a1, a2) in pairs]
+    start = rows.step(rows.frontier([(i, i)]), rows.columns(lambda p: split))
+    every = [(a, a, -1) for a in range(len(sys.inputs))]
+    return rows.walk(start, rows.columns(lambda p: every), _output_pairs(sys))
+
+
+def _emitting(sys: SynchronousSystem) -> list[int]:
+    """Per output id, the bitset of the states that emit it."""
+    emitting = [0] * len(sys.outputs)
+    for q, o in enumerate(sys.out_ids):
+        emitting[o] |= 1 << q
+    return emitting
+
+
+def _output_pairs(sys: SynchronousSystem):
+    """Level value of a frontier over two copies of sys: its output id pairs."""
+    out, emitting = sys.out_ids, _emitting(sys)
+    m = len(emitting)
+    named: dict[int, frozenset] = {}
+
+    def value(frontier: tuple) -> frozenset:
+        by_output = [0] * m
+        for p, bits in frontier:
+            by_output[out[p]] |= bits
+        # Bit x * m + y of the key marks the output pair (x, y).
+        key, pair = 0, 1
+        for bits in by_output:
+            for e in emitting:
+                if bits & e:
+                    key |= pair
+                pair <<= 1
+        if key not in named:
+            named[key] = frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1)
+        return named[key]
+
+    return value
 
 
 def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
@@ -95,12 +138,10 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
 
 
 def _effects(sys: SynchronousSystem, levels: list[frozenset], start: int) -> EffectSequence:
-    out = sys.out_ids
     names = sys.outputs.symbols
     values: list[EffectSymbol] = []
-    for level in levels:
-        outs = {(out[r1], out[r2]) for (r1, r2) in level}
-        x1, x2 = outs.pop() if len(outs) == 1 else (0, 0)
+    for outs in levels:
+        x1, x2 = next(iter(outs)) if len(outs) == 1 else (0, 0)
         values.append(STAR if x1 == x2 else (names[x1], names[x2]))
     return EffectSequence(tuple(values[:start]), tuple(values[start:]))
 
@@ -122,9 +163,16 @@ def ssp(
     sys_a.require_same_signature(sys_b)
     sys_a.check_state(q1)
     sys_b.check_state(q2)
-    space = _PairSpace(sys_a, sys_b, oracle)
-    node = (sys_a.index[q1], sys_b.index[q2])
-    return space.names(space.ssp_of(node))
+    if oracle is None:
+        oracle = BisimOracle(sys_a, sys_b)
+    moves_a = sys_a.succ[sys_a.index[q1]]
+    moves_b = align(sys_a, sys_b)[0][sys_b.index[q2]]
+    symbols = sys_a.inputs.symbols
+    return tuple(
+        (symbols[a1], symbols[a2])
+        for (a1, a2) in itertools.combinations(range(len(symbols)), 2)
+        if orientations(moves_a, moves_b, oracle.cls_a, oracle.cls_b, a1, a2)
+    )
 
 
 @dataclass(frozen=True)
@@ -163,70 +211,56 @@ def obs_order(sys: SynchronousSystem, q: str) -> ObsOrder:
     return ObsOrder(doe(sys, q))
 
 
-class _PairSpace:
-    """Orientation-following successor relation over cross-state pairs.
+def ssp_levels(
+    sys_a: SynchronousSystem, q1: str, sys_b: SynchronousSystem, q2: str
+) -> tuple[list[frozenset], int]:
+    """SSPseq levels of the cross pair (q1, q2), as a lasso of symbol-pair sets.
 
-    Pairs hold one state id of each system (the same system twice for
-    the single-state queries).  Successors of a pair follow every
-    orientation under which one of its strongly separating pairs holds;
-    the intersection of SSP over the n-step frontier is the n-th level
-    of the SSPseq greatest fixpoint.
+    The walk steps a pair (p, q) along every orientation (ae, af) under
+    which ae beats af there, so its frontiers only hold pairs reached
+    through strongly separating pairs.  Level n intersects the SSP of
+    every pair of the n-th frontier, and is every input pair once the
+    frontier is empty.  Returns one set per level and the index the tail
+    loops back to.
     """
+    oracle = BisimOracle(sys_a, sys_b)
+    succ_a, cls_a = sys_a.succ, oracle.cls_a
+    succ_b, _ = align(sys_a, sys_b)
+    symbols = sys_a.inputs.symbols
+    candidates = list(itertools.combinations(range(len(symbols)), 2))
+    everything = (1 << len(succ_b)) - 1
+    gaps = class_gaps(succ_b, oracle.cls_b, len(symbols))
+    held: dict[int, tuple[list, list[int]]] = {}
 
-    def __init__(
-        self,
-        sys_a: SynchronousSystem,
-        sys_b: SynchronousSystem,
-        oracle: Optional[BisimOracle] = None,
-    ):
-        product = Product(sys_a, sys_b)
-        self.succ_a, self.succ_b = product.succ_a, product.succ_b
-        self.oracle = oracle if oracle is not None else BisimOracle(sys_a, sys_b)
-        self.symbols = sys_a.inputs.symbols
-        self.candidates = tuple(itertools.combinations(range(len(self.symbols)), 2))
-        self._ssp: dict[tuple[int, int], frozenset] = {}
-        self._columns: dict[tuple[int, int], list] = {}
-        self._named: dict[frozenset, frozenset] = {}
-        step = pair_step(self.succ_a, self.succ_b, self._held)
-        self.image = frontier_image(step)
+    def row(p: int) -> tuple[list, list[int]]:
+        """Row p's masked columns, and per candidate the q where it is not an SSP."""
+        if p not in held:
+            masks = row_orientations(succ_a[p], cls_a, gaps, everything)
+            held[p] = (
+                [(ae, af, bits) for (ae, af), bits in masks.items() if bits],
+                [everything ^ (masks[(a1, a2)] | masks[(a2, a1)]) for (a1, a2) in candidates],
+            )
+        return held[p]
 
-    def ssp_of(self, node: tuple[int, int]) -> frozenset:
-        """SSP of a pair as input id pairs; its held orientations become step columns."""
-        if node not in self._ssp:
-            moves_a, moves_b = self.succ_a[node[0]], self.succ_b[node[1]]
-            cls_a, cls_b = self.oracle.cls_a, self.oracle.cls_b
-            pairs = []
-            columns = []
-            for (a1, a2) in self.candidates:
-                held = orientations(moves_a, moves_b, cls_a, cls_b, a1, a2)
-                if held:
-                    pairs.append((a1, a2))
-                    columns += [(None, ae, af) for (ae, af) in held]
-            self._ssp[node] = frozenset(pairs)
-            self._columns[node] = columns
-        return self._ssp[node]
+    named: dict[int, frozenset] = {}
 
-    def _held(self, node: tuple[int, int]) -> list:
-        self.ssp_of(node)
-        return self._columns[node]
+    def value(frontier: tuple) -> frozenset:
+        kept = (1 << len(candidates)) - 1
+        for p, bits in frontier:
+            for c, missing in enumerate(row(p)[1]):
+                if bits & missing:
+                    kept &= ~(1 << c)
+        if kept not in named:
+            named[kept] = frozenset(
+                (symbols[a1], symbols[a2])
+                for c, (a1, a2) in enumerate(candidates)
+                if kept >> c & 1
+            )
+        return named[kept]
 
-    def names(self, pairs) -> tuple[tuple[str, str], ...]:
-        """Input id pairs as symbol pairs, in declaration order."""
-        return tuple((self.symbols[a1], self.symbols[a2]) for (a1, a2) in sorted(pairs))
-
-    def level_value(self, frontier: frozenset) -> frozenset:
-        """Intersection of SSP over a walked frontier, full when empty; one object per value."""
-        distinct = set(map(self._ssp.__getitem__, frontier))
-        value = frozenset(self.candidates).intersection(*distinct)
-        if value not in self._named:
-            self._named[value] = frozenset(self.names(value))
-        return self._named[value]
-
-    def sequence_from(self, node: tuple[int, int]) -> PairSetSequence:
-        # The walk steps every node of every level, which caches its SSP.
-        levels, start = lasso_walk(frozenset({node}), self.image)
-        values = [self.level_value(level) for level in levels]
-        return PairSetSequence(tuple(values[:start]), tuple(values[start:]))
+    rows = PairRows(succ_a, succ_b)
+    start = rows.frontier([(sys_a.index[q1], sys_b.index[q2])])
+    return rows.walk(start, rows.columns(lambda p: row(p)[0]), value)
 
 
 def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
@@ -238,11 +272,10 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     pair space, extracted as a lasso.
     """
     sys.check_state(q)
-    space = _PairSpace(sys, sys)
-    i = sys.index[q]
-    if not space.ssp_of((i, i)):
+    levels, loop = ssp_levels(sys, q, sys, q)
+    if not levels[0]:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    return space.sequence_from((i, i))
+    return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
 
 
 def ssp_seq_pair(
@@ -255,8 +288,8 @@ def ssp_seq_pair(
         raise NotReactive(f"state {q1} of {sys_a.name} is not reactive")
     if not reactive(sys_b, q2):
         raise NotReactive(f"state {q2} of {sys_b.name} is not reactive")
-    space = _PairSpace(sys_a, sys_b)
-    return space.sequence_from((sys_a.index[q1], sys_b.index[q2]))
+    levels, loop = ssp_levels(sys_a, q1, sys_b, q2)
+    return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
 
 
 def _effect_fits(d: EffectSequence, s: PairSetSequence, sys_g: SynchronousSystem, i: int) -> bool:
@@ -301,22 +334,26 @@ def lemma_check(
     # the output pair of some sender level-j run pair.  The per-level
     # output-pair sets over-approximate the feeds, so the pairs cover
     # every synchronized composite run pair.
-    succ_g, out_g = sys_g.succ, sys_g.out_ids
+    succ_g, out_g, emitting = sys_g.succ, sys_g.out_ids, _emitting(sys_g)
+    feed = dict(zip(sys_f.out_ids, fed))
+    rows = PairRows(succ_g, succ_g)
     moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
-    pairs, depth = frozenset(itertools.product(moves, moves)), 0
-    period = len(levels) - loop
+    pairs, depth = rows.frontier(itertools.product(moves, moves)), 0
+    by_level: dict = {}
     window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
     for i in range(window):
         if not _effect_fits(d, s, sys_g, i):
             continue
         for j in range(depth, i):
-            level = levels[j if j < len(levels) else loop + (j - loop) % period]
-            feeds = {(None, fed[r1], fed[r2]) for (r1, r2) in level}
-            pairs = frontier_image(pair_step(succ_g, succ_g, lambda node: feeds))(pairs)
+            level = lasso_at(levels, loop, j)
+            if level not in by_level:
+                feeds = {(feed[x1], feed[x2], -1) for (x1, x2) in level}
+                by_level[level] = rows.columns(lambda p, feeds=feeds: feeds)
+            pairs = rows.step(pairs, by_level[level])
         depth = i
-        effect = [(None, *map(sys_g.inputs.index, d[i]))]
-        consume = pair_step(succ_g, succ_g, lambda node: effect)
-        if all(out_g[t1] != out_g[t2] for pair in pairs for (_, (t1, t2)) in consume(pair)):
+        effect = [(*map(sys_g.inputs.index, d[i]), -1)]
+        consumed = rows.step(pairs, rows.columns(lambda p: effect))
+        if not any(bits & emitting[out_g[p]] for p, bits in consumed):
             return LemmaVerdict(True, i)
     return LemmaVerdict(False)
 
@@ -336,7 +373,7 @@ def doe_compose(
     composite steps; the leading silent tick is the communication delay
     of the synchronous model.
     """
-    step = seq_step(sys_f, sys_g)
+    fed = feed_of(sys_f, sys_g)
     sys_f.check_state(q_f)
     sys_g.check_state(q_g)
     if t < 0:
@@ -349,11 +386,22 @@ def doe_compose(
         raise PreconditionFailed(
             f"effect at index {t} is not a strongly separating pair at level {t + 1}"
         )
-    # Composite frontier after exactly t+1 steps from (q_f, q_g).
-    frontier = frozenset({(sys_f.index[q_f], sys_g.index[q_g])})
-    advance = frontier_image(step)
-    for _ in range(t + 1):
-        frontier = advance(frontier)
-    receivers = sorted({sys_g.states[g] for (_, g) in frontier})
+    # Composite frontiers from (q_f, q_g), each kept as its receiver states:
+    # on input a the sender steps on a and the receiver on the sender's output.
+    inputs = range(len(sys_f.inputs))
+    rows = PairRows(sys_f.succ, sys_g.succ)
+    columns = rows.columns(lambda f: [(a, fed[f], -1) for a in inputs])
+    start = rows.frontier([(sys_f.index[q_f], sys_g.index[q_g])])
+    values, loop = rows.walk(start, columns, _receivers)
+    reached = lasso_at(values, loop, t + 1)
+    receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)
     merged = merge_sequences([doe(sys_g, g) for g in receivers])
     return star_prepend(t + 1, merged)
+
+
+def _receivers(frontier: tuple) -> int:
+    """Level value of a composite frontier: the bitset of its receiver states."""
+    reached = 0
+    for _, bits in frontier:
+        reached |= bits
+    return reached

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import NotAProductSymbol, SignatureMismatch, UnknownState, UnknownSymbol
+from .errors import (
+    LevelBoundExceeded,
+    NotAProductSymbol,
+    SignatureMismatch,
+    UnknownState,
+    UnknownSymbol,
+)
 
 # Tokens are whitespace-free and may not contain the comment or lasso
 # separator characters of the textual formats.
@@ -349,30 +355,189 @@ def reach(start, step: Callable, keep: Optional[Callable] = None) -> dict:
     return graph
 
 
-def frontier_image(step: Callable) -> Callable[[frozenset], frozenset]:
-    """One step of every node of a frontier, each node's successors cached as one tuple."""
-    targets: dict = {}
-
-    def image(frontier: frozenset) -> frozenset:
-        for node in frontier.difference(targets):
-            targets[node] = tuple(dict.fromkeys(t for (_, t) in step(node)))
-        # Copied from a finished set, a frozenset gets the smallest table.
-        return frozenset(set(itertools.chain.from_iterable(map(targets.__getitem__, frontier))))
-
-    return image
+# A PairRows walk raises LevelBoundExceeded past this many levels.  A
+# state entering output cycles of lengths 13, 17, 19 and 23 walks
+# 96,577 levels (their lcm); adding a cycle of 29 would walk 2.8 million.
+MAX_LEVELS = 200_000
 
 
-def lasso_walk(frontier: frozenset, image: Callable) -> tuple[list[frozenset], int]:
-    """Iterate ``image`` from ``frontier`` until a frontier repeats.
+class _Image(dict):
+    """Successor bitsets of one set of inputs, each set's image computed once.
 
-    Finitely many frontiers exist, so the sequence is a lasso: returns
-    the frontiers in order and the index the last one loops back to.
+    ``image[bits]`` is the union of the successors, on any of the inputs
+    (bit a of ``inputs`` marks input a), of the states in ``bits``.  For
+    one state q it is ``single[q]``.  A larger set is read through byte
+    tables: the table of chunk c maps each byte value b to the union of
+    ``single[q]`` over the states q = 8c + k with bit k set in b (the
+    "Four Russians" tables of Arlazarov, Dinic, Kronrod and Faradzev
+    1970), built the first time a set of two or more states reads that
+    chunk.
     """
-    seen: dict[frozenset, int] = {}
-    while frontier not in seen:
-        seen[frontier] = len(seen)
-        frontier = image(frontier)
-    return list(seen), seen[frontier]
+
+    def __init__(self, succ: Sequence, inputs: int):
+        super().__init__()
+        ids = [a for a in range(inputs.bit_length()) if inputs >> a & 1]
+        self.single = []
+        for moves in succ:
+            bits = 0
+            for a in ids:
+                for t in moves[a]:
+                    bits |= 1 << t
+            self.single.append(bits)
+        self.width = (len(succ) + 7) // 8
+        self.chunks: list[Optional[list[int]]] = [None] * self.width
+
+    def _chunk(self, c: int) -> list[int]:
+        table = [0]
+        for row in self.single[8 * c : 8 * c + 8]:
+            table += [image | row for image in table]
+        table += [0] * (256 - len(table))
+        self.chunks[c] = table
+        return table
+
+    def __missing__(self, bits: int) -> int:
+        if not bits & (bits - 1):
+            image = self.single[bits.bit_length() - 1]
+        else:
+            image = 0
+            chunks = self.chunks
+            for c, byte in enumerate(bits.to_bytes(self.width, "little")):
+                if byte:
+                    image |= (chunks[c] or self._chunk(c))[byte]
+        self[bits] = image
+        return image
+
+
+class PairRows:
+    """Sets of state pairs of two successor tables, one bitset per row.
+
+    A pair (p, q) holds a state id p of ``succ_a`` and q of ``succ_b``.  A
+    frontier is the tuple of ``(p, bits)`` over its nonempty rows in
+    increasing p, where bit q of ``bits`` marks the pair (p, q); equal
+    sets are equal tuples.  A step follows each row's masked columns
+    ``(ae, af, mask)``: every p' in ``succ_a[p][ae]`` gains the
+    af-image of ``bits & mask`` (mask -1 keeps every bit).  Columns of a
+    row with one successor tuple and one mask form one group, which
+    reads the image of all their af inputs at once.  A step thus costs,
+    per row and column group, one table lookup per 8-state chunk its
+    masked bits touch.  A set met before in the walk costs one
+    dictionary lookup, and so does a row with one bit, whose pair's
+    whole step is kept.
+    """
+
+    def __init__(self, succ_a: Sequence, succ_b: Sequence):
+        self.succ_a, self.succ_b = succ_a, succ_b
+        self._images: dict[int, _Image] = {}
+
+    def frontier(self, pairs: Iterable[tuple[int, int]]) -> tuple:
+        """The frontier holding the given pairs."""
+        rows: dict[int, int] = {}
+        for p, q in pairs:
+            rows[p] = rows.get(p, 0) | 1 << q
+        return tuple(sorted(rows.items()))
+
+    def columns(self, masked: Callable) -> "_Columns":
+        """The step along the masked columns ``masked(p)`` of each row p."""
+        return _Columns(self, masked)
+
+    def group(self, p: int, masked: Iterable[tuple[int, int, int]]) -> list:
+        """Row p's columns as ``(targets, mask, image)``, one per successor tuple and mask."""
+        afs: dict[tuple, int] = {}
+        moves = self.succ_a[p]
+        for ae, af, mask in masked:
+            key = (moves[ae], mask)
+            afs[key] = afs.get(key, 0) | 1 << af
+        groups = []
+        for (targets, mask), inputs in afs.items():
+            image = self._images.get(inputs)
+            if image is None:
+                image = self._images[inputs] = _Image(self.succ_b, inputs)
+            groups.append((targets, mask, image))
+        return groups
+
+    def step(self, frontier: tuple, columns: "_Columns") -> tuple:
+        rows: dict[int, int] = {}
+        pairs = columns.pairs
+        for row in frontier:
+            p, bits = row
+            if bits & (bits - 1):
+                for targets, mask, image in columns[p]:
+                    masked = bits & mask
+                    if masked:
+                        image_bits = image[masked]
+                        for t in targets:
+                            if t in rows:
+                                rows[t] |= image_bits
+                            else:
+                                rows[t] = image_bits
+            else:
+                for t, image_bits in pairs[row]:
+                    if t in rows:
+                        rows[t] |= image_bits
+                    else:
+                        rows[t] = image_bits
+        return tuple(sorted(rows.items()))
+
+    def walk(self, frontier: tuple, columns: "_Columns", value: Callable) -> tuple[list, int]:
+        """Values of the frontiers from ``frontier`` on, as a lasso.
+
+        Steps until a frontier repeats and returns ``value`` of each
+        frontier in order and the index the last one loops back to.
+        Finitely many frontiers exist; past :data:`MAX_LEVELS` of them
+        the walk raises LevelBoundExceeded.
+        """
+        seen: dict[tuple, int] = {}
+        values: list = []
+        step = self.step
+        while frontier not in seen:
+            if len(values) == MAX_LEVELS:
+                raise LevelBoundExceeded(MAX_LEVELS)
+            seen[frontier] = len(values)
+            values.append(value(frontier))
+            frontier = step(frontier, columns)
+        return values, seen[frontier]
+
+
+class _Columns(dict):
+    """Row p's column groups (:meth:`PairRows.group`), built on first lookup.
+
+    ``pairs`` holds the step of each single pair met so far.
+    """
+
+    def __init__(self, rows: PairRows, masked: Callable):
+        super().__init__()
+        self.rows, self.masked = rows, masked
+        self.pairs = _PairSteps(self)
+
+    def __missing__(self, p: int) -> list:
+        groups = self[p] = self.rows.group(p, self.masked(p))
+        return groups
+
+
+class _PairSteps(dict):
+    """``self[(p, 1 << q)]`` is the step of the pair (p, q), as ``((p', bits'), ...)``."""
+
+    def __init__(self, columns: _Columns):
+        super().__init__()
+        self.columns = columns
+
+    def __missing__(self, row: tuple[int, int]) -> tuple:
+        p, bits = row
+        step: dict[int, int] = {}
+        for targets, mask, image in self.columns[p]:
+            if bits & mask:
+                image_bits = image[bits]
+                for t in targets:
+                    step[t] = step.get(t, 0) | image_bits
+        self[row] = result = tuple(step.items())
+        return result
+
+
+def lasso_at(values: Sequence, loop: int, i: int):
+    """Element i of the lasso whose tail ``values[loop:]`` repeats forever."""
+    if i < len(values):
+        return values[i]
+    return values[loop + (i - loop) % (len(values) - loop)]
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ class StateBudgetExceeded(ResourceError):
         self.bound = bound
 
 
+class LevelBoundExceeded(ResourceError):
+    def __init__(self, bound: int):
+        super().__init__(f"level walk exceeded its bound of {bound} levels")
+        self.bound = bound
+
+
 class NonFiniteIntRange(UserError):
     """An integer variable has no declared finite range."""
 

@@ -30,14 +30,21 @@ def _minimal_period(cycle: tuple) -> tuple:
 
 
 def _canonical(prefix: tuple, cycle: tuple) -> tuple[tuple, tuple]:
+    """Minimal period, then the prefix's trailing symbols absorbed into the cycle.
+
+    Each absorbed symbol rotates the cycle right by one, so the k-th
+    symbol from the prefix's end is absorbed while it equals the k-th
+    from the cycle's end, read cyclically.
+    """
     if not cycle:
         raise ValueError("lasso cycle must be nonempty")
     cycle = _minimal_period(cycle)
-    prefix = tuple(prefix)
-    while prefix and prefix[-1] == cycle[-1]:
-        prefix = prefix[:-1]
-        cycle = (cycle[-1],) + cycle[:-1]
-    return prefix, _minimal_period(cycle)
+    n, period = len(prefix), len(cycle)
+    k = 0
+    while k < n and prefix[n - 1 - k] == cycle[(period - 1 - k) % period]:
+        k += 1
+    cut = period - k % period
+    return tuple(prefix[: n - k]), _minimal_period(cycle[cut:] + cycle[:cut])
 
 
 class _Lasso:

@@ -412,14 +412,42 @@ class _Parser:
         self.fail(f"expected a statement, found {tok.text or 'end of input'!r}")
 
     def parse_expr(self) -> Ast:
-        node = self.parse_cmp()
-        while self.peek().kind == "&&":
-            self.advance()
-            node = Conj(node, self.parse_cmp())
-        return node
+        """``cmp ('&&' cmp)*`` with ``cmp := add ['!=' 0]``, ``add := unary ('-' 1)*``
+        and ``unary := '!' unary | atom | '(' expr ')'``.
 
-    def parse_cmp(self) -> Ast:
-        node = self.parse_add()
+        Open parentheses and ``!`` prefixes are counted on an explicit
+        stack, so nesting depth costs no recursion.
+        """
+        # Per open parenthesis: the conjunction to its left and the `!`s before it.
+        frames: list[tuple[Optional[Ast], int]] = []
+        left: Optional[Ast] = None
+        derefs = 0
+        while True:
+            while self.peek().kind == "!":
+                self.advance()
+                derefs += 1
+            if self.peek().kind == "(":
+                self.advance()
+                frames.append((left, derefs))
+                left, derefs = None, 0
+                continue
+            node = self.parse_atom()
+            while True:
+                for _ in range(derefs):
+                    node = Deref(node)
+                node = self.parse_cmp(self.parse_add(node))
+                if left is not None:
+                    node = Conj(left, node)
+                if self.peek().kind == "&&":
+                    self.advance()
+                    left, derefs = node, 0
+                    break
+                if not frames:
+                    return node
+                self.expect(")")
+                left, derefs = frames.pop()
+
+    def parse_cmp(self, node: Ast) -> Ast:
         if self.peek().kind == "!=":
             self.advance()
             zero = self.expect("INT")
@@ -430,8 +458,7 @@ class _Parser:
             node = NotZero(node)
         return node
 
-    def parse_add(self) -> Ast:
-        node = self.parse_unary()
+    def parse_add(self, node: Ast) -> Ast:
         while self.peek().kind == "-":
             self.advance()
             one = self.expect("INT")
@@ -441,12 +468,6 @@ class _Parser:
                 )
             node = Dec(node)
         return node
-
-    def parse_unary(self) -> Ast:
-        if self.peek().kind == "!":
-            self.advance()
-            return Deref(self.parse_unary())
-        return self.parse_atom()
 
     def parse_atom(self) -> Ast:
         tok = self.peek()
@@ -464,11 +485,6 @@ class _Parser:
             if self.peek().kind == "INT":
                 return Get(int(self.advance().text))
             return Get(0)
-        if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
         if tok.kind == "IDENT":
             self.advance()
             return VarRef(tok.text)

@@ -70,10 +70,18 @@ def typecheck(
         if isinstance(n, IntLit):
             return Ty("exp", "int")
         if isinstance(n, Deref):
-            inner = check(n.target)
-            if inner.kind != "var":
-                raise PsyTypeError(f"Deref: !{unparse(n.target)} needs a variable")
-            return Ty("exp", inner.base)
+            # Walk a '!' chain in a loop, checking it from the inside out;
+            # a dereference has an exp type, so at most one '!' passes.
+            chain = []
+            while isinstance(n, Deref):
+                chain.append(n)
+                n = n.target
+            inner = check(n)
+            for deref in reversed(chain):
+                if inner.kind != "var":
+                    raise PsyTypeError(f"Deref: !{unparse(deref.target)} needs a variable")
+                inner = Ty("exp", inner.base)
+            return inner
         if isinstance(n, Assign):
             target = check(n.target)
             if target.kind != "var":

@@ -52,6 +52,44 @@ def orientations(moves_a, moves_b, cls_a, cls_b, a1: int, a2: int) -> list[tuple
     return held
 
 
+def class_gaps(succ_b, cls_b, inputs: int) -> list[dict[int, int]]:
+    """Per input af and block c, the bitset of states q with no af-successor in c.
+
+    Blocks that no af-successor reaches are left out: their bitset is
+    every state.
+    """
+    everything = (1 << len(succ_b)) - 1
+    gaps = []
+    for af in range(inputs):
+        reached: dict[int, int] = {}
+        for q, moves in enumerate(succ_b):
+            for c in {cls_b[y] for y in moves[af]}:
+                reached[c] = reached.get(c, 0) | 1 << q
+        gaps.append({c: everything ^ bits for c, bits in reached.items()})
+    return gaps
+
+
+def row_orientations(moves_a, cls_a, gaps: list[dict[int, int]], everything: int) -> dict:
+    """:func:`orientations` for a whole row: ``(ae, af) -> bitset of q``.
+
+    ``moves_a`` are the successors per input of one left state p,
+    ``gaps`` come from :func:`class_gaps` on the right side, whose
+    states ``everything`` holds.  Bit q of the bitset of (ae, af),
+    ae != af, is set iff ae beats af at (p, q): some ae-successor of p
+    has a block that no af-successor of q has.
+    """
+    masks = {}
+    for ae, moves in enumerate(moves_a):
+        blocks = {cls_a[x] for x in moves}
+        for af, gap in enumerate(gaps):
+            if af != ae:
+                bits = 0
+                for c in blocks:
+                    bits |= gap.get(c, everything)
+                masks[(ae, af)] = bits
+    return masks
+
+
 def _separating_ids(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None):
     """Separating pairs of q and their deterministic subset, as input id pairs in order."""
     if oracle is None:

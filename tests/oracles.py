@@ -7,19 +7,27 @@ iterated pair relation that drops a pair, separators by exhaustive word
 enumeration over run pairs, reaction time by per-word guaranteed
 difference search, and `.psy` rounds by the original small-step
 evaluator, which rebuilds the whole program after every reduction.
+DOE and SSPseq level sets are also walked the original way, as
+frozensets of state-id pairs with every pair's successors and strongly
+separating pairs cached one pair at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import namedtuple
 
+from syncreact.abstraction import _effect_fits, _effects, doe, ssp_seq
+from syncreact.compose import feed_of
 from syncreact.core import (
     Alphabet,
+    BisimOracle,
     Run,
     SynchronousSystem,
+    align,
     disjoint_union,
     run_outputs,
     runs,
@@ -29,10 +37,12 @@ from syncreact.errors import (
     BuildError,
     IntRangeExceeded,
     NonFiniteIntRange,
+    NotReactive,
     RoundDivergence,
     StateBudgetExceeded,
     StuckConfiguration,
 )
+from syncreact.lasso import merge_sequences, star_prepend
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -51,6 +61,7 @@ from syncreact.psyc.syntax import (
     is_value,
     unparse,
 )
+from syncreact.reactivity import orientations, reactive
 
 
 def naive_bisimilar_pairs(sys: SynchronousSystem) -> set:
@@ -265,7 +276,17 @@ def random_system(
     out_syms: tuple[str, ...],
     nondet_prob: float = 0.2,
 ) -> SynchronousSystem:
-    n = rng.randint(1, max_states)
+    return sized_system(rng, name, rng.randint(1, max_states), in_syms, out_syms, nondet_prob)
+
+
+def sized_system(
+    rng: random.Random,
+    name: str,
+    n: int,
+    in_syms: tuple[str, ...],
+    out_syms: tuple[str, ...],
+    nondet_prob: float = 0.2,
+) -> SynchronousSystem:
     states = tuple(f"s{i}" for i in range(n))
     transitions = []
     for q in states:
@@ -283,6 +304,42 @@ def random_system(
         states=states,
         transitions=tuple(transitions),
         out_label=out_label,
+        initial="s0",
+    )
+
+
+def inflated_system(
+    rng: random.Random,
+    name: str,
+    n: int,
+    classes: int,
+    in_syms: tuple[str, ...],
+    out_syms: tuple[str, ...],
+    nondet_prob: float = 0.2,
+) -> SynchronousSystem:
+    """A random system of ``classes`` states blown up to n states.
+
+    State i copies class i % classes: its output, and on each input one
+    random state of every class the class moves to, so states of one
+    class are bisimilar.  Orientations then hold at some state pairs and
+    fail at others.
+    """
+    classes = min(classes, n)
+    base = sized_system(rng, "base", classes, in_syms, out_syms, nondet_prob)
+    members = [list(range(c, n, classes)) for c in range(classes)]
+    states = tuple(f"s{i}" for i in range(n))
+    transitions = []
+    for i in range(n):
+        for a, moves in enumerate(base.succ[i % classes]):
+            targets = sorted({rng.choice(members[c]) for c in moves})
+            transitions += [(states[i], in_syms[a], states[t]) for t in targets]
+    return SynchronousSystem(
+        name=name,
+        inputs=Alphabet(in_syms),
+        outputs=Alphabet(out_syms),
+        states=states,
+        transitions=tuple(transitions),
+        out_label={q: base.out_label[f"s{i % classes}"] for i, q in enumerate(states)},
         initial="s0",
     )
 
@@ -334,6 +391,168 @@ def chain_sender(
         out_label=out_label,
         initial="r",
     )
+
+
+def stepwise_canonical(prefix: tuple, cycle: tuple) -> tuple[tuple, tuple]:
+    """Lasso canonical form absorbing one prefix symbol per step."""
+
+    def minimal(word):
+        n = len(word)
+        return next(word[:d] for d in range(1, n + 1) if n % d == 0 and word == word[:d] * (n // d))
+
+    cycle = minimal(tuple(cycle))
+    prefix = tuple(prefix)
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix = prefix[:-1]
+        cycle = (cycle[-1],) + cycle[:-1]
+    return prefix, minimal(cycle)
+
+
+# The original level-set walks: a frontier is a frozenset of state-id
+# pairs and each pair's successor tuple is computed once.
+
+
+def _frontier_image(step):
+    targets: dict = {}
+
+    def image(frontier: frozenset) -> frozenset:
+        for node in frontier.difference(targets):
+            targets[node] = tuple(dict.fromkeys(step(node)))
+        return frozenset(itertools.chain.from_iterable(map(targets.__getitem__, frontier)))
+
+    return image
+
+
+def _lasso_walk(frontier: frozenset, image) -> tuple[list[frozenset], int]:
+    seen: dict[frozenset, int] = {}
+    while frontier not in seen:
+        seen[frontier] = len(seen)
+        frontier = image(frontier)
+    return list(seen), seen[frontier]
+
+
+def _shared_step(succ_a, succ_b, inputs):
+    return lambda node: [
+        (p, q) for a in range(inputs) for p in succ_a[node[0]][a] for q in succ_b[node[1]][a]
+    ]
+
+
+def _naive_doe_frontiers(sys, q):
+    oracle = BisimOracle(sys, sys)
+    succ, i = sys.succ, sys.index[q]
+    pairs = [
+        (a1, a2)
+        for (a1, a2) in itertools.combinations(range(len(sys.inputs)), 2)
+        if orientations(succ[i], succ[i], oracle.cls_a, oracle.cls_b, a1, a2)
+    ]
+    if not pairs:
+        raise NotReactive(f"state {q} of {sys.name} has no separating pair")
+    start = frozenset((p, r) for (a1, a2) in pairs for p in succ[i][a1] for r in succ[i][a2])
+    return _lasso_walk(start, _frontier_image(_shared_step(succ, succ, len(sys.inputs))))
+
+
+def naive_doe_levels(sys, q):
+    """DOE level sets walked as frozensets of pairs: each level's output id pairs, loop index."""
+    levels, loop = _naive_doe_frontiers(sys, q)
+    out = sys.out_ids
+    return [frozenset((out[p], out[r]) for (p, r) in level) for level in levels], loop
+
+
+def naive_ssp_seq(sys_a, q1, sys_b, q2):
+    """SSPseq levels of a cross pair walked as frozensets of pairs, with per-pair SSP.
+
+    Returns each level's set of symbol pairs and the loop index.
+    """
+    oracle = BisimOracle(sys_a, sys_b)
+    succ_a, (succ_b, _) = sys_a.succ, align(sys_a, sys_b)
+    symbols = sys_a.inputs.symbols
+    candidates = list(itertools.combinations(range(len(symbols)), 2))
+    ssp: dict = {}
+    held: dict = {}
+
+    def ssp_of(node):
+        if node not in ssp:
+            moves_a, moves_b = succ_a[node[0]], succ_b[node[1]]
+            found = {
+                (a1, a2): orientations(moves_a, moves_b, oracle.cls_a, oracle.cls_b, a1, a2)
+                for (a1, a2) in candidates
+            }
+            ssp[node] = frozenset(c for c, h in found.items() if h)
+            held[node] = [o for h in found.values() for o in h]
+        return ssp[node]
+
+    def step(node):
+        ssp_of(node)
+        return [
+            (p, r)
+            for (ae, af) in held[node]
+            for p in succ_a[node[0]][ae]
+            for r in succ_b[node[1]][af]
+        ]
+
+    start = (sys_a.index[q1], sys_b.index[q2])
+    levels, loop = _lasso_walk(frozenset({start}), _frontier_image(step))
+    values = []
+    for level in levels:
+        value = frozenset(candidates).intersection(*map(ssp_of, level))
+        values.append(frozenset((symbols[a1], symbols[a2]) for (a1, a2) in value))
+    return values, loop
+
+
+def naive_lemma_check(sys_f, q_f, sys_g, q_g):
+    """Least lemma witness index (or None) with the receiver pairs walked as frozensets."""
+    fed = feed_of(sys_f, sys_g)
+    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
+        return None
+    levels, loop = _naive_doe_frontiers(sys_f, q_f)
+    out_f = sys_f.out_ids
+    d = _effects(sys_f, [{(out_f[p], out_f[r]) for (p, r) in level} for level in levels], loop)
+    s = ssp_seq(sys_g, q_g)
+    succ_g, out_g = sys_g.succ, sys_g.out_ids
+    moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
+    pairs = frozenset(itertools.product(moves, moves))
+    period = len(levels) - loop
+    window = max(len(d.prefix), len(s.prefix) + 1) + math.lcm(len(d.cycle), len(s.cycle))
+    for i in range(window):
+        if i:
+            j = i - 1
+            level = levels[j if j < len(levels) else loop + (j - loop) % period]
+            feeds = {(fed[r1], fed[r2]) for (r1, r2) in level}
+            pairs = frozenset(
+                (t1, t2)
+                for (g1, g2) in pairs
+                for (y1, y2) in feeds
+                for t1 in succ_g[g1][y1]
+                for t2 in succ_g[g2][y2]
+            )
+        if not _effect_fits(d, s, sys_g, i):
+            continue
+        e1, e2 = map(sys_g.inputs.index, d[i])
+        if all(
+            out_g[t1] != out_g[t2]
+            for (g1, g2) in pairs
+            for t1 in succ_g[g1][e1]
+            for t2 in succ_g[g2][e2]
+        ):
+            return i
+    return None
+
+
+def naive_doe_compose(sys_f, q_f, sys_g, q_g, t):
+    """The composite DOE bound at index t, stepping the composite frontier t+1 times."""
+    fed = feed_of(sys_f, sys_g)
+    succ_f, succ_g = sys_f.succ, sys_g.succ
+    frontier = {(sys_f.index[q_f], sys_g.index[q_g])}
+    for _ in range(t + 1):
+        frontier = {
+            (f2, g2)
+            for (f, g) in frontier
+            for a in range(len(sys_f.inputs))
+            for f2 in succ_f[f][a]
+            for g2 in succ_g[g][fed[f]]
+        }
+    receivers = sorted({sys_g.states[g] for (_, g) in frontier})
+    return star_prepend(t + 1, merge_sequences([doe(sys_g, g) for g in receivers]))
 
 
 # The original small-step evaluator of `.psy` programs.  A configuration

@@ -18,11 +18,42 @@ from syncreact import (
     ssp_seq,
     ssp_seq_pair,
 )
+from syncreact.abstraction import doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
 from .conftest import count_refinements, load_fixture
-from .oracles import brute_doe, brute_ssp_seq, chain_sender, random_system
+from .oracles import (
+    brute_doe,
+    brute_ssp_seq,
+    chain_sender,
+    inflated_system,
+    naive_doe_compose,
+    naive_doe_levels,
+    naive_lemma_check,
+    naive_ssp_seq,
+    random_system,
+    sized_system,
+)
+
+# Sizes on both sides of the 8-state table chunks and the 64-bit words.
+WALK_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
+OUTPUTS = ("0", "1", "2")
+
+
+def _walk_systems(n: int):
+    """A random and a class-inflated system of n states, with 2-4 inputs."""
+    rng = random.Random(n)
+    inputs = ("a", "b", "c", "d")[: 2 + n % 3]
+    yield sized_system(rng, f"rand{n}", n, inputs, OUTPUTS, 0.2)
+    yield inflated_system(rng, f"infl{n}", n, 5, inputs, OUTPUTS, 0.3)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotReactive:
+        return NotReactive
 
 
 class TestDoe:
@@ -60,6 +91,75 @@ class TestLevelOracles:
                 if separating_pairs(sys, q).reactive:
                     assert ssp_seq(sys, q).window(n) == brute_ssp_seq(sys, q, n)
                     reactive_states += 1
+
+
+class TestWalkOracles:
+    """The bitset walks against the frozenset walks they replaced."""
+
+    @pytest.mark.parametrize("n", WALK_SIZES)
+    def test_levels_and_loop_match(self, n):
+        for sys in _walk_systems(n):
+            for q in sys.states[:3]:
+                assert _outcome(doe_levels, sys, q) == _outcome(naive_doe_levels, sys, q)
+                assert _outcome(ssp_levels, sys, q, sys, q) == naive_ssp_seq(sys, q, sys, q)
+
+    @pytest.mark.parametrize("n", WALK_SIZES)
+    def test_cross_pairs_with_rotated_inputs_and_reversed_outputs(self, n):
+        rng = random.Random(-n)
+        for sys in _walk_systems(n):
+            symbols = sys.inputs.symbols
+            other = sized_system(
+                rng, "other", max(1, n // 2), symbols[1:] + symbols[:1], OUTPUTS[::-1], 0.3
+            )
+            for q1 in sys.states[:2]:
+                for q2 in other.states[:2]:
+                    levels, loop = naive_ssp_seq(sys, q1, other, q2)
+                    assert ssp_levels(sys, q1, other, q2) == (levels, loop)
+                    assert ssp(sys, q1, other, q2) == tuple(
+                        sorted(levels[0], key=lambda pair: tuple(map(symbols.index, pair)))
+                    )
+                    if separating_pairs(sys, q1).reactive and separating_pairs(other, q2).reactive:
+                        assert ssp_seq_pair(sys, q1, other, q2) == PairSetSequence(
+                            tuple(levels[:loop]), tuple(levels[loop:])
+                        )
+
+    def test_lemma_verdicts_match(self):
+        rng = random.Random(7)
+        feed = ("x", "y", "z")
+        fired = 0
+        for i in range(80):
+            if i % 4:
+                sender = random_system(rng, f"f{i}", 9, ("a", "b"), feed)
+            else:
+                sender = chain_sender(i % 7, feed)
+            receiver = random_system(rng, f"g{i}", 9, feed, OUTPUTS, 0.3)
+            for q_g in receiver.states[:2]:
+                verdict = lemma_check(sender, sender.initial, receiver, q_g)
+                expected = naive_lemma_check(sender, sender.initial, receiver, q_g)
+                assert (verdict.index if verdict.guaranteed else None) == expected
+                fired += verdict.guaranteed
+        assert fired
+
+    def test_doe_compose_matches_stepping_the_frontier(self):
+        rng = random.Random(11)
+        feed = ("x", "y", "z")
+        compared = 0
+        for i in range(40):
+            if i % 2:
+                sender = chain_sender(i % 5, feed)
+            else:
+                sender = random_system(rng, f"f{i}", 6, ("a", "b"), feed)
+            receiver = random_system(rng, f"g{i}", 6, feed, OUTPUTS, 0.3)
+            for t in range(61):
+                try:
+                    result = doe_compose(sender, sender.initial, receiver, receiver.initial, t)
+                except PreconditionFailed:
+                    continue
+                assert result == naive_doe_compose(
+                    sender, sender.initial, receiver, receiver.initial, t
+                )
+                compared += 1
+        assert compared > 100
 
 
 class TestObsOrder:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import syncreact
-from syncreact import sls, validate
+from syncreact import core, sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
@@ -30,6 +30,18 @@ def run(capsys, *argv):
 
 def last_line(out: str) -> str:
     return out.strip().splitlines()[-1]
+
+
+def run_fresh(*argv):
+    """The command line in a fresh interpreter, with the default recursion limit."""
+    src = pathlib.Path(syncreact.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "syncreact.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
 
 
 class TestCheck:
@@ -430,17 +442,7 @@ class TestPsyc:
             assert last_line(done.stdout) == last
 
     def _psyc_fresh(self, argv):
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(pathlib.Path(syncreact.__file__).resolve().parents[1]),
-        }
-        return subprocess.run(
-            [sys.executable, "-m", "syncreact.cli", "psyc", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        return run_fresh("psyc", *argv)
 
     def test_1500_conjuncts_in_a_fresh_interpreter(self, tmp_path):
         src = tmp_path / "conj.psy"
@@ -471,6 +473,59 @@ class TestPsyc:
         done = self._psyc_fresh(["build", str(src), "-o", str(tmp_path / "dec.sls")])
         assert done.returncode == 2
         assert done.stderr == "error: assignment y := -1500 leaves range [0..3]\n"
+
+
+    def test_1500_nested_parentheses_in_a_fresh_interpreter(self, tmp_path):
+        src = tmp_path / "paren.psy"
+        nested = "(" * 1500 + "tt" + ")" * 1500
+        src.write_text(
+            f"inputs tt ff\noutputs tt ff\nvar x : bool\nwhile tt do x := {nested}; tick(!x) done\n"
+        )
+        done = self._psyc_fresh(["typecheck", str(src)])
+        assert done.returncode == 0, done.stderr
+        assert last_line(done.stdout) == "comm"
+        done = self._psyc_fresh(["build", str(src), "-o", str(tmp_path / "paren.sls")])
+        assert done.returncode == 0, done.stderr
+        assert last_line(done.stdout) == "states 1"
+
+    def test_1500_derefs_in_a_fresh_interpreter(self, tmp_path):
+        src = tmp_path / "bang.psy"
+        src.write_text(
+            "inputs tt ff\noutputs tt ff\nvar x : bool\n"
+            f"while tt do tick({'!' * 1500}x) done\n"
+        )
+        done = self._psyc_fresh(["typecheck", str(src)])
+        assert done.returncode == 2
+        assert done.stderr == "error: Deref: !!x needs a variable\n"
+
+
+class TestLevelBound:
+    def test_walk_past_the_bound_exits_3(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "chain.sls"
+        sls.dump(chain_sender(60, ("x", "y", "z")), target)
+        for command in ("doe", "sspseq"):
+            code, out, _ = run(capsys, command, target, "r")
+            assert code == 0
+        monkeypatch.setattr(core, "MAX_LEVELS", 50)
+        for command in ("doe", "sspseq"):
+            code, out, err = run(capsys, command, target, "r")
+            assert (code, out) == (3, "")
+            assert err == "resource limit: level walk exceeded its bound of 50 levels\n"
+
+    def test_doe_compose_at_index_one_million_in_a_fresh_interpreter(self):
+        done = run_fresh(
+            "doe-compose",
+            FIXTURES / "delay1.sls",
+            FIXTURES / "receiver.sls",
+            "--qf",
+            "s0",
+            "--qg",
+            "g0",
+            "-t",
+            "1000000",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "| *\n"
 
 
 class TestUsage:

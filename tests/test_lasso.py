@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from syncreact.errors import FormatError
 from syncreact.lasso import (
     STAR,
+    _canonical,
     STAR_FOREVER,
     EffectSequence,
     PairSetSequence,
@@ -19,6 +20,8 @@ from syncreact.lasso import (
     parse_pair_set_sequence,
     star_prepend,
 )
+
+from .oracles import stepwise_canonical
 
 SYMBOLS = [STAR, ("0", "1"), ("1", "0"), ("ff", "tt")]
 
@@ -55,6 +58,16 @@ class TestCanonicalForm:
     def test_canonical_form_is_stable(self, seq):
         again = EffectSequence(seq.prefix, seq.cycle)
         assert again == seq
+
+    @given(
+        st.lists(st.sampled_from("ab"), max_size=6).map(tuple),
+        st.lists(st.sampled_from("ab"), min_size=1, max_size=6).map(tuple),
+        st.integers(0, 5),
+        st.lists(st.sampled_from("ab"), max_size=3).map(tuple),
+    )
+    def test_absorption_matches_one_symbol_at_a_time(self, head, cycle, repeats, tail):
+        prefix = head + cycle * repeats + tail
+        assert _canonical(prefix, cycle) == stepwise_canonical(prefix, cycle)
 
     @given(effect_sequences)
     def test_canonicalization_preserves_values(self, seq):

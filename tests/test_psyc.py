@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncreact import non_bisimilar, validate
 from syncreact.errors import (
@@ -19,10 +21,13 @@ from syncreact.psyc.semantics import Config, Leaf, Node
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
+    Conj,
+    Dec,
     Deref,
     Get,
     If,
     IntLit,
+    NotZero,
     Seq,
     Skip,
     Tick,
@@ -32,6 +37,23 @@ from syncreact.psyc.syntax import (
 from syncreact.psyc.typecheck import COMM, Ty
 
 from .conftest import FIXTURES
+
+
+expressions = st.recursive(
+    st.one_of(
+        st.builds(BoolLit, st.booleans()),
+        st.builds(IntLit, st.integers(0, 99)),
+        st.builds(VarRef, st.sampled_from(["x", "y", "z0"])),
+        st.builds(Get, st.integers(0, 3)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Deref, inner),
+        st.builds(Dec, inner),
+        st.builds(NotZero, inner),
+        st.builds(Conj, inner, inner),
+    ),
+    max_leaves=12,
+)
 
 
 def load_program(name):
@@ -82,6 +104,43 @@ class TestParse:
     def test_unparse_round_trips(self):
         source = "x := ff; while tt do tick(!x); x := get done"
         assert parse(unparse(parse(source))) == parse(source)
+
+    @settings(max_examples=200)
+    @given(expressions)
+    def test_expressions_round_trip(self, expr):
+        program = Assign(VarRef("x"), expr)
+        assert parse(unparse(program)) == program
+
+    def test_5000_deep_conjunction_round_trips(self):
+        expr = BoolLit(True)
+        for k in range(5000):
+            expr = Conj(expr, VarRef("y") if k % 2 else Deref(VarRef("x")))
+        program = Assign(VarRef("x"), expr)
+        assert parse(unparse(program)) == program
+
+    def test_nesting_is_read_without_recursion(self):
+        assert parse("x := " + "(" * 5000 + "tt" + ")" * 5000) == Assign(VarRef("x"), BoolLit(True))
+        chain = VarRef("y")
+        for _ in range(5000):
+            chain = Deref(chain)
+        assert parse("x := " + "!" * 5000 + "y") == Assign(VarRef("x"), chain)
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("x := (tt", "1:9: expected ')', found 'end of input'"),
+            ("x := !(", "1:8: expected an expression, found 'end of input'"),
+            ("x := ()", "1:7: expected an expression, found ')'"),
+            ("x := ((tt) && ff))", "1:18: expected 'EOF', found ')'"),
+            ("x := (!x - 2)", "1:12: only the decrement `- 1` is supported"),
+            ("x := (tt != 1)", "1:13: only the zero test `!= 0` is supported"),
+            ("tick(!(x && ) )", "1:13: expected an expression, found ')'"),
+        ],
+    )
+    def test_nesting_errors_keep_their_messages(self, source, message):
+        with pytest.raises(PsySyntaxError) as info:
+            parse(source)
+        assert str(info.value) == message
 
 
 def spine(length: int, last=None):

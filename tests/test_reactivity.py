@@ -16,8 +16,10 @@ from syncreact import (
     separators,
     strongly_separable,
 )
+from syncreact.core import BisimOracle
 from syncreact.errors import SignatureMismatch, UnknownState
 from syncreact.lasso import STAR
+from syncreact.reactivity import class_gaps, orientations, row_orientations
 
 from .oracles import (
     brute_separators,
@@ -90,6 +92,24 @@ class TestSeparatingPairs:
                     assert deterministic == (
                         (a1, a2) in result.deterministic_subset
                     )
+
+
+class TestRowOrientations:
+    def test_each_bit_is_the_pair_orientation(self):
+        rng = random.Random(37)
+        for i in range(12):
+            sys = random_system(rng, f"r{i}", 12, ("a", "b", "c"), ("0", "1"), 0.4)
+            oracle = BisimOracle(sys, sys)
+            cls = oracle.cls_a
+            everything = (1 << len(sys.states)) - 1
+            gaps = class_gaps(sys.succ, cls, len(sys.inputs))
+            for moves_p in sys.succ:
+                masks = row_orientations(moves_p, cls, gaps, everything)
+                for (ae, af), bits in masks.items():
+                    a1, a2 = sorted((ae, af))
+                    for q, moves_q in enumerate(sys.succ):
+                        held = orientations(moves_p, moves_q, cls, cls, a1, a2)
+                        assert (bits >> q & 1) == ((ae, af) in held)
 
 
 class TestSeparators:
