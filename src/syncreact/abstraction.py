@@ -42,7 +42,6 @@ from .lasso import (
 from .reactivity import (  # noqa: F401
     _separating_ids,
     class_gaps,
-    orientations,
     reactive,
     row_orientations,
     separating_pairs,
@@ -167,11 +166,13 @@ def ssp(
         oracle = BisimOracle(sys_a, sys_b)
     moves_a = sys_a.succ[sys_a.index[q1]]
     moves_b = align(sys_a, sys_b)[0][sys_b.index[q2]]
+    gaps = class_gaps([moves_b], oracle.cls_b, len(moves_b))
+    held = row_orientations(moves_a, oracle.cls_a, gaps, 1)
     symbols = sys_a.inputs.symbols
     return tuple(
         (symbols[a1], symbols[a2])
         for (a1, a2) in itertools.combinations(range(len(symbols)), 2)
-        if orientations(moves_a, moves_b, oracle.cls_a, oracle.cls_b, a1, a2)
+        if held[(a1, a2)] | held[(a2, a1)]
     )
 
 

@@ -42,6 +42,19 @@ def _word(text: str) -> list[str]:
     return text.split()
 
 
+def _at_least(least: int):
+    """Argument type: an integer no smaller than ``least`` (else a usage error)."""
+
+    def bound(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    bound.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return bound
+
+
 def _print_bool(value: bool) -> int:
     print("true" if value else "false")
     return EXIT_OK
@@ -256,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_at_least(0), default=4)
     p.set_defaults(func=cmd_separators)
 
     p = sub.add_parser("strongsep", help="is a state pair strongly separable?")
@@ -324,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psyc_typecheck)
     p = psyc_sub.add_parser("build", help="build the system of a .psy program")
     p.add_argument("file")
-    p.add_argument("--max-states", type=int, default=10_000)
+    p.add_argument("--max-states", type=_at_least(1), default=10_000)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_psyc_build)
 

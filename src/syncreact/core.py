@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     LevelBoundExceeded,
@@ -353,6 +353,29 @@ def reach(start, step: Callable, keep: Optional[Callable] = None) -> dict:
                 graph[t] = []
                 queue.append(t)
     return graph
+
+
+def fold(rule: Callable[..., Generator], root):
+    """``rule``'s result at ``root``, with every level on one explicit stack.
+
+    ``rule(x)`` is a generator: it yields each child whose result it
+    needs, receives that result at the ``yield``, and returns x's
+    result.  Trees thousands of levels deep thus cost no recursion, and
+    an exception a rule raises propagates unchanged.
+    """
+    stack = [rule(root)]
+    result = None
+    while True:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            result = done.value
+        else:
+            stack.append(rule(child))
+            result = None
 
 
 # A PairRows walk raises LevelBoundExceeded past this many levels.  A
@@ -812,22 +835,18 @@ class IndWitness:
     @property
     def depth(self) -> int:
         """Longest path to a base witness; an opponent with no move ends at 1."""
-        depth_of: dict[int, int] = {}
-        stack: list[IndWitness] = [self]
-        while stack:
-            w = stack[-1]
-            pending = [
-                c for (_, c) in w.children
-                if isinstance(c, IndWitness) and id(c) not in depth_of
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            depth_of[id(w)] = 1 + max(
-                (depth_of.get(id(c), 0) for (_, c) in w.children), default=0
-            )
-        return depth_of[id(self)]
+        depth_of: dict[int, int] = {}  # shared sub-witnesses are measured once
+
+        def rule(w: IndWitness):
+            deepest = 0
+            for (_, c) in w.children:
+                if isinstance(c, IndWitness):
+                    d = depth_of.get(id(c))
+                    deepest = max(deepest, (yield c) if d is None else d)
+            depth_of[id(w)] = deepest + 1
+            return deepest + 1
+
+        return fold(rule, self)
 
 
 NonBisimWitness = Union[BaseWitness, IndWitness]
@@ -855,40 +874,25 @@ def non_bisimilar(
         return None
     ref, name, out = oracle._refinement, oracle.name, oracle.out_ids
     inputs, outputs = sys_a.inputs.symbols, sys_a.outputs.symbols
-    root = oracle.ids(qa, qb)
     built: dict[tuple[int, int], NonBisimWitness] = {}
-    moves: dict[tuple[int, int], tuple] = {}
-    stack = [root]
-    while stack:
-        pair = stack[-1]
-        if pair in built:
-            stack.pop()
-            continue
-        move = moves.get(pair)
-        if move is None:
-            p, q = pair
-            k = ref.depth(p, q)
-            if k == 0:
-                built[pair] = BaseWitness(name(p), name(q), outputs[out[p]], outputs[out[q]])
-                stack.pop()
-                continue
-            move = moves[pair] = ref.move(p, q, k)
-        pending = [c for c in move[3] if c not in built]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        a, side, chosen, children = move
-        opponent = 1 if side == "left" else 0
-        built[pair] = IndWitness(
-            name(pair[0]),
-            name(pair[1]),
-            inputs[a],
-            side,
-            name(chosen),
-            tuple((name(c[opponent]), built[c]) for c in children),
-        )
-    return built[root]
+
+    def rule(pair: tuple[int, int]):
+        p, q = pair
+        k = ref.depth(p, q)
+        if k == 0:
+            w = BaseWitness(name(p), name(q), outputs[out[p]], outputs[out[q]])
+        else:
+            a, side, chosen, children = ref.move(p, q, k)
+            opponent = 1 if side == "left" else 0
+            subs = []
+            for c in children:
+                sub = built.get(c)
+                subs.append((name(c[opponent]), (yield c) if sub is None else sub))
+            w = IndWitness(name(p), name(q), inputs[a], side, name(chosen), tuple(subs))
+        built[pair] = w
+        return w
+
+    return fold(rule, oracle.ids(qa, qb))
 
 
 def replay_witness(

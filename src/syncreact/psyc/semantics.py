@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..core import Alphabet, SynchronousSystem, symbol_components
+from ..core import Alphabet, SynchronousSystem, fold, symbol_components
 from ..errors import (
     BuildError,
     IntRangeExceeded,
@@ -318,22 +318,22 @@ class Machine:
         )
 
 
+def _reads(expr: Ast):
+    cls = expr.__class__
+    if cls is Deref:
+        if isinstance(expr.target, VarRef):
+            return frozenset((expr.target.name,))
+        return (yield expr.target)
+    if cls is Dec or cls is NotZero:
+        return (yield expr.inner)
+    if cls is Conj:
+        return (yield expr.left) | (yield expr.right)
+    return frozenset()
+
+
 def reads(expr: Ast) -> frozenset:
     """Variables read through a dereference anywhere in an expression."""
-    names = set()
-    todo = [expr]  # operator chains can be thousands of levels deep
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Deref):
-            if isinstance(node.target, VarRef):
-                names.add(node.target.name)
-            else:
-                todo.append(node.target)
-        elif isinstance(node, (Dec, NotZero)):
-            todo.append(node.inner)
-        elif isinstance(node, Conj):
-            todo += (node.left, node.right)
-    return frozenset(names)
+    return fold(_reads, expr)
 
 
 def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> frozenset:
@@ -345,52 +345,52 @@ def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> froz
     """
     if memo is None:
         memo = {}
-    key = (prog, live_out)
-    live = memo.get(key)
+    live = memo.get((prog, live_out))
     if live is None:
-        live = memo[key] = _live_in(prog, live_out, memo)
+        live = fold(lambda key: _live_in(key, memo), (prog, live_out))
     return live
 
 
-def _live_in(prog: Ast, live_out: frozenset, memo: dict) -> frozenset:
-    if isinstance(prog, Skip):
-        return live_out
-    if isinstance(prog, Assign):
-        if isinstance(prog.target, VarRef):
-            return (live_out - {prog.target.name}) | reads(prog.value)
-        return live_out | reads(prog.value)
-    if isinstance(prog, Seq):
-        # Every suffix of a ';' spine has the same live-out set: walk down
-        # to the first suffix already answered, then fold back up.
-        spine = []
-        while isinstance(prog, Seq) and (prog, live_out) not in memo:
-            spine.append(prog)
-            prog = prog.second
-        live = live_in(prog, live_out, memo)
-        for seq in reversed(spine):
-            live = memo[(seq, live_out)] = live_in(seq.first, live, memo)
+def _live_in(key: tuple[Ast, frozenset], memo: dict):
+    """Liveness of one (term, live-out) pair, memoised; yields the pairs it needs."""
+    live = memo.get(key)
+    if live is not None:
         return live
-    if isinstance(prog, If):
-        return (
+    prog, live_out = key
+    cls = prog.__class__
+    if cls is Skip:
+        live = live_out
+    elif cls is Assign:
+        if isinstance(prog.target, VarRef):
+            live = (live_out - {prog.target.name}) | reads(prog.value)
+        else:
+            live = live_out | reads(prog.value)
+    elif cls is Seq:
+        after = yield (prog.second, live_out)
+        live = yield (prog.first, after)
+    elif cls is If:
+        live = (
             reads(prog.cond)
-            | live_in(prog.then_branch, live_out, memo)
-            | live_in(prog.else_branch, live_out, memo)
+            | (yield (prog.then_branch, live_out))
+            | (yield (prog.else_branch, live_out))
         )
-    if isinstance(prog, While):
+    elif cls is While:
         live = live_out | reads(prog.cond)
         while True:
-            refined = live | live_in(prog.body, live, memo)
+            refined = live | (yield (prog.body, live))
             if refined == live:
-                return live
+                break
             live = refined
-    if isinstance(prog, Tick):
-        out = live_out
+    elif cls is Tick:
+        live = live_out
         for arg in prog.args:
-            out |= reads(arg)
-        return out
-    # Expression forms in statement position cannot occur in typed
-    # programs; treat them as pure reads.
-    return live_out | reads(prog)
+            live |= reads(arg)
+    else:
+        # Expression forms in statement position cannot occur in typed
+        # programs; treat them as pure reads.
+        live = live_out | reads(prog)
+    memo[key] = live
+    return live
 
 
 def build_lts(
@@ -425,48 +425,37 @@ def build_lts(
     first = machine.run_round(initial)
     if first is None:
         raise BuildError("program terminates before its first tick")
-    out0, branches0 = first
 
     liveness: dict = {}  # shared by all continuations; see live_in
+    names: dict = {}
+    info: dict = {}
+    order: list[str] = []
 
-    def intern_key(out: str, config: Config):
-        live = live_in(config.prog, frozenset(), liveness)
-        store = tuple((n, v) for (n, v) in config.store if n in live)
-        return (out, store, config.prog)
+    def intern(out: str, branches: dict[str, Config]) -> str:
+        """The state of a round; every branch of one tick shares store and continuation."""
+        cont = branches[machine.inputs.symbols[0]]
+        live = live_in(cont.prog, frozenset(), liveness)
+        key = (out, tuple((n, v) for (n, v) in cont.store if n in live), cont.prog)
+        state = names.get(key)
+        if state is None:
+            if len(names) >= max_states:
+                raise StateBudgetExceeded(max_states)
+            state = names[key] = f"q{len(names)}"
+            info[state] = (out, branches)
+            order.append(state)
+        return state
 
-    # All branches of one tick share store and continuation.
-    def round_key(out: str, branches: dict[str, Config]):
-        any_cfg = branches[machine.inputs.symbols[0]]
-        return intern_key(out, any_cfg)
-
-    key0 = round_key(out0, branches0)
-    names: dict = {key0: "q0"}
-    info: dict = {"q0": (out0, branches0)}
-    order = ["q0"]
-    frontier = ["q0"]
+    intern(*first)
     transitions: list[tuple[str, str, str]] = []
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            out, branches = info[state]
-            for symbol in machine.inputs:
-                result = machine.run_round(branches[symbol])
-                if result is None:
-                    raise BuildError(
-                        "program terminates; cannot build a complete system"
-                    )
-                out2, branches2 = result
-                key = round_key(out2, branches2)
-                if key not in names:
-                    if len(names) >= max_states:
-                        raise StateBudgetExceeded(max_states)
-                    fresh = f"q{len(names)}"
-                    names[key] = fresh
-                    info[fresh] = (out2, branches2)
-                    order.append(fresh)
-                    next_frontier.append(fresh)
-                transitions.append((state, symbol, names[key]))
-        frontier = next_frontier
+    for state in order:  # grows while it is walked: breadth-first
+        _, branches = info[state]
+        for symbol in machine.inputs:
+            result = machine.run_round(branches[symbol])
+            if result is None:
+                raise BuildError(
+                    "program terminates; cannot build a complete system"
+                )
+            transitions.append((state, symbol, intern(*result)))
     return SynchronousSystem(
         name=name,
         inputs=machine.inputs,

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
+from ..core import fold
 from ..errors import PsySyntaxError
 
 KEYWORDS = {
@@ -73,23 +74,34 @@ class Term:
         return True
 
     def __repr__(self) -> str:
-        """``Cls(field=value, ...)``, built with an explicit stack."""
-        text = []
-        todo: list[tuple[bool, object]] = [(False, self)]  # (is literal text, item)
-        while todo:
-            literal, item = todo.pop()
-            if literal:
-                text.append(item)
-            elif isinstance(item, Term):
-                names = item.__slots__
-                todo.append((True, ")"))
-                for k in reversed(range(len(names))):
-                    todo.append((False, getattr(item, names[k])))
-                    todo.append((True, f"{', ' if k else ''}{names[k]}="))
-                todo.append((True, f"{item.__class__.__name__}("))
-            else:
-                text.append(repr(item))
-        return "".join(text)
+        """``Cls(field=value, ...)``, expanded on one stack (see :func:`_render`)."""
+        return _render(self, _repr_pieces)
+
+
+def _render(root: Term, pieces) -> str:
+    """Text of ``root``: ``pieces(node)`` lists a node's literal strings and subterms.
+
+    Subterms are expanded in place on one stack, so the cost is linear
+    in the text and no nesting depth recurses.
+    """
+    text: list[str] = []
+    todo: list = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            text.append(item)
+        else:
+            todo += reversed(pieces(item))
+    return "".join(text)
+
+
+def _repr_pieces(node: Term) -> list:
+    out: list = [f"{node.__class__.__name__}("]
+    for k, name in enumerate(node.__slots__):
+        value = getattr(node, name)
+        out.append(f"{', ' if k else ''}{name}=")
+        out.append(value if isinstance(value, Term) else repr(value))
+    return out + [")"]
 
 
 class Skip(Term):
@@ -231,54 +243,45 @@ def is_value(node: Ast) -> bool:
     return isinstance(node, (BoolLit, IntLit))
 
 
+def _unparse_pieces(node: Ast) -> list:
+    cls = node.__class__
+    if cls is Skip:
+        return ["skip"]
+    if cls is VarRef:
+        return [node.name]
+    if cls is BoolLit:
+        return ["tt" if node.value else "ff"]
+    if cls is IntLit:
+        return [str(node.value)]
+    if cls is Deref:
+        return ["!", node.target]
+    if cls is Assign:
+        return [node.target, " := ", node.value]
+    if cls is Seq:
+        return [node.first, "; ", node.second]
+    if cls is If:
+        return ["if ", node.cond, " then ", node.then_branch, " else ", node.else_branch]
+    if cls is While:
+        return ["while ", node.cond, " do ", node.body, " done"]
+    if cls is Tick:
+        out: list = ["tick("]
+        for i, arg in enumerate(node.args):
+            out += (", ", arg) if i else (arg,)
+        return out + [")"]
+    if cls is Get:
+        return [f"get {node.index}" if node.index else "get"]
+    if cls is Dec:
+        return ["(", node.inner, " - 1)"]
+    if cls is NotZero:
+        return ["(", node.inner, " != 0)"]
+    if cls is Conj:
+        return ["(", node.left, " && ", node.right, ")"]
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def unparse(node: Ast) -> str:
     """Concrete text of a program; inverse of parse up to whitespace."""
-    if isinstance(node, Skip):
-        return "skip"
-    if isinstance(node, VarRef):
-        return node.name
-    if isinstance(node, BoolLit):
-        return "tt" if node.value else "ff"
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Deref):
-        return f"!{unparse(node.target)}"
-    if isinstance(node, Assign):
-        return f"{unparse(node.target)} := {unparse(node.value)}"
-    if isinstance(node, Seq):
-        parts = []
-        while isinstance(node, Seq):
-            parts.append(unparse(node.first))
-            node = node.second
-        parts.append(unparse(node))
-        return "; ".join(parts)
-    if isinstance(node, If):
-        return (
-            f"if {unparse(node.cond)} then {unparse(node.then_branch)}"
-            f" else {unparse(node.else_branch)}"
-        )
-    if isinstance(node, While):
-        return f"while {unparse(node.cond)} do {unparse(node.body)} done"
-    if isinstance(node, Tick):
-        return "tick(" + ", ".join(unparse(a) for a in node.args) + ")"
-    if isinstance(node, Get):
-        return f"get {node.index}" if node.index else "get"
-    if isinstance(node, Dec):
-        # Left-nested operator chains are unparsed in a loop.
-        depth = 0
-        while isinstance(node, Dec):
-            node, depth = node.inner, depth + 1
-        return "(" * depth + unparse(node) + " - 1)" * depth
-    if isinstance(node, NotZero):
-        return f"({unparse(node.inner)} != 0)"
-    if isinstance(node, Conj):
-        rights = []
-        while isinstance(node, Conj):
-            rights.append(node.right)
-            node = node.left
-        tail = "".join(f" && {unparse(r)})" for r in reversed(rights))
-        return "(" * len(rights) + unparse(node) + tail
-    raise TypeError(f"not an AST node: {node!r}")
+    return _render(node, _unparse_pieces)
 
 
 @dataclass(frozen=True)
@@ -359,24 +362,28 @@ class _Parser:
         tok = self.peek()
         raise PsySyntaxError(message, tok.line, tok.column)
 
-    def parse_program(self) -> Ast:
-        prog = self.parse_seq()
+    # Each grammar rule is a generator for core.fold: it yields the rule
+    # of each nested phrase and receives that phrase's AST, so nesting
+    # depth costs no recursion.
+
+    def program(self):
+        prog = yield self.seq
         self.expect("EOF")
         return prog
 
-    def parse_seq(self) -> Ast:
-        items = [self.parse_stmt()]
+    def seq(self):
+        items = [(yield self.stmt)]
         while self.peek().kind == ";":
             self.advance()
             if self.peek().kind in _SEQ_TERMINATORS:
                 break
-            items.append(self.parse_stmt())
+            items.append((yield self.stmt))
         node = items[-1]
         for item in reversed(items[:-1]):
             node = Seq(item, node)
         return node
 
-    def parse_stmt(self) -> Ast:
+    def stmt(self):
         tok = self.peek()
         if tok.kind == "skip":
             self.advance()
@@ -384,70 +391,52 @@ class _Parser:
         if tok.kind == "tick":
             self.advance()
             self.expect("(")
-            args = [self.parse_expr()]
+            args = [(yield self.expr)]
             while self.peek().kind == ",":
                 self.advance()
-                args.append(self.parse_expr())
+                args.append((yield self.expr))
             self.expect(")")
             return Tick(tuple(args))
         if tok.kind == "if":
             self.advance()
-            cond = self.parse_expr()
+            cond = yield self.expr
             self.expect("then")
-            then_branch = self.parse_seq()
+            then_branch = yield self.seq
             self.expect("else")
-            else_branch = self.parse_seq()
+            else_branch = yield self.seq
             return If(cond, then_branch, else_branch)
         if tok.kind == "while":
             self.advance()
-            cond = self.parse_expr()
+            cond = yield self.expr
             self.expect("do")
-            body = self.parse_seq()
+            body = yield self.seq
             self.expect("done")
             return While(cond, body)
         if tok.kind == "IDENT":
             name = self.advance().text
             self.expect(":=")
-            return Assign(VarRef(name), self.parse_expr())
+            return Assign(VarRef(name), (yield self.expr))
         self.fail(f"expected a statement, found {tok.text or 'end of input'!r}")
 
-    def parse_expr(self) -> Ast:
-        """``cmp ('&&' cmp)*`` with ``cmp := add ['!=' 0]``, ``add := unary ('-' 1)*``
-        and ``unary := '!' unary | atom | '(' expr ')'``.
+    def expr(self):
+        """``expr := cmp ('&&' cmp)*``, left-nested."""
+        node = yield self.cmp
+        while self.peek().kind == "&&":
+            self.advance()
+            node = Conj(node, (yield self.cmp))
+        return node
 
-        Open parentheses and ``!`` prefixes are counted on an explicit
-        stack, so nesting depth costs no recursion.
-        """
-        # Per open parenthesis: the conjunction to its left and the `!`s before it.
-        frames: list[tuple[Optional[Ast], int]] = []
-        left: Optional[Ast] = None
-        derefs = 0
-        while True:
-            while self.peek().kind == "!":
-                self.advance()
-                derefs += 1
-            if self.peek().kind == "(":
-                self.advance()
-                frames.append((left, derefs))
-                left, derefs = None, 0
-                continue
-            node = self.parse_atom()
-            while True:
-                for _ in range(derefs):
-                    node = Deref(node)
-                node = self.parse_cmp(self.parse_add(node))
-                if left is not None:
-                    node = Conj(left, node)
-                if self.peek().kind == "&&":
-                    self.advance()
-                    left, derefs = node, 0
-                    break
-                if not frames:
-                    return node
-                self.expect(")")
-                left, derefs = frames.pop()
-
-    def parse_cmp(self, node: Ast) -> Ast:
+    def cmp(self):
+        """``cmp := unary ('-' 1)* ['!=' 0]``."""
+        node = yield self.unary
+        while self.peek().kind == "-":
+            self.advance()
+            one = self.expect("INT")
+            if one.text != "1":
+                raise PsySyntaxError(
+                    "only the decrement `- 1` is supported", one.line, one.column
+                )
+            node = Dec(node)
         if self.peek().kind == "!=":
             self.advance()
             zero = self.expect("INT")
@@ -458,18 +447,19 @@ class _Parser:
             node = NotZero(node)
         return node
 
-    def parse_add(self, node: Ast) -> Ast:
-        while self.peek().kind == "-":
+    def unary(self):
+        """``unary := '!' unary | '(' expr ')' | atom``."""
+        if self.peek().kind == "!":
             self.advance()
-            one = self.expect("INT")
-            if one.text != "1":
-                raise PsySyntaxError(
-                    "only the decrement `- 1` is supported", one.line, one.column
-                )
-            node = Dec(node)
-        return node
+            return Deref((yield self.unary))
+        if self.peek().kind == "(":
+            self.advance()
+            node = yield self.expr
+            self.expect(")")
+            return node
+        return self.atom()
 
-    def parse_atom(self) -> Ast:
+    def atom(self) -> Ast:
         tok = self.peek()
         if tok.kind == "tt":
             self.advance()
@@ -493,4 +483,4 @@ class _Parser:
 
 def parse(source: str) -> Ast:
     """Parse a program body; raises PsySyntaxError with line and column."""
-    return _Parser(tokenize(source)).parse_program()
+    return fold(lambda rule: rule(), _Parser(tokenize(source)).program)

@@ -35,23 +35,6 @@ class SepPairSet:
         return bool(self.pairs)
 
 
-def orientations(moves_a, moves_b, cls_a, cls_b, a1: int, a2: int) -> list[tuple[int, int]]:
-    """Orientations (ae, af) of the input pair (a1, a2) that separate.
-
-    ``moves_a`` and ``moves_b`` are the successor ids per input id of one
-    state on each side, ``cls_a`` and ``cls_b`` the final bisimulation
-    blocks of each side's state ids.  Input ae beats af when some
-    ae-successor on the left is non-bisimilar to every af-successor on
-    the right.
-    """
-    held = []
-    for (ae, af) in ((a1, a2), (a2, a1)):
-        blockers = {cls_b[y] for y in moves_b[af]}
-        if any(cls_a[x] not in blockers for x in moves_a[ae]):
-            held.append((ae, af))
-    return held
-
-
 def class_gaps(succ_b, cls_b, inputs: int) -> list[dict[int, int]]:
     """Per input af and block c, the bitset of states q with no af-successor in c.
 
@@ -70,13 +53,15 @@ def class_gaps(succ_b, cls_b, inputs: int) -> list[dict[int, int]]:
 
 
 def row_orientations(moves_a, cls_a, gaps: list[dict[int, int]], everything: int) -> dict:
-    """:func:`orientations` for a whole row: ``(ae, af) -> bitset of q``.
+    """The orientations that separate, for a whole row: ``(ae, af) -> bitset of q``.
 
     ``moves_a`` are the successors per input of one left state p,
     ``gaps`` come from :func:`class_gaps` on the right side, whose
     states ``everything`` holds.  Bit q of the bitset of (ae, af),
     ae != af, is set iff ae beats af at (p, q): some ae-successor of p
-    has a block that no af-successor of q has.
+    has a block that no af-successor of q has.  One pair (p, q) is the
+    row of p against a one-state right side: ``class_gaps([moves_q],
+    ..)`` with ``everything`` 1.
     """
     masks = {}
     for ae, moves in enumerate(moves_a):
@@ -96,9 +81,10 @@ def _separating_ids(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle
         oracle = BisimOracle(sys, sys)
     moves = sys.succ[sys.index[q]]
     cls_a, cls_b = oracle.cls_a, oracle.cls_b
+    held = row_orientations(moves, cls_a, class_gaps([moves], cls_b, len(moves)), 1)
     pairs, deterministic = [], []
     for (a1, a2) in itertools.combinations(range(len(sys.inputs)), 2):
-        if orientations(moves, moves, cls_a, cls_b, a1, a2):
+        if held[(a1, a2)] | held[(a2, a1)]:
             pairs.append((a1, a2))
             if not {cls_a[x] for x in moves[a1]} & {cls_b[y] for y in moves[a2]}:
                 deterministic.append((a1, a2))

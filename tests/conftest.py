@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import sys
 
 import pytest
 
@@ -22,6 +24,24 @@ def count_refinements(monkeypatch) -> list:
 
     monkeypatch.setattr(core._Refinement, "__init__", counting)
     return built
+
+
+@contextlib.contextmanager
+def shallow_stack(frames: int = 150):
+    """Lower the recursion limit to the current stack depth plus ``frames``.
+
+    Code that recurses once per level of its input then fails on inputs
+    a few hundred levels deep, not only past the default limit.
+    """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,7 @@ from syncreact.errors import (
     IntRangeExceeded,
     NonFiniteIntRange,
     NotReactive,
+    PsyTypeError,
     RoundDivergence,
     StateBudgetExceeded,
     StuckConfiguration,
@@ -61,7 +62,7 @@ from syncreact.psyc.syntax import (
     is_value,
     unparse,
 )
-from syncreact.reactivity import orientations, reactive
+from syncreact.reactivity import reactive
 
 
 def naive_bisimilar_pairs(sys: SynchronousSystem) -> set:
@@ -437,6 +438,23 @@ def _shared_step(succ_a, succ_b, inputs):
     ]
 
 
+def orientations(moves_a, moves_b, cls_a, cls_b, a1: int, a2: int) -> list[tuple[int, int]]:
+    """Orientations (ae, af) of the input pair (a1, a2) that separate, one pair at a time.
+
+    ``moves_a`` and ``moves_b`` are the successor ids per input id of one
+    state on each side, ``cls_a`` and ``cls_b`` the final bisimulation
+    blocks of each side's state ids.  Input ae beats af when some
+    ae-successor on the left is non-bisimilar to every af-successor on
+    the right.
+    """
+    held = []
+    for (ae, af) in ((a1, a2), (a2, a1)):
+        blockers = {cls_b[y] for y in moves_b[af]}
+        if any(cls_a[x] not in blockers for x in moves_a[ae]):
+            held.append((ae, af))
+    return held
+
+
 def _naive_doe_frontiers(sys, q):
     oracle = BisimOracle(sys, sys)
     succ, i = sys.succ, sys.index[q]
@@ -751,6 +769,128 @@ def naive_live_in(prog, live_out):
     return live_out | _naive_reads(prog)
 
 
+def naive_typecheck(node, env, in_types, out_types):
+    """The typing judgment by structural recursion: a type string, or PsyTypeError.
+
+    Subterms are typed left to right and each rule checks its premises
+    in that order, so the first violation met names its rule.
+    """
+
+    def check(n):
+        if isinstance(n, Skip):
+            return "comm"
+        if isinstance(n, VarRef):
+            if n.name not in env:
+                raise PsyTypeError(f"Var: variable {n.name!r} is not declared")
+            return f"var({env[n.name]})"
+        if isinstance(n, BoolLit):
+            return "exp(bool)"
+        if isinstance(n, IntLit):
+            return "exp(int)"
+        if isinstance(n, Deref):
+            target = check(n.target)
+            if not target.startswith("var("):
+                raise PsyTypeError(f"Deref: !{naive_unparse(n.target)} needs a variable")
+            return "exp" + target[3:]
+        if isinstance(n, Assign):
+            target = check(n.target)
+            if not target.startswith("var("):
+                raise PsyTypeError(f"Assign: target {naive_unparse(n.target)} is not a variable")
+            value = check(n.value)
+            if value != "exp" + target[3:]:
+                raise PsyTypeError(
+                    f"Assign: {naive_unparse(n)} assigns {value} to {target}"
+                )
+            return "comm"
+        if isinstance(n, Seq):
+            first = check(n.first)
+            if first != "comm":
+                raise PsyTypeError(f"Seq: left of ';' has type {first}, not comm")
+            check(n.second)
+            return "comm"
+        if isinstance(n, (If, While)):
+            rule = type(n).__name__
+            cond = check(n.cond)
+            if cond != "exp(bool)":
+                raise PsyTypeError(f"{rule}: condition has type {cond}, not exp(bool)")
+            if isinstance(n, While):
+                body = check(n.body)
+                if body != "comm":
+                    raise PsyTypeError(f"While: body has type {body}, not comm")
+                return "comm"
+            then_ty, else_ty = check(n.then_branch), check(n.else_branch)
+            if then_ty != else_ty:
+                raise PsyTypeError(f"If: branches have different types {then_ty} and {else_ty}")
+            return "comm"
+        if isinstance(n, Tick):
+            if len(n.args) != len(out_types):
+                raise PsyTypeError(
+                    f"Tick: {len(n.args)} arguments for {len(out_types)} output components"
+                )
+            for i, arg in enumerate(n.args):
+                ty = check(arg)
+                if ty != f"exp({out_types[i]})":
+                    raise PsyTypeError(f"Tick: argument {i} has type {ty}, not exp({out_types[i]})")
+            return "comm"
+        if isinstance(n, Get):
+            if not 0 <= n.index < len(in_types):
+                raise PsyTypeError(
+                    f"Get: index {n.index} out of range for {len(in_types)} input components"
+                )
+            return f"exp({in_types[n.index]})"
+        if isinstance(n, (Dec, NotZero)):
+            rule = type(n).__name__
+            inner = check(n.inner)
+            if inner != "exp(int)":
+                raise PsyTypeError(f"{rule}: operand has type {inner}, not exp(int)")
+            return "exp(int)" if isinstance(n, Dec) else "exp(bool)"
+        if isinstance(n, Conj):
+            for side, sub in (("left", n.left), ("right", n.right)):
+                ty = check(sub)
+                if ty != "exp(bool)":
+                    raise PsyTypeError(f"Conj: {side} operand has type {ty}, not exp(bool)")
+            return "exp(bool)"
+        raise PsyTypeError(f"unknown syntax node {n!r}")
+
+    return check(node)
+
+
+def naive_unparse(node):
+    """Concrete text of a term by structural recursion, every operator parenthesized."""
+    if isinstance(node, Skip):
+        return "skip"
+    if isinstance(node, VarRef):
+        return node.name
+    if isinstance(node, BoolLit):
+        return "tt" if node.value else "ff"
+    if isinstance(node, IntLit):
+        return str(node.value)
+    if isinstance(node, Get):
+        return f"get {node.index}" if node.index else "get"
+    if isinstance(node, Deref):
+        return "!" + naive_unparse(node.target)
+    if isinstance(node, Assign):
+        return f"{naive_unparse(node.target)} := {naive_unparse(node.value)}"
+    if isinstance(node, Seq):
+        return f"{naive_unparse(node.first)}; {naive_unparse(node.second)}"
+    if isinstance(node, If):
+        return (
+            f"if {naive_unparse(node.cond)} then {naive_unparse(node.then_branch)}"
+            f" else {naive_unparse(node.else_branch)}"
+        )
+    if isinstance(node, While):
+        return f"while {naive_unparse(node.cond)} do {naive_unparse(node.body)} done"
+    if isinstance(node, Tick):
+        return "tick(" + ", ".join(map(naive_unparse, node.args)) + ")"
+    if isinstance(node, Dec):
+        return f"({naive_unparse(node.inner)} - 1)"
+    if isinstance(node, NotZero):
+        return f"({naive_unparse(node.inner)} != 0)"
+    if isinstance(node, Conj):
+        return f"({naive_unparse(node.left)} && {naive_unparse(node.right)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def naive_build(machine, program, max_states, name="program"):
     """The reachable system of a program, round by round on the naive evaluator.
 
@@ -778,6 +918,8 @@ def naive_build(machine, program, max_states, name="program"):
         live = naive_live_in(cfg.prog, frozenset())
         return (out, tuple((n, v) for (n, v) in cfg.store if n in live), cfg.prog)
 
+    if max_states < 1:
+        raise StateBudgetExceeded(max_states)
     names = {key(*first): "q0"}
     info = {"q0": first}
     order = ["q0"]

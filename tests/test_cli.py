@@ -22,6 +22,9 @@ INCOMPLETE = (
 )
 
 
+LOOP = "while tt do tick(!x) done"
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -488,6 +491,35 @@ class TestPsyc:
         assert done.returncode == 0, done.stderr
         assert last_line(done.stdout) == "states 1"
 
+    @pytest.mark.parametrize(
+        "body, typed, built",
+        [
+            ("x := " + "tt && (" * 1500 + "tt" + ")" * 1500 + "; " + LOOP, "comm", "states 1"),
+            ("x := " + "(" * 1500 + "!y" + " != 0)" * 1500 + "; " + LOOP, None, None),
+            ("if tt then " * 1500 + LOOP + " else skip" * 1500, "comm", "states 1"),
+            ("while tt do " * 1500 + "tick(!x)" + " done" * 1500, "comm", "states 1"),
+        ],
+        ids=["right-nested &&", "nested != 0", "nested if", "nested while"],
+    )
+    def test_1500_deep_statements_and_expressions_in_a_fresh_interpreter(
+        self, tmp_path, body, typed, built
+    ):
+        src = tmp_path / "deep.psy"
+        src.write_text(f"inputs tt ff\noutputs tt ff\nvar x : bool\nvar y : int[0..3]\n{body}")
+        for argv, last in (
+            (["typecheck", src], typed),
+            (["build", src, "-o", tmp_path / "deep.sls"], built),
+        ):
+            done = self._psyc_fresh(argv)
+            if last is None:
+                assert done.returncode == 2
+                assert done.stderr == (
+                    "error: NotZero: operand has type exp(bool), not exp(int)\n"
+                )
+            else:
+                assert done.returncode == 0, done.stderr
+                assert last_line(done.stdout) == last
+
     def test_1500_derefs_in_a_fresh_interpreter(self, tmp_path):
         src = tmp_path / "bang.psy"
         src.write_text(
@@ -534,3 +566,24 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("bound", ["0", "-7"])
+    def test_state_budget_below_one_exits_2(self, capsys, tmp_path, bound):
+        target = tmp_path / "x.sls"
+        argv = ["psyc", "build", FIXTURES / "program1.psy", "--max-states", bound, "-o", target]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument --max-states: must be at least 1, got {bound}" in err
+        assert not target.exists()
+
+    def test_negative_word_length_exits_2(self, capsys):
+        argv = ["separators", FIXTURES / "p1.sls", "p0", "p2", "--max-len", "-1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "argument --max-len: must be at least 0, got -1" in err
+
+    def test_word_length_zero_lists_the_empty_word(self, capsys):
+        code, out, _ = run(capsys, "separators", FIXTURES / "p1.sls", "p0", "p2", "--max-len", "0")
+        assert (code, out) == (0, "sep det\nseparators 1\n")
+        code, out, _ = run(capsys, "separators", FIXTURES / "p1.sls", "p0", "p1", "--max-len", "0")
+        assert (code, out) == (0, "separators 0\n")

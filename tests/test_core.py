@@ -29,7 +29,7 @@ from syncreact.errors import (
     UnknownSymbol,
 )
 
-from .conftest import count_refinements
+from .conftest import count_refinements, shallow_stack
 from .oracles import chain_sender, naive_bisimilar_pairs, random_system
 
 
@@ -238,6 +238,13 @@ class TestNonBisimilar:
             "IndWitness(p='l0', q='m0', input='a', side='left', chosen='l1', children=1)"
         )
         assert hash(witness) == hash(witness) and witness in {witness}
+
+    def test_3000_deep_witness_is_built_and_measured_without_recursion(self):
+        sys = chain_sender(3000, ("x", "y", "z"))
+        with shallow_stack():
+            witness = non_bisimilar(sys, "l0", sys, "m0")
+            assert witness.depth == 3000
+        assert replay_witness(sys, witness)
 
     def test_self_oracles_share_one_refinement(self, monkeypatch):
         built = count_refinements(monkeypatch)

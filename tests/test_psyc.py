@@ -36,7 +36,7 @@ from syncreact.psyc.syntax import (
 )
 from syncreact.psyc.typecheck import COMM, Ty
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, shallow_stack
 
 
 expressions = st.recursive(
@@ -189,7 +189,6 @@ class TestTermHashing:
         for deep in (conj, dec):
             assert typecheck(deep, env, ("bool",), ("bool",)) == COMM
             assert repr(deep).startswith("Assign(target=VarRef(name=")
-        # Re-parsing the fully parenthesized text would recurse in the parser.
         assert unparse(conj) == "x := " + "(" * 4999 + "!x" + " && !x)" * 4999
         assert unparse(dec) == "y := " + "(" * 5000 + "!y" + " - 1)" * 5000
         assert repr(dec).endswith("inner=Deref(target=VarRef(name='y')))" + ")" * 5000)
@@ -197,6 +196,57 @@ class TestTermHashing:
         assert unparse(parse("y := !y - 1 - 1")) == "y := ((!y - 1) - 1)"
         assert live_in(conj, frozenset()) == frozenset({"x"})
         assert live_in(dec, frozenset()) == frozenset({"y"})
+
+
+def _nest(opening: str, inner: str, closing: str, n: int = 3000) -> str:
+    return opening * n + inner + closing * n
+
+
+# Every nesting shape, 3,000 levels deep: a program body, its type or
+# type error, and the number of states it builds or its build error.
+DEEP_SHAPES = {
+    ";": ("x := ff; " * 3000 + "while tt do tick(!x) done", "comm", 1),
+    "if": (_nest("if tt then ", "while tt do tick(!x) done", " else skip"), "comm", 1),
+    "while": (_nest("while tt do ", "tick(!x)", " done"), "comm", 1),
+    "(": ("while tt do x := " + _nest("(", "tt", ")") + "; tick(!x) done", "comm", 1),
+    "!": ("while tt do tick(" + "!" * 3000 + "x) done", "Deref: !!x needs a variable", None),
+    "&& left": ("while tt do x := " + " && ".join(["!x"] * 3000) + "; tick(!x) done", "comm", 1),
+    "&& right": ("while tt do x := " + _nest("tt && (", "!x", ")") + "; tick(!x) done", "comm", 1),
+    "- 1": (
+        "while tt do tick(tt); y := !y" + " - 1" * 3000 + " done",
+        "comm",
+        "assignment y := -3000 leaves range [0..3]",
+    ),
+    "!= 0": (
+        "while tt do x := " + _nest("(", "!y", " != 0)") + "; tick(!x) done",
+        "NotZero: operand has type exp(bool), not exp(int)",
+        None,
+    ),
+    "tick argument": ("while tt do tick(" + _nest("get && (", "!x", ")") + ") done", "comm", 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_3000_deep_nesting_costs_no_recursion(shape):
+    body, typed, built = DEEP_SHAPES[shape]
+    text = "inputs tt ff\noutputs tt ff\nvar x : bool\nvar y : int[0..3]\n" + body
+    with shallow_stack():
+        program = loads(text, name="deep")
+        prog = program.body
+        assert parse(unparse(prog)) == prog
+        assert repr(prog).startswith(f"{type(prog).__name__}(")
+        assert isinstance(live_in(prog, frozenset()), frozenset)
+        try:
+            outcome = str(program.typecheck())
+        except PsyTypeError as exc:
+            outcome = str(exc)
+        assert outcome == typed
+        if built is not None:
+            try:
+                outcome = len(build_lts(program.machine, prog, 10).states)
+            except IntRangeExceeded as exc:
+                outcome = str(exc)
+            assert outcome == built
 
 
 class TestTypecheck:
@@ -395,6 +445,12 @@ class TestBuildLts:
         program = load_program("program2.psy")
         with pytest.raises(StateBudgetExceeded):
             build_lts(program.machine, program.body, 3)
+
+    def test_state_budget_counts_the_initial_state(self):
+        program = loads("inputs tt ff\noutputs tt ff\nwhile tt do tick(ff) done", name="c")
+        assert len(build_lts(program.machine, program.body, 1).states) == 1
+        with pytest.raises(StateBudgetExceeded):
+            build_lts(program.machine, program.body, 0)
 
     def test_int_without_range_is_rejected_at_build(self):
         program = loads(

@@ -8,6 +8,7 @@ silent round is diagnosed and the error a bad program raises must be
 the same on both paths.
 """
 
+import collections
 import random
 
 import pytest
@@ -16,11 +17,28 @@ from syncreact import sls
 from syncreact.errors import (
     BuildError,
     IntRangeExceeded,
+    PsyTypeError,
     RoundDivergence,
     SyncReactError,
 )
-from syncreact.psyc import build_lts, loads, semantics
+from syncreact.psyc import build_lts, live_in, loads, parse, semantics, typecheck, unparse
 from syncreact.psyc.semantics import Config, Leaf
+from syncreact.psyc.syntax import (
+    Assign,
+    BoolLit,
+    Conj,
+    Dec,
+    Deref,
+    Get,
+    If,
+    IntLit,
+    NotZero,
+    Seq,
+    Skip,
+    Tick,
+    VarRef,
+    While,
+)
 from syncreact.psyc.typecheck import COMM
 
 from . import oracles
@@ -245,3 +263,92 @@ def test_seeded_programs_fail_alike(monkeypatch):
         assert got == expected, f"seed {seed}"
         seen.add(got[0])
     assert {"ok", IntRangeExceeded, RoundDivergence, BuildError} <= seen
+
+
+
+# The tree walks on core.fold against textbook structural recursion.
+
+LEAVES = {
+    "bool": [BoolLit(True), BoolLit(False), Deref(VarRef("x")), Deref(VarRef("b")), Get(0)],
+    "int": [IntLit(0), IntLit(3), Deref(VarRef("y")), Get(1)],
+}
+# Undeclared names, variables read without `!`, `!` of a non-variable and
+# an input index out of range.
+ILL_TYPED = [VarRef("x"), Deref(VarRef("u")), Deref(Deref(VarRef("y"))), Deref(IntLit(2)), Get(2)]
+ENV, IN_TYPES = {"x": "bool", "y": "int", "b": "bool"}, ("bool", "int")
+
+
+def random_expr_ast(rng, depth, kind, slip):
+    """A ``kind`` expression ("bool" or "int") nesting ``depth`` levels down one operand.
+
+    Each node is built for the other kind with probability ``slip``, and
+    leaves are ill-typed as often, so errors turn up at every depth.
+    """
+    if rng.random() < slip:
+        kind = "int" if kind == "bool" else "bool"
+    if depth == 0:
+        return rng.choice(ILL_TYPED if rng.random() < slip else LEAVES[kind])
+    if kind == "int":
+        return Dec(random_expr_ast(rng, depth - 1, "int", slip))
+    if rng.random() < 0.3:
+        return NotZero(random_expr_ast(rng, depth - 1, "int", slip))
+    deep = random_expr_ast(rng, depth - 1, "bool", slip)
+    shallow = random_expr_ast(rng, min(depth - 1, 1), "bool", slip)
+    return Conj(deep, shallow) if rng.random() < 0.5 else Conj(shallow, deep)
+
+
+def random_stmt_ast(rng, depth, out_types, slip):
+    """A statement that ``parse`` can produce, nesting ``depth`` levels down one child.
+
+    The first statement of a ``;`` is never a ``;`` or an ``if``: the
+    text of such a term reads back differently.
+    """
+    form = rng.choice(["skip", "x", "y", "tick"] + ["seq", "seq", "if", "while"] * (depth > 0))
+    if form == "skip":
+        return Skip()
+    if form in ("x", "y"):
+        return Assign(VarRef(form), random_expr_ast(rng, depth, ENV[form], slip))
+    if form == "tick":
+        arity = len(out_types) + (rng.random() < slip)
+        kinds = out_types + ("int",)
+        return Tick(
+            tuple(random_expr_ast(rng, rng.randint(0, depth), kinds[i], slip) for i in range(arity))
+        )
+    deep = random_stmt_ast(rng, depth - 1, out_types, slip)
+    cond = random_expr_ast(rng, rng.randint(0, 2), "bool", slip)
+    if form == "while":
+        return While(cond, deep)
+    shallow = random_stmt_ast(rng, min(depth - 1, 2), out_types, slip)
+    if form == "if":
+        return If(cond, deep, shallow) if rng.random() < 0.5 else If(cond, shallow, deep)
+    while isinstance(shallow, (Seq, If)):
+        shallow = random_stmt_ast(rng, min(depth - 1, 2), out_types, slip)
+    return Seq(shallow, deep)
+
+
+def type_outcome(check, prog, out_types):
+    try:
+        return "ok", str(check(prog, ENV, IN_TYPES, out_types))
+    except PsyTypeError as exc:
+        return type(exc), str(exc)
+
+
+def test_tree_walks_match_structural_recursion():
+    outcomes = collections.Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        out_types = rng.choice([("bool",), ("bool", "int")])
+        prog = random_stmt_ast(rng, rng.randint(1, 40), out_types, rng.choice([0.0, 0.03, 0.1]))
+        got = type_outcome(typecheck, prog, out_types)
+        assert got == type_outcome(oracles.naive_typecheck, prog, out_types), f"seed {seed}"
+        outcomes[got[0] if got[0] == "ok" else got[1].split(":")[0]] += 1
+        text = unparse(prog)
+        assert text == oracles.naive_unparse(prog), f"seed {seed}"
+        assert parse(text) == prog, f"seed {seed}"
+        for live_out in (frozenset(), frozenset({"x", "y"})):
+            expected = oracles.naive_live_in(prog, live_out)
+            assert live_in(prog, live_out) == expected, f"seed {seed}"
+    # Well-typed programs and the errors of most rules all occur.
+    assert outcomes["ok"] >= 50, outcomes
+    rules = {"Var", "Deref", "Assign", "If", "While", "Tick", "Get", "Dec", "NotZero", "Conj"}
+    assert rules <= set(outcomes), outcomes

@@ -19,12 +19,13 @@ from syncreact import (
 from syncreact.core import BisimOracle
 from syncreact.errors import SignatureMismatch, UnknownState
 from syncreact.lasso import STAR
-from syncreact.reactivity import class_gaps, orientations, row_orientations
+from syncreact.reactivity import class_gaps, row_orientations
 
 from .oracles import (
     brute_separators,
     guaranteed_diff_index,
     naive_non_bisimilar,
+    orientations,
     random_system,
 )
 
