@@ -6,66 +6,91 @@ reactivity, separators, and worst-case deterministic reaction time; and
 computes the compositional under-approximation built from deterministic
 observable effects and strongly separating pairs.  A small synchronous
 imperative language compiles into such systems for end-to-end analysis.
+
+``import syncreact`` loads no submodule: each public name below is
+imported from its defining module on first access (PEP 562), so a
+command line run pays only for the layers it uses.
 """
 
-from .abstraction import (
-    LemmaVerdict,
-    ObsOrder,
-    obs_order,
-    doe,
-    doe_compose,
-    lemma_check,
-    merge_sequences,
-    merge_symbols,
-    obs_leq,
-    ssp,
-    ssp_seq,
-    ssp_seq_pair,
-)
-from .compose import ComposedSystem, par_compose, seq_compose
-from .core import (
-    Alphabet,
-    BaseWitness,
-    BisimOracle,
-    IndWitness,
-    Partition,
-    Run,
-    SynchronousSystem,
-    bisim_classes,
-    bisim_quotient,
-    disjoint_union,
-    non_bisimilar,
-    output_language,
-    pair_symbol,
-    replay_witness,
-    run_outputs,
-    runs,
-    split_symbol,
-    symbol_arity,
-    symbol_components,
-    validate,
-)
-from .dot import export_dot
-from .lasso import (
-    STAR,
-    STAR_FOREVER,
-    EffectSequence,
-    PairSetSequence,
-    format_effect_sequence,
-    format_pair_set_sequence,
-    parse_effect_sequence,
-    parse_pair_set_sequence,
-)
-from .reactivity import (
-    ReactionTime,
-    SepPairSet,
-    StrongSepResult,
-    det_reaction_time,
-    diff,
-    reactive,
-    separating_pairs,
-    separators,
-    strongly_separable,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Defining module -> the public names it provides here.
+_EXPORTS = {
+    "abstraction": (
+        "LemmaVerdict",
+        "ObsOrder",
+        "doe",
+        "doe_compose",
+        "lemma_check",
+        "obs_order",
+        "ssp",
+        "ssp_seq",
+        "ssp_seq_pair",
+    ),
+    "compose": ("ComposedSystem", "par_compose", "seq_compose"),
+    "core": (
+        "Alphabet",
+        "BaseWitness",
+        "BisimOracle",
+        "IndWitness",
+        "Partition",
+        "Run",
+        "STAR",
+        "SynchronousSystem",
+        "bisim_classes",
+        "bisim_quotient",
+        "disjoint_union",
+        "non_bisimilar",
+        "output_language",
+        "pair_symbol",
+        "replay_witness",
+        "run_outputs",
+        "runs",
+        "split_symbol",
+        "symbol_arity",
+        "symbol_components",
+        "validate",
+    ),
+    "dot": ("export_dot",),
+    "lasso": (
+        "STAR_FOREVER",
+        "EffectSequence",
+        "PairSetSequence",
+        "format_effect_sequence",
+        "format_pair_set_sequence",
+        "merge_sequences",
+        "merge_symbols",
+        "obs_leq",
+        "parse_effect_sequence",
+        "parse_pair_set_sequence",
+    ),
+    "reactivity": (
+        "ReactionTime",
+        "SepPairSet",
+        "StrongSepResult",
+        "det_reaction_time",
+        "diff",
+        "reactive",
+        "separating_pairs",
+        "separators",
+        "strongly_separable",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "psyc", "sls"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

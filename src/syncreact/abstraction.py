@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .compose import feed_of
-from .core import BisimOracle, PairRows, SynchronousSystem, align, lasso_at
+from .core import BisimOracle, PairRows, SynchronousSystem, align, feed_of, lasso_at
 from .errors import NotReactive, PreconditionFailed
 from .lasso import (
     STAR,

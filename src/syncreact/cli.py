@@ -5,6 +5,19 @@ Results go to stdout, diagnostics to stderr.  Boolean queries print
 class: 0 success, 2 usage and :class:`UserError` (parse, type and build
 errors, incomplete systems), 3 :class:`ResourceError`, 4 any other
 internal invariant breach.
+
+Every command runs in a process of its own, so start-up counts.  Only
+``sls``, ``core`` and ``errors`` load with this module; each command
+imports the layers it runs inside its handler.  The ``syncreact``
+modules a command loads:
+
+- ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``;
+- ``seppairs``, ``separators``, ``strongsep``, ``reactime``, ``diff``:
+  those and ``reactivity``;
+- ``doe``, ``sspseq``, ``ssp``, ``lemma``, ``doe-compose``: those and
+  ``lasso`` and ``abstraction``;
+- ``compose``: the first set and ``compose``; ``dot``: the first set and
+  ``dot``; ``psyc``: the first set and the ``psyc`` package.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 
-from . import abstraction, compose, dot, reactivity, sls
+from . import sls
 from .core import SynchronousSystem, bisim_quotient, non_bisimilar, validate
 from .errors import (
     PreconditionFailed,
@@ -21,7 +34,6 @@ from .errors import (
     SyncReactError,
     UserError,
 )
-from .lasso import format_effect_sequence, format_pair_set, format_pair_set_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,6 +100,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_seppairs(args) -> int:
+    from . import reactivity
+
     sys = _load_complete(args.file)
     result = reactivity.separating_pairs(sys, args.state)
     det = set(result.deterministic_subset)
@@ -99,6 +113,8 @@ def cmd_seppairs(args) -> int:
 
 
 def cmd_separators(args) -> int:
+    from . import reactivity
+
     sys = _load_complete(args.file)
     found = reactivity.separators(sys, args.p, sys, args.q, args.max_len)
     for (word, deterministic) in found:
@@ -110,6 +126,8 @@ def cmd_separators(args) -> int:
 
 
 def cmd_strongsep(args) -> int:
+    from . import reactivity
+
     sys = _load_complete(args.file)
     verdict = reactivity.strongly_separable(sys, args.p, sys, args.q)
     if verdict.separable:
@@ -121,6 +139,8 @@ def cmd_strongsep(args) -> int:
 
 
 def cmd_reactime(args) -> int:
+    from . import reactivity
+
     sys = _load_complete(args.file)
     result = reactivity.det_reaction_time(sys, args.state)
     if not result.is_finite:
@@ -133,6 +153,8 @@ def cmd_reactime(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from . import reactivity
+
     sys = _load_complete(args.file)
     word = _word(args.word)
     table = reactivity.diff(sys, args.p, sys, args.q, word)
@@ -145,6 +167,9 @@ def cmd_diff(args) -> int:
 
 
 def cmd_doe(args) -> int:
+    from . import abstraction, reactivity
+    from .lasso import format_effect_sequence
+
     sys = _load_complete(args.file)
     if not reactivity.separating_pairs(sys, args.state).reactive:
         print(f"note: state {args.state} is not reactive", file=_sys.stderr)
@@ -153,6 +178,9 @@ def cmd_doe(args) -> int:
 
 
 def cmd_ssp(args) -> int:
+    from . import abstraction
+    from .lasso import format_pair_set
+
     sys_a = _load_complete(args.file)
     if len(args.rest) == 1:
         sys_b, q = sys_a, args.rest[0]
@@ -167,12 +195,17 @@ def cmd_ssp(args) -> int:
 
 
 def cmd_sspseq(args) -> int:
+    from . import abstraction
+    from .lasso import format_pair_set_sequence
+
     sys = _load_complete(args.file)
     print(format_pair_set_sequence(abstraction.ssp_seq(sys, args.state)))
     return EXIT_OK
 
 
 def cmd_compose(args) -> int:
+    from . import compose
+
     sys_f = _load_complete(args.f)
     sys_g = _load_complete(args.g)
     if args.seq:
@@ -185,6 +218,8 @@ def cmd_compose(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    from . import abstraction
+
     sys_f = _load_complete(args.f)
     sys_g = _load_complete(args.g)
     verdict = abstraction.lemma_check(sys_f, args.qf, sys_g, args.qg)
@@ -196,6 +231,9 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_doe_compose(args) -> int:
+    from . import abstraction
+    from .lasso import format_effect_sequence
+
     sys_f = _load_complete(args.f)
     sys_g = _load_complete(args.g)
     result = abstraction.doe_compose(sys_f, args.qf, sys_g, args.qg, args.t)
@@ -204,7 +242,7 @@ def cmd_doe_compose(args) -> int:
 
 
 def cmd_psyc_typecheck(args) -> int:
-    from . import psyc as psyc_frontend  # here, so other commands skip its import
+    from . import psyc as psyc_frontend
 
     program = psyc_frontend.load(args.file)
     print(str(program.typecheck()))
@@ -227,6 +265,8 @@ def cmd_psyc_build(args) -> int:
 
 
 def cmd_dot(args) -> int:
+    from . import dot
+
     sys = sls.load(args.file)
     text = dot.export_dot(sys)
     if args.output:

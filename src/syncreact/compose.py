@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Alphabet, SynchronousSystem, pair_step, pair_symbol, reach
-from .errors import SignatureMismatch
+from .core import Alphabet, SynchronousSystem, feed_of, pair_step, pair_symbol, reach
 
 # `*` is reserved in state names to join the two component state names.
 STATE_JOIN = "*"
@@ -32,20 +31,6 @@ class ComposedSystem:
 
 def _pair_state(qf: str, qg: str) -> str:
     return f"{qf}{STATE_JOIN}{qg}"
-
-
-def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
-    """The receiver input id each sender state emits, matched by symbol.
-
-    The sender's output symbols must equal the receiver's input symbols
-    as sets; their declaration orders may differ.
-    """
-    if not sys_f.outputs.same_symbols(sys_g.inputs):
-        raise SignatureMismatch(
-            f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
-        )
-    feed = [sys_g.inputs.index(o) for o in sys_f.outputs]
-    return [feed[o] for o in sys_f.out_ids]
 
 
 def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):

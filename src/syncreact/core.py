@@ -26,6 +26,10 @@ from .errors import (
     UnknownSymbol,
 )
 
+# The silent observable effect: no fixed output difference at a position
+# (printed ``*``).  Defined here so reactivity need not load ``lasso``.
+STAR = None
+
 # Tokens are whitespace-free and may not contain the comment or lasso
 # separator characters of the textual formats.
 _TOKEN_RE = re.compile(r"[^\s#|]+$")
@@ -317,6 +321,20 @@ def align(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, lis
     if renumber != sorted(renumber):
         out = [renumber[o] for o in out]
     return succ, out
+
+
+def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
+    """The receiver input id each sender state emits, matched by symbol.
+
+    The sender's output symbols must equal the receiver's input symbols
+    as sets; their declaration orders may differ.
+    """
+    if not sys_f.outputs.same_symbols(sys_g.inputs):
+        raise SignatureMismatch(
+            f"outputs of {sys_f.name} do not match inputs of {sys_g.name}"
+        )
+    feed = [sys_g.inputs.index(o) for o in sys_f.outputs]
+    return [feed[o] for o in sys_f.out_ids]
 
 
 class Product:

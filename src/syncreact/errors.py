@@ -75,6 +75,12 @@ class LevelBoundExceeded(ResourceError):
         self.bound = bound
 
 
+class SeparatorBoundExceeded(ResourceError):
+    def __init__(self, bound: int):
+        super().__init__(f"separator search exceeded its bound of {bound} pending words")
+        self.bound = bound
+
+
 class NonFiniteIntRange(UserError):
     """An integer variable has no declared finite range."""
 

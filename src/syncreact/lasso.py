@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
+from .core import STAR  # the silent symbol, still importable from here
 from .errors import FormatError
 
 EffectSymbol = Optional[tuple[str, str]]
-
-STAR: EffectSymbol = None
 
 
 def _minimal_period(cycle: tuple) -> tuple:

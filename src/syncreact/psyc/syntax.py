@@ -280,7 +280,15 @@ def _unparse_pieces(node: Ast) -> list:
 
 
 def unparse(node: Ast) -> str:
-    """Concrete text of a program; inverse of parse up to whitespace."""
+    """Concrete text of a program, with no parentheses around statements.
+
+    ``parse(unparse(t)) == t`` holds for every term ``t`` that ``parse``
+    returns, where a ``;`` chain nests to the right and no ``;`` starts
+    with a ``;`` or an ``if``.  Other terms print as a different
+    program: ``Seq(If(c, a, d), x)`` prints ``if c then a else d; x``,
+    which parses as ``If(c, a, Seq(d, x))``, and a left-nested ``;``
+    (as in a built system's continuations) re-parses right-nested.
+    """
     return _render(node, _unparse_pieces)
 
 

@@ -17,10 +17,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BisimOracle, Product, SynchronousSystem, reach
-from .lasso import STAR
+from .core import STAR, BisimOracle, Product, SynchronousSystem, reach
+from .errors import SeparatorBoundExceeded
 
 Pair = tuple[str, str]
+
+# separators raises SeparatorBoundExceeded when a level holds more words
+# still to extend.  The frontier can double with every level (p1.sls p0
+# p0 holds 2^n words after n); at this bound it takes about 70 MB.
+MAX_PENDING_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,9 @@ def separators(
     different output words (outputs of all visited states, including the
     last); it is deterministic when every pair of runs does.  Words
     extending a deterministic separator are pruned: they carry no new
-    information because every extension still separates.
+    information because every extension still separates.  A level with
+    more than :data:`MAX_PENDING_WORDS` words still to extend raises
+    SeparatorBoundExceeded.
     """
     product, root = _rooted(sys_a, p, sys_b, q)
     if not product.eq(root):
@@ -158,6 +165,8 @@ def separators(
                 if True in flags:
                     results.append((word + (sym,), False not in flags))
                 if flags != {True}:
+                    if len(next_frontier) == MAX_PENDING_WORDS:
+                        raise SeparatorBoundExceeded(MAX_PENDING_WORDS)
                     next_frontier.append((word + (sym,), reached[a]))
         frontier = next_frontier
     return results

@@ -1,14 +1,17 @@
 """Command line surface: exit codes and stable final lines."""
 
+import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import syncreact
-from syncreact import core, sls, validate
+from syncreact import core, reactivity, sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
@@ -45,6 +48,88 @@ def run_fresh(*argv):
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The ``syncreact`` modules loaded after running ``code`` in a fresh
+    interpreter started in the fixtures directory."""
+    src = pathlib.Path(syncreact.__file__).resolve().parents[1]
+    report = (
+        "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'syncreact']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code + report],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=FIXTURES,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+BASE = {"syncreact", "syncreact.cli", "syncreact.core", "syncreact.errors", "syncreact.sls"}
+PAIR_GRAPH = BASE | {"syncreact.reactivity"}
+LEVEL_SETS = PAIR_GRAPH | {"syncreact.lasso", "syncreact.abstraction"}
+PSYC = {"syncreact.psyc"} | {
+    f"syncreact.psyc.{m}" for m in ("loader", "semantics", "syntax", "typecheck")
+}
+
+
+class TestImports:
+    """Each command loads only the layers it runs; the package loads lazily."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["check", "p1.sls"], BASE),
+            (["quotient", "p1.sls", "-o", "OUT"], BASE),
+            (["separators", "p1.sls", "p0", "p2"], PAIR_GRAPH),
+            (["doe", "p1.sls", "p0"], LEVEL_SETS),
+            (["lemma", "delay1.sls", "receiver.sls", "--qf", "s0", "--qg", "g0"], LEVEL_SETS),
+            (
+                ["compose", "--par", "p1.sls", "toggle.sls", "-o", "OUT"],
+                BASE | {"syncreact.compose"},
+            ),
+            (["dot", "p1.sls"], BASE | {"syncreact.dot"}),
+            (["psyc", "typecheck", "program1.psy"], BASE | PSYC),
+        ],
+    )
+    def test_command_loads_only_its_layers(self, tmp_path, argv, expected):
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        code = (
+            "import contextlib, io\nfrom syncreact.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+        )
+        assert loaded_modules(code) == expected
+
+    def test_import_syncreact_loads_no_submodule(self):
+        assert loaded_modules("import syncreact") == {"syncreact"}
+        from_doe = loaded_modules("from syncreact import doe")
+        assert from_doe == LEVEL_SETS - {"syncreact.cli", "syncreact.sls"}
+
+    def test_public_names_are_their_defining_modules_objects(self):
+        assert len(syncreact.__all__) == len(set(syncreact.__all__)) == 53
+        for name in syncreact.__all__:
+            home = importlib.import_module(f"syncreact.{syncreact._HOME[name]}")
+            value = getattr(syncreact, name)
+            assert value is vars(home)[name], name
+            if hasattr(value, "__qualname__"):
+                assert value.__module__ == home.__name__, name
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            syncreact.no_such_name
+        with pytest.raises(ImportError):
+            from syncreact import no_such_name  # noqa: F401
+
+    def test_dir_lists_the_public_names_and_submodules(self):
+        listed = set(dir(syncreact))
+        assert set(syncreact.__all__) <= listed
+        assert {"abstraction", "cli", "core", "psyc", "__version__"} <= listed
+        assert syncreact.reactivity is reactivity
 
 
 class TestCheck:
@@ -543,6 +628,24 @@ class TestLevelBound:
             code, out, err = run(capsys, command, target, "r")
             assert (code, out) == (3, "")
             assert err == "resource limit: level walk exceeded its bound of 50 levels\n"
+
+    def test_separators_past_the_word_bound_exits_3(self, capsys, monkeypatch):
+        argv = ["separators", FIXTURES / "p1.sls", "p0", "p0", "--max-len"]
+        monkeypatch.setattr(reactivity, "MAX_PENDING_WORDS", 4)
+        assert run(capsys, *argv, "2")[:2] == (0, "separators 0\n")
+        code, out, err = run(capsys, *argv, "3")
+        assert (code, out) == (3, "")
+        assert err == "resource limit: separator search exceeded its bound of 4 pending words\n"
+
+    def test_separators_max_len_200_exits_3_in_a_fresh_interpreter(self):
+        start = time.perf_counter()
+        done = run_fresh("separators", FIXTURES / "p1.sls", "p0", "p0", "--max-len", "200")
+        assert time.perf_counter() - start < 30
+        assert (done.returncode, done.stdout) == (3, "")
+        bound = reactivity.MAX_PENDING_WORDS
+        assert done.stderr == (
+            f"resource limit: separator search exceeded its bound of {bound} pending words\n"
+        )
 
     def test_doe_compose_at_index_one_million_in_a_fresh_interpreter(self):
         done = run_fresh(

@@ -311,6 +311,25 @@ class TestDiff:
         assert ("1", "2") in table[1]
 
 
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_guaranteed_effect_has_a_deterministic_separator_prefix(self, seed, word):
+        """A non-silent singleton at index n >= 1 of ``diff`` along ``word``
+        means ``separators(.., n)`` lists a prefix of ``word[:n]`` as
+        deterministic."""
+        sys_a, p, sys_b, q = random_pair(seed)
+        table = diff(sys_a, p, sys_b, q, word)
+        for n in range(1, len(word) + 1):
+            if STAR in table[n] or len(table[n]) != 1:
+                continue
+            found = separators(sys_a, p, sys_b, q, n)
+            head = tuple(word[:n])
+            assert any(det and head[: len(w)] == w for (w, det) in found), (n, found)
+
+
 class TestReactionTime:
     def test_toggle_immediate(self, toggle_sys):
         result = det_reaction_time(toggle_sys, "s0")
