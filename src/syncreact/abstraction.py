@@ -20,11 +20,10 @@ frontier hashing.  Frontiers are per-row bitsets walked by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .core import BisimOracle, PairRows, SynchronousSystem, align, feed_of, lasso_at
+from .core import BisimOracle, PairRows, Record, SynchronousSystem, align, feed_of, lasso_at
 from .errors import NotReactive, PreconditionFailed
 from .lasso import (
     STAR,
@@ -175,20 +174,20 @@ def ssp(
     )
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(Record):
     """Outcome of the sequential-composition reactivity check."""
 
-    guaranteed: bool
-    index: Optional[int] = None
+    __slots__ = ("guaranteed", "index")
+
+    def __init__(self, guaranteed: bool, index: Optional[int] = None):
+        self.guaranteed, self.index = guaranteed, index
 
     @property
     def label(self) -> str:
         return "GuaranteedReactive" if self.guaranteed else "NoGuarantee"
 
 
-@dataclass(frozen=True)
-class ObsOrder:
+class ObsOrder(Record):
     """The observational order of a state, held intensionally.
 
     The interval between the silent sequence and the state's DOE is
@@ -197,7 +196,10 @@ class ObsOrder:
     each position is silent or equals the greatest element there.
     """
 
-    greatest: EffectSequence
+    __slots__ = ("greatest",)
+
+    def __init__(self, greatest: EffectSequence):
+        self.greatest = greatest
 
     def __contains__(self, candidate: EffectSequence) -> bool:
         return obs_leq(candidate, self.greatest)

@@ -8,8 +8,10 @@ internal invariant breach.
 
 Every command runs in a process of its own, so start-up counts.  Only
 ``sls``, ``core`` and ``errors`` load with this module; each command
-imports the layers it runs inside its handler.  The ``syncreact``
-modules a command loads:
+imports the layers it runs inside its handler.  No command loads
+``dataclasses`` or ``inspect``: the value classes derive from
+:class:`syncreact.core.Record`.  The ``syncreact`` modules a command
+loads:
 
 - ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``;
 - ``seppairs``, ``separators``, ``strongsep``, ``reactime``, ``diff``:

@@ -11,22 +11,20 @@ bisimilarity class of the initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Alphabet, SynchronousSystem, feed_of, pair_step, pair_symbol, reach
+from .core import Alphabet, Record, SynchronousSystem, feed_of, pair_step, pair_symbol, reach
+from .errors import UnknownState
 
 # `*` is reserved in state names to join the two component state names.
 STATE_JOIN = "*"
 
 
-@dataclass(frozen=True)
-class ComposedSystem:
+class ComposedSystem(Record):
     """A composite system plus provenance: component names and kind."""
 
-    system: SynchronousSystem
-    kind: str
-    left: str
-    right: str
+    __slots__ = ("system", "kind", "left", "right")
+
+    def __init__(self, system: SynchronousSystem, kind: str, left: str, right: str):
+        self.system, self.kind, self.left, self.right = system, kind, left, right
 
 
 def _pair_state(qf: str, qg: str) -> str:
@@ -49,11 +47,24 @@ def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> Sync
 
     Composite states are named ``qf*qg``; an edge label indexes
     ``inputs`` and ``output(node)`` names a composite state's output.
+    Raises :class:`UnknownState` when component names holding ``*``
+    give two reachable pairs one name.
     """
     graph = reach((sys_f.index[start[0]], sys_g.index[start[1]]), step)
     state = {
         node: _pair_state(sys_f.states[node[0]], sys_g.states[node[1]]) for node in graph
     }
+    if len(set(state.values())) < len(state):
+        owner: dict[str, tuple[int, int]] = {}
+        for node, joined in state.items():
+            first = owner.setdefault(joined, node)
+            if first != node:
+                pairs = [(sys_f.states[p], sys_g.states[q]) for (p, q) in (first, node)]
+                raise UnknownState(
+                    f"composite state {joined!r} names both pairs "
+                    + " and ".join(f"({qf}, {qg})" for (qf, qg) in pairs)
+                    + f"; {STATE_JOIN!r} is reserved in state names"
+                )
     return SynchronousSystem(
         name=name,
         inputs=inputs,

@@ -14,8 +14,8 @@ import bisect
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -67,22 +67,57 @@ def split_symbol(symbol: str) -> tuple[str, str]:
     return left, right
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Base of the value classes: ``==``, ``hash`` and repr from the fields.
+
+    A subclass's own ``__slots__`` names its fields in order (a
+    ``__dict__`` entry aside) and its ``__init__`` sets them; instances
+    are never changed after construction.  Like a frozen dataclass, two
+    records are equal when they are of one class with equal fields,
+    hash by their fields and print as ``Cls(field=value, ...)``.  One
+    ``attrgetter`` reads the fields, so comparing and hashing run no
+    Python loop.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" in cls.__dict__:
+            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+            if cls._fields:
+                cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Alphabet(Record):
     """Finite ordered set of symbols; iteration follows declaration order."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if not symbols:
             raise UnknownSymbol("alphabet must be nonempty")
         seen = set()
-        for s in self.symbols:
+        for s in symbols:
             if not is_token(s):
                 raise UnknownSymbol(f"bad symbol token {s!r}")
             if s in seen:
                 raise UnknownSymbol(f"duplicate symbol {s!r}")
             seen.add(s)
+        self.symbols = symbols
 
     def __iter__(self):
         return iter(self.symbols)
@@ -114,8 +149,7 @@ class Alphabet:
 Transition = tuple[str, str, str]
 
 
-@dataclass
-class SynchronousSystem:
+class SynchronousSystem(Record):
     """Complete, finitely-branching Moore-style LTS.
 
     Immutable after construction; every operation in this package is a
@@ -126,22 +160,34 @@ class SynchronousSystem:
     declaration order, ``succ[q][a]`` holds the successor ids of state q
     on input a in transition order, and ``out_ids[q]`` is q's output id.
     Ids are turned back into names only where results are returned.
+    Equality compares the seven declared fields, not the tables; systems
+    are unhashable.
     """
 
-    name: str
-    inputs: Alphabet
-    outputs: Alphabet
-    states: tuple[str, ...]
-    transitions: tuple[Transition, ...]
-    out_label: Mapping[str, str]
-    initial: str
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    succ: list[tuple[tuple[int, ...], ...]] = field(init=False, repr=False, compare=False)
-    out_ids: list[int] = field(init=False, repr=False, compare=False)
+    # The tables and the cached refinement live in the instance __dict__.
+    __slots__ = (
+        "name", "inputs", "outputs", "states", "transitions", "out_label", "initial", "__dict__"
+    )
+    __hash__ = None
+    index: dict[str, int]
+    succ: list[tuple[tuple[int, ...], ...]]
+    out_ids: list[int]
 
-    def __post_init__(self):
-        if not is_token(self.name):
-            raise UnknownSymbol(f"bad system name {self.name!r}")
+    def __init__(
+        self,
+        name: str,
+        inputs: Alphabet,
+        outputs: Alphabet,
+        states: tuple[str, ...],
+        transitions: tuple[Transition, ...],
+        out_label: Mapping[str, str],
+        initial: str,
+    ):
+        if not is_token(name):
+            raise UnknownSymbol(f"bad system name {name!r}")
+        self.name, self.inputs, self.outputs = name, inputs, outputs
+        self.states, self.transitions = states, transitions
+        self.out_label, self.initial = out_label, initial
         index = {}
         for q in self.states:
             if not is_token(q):
@@ -233,12 +279,13 @@ def validate(sys: SynchronousSystem) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Record):
     """A finite maximal run: a start state plus one (input, state) step per symbol."""
 
-    start: str
-    steps: tuple[tuple[str, str], ...]
+    __slots__ = ("start", "steps")
+
+    def __init__(self, start: str, steps: tuple[tuple[str, str], ...]):
+        self.start, self.steps = start, steps
 
     def states(self) -> tuple[str, ...]:
         return (self.start,) + tuple(q for (_, q) in self.steps)
@@ -581,13 +628,18 @@ def lasso_at(values: Sequence, loop: int, i: int):
     return values[loop + (i - loop) % (len(values) - loop)]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Bisimulation partition: total map from states onto class indices."""
 
-    class_of: Mapping[str, int]
-    classes: tuple[int, ...]
-    representative: Mapping[int, str]
+    __slots__ = ("class_of", "classes", "representative")
+
+    def __init__(
+        self,
+        class_of: Mapping[str, int],
+        classes: tuple[int, ...],
+        representative: Mapping[int, str],
+    ):
+        self.class_of, self.classes, self.representative = class_of, classes, representative
 
     def same_class(self, p: str, q: str) -> bool:
         return self.class_of[p] == self.class_of[q]
@@ -812,21 +864,19 @@ class BisimOracle:
         return self._refinement.depth(*self.ids(qa, qb))
 
 
-@dataclass(frozen=True)
-class BaseWitness:
+class BaseWitness(Record):
     """Output mismatch: out(p) != out(q)."""
 
-    p: str
-    q: str
-    out_p: str
-    out_q: str
+    __slots__ = ("p", "q", "out_p", "out_q")
+
+    def __init__(self, p: str, q: str, out_p: str, out_q: str):
+        self.p, self.q, self.out_p, self.out_q = p, q, out_p, out_q
 
     @property
     def depth(self) -> int:
         return 0
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class IndWitness:
     """One inductive layer of a non-bisimilarity proof.
 
@@ -837,12 +887,19 @@ class IndWitness:
     shows one layer.
     """
 
-    p: str
-    q: str
-    input: str
-    side: str
-    chosen: str
-    children: tuple[tuple[str, Union["BaseWitness", "IndWitness"]], ...]
+    __slots__ = ("p", "q", "input", "side", "chosen", "children")
+
+    def __init__(
+        self,
+        p: str,
+        q: str,
+        input: str,
+        side: str,
+        chosen: str,
+        children: tuple[tuple[str, Union["BaseWitness", "IndWitness"]], ...],
+    ):
+        self.p, self.q, self.input, self.side = p, q, input, side
+        self.chosen, self.children = chosen, children
 
     def __repr__(self) -> str:
         return (

@@ -10,11 +10,10 @@ preperiod.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import STAR  # the silent symbol, still importable from here
+from .core import STAR, Record  # STAR (the silent symbol) stays importable from here
 from .errors import FormatError
 
 EffectSymbol = Optional[tuple[str, str]]
@@ -46,9 +45,15 @@ def _canonical(prefix: tuple, cycle: tuple) -> tuple[tuple, tuple]:
     return tuple(prefix[: n - k]), _minimal_period(cycle[cut:] + cycle[:cut])
 
 
-class _Lasso:
-    """Shared indexing and canonical-form behavior of lasso sequences."""
+class _Lasso(Record):
+    """Shared indexing of lasso sequences, kept in canonical form.
 
+    Each subclass defines its own ``__init__``, which canonicalises:
+    the benchmark's tracer (``perfbench/tracer.py``) times construction
+    by wrapping the ``__init__`` each class defines.
+    """
+
+    __slots__ = ()
     prefix: tuple
     cycle: tuple
 
@@ -63,15 +68,11 @@ class _Lasso:
         return tuple(self[i] for i in range(n))
 
 
-@dataclass(frozen=True)
 class EffectSequence(_Lasso):
-    prefix: tuple[EffectSymbol, ...]
-    cycle: tuple[EffectSymbol, ...]
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        p, c = _canonical(self.prefix, self.cycle)
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "cycle", c)
+    def __init__(self, prefix: tuple[EffectSymbol, ...], cycle: tuple[EffectSymbol, ...]):
+        self.prefix, self.cycle = _canonical(prefix, cycle)
 
     def is_silent(self) -> bool:
         return not self.prefix and self.cycle == (STAR,)
@@ -80,15 +81,11 @@ class EffectSequence(_Lasso):
 STAR_FOREVER = EffectSequence((), (STAR,))
 
 
-@dataclass(frozen=True)
 class PairSetSequence(_Lasso):
-    prefix: tuple[frozenset, ...]
-    cycle: tuple[frozenset, ...]
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        p, c = _canonical(self.prefix, self.cycle)
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "cycle", c)
+    def __init__(self, prefix: tuple[frozenset, ...], cycle: tuple[frozenset, ...]):
+        self.prefix, self.cycle = _canonical(prefix, cycle)
 
 
 def merge_symbols(e1: EffectSymbol, e2: EffectSymbol) -> EffectSymbol:

@@ -15,9 +15,8 @@ values are all integer literals is an integer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from ..core import Alphabet, symbol_components
+from ..core import Alphabet, Record, symbol_components
 from ..errors import FormatError
 from .semantics import Machine, VarDecl
 from .syntax import Ast, parse
@@ -29,11 +28,11 @@ _VAR_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class ProgramFile:
-    name: str
-    machine: Machine
-    body: Ast
+class ProgramFile(Record):
+    __slots__ = ("name", "machine", "body")
+
+    def __init__(self, name: str, machine: Machine, body: Ast):
+        self.name, self.machine, self.body = name, machine, body
 
     def typecheck(self) -> Ty:
         env = {v.name: v.base for v in self.machine.variables}

@@ -24,10 +24,9 @@ initial state's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..core import Alphabet, SynchronousSystem, fold, symbol_components
+from ..core import Alphabet, Record, SynchronousSystem, fold, symbol_components
 from ..errors import (
     BuildError,
     IntRangeExceeded,
@@ -63,33 +62,39 @@ Store = tuple[tuple[str, Value], ...]
 ROUND_STEP_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Config:
-    store: Store
-    pending: str
-    prog: Ast
+class Config(Record):
+    __slots__ = ("store", "pending", "prog")
+
+    def __init__(self, store: Store, pending: str, prog: Ast):
+        self.store, self.pending, self.prog = store, pending, prog
 
 
-@dataclass(frozen=True)
-class Leaf:
-    config: Config
+class Leaf(Record):
+    __slots__ = ("config",)
+
+    def __init__(self, config: Config):
+        self.config = config
 
 
-@dataclass(frozen=True)
-class Node:
-    out: str
-    branches: tuple[tuple[str, "EvalTree"], ...]
+class Node(Record):
+    __slots__ = ("out", "branches")
+
+    def __init__(self, out: str, branches: tuple[tuple[str, "EvalTree"], ...]):
+        self.out, self.branches = out, branches
 
 
 EvalTree = Union[Leaf, Node]
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    base: str  # "bool" or "int"
-    low: Optional[int] = None
-    high: Optional[int] = None
+class VarDecl(Record):
+    __slots__ = ("name", "base", "low", "high")
+
+    def __init__(
+        self, name: str, base: str, low: Optional[int] = None, high: Optional[int] = None
+    ):
+        self.name = name
+        self.base = base  # "bool" or "int"
+        self.low, self.high = low, high
 
     def default(self) -> Value:
         return False if self.base == "bool" else 0

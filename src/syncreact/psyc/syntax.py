@@ -12,10 +12,9 @@ conjunction ``&&``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
-from ..core import fold
+from ..core import Record, fold
 from ..errors import PsySyntaxError
 
 KEYWORDS = {
@@ -292,12 +291,11 @@ def unparse(node: Ast) -> str:
     return _render(node, _unparse_pieces)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind, self.text, self.line, self.column = kind, text, line, column
 
 
 _TOKEN_SPEC = [

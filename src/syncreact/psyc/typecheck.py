@@ -8,10 +8,9 @@ boolean expression; a complete program must type as comm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ..core import fold
+from ..core import Record, fold
 from ..errors import PsyTypeError
 from .syntax import (
     Assign,
@@ -33,10 +32,12 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Ty:
-    kind: str  # "comm", "var", "exp"
-    base: Optional[str] = None  # "bool" or "int" for var/exp
+class Ty(Record):
+    __slots__ = ("kind", "base")
+
+    def __init__(self, kind: str, base: Optional[str] = None):
+        self.kind = kind  # "comm", "var", "exp"
+        self.base = base  # "bool" or "int" for var/exp
 
     def __str__(self) -> str:
         if self.kind == "comm":

@@ -14,10 +14,9 @@ paths in the acyclic case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Product, SynchronousSystem, reach
+from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, reach
 from .errors import SeparatorBoundExceeded
 
 Pair = tuple[str, str]
@@ -28,12 +27,17 @@ Pair = tuple[str, str]
 MAX_PENDING_WORDS = 1 << 16
 
 
-@dataclass(frozen=True)
-class SepPairSet:
+class SepPairSet(Record):
     """Separating input pairs of one state, unordered, alphabet ordered."""
 
-    pairs: tuple[tuple[str, str], ...]
-    deterministic_subset: tuple[tuple[str, str], ...]
+    __slots__ = ("pairs", "deterministic_subset")
+
+    def __init__(
+        self,
+        pairs: tuple[tuple[str, str], ...],
+        deterministic_subset: tuple[tuple[str, str], ...],
+    ):
+        self.pairs, self.deterministic_subset = pairs, deterministic_subset
 
     @property
     def reactive(self) -> bool:
@@ -172,8 +176,7 @@ def separators(
     return results
 
 
-@dataclass(frozen=True)
-class StrongSepResult:
+class StrongSepResult(Record):
     """Verdict plus certificate for strong separability of a state pair.
 
     When separable, ``bound`` is the length of the longest run pair that
@@ -182,9 +185,15 @@ class StrongSepResult:
     of EQ nodes witnessing an infinite input word with no difference.
     """
 
-    separable: bool
-    bound: Optional[int] = None
-    cycle: Optional[tuple[tuple[Pair, str], ...]] = None
+    __slots__ = ("separable", "bound", "cycle")
+
+    def __init__(
+        self,
+        separable: bool,
+        bound: Optional[int] = None,
+        cycle: Optional[tuple[tuple[Pair, str], ...]] = None,
+    ):
+        self.separable, self.bound, self.cycle = separable, bound, cycle
 
 
 def strongly_separable(
@@ -302,12 +311,13 @@ def diff(
     return result
 
 
-@dataclass(frozen=True)
-class ReactionTime:
+class ReactionTime(Record):
     """Finite worst-case first-effect index with a witness word, or infinite."""
 
-    time: Optional[int]
-    witness: Optional[tuple[str, ...]] = None
+    __slots__ = ("time", "witness")
+
+    def __init__(self, time: Optional[int], witness: Optional[tuple[str, ...]] = None):
+        self.time, self.witness = time, witness
 
     @property
     def is_finite(self) -> bool:

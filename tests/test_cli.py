@@ -1,5 +1,6 @@
 """Command line surface: exit codes and stable final lines."""
 
+import ast
 import importlib
 import json
 import os
@@ -51,13 +52,10 @@ def run_fresh(*argv):
 
 
 def loaded_modules(code: str) -> set[str]:
-    """The ``syncreact`` modules loaded after running ``code`` in a fresh
-    interpreter started in the fixtures directory."""
+    """Every module loaded after running ``code`` in a fresh interpreter
+    started in the fixtures directory."""
     src = pathlib.Path(syncreact.__file__).resolve().parents[1]
-    report = (
-        "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'syncreact']))"
-    )
+    report = "\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code + report],
         capture_output=True,
@@ -68,6 +66,15 @@ def loaded_modules(code: str) -> set[str]:
     )
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def ours(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "syncreact"}
+
+
+# Slow to import (``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
+# and more); no command needs them.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
 BASE = {"syncreact", "syncreact.cli", "syncreact.core", "syncreact.errors", "syncreact.sls"}
@@ -103,11 +110,34 @@ class TestImports:
             "import contextlib, io\nfrom syncreact.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
         )
-        assert loaded_modules(code) == expected
+        loaded = loaded_modules(code)
+        assert ours(loaded) == expected
+        assert not loaded & SLOW_IMPORTS
+
+    def test_import_cli_loads_no_slow_module(self):
+        loaded = loaded_modules("import syncreact.cli")
+        assert ours(loaded) == BASE
+        assert not loaded & SLOW_IMPORTS
+
+    def test_no_module_imports_dataclasses(self):
+        files = sorted(pathlib.Path(syncreact.__file__).parent.rglob("*.py"))
+        offenders = []
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                else:
+                    continue
+                if SLOW_IMPORTS.intersection(names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert len(files) >= 15
+        assert offenders == []
 
     def test_import_syncreact_loads_no_submodule(self):
-        assert loaded_modules("import syncreact") == {"syncreact"}
-        from_doe = loaded_modules("from syncreact import doe")
+        assert ours(loaded_modules("import syncreact")) == {"syncreact"}
+        from_doe = ours(loaded_modules("from syncreact import doe"))
         assert from_doe == LEVEL_SETS - {"syncreact.cli", "syncreact.sls"}
 
     def test_public_names_are_their_defining_modules_objects(self):
@@ -349,6 +379,26 @@ class TestComposeAndLemma:
             tmp_path / "x.sls",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["--seq", "--par"])
+    def test_compose_state_name_clash_exits_2(self, capsys, tmp_path, mode):
+        sender = tmp_path / "snd.sls"
+        sender.write_text(
+            "system snd\ninputs i\noutputs x y\ninit a*b\nstate a*b x\nstate a y\n"
+            "trans a*b i a\ntrans a i a*b\n"
+        )
+        receiver = tmp_path / "rcv.sls"
+        receiver.write_text(
+            "system rcv\ninputs x y\noutputs o\ninit c\nstate c o\nstate b*c o\n"
+            "trans c x b*c\ntrans c y b*c\ntrans b*c x c\ntrans b*c y c\n"
+        )
+        code, out, err = run(capsys, "compose", mode, sender, receiver, "-o", tmp_path / "x.sls")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: composite state 'a*b*c' names both pairs (a*b, c) and (a, b*c); "
+            "'*' is reserved in state names\n"
+        )
+        assert not (tmp_path / "x.sls").exists()
 
     def test_lemma_positive(self, capsys):
         code, out, _ = run(

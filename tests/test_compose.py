@@ -1,6 +1,7 @@
 """Sequential and parallel composition against their defining rules."""
 
 import random
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from syncreact import (
     split_symbol,
     validate,
 )
-from syncreact.errors import SignatureMismatch
+from syncreact.errors import SignatureMismatch, UnknownState
 
 from .oracles import random_system
 
@@ -47,6 +48,20 @@ def make_ident(syms):
         ),
         out_label={f"i_{s}": s for s in syms},
         initial=f"i_{syms[0]}",
+    )
+
+
+def make_starred(name, states, inputs, outputs):
+    """Two states that swap on every input; the first outputs outputs[0]."""
+    a, b = states
+    return SynchronousSystem(
+        name=name,
+        inputs=Alphabet(inputs),
+        outputs=Alphabet(outputs),
+        states=states,
+        transitions=tuple((p, i, q) for (p, q) in ((a, b), (b, a)) for i in inputs),
+        out_label={a: outputs[0], b: outputs[-1]},
+        initial=a,
     )
 
 
@@ -219,3 +234,23 @@ class TestNonCompositionality:
         assert separating_pairs(disap_g_sys, "q1").reactive
         composed = seq_compose(disap_f_sys, disap_g_sys).system
         assert not separating_pairs(composed, composed.initial).reactive
+
+
+class TestCompositeStateNames:
+    """``*`` joins the component state names, so names holding it can clash."""
+
+    SENDER = make_starred("snd", ("a*b", "a"), ("i",), ("x", "y"))
+    CLASH = "composite state 'a*b*c' names both pairs (a*b, c) and (a, b*c)"
+
+    @pytest.mark.parametrize("compose", [seq_compose, par_compose])
+    def test_two_pairs_with_one_name_are_refused(self, compose):
+        receiver = make_starred("rcv", ("c", "b*c"), ("x", "y"), ("o",))
+        with pytest.raises(UnknownState, match=rf"^{re.escape(self.CLASH)}; '\*' is reserved"):
+            compose(self.SENDER, receiver)
+
+    @pytest.mark.parametrize("compose", [seq_compose, par_compose])
+    def test_starred_names_that_do_not_clash_are_kept(self, compose):
+        receiver = make_starred("rcv", ("c", "d*c"), ("x", "y"), ("o",))
+        composed = compose(self.SENDER, receiver).system
+        assert composed.states == ("a*b*c", "a*d*c")
+        assert validate(composed) == []
