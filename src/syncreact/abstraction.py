@@ -148,7 +148,6 @@ def ssp(
     q1: str,
     sys_b: SynchronousSystem,
     q2: str,
-    oracle: Optional[BisimOracle] = None,
 ) -> tuple[tuple[str, str], ...]:
     """Strongly separating pairs: separating pairs of the union of q1, q2.
 
@@ -160,8 +159,7 @@ def ssp(
     sys_a.require_same_signature(sys_b)
     sys_a.check_state(q1)
     sys_b.check_state(q2)
-    if oracle is None:
-        oracle = BisimOracle(sys_a, sys_b)
+    oracle = BisimOracle(sys_a, sys_b)
     moves_a = sys_a.succ[sys_a.index[q1]]
     moves_b = align(sys_a, sys_b)[0][sys_b.index[q2]]
     gaps = class_gaps([moves_b], oracle.cls_b, len(moves_b))
@@ -181,10 +179,6 @@ class LemmaVerdict(Record):
 
     def __init__(self, guaranteed: bool, index: Optional[int] = None):
         self.guaranteed, self.index = guaranteed, index
-
-    @property
-    def label(self) -> str:
-        return "GuaranteedReactive" if self.guaranteed else "NoGuarantee"
 
 
 class ObsOrder(Record):

@@ -83,7 +83,6 @@ def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> Sync
 def seq_compose(
     sys_f: SynchronousSystem,
     sys_g: SynchronousSystem,
-    name: str | None = None,
     start: tuple[str, str] | None = None,
 ) -> ComposedSystem:
     """Sequential composition: the output of sys_f drives sys_g.
@@ -101,7 +100,7 @@ def seq_compose(
     sys_f.check_state(start[0])
     sys_g.check_state(start[1])
     system = _composite(
-        name or f"{sys_g.name}.{sys_f.name}",
+        f"{sys_g.name}.{sys_f.name}",
         sys_f.inputs,
         sys_g.outputs,
         sys_f,
@@ -113,11 +112,7 @@ def seq_compose(
     return ComposedSystem(system, "seq", sys_f.name, sys_g.name)
 
 
-def par_compose(
-    sys_f: SynchronousSystem,
-    sys_g: SynchronousSystem,
-    name: str | None = None,
-) -> ComposedSystem:
+def par_compose(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> ComposedSystem:
     """Parallel composition over product input and output symbols."""
     inputs = Alphabet(
         tuple(pair_symbol(a, c) for a in sys_f.inputs for c in sys_g.inputs)
@@ -130,7 +125,7 @@ def par_compose(
         (a * width + c, a, c) for a in range(len(sys_f.inputs)) for c in range(width)
     ]
     system = _composite(
-        name or f"{sys_f.name}-par-{sys_g.name}",
+        f"{sys_f.name}-par-{sys_g.name}",
         inputs,
         outputs,
         sys_f,

@@ -247,10 +247,6 @@ class SynchronousSystem(Record):
         """The system's own bisimulation refinement, built once (a race builds equal ones)."""
         return _Refinement(self.succ, self.out_ids)
 
-    def is_deterministic(self) -> bool:
-        """Derived predicate: at most one successor per (state, input)."""
-        return all(len(ts) <= 1 for moves in self.succ for ts in moves)
-
     def same_signature(self, other: "SynchronousSystem") -> bool:
         return self.inputs.same_symbols(other.inputs) and self.outputs.same_symbols(
             other.outputs
@@ -932,19 +928,16 @@ def non_bisimilar(
     qa: str,
     sys_b: SynchronousSystem,
     qb: str,
-    oracle: Optional[BisimOracle] = None,
 ) -> Optional[NonBisimWitness]:
     """Minimal-depth witness that qa and qb are non-bisimilar, or None.
 
     The witness depth equals the least k at which the k-step
-    bisimulation approximants separate the states.  A precomputed oracle
-    for the same system pair may be passed to amortize repeated queries.
-    Each state pair's sub-witness is built once and shared.
+    bisimulation approximants separate the states.  Each state pair's
+    sub-witness is built once and shared.
     """
     sys_a.check_state(qa)
     sys_b.check_state(qb)
-    if oracle is None:
-        oracle = BisimOracle(sys_a, sys_b)
+    oracle = BisimOracle(sys_a, sys_b)
     if not oracle.distinct(qa, qb):
         return None
     ref, name, out = oracle._refinement, oracle.name, oracle.out_ids

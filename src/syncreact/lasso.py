@@ -130,7 +130,9 @@ def obs_leq(d1: EffectSequence, d2: EffectSequence) -> bool:
 
 
 def star_prepend(count: int, seq: EffectSequence) -> EffectSequence:
-    """The sequence ``*^count . seq``."""
+    """The sequence ``*^count . seq``; a silent ``seq`` absorbs the stars."""
+    if seq.is_silent():
+        return seq
     return EffectSequence((STAR,) * count + seq.prefix, seq.cycle)
 
 

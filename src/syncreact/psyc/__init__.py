@@ -1,7 +1,7 @@
 """Frontend for the small synchronous imperative language."""
 
 from .loader import ProgramFile, component_types, load, loads
-from .semantics import Config, Leaf, Machine, Node, VarDecl, build_lts, live_in
+from .semantics import Config, Machine, VarDecl, build_lts, live_in
 from .syntax import Ast, parse, unparse
 from .typecheck import COMM, Ty, typecheck
 
@@ -9,9 +9,7 @@ __all__ = [
     "Ast",
     "COMM",
     "Config",
-    "Leaf",
     "Machine",
-    "Node",
     "ProgramFile",
     "Ty",
     "VarDecl",

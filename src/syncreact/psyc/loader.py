@@ -125,6 +125,9 @@ def load(path) -> ProgramFile:
     import os
 
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return loads(text, source=str(path), name=stem)

@@ -1,23 +1,22 @@
 """Small-step semantics and the finite-system builder.
 
 A configuration is a store, a pending input symbol, and a program.  One
-reduction either rewrites the configuration (a leaf) or fires a tick,
-producing a node that emits the evaluated output tuple and branches
-over every input symbol.
+reduction either rewrites the configuration or fires a tick, which
+emits the evaluated output tuple and branches over every input symbol.
+``Machine.run_round`` reduces a configuration up to its next tick.
 
 Reduction is organised by refocusing.  ``_decompose`` walks from a
 term down to its redex, pushing one context frame per level it passes
 (sequencing, dereference, assignment, conditionals, operators and tick
-arguments); ``Machine._contract`` applies one rule at the redex; and
-``_plug`` rebuilds the term around the result.  ``Machine.step`` is
-one decompose, contract and plug.  ``Machine.run_round`` keeps the
-frames between reductions instead: it contracts each redex where it
-sits, pops only the frame around a result that is a value or ``skip``,
-and plugs the program once, when the tick fires.
+arguments); ``Machine._contract`` applies one rule at the redex.
+``run_round`` keeps the frames between reductions: it contracts each
+redex where it sits, pops only the frame around a result that is a
+value or ``skip`` (``_rebuild``), and plugs the program once, when the
+tick fires (``_plug``).
 
 The coinductive limit of this process is realized by interning: each
-tick node is keyed by its emitted output, its continuation program, and
-its store restricted to live variables, and exploration stops when no
+tick is keyed by its emitted output, its continuation program, and its
+store restricted to live variables, and exploration stops when no
 new key appears.  The segment before the first tick contributes the
 initial state's output.
 """
@@ -67,23 +66,6 @@ class Config(Record):
 
     def __init__(self, store: Store, pending: str, prog: Ast):
         self.store, self.pending, self.prog = store, pending, prog
-
-
-class Leaf(Record):
-    __slots__ = ("config",)
-
-    def __init__(self, config: Config):
-        self.config = config
-
-
-class Node(Record):
-    __slots__ = ("out", "branches")
-
-    def __init__(self, out: str, branches: tuple[tuple[str, "EvalTree"], ...]):
-        self.out, self.branches = out, branches
-
-
-EvalTree = Union[Leaf, Node]
 
 
 class VarDecl(Record):
@@ -284,26 +266,12 @@ class Machine:
             return _literal(redex.inner.value != 0), store
         return _literal(redex.left.value and redex.right.value), store  # Conj
 
-    def step(self, config: Config) -> EvalTree:
-        """One application of the reduction relation."""
-        frames: list[Frame] = []
-        redex = _decompose(config.prog, frames)
-        if isinstance(redex, Tick):
-            out, cont = self.emit_symbol(redex.args), _plug(frames, _SKIP)
-            branches = tuple(
-                (symbol, Leaf(Config(config.store, symbol, cont)))
-                for symbol in self.inputs
-            )
-            return Node(out, branches)
-        prog, store = self._contract(redex, config.store, config.pending)
-        return Leaf(Config(store, config.pending, _plug(frames, prog)))
-
     def run_round(self, config: Config) -> Optional[tuple[str, dict[str, Config]]]:
         """Reduce until a tick fires; None when the program terminates.
 
-        Reduces exactly as repeated :meth:`step` calls would, but keeps
-        the program as frames around a focus term between reductions,
-        so one reduction costs the redex and its frame, not the program.
+        Keeps the program as frames around a focus term between
+        reductions, so one reduction costs the redex and its frame, not
+        the program.
         """
         store, pending, term = config.store, config.pending, config.prog
         frames: list[Frame] = []

@@ -84,10 +84,9 @@ def row_orientations(moves_a, cls_a, gaps: list[dict[int, int]], everything: int
     return masks
 
 
-def _separating_ids(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None):
+def _separating_ids(sys: SynchronousSystem, q: str):
     """Separating pairs of q and their deterministic subset, as input id pairs in order."""
-    if oracle is None:
-        oracle = BisimOracle(sys, sys)
+    oracle = BisimOracle(sys, sys)
     moves = sys.succ[sys.index[q]]
     cls_a, cls_b = oracle.cls_a, oracle.cls_b
     held = row_orientations(moves, cls_a, class_gaps([moves], cls_b, len(moves)), 1)
@@ -100,9 +99,7 @@ def _separating_ids(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle
     return pairs, deterministic
 
 
-def separating_pairs(
-    sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None
-) -> SepPairSet:
+def separating_pairs(sys: SynchronousSystem, q: str) -> SepPairSet:
     """Separating pairs of q: inputs whose successors are non-bisimilar.
 
     (a1, a2) is separating iff some a1-successor is non-bisimilar to
@@ -114,13 +111,13 @@ def separating_pairs(
     symbols = sys.inputs.symbols
     pairs, deterministic = (
         tuple((symbols[a1], symbols[a2]) for (a1, a2) in ids)
-        for ids in _separating_ids(sys, q, oracle)
+        for ids in _separating_ids(sys, q)
     )
     return SepPairSet(pairs, deterministic)
 
 
-def reactive(sys: SynchronousSystem, q: str, oracle: Optional[BisimOracle] = None) -> bool:
-    return separating_pairs(sys, q, oracle).reactive
+def reactive(sys: SynchronousSystem, q: str) -> bool:
+    return separating_pairs(sys, q).reactive
 
 
 def _rooted(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):

@@ -113,7 +113,11 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
 
 def load(path) -> SynchronousSystem:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read(), source=str(path))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return loads(text, source=str(path))
 
 
 def dumps(sys: SynchronousSystem) -> str:

@@ -175,22 +175,14 @@ def test_criterion_5_ssp_identity():
     checked = 0
     for name in ALL_SYSTEM_FIXTURES:
         sys = load_fixture(name)
-        oracle = BisimOracle(sys, sys)
         for q in sys.states:
-            assert (
-                ssp(sys, q, sys, q, oracle)
-                == separating_pairs(sys, q, oracle).pairs
-            )
+            assert ssp(sys, q, sys, q) == separating_pairs(sys, q).pairs
             checked += 1
     rng = random.Random(501)
     for i in range(200):
         sys = random_system(rng, f"r{i}", 6, ("a", "b", "c"), ("0", "1"))
-        oracle = BisimOracle(sys, sys)
         for q in sys.states:
-            assert (
-                ssp(sys, q, sys, q, oracle)
-                == separating_pairs(sys, q, oracle).pairs
-            )
+            assert ssp(sys, q, sys, q) == separating_pairs(sys, q).pairs
             checked += 1
     report(5, f"SSP(q, q) equals the separating pairs on {checked} states")
 
@@ -259,7 +251,7 @@ def test_criterion_7a_bisimulation_oracle_equivalence():
         oracle = BisimOracle(sys, sys)
         for p in sys.states:
             for q in sys.states:
-                witness = non_bisimilar(sys, p, sys, q, oracle)
+                witness = non_bisimilar(sys, p, sys, q)
                 assert (witness is None) == ((p, q) in naive)
                 depth = naive_separation_depth(sys, p, q, levels)
                 assert oracle.depth(p, q) == depth

@@ -149,6 +149,14 @@ class TestImports:
             if hasattr(value, "__qualname__"):
                 assert value.__module__ == home.__name__, name
 
+    def test_psyc_public_names_are_package_attributes(self):
+        import syncreact.psyc as psyc
+
+        assert len(psyc.__all__) == len(set(psyc.__all__))
+        for name in psyc.__all__:
+            assert hasattr(psyc, name), name
+        assert not {"Leaf", "Node"} & (set(psyc.__all__) | set(vars(psyc)))
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             syncreact.no_such_name
@@ -181,6 +189,22 @@ class TestCheck:
         code, _, err = run(capsys, "bisim", target, "a", "b")
         assert code == 2
         assert "error" in err
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("bad.sls", b"system s\ninputs a\n\xff\n", ["check"]),
+            ("bad.psy", b"inputs tt ff\noutputs tt ff\n\xff\n", ["psyc", "typecheck"]),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, name, text, argv):
+        target = tmp_path / name
+        target.write_bytes(text)
+        done = run_fresh(*argv, target)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {target}: not UTF-8 text (invalid start byte)\n"
 
 
 class TestIncompleteRejected:
@@ -698,19 +722,21 @@ class TestLevelBound:
         )
 
     def test_doe_compose_at_index_one_million_in_a_fresh_interpreter(self):
-        done = run_fresh(
-            "doe-compose",
-            FIXTURES / "delay1.sls",
-            FIXTURES / "receiver.sls",
-            "--qf",
-            "s0",
-            "--qg",
-            "g0",
-            "-t",
-            "1000000",
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "| *\n"
+        # A silent answer costs no work per index, so 10^15 answers at once.
+        for index in ("1000000", "1000000000000000"):
+            done = run_fresh(
+                "doe-compose",
+                FIXTURES / "delay1.sls",
+                FIXTURES / "receiver.sls",
+                "--qf",
+                "s0",
+                "--qg",
+                "g0",
+                "-t",
+                index,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == "| *\n"
 
 
 class TestUsage:

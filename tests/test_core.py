@@ -230,7 +230,7 @@ class TestNonBisimilar:
         # Depth 1500 exceeds the default recursion limit of 1000 frames.
         sys = chain_sender(1500, ("x", "y", "z"))
         oracle = BisimOracle(sys, sys)
-        witness = non_bisimilar(sys, "l0", sys, "m0", oracle)
+        witness = non_bisimilar(sys, "l0", sys, "m0")
         assert oracle.depth("l0", "m0") == 1500
         assert witness.depth == 1500
         assert replay_witness(sys, witness)

@@ -1,7 +1,5 @@
 """Language frontend: parsing, typing, small-step semantics, LTS builds."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,7 @@ from syncreact.errors import (
     StateBudgetExceeded,
 )
 from syncreact.psyc import build_lts, live_in, loads, parse, typecheck, unparse
-from syncreact.psyc.semantics import Config, Leaf, Node
+from syncreact.psyc.semantics import Config
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -25,7 +23,6 @@ from syncreact.psyc.syntax import (
     Dec,
     Deref,
     Get,
-    If,
     IntLit,
     NotZero,
     Seq,
@@ -34,7 +31,7 @@ from syncreact.psyc.syntax import (
     VarRef,
     While,
 )
-from syncreact.psyc.typecheck import COMM, Ty
+from syncreact.psyc.typecheck import COMM
 
 from .conftest import FIXTURES, shallow_stack
 
@@ -296,87 +293,84 @@ def simple_machine():
 
 
 class TestStep:
+    """Reduction rules, each observed at the round boundary of ``run_round``."""
+
     def test_seq_skip(self):
         machine = simple_machine()
-        config = Config((("x", False),), "tt", parse("skip; x := tt"))
-        result = machine.step(config)
-        assert result == Leaf(Config((("x", False),), "tt", parse("x := tt")))
+        store = (("x", False),)
+        result = machine.run_round(Config(store, "tt", parse("skip; tick(!x)")))
+        assert result == machine.run_round(Config(store, "tt", parse("tick(!x)")))
+        assert result == ("ff", {s: Config(store, s, Skip()) for s in ("tt", "ff")})
+        assert machine.run_round(Config(store, "tt", parse("skip; skip"))) is None
 
     def test_get_projects_pending_input(self):
         machine = simple_machine()
-        config = Config((("x", False),), "tt", Get(0))
-        assert machine.step(config) == Leaf(
-            Config((("x", False),), "tt", BoolLit(True))
-        )
+        for pending in ("tt", "ff"):
+            out, _ = machine.run_round(Config((("x", False),), pending, parse("tick(get)")))
+            assert out == pending
 
     def test_while_unfolds_to_conditional(self):
         machine = simple_machine()
-        body = parse("while tt do x := tt done")
-        result = machine.step(Config((("x", False),), "ff", body))
-        expected = If(BoolLit(True), Seq(Assign(VarRef("x"), BoolLit(True)), body), Skip())
-        assert result == Leaf(Config((("x", False),), "ff", expected))
+        loop = parse("while tt do tick(tt) done")
+        out, branches = machine.run_round(Config((("x", False),), "ff", loop))
+        assert out == "tt"
+        for (sym, child) in branches.items():
+            assert child == Config((("x", False),), sym, Seq(Skip(), loop))
 
     def test_tick_emits_node_branching_over_all_inputs(self):
         machine = simple_machine()
         config = Config((("x", True),), "ff", parse("tick(!x); x := ff"))
-        # Two steps: deref the argument, then fire the tick.
-        mid = machine.step(config)
-        assert isinstance(mid, Leaf)
-        result = machine.step(mid.config)
-        assert isinstance(result, Node)
-        assert result.out == "tt"
-        assert [sym for (sym, _) in result.branches] == ["tt", "ff"]
-        for (sym, child) in result.branches:
-            assert child.config.pending == sym
-            assert child.config.prog == parse("skip; x := ff")
+        out, branches = machine.run_round(config)
+        assert out == "tt"
+        assert list(branches) == ["tt", "ff"]
+        for (sym, child) in branches.items():
+            assert child == Config((("x", True),), sym, parse("skip; x := ff"))
 
     def test_assignment_updates_store(self):
         machine = simple_machine()
-        config = Config((("x", False),), "tt", Assign(VarRef("x"), BoolLit(True)))
-        result = machine.step(config)
-        assert result.config.store == (("x", True),)
-        assert result.config.prog == Skip()
+        config = Config((("x", False),), "tt", parse("x := tt; tick(!x)"))
+        out, branches = machine.run_round(config)
+        assert out == "tt"
+        for child in branches.values():
+            assert (child.store, child.prog) == ((("x", True),), Skip())
 
     def test_each_config_matches_exactly_one_rule(self):
         # Redex audit: for every statement kind, the dispatcher either
         # rewrites (value subterms) or recurses (reducible subterms),
-        # and repeated calls agree.
+        # and repeated calls give equal rounds.
         machine = simple_machine()
         samples = [
-            parse("skip; skip"),
-            parse("x := tt"),
-            parse("x := !x"),
-            parse("if tt then skip else skip"),
-            parse("if !x then skip else skip"),
-            parse("while !x do skip done"),
-            parse("tick(tt)"),
-            parse("tick(!x)"),
-            Get(0),
-            Deref(VarRef("x")),
+            "skip; skip",
+            "skip; skip; tick(tt)",
+            "x := tt; tick(!x)",
+            "x := !x; tick(!x)",
+            "if tt then tick(tt) else skip",
+            "if !x then tick(tt) else tick(ff)",
+            "while !x do x := tt done; tick(!x)",
+            "tick(tt)",
+            "tick(!x)",
+            "tick(get)",
         ]
-        for prog in samples:
-            config = Config((("x", False),), "tt", prog)
-            assert machine.step(config) == machine.step(config)
+        for text in samples:
+            config = Config((("x", False),), "tt", parse(text))
+            assert machine.run_round(config) == machine.run_round(config)
 
     def test_subject_reduction_along_program1_round(self):
+        # Every continuation of every round reached from program1 is a
+        # well-typed command.
         program = load_program("program1.psy")
         machine = program.machine
         env = {v.name: v.base for v in machine.variables}
-        config = Config(
-            machine.initial_store(), machine.inputs.symbols[0], program.body
-        )
-        for _ in range(60):
-            result = machine.step(config)
-            if isinstance(result, Node):
-                configs = [child.config for (_, child) in result.branches]
-            else:
-                configs = [result.config]
-            for c in configs:
-                assert (
-                    typecheck(c.prog, env, machine.in_types, machine.out_types)
-                    == COMM
-                )
-            config = configs[0]
+        start = Config(machine.initial_store(), machine.inputs.symbols[0], program.body)
+        seen, todo = {start}, [start]
+        while todo:
+            _, branches = machine.run_round(todo.pop())
+            for c in branches.values():
+                assert typecheck(c.prog, env, machine.in_types, machine.out_types) == COMM
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        assert len(seen) > 3
 
 
 class TestBuildLts:

@@ -22,7 +22,7 @@ from syncreact.core import (
 )
 from syncreact.lasso import EffectSequence, PairSetSequence
 from syncreact.psyc.loader import ProgramFile
-from syncreact.psyc.semantics import Config, Leaf, Machine, Node, VarDecl
+from syncreact.psyc.semantics import Config, Machine, VarDecl
 from syncreact.psyc.syntax import Skip, Token, VarRef
 from syncreact.psyc.typecheck import Ty
 from syncreact.reactivity import ReactionTime, SepPairSet, StrongSepResult
@@ -46,8 +46,6 @@ SYSTEM_REPR = (
 )
 SILENT = EffectSequence((), (None,))
 MACHINE = Machine(IO, OUT, ("bool",), ("bool",), ())
-CONFIG = Config((("x", True),), "i", Skip())
-LEAF = Leaf(CONFIG)
 CONFIG_REPR = "Config(store=(('x', True),), pending='i', prog=Skip())"
 
 # class, fields in order, a changed value for the first field, repr, hashable
@@ -134,14 +132,6 @@ CASES = [
         True,
     ),
     (Config, {"store": (("x", True),), "pending": "i", "prog": Skip()}, (), CONFIG_REPR, True),
-    (Leaf, {"config": CONFIG}, Config((), "i", Skip()), f"Leaf(config={CONFIG_REPR})", True),
-    (
-        Node,
-        {"out": "o", "branches": (("i", LEAF),)},
-        "p",
-        f"Node(out='o', branches=(('i', Leaf(config={CONFIG_REPR})),))",
-        True,
-    ),
     (
         VarDecl,
         {"name": "y", "base": "int", "low": 0, "high": 4},
