@@ -72,7 +72,7 @@ def doe_levels(
     index the tail loops back to.
     """
     sys.check_state(q)
-    pairs, _ = _separating_ids(sys, q)
+    pairs, _ = _separating_ids(sys, q, sys, q)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     succ, i = sys.succ, sys.index[q]
@@ -159,17 +159,9 @@ def ssp(
     sys_a.require_same_signature(sys_b)
     sys_a.check_state(q1)
     sys_b.check_state(q2)
-    oracle = BisimOracle(sys_a, sys_b)
-    moves_a = sys_a.succ[sys_a.index[q1]]
-    moves_b = align(sys_a, sys_b)[0][sys_b.index[q2]]
-    gaps = class_gaps([moves_b], oracle.cls_b, len(moves_b))
-    held = row_orientations(moves_a, oracle.cls_a, gaps, 1)
     symbols = sys_a.inputs.symbols
-    return tuple(
-        (symbols[a1], symbols[a2])
-        for (a1, a2) in itertools.combinations(range(len(symbols)), 2)
-        if held[(a1, a2)] | held[(a2, a1)]
-    )
+    pairs, _ = _separating_ids(sys_a, q1, sys_b, q2)
+    return tuple((symbols[a1], symbols[a2]) for (a1, a2) in pairs)
 
 
 class LemmaVerdict(Record):

@@ -398,17 +398,16 @@ class Product:
         return self.out_a[node[0]] == self.out_b[node[1]]
 
 
-def reach(start, step: Callable, keep: Optional[Callable] = None) -> dict:
-    """Breadth-first exploration from ``start``.
+def reach(start, step: Callable) -> dict:
+    """Breadth-first exploration from ``start``, e.g. of a composite's states.
 
-    Returns ``node -> [(label, successor)]`` in discovery order, keeping
-    only the edges into nodes that satisfy ``keep`` (all when None), so
-    the region explored is the one reachable through kept nodes.
+    Returns ``node -> [(label, successor)]`` in discovery order, each
+    node with every edge ``step`` lists.
     """
     graph = {start: []}
     queue = [start]
     for node in queue:
-        edges = graph[node] = [e for e in step(node) if keep is None or keep(e[1])]
+        edges = graph[node] = step(node)
         for (_, t) in edges:
             if t not in graph:
                 graph[t] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, reach
+from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, align
 from .errors import SeparatorBoundExceeded
 
 Pair = tuple[str, str]
@@ -84,17 +84,24 @@ def row_orientations(moves_a, cls_a, gaps: list[dict[int, int]], everything: int
     return masks
 
 
-def _separating_ids(sys: SynchronousSystem, q: str):
-    """Separating pairs of q and their deterministic subset, as input id pairs in order."""
-    oracle = BisimOracle(sys, sys)
-    moves = sys.succ[sys.index[q]]
+def _separating_ids(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):
+    """Separating pairs of (p, q) and their deterministic subset, as input id pairs in order.
+
+    (a1, a2) separates when some a1-successor of p is non-bisimilar to
+    every a2-successor of q, or the same with a1 and a2 swapped.  It is
+    deterministic when no a1-successor of p is bisimilar to an
+    a2-successor of q.  q's row is read through :func:`core.align`.
+    """
+    oracle = BisimOracle(sys_a, sys_b)
+    moves_p = sys_a.succ[sys_a.index[p]]
+    moves_q = align(sys_a, sys_b)[0][sys_b.index[q]]
     cls_a, cls_b = oracle.cls_a, oracle.cls_b
-    held = row_orientations(moves, cls_a, class_gaps([moves], cls_b, len(moves)), 1)
+    held = row_orientations(moves_p, cls_a, class_gaps([moves_q], cls_b, len(moves_q)), 1)
     pairs, deterministic = [], []
-    for (a1, a2) in itertools.combinations(range(len(sys.inputs)), 2):
+    for (a1, a2) in itertools.combinations(range(len(moves_p)), 2):
         if held[(a1, a2)] | held[(a2, a1)]:
             pairs.append((a1, a2))
-            if not {cls_a[x] for x in moves[a1]} & {cls_b[y] for y in moves[a2]}:
+            if not {cls_a[x] for x in moves_p[a1]} & {cls_b[y] for y in moves_q[a2]}:
                 deterministic.append((a1, a2))
     return pairs, deterministic
 
@@ -111,7 +118,7 @@ def separating_pairs(sys: SynchronousSystem, q: str) -> SepPairSet:
     symbols = sys.inputs.symbols
     pairs, deterministic = (
         tuple((symbols[a1], symbols[a2]) for (a1, a2) in ids)
-        for ids in _separating_ids(sys, q)
+        for ids in _separating_ids(sys, q, sys, q)
     )
     return SepPairSet(pairs, deterministic)
 
@@ -144,6 +151,11 @@ def separators(
     information because every extension still separates.  A level with
     more than :data:`MAX_PENDING_WORDS` words still to extend raises
     SeparatorBoundExceeded.
+
+    A word keeps its pending nodes, whose run pairs have not differed,
+    and one flag for "some run pair has differed".  That relies on
+    completeness, which every analysis assumes and the command line
+    enforces: a differed run pair stays differed on every extension.
     """
     product, root = _rooted(sys_a, p, sys_b, q)
     if not product.eq(root):
@@ -151,24 +163,25 @@ def separators(
         return [((), True)]
     symbols = sys_a.inputs.symbols
     results: list[tuple[tuple[str, ...], bool]] = []
-    # Frontier per candidate word: the nodes its run pairs reach, each
-    # flagged once the path to it has passed a DIFF node.
-    frontier: list[tuple[tuple[str, ...], set]] = [((), {(root, False)})]
+    frontier: list[tuple[tuple[str, ...], set, bool]] = [((), {root}, False)]
     for _ in range(max_len):
         next_frontier = []
-        for (word, nodes) in frontier:
+        for (word, pending, differed) in frontier:
             reached: list[set] = [set() for _ in symbols]
-            for (node, differed) in nodes:
+            split = [differed] * len(symbols)
+            for node in pending:
                 for (a, t) in product.step(node):
-                    reached[a].add((t, differed or not product.eq(t)))
+                    if product.eq(t):
+                        reached[a].add(t)
+                    else:
+                        split[a] = True
             for a, sym in enumerate(symbols):
-                flags = {differed for (_, differed) in reached[a]}
-                if True in flags:
-                    results.append((word + (sym,), False not in flags))
-                if flags != {True}:
+                if split[a]:
+                    results.append((word + (sym,), not reached[a]))
+                if reached[a]:
                     if len(next_frontier) == MAX_PENDING_WORDS:
                         raise SeparatorBoundExceeded(MAX_PENDING_WORDS)
-                    next_frontier.append((word + (sym,), reached[a]))
+                    next_frontier.append((word + (sym,), reached[a], split[a]))
         frontier = next_frontier
     return results
 
@@ -202,9 +215,9 @@ def strongly_separable(
     region reachable from (p, q) through EQ nodes.
     """
     product, root = _rooted(sys_a, p, sys_b, q)
-    cycle, word = _strong_separation(product, root)
+    cycle, _, length = _eq_search(product, [root])
     if cycle is None:
-        return StrongSepResult(True, bound=len(word))
+        return StrongSepResult(True, bound=length.get(root, 0))
     symbols = sys_a.inputs.symbols
     return StrongSepResult(
         False,
@@ -214,64 +227,44 @@ def strongly_separable(
     )
 
 
-def _strong_separation(product: Product, root) -> tuple[Optional[tuple], tuple[int, ...]]:
-    """An EQ lasso from root, or else one longest all-EQ word (input ids).
+def _eq_search(product: Product, roots) -> tuple[Optional[tuple], dict, dict]:
+    """Depth-first search of the EQ region from each root in turn: ``(cycle, edges, length)``.
 
-    A DIFF root has neither: its empty region gives ``(None, ())``.
+    ``cycle`` is the first EQ lasso met, as ``(node, input id)`` steps,
+    else None.  ``edges`` holds a node's EQ edges ``(input id,
+    successor)`` in step order, listed when the search enters it, so it
+    expands only what it reaches, and each node once.  ``length`` holds
+    each finished node's longest all-EQ path, set at exit.  DIFF roots
+    and finished roots are skipped.  Children are pushed in edge order
+    and the last is entered first; back edges are caught on entry.
     """
-    if not product.eq(root):
-        return None, ()
-    region = reach(root, product.step, product.eq)
-    cycle, postorder = _search(root, region)
-    if cycle is not None:
-        return cycle, ()
-    return None, _longest_path_witness(root, region, postorder)
-
-
-def _search(root, region):
-    """Iterative DFS from root: ``(cycle, postorder)``, cycle None when the region is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in region}
-    path: list[tuple] = []
-    postorder = []
-    stack: list[tuple] = [("enter", root, None)]
-    while stack:
-        action, node, via = stack.pop()
-        if action == "exit":
-            color[node] = BLACK
-            postorder.append(node)
-            path.pop()
-            continue
-        if color[node] != WHITE:
-            continue
-        color[node] = GRAY
-        path.append((node, via))
-        stack.append(("exit", node, None))
-        for (label, t) in region[node]:
-            if color[t] == GRAY:
-                # Found a back edge: slice the cycle out of the path.
-                start = [n for (n, _) in path].index(t)
-                cycle = [(path[i][0], path[i + 1][1]) for i in range(start, len(path) - 1)]
-                return tuple(cycle) + ((node, label),), postorder
-            if color[t] == WHITE:
-                stack.append(("enter", t, label))
-    return None, postorder
-
-
-def _longest_path_witness(root, region, postorder) -> tuple:
-    """Labels of one longest path from root in the acyclic region."""
+    edges: dict = {}
     length: dict = {}
-    for node in postorder:
-        length[node] = max((1 + length[t] for (_, t) in region[node]), default=0)
-    word = []
-    node = root
-    while length[node] > 0:
-        for (label, t) in region[node]:
-            if length[t] == length[node] - 1:
-                word.append(label)
-                node = t
-                break
-    return tuple(word)
+    for root in roots:
+        if root in edges or not product.eq(root):
+            continue
+        path: list[tuple] = []  # (node, input id it was entered on) of unfinished nodes
+        stack: list[tuple] = [(True, root, None)]
+        while stack:
+            entering, node, via = stack.pop()
+            if not entering:
+                length[node] = max((1 + length[t] for (_, t) in edges[node]), default=0)
+                path.pop()
+                continue
+            if node in edges:
+                continue
+            path.append((node, via))
+            stack.append((False, node, None))
+            out = edges[node] = [(a, t) for (a, t) in product.step(node) if product.eq(t)]
+            for (a, t) in out:
+                if t not in edges:
+                    stack.append((True, t, a))
+                elif t not in length:
+                    # A back edge: slice the cycle out of the path.
+                    start = [n for (n, _) in path].index(t)
+                    cycle = [(path[i][0], path[i + 1][1]) for i in range(start, len(path) - 1)]
+                    return tuple(cycle) + ((node, a),), edges, length
+    return None, edges, length
 
 
 def diff(
@@ -302,8 +295,12 @@ def diff(
             values.add((outputs[o1], outputs[o2]) if o1 != o2 else STAR)
         result.append(values)
         if i < len(word):
+            a = inputs[i]
             frontier = {
-                t for node in frontier for (a, t) in product.step(node) if a == inputs[i]
+                (x, y)
+                for (r1, r2) in frontier
+                for x in product.succ_a[r1][a]
+                for y in product.succ_b[r2][a]
             }
     return result
 
@@ -332,20 +329,22 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     The witness spells a longest all-EQ path plus one forcing symbol.
     """
     sys.check_state(q)
-    _, deterministic = _separating_ids(sys, q)
+    _, deterministic = _separating_ids(sys, q, sys, q)
     if not deterministic:
         return ReactionTime(None)
     product = Product(sys, sys)
     moves = sys.succ[sys.index[q]]
-    candidates = []
-    for (a1, a2) in deterministic:
-        for q1 in moves[a1]:
-            for q2 in moves[a2]:
-                cycle, path_word = _strong_separation(product, (q1, q2))
-                if cycle is not None:
-                    return ReactionTime(None)
-                differ = not product.eq((q1, q2))
-                candidates.append((0, ()) if differ else (len(path_word) + 1, path_word + (0,)))
+    roots = [(q1, q2) for (a1, a2) in deterministic for q1 in moves[a1] for q2 in moves[a2]]
+    cycle, edges, length = _eq_search(product, roots)
+    if cycle is not None:
+        return ReactionTime(None)
     # The first worst case wins ties.
-    time, witness = max(candidates, key=lambda c: c[0], default=(-1, ()))
+    times = [(length[r] + 1 if product.eq(r) else 0, r) for r in roots]
+    time, node = max(times, key=lambda c: c[0], default=(-1, None))
+    witness = []
+    if time > 0:
+        while length[node] > 0:
+            a, node = next((a, t) for (a, t) in edges[node] if length[t] == length[node] - 1)
+            witness.append(a)
+        witness.append(0)
     return ReactionTime(time, tuple(sys.inputs.symbols[a] for a in witness))

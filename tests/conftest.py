@@ -26,6 +26,25 @@ def count_refinements(monkeypatch) -> list:
     return built
 
 
+def count_expansions(monkeypatch) -> list:
+    """Record every node whose successors a ``Product.step`` lists from now on."""
+    expanded = []
+    original = core.Product.__init__
+
+    def counting(self, sys_a, sys_b):
+        original(self, sys_a, sys_b)
+        step = self.step
+
+        def recording(node):
+            expanded.append(node)
+            return step(node)
+
+        self.step = recording
+
+    monkeypatch.setattr(core.Product, "__init__", counting)
+    return expanded
+
+
 @contextlib.contextmanager
 def shallow_stack(frames: int = 150):
     """Lower the recursion limit to the current stack depth plus ``frames``.

@@ -5,8 +5,11 @@ no shared code paths with the library algorithms it checks: bisimilarity
 as a greatest fixpoint over state pairs, separation depths as the first
 iterated pair relation that drops a pair, separators by exhaustive word
 enumeration over run pairs, reaction time by per-word guaranteed
-difference search, and `.psy` rounds by the original small-step
-evaluator, which rebuilds the whole program after every reduction.
+difference search, strong separability and reaction time also by the
+original three passes over each root's EQ region (breadth-first region,
+depth-first cycle search, longest path), and `.psy` rounds by the
+original small-step evaluator, which rebuilds the whole program after
+every reduction.
 DOE and SSPseq level sets are also walked the original way, as
 frozensets of state-id pairs with every pair's successors and strongly
 separating pairs cached one pair at a time.
@@ -62,7 +65,7 @@ from syncreact.psyc.syntax import (
     is_value,
     unparse,
 )
-from syncreact.reactivity import reactive
+from syncreact.reactivity import ReactionTime, StrongSepResult, reactive, separating_pairs
 
 
 def naive_bisimilar_pairs(sys: SynchronousSystem) -> set:
@@ -267,6 +270,121 @@ def guaranteed_diff_index(sys_a, p, sys_b, q, word):
         ):
             return n
     return None
+
+
+# The original strong separability and reaction time searches: per root,
+# a breadth-first pass collects the EQ region, a depth-first pass looks
+# for a cycle in it, and a pass over the postorder takes longest paths.
+
+
+def _naive_eq_product(sys_a, sys_b):
+    """EQ test and EQ-filtered step of the synchronized product, on id pairs."""
+    succ_b, out_b = align(sys_a, sys_b)
+
+    def eq(node):
+        return sys_a.out_ids[node[0]] == out_b[node[1]]
+
+    def step(node):
+        moves_a, moves_b = sys_a.succ[node[0]], succ_b[node[1]]
+        edges = [(a, (x, y)) for a in range(len(moves_a)) for x in moves_a[a] for y in moves_b[a]]
+        return [(a, t) for (a, t) in edges if eq(t)]
+
+    return eq, step
+
+
+def _naive_eq_region(root, step):
+    region = {root: []}
+    queue = [root]
+    for node in queue:
+        region[node] = step(node)
+        for (_, t) in region[node]:
+            if t not in region:
+                region[t] = []
+                queue.append(t)
+    return region
+
+
+def _naive_cycle_search(root, region):
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in region}
+    path, postorder = [], []
+    stack = [("enter", root, None)]
+    while stack:
+        action, node, via = stack.pop()
+        if action == "exit":
+            color[node] = BLACK
+            postorder.append(node)
+            path.pop()
+            continue
+        if color[node] != WHITE:
+            continue
+        color[node] = GRAY
+        path.append((node, via))
+        stack.append(("exit", node, None))
+        for (label, t) in region[node]:
+            if color[t] == GRAY:
+                start = [n for (n, _) in path].index(t)
+                cycle = [(path[i][0], path[i + 1][1]) for i in range(start, len(path) - 1)]
+                return tuple(cycle) + ((node, label),), postorder
+            if color[t] == WHITE:
+                stack.append(("enter", t, label))
+    return None, postorder
+
+
+def _naive_longest_word(root, region, postorder):
+    length = {}
+    for node in postorder:
+        length[node] = max((1 + length[t] for (_, t) in region[node]), default=0)
+    word, node = [], root
+    while length[node] > 0:
+        for (label, t) in region[node]:
+            if length[t] == length[node] - 1:
+                word.append(label)
+                node = t
+                break
+    return tuple(word)
+
+
+def _naive_strong_separation(eq, step, root):
+    """An EQ lasso from root, or else one longest all-EQ word; ``(None, ())`` at a DIFF root."""
+    if not eq(root):
+        return None, ()
+    region = _naive_eq_region(root, step)
+    cycle, postorder = _naive_cycle_search(root, region)
+    if cycle is not None:
+        return cycle, ()
+    return None, _naive_longest_word(root, region, postorder)
+
+
+def naive_strongly_separable(sys_a, p, sys_b, q) -> StrongSepResult:
+    eq, step = _naive_eq_product(sys_a, sys_b)
+    cycle, word = _naive_strong_separation(eq, step, (sys_a.index[p], sys_b.index[q]))
+    if cycle is None:
+        return StrongSepResult(True, bound=len(word))
+    symbols = sys_a.inputs.symbols
+    return StrongSepResult(
+        False,
+        cycle=tuple(((sys_a.states[x], sys_b.states[y]), symbols[a]) for ((x, y), a) in cycle),
+    )
+
+
+def naive_reaction_time(sys, q) -> ReactionTime:
+    """Each successor pair of each deterministic separating pair searched on its own."""
+    eq, step = _naive_eq_product(sys, sys)
+    index = sys.inputs.index
+    moves = sys.succ[sys.index[q]]
+    deterministic = separating_pairs(sys, q).deterministic_subset
+    if not deterministic:
+        return ReactionTime(None)
+    candidates = []
+    for (s1, s2) in deterministic:
+        for root in itertools.product(moves[index(s1)], moves[index(s2)]):
+            cycle, word = _naive_strong_separation(eq, step, root)
+            if cycle is not None:
+                return ReactionTime(None)
+            candidates.append((0, ()) if not eq(root) else (len(word) + 1, word + (0,)))
+    time, witness = max(candidates, key=lambda c: c[0], default=(-1, ()))
+    return ReactionTime(time, tuple(sys.inputs.symbols[a] for a in witness))
 
 
 def random_system(

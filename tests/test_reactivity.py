@@ -16,17 +16,21 @@ from syncreact import (
     separators,
     strongly_separable,
 )
-from syncreact.core import BisimOracle
+from syncreact.core import Alphabet, BisimOracle, SynchronousSystem
 from syncreact.errors import SignatureMismatch, UnknownState
 from syncreact.lasso import STAR
-from syncreact.reactivity import class_gaps, row_orientations
+from syncreact.reactivity import ReactionTime, StrongSepResult, class_gaps, row_orientations
 
+from .conftest import count_expansions
 from .oracles import (
     brute_separators,
     guaranteed_diff_index,
     naive_non_bisimilar,
+    naive_reaction_time,
+    naive_strongly_separable,
     orientations,
     random_system,
+    sized_system,
 )
 
 
@@ -369,6 +373,111 @@ class TestReactionTime:
 
     def test_const_infinite(self, const_sys):
         assert det_reaction_time(const_sys, "c0").time is None
+
+
+def build(inputs, out_label: dict, moves: dict) -> SynchronousSystem:
+    """A system from ``state -> output`` and ``state -> one successor set per input``."""
+    return SynchronousSystem(
+        name="built",
+        inputs=Alphabet(inputs),
+        outputs=Alphabet(tuple(sorted(set(out_label.values())))),
+        states=tuple(out_label),
+        transitions=tuple(
+            (q, a, t) for q, targets in moves.items() for a, ts in zip(inputs, targets) for t in ts
+        ),
+        out_label=out_label,
+        initial=next(iter(out_label)),
+    )
+
+
+def shared_region_system(m: int) -> SynchronousSystem:
+    """q's only deterministic pair (a, b) has two successor pairs, (x1, y) and (x2, y).
+
+    Both step into one EQ chain of m pairs (c_i, d_i) that ends at a DIFF pair.
+    """
+    out_label = {"q": "0", "x1": "0", "x2": "0", "y": "0"}
+    moves = {"q": [("x1", "x2"), ("y",)], "x1": [("c0",)] * 2, "x2": [("c0",)] * 2}
+    moves["y"] = [("d0",)] * 2
+    for side, last in (("c", "1"), ("d", "0")):
+        for i in range(m + 1):
+            out_label[f"{side}{i}"] = "0" if i < m else last
+            moves[f"{side}{i}"] = [(f"{side}{min(i + 1, m)}",)] * 2
+    return build(("a", "b"), out_label, moves)
+
+
+def multi_root_states(seed: int, count: int):
+    """Random (system, state) with at least two reaction-time roots, up to ``count`` of them."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        sys = sized_system(rng, "r", rng.randint(3, 9), ("a", "b", "c"), ("0", "1", "2"))
+        index = sys.inputs.index
+        for q in sys.states:
+            moves = sys.succ[sys.index[q]]
+            roots = sum(
+                len(moves[index(s1)]) * len(moves[index(s2)])
+                for (s1, s2) in separating_pairs(sys, q).deterministic_subset
+            )
+            if roots >= 2:
+                found.append((sys, q))
+    return found[:count]
+
+
+class TestEqSearch:
+    """The one lazy EQ-region search against the three passes it replaced."""
+
+    def test_matches_three_pass_reference_on_random_systems(self):
+        rng = random.Random(41)
+        for i in range(300):
+            inputs = ("a", "b", "c")[: rng.choice((2, 3))]
+            nondet = (0.0, 0.2, 0.5)[i % 3]
+            sys_a = sized_system(rng, "a", rng.randint(1, 7), inputs, ("0", "1"), nondet)
+            if i % 2:
+                permuted = tuple(rng.sample(inputs, len(inputs)))
+                sys_b = sized_system(rng, "b", rng.randint(1, 7), permuted, ("1", "0"), nondet)
+            else:
+                sys_b = sys_a
+            for p in sys_a.states:
+                for q in sys_b.states:
+                    expected = naive_strongly_separable(sys_a, p, sys_b, q)
+                    assert strongly_separable(sys_a, p, sys_b, q) == expected
+            for q in sys_a.states:
+                assert det_reaction_time(sys_a, q) == naive_reaction_time(sys_a, q)
+
+    def test_multi_root_states_match_reference(self):
+        # Successor pairs of one state often share EQ nodes here.
+        for sys, q in multi_root_states(43, 400):
+            assert det_reaction_time(sys, q) == naive_reaction_time(sys, q)
+
+    def test_cycle_found_before_the_region_is_expanded(self, monkeypatch):
+        # Two chains of 50 EQ pairs on input a, a self-loop on input b.
+        n = 50
+        out_label, moves = {}, {}
+        for side in ("x", "y"):
+            for i in range(n):
+                out_label[f"{side}{i}"] = "0"
+                moves[f"{side}{i}"] = [(f"{side}{min(i + 1, n - 1)}",), (f"{side}{i}",)]
+        sys = build(("a", "b"), out_label, moves)
+        expanded = count_expansions(monkeypatch)
+        verdict = strongly_separable(sys, "x0", sys, "y0")
+        assert verdict == StrongSepResult(False, cycle=((("x0", "y0"), "b"),))
+        assert verdict == naive_strongly_separable(sys, "x0", sys, "y0")
+        assert len(expanded) <= 3 < n
+
+    def test_reaction_time_expands_a_shared_region_once(self, monkeypatch):
+        sys = shared_region_system(30)
+        expanded = count_expansions(monkeypatch)
+        result = det_reaction_time(sys, "q")
+        assert result == ReactionTime(31, ("a",) * 31)
+        assert result == naive_reaction_time(sys, "q")
+        assert len(expanded) == len(set(expanded)) == 2 + 30
+
+    def test_reaction_time_expands_each_node_once_on_random_states(self, monkeypatch):
+        expanded = count_expansions(monkeypatch)
+        for sys, q in multi_root_states(47, 400):
+            expanded.clear()
+            det_reaction_time(sys, q)
+            assert len(expanded) == len(set(expanded)), (sys.transitions, q)
 
 
 class TestBisimulationInvariance:
