@@ -27,10 +27,6 @@ class ComposedSystem(Record):
         self.system, self.kind, self.left, self.right = system, kind, left, right
 
 
-def _pair_state(qf: str, qg: str) -> str:
-    return f"{qf}{STATE_JOIN}{qg}"
-
-
 def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):
     """Step of the sequential composite on state id pairs, labelled by input id.
 
@@ -45,38 +41,28 @@ def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):
 def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> SynchronousSystem:
     """The part of a product reachable from the state pair ``start``.
 
-    Composite states are named ``qf*qg``; an edge label indexes
-    ``inputs`` and ``output(node)`` names a composite state's output.
-    Raises :class:`UnknownState` when component names holding ``*``
-    give two reachable pairs one name.
+    Composite states are named ``qf*qg`` and numbered in discovery
+    order (:func:`reach`); an edge label indexes ``inputs`` and
+    ``output(node)`` is a composite state's output id.  Raises
+    :class:`UnknownState` when component names holding ``*`` give two
+    reachable pairs one name.
     """
-    graph = reach((sys_f.index[start[0]], sys_g.index[start[1]]), step)
-    state = {
-        node: _pair_state(sys_f.states[node[0]], sys_g.states[node[1]]) for node in graph
-    }
-    if len(set(state.values())) < len(state):
+    nodes, succ = reach((sys_f.index[start[0]], sys_g.index[start[1]]), step, len(inputs))
+    names_f, names_g = sys_f.states, sys_g.states
+    states = tuple(f"{names_f[p]}{STATE_JOIN}{names_g[q]}" for (p, q) in nodes)
+    if len(set(states)) < len(states):
         owner: dict[str, tuple[int, int]] = {}
-        for node, joined in state.items():
+        for node, joined in zip(nodes, states):
             first = owner.setdefault(joined, node)
             if first != node:
-                pairs = [(sys_f.states[p], sys_g.states[q]) for (p, q) in (first, node)]
+                pairs = [(names_f[p], names_g[q]) for (p, q) in (first, node)]
                 raise UnknownState(
                     f"composite state {joined!r} names both pairs "
                     + " and ".join(f"({qf}, {qg})" for (qf, qg) in pairs)
                     + f"; {STATE_JOIN!r} is reserved in state names"
                 )
-    return SynchronousSystem(
-        name=name,
-        inputs=inputs,
-        outputs=outputs,
-        states=tuple(state.values()),
-        transitions=tuple(
-            (state[node], inputs.symbols[label], state[t])
-            for node, edges in graph.items()
-            for (label, t) in edges
-        ),
-        out_label={state[node]: output(node) for node in graph},
-        initial=_pair_state(*start),
+    return SynchronousSystem.from_tables(
+        name, inputs, outputs, states, succ, [output(node) for node in nodes], 0
     )
 
 
@@ -107,7 +93,7 @@ def seq_compose(
         sys_g,
         start,
         step,
-        lambda node: sys_g.out_label[sys_g.states[node[1]]],
+        lambda node: sys_g.out_ids[node[1]],
     )
     return ComposedSystem(system, "seq", sys_f.name, sys_g.name)
 
@@ -132,8 +118,6 @@ def par_compose(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> ComposedS
         sys_g,
         (sys_f.initial, sys_g.initial),
         pair_step(sys_f.succ, sys_g.succ, lambda node: columns),
-        lambda node: outputs.symbols[
-            sys_f.out_ids[node[0]] * len(sys_g.outputs) + sys_g.out_ids[node[1]]
-        ],
+        lambda node: sys_f.out_ids[node[0]] * len(sys_g.outputs) + sys_g.out_ids[node[1]],
     )
     return ComposedSystem(system, "par", sys_f.name, sys_g.name)

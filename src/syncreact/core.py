@@ -71,12 +71,12 @@ class Record:
     """Base of the value classes: ``==``, ``hash`` and repr from the fields.
 
     A subclass's own ``__slots__`` names its fields in order (a
-    ``__dict__`` entry aside) and its ``__init__`` sets them; instances
-    are never changed after construction.  Like a frozen dataclass, two
-    records are equal when they are of one class with equal fields,
-    hash by their fields and print as ``Cls(field=value, ...)``.  One
-    ``attrgetter`` reads the fields, so comparing and hashing run no
-    Python loop.
+    ``__dict__`` entry aside) unless the class lists them in ``_fields``,
+    and its ``__init__`` sets them; instances are never changed after
+    construction.  Like a frozen dataclass, two records are equal when
+    they are of one class with equal fields, hash by their fields and
+    print as ``Cls(field=value, ...)``.  One ``attrgetter`` reads the
+    fields, so comparing and hashing run no Python loop.
     """
 
     __slots__ = ()
@@ -85,7 +85,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__slots__" in cls.__dict__:
-            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+            if "_fields" not in cls.__dict__:
+                cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
             if cls._fields:
                 cls._values = attrgetter(*cls._fields)
 
@@ -149,25 +150,42 @@ class Alphabet(Record):
 Transition = tuple[str, str, str]
 
 
+def _check_name(name: str) -> None:
+    if not is_token(name):
+        raise UnknownSymbol(f"bad system name {name!r}")
+
+
 class SynchronousSystem(Record):
     """Complete, finitely-branching Moore-style LTS.
 
     Immutable after construction; every operation in this package is a
     pure query, so instances can be shared freely across threads.
 
-    Construction validates the names and compiles them into the integer
-    tables every analysis walks: ``index`` numbers the states in
+    The integer tables are the system: ``index`` numbers the states in
     declaration order, ``succ[q][a]`` holds the successor ids of state q
-    on input a in transition order, and ``out_ids[q]`` is q's output id.
-    Ids are turned back into names only where results are returned.
-    Equality compares the seven declared fields, not the tables; systems
-    are unhashable.
+    on input a, and ``out_ids[q]`` is q's output id.  Every analysis
+    walks them, and ids are turned back into names only where results
+    are returned.  ``transitions`` and ``out_label`` are views of the
+    tables, built on use.  Table order lists the transitions state by
+    state and input by input, each row's successors in the order they
+    were first declared.  Name triples declared in another order, or
+    with a triple repeated, are kept as ``declared_transitions``, which
+    ``transitions``, the writers and :func:`bisim_quotient` then follow;
+    otherwise ``declared_transitions`` is None.
+
+    The constructor checks the seven fields it takes; the builders,
+    whose tables come from checked systems, use :meth:`from_tables`.
+    Equality compares the seven fields, not the tables; systems are
+    unhashable.
     """
 
-    # The tables and the cached refinement live in the instance __dict__.
+    # The tables and the cached analyses live in the instance __dict__;
+    # ``_out_label`` holds the out_label view once built.
     __slots__ = (
-        "name", "inputs", "outputs", "states", "transitions", "out_label", "initial", "__dict__"
+        "name", "inputs", "outputs", "states", "initial", "declared_transitions", "_out_label",
+        "__dict__",
     )
+    _fields = ("name", "inputs", "outputs", "states", "transitions", "out_label", "initial")
     __hash__ = None
     index: dict[str, int]
     succ: list[tuple[tuple[int, ...], ...]]
@@ -183,21 +201,19 @@ class SynchronousSystem(Record):
         out_label: Mapping[str, str],
         initial: str,
     ):
-        if not is_token(name):
-            raise UnknownSymbol(f"bad system name {name!r}")
-        self.name, self.inputs, self.outputs = name, inputs, outputs
-        self.states, self.transitions = states, transitions
-        self.out_label, self.initial = out_label, initial
+        _check_name(name)
         index = {}
-        for q in self.states:
+        for q in states:
             if not is_token(q):
                 raise UnknownState(f"bad state token {q!r}")
             if q in index:
                 raise UnknownState(f"duplicate state {q!r}")
             index[q] = len(index)
-        column = {a: i for i, a in enumerate(self.inputs)}
+        column = {a: i for i, a in enumerate(inputs)}
+        width = len(column)
         succ = [[[] for _ in column] for _ in index]
-        for (src, sym, dst) in self.transitions:
+        in_order, last = True, 0
+        for (src, sym, dst) in transitions:
             s, t, a = index.get(src), index.get(dst), column.get(sym)
             if s is None:
                 raise UnknownState(f"transition from undeclared state {src!r}")
@@ -205,21 +221,86 @@ class SynchronousSystem(Record):
                 raise UnknownState(f"transition to undeclared state {dst!r}")
             if a is None:
                 raise UnknownSymbol(f"transition on undeclared input {sym!r}")
-            if t not in succ[s][a]:
-                succ[s][a].append(t)
-        for q in self.states:
-            if q not in self.out_label:
+            moves = succ[s][a]
+            if t in moves:
+                in_order = False
+            else:
+                moves.append(t)
+            key = s * width + a
+            if key < last:
+                in_order = False
+            last = key
+        for q in states:
+            if q not in out_label:
                 raise UnknownState(f"state {q!r} has no output label")
-            if self.out_label[q] not in self.outputs:
-                raise UnknownSymbol(
-                    f"state {q!r} labeled with undeclared output {self.out_label[q]!r}"
-                )
-        if self.initial not in index:
-            raise UnknownState(f"initial state {self.initial!r} not declared")
-        out_id = {o: i for i, o in enumerate(self.outputs)}
-        self.index = index
-        self.succ = [tuple(map(tuple, moves)) for moves in succ]
-        self.out_ids = [out_id[self.out_label[q]] for q in self.states]
+            if out_label[q] not in outputs:
+                raise UnknownSymbol(f"state {q!r} labeled with undeclared output {out_label[q]!r}")
+        if initial not in index:
+            raise UnknownState(f"initial state {initial!r} not declared")
+        out_id = {o: i for i, o in enumerate(outputs)}
+        self._set(
+            name, inputs, outputs, states,
+            [tuple(map(tuple, moves)) for moves in succ],
+            [out_id[out_label[q]] for q in states],
+            index[initial],
+            None if in_order else transitions,
+            index,
+        )
+
+    @classmethod
+    def from_tables(
+        cls,
+        name: str,
+        inputs: Alphabet,
+        outputs: Alphabet,
+        states: tuple[str, ...],
+        succ: list[tuple[tuple[int, ...], ...]],
+        out_ids: list[int],
+        initial: int,
+        declared_transitions: Optional[tuple[Transition, ...]] = None,
+    ) -> "SynchronousSystem":
+        """A system from tables built out of checked systems, taken as they are.
+
+        ``initial`` is a state id.  Only the name, which a builder may
+        take from a file name, is checked.  ``declared_transitions`` is
+        passed when the transitions' declared order differs from table
+        order.
+        """
+        _check_name(name)
+        system = cls.__new__(cls)
+        system._set(
+            name, inputs, outputs, states, succ, out_ids, initial, declared_transitions,
+            dict(zip(states, range(len(states)))),
+        )
+        return system
+
+    def _set(self, name, inputs, outputs, states, succ, out_ids, initial, declared, index):
+        self.name, self.inputs, self.outputs, self.states = name, inputs, outputs, states
+        self.initial = states[initial]
+        self.declared_transitions = declared
+        self._out_label = None
+        self.index, self.succ, self.out_ids = index, succ, out_ids
+
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        """Name triples, in the declared order when one is kept, else in table order."""
+        if self.declared_transitions is not None:
+            return self.declared_transitions
+        states = self.states
+        return tuple(
+            (q, a, states[t])
+            for q, moves in zip(states, self.succ)
+            for a, ts in zip(self.inputs.symbols, moves)
+            for t in ts
+        )
+
+    @property
+    def out_label(self) -> dict[str, str]:
+        """Each state's output symbol, in state order."""
+        if self._out_label is None:
+            symbols = self.outputs.symbols
+            self._out_label = {q: symbols[o] for q, o in zip(self.states, self.out_ids)}
+        return self._out_label
 
     def check_state(self, q: str) -> None:
         if q not in self.index:
@@ -240,12 +321,22 @@ class SynchronousSystem(Record):
 
     def out(self, q: str) -> str:
         self.check_state(q)
-        return self.out_label[q]
+        return self.outputs.symbols[self.out_ids[self.index[q]]]
+
+    @cached_property
+    def gaps(self) -> list[tuple[int, int]]:
+        """``(state id, input id)`` of every empty successor set, in table order."""
+        return [(q, a) for q, moves in enumerate(self.succ) for a, ts in enumerate(moves) if not ts]
 
     @cached_property
     def refinement(self) -> "_Refinement":
         """The system's own bisimulation refinement, built once (a race builds equal ones)."""
         return _Refinement(self.succ, self.out_ids)
+
+    @cached_property
+    def _joined(self) -> dict[int, tuple]:
+        """Refinements joined with other systems (:class:`BisimOracle`), by their ``id``."""
+        return {}
 
     def same_signature(self, other: "SynchronousSystem") -> bool:
         return self.inputs.same_symbols(other.inputs) and self.outputs.same_symbols(
@@ -263,15 +354,13 @@ def validate(sys: SynchronousSystem) -> list[str]:
     """Invariant report; empty list means the system is valid.
 
     Referential integrity is enforced at construction time, so the
-    remaining checkable invariant is completeness.  Violations are data,
-    not exceptions.
+    remaining checkable invariant is completeness (``sys.gaps``).
+    Violations are data, not exceptions.
     """
-    symbols = sys.inputs.symbols
+    states, symbols = sys.states, sys.inputs.symbols
     return [
-        f"incomplete: state {q} has no transition on input {symbols[a]}"
-        for q, moves in zip(sys.states, sys.succ)
-        for a, ts in enumerate(moves)
-        if not ts
+        f"incomplete: state {states[q]} has no transition on input {symbols[a]}"
+        for q, a in sys.gaps
     ]
 
 
@@ -398,21 +487,28 @@ class Product:
         return self.out_a[node[0]] == self.out_b[node[1]]
 
 
-def reach(start, step: Callable) -> dict:
+def reach(start, step: Callable, width: int) -> tuple[list, list]:
     """Breadth-first exploration from ``start``, e.g. of a composite's states.
 
-    Returns ``node -> [(label, successor)]`` in discovery order, each
-    node with every edge ``step`` lists.
+    ``step(node)`` lists a node's ``(label, successor)`` edges, labels
+    below ``width``.  Returns the nodes in discovery order, which
+    numbers them, and the successor table over those numbers: row i,
+    column ``label``, holds node i's successors on that label in the
+    order ``step`` lists them.
     """
-    graph = {start: []}
-    queue = [start]
-    for node in queue:
-        edges = graph[node] = step(node)
-        for (_, t) in edges:
-            if t not in graph:
-                graph[t] = []
-                queue.append(t)
-    return graph
+    number = {start: 0}
+    nodes = [start]
+    succ = []
+    for node in nodes:
+        moves: list[list[int]] = [[] for _ in range(width)]
+        for (label, t) in step(node):
+            i = number.get(t)
+            if i is None:
+                i = number[t] = len(nodes)
+                nodes.append(t)
+            moves[label].append(i)
+        succ.append(tuple(map(tuple, moves)))
+    return nodes, succ
 
 
 def fold(rule: Callable[..., Generator], root):
@@ -651,21 +747,35 @@ class _Refinement:
     a block still share its signature and stay together.  When a block
     splits, its largest part keeps the block id and every other part gets
     a fresh one, so a state changes id at most log2(n) times (Paige and
-    Tarjan 1987) and a round costs what its re-signed states cost.  Each
-    change is appended to the state's history as ``(round, id)``; ids name
-    blocks uniquely, so two states share a block at round k iff their ids
-    at round k are equal.
+    Tarjan 1987) and a round costs what its re-signed states cost.  A
+    signature holds one set of ids per input, written as the bare id
+    when it has one member, so signatures are equal exactly when their
+    sets are.  Each change is appended to the state's history as
+    ``(round, id)``; ids name blocks uniquely, so two states share a
+    block at round k iff their ids at round k are equal.
     """
 
     def __init__(self, succ: Sequence[tuple[tuple[int, ...], ...]], out: Sequence[int]):
         self.succ = succ
         preds: list[list[int]] = [[] for _ in succ]
+        # A row with one successor per input signs from its flat tuple of them.
+        flat: list[Optional[tuple[int, ...]]] = []
         for i, moves in enumerate(succ):
-            for j in set(itertools.chain.from_iterable(moves)):
+            row = tuple(itertools.chain.from_iterable(moves))
+            for j in set(row):
                 preds[j].append(i)
-        deterministic = all(len(ts) == 1 for moves in succ for ts in moves)
+            flat.append(row if len(row) == len(moves) and all(moves) else None)
         first: dict[int, int] = {}
         cls = [first.setdefault(o, len(first)) for o in out]
+        class_of = cls.__getitem__
+
+        def class_set(ts: tuple[int, ...]):
+            """The ids of ts as a bare id when there is one, else a frozenset."""
+            if len(ts) == 1:
+                return cls[ts[0]]
+            ids = frozenset(map(class_of, ts))
+            return next(iter(ids)) if len(ids) == 1 else ids
+
         members: list[set[int]] = [set() for _ in first]
         for i, c in enumerate(cls):
             members[c].add(i)
@@ -676,10 +786,11 @@ class _Refinement:
             rounds += 1
             parts: dict[tuple, list[int]] = {}
             for i in dirty:
-                if deterministic:
-                    key = (cls[i], *[cls[t] for (t,) in succ[i]])
+                row = flat[i]
+                if row is not None:
+                    key = (cls[i], *map(class_of, row))
                 else:
-                    key = (cls[i], *[frozenset([cls[t] for t in ts]) for ts in succ[i]])
+                    key = (cls[i], *map(class_set, succ[i]))
                 parts.setdefault(key, []).append(i)
             splits: dict[int, list] = {}
             for key, part in parts.items():
@@ -768,22 +879,58 @@ def bisim_classes(sys: SynchronousSystem) -> Partition:
 def bisim_quotient(
     sys: SynchronousSystem,
 ) -> tuple[Partition, SynchronousSystem]:
-    """Quotient by bisimilarity; quotient states are class representatives."""
+    """Quotient by bisimilarity; quotient states are class representatives.
+
+    Each quotient transition is listed once, where it first occurs in
+    ``sys``'s transitions.  In table order that is the representative's
+    own row: bisimilar states reach the same classes on every input, and
+    a representative is its class's first state.
+    """
     partition = bisim_classes(sys)
-    rep_of = {q: partition.representative[partition.class_of[q]] for q in sys.states}
-    states = tuple(partition.representative[c] for c in partition.classes)
-    # Each quotient transition once, where it first occurs.
-    transitions = dict.fromkeys((rep_of[s], a, rep_of[t]) for (s, a, t) in sys.transitions)
-    quotient = SynchronousSystem(
-        name=f"{sys.name}_q",
-        inputs=sys.inputs,
-        outputs=sys.outputs,
-        states=states,
-        transitions=tuple(transitions),
-        out_label={q: sys.out(q) for q in states},
-        initial=rep_of[sys.initial],
+    class_ids = list(partition.class_of.values())  # in state order
+    states = tuple(partition.representative.values())
+    declared = sys.declared_transitions
+    if declared is None:
+        succ = [
+            tuple(tuple(dict.fromkeys([class_ids[t] for t in ts])) for ts in sys.succ[sys.index[q]])
+            for q in states
+        ]
+    else:
+        index, column = sys.index, {a: i for i, a in enumerate(sys.inputs)}
+        triples = list(dict.fromkeys(
+            (class_ids[index[s]], column[a], class_ids[index[t]]) for (s, a, t) in declared
+        ))
+        rows: list[list[list[int]]] = [[[] for _ in column] for _ in states]
+        for c, a, t in triples:
+            rows[c][a].append(t)
+        succ = [tuple(map(tuple, moves)) for moves in rows]
+        if triples == sorted(triples, key=lambda triple: triple[:2]):
+            declared = None
+        else:
+            symbols = sys.inputs.symbols
+            declared = tuple((states[c], symbols[a], states[t]) for (c, a, t) in triples)
+    quotient = SynchronousSystem.from_tables(
+        f"{sys.name}_q",
+        sys.inputs,
+        sys.outputs,
+        states,
+        succ,
+        [sys.out_ids[sys.index[q]] for q in states],
+        class_ids[sys.index[sys.initial]],
+        declared,
     )
     return partition, quotient
+
+
+def _joined_tables(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, list]:
+    """``sys_a``'s successor and output tables followed by ``sys_b``'s aligned ones.
+
+    ``sys_b``'s state ids are offset by the number of ``sys_a``'s states.
+    """
+    succ_b, out_b = align(sys_a, sys_b)
+    n = len(sys_a.states)
+    shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
+    return sys_a.succ + shifted, sys_a.out_ids + out_b
 
 
 def disjoint_union(
@@ -793,20 +940,27 @@ def disjoint_union(
 
     Returns the union plus the two prefixes; requires equal signatures.
     Its states are those a cross-system :class:`BisimOracle` refines, so
-    the witnesses of :func:`non_bisimilar` replay against it.
+    the witnesses of :func:`non_bisimilar` replay against it.  Its
+    transitions list ``sys_a``'s and then ``sys_b``'s.
     """
-    sys_a.require_same_signature(sys_b)
+    succ, out_ids = _joined_tables(sys_a, sys_b)
     sides = (("A.", sys_a), ("B.", sys_b))
-    union = SynchronousSystem(
-        name=f"{sys_a.name}+{sys_b.name}",
-        inputs=sys_a.inputs,
-        outputs=sys_a.outputs,
-        states=tuple(p + q for (p, side) in sides for q in side.states),
-        transitions=tuple(
+    in_order = (
+        sys_a.declared_transitions is None
+        and sys_b.declared_transitions is None
+        and sys_a.inputs == sys_b.inputs
+    )
+    union = SynchronousSystem.from_tables(
+        f"{sys_a.name}+{sys_b.name}",
+        sys_a.inputs,
+        sys_a.outputs,
+        tuple(p + q for (p, side) in sides for q in side.states),
+        succ,
+        out_ids,
+        0,
+        None if in_order else tuple(
             (p + s, a, p + t) for (p, side) in sides for (s, a, t) in side.transitions
         ),
-        out_label={p + q: side.out_label[q] for (p, side) in sides for q in side.states},
-        initial=f"A.{sys_a.initial}",
     )
     return union, "A.", "B."
 
@@ -815,12 +969,13 @@ class BisimOracle:
     """Non-bisimilarity queries between two (possibly identical) systems.
 
     Reuses a system's own cached refinement when both sides are one
-    system.  Otherwise it refines ``sys_a``'s tables followed by
-    ``sys_b``'s aligned ones (:func:`align`), with ``sys_b``'s ids offset
-    by the number of ``sys_a``'s states: the tables of
-    :func:`disjoint_union`, whose ``A.``/``B.`` state names the witnesses
-    carry.  ``cls_a`` and ``cls_b`` give the final block of each state id
-    of either side (equal blocks iff bisimilar); the refinement history
+    system.  Otherwise it refines the tables of :func:`disjoint_union`,
+    ``sys_a``'s followed by ``sys_b``'s aligned ones (:func:`align`),
+    whose ``A.``/``B.`` state names the witnesses carry.  That refinement
+    is built once per pair and cached on ``sys_a`` by ``id(sys_b)``; the
+    entry holds ``sys_b``, so the id is not reused while it lives.
+    ``cls_a`` and ``cls_b`` give the final block of each state id of
+    either side (equal blocks iff bisimilar); the refinement history
     answers :meth:`depth` and the moves of every witness.
     """
 
@@ -832,11 +987,13 @@ class BisimOracle:
             self._refinement = ref = sys_a.refinement
             self.cls_a = self.cls_b = ref.cls
             return
-        succ_b, out_b = align(sys_a, sys_b)
+        joined = sys_a._joined.get(id(sys_b))
+        if joined is None:
+            succ, out_ids = _joined_tables(sys_a, sys_b)
+            joined = sys_a._joined[id(sys_b)] = (sys_b, _Refinement(succ, out_ids), out_ids)
+        _, self._refinement, self.out_ids = joined
         self.offset = n = len(sys_a.states)
-        self.out_ids = sys_a.out_ids + out_b
-        shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
-        self._refinement = ref = _Refinement(sys_a.succ + shifted, self.out_ids)
+        ref = self._refinement
         self.cls_a, self.cls_b = ref.cls, ref.cls[n:]
 
     def ids(self, qa: str, qb: str) -> tuple[int, int]:

@@ -400,41 +400,43 @@ def build_lts(
         raise BuildError("program terminates before its first tick")
 
     liveness: dict = {}  # shared by all continuations; see live_in
-    names: dict = {}
-    info: dict = {}
-    order: list[str] = []
+    ids: dict = {}
+    out_id = {o: i for i, o in enumerate(machine.outputs)}
+    out_ids: list[int] = []
+    pending: list[dict[str, Config]] = []  # each state's branches, by state id
 
-    def intern(out: str, branches: dict[str, Config]) -> str:
-        """The state of a round; every branch of one tick shares store and continuation."""
+    def intern(out: str, branches: dict[str, Config]) -> int:
+        """The state id of a round; every branch of one tick shares store and continuation."""
         cont = branches[machine.inputs.symbols[0]]
         live = live_in(cont.prog, frozenset(), liveness)
         key = (out, tuple((n, v) for (n, v) in cont.store if n in live), cont.prog)
-        state = names.get(key)
+        state = ids.get(key)
         if state is None:
-            if len(names) >= max_states:
+            if len(ids) >= max_states:
                 raise StateBudgetExceeded(max_states)
-            state = names[key] = f"q{len(names)}"
-            info[state] = (out, branches)
-            order.append(state)
+            state = ids[key] = len(ids)
+            out_ids.append(out_id[out])
+            pending.append(branches)
         return state
 
     intern(*first)
-    transitions: list[tuple[str, str, str]] = []
-    for state in order:  # grows while it is walked: breadth-first
-        _, branches = info[state]
+    succ = []
+    for branches in pending:  # grows while it is walked: breadth-first
+        moves = []
         for symbol in machine.inputs:
             result = machine.run_round(branches[symbol])
             if result is None:
                 raise BuildError(
                     "program terminates; cannot build a complete system"
                 )
-            transitions.append((state, symbol, intern(*result)))
-    return SynchronousSystem(
-        name=name,
-        inputs=machine.inputs,
-        outputs=machine.outputs,
-        states=tuple(order),
-        transitions=tuple(transitions),
-        out_label={state: info[state][0] for state in order},
-        initial="q0",
+            moves.append((intern(*result),))
+        succ.append(tuple(moves))
+    return SynchronousSystem.from_tables(
+        name,
+        machine.inputs,
+        machine.outputs,
+        tuple(f"q{i}" for i in range(len(succ))),
+        succ,
+        out_ids,
+        0,
     )

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, align
-from .errors import SeparatorBoundExceeded
+from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, align, validate
+from .errors import PreconditionFailed, SeparatorBoundExceeded
 
 Pair = tuple[str, str]
 
@@ -327,8 +327,12 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     and infinite words, of the first index at which every run pair has
     differed: one past the longest all-EQ path from each successor pair.
     The witness spells a longest all-EQ path plus one forcing symbol.
+    Raises PreconditionFailed on an incomplete system: a state without a
+    move on some input ends every run through it.
     """
     sys.check_state(q)
+    if sys.gaps:
+        raise PreconditionFailed(f"system {sys.name}: {validate(sys)[0]}")
     _, deterministic = _separating_ids(sys, q, sys, q)
     if not deterministic:
         return ReactionTime(None)

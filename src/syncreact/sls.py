@@ -11,9 +11,16 @@ end of line is a comment::
     trans STATE INSYM STATE
 
 Parsing is strict: unknown directives, undeclared symbols or states,
-duplicates, and a missing ``init`` are errors.  Writers emit states and
-transitions in declaration order, so canonical files round-trip byte
-exactly.
+duplicates, and a missing ``init`` are errors.
+
+The writer emits states in declaration order and transitions in the
+order they were declared, repeats included: from the successor tables
+when that is table order (see :class:`~syncreact.core.SynchronousSystem`),
+else from the declared order the system keeps.  A file thus round-trips
+byte exactly when it is canonical: the ``system``, ``inputs``,
+``outputs`` and ``init`` lines in that order, then every ``state`` line,
+then every ``trans`` line, one space between tokens, no comments or
+blank lines, and every line ended by a newline.
 """
 
 from __future__ import annotations
@@ -121,15 +128,23 @@ def load(path) -> SynchronousSystem:
 
 
 def dumps(sys: SynchronousSystem) -> str:
+    states, symbols, outputs = sys.states, sys.inputs.symbols, sys.outputs.symbols
     out = io.StringIO()
-    out.write(f"system {sys.name}\n")
-    out.write("inputs " + " ".join(sys.inputs) + "\n")
-    out.write("outputs " + " ".join(sys.outputs) + "\n")
-    out.write(f"init {sys.initial}\n")
-    for q in sys.states:
-        out.write(f"state {q} {sys.out(q)}\n")
-    for (src, sym, dst) in sys.transitions:
-        out.write(f"trans {src} {sym} {dst}\n")
+    write = out.write
+    write(f"system {sys.name}\n")
+    write("inputs " + " ".join(symbols) + "\n")
+    write("outputs " + " ".join(outputs) + "\n")
+    write(f"init {sys.initial}\n")
+    for q, o in zip(states, sys.out_ids):
+        write(f"state {q} {outputs[o]}\n")
+    if sys.declared_transitions is None:
+        for q, moves in zip(states, sys.succ):
+            for a, ts in zip(symbols, moves):
+                for t in ts:
+                    write(f"trans {q} {a} {states[t]}\n")
+    else:
+        for (src, sym, dst) in sys.declared_transitions:
+            write(f"trans {src} {sym} {dst}\n")
     return out.getvalue()
 
 

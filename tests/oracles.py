@@ -9,7 +9,8 @@ difference search, strong separability and reaction time also by the
 original three passes over each root's EQ region (breadth-first region,
 depth-first cycle search, longest path), and `.psy` rounds by the
 original small-step evaluator, which rebuilds the whole program after
-every reduction.
+every reduction.  Quotients and composites are built the original way,
+as name triples through the validating constructor.
 DOE and SSPseq level sets are also walked the original way, as
 frozensets of state-id pairs with every pair's successors and strongly
 separating pairs cached one pair at a time.
@@ -31,7 +32,9 @@ from syncreact.core import (
     Run,
     SynchronousSystem,
     align,
+    bisim_classes,
     disjoint_union,
+    pair_symbol,
     run_outputs,
     runs,
     symbol_components,
@@ -45,6 +48,7 @@ from syncreact.errors import (
     RoundDivergence,
     StateBudgetExceeded,
     StuckConfiguration,
+    UnknownState,
 )
 from syncreact.lasso import merge_sequences, star_prepend
 from syncreact.psyc.syntax import (
@@ -385,6 +389,81 @@ def naive_reaction_time(sys, q) -> ReactionTime:
             candidates.append((0, ()) if not eq(root) else (len(word) + 1, word + (0,)))
     time, witness = max(candidates, key=lambda c: c[0], default=(-1, ()))
     return ReactionTime(time, tuple(sys.inputs.symbols[a] for a in witness))
+
+
+def naive_quotient(sys: SynchronousSystem) -> SynchronousSystem:
+    """The bisimulation quotient: each transition mapped to class representatives, once."""
+    partition = bisim_classes(sys)
+    rep_of = {q: partition.representative[partition.class_of[q]] for q in sys.states}
+    states = tuple(partition.representative[c] for c in partition.classes)
+    transitions = dict.fromkeys((rep_of[s], a, rep_of[t]) for (s, a, t) in sys.transitions)
+    return SynchronousSystem(
+        name=f"{sys.name}_q",
+        inputs=sys.inputs,
+        outputs=sys.outputs,
+        states=states,
+        transitions=tuple(transitions),
+        out_label={q: sys.out(q) for q in states},
+        initial=rep_of[sys.initial],
+    )
+
+
+def naive_composite(sys_f, sys_g, kind: str, start=None) -> SynchronousSystem:
+    """``seq_compose`` or ``par_compose``'s system, explored breadth-first by state names."""
+    if kind == "seq":
+        name, inputs, outputs = f"{sys_g.name}.{sys_f.name}", sys_f.inputs, sys_g.outputs
+
+        def edges(qf, qg):
+            return [
+                (a, (f2, g2))
+                for a in sys_f.inputs
+                for f2 in sys_f.successors(qf, a)
+                for g2 in sys_g.successors(qg, sys_f.out(qf))
+            ]
+
+        def output(qf, qg):
+            return sys_g.out(qg)
+
+    else:
+        name = f"{sys_f.name}-par-{sys_g.name}"
+        inputs = Alphabet(tuple(pair_symbol(a, c) for a in sys_f.inputs for c in sys_g.inputs))
+        outputs = Alphabet(tuple(pair_symbol(b, d) for b in sys_f.outputs for d in sys_g.outputs))
+
+        def edges(qf, qg):
+            return [
+                (pair_symbol(a, c), (f2, g2))
+                for a in sys_f.inputs
+                for c in sys_g.inputs
+                for f2 in sys_f.successors(qf, a)
+                for g2 in sys_g.successors(qg, c)
+            ]
+
+        def output(qf, qg):
+            return pair_symbol(sys_f.out(qf), sys_g.out(qg))
+
+    start = start or (sys_f.initial, sys_g.initial)
+    graph = {start: None}
+    queue = [start]
+    for node in queue:
+        graph[node] = edges(*node)
+        for (_, t) in graph[node]:
+            if t not in graph:
+                graph[t] = None
+                queue.append(t)
+    state = {node: f"{node[0]}*{node[1]}" for node in graph}
+    if len(set(state.values())) < len(state):
+        raise UnknownState("two reachable pairs share one name")
+    return SynchronousSystem(
+        name=name,
+        inputs=inputs,
+        outputs=outputs,
+        states=tuple(state.values()),
+        transitions=tuple(
+            (state[node], a, state[t]) for node, moves in graph.items() for (a, t) in moves
+        ),
+        out_label={state[node]: output(*node) for node in graph},
+        initial=state[start],
+    )
 
 
 def random_system(

@@ -19,6 +19,7 @@ from syncreact import (
     ssp_seq_pair,
 )
 from syncreact.abstraction import doe_levels, ssp_levels
+from syncreact.core import SynchronousSystem
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
@@ -193,6 +194,20 @@ class TestSsp:
     def test_signature_mismatch(self, p1_sys, union_sys):
         with pytest.raises(SignatureMismatch):
             ssp(p1_sys, "p0", union_sys, "w0")
+
+    def test_refines_two_systems_once_across_calls(self, monkeypatch):
+        rng = random.Random(5)
+        sys_a = sized_system(rng, "a", 6, ("a", "b"), ("0", "1"))
+        sys_b = sized_system(rng, "b", 5, ("b", "a"), ("1", "0"))
+        built = count_refinements(monkeypatch)
+        found = {(p, q): ssp(sys_a, p, sys_b, q) for p in sys_a.states for q in sys_b.states}
+        assert len(built) == 1
+        # The cache entry keeps sys_b alive, so its id names no other system.
+        assert sys_a._joined[id(sys_b)][0] is sys_b
+        for (p, q), pairs in found.items():
+            fresh = SynchronousSystem(*(getattr(sys_b, f) for f in sys_b._fields))
+            assert ssp(sys_a, p, fresh, q) == pairs
+        assert len(built) == 1 + len(found)
 
 
 class TestSspSeq:

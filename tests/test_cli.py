@@ -1,6 +1,7 @@
 """Command line surface: exit codes and stable final lines."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -168,6 +169,55 @@ class TestImports:
         assert set(syncreact.__all__) <= listed
         assert {"abstraction", "cli", "core", "psyc", "__version__"} <= listed
         assert syncreact.reactivity is reactivity
+
+
+def ring(name: str, n: int) -> str:
+    """An n-state ring: a steps round it, b stays; outputs alternate."""
+    lines = [f"system {name}", "inputs a b", "outputs 0 1", "init s0"]
+    lines += [f"state s{i} {i % 2}" for i in range(n)]
+    for i in range(n):
+        lines += [f"trans s{i} a s{(i + 1) % n}", f"trans s{i} b s{i}"]
+    return "\n".join(lines) + "\n"
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (lambda tmp: ("check", FIXTURES / "p1.sls"), 0),
+            (lambda tmp: ("check", tmp / "missing.sls"), 2),
+            (
+                lambda tmp: (
+                    "psyc", "build", FIXTURES / "program2.psy", "--max-states", "2",
+                    "-o", tmp / "x.sls",
+                ),
+                3,
+            ),
+        ],
+        ids=["exit-0", "exit-2", "exit-3"],
+    )
+    def test_main_restores_the_collector_state(self, capsys, tmp_path, enabled, argv, expected):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = run(capsys, *argv(tmp_path))
+            assert (code, gc.isenabled()) == (expected, enabled)
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path):
+        """A command's tables leave no cycles: only argparse's and the like do."""
+        left = []
+        for n in (2, 2, 100, 2):  # the first run may load the compose layer
+            f, g = tmp_path / f"f{n}.sls", tmp_path / f"g{n}.sls"
+            f.write_text(ring("f", n))
+            g.write_text(ring("g", n))
+            gc.collect()
+            code, out, _ = run(capsys, "compose", "--par", f, g, "-o", tmp_path / "fg.sls")
+            assert (code, last_line(out)) == (0, f"states {n * n}")
+            left.append(gc.collect())
+        assert left[1] == left[2] == left[3]
 
 
 class TestCheck:

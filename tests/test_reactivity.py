@@ -16,8 +16,8 @@ from syncreact import (
     separators,
     strongly_separable,
 )
-from syncreact.core import Alphabet, BisimOracle, SynchronousSystem
-from syncreact.errors import SignatureMismatch, UnknownState
+from syncreact.core import Alphabet, BisimOracle, SynchronousSystem, validate
+from syncreact.errors import PreconditionFailed, SignatureMismatch, UnknownState
 from syncreact.lasso import STAR
 from syncreact.reactivity import ReactionTime, StrongSepResult, class_gaps, row_orientations
 
@@ -373,6 +373,16 @@ class TestReactionTime:
 
     def test_const_infinite(self, const_sys):
         assert det_reaction_time(const_sys, "c0").time is None
+
+    def test_incomplete_system_is_rejected(self):
+        # q has output 0 and only q -b-> x; x has output 1 and loops on a and b.
+        sys = build(("a", "b"), {"q": "0", "x": "1"}, {"q": [(), ("x",)], "x": [("x",), ("x",)]})
+        message = "system built: incomplete: state q has no transition on input a"
+        with pytest.raises(PreconditionFailed, match=message):
+            det_reaction_time(sys, "q")
+        # One completeness check per system, shared with validate.
+        assert vars(sys)["gaps"] == [(0, 0)]
+        assert validate(sys) == ["incomplete: state q has no transition on input a"]
 
 
 def build(inputs, out_label: dict, moves: dict) -> SynchronousSystem:
