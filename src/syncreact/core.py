@@ -14,9 +14,10 @@ import bisect
 import itertools
 import math
 import re
-from functools import cached_property
+import weakref
+from functools import cached_property, partial
 from operator import attrgetter
-from typing import Callable, Generator, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     LevelBoundExceeded,
@@ -166,7 +167,8 @@ class SynchronousSystem(Record):
     on input a, and ``out_ids[q]`` is q's output id.  Every analysis
     walks them, and ids are turned back into names only where results
     are returned.  ``transitions`` and ``out_label`` are views of the
-    tables, built on use.  Table order lists the transitions state by
+    tables, built on use; :meth:`iter_transitions` walks the former
+    without building it.  Table order lists the transitions state by
     state and input by input, each row's successors in the order they
     were first declared.  Name triples declared in another order, or
     with a triple repeated, are kept as ``declared_transitions``, which
@@ -180,10 +182,11 @@ class SynchronousSystem(Record):
     """
 
     # The tables and the cached analyses live in the instance __dict__;
-    # ``_out_label`` holds the out_label view once built.
+    # ``_out_label`` holds the out_label view once built.  A weak
+    # reference lets :class:`BisimOracle` caches forget a dead system.
     __slots__ = (
         "name", "inputs", "outputs", "states", "initial", "declared_transitions", "_out_label",
-        "__dict__",
+        "__dict__", "__weakref__",
     )
     _fields = ("name", "inputs", "outputs", "states", "transitions", "out_label", "initial")
     __hash__ = None
@@ -286,8 +289,14 @@ class SynchronousSystem(Record):
         """Name triples, in the declared order when one is kept, else in table order."""
         if self.declared_transitions is not None:
             return self.declared_transitions
+        return tuple(self.iter_transitions())
+
+    def iter_transitions(self) -> Iterator[Transition]:
+        """The triples of :attr:`transitions` one by one, without building the tuple."""
+        if self.declared_transitions is not None:
+            return iter(self.declared_transitions)
         states = self.states
-        return tuple(
+        return (
             (q, a, states[t])
             for q, moves in zip(states, self.succ)
             for a, ts in zip(self.inputs.symbols, moves)
@@ -335,7 +344,7 @@ class SynchronousSystem(Record):
 
     @cached_property
     def _joined(self) -> dict[int, tuple]:
-        """Refinements joined with other systems (:class:`BisimOracle`), by their ``id``."""
+        """Refinements joined with other live systems (:class:`BisimOracle`), by their ``id``."""
         return {}
 
     def same_signature(self, other: "SynchronousSystem") -> bool:
@@ -650,7 +659,10 @@ class PairRows:
                             else:
                                 rows[t] = image_bits
             else:
-                for t, image_bits in pairs[row]:
+                moved = pairs.get(row)
+                if moved is None:
+                    moved = pairs[row] = _pair_step(bits, columns[p])
+                for t, image_bits in moved:
                     if t in rows:
                         rows[t] |= image_bits
                     else:
@@ -680,36 +692,29 @@ class PairRows:
 class _Columns(dict):
     """Row p's column groups (:meth:`PairRows.group`), built on first lookup.
 
-    ``pairs`` holds the step of each single pair met so far.
+    ``pairs`` maps each single-pair row ``(p, 1 << q)`` met so far to its
+    step, as ``((p', bits'), ...)``.
     """
 
     def __init__(self, rows: PairRows, masked: Callable):
         super().__init__()
         self.rows, self.masked = rows, masked
-        self.pairs = _PairSteps(self)
+        self.pairs: dict[tuple[int, int], tuple] = {}
 
     def __missing__(self, p: int) -> list:
         groups = self[p] = self.rows.group(p, self.masked(p))
         return groups
 
 
-class _PairSteps(dict):
-    """``self[(p, 1 << q)]`` is the step of the pair (p, q), as ``((p', bits'), ...)``."""
-
-    def __init__(self, columns: _Columns):
-        super().__init__()
-        self.columns = columns
-
-    def __missing__(self, row: tuple[int, int]) -> tuple:
-        p, bits = row
-        step: dict[int, int] = {}
-        for targets, mask, image in self.columns[p]:
-            if bits & mask:
-                image_bits = image[bits]
-                for t in targets:
-                    step[t] = step.get(t, 0) | image_bits
-        self[row] = result = tuple(step.items())
-        return result
+def _pair_step(bits: int, groups: list) -> tuple:
+    """The step of the one pair in ``bits`` along a row's column groups."""
+    step: dict[int, int] = {}
+    for targets, mask, image in groups:
+        if bits & mask:
+            image_bits = image[bits]
+            for t in targets:
+                step[t] = step.get(t, 0) | image_bits
+    return tuple(step.items())
 
 
 def lasso_at(values: Sequence, loop: int, i: int):
@@ -882,39 +887,42 @@ def bisim_quotient(
     """Quotient by bisimilarity; quotient states are class representatives.
 
     Each quotient transition is listed once, where it first occurs in
-    ``sys``'s transitions.  In table order that is the representative's
-    own row: bisimilar states reach the same classes on every input, and
-    a representative is its class's first state.
+    ``sys``'s transitions (walked as id triples).  The quotient keeps
+    that order as declared only when it differs from table order; from a
+    system in table order it never does, since bisimilar states reach
+    the same classes on every input and a representative is its class's
+    first state.
     """
     partition = bisim_classes(sys)
     class_ids = list(partition.class_of.values())  # in state order
     states = tuple(partition.representative.values())
-    declared = sys.declared_transitions
-    if declared is None:
-        succ = [
-            tuple(tuple(dict.fromkeys([class_ids[t] for t in ts])) for ts in sys.succ[sys.index[q]])
-            for q in states
-        ]
+    column = {a: i for i, a in enumerate(sys.inputs)}
+    if sys.declared_transitions is None:
+        moves = (
+            (s, a, t) for s, row in enumerate(sys.succ) for a, ts in enumerate(row) for t in ts
+        )
     else:
-        index, column = sys.index, {a: i for i, a in enumerate(sys.inputs)}
-        triples = list(dict.fromkeys(
-            (class_ids[index[s]], column[a], class_ids[index[t]]) for (s, a, t) in declared
-        ))
-        rows: list[list[list[int]]] = [[[] for _ in column] for _ in states]
-        for c, a, t in triples:
-            rows[c][a].append(t)
-        succ = [tuple(map(tuple, moves)) for moves in rows]
-        if triples == sorted(triples, key=lambda triple: triple[:2]):
-            declared = None
-        else:
-            symbols = sys.inputs.symbols
-            declared = tuple((states[c], symbols[a], states[t]) for (c, a, t) in triples)
+        index = sys.index
+        moves = ((index[s], column[a], index[t]) for (s, a, t) in sys.declared_transitions)
+    rows: list[list[list[int]]] = [[[] for _ in column] for _ in states]
+    width, last, in_order = len(column), 0, True
+    triples = dict.fromkeys((class_ids[s], a, class_ids[t]) for s, a, t in moves)
+    for c, a, t in triples:
+        rows[c][a].append(t)
+        key = c * width + a
+        if key < last:
+            in_order = False
+        last = key
+    declared = None
+    if not in_order:
+        symbols = sys.inputs.symbols
+        declared = tuple((states[c], symbols[a], states[t]) for (c, a, t) in triples)
     quotient = SynchronousSystem.from_tables(
         f"{sys.name}_q",
         sys.inputs,
         sys.outputs,
         states,
-        succ,
+        [tuple(map(tuple, row)) for row in rows],
         [sys.out_ids[sys.index[q]] for q in states],
         class_ids[sys.index[sys.initial]],
         declared,
@@ -965,6 +973,13 @@ def disjoint_union(
     return union, "A.", "B."
 
 
+def _forget(owner: weakref.ref, key: int, _dead: weakref.ref) -> None:
+    """Drop the joined refinement cached on ``owner`` (if alive) under ``key``."""
+    system = owner()
+    if system is not None:
+        system._joined.pop(key, None)
+
+
 class BisimOracle:
     """Non-bisimilarity queries between two (possibly identical) systems.
 
@@ -972,8 +987,10 @@ class BisimOracle:
     system.  Otherwise it refines the tables of :func:`disjoint_union`,
     ``sys_a``'s followed by ``sys_b``'s aligned ones (:func:`align`),
     whose ``A.``/``B.`` state names the witnesses carry.  That refinement
-    is built once per pair and cached on ``sys_a`` by ``id(sys_b)``; the
-    entry holds ``sys_b``, so the id is not reused while it lives.
+    is built once per pair and cached on ``sys_a`` by ``id(sys_b)``.  The
+    entry holds only a weak reference to ``sys_b`` and is dropped when
+    ``sys_b`` dies, before its id can name another system; neither
+    system keeps the other alive.
     ``cls_a`` and ``cls_b`` give the final block of each state id of
     either side (equal blocks iff bisimilar); the refinement history
     answers :meth:`depth` and the moves of every witness.
@@ -987,10 +1004,12 @@ class BisimOracle:
             self._refinement = ref = sys_a.refinement
             self.cls_a = self.cls_b = ref.cls
             return
-        joined = sys_a._joined.get(id(sys_b))
+        key = id(sys_b)
+        joined = sys_a._joined.get(key)
         if joined is None:
             succ, out_ids = _joined_tables(sys_a, sys_b)
-            joined = sys_a._joined[id(sys_b)] = (sys_b, _Refinement(succ, out_ids), out_ids)
+            alive = weakref.ref(sys_b, partial(_forget, weakref.ref(sys_a), key))
+            joined = sys_a._joined[key] = (alive, _Refinement(succ, out_ids), out_ids)
         _, self._refinement, self.out_ids = joined
         self.offset = n = len(sys_a.states)
         ref = self._refinement

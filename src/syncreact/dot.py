@@ -23,7 +23,7 @@ def export_dot(sys: SynchronousSystem) -> str:
         shape = "doublecircle" if q == sys.initial else "circle"
         label = f"{q} / {sys.out(q)}"
         out.write(f"  {_quote(q)} [shape={shape}, label={_quote(label)}];\n")
-    for (src, sym, dst) in sys.transitions:
+    for (src, sym, dst) in sys.iter_transitions():
         out.write(f"  {_quote(src)} -> {_quote(dst)} [label={_quote(sym)}];\n")
     out.write("}\n")
     return out.getvalue()

@@ -14,13 +14,12 @@ Parsing is strict: unknown directives, undeclared symbols or states,
 duplicates, and a missing ``init`` are errors.
 
 The writer emits states in declaration order and transitions in the
-order they were declared, repeats included: from the successor tables
-when that is table order (see :class:`~syncreact.core.SynchronousSystem`),
-else from the declared order the system keeps.  A file thus round-trips
-byte exactly when it is canonical: the ``system``, ``inputs``,
-``outputs`` and ``init`` lines in that order, then every ``state`` line,
-then every ``trans`` line, one space between tokens, no comments or
-blank lines, and every line ended by a newline.
+order they were declared, repeats included (the ``transitions`` of
+:class:`~syncreact.core.SynchronousSystem`, walked one by one).  A file
+thus round-trips byte exactly when it is canonical: the ``system``,
+``inputs``, ``outputs`` and ``init`` lines in that order, then every
+``state`` line, then every ``trans`` line, one space between tokens, no
+comments or blank lines, and every line ended by a newline.
 """
 
 from __future__ import annotations
@@ -137,14 +136,8 @@ def dumps(sys: SynchronousSystem) -> str:
     write(f"init {sys.initial}\n")
     for q, o in zip(states, sys.out_ids):
         write(f"state {q} {outputs[o]}\n")
-    if sys.declared_transitions is None:
-        for q, moves in zip(states, sys.succ):
-            for a, ts in zip(symbols, moves):
-                for t in ts:
-                    write(f"trans {q} {a} {states[t]}\n")
-    else:
-        for (src, sym, dst) in sys.declared_transitions:
-            write(f"trans {src} {sym} {dst}\n")
+    for (src, sym, dst) in sys.iter_transitions():
+        write(f"trans {src} {sym} {dst}\n")
     return out.getvalue()
 
 

@@ -1,6 +1,8 @@
 """Deterministic observable effects and the compositional machinery."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -202,12 +204,34 @@ class TestSsp:
         built = count_refinements(monkeypatch)
         found = {(p, q): ssp(sys_a, p, sys_b, q) for p in sys_a.states for q in sys_b.states}
         assert len(built) == 1
-        # The cache entry keeps sys_b alive, so its id names no other system.
-        assert sys_a._joined[id(sys_b)][0] is sys_b
         for (p, q), pairs in found.items():
             fresh = SynchronousSystem(*(getattr(sys_b, f) for f in sys_b._fields))
             assert ssp(sys_a, p, fresh, q) == pairs
         assert len(built) == 1 + len(found)
+
+    def test_cached_refinements_keep_no_system_alive(self):
+        rng = random.Random(5)
+        sys_a = sized_system(rng, "a", 6, ("a", "b"), ("0", "1"))
+        sys_b = sized_system(rng, "b", 5, ("b", "a"), ("1", "0"))
+        enabled = gc.isenabled()
+        gc.disable()  # whatever is freed below is freed without the collector
+        try:
+            for q in sys_b.states:
+                fresh = SynchronousSystem(*(getattr(sys_b, f) for f in sys_b._fields))
+                ssp(sys_a, sys_a.initial, fresh, q)
+            ssp(sys_a, sys_a.initial, sys_b, sys_b.initial)
+            assert sorted(sys_a._joined) == sorted([id(fresh), id(sys_b)])
+            del fresh
+            assert list(sys_a._joined) == [id(sys_b)]
+            # Both ways round: neither cache entry holds the other system.
+            ssp(sys_b, sys_b.initial, sys_a, sys_a.initial)
+            dead = weakref.ref(sys_a)
+            del sys_a
+            assert dead() is None
+            assert sys_b._joined == {}
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSspSeq:

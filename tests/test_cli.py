@@ -206,17 +206,40 @@ class TestCollectorPause:
         finally:
             (gc.enable if was else gc.disable)()
 
-    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path):
-        """A command's tables leave no cycles: only argparse's and the like do."""
+    @pytest.mark.parametrize("command", ["compose", "lemma", "sspseq"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path, command):
+        """A command's tables and walks leave no cycles: only argparse's and the like do."""
         left = []
-        for n in (2, 2, 100, 2):  # the first run may load the compose layer
-            f, g = tmp_path / f"f{n}.sls", tmp_path / f"g{n}.sls"
-            f.write_text(ring("f", n))
-            g.write_text(ring("g", n))
+        for n in (2, 2, 100, 2):  # the first run may load the command's layers
+            f = tmp_path / f"f{n}.sls"
+            if command == "compose":
+                g = tmp_path / f"g{n}.sls"
+                f.write_text(ring("f", n))
+                g.write_text(ring("g", n))
+                argv = ("compose", "--par", f, g, "-o", tmp_path / "fg.sls")
+                expected = f"states {n * n}"
+            elif command == "lemma":
+                # One level column group per sender depth, one effect step per index.
+                f.write_text(sls.dumps(chain_sender(n, ("0", "1", "2"))))
+                argv = ("lemma", f, FIXTURES / "receiver.sls", "--qf", "r", "--qg", "g0")
+                expected = f"GuaranteedReactive {n}"
+            else:
+                f.write_text(ring("f", n))
+                argv = ("sspseq", f, "s0")
+                expected = None
+            # Paused here too, so no automatic collection frees the garbage uncounted.
+            enabled = gc.isenabled()
             gc.collect()
-            code, out, _ = run(capsys, "compose", "--par", f, g, "-o", tmp_path / "fg.sls")
-            assert (code, last_line(out)) == (0, f"states {n * n}")
-            left.append(gc.collect())
+            gc.disable()
+            try:
+                code, out, _ = run(capsys, *argv)
+                left.append(gc.collect())
+            finally:
+                if enabled:
+                    gc.enable()
+            assert code == 0
+            if expected is not None:
+                assert last_line(out) == expected
         assert left[1] == left[2] == left[3]
 
 

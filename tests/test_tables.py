@@ -29,6 +29,7 @@ def assert_same_as_validated(system: SynchronousSystem) -> None:
     assert again == system and repr(again) == repr(system)
     assert (again.index, again.succ, again.out_ids) == (system.index, system.succ, system.out_ids)
     assert again.declared_transitions == system.declared_transitions
+    assert tuple(system.iter_transitions()) == system.transitions
     assert sls.dumps(again) == sls.dumps(system)
 
 
