@@ -168,12 +168,11 @@ class SynchronousSystem(Record):
     walks them, and ids are turned back into names only where results
     are returned.  ``transitions`` and ``out_label`` are views of the
     tables, built on use; :meth:`iter_transitions` walks the former
-    without building it.  Table order lists the transitions state by
-    state and input by input, each row's successors in the order they
-    were first declared.  Name triples declared in another order, or
-    with a triple repeated, are kept as ``declared_transitions``, which
-    ``transitions``, the writers and :func:`bisim_quotient` then follow;
-    otherwise ``declared_transitions`` is None.
+    without building it.  The transition relation is a set, so
+    ``transitions`` lists it in table order: state by state and input
+    by input, each row's successors in the order they were first
+    declared, each triple once.  Neither the order in which the triples
+    were declared nor a repeat is kept.
 
     The constructor checks the seven fields it takes; the builders,
     whose tables come from checked systems, use :meth:`from_tables`.
@@ -185,7 +184,7 @@ class SynchronousSystem(Record):
     # ``_out_label`` holds the out_label view once built.  A weak
     # reference lets :class:`BisimOracle` caches forget a dead system.
     __slots__ = (
-        "name", "inputs", "outputs", "states", "initial", "declared_transitions", "_out_label",
+        "name", "inputs", "outputs", "states", "initial", "_out_label",
         "__dict__", "__weakref__",
     )
     _fields = ("name", "inputs", "outputs", "states", "transitions", "out_label", "initial")
@@ -213,9 +212,7 @@ class SynchronousSystem(Record):
                 raise UnknownState(f"duplicate state {q!r}")
             index[q] = len(index)
         column = {a: i for i, a in enumerate(inputs)}
-        width = len(column)
         succ = [[[] for _ in column] for _ in index]
-        in_order, last = True, 0
         for (src, sym, dst) in transitions:
             s, t, a = index.get(src), index.get(dst), column.get(sym)
             if s is None:
@@ -225,14 +222,8 @@ class SynchronousSystem(Record):
             if a is None:
                 raise UnknownSymbol(f"transition on undeclared input {sym!r}")
             moves = succ[s][a]
-            if t in moves:
-                in_order = False
-            else:
+            if t not in moves:
                 moves.append(t)
-            key = s * width + a
-            if key < last:
-                in_order = False
-            last = key
         for q in states:
             if q not in out_label:
                 raise UnknownState(f"state {q!r} has no output label")
@@ -246,7 +237,6 @@ class SynchronousSystem(Record):
             [tuple(map(tuple, moves)) for moves in succ],
             [out_id[out_label[q]] for q in states],
             index[initial],
-            None if in_order else transitions,
             index,
         )
 
@@ -260,41 +250,34 @@ class SynchronousSystem(Record):
         succ: list[tuple[tuple[int, ...], ...]],
         out_ids: list[int],
         initial: int,
-        declared_transitions: Optional[tuple[Transition, ...]] = None,
     ) -> "SynchronousSystem":
         """A system from tables built out of checked systems, taken as they are.
 
         ``initial`` is a state id.  Only the name, which a builder may
-        take from a file name, is checked.  ``declared_transitions`` is
-        passed when the transitions' declared order differs from table
-        order.
+        take from a file name, is checked.  The tables are the whole
+        system: its transitions are read from ``succ`` in table order.
         """
         _check_name(name)
         system = cls.__new__(cls)
         system._set(
-            name, inputs, outputs, states, succ, out_ids, initial, declared_transitions,
+            name, inputs, outputs, states, succ, out_ids, initial,
             dict(zip(states, range(len(states)))),
         )
         return system
 
-    def _set(self, name, inputs, outputs, states, succ, out_ids, initial, declared, index):
+    def _set(self, name, inputs, outputs, states, succ, out_ids, initial, index):
         self.name, self.inputs, self.outputs, self.states = name, inputs, outputs, states
         self.initial = states[initial]
-        self.declared_transitions = declared
         self._out_label = None
         self.index, self.succ, self.out_ids = index, succ, out_ids
 
     @property
     def transitions(self) -> tuple[Transition, ...]:
-        """Name triples, in the declared order when one is kept, else in table order."""
-        if self.declared_transitions is not None:
-            return self.declared_transitions
+        """Name triples in table order, each once."""
         return tuple(self.iter_transitions())
 
     def iter_transitions(self) -> Iterator[Transition]:
         """The triples of :attr:`transitions` one by one, without building the tuple."""
-        if self.declared_transitions is not None:
-            return iter(self.declared_transitions)
         states = self.states
         return (
             (q, a, states[t])
@@ -887,36 +870,15 @@ def bisim_quotient(
     """Quotient by bisimilarity; quotient states are class representatives.
 
     Each quotient transition is listed once, where it first occurs in
-    ``sys``'s transitions (walked as id triples).  The quotient keeps
-    that order as declared only when it differs from table order; from a
-    system in table order it never does, since bisimilar states reach
-    the same classes on every input and a representative is its class's
-    first state.
+    ``sys``'s transitions (walked as id triples in table order).
     """
     partition = bisim_classes(sys)
     class_ids = list(partition.class_of.values())  # in state order
     states = tuple(partition.representative.values())
-    column = {a: i for i, a in enumerate(sys.inputs)}
-    if sys.declared_transitions is None:
-        moves = (
-            (s, a, t) for s, row in enumerate(sys.succ) for a, ts in enumerate(row) for t in ts
-        )
-    else:
-        index = sys.index
-        moves = ((index[s], column[a], index[t]) for (s, a, t) in sys.declared_transitions)
-    rows: list[list[list[int]]] = [[[] for _ in column] for _ in states]
-    width, last, in_order = len(column), 0, True
-    triples = dict.fromkeys((class_ids[s], a, class_ids[t]) for s, a, t in moves)
-    for c, a, t in triples:
+    rows: list[list[list[int]]] = [[[] for _ in sys.inputs] for _ in states]
+    moves = ((s, a, t) for s, row in enumerate(sys.succ) for a, ts in enumerate(row) for t in ts)
+    for c, a, t in dict.fromkeys((class_ids[s], a, class_ids[t]) for s, a, t in moves):
         rows[c][a].append(t)
-        key = c * width + a
-        if key < last:
-            in_order = False
-        last = key
-    declared = None
-    if not in_order:
-        symbols = sys.inputs.symbols
-        declared = tuple((states[c], symbols[a], states[t]) for (c, a, t) in triples)
     quotient = SynchronousSystem.from_tables(
         f"{sys.name}_q",
         sys.inputs,
@@ -925,7 +887,6 @@ def bisim_quotient(
         [tuple(map(tuple, row)) for row in rows],
         [sys.out_ids[sys.index[q]] for q in states],
         class_ids[sys.index[sys.initial]],
-        declared,
     )
     return partition, quotient
 
@@ -949,26 +910,18 @@ def disjoint_union(
     Returns the union plus the two prefixes; requires equal signatures.
     Its states are those a cross-system :class:`BisimOracle` refines, so
     the witnesses of :func:`non_bisimilar` replay against it.  Its
-    transitions list ``sys_a``'s and then ``sys_b``'s.
+    transitions list ``sys_a``'s and then ``sys_b``'s, both by
+    ``sys_a``'s input order.
     """
     succ, out_ids = _joined_tables(sys_a, sys_b)
-    sides = (("A.", sys_a), ("B.", sys_b))
-    in_order = (
-        sys_a.declared_transitions is None
-        and sys_b.declared_transitions is None
-        and sys_a.inputs == sys_b.inputs
-    )
     union = SynchronousSystem.from_tables(
         f"{sys_a.name}+{sys_b.name}",
         sys_a.inputs,
         sys_a.outputs,
-        tuple(p + q for (p, side) in sides for q in side.states),
+        tuple(p + q for (p, side) in (("A.", sys_a), ("B.", sys_b)) for q in side.states),
         succ,
         out_ids,
         0,
-        None if in_order else tuple(
-            (p + s, a, p + t) for (p, side) in sides for (s, a, t) in side.transitions
-        ),
     )
     return union, "A.", "B."
 

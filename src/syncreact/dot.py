@@ -14,7 +14,8 @@ def _quote(text: str) -> str:
 def export_dot(sys: SynchronousSystem) -> str:
     """One node per state labeled ``name / out``, initial double circled.
 
-    Nodes and edges follow declaration order so output is byte stable.
+    Nodes follow state declaration order and edges table order (the
+    system's ``transitions``, each once), so output is byte stable.
     """
     out = io.StringIO()
     out.write(f"digraph {_quote(sys.name)} {{\n")

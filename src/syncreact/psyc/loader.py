@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 
 from ..core import Alphabet, Record, symbol_components
-from ..errors import FormatError
+from ..errors import FormatError, UnknownSymbol
 from .semantics import Machine, VarDecl
 from .syntax import Ast, parse
-from .typecheck import COMM, Ty, typecheck
+from .typecheck import Ty, typecheck
 
 _INT_RE = re.compile(r"-?\d+$")
 _VAR_RE = re.compile(
@@ -63,6 +63,13 @@ def component_types(alphabet: Alphabet, what: str) -> tuple[str, ...]:
     return tuple(types)
 
 
+def _alphabet(symbols: list[str], where: str) -> Alphabet:
+    try:
+        return Alphabet(tuple(symbols))
+    except UnknownSymbol as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
 def loads(text: str, source: str = "<string>", name: str = "program") -> ProgramFile:
     inputs = None
     outputs = None
@@ -79,13 +86,13 @@ def loads(text: str, source: str = "<string>", name: str = "program") -> Program
             if tokens[0] == "inputs":
                 if inputs is not None:
                     raise FormatError(f"{source}:{lineno}: duplicate inputs")
-                inputs = Alphabet(tuple(tokens[1:]))
+                inputs = _alphabet(tokens[1:], f"{source}:{lineno}")
                 body_lines.append("")
                 continue
             if tokens[0] == "outputs":
                 if outputs is not None:
                     raise FormatError(f"{source}:{lineno}: duplicate outputs")
-                outputs = Alphabet(tuple(tokens[1:]))
+                outputs = _alphabet(tokens[1:], f"{source}:{lineno}")
                 body_lines.append("")
                 continue
             if tokens[0] == "var":

@@ -344,7 +344,7 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
         return ReactionTime(None)
     # The first worst case wins ties.
     times = [(length[r] + 1 if product.eq(r) else 0, r) for r in roots]
-    time, node = max(times, key=lambda c: c[0], default=(-1, None))
+    time, node = max(times, key=lambda c: c[0])
     witness = []
     if time > 0:
         while length[node] > 0:

@@ -11,23 +11,27 @@ end of line is a comment::
     trans STATE INSYM STATE
 
 Parsing is strict: unknown directives, undeclared symbols or states,
-duplicates, and a missing ``init`` are errors.
+duplicates, and a missing ``init`` are errors.  Every error names the
+source and, where it has one, the line.
 
-The writer emits states in declaration order and transitions in the
-order they were declared, repeats included (the ``transitions`` of
+A system is its tables, so the transitions are a set: the writer emits
+states in declaration order and transitions in table order, state by
+state and input by input, each row's successors in the order they were
+first declared, each triple once (the ``transitions`` of
 :class:`~syncreact.core.SynchronousSystem`, walked one by one).  A file
 thus round-trips byte exactly when it is canonical: the ``system``,
 ``inputs``, ``outputs`` and ``init`` lines in that order, then every
-``state`` line, then every ``trans`` line, one space between tokens, no
-comments or blank lines, and every line ended by a newline.
+``state`` line, then every ``trans`` line in table order without
+repeats, one space between tokens, no comments or blank lines, and
+every line ended by a newline.
 """
 
 from __future__ import annotations
 
 import io
 
-from .core import Alphabet, SynchronousSystem
-from .errors import FormatError
+from .core import Alphabet, SynchronousSystem, is_token
+from .errors import FormatError, UnknownSymbol
 
 
 def loads(text: str, source: str = "<string>") -> SynchronousSystem:
@@ -42,6 +46,12 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
     def err(lineno: int, message: str) -> FormatError:
         return FormatError(f"{source}:{lineno}: {message}")
 
+    def alphabet(lineno: int, symbols: list[str]) -> Alphabet:
+        try:
+            return Alphabet(tuple(symbols))
+        except UnknownSymbol as exc:
+            raise err(lineno, str(exc)) from None
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -54,18 +64,20 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
             if len(args) != 1:
                 raise err(lineno, "system takes exactly one name")
             name = args[0]
+            if not is_token(name):
+                raise err(lineno, f"bad system name {name!r}")
         elif directive == "inputs":
             if inputs is not None:
                 raise err(lineno, "duplicate inputs directive")
             if not args:
                 raise err(lineno, "inputs must list at least one symbol")
-            inputs = args
+            inputs = alphabet(lineno, args)
         elif directive == "outputs":
             if outputs is not None:
                 raise err(lineno, "duplicate outputs directive")
             if not args:
                 raise err(lineno, "outputs must list at least one symbol")
-            outputs = args
+            outputs = alphabet(lineno, args)
         elif directive == "init":
             if init is not None:
                 raise err(lineno, "duplicate init directive")
@@ -76,9 +88,11 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
             if len(args) != 2:
                 raise err(lineno, "state takes a name and an output symbol")
             state, out = args
+            if not is_token(state):
+                raise err(lineno, f"bad state token {state!r}")
             if state in out_label:
                 raise err(lineno, f"duplicate state {state}")
-            if outputs is None or out not in outputs:
+            if outputs is None or out not in outputs.symbols:
                 raise err(lineno, f"state {state} uses undeclared output {out}")
             states.append(state)
             out_label[state] = out
@@ -90,7 +104,7 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
                 raise err(lineno, f"transition from undeclared state {src}")
             if dst not in out_label:
                 raise err(lineno, f"transition to undeclared state {dst}")
-            if inputs is None or sym not in inputs:
+            if inputs is None or sym not in inputs.symbols:
                 raise err(lineno, f"transition on undeclared input {sym}")
             transitions.append((src, sym, dst))
         else:
@@ -108,8 +122,8 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
         raise FormatError(f"{source}: init state {init} not declared")
     return SynchronousSystem(
         name=name,
-        inputs=Alphabet(tuple(inputs)),
-        outputs=Alphabet(tuple(outputs)),
+        inputs=inputs,
+        outputs=outputs,
         states=tuple(states),
         transitions=tuple(transitions),
         out_label=out_label,

@@ -136,6 +136,39 @@ class TestImports:
         assert len(files) >= 15
         assert offenders == []
 
+    def test_no_module_has_an_unused_import(self):
+        # Packages' __init__ files re-export; ``__all__`` names and lines
+        # marked ``# noqa: F401`` are kept on purpose.
+        files = sorted(pathlib.Path(syncreact.__file__).parent.rglob("*.py"))
+        unused = []
+        for path in files:
+            if path.name == "__init__.py":
+                continue
+            text = path.read_text()
+            tree = ast.parse(text)
+            lines = text.splitlines()
+            kept = set()
+            used = set()
+            imported = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    kept.update(ast.literal_eval(node.value))
+                elif isinstance(node, ast.Import):
+                    imported += [(a, a.name.split(".")[0], node) for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported += [(a, a.name, node) for a in node.names]
+            for alias, name, node in imported:
+                name = alias.asname or name
+                marked = any("# noqa: F401" in lines[n - 1] for n in (node.lineno, alias.lineno))
+                if name not in used and name not in kept and not marked:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+        assert len(files) >= 15
+        assert unused == []
+
     def test_import_syncreact_loads_no_submodule(self):
         assert ours(loaded_modules("import syncreact")) == {"syncreact"}
         from_doe = ours(loaded_modules("from syncreact import doe"))
@@ -262,6 +295,16 @@ class TestCheck:
         code, _, err = run(capsys, "bisim", target, "a", "b")
         assert code == 2
         assert "error" in err
+
+
+    def test_loader_error_names_the_bad_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.sls"
+        text = (FIXTURES / "receiver.sls").read_text()
+        bad.write_text(text.replace("inputs 0 1 2", "inputs 0 1 1"))
+        sender = FIXTURES / "delay1.sls"
+        code, out, err = run(capsys, "compose", "--seq", sender, bad, "-o", tmp_path / "x")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:2: duplicate symbol '1'\n"
 
 
 class TestNotUtf8:
@@ -569,6 +612,38 @@ class TestQuotientAndDot:
         assert code == 0
         assert last_line(out) == "classes 1"
         assert len(sls.load(target).states) == 1
+
+    @pytest.mark.parametrize("moved", ["delay1.sls", "receiver.sls"])
+    def test_transition_order_and_repeats_change_no_written_file(self, capsys, tmp_path, moved):
+        # Rows moved across states, each row's own order kept, one line repeated.
+        canonical = (FIXTURES / moved).read_text()
+        head = [line for line in canonical.splitlines() if not line.startswith("trans ")]
+        rows = {}
+        for line in canonical.splitlines():
+            if line.startswith("trans "):
+                rows.setdefault(tuple(line.split()[1:3]), []).append(line)
+        trans = [line for row in reversed(rows.values()) for line in row]
+        text = "\n".join(head + trans + trans[:1]) + "\n"
+        assert text != canonical
+        assert sls.dumps(sls.loads(sls.dumps(sls.loads(text)))) == sls.dumps(sls.loads(text))
+        reordered = tmp_path / moved
+        reordered.write_text(text)
+        assert run(capsys, "check", reordered)[:2] == (0, "ok\n")
+        sender, receiver = FIXTURES / "delay1.sls", FIXTURES / "receiver.sls"
+        written = []
+        for path in (FIXTURES / moved, reordered):
+            out = tmp_path / "out"
+            pair = (path, receiver) if moved == "delay1.sls" else (sender, path)
+            files = []
+            for argv in (
+                ("quotient", path, "-o", out),
+                ("dot", path, "-o", out),
+                ("compose", "--seq", *pair, "-o", out),
+            ):
+                assert run(capsys, *argv)[0] == 0
+                files.append(out.read_bytes())
+            written.append(files)
+        assert written[0] == written[1]
 
     def test_dot_const(self, capsys):
         code, out, _ = run(capsys, "dot", FIXTURES / "const.sls")

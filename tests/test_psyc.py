@@ -1,5 +1,7 @@
 """Language frontend: parsing, typing, small-step semantics, LTS builds."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from syncreact import non_bisimilar, validate
 from syncreact.errors import (
     BuildError,
+    FormatError,
     IntRangeExceeded,
     NonFiniteIntRange,
     PsySyntaxError,
@@ -92,6 +95,21 @@ class TestParse:
         cond = node.cond
         assert cond.left == Get(0)
         assert cond.right.inner == Deref(VarRef("y"))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("inputs tt tt", "duplicate symbol 'tt'"),
+            ("inputs", "alphabet must be nonempty"),
+            ("outputs tt|ff", "bad symbol token 'tt|ff'"),
+        ],
+    )
+    def test_header_errors_name_file_and_line(self, header, message):
+        lines = ["# header", "inputs tt ff", "outputs tt ff", "tick(tt)"]
+        at = 1 if header.startswith("inputs") else 2
+        lines[at] = header
+        with pytest.raises(FormatError, match=rf"^p\.psy:{at + 1}: {re.escape(message)}$"):
+            loads("\n".join(lines) + "\n", source="p.psy")
 
     def test_error_carries_position(self):
         with pytest.raises(PsySyntaxError) as info:

@@ -1,5 +1,7 @@
 """Textual format: strict parsing and byte-exact round-trips."""
 
+import re
+
 import pytest
 
 from syncreact import sls, validate
@@ -32,6 +34,10 @@ def test_comments_and_blank_lines_are_ignored():
     assert sys.states == ("s",)
 
 
+STRICT_BASE = ("system t", "inputs a", "outputs 0", "init s", "state s 0")
+ONCE = ("system", "inputs", "outputs")
+
+
 @pytest.mark.parametrize(
     "mutation, message",
     [
@@ -39,12 +45,20 @@ def test_comments_and_blank_lines_are_ignored():
         ("trans s c s", "undeclared input"),
         ("trans s a t", "undeclared state"),
         ("state t 1", "undeclared output"),
+        ("state s|x 0", "bad state token 's|x'"),
+        ("inputs a a", "duplicate symbol 'a'"),
+        ("outputs 0 0", "duplicate symbol '0'"),
+        ("system t|u", "bad system name 't|u'"),
     ],
 )
 def test_strict_errors(mutation, message):
-    text = f"system t\ninputs a\noutputs 0\ninit s\nstate s 0\n{mutation}\n"
-    with pytest.raises(FormatError, match=message):
-        sls.loads(text)
+    # A system, inputs or outputs line replaces the base one; others are appended.
+    lines = list(STRICT_BASE)
+    directive = mutation.split()[0]
+    at = ONCE.index(directive) if directive in ONCE else len(lines)
+    lines[at : at + 1] = [mutation]
+    with pytest.raises(FormatError, match=rf"^t\.sls:{at + 1}: .*{re.escape(message)}"):
+        sls.loads("\n".join(lines) + "\n", source="t.sls")
 
 
 def test_missing_init_is_an_error():

@@ -2,9 +2,11 @@
 
 Quotients, composites, unions and ``.psy`` builds hand their tables to
 ``SynchronousSystem.from_tables``.  Each must equal the system the
-validating constructor makes from its seven fields, with the same repr,
-tables and kept declared order, and must write the same ``.sls`` bytes
-as the name-triple builders in ``oracles.py``.
+validating constructor makes from its seven fields, with the same repr
+and tables, and must write the same ``.sls`` bytes as the name-triple
+builders in ``oracles.py``.  A system is its tables: its transitions
+are listed in table order, each once, whatever order and repeats the
+triples were declared with.
 """
 
 import random
@@ -24,17 +26,23 @@ def rebuilt(system: SynchronousSystem) -> SynchronousSystem:
     return SynchronousSystem(*(getattr(system, f) for f in system._fields))
 
 
+def table_order(system: SynchronousSystem) -> tuple:
+    """The transitions state by state, input by input, each row in its stored order."""
+    return tuple(
+        (q, a, t) for q in system.states for a in system.inputs for t in system.successors(q, a)
+    )
+
+
 def assert_same_as_validated(system: SynchronousSystem) -> None:
     again = rebuilt(system)
     assert again == system and repr(again) == repr(system)
     assert (again.index, again.succ, again.out_ids) == (system.index, system.succ, system.out_ids)
-    assert again.declared_transitions == system.declared_transitions
-    assert tuple(system.iter_transitions()) == system.transitions
+    assert tuple(system.iter_transitions()) == system.transitions == table_order(system)
     assert sls.dumps(again) == sls.dumps(system)
 
 
 def redeclared(system: SynchronousSystem, rng: random.Random) -> SynchronousSystem:
-    """The same tables, transitions declared shuffled with a few repeated."""
+    """The same transitions, declared shuffled with a few repeated."""
     transitions = list(system.transitions)
     transitions += rng.sample(transitions, min(3, len(transitions)))
     rng.shuffle(transitions)
@@ -51,21 +59,32 @@ def systems(seed: int, count: int, inputs=("a", "b"), outputs=("0", "1")):
 
 class TestDeclaredOrder:
     def test_table_order_keeps_no_declared_order(self):
-        for _, sys in systems(1, 30):
-            assert sys.declared_transitions is None
-            assert sys.transitions == rebuilt(sys).transitions
+        for rng, sys in systems(1, 30):
+            assert not hasattr(sys, "declared_transitions")
+            assert sys.transitions == table_order(sys) == rebuilt(sys).transitions
             assert sls.dumps(sls.loads(sls.dumps(sys))) == sls.dumps(sys)
+            # Rows moved across states, each row's own order kept, one line repeated.
+            rows = {}
+            for s, a, t in sys.transitions:
+                rows.setdefault((s, a), []).append((s, a, t))
+            keys = list(rows)
+            rng.shuffle(keys)
+            moved = [tr for key in keys for tr in rows[key]] + [rng.choice(sys.transitions)]
+            fields = {f: getattr(sys, f) for f in sys._fields}
+            again = SynchronousSystem(**{**fields, "transitions": tuple(moved)})
+            assert again.succ == sys.succ
+            assert sls.dumps(again) == sls.dumps(sys)
 
-    def test_other_orders_are_kept_and_written_back(self):
+    def test_other_orders_are_written_in_table_order(self):
         for rng, sys in systems(2, 30):
             shuffled = redeclared(sys, rng)
             assert [list(map(sorted, moves)) for moves in shuffled.succ] == [
                 list(map(sorted, moves)) for moves in sys.succ
             ]
-            assert shuffled.transitions != sys.transitions
-            assert shuffled.declared_transitions == shuffled.transitions
+            assert shuffled.transitions == table_order(shuffled)
+            assert sorted(shuffled.transitions) == sorted(sys.transitions)
             text = sls.dumps(shuffled)
-            assert text.count("\ntrans ") == len(shuffled.transitions)
+            assert text.count("\ntrans ") == len(sys.transitions)
             assert sls.dumps(sls.loads(text)) == text
             assert_same_as_validated(shuffled)
 
@@ -152,8 +171,13 @@ class TestOtherBuilders:
                 sys_b = redeclared(sys_b, rng)
             union, _, _ = disjoint_union(sys_a, sys_b)
             sides = (("A.", sys_a), ("B.", sys_b))
+            # Both sides listed in table order, by sys_a's input order.
             assert union.transitions == tuple(
-                (p + s, a, p + t) for (p, side) in sides for (s, a, t) in side.transitions
+                (p + q, a, p + t)
+                for (p, side) in sides
+                for q in side.states
+                for a in sys_a.inputs
+                for t in side.successors(q, a)
             )
             assert union.out_label == {
                 p + q: side.out(q) for (p, side) in sides for q in side.states
@@ -164,7 +188,6 @@ class TestOtherBuilders:
     def test_psyc_build(self, name):
         program = psyc.load(FIXTURES / name)
         built = psyc.build_lts(program.machine, program.body, 100, name=program.name)
-        assert built.declared_transitions is None
         assert_same_as_validated(built)
 
     def test_from_tables_checks_the_name(self):
