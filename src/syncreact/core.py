@@ -156,6 +156,72 @@ def _check_name(name: str) -> None:
         raise UnknownSymbol(f"bad system name {name!r}")
 
 
+class _Tables:
+    """A system's tables, filled one declaration at a time.
+
+    The one home of a system's name rules, each checked once where the
+    name is declared, so a state needs the outputs set first and a
+    transition the inputs and both of its states.  The validating
+    constructor feeds it its fields and ``sls.loads`` its lines.
+    """
+
+    __slots__ = ("name", "inputs", "outputs", "index", "succ", "out_ids", "_column", "_out_id")
+
+    def __init__(self):
+        self.name = self.inputs = self.outputs = None
+        self.index, self.succ, self.out_ids = {}, [], []
+        self._column, self._out_id = {}, {}
+
+    def set_name(self, name: str) -> None:
+        _check_name(name)
+        self.name = name
+
+    def set_inputs(self, inputs: Alphabet) -> None:
+        self.inputs, self._column = inputs, {a: i for i, a in enumerate(inputs)}
+        # A transition needs its input, so every row so far is empty.
+        self.succ = [[[] for _ in self._column] for _ in self.succ]
+
+    def set_outputs(self, outputs: Alphabet) -> None:
+        self.outputs, self._out_id = outputs, {o: i for i, o in enumerate(outputs)}
+
+    def state(self, q: str, out: str) -> None:
+        if not is_token(q):
+            raise UnknownState(f"bad state token {q!r}")
+        if q in self.index:
+            raise UnknownState(f"duplicate state {q}")
+        o = self._out_id.get(out)
+        if o is None:
+            raise UnknownSymbol(f"state {q} uses undeclared output {out}")
+        self.index[q] = len(self.out_ids)
+        self.out_ids.append(o)
+        self.succ.append([[] for _ in self._column])
+
+    def trans(self, src: str, sym: str, dst: str) -> None:
+        s, t, a = self.index.get(src), self.index.get(dst), self._column.get(sym)
+        if s is None:
+            raise UnknownState(f"transition from undeclared state {src}")
+        if t is None:
+            raise UnknownState(f"transition to undeclared state {dst}")
+        if a is None:
+            raise UnknownSymbol(f"transition on undeclared input {sym}")
+        moves = self.succ[s][a]
+        if t not in moves:
+            moves.append(t)
+
+    def build(self, initial: str, system: Optional["SynchronousSystem"] = None) -> "SynchronousSystem":
+        """``system``, or a new one, set to the tables with ``initial`` as its initial state."""
+        s = self.index.get(initial)
+        if s is None:
+            raise UnknownState(f"init state {initial} not declared")
+        if system is None:
+            system = SynchronousSystem.__new__(SynchronousSystem)
+        system._set(
+            self.name, self.inputs, self.outputs, tuple(self.index),
+            [tuple(map(tuple, row)) for row in self.succ], self.out_ids, s, self.index,
+        )
+        return system
+
+
 class SynchronousSystem(Record):
     """Complete, finitely-branching Moore-style LTS.
 
@@ -174,8 +240,9 @@ class SynchronousSystem(Record):
     declared, each triple once.  Neither the order in which the triples
     were declared nor a repeat is kept.
 
-    The constructor checks the seven fields it takes; the builders,
-    whose tables come from checked systems, use :meth:`from_tables`.
+    The constructor checks the seven fields it takes with the name rules
+    of ``sls.loads``, states before transitions; the builders, whose
+    tables come from checked systems, use :meth:`from_tables`.
     Equality compares the seven fields, not the tables; systems are
     unhashable.
     """
@@ -203,42 +270,18 @@ class SynchronousSystem(Record):
         out_label: Mapping[str, str],
         initial: str,
     ):
-        _check_name(name)
-        index = {}
-        for q in states:
-            if not is_token(q):
-                raise UnknownState(f"bad state token {q!r}")
-            if q in index:
-                raise UnknownState(f"duplicate state {q!r}")
-            index[q] = len(index)
-        column = {a: i for i, a in enumerate(inputs)}
-        succ = [[[] for _ in column] for _ in index]
-        for (src, sym, dst) in transitions:
-            s, t, a = index.get(src), index.get(dst), column.get(sym)
-            if s is None:
-                raise UnknownState(f"transition from undeclared state {src!r}")
-            if t is None:
-                raise UnknownState(f"transition to undeclared state {dst!r}")
-            if a is None:
-                raise UnknownSymbol(f"transition on undeclared input {sym!r}")
-            moves = succ[s][a]
-            if t not in moves:
-                moves.append(t)
+        tables = _Tables()
+        tables.set_name(name)
+        tables.set_inputs(inputs)
+        tables.set_outputs(outputs)
+        state, trans = tables.state, tables.trans
         for q in states:
             if q not in out_label:
                 raise UnknownState(f"state {q!r} has no output label")
-            if out_label[q] not in outputs:
-                raise UnknownSymbol(f"state {q!r} labeled with undeclared output {out_label[q]!r}")
-        if initial not in index:
-            raise UnknownState(f"initial state {initial!r} not declared")
-        out_id = {o: i for i, o in enumerate(outputs)}
-        self._set(
-            name, inputs, outputs, states,
-            [tuple(map(tuple, moves)) for moves in succ],
-            [out_id[out_label[q]] for q in states],
-            index[initial],
-            index,
-        )
+            state(q, out_label[q])
+        for (src, sym, dst) in transitions:
+            trans(src, sym, dst)
+        tables.build(initial, self)
 
     @classmethod
     def from_tables(

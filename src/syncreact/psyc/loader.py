@@ -9,7 +9,8 @@ Header lines, before the body, ``#`` comments allowed::
 
 Component base types are derived from the declared alphabets: a
 component whose values are all ``tt``/``ff`` is boolean, one whose
-values are all integer literals is an integer.
+values are all integer literals is an integer.  A header error names
+the source and line; a body parse error the source, line and column.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 
 from ..core import Alphabet, Record, symbol_components
-from ..errors import FormatError, UnknownSymbol
+from ..errors import FormatError, PsySyntaxError, UnknownSymbol
 from .semantics import Machine, VarDecl
 from .syntax import Ast, parse
 from .typecheck import Ty, typecheck
@@ -63,69 +64,57 @@ def component_types(alphabet: Alphabet, what: str) -> tuple[str, ...]:
     return tuple(types)
 
 
-def _alphabet(symbols: list[str], where: str) -> Alphabet:
-    try:
-        return Alphabet(tuple(symbols))
-    except UnknownSymbol as exc:
-        raise FormatError(f"{where}: {exc}") from None
-
-
 def loads(text: str, source: str = "<string>", name: str = "program") -> ProgramFile:
-    inputs = None
-    outputs = None
+    alphabets: dict[str, tuple[Alphabet, tuple[str, ...]]] = {}
     variables: list[VarDecl] = []
     body_lines = []
     in_body = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not in_body:
-            if not stripped:
-                body_lines.append("")
-                continue
-            tokens = stripped.split()
-            if tokens[0] == "inputs":
-                if inputs is not None:
-                    raise FormatError(f"{source}:{lineno}: duplicate inputs")
-                inputs = _alphabet(tokens[1:], f"{source}:{lineno}")
-                body_lines.append("")
-                continue
-            if tokens[0] == "outputs":
-                if outputs is not None:
-                    raise FormatError(f"{source}:{lineno}: duplicate outputs")
-                outputs = _alphabet(tokens[1:], f"{source}:{lineno}")
-                body_lines.append("")
-                continue
-            if tokens[0] == "var":
-                match = _VAR_RE.match(stripped)
-                if not match:
-                    raise FormatError(f"{source}:{lineno}: bad var declaration")
-                vname, ty, low, high = match.groups()
-                if any(v.name == vname for v in variables):
-                    raise FormatError(f"{source}:{lineno}: duplicate var {vname}")
-                if ty == "bool":
-                    variables.append(VarDecl(vname, "bool"))
-                elif ty == "int":
-                    variables.append(VarDecl(vname, "int"))
-                else:
-                    variables.append(VarDecl(vname, "int", int(low), int(high)))
-                body_lines.append("")
-                continue
-            in_body = True
-        body_lines.append(raw)
-    if inputs is None:
-        raise FormatError(f"{source}: missing inputs directive")
-    if outputs is None:
-        raise FormatError(f"{source}: missing outputs directive")
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.split("#", 1)[0].strip()
+            if not in_body:
+                if not stripped:
+                    body_lines.append("")
+                    continue
+                tokens = stripped.split()
+                if tokens[0] in ("inputs", "outputs"):
+                    if tokens[0] in alphabets:
+                        raise FormatError(f"duplicate {tokens[0]}")
+                    alphabet = Alphabet(tuple(tokens[1:]))
+                    alphabets[tokens[0]] = (alphabet, component_types(alphabet, tokens[0][:-1]))
+                    body_lines.append("")
+                    continue
+                if tokens[0] == "var":
+                    match = _VAR_RE.match(stripped)
+                    if not match:
+                        raise FormatError("bad var declaration")
+                    vname, ty, low, high = match.groups()
+                    if any(v.name == vname for v in variables):
+                        raise FormatError(f"duplicate var {vname}")
+                    if ty == "bool":
+                        variables.append(VarDecl(vname, "bool"))
+                    elif ty == "int":
+                        variables.append(VarDecl(vname, "int"))
+                    else:
+                        variables.append(VarDecl(vname, "int", int(low), int(high)))
+                    body_lines.append("")
+                    continue
+                in_body = True
+            body_lines.append(raw)
+    except (FormatError, UnknownSymbol) as exc:
+        raise FormatError(f"{source}:{lineno}: {exc}") from None
+    for directive in ("inputs", "outputs"):
+        if directive not in alphabets:
+            raise FormatError(f"{source}: missing {directive} directive")
     # Header lines were blanked, so parser positions match the file.
-    body = parse("\n".join(body_lines))
-    machine = Machine(
-        inputs,
-        outputs,
-        component_types(inputs, "input"),
-        component_types(outputs, "output"),
-        tuple(variables),
-    )
-    return ProgramFile(name, machine, body)
+    try:
+        body = parse("\n".join(body_lines))
+    except PsySyntaxError as exc:
+        exc.args = (f"{source}:{exc}",)
+        raise
+    (inputs, in_types), (outputs, out_types) = alphabets["inputs"], alphabets["outputs"]
+    return ProgramFile(name, Machine(inputs, outputs, in_types, out_types, tuple(variables)), body)
 
 
 def load(path) -> ProgramFile:

@@ -10,9 +10,13 @@ end of line is a comment::
     state STATE OUTSYM
     trans STATE INSYM STATE
 
-Parsing is strict: unknown directives, undeclared symbols or states,
-duplicates, and a missing ``init`` are errors.  Every error names the
-source and, where it has one, the line.
+Parsing is one pass and strict: each ``state`` and ``trans`` line fills
+the system's tables through the name checks of the validating
+:class:`~syncreact.core.SynchronousSystem` constructor, so a name must
+be declared on an earlier line: a ``state`` needs ``outputs``, a
+``trans`` needs ``inputs`` and both of its states.  Unknown directives,
+undeclared symbols or states, duplicates, and a missing ``init`` are
+errors.  Every error names the source and, where it has one, the line.
 
 A system is its tables, so the transitions are a set: the writer emits
 states in declaration order and transitions in table order, state by
@@ -30,105 +34,66 @@ from __future__ import annotations
 
 import io
 
-from .core import Alphabet, SynchronousSystem, is_token
-from .errors import FormatError, UnknownSymbol
+from .core import Alphabet, SynchronousSystem, _Tables
+from .errors import FormatError, UnknownState, UnknownSymbol
+
+
+_ONCE = ("system", "inputs", "outputs", "init")
 
 
 def loads(text: str, source: str = "<string>") -> SynchronousSystem:
-    name = None
-    inputs = None
-    outputs = None
-    init = None
-    states: list[str] = []
-    out_label: dict[str, str] = {}
-    transitions: list[tuple[str, str, str]] = []
+    tables = _Tables()
+    state, trans = tables.state, tables.trans
+    seen: set[str] = set()
+    init = init_line = None
+    lineno = 0
 
-    def err(lineno: int, message: str) -> FormatError:
+    def err(message: str) -> FormatError:
         return FormatError(f"{source}:{lineno}: {message}")
 
-    def alphabet(lineno: int, symbols: list[str]) -> Alphabet:
-        try:
-            return Alphabet(tuple(symbols))
-        except UnknownSymbol as exc:
-            raise err(lineno, str(exc)) from None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
-        if directive == "system":
-            if name is not None:
-                raise err(lineno, "duplicate system directive")
-            if len(args) != 1:
-                raise err(lineno, "system takes exactly one name")
-            name = args[0]
-            if not is_token(name):
-                raise err(lineno, f"bad system name {name!r}")
-        elif directive == "inputs":
-            if inputs is not None:
-                raise err(lineno, "duplicate inputs directive")
-            if not args:
-                raise err(lineno, "inputs must list at least one symbol")
-            inputs = alphabet(lineno, args)
-        elif directive == "outputs":
-            if outputs is not None:
-                raise err(lineno, "duplicate outputs directive")
-            if not args:
-                raise err(lineno, "outputs must list at least one symbol")
-            outputs = alphabet(lineno, args)
-        elif directive == "init":
-            if init is not None:
-                raise err(lineno, "duplicate init directive")
-            if len(args) != 1:
-                raise err(lineno, "init takes exactly one state")
-            init = args[0]
-        elif directive == "state":
-            if len(args) != 2:
-                raise err(lineno, "state takes a name and an output symbol")
-            state, out = args
-            if not is_token(state):
-                raise err(lineno, f"bad state token {state!r}")
-            if state in out_label:
-                raise err(lineno, f"duplicate state {state}")
-            if outputs is None or out not in outputs.symbols:
-                raise err(lineno, f"state {state} uses undeclared output {out}")
-            states.append(state)
-            out_label[state] = out
-        elif directive == "trans":
-            if len(args) != 3:
-                raise err(lineno, "trans takes source, input symbol, target")
-            src, sym, dst = args
-            if src not in out_label:
-                raise err(lineno, f"transition from undeclared state {src}")
-            if dst not in out_label:
-                raise err(lineno, f"transition to undeclared state {dst}")
-            if inputs is None or sym not in inputs.symbols:
-                raise err(lineno, f"transition on undeclared input {sym}")
-            transitions.append((src, sym, dst))
-        else:
-            raise err(lineno, f"unknown directive {directive!r}")
-
-    if name is None:
-        raise FormatError(f"{source}: missing system directive")
-    if inputs is None:
-        raise FormatError(f"{source}: missing inputs directive")
-    if outputs is None:
-        raise FormatError(f"{source}: missing outputs directive")
-    if init is None:
-        raise FormatError(f"{source}: missing init directive")
-    if init not in out_label:
-        raise FormatError(f"{source}: init state {init} not declared")
-    return SynchronousSystem(
-        name=name,
-        inputs=inputs,
-        outputs=outputs,
-        states=tuple(states),
-        transitions=tuple(transitions),
-        out_label=out_label,
-        initial=init,
-    )
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            directive, args = tokens[0], tokens[1:]
+            if directive == "trans":
+                if len(args) != 3:
+                    raise err("trans takes source, input symbol, target")
+                trans(*args)
+            elif directive == "state":
+                if len(args) != 2:
+                    raise err("state takes a name and an output symbol")
+                state(*args)
+            elif directive in _ONCE:
+                if directive in seen:
+                    raise err(f"duplicate {directive} directive")
+                seen.add(directive)
+                if directive == "system":
+                    if len(args) != 1:
+                        raise err("system takes exactly one name")
+                    tables.set_name(args[0])
+                elif directive == "init":
+                    if len(args) != 1:
+                        raise err("init takes exactly one state")
+                    init, init_line = args[0], lineno
+                elif not args:
+                    raise err(f"{directive} must list at least one symbol")
+                elif directive == "inputs":
+                    tables.set_inputs(Alphabet(tuple(args)))
+                else:
+                    tables.set_outputs(Alphabet(tuple(args)))
+            else:
+                raise err(f"unknown directive {directive!r}")
+        for directive in _ONCE:
+            if directive not in seen:
+                raise FormatError(f"{source}: missing {directive} directive")
+        # The initial state is checked last, against its init line.
+        lineno = init_line
+        return tables.build(init)
+    except (UnknownState, UnknownSymbol) as exc:
+        raise err(str(exc)) from None
 
 
 def load(path) -> SynchronousSystem:

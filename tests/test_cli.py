@@ -722,6 +722,13 @@ class TestPsyc:
         assert err.startswith("error: ")
         assert message in err
 
+    def test_parse_error_names_the_file_line_and_column(self, capsys, tmp_path):
+        bad = tmp_path / "bad.psy"
+        bad.write_text("inputs tt ff\noutputs tt ff\nvar x : bool\nx := tt: ff\n")
+        code, out, err = run(capsys, "psyc", "typecheck", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:4:8: unexpected character ':'\n"
+
     def test_type_error_exits_2(self, capsys, tmp_path):
         src = tmp_path / "bad.psy"
         src.write_text("inputs tt ff\noutputs tt ff\nvar x : bool\nx := 3")

@@ -102,6 +102,8 @@ class TestParse:
             ("inputs tt tt", "duplicate symbol 'tt'"),
             ("inputs", "alphabet must be nonempty"),
             ("outputs tt|ff", "bad symbol token 'tt|ff'"),
+            ("inputs tt tt,ff", "input symbols have mixed arities [1, 2]"),
+            ("inputs tt 1", "input component 0 mixes booleans and other tokens: 1 tt"),
         ],
     )
     def test_header_errors_name_file_and_line(self, header, message):

@@ -34,30 +34,55 @@ def test_comments_and_blank_lines_are_ignored():
     assert sys.states == ("s",)
 
 
-STRICT_BASE = ("system t", "inputs a", "outputs 0", "init s", "state s 0")
-ONCE = ("system", "inputs", "outputs")
+STRICT_BASE = ("system t", "inputs a", "outputs 0", "init s", "state s 0", "trans s a s")
+ONCE = ("system", "inputs", "outputs", "init")
+END = len(STRICT_BASE)
+
+
+def strict(mutation, rule, message, at=None, line=None):
+    """A case of ``test_strict_errors``.
+
+    A system, inputs, outputs or init ``mutation`` replaces the base line
+    of its directive; any other is added.  It goes in at index ``at``, by
+    default the replaced line's place or the end.  The error names
+    ``line``, by default the mutation's own, and reads ``message`` whole.
+    """
+    return pytest.param(mutation, at, line, message, id=f"{mutation}-{rule}")
 
 
 @pytest.mark.parametrize(
-    "mutation, message",
+    "mutation, at, line, message",
     [
-        ("unknown", "unknown directive"),
-        ("trans s c s", "undeclared input"),
-        ("trans s a t", "undeclared state"),
-        ("state t 1", "undeclared output"),
-        ("state s|x 0", "bad state token 's|x'"),
-        ("inputs a a", "duplicate symbol 'a'"),
-        ("outputs 0 0", "duplicate symbol '0'"),
-        ("system t|u", "bad system name 't|u'"),
+        strict("unknown", "unknown directive", "unknown directive 'unknown'"),
+        strict("trans s c s", "undeclared input", "transition on undeclared input c"),
+        strict("trans s a t", "undeclared state", "transition to undeclared state t"),
+        strict("trans t a s", "undeclared source", "transition from undeclared state t"),
+        strict("state t 1", "undeclared output", "state t uses undeclared output 1"),
+        strict("state s|x 0", "bad state token 's|x'", "bad state token 's|x'"),
+        strict("state s 0", "duplicate state", "duplicate state s"),
+        strict("inputs a a", "duplicate symbol 'a'", "duplicate symbol 'a'"),
+        strict("outputs 0 0", "duplicate symbol '0'", "duplicate symbol '0'"),
+        strict("system t|u", "bad system name 't|u'", "bad system name 't|u'"),
+        strict("init u", "undeclared init state", "init state u not declared"),
+        # Declaration order: a state needs the outputs, a transition the
+        # inputs and both of its states, each on an earlier line.
+        strict("trans s a s", "before its state", "transition from undeclared state s", at=4),
+        strict("outputs 0", "after a state", "state s uses undeclared output 0", at=END, line=4),
+        strict("inputs a", "after a transition", "transition on undeclared input a", at=END, line=5),
     ],
 )
-def test_strict_errors(mutation, message):
-    # A system, inputs or outputs line replaces the base one; others are appended.
+def test_strict_errors(mutation, at, line, message):
     lines = list(STRICT_BASE)
     directive = mutation.split()[0]
-    at = ONCE.index(directive) if directive in ONCE else len(lines)
-    lines[at : at + 1] = [mutation]
-    with pytest.raises(FormatError, match=rf"^t\.sls:{at + 1}: .*{re.escape(message)}"):
+    if directive in ONCE:
+        place = ONCE.index(directive)
+        del lines[place]
+    else:
+        place = len(lines)
+    at = place if at is None else at
+    lines.insert(at, mutation)
+    line = at + 1 if line is None else line
+    with pytest.raises(FormatError, match=rf"^t\.sls:{line}: {re.escape(message)}$"):
         sls.loads("\n".join(lines) + "\n", source="t.sls")
 
 

@@ -10,16 +10,17 @@ triples were declared with.
 """
 
 import random
+import re
 
 import pytest
 
 from syncreact import psyc, sls
 from syncreact.compose import par_compose, seq_compose
 from syncreact.core import Alphabet, SynchronousSystem, bisim_quotient, disjoint_union
-from syncreact.errors import UnknownSymbol
+from syncreact.errors import FormatError, UnknownState, UnknownSymbol
 
 from .conftest import FIXTURES
-from .oracles import naive_composite, naive_quotient, sized_system
+from .oracles import naive_composite, naive_quotient, random_system, sized_system
 
 
 def rebuilt(system: SynchronousSystem) -> SynchronousSystem:
@@ -194,3 +195,61 @@ class TestOtherBuilders:
         io = Alphabet(("i",))
         with pytest.raises(UnknownSymbol, match="bad system name"):
             SynchronousSystem.from_tables("two words", io, io, ("q",), [((0,),)], [0], 0)
+
+
+def fields_text(name, inputs, outputs, states, transitions, out_label, initial) -> str:
+    """The ``.sls`` lines of seven constructor fields, unchecked: states before transitions."""
+    lines = [f"system {name}", "inputs " + " ".join(inputs), "outputs " + " ".join(outputs)]
+    lines += [f"init {initial}"] + [f"state {q} {out_label[q]}" for q in states]
+    lines += [f"trans {src} {sym} {dst}" for (src, sym, dst) in transitions]
+    return "\n".join(lines) + "\n"
+
+
+def single_faults(system: SynchronousSystem, rng: random.Random):
+    """Each fault the constructor and the loader reject, with the constructor's error class."""
+    fields = {f: getattr(system, f) for f in system._fields}
+    states, transitions, out_label = fields["states"], fields["transitions"], fields["out_label"]
+    q, t = rng.choice(states), rng.choice(states)
+    a = rng.choice(system.inputs.symbols)
+
+    def moved(extra):
+        at = rng.randrange(len(transitions) + 1)
+        return {**fields, "transitions": transitions[:at] + (extra,) + transitions[at:]}
+
+    yield UnknownState, {**fields, "states": states + (q,)}
+    yield UnknownState, {**fields, "states": states + ("z|z",), "out_label": {**out_label, "z|z": "0"}}
+    yield UnknownSymbol, {**fields, "out_label": {**out_label, q: "zz"}}
+    yield UnknownState, moved(("zz", a, t))
+    yield UnknownState, moved((q, a, "zz"))
+    yield UnknownSymbol, moved((q, "zz", t))
+    yield UnknownState, {**fields, "initial": "zz"}
+
+
+class TestConstructorAndLoader:
+    """The validating constructor and ``sls.loads`` fill the tables through one set of checks."""
+
+    def test_a_written_system_loads_to_the_same_tables(self):
+        rng = random.Random(21)
+        for i in range(60):
+            sys = random_system(rng, f"r{i}", 12, ("a", "b", "c"), ("0", "1"), (0.0, 0.3)[i % 2])
+            text = sls.dumps(sys)
+            # The inputs may also come after the states, if before every transition.
+            lines = text.splitlines(keepends=True)
+            inputs = lines.pop(1)
+            lines.insert(next(k for k, line in enumerate(lines) if line.startswith("trans ")), inputs)
+            for loaded in (sls.loads(text), sls.loads("".join(lines))):
+                assert (loaded.index, loaded.succ, loaded.out_ids, loaded.initial) == (
+                    sys.index, sys.succ, sys.out_ids, sys.initial
+                )
+
+    def test_a_single_fault_reads_the_same_from_both(self):
+        rng = random.Random(22)
+        for i in range(40):
+            sys = random_system(rng, f"r{i}", 8, ("a", "b"), ("0", "1"))
+            for cls, fields in single_faults(sys, rng):
+                with pytest.raises(cls) as built:
+                    SynchronousSystem(**fields)
+                with pytest.raises(FormatError) as loaded:
+                    sls.loads(fields_text(**fields), source="f.sls")
+                assert re.match(r"f\.sls:\d+: ", str(loaded.value))
+                assert str(loaded.value).split(": ", 1)[1] == str(built.value)
