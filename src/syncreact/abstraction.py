@@ -23,7 +23,7 @@ import itertools
 from math import lcm
 from typing import Optional
 
-from .core import BisimOracle, PairRows, Record, SynchronousSystem, align, feed_of, lasso_at
+from .core import BisimOracle, PairRows, Record, SynchronousSystem, feed_of, lasso_at
 from .errors import NotReactive, PreconditionFailed
 from .lasso import (
     STAR,
@@ -209,21 +209,21 @@ def ssp_levels(
     through strongly separating pairs.  Level n intersects the SSP of
     every pair of the n-th frontier, and is every input pair once the
     frontier is empty.  Returns one set per level and the index the tail
-    loops back to.
+    loops back to.  Pairs are ids of the two systems' joined system
+    (:func:`core.joined`).
     """
     oracle = BisimOracle(sys_a, sys_b)
-    succ_a, cls_a = sys_a.succ, oracle.cls_a
-    succ_b, _ = align(sys_a, sys_b)
+    succ, cls = oracle.system.succ, oracle.cls
     symbols = sys_a.inputs.symbols
     candidates = list(itertools.combinations(range(len(symbols)), 2))
-    everything = (1 << len(succ_b)) - 1
-    gaps = class_gaps(succ_b, oracle.cls_b, len(symbols))
+    everything = (1 << len(succ)) - 1
+    gaps = class_gaps(succ, cls, len(symbols))
     held: dict[int, tuple[list, list[int]]] = {}
 
     def row(p: int) -> tuple[list, list[int]]:
         """Row p's masked columns, and per candidate the q where it is not an SSP."""
         if p not in held:
-            masks = row_orientations(succ_a[p], cls_a, gaps, everything)
+            masks = row_orientations(succ[p], cls, gaps, everything)
             held[p] = (
                 [(ae, af, bits) for (ae, af), bits in masks.items() if bits],
                 [everything ^ (masks[(a1, a2)] | masks[(a2, a1)]) for (a1, a2) in candidates],
@@ -246,8 +246,8 @@ def ssp_levels(
             )
         return named[kept]
 
-    rows = PairRows(succ_a, succ_b)
-    start = rows.frontier([(sys_a.index[q1], sys_b.index[q2])])
+    rows = PairRows(succ, succ)
+    start = rows.frontier([oracle.ids(q1, q2)])
     return rows.walk(start, rows.columns(lambda p: row(p)[0]), value)
 
 

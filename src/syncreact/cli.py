@@ -252,21 +252,28 @@ def cmd_doe_compose(args) -> int:
     return EXIT_OK
 
 
-def cmd_psyc_typecheck(args) -> int:
+def _typed_program(path):
+    """The ``.psy`` program at path and its type; a type error names the file."""
     from . import psyc as psyc_frontend
 
-    program = psyc_frontend.load(args.file)
-    print(str(program.typecheck()))
+    program = psyc_frontend.load(path)
+    try:
+        return program, program.typecheck()
+    except PsyTypeError as exc:
+        raise PsyTypeError(f"{path}: {exc}") from None
+
+
+def cmd_psyc_typecheck(args) -> int:
+    print(str(_typed_program(args.file)[1]))
     return EXIT_OK
 
 
 def cmd_psyc_build(args) -> int:
     from . import psyc as psyc_frontend
 
-    program = psyc_frontend.load(args.file)
-    ty = program.typecheck()
+    program, ty = _typed_program(args.file)
     if str(ty) != "comm":
-        raise PsyTypeError(f"program has type {ty}, not comm")
+        raise PsyTypeError(f"{args.file}: program has type {ty}, not comm")
     system = psyc_frontend.build_lts(
         program.machine, program.body, args.max_states, name=program.name
     )

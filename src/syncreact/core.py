@@ -14,8 +14,7 @@ import bisect
 import itertools
 import math
 import re
-import weakref
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -248,12 +247,8 @@ class SynchronousSystem(Record):
     """
 
     # The tables and the cached analyses live in the instance __dict__;
-    # ``_out_label`` holds the out_label view once built.  A weak
-    # reference lets :class:`BisimOracle` caches forget a dead system.
-    __slots__ = (
-        "name", "inputs", "outputs", "states", "initial", "_out_label",
-        "__dict__", "__weakref__",
-    )
+    # ``_out_label`` holds the out_label view once built.
+    __slots__ = ("name", "inputs", "outputs", "states", "initial", "_out_label", "__dict__")
     _fields = ("name", "inputs", "outputs", "states", "transitions", "out_label", "initial")
     __hash__ = None
     index: dict[str, int]
@@ -367,11 +362,6 @@ class SynchronousSystem(Record):
     def refinement(self) -> "_Refinement":
         """The system's own bisimulation refinement, built once (a race builds equal ones)."""
         return _Refinement(self.succ, self.out_ids)
-
-    @cached_property
-    def _joined(self) -> dict[int, tuple]:
-        """Refinements joined with other live systems (:class:`BisimOracle`), by their ``id``."""
-        return {}
 
     def same_signature(self, other: "SynchronousSystem") -> bool:
         return self.inputs.same_symbols(other.inputs) and self.outputs.same_symbols(
@@ -505,21 +495,20 @@ def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
 
 
 class Product:
-    """Synchronized product of two systems of one signature, explored lazily.
+    """Synchronized product of a system with itself, explored lazily.
 
-    Both sides step on the same input.  ``sys_b`` is read through
-    ``sys_a``'s input and output numbering (:func:`align`): a node is EQ
-    iff its two output ids are equal.
+    Both components step on the same input; a node is a pair of state
+    ids, EQ iff their output ids are equal.  A product of two systems of
+    one signature is the product of their :func:`joined` system.
     """
 
-    def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
-        self.succ_a, self.out_a = sys_a.succ, sys_a.out_ids
-        self.succ_b, self.out_b = align(sys_a, sys_b)
-        steps = [(a, a, a) for a in range(len(sys_a.inputs))]
-        self.step = pair_step(self.succ_a, self.succ_b, lambda node: steps)
+    def __init__(self, system: SynchronousSystem):
+        self.succ, self.out = system.succ, system.out_ids
+        steps = [(a, a, a) for a in range(len(system.inputs))]
+        self.step = pair_step(self.succ, self.succ, lambda node: steps)
 
     def eq(self, node) -> bool:
-        return self.out_a[node[0]] == self.out_b[node[1]]
+        return self.out[node[0]] == self.out[node[1]]
 
 
 def reach(start, step: Callable, width: int) -> tuple[list, list]:
@@ -934,101 +923,75 @@ def bisim_quotient(
     return partition, quotient
 
 
-def _joined_tables(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, list]:
-    """``sys_a``'s successor and output tables followed by ``sys_b``'s aligned ones.
-
-    ``sys_b``'s state ids are offset by the number of ``sys_a``'s states.
-    """
-    succ_b, out_b = align(sys_a, sys_b)
-    n = len(sys_a.states)
-    shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
-    return sys_a.succ + shifted, sys_a.out_ids + out_b
-
-
 def disjoint_union(
     sys_a: SynchronousSystem, sys_b: SynchronousSystem
 ) -> tuple[SynchronousSystem, str, str]:
     """Disjoint union with ``A.``/``B.`` prefixed state names.
 
     Returns the union plus the two prefixes; requires equal signatures.
-    Its states are those a cross-system :class:`BisimOracle` refines, so
-    the witnesses of :func:`non_bisimilar` replay against it.  Its
-    transitions list ``sys_a``'s and then ``sys_b``'s, both by
-    ``sys_a``'s input order.
+    Queries over two distinct systems run on it (:func:`joined`), so
+    :func:`non_bisimilar` witnesses replay against it.  ``sys_b``'s ids
+    follow ``sys_a``'s and its tables are read in ``sys_a``'s numbering
+    (:func:`align`): the transitions list ``sys_a``'s and then
+    ``sys_b``'s, both by ``sys_a``'s input order.
     """
-    succ, out_ids = _joined_tables(sys_a, sys_b)
+    succ_b, out_b = align(sys_a, sys_b)
+    n = len(sys_a.states)
+    shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
     union = SynchronousSystem.from_tables(
         f"{sys_a.name}+{sys_b.name}",
         sys_a.inputs,
         sys_a.outputs,
         tuple(p + q for (p, side) in (("A.", sys_a), ("B.", sys_b)) for q in side.states),
-        succ,
-        out_ids,
+        sys_a.succ + shifted,
+        sys_a.out_ids + out_b,
         0,
     )
     return union, "A.", "B."
 
 
-def _forget(owner: weakref.ref, key: int, _dead: weakref.ref) -> None:
-    """Drop the joined refinement cached on ``owner`` (if alive) under ``key``."""
-    system = owner()
-    if system is not None:
-        system._joined.pop(key, None)
+def joined(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[SynchronousSystem, int]:
+    """One system holding the states of both, and the first id of ``sys_b``'s states in it.
+
+    That is ``sys_a`` itself when both sides are one system, and
+    otherwise their :func:`disjoint_union`, built anew for each query.
+    """
+    if sys_a is sys_b:
+        return sys_a, 0
+    return disjoint_union(sys_a, sys_b)[0], len(sys_a.states)
 
 
 class BisimOracle:
     """Non-bisimilarity queries between two (possibly identical) systems.
 
-    Reuses a system's own cached refinement when both sides are one
-    system.  Otherwise it refines the tables of :func:`disjoint_union`,
-    ``sys_a``'s followed by ``sys_b``'s aligned ones (:func:`align`),
-    whose ``A.``/``B.`` state names the witnesses carry.  That refinement
-    is built once per pair and cached on ``sys_a`` by ``id(sys_b)``.  The
-    entry holds only a weak reference to ``sys_b`` and is dropped when
-    ``sys_b`` dies, before its id can name another system; neither
-    system keeps the other alive.
-    ``cls_a`` and ``cls_b`` give the final block of each state id of
-    either side (equal blocks iff bisimilar); the refinement history
-    answers :meth:`depth` and the moves of every witness.
+    Refines their :func:`joined` system, ``system``, once per oracle:
+    the system's own cached refinement when both sides are one system,
+    else that of their disjoint union, which lives as long as the
+    oracle.  :meth:`ids` gives the joined id of a state of each side.
+    ``cls`` gives the final block of each joined id (equal blocks iff
+    bisimilar); ``cls_a`` and ``cls_b`` index it by either side's own
+    state ids.  The refinement history answers :meth:`depth` and the
+    moves of every witness.
     """
 
     def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
         self.sys_a, self.sys_b = sys_a, sys_b
-        if sys_a is sys_b:
-            self.offset = 0
-            self.out_ids = sys_a.out_ids
-            self._refinement = ref = sys_a.refinement
-            self.cls_a = self.cls_b = ref.cls
-            return
-        key = id(sys_b)
-        joined = sys_a._joined.get(key)
-        if joined is None:
-            succ, out_ids = _joined_tables(sys_a, sys_b)
-            alive = weakref.ref(sys_b, partial(_forget, weakref.ref(sys_a), key))
-            joined = sys_a._joined[key] = (alive, _Refinement(succ, out_ids), out_ids)
-        _, self._refinement, self.out_ids = joined
-        self.offset = n = len(sys_a.states)
-        ref = self._refinement
-        self.cls_a, self.cls_b = ref.cls, ref.cls[n:]
+        self.system, self.offset = joined(sys_a, sys_b)
+        self.cls = self.cls_a = self.system.refinement.cls
+        self.cls_b = self.cls[self.offset:]
 
     def ids(self, qa: str, qb: str) -> tuple[int, int]:
-        """Refined ids of a state of each side."""
+        """Joined ids of a state of each side."""
         return self.sys_a.index[qa], self.offset + self.sys_b.index[qb]
-
-    def name(self, i: int) -> str:
-        """Witness name of a refined id, ``A.``/``B.`` prefixed when the sides differ."""
-        if self.sys_a is self.sys_b:
-            return self.sys_a.states[i]
-        n = self.offset
-        return f"A.{self.sys_a.states[i]}" if i < n else f"B.{self.sys_b.states[i - n]}"
 
     def distinct(self, qa: str, qb: str) -> bool:
         """True iff the two states are non-bisimilar."""
-        return self.cls_a[self.sys_a.index[qa]] != self.cls_b[self.sys_b.index[qb]]
+        i, j = self.ids(qa, qb)
+        return self.cls[i] != self.cls[j]
 
     def depth(self, qa: str, qb: str) -> Optional[int]:
         """Least k at which the k-step approximants separate, None if bisimilar."""
-        return self._refinement.depth(*self.ids(qa, qb))
+        return self.system.refinement.depth(*self.ids(qa, qb))
 
 
 class BaseWitness(Record):
@@ -1104,14 +1067,16 @@ def non_bisimilar(
 
     The witness depth equals the least k at which the k-step
     bisimulation approximants separate the states.  Each state pair's
-    sub-witness is built once and shared.
+    sub-witness is built once and shared.  Witnesses name the states of
+    the :func:`joined` system: ``A.``/``B.`` prefixed across two systems.
     """
     sys_a.check_state(qa)
     sys_b.check_state(qb)
     oracle = BisimOracle(sys_a, sys_b)
     if not oracle.distinct(qa, qb):
         return None
-    ref, name, out = oracle._refinement, oracle.name, oracle.out_ids
+    system = oracle.system
+    ref, names, out = system.refinement, system.states, system.out_ids
     inputs, outputs = sys_a.inputs.symbols, sys_a.outputs.symbols
     built: dict[tuple[int, int], NonBisimWitness] = {}
 
@@ -1119,15 +1084,15 @@ def non_bisimilar(
         p, q = pair
         k = ref.depth(p, q)
         if k == 0:
-            w = BaseWitness(name(p), name(q), outputs[out[p]], outputs[out[q]])
+            w = BaseWitness(names[p], names[q], outputs[out[p]], outputs[out[q]])
         else:
             a, side, chosen, children = ref.move(p, q, k)
             opponent = 1 if side == "left" else 0
             subs = []
             for c in children:
                 sub = built.get(c)
-                subs.append((name(c[opponent]), (yield c) if sub is None else sub))
-            w = IndWitness(name(p), name(q), inputs[a], side, name(chosen), tuple(subs))
+                subs.append((names[c[opponent]], (yield c) if sub is None else sub))
+            w = IndWitness(names[p], names[q], inputs[a], side, names[chosen], tuple(subs))
         built[pair] = w
         return w
 

@@ -1,7 +1,8 @@
 """Separating pairs, separators, observable effects, and reaction time.
 
 Everything here walks the synchronized product of two state spaces
-stepping on one shared input per tick (:class:`core.Product`), lazily
+stepping on one shared input per tick (:class:`core.Product`): of one
+system with itself, or of two systems' disjoint union, lazily
 and only as far as a query needs.  A node is EQ when both components
 emit the same output and DIFF otherwise.  Quantifications over infinite
 input words are discharged by graph arguments: completeness and finite
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, align, validate
+from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, joined, validate
 from .errors import PreconditionFailed, SeparatorBoundExceeded
 
 Pair = tuple[str, str]
@@ -44,37 +45,37 @@ class SepPairSet(Record):
         return bool(self.pairs)
 
 
-def class_gaps(succ_b, cls_b, inputs: int) -> list[dict[int, int]]:
+def class_gaps(succ, cls, inputs: int) -> list[dict[int, int]]:
     """Per input af and block c, the bitset of states q with no af-successor in c.
 
     Blocks that no af-successor reaches are left out: their bitset is
     every state.
     """
-    everything = (1 << len(succ_b)) - 1
+    everything = (1 << len(succ)) - 1
     gaps = []
     for af in range(inputs):
         reached: dict[int, int] = {}
-        for q, moves in enumerate(succ_b):
-            for c in {cls_b[y] for y in moves[af]}:
+        for q, moves in enumerate(succ):
+            for c in {cls[y] for y in moves[af]}:
                 reached[c] = reached.get(c, 0) | 1 << q
         gaps.append({c: everything ^ bits for c, bits in reached.items()})
     return gaps
 
 
-def row_orientations(moves_a, cls_a, gaps: list[dict[int, int]], everything: int) -> dict:
+def row_orientations(moves_p, cls, gaps: list[dict[int, int]], everything: int) -> dict:
     """The orientations that separate, for a whole row: ``(ae, af) -> bitset of q``.
 
-    ``moves_a`` are the successors per input of one left state p,
-    ``gaps`` come from :func:`class_gaps` on the right side, whose
-    states ``everything`` holds.  Bit q of the bitset of (ae, af),
+    ``moves_p`` are the successors per input of one state p, ``gaps``
+    come from :func:`class_gaps` on the states q it is paired with,
+    which ``everything`` holds.  Bit q of the bitset of (ae, af),
     ae != af, is set iff ae beats af at (p, q): some ae-successor of p
     has a block that no af-successor of q has.  One pair (p, q) is the
-    row of p against a one-state right side: ``class_gaps([moves_q],
-    ..)`` with ``everything`` 1.
+    row of p against q alone: ``class_gaps([moves_q], ..)`` with
+    ``everything`` 1.
     """
     masks = {}
-    for ae, moves in enumerate(moves_a):
-        blocks = {cls_a[x] for x in moves}
+    for ae, moves in enumerate(moves_p):
+        blocks = {cls[x] for x in moves}
         for af, gap in enumerate(gaps):
             if af != ae:
                 bits = 0
@@ -90,18 +91,19 @@ def _separating_ids(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, 
     (a1, a2) separates when some a1-successor of p is non-bisimilar to
     every a2-successor of q, or the same with a1 and a2 swapped.  It is
     deterministic when no a1-successor of p is bisimilar to an
-    a2-successor of q.  q's row is read through :func:`core.align`.
+    a2-successor of q.  Both rows and their blocks are read from the
+    oracle's joined system (:func:`core.joined`).
     """
     oracle = BisimOracle(sys_a, sys_b)
-    moves_p = sys_a.succ[sys_a.index[p]]
-    moves_q = align(sys_a, sys_b)[0][sys_b.index[q]]
-    cls_a, cls_b = oracle.cls_a, oracle.cls_b
-    held = row_orientations(moves_p, cls_a, class_gaps([moves_q], cls_b, len(moves_q)), 1)
+    succ, cls = oracle.system.succ, oracle.cls
+    i, j = oracle.ids(p, q)
+    moves_p, moves_q = succ[i], succ[j]
+    held = row_orientations(moves_p, cls, class_gaps([moves_q], cls, len(moves_q)), 1)
     pairs, deterministic = [], []
     for (a1, a2) in itertools.combinations(range(len(moves_p)), 2):
         if held[(a1, a2)] | held[(a2, a1)]:
             pairs.append((a1, a2))
-            if not {cls_a[x] for x in moves_p[a1]} & {cls_b[y] for y in moves_q[a2]}:
+            if not {cls[x] for x in moves_p[a1]} & {cls[y] for y in moves_q[a2]}:
                 deterministic.append((a1, a2))
     return pairs, deterministic
 
@@ -128,11 +130,11 @@ def reactive(sys: SynchronousSystem, q: str) -> bool:
 
 
 def _rooted(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):
-    """The product of the two systems and its node for (p, q)."""
-    product = Product(sys_a, sys_b)
+    """The product of the two systems' joined system and its node for (p, q)."""
+    system, offset = joined(sys_a, sys_b)
     sys_a.check_state(p)
     sys_b.check_state(q)
-    return product, (sys_a.index[p], sys_b.index[q])
+    return Product(system), (sys_a.index[p], offset + sys_b.index[q])
 
 
 def separators(
@@ -219,11 +221,10 @@ def strongly_separable(
     if cycle is None:
         return StrongSepResult(True, bound=length.get(root, 0))
     symbols = sys_a.inputs.symbols
+    names = sys_a.states if sys_a is sys_b else sys_a.states + sys_b.states
     return StrongSepResult(
         False,
-        cycle=tuple(
-            ((sys_a.states[x], sys_b.states[y]), symbols[a]) for ((x, y), a) in cycle
-        ),
+        cycle=tuple(((names[x], names[y]), symbols[a]) for ((x, y), a) in cycle),
     )
 
 
@@ -286,22 +287,18 @@ def diff(
     sys_a.check_word(word)
     inputs = [sys_a.inputs.index(sym) for sym in word]
     outputs = sys_a.outputs.symbols
+    succ, out = product.succ, product.out
     frontier = {root}
     result = []
     for i in range(len(word) + 1):
         values: set = set()
         for (r1, r2) in frontier:
-            o1, o2 = product.out_a[r1], product.out_b[r2]
+            o1, o2 = out[r1], out[r2]
             values.add((outputs[o1], outputs[o2]) if o1 != o2 else STAR)
         result.append(values)
         if i < len(word):
             a = inputs[i]
-            frontier = {
-                (x, y)
-                for (r1, r2) in frontier
-                for x in product.succ_a[r1][a]
-                for y in product.succ_b[r2][a]
-            }
+            frontier = {(x, y) for (r1, r2) in frontier for x in succ[r1][a] for y in succ[r2][a]}
     return result
 
 
@@ -336,7 +333,7 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     _, deterministic = _separating_ids(sys, q, sys, q)
     if not deterministic:
         return ReactionTime(None)
-    product = Product(sys, sys)
+    product = Product(sys)
     moves = sys.succ[sys.index[q]]
     roots = [(q1, q2) for (a1, a2) in deterministic for q1 in moves[a1] for q2 in moves[a2]]
     cycle, edges, length = _eq_search(product, roots)

@@ -31,8 +31,8 @@ def count_expansions(monkeypatch) -> list:
     expanded = []
     original = core.Product.__init__
 
-    def counting(self, sys_a, sys_b):
-        original(self, sys_a, sys_b)
+    def counting(self, system):
+        original(self, system)
         step = self.step
 
         def recording(node):

@@ -2,7 +2,6 @@
 
 import gc
 import random
-import weakref
 
 import pytest
 
@@ -10,18 +9,22 @@ from syncreact import (
     EffectSequence,
     STAR,
     STAR_FOREVER,
+    diff,
     doe,
     doe_compose,
     lemma_check,
+    non_bisimilar,
     obs_leq,
+    reactive,
     separating_pairs,
+    separators,
     seq_compose,
     ssp,
     ssp_seq,
     ssp_seq_pair,
+    strongly_separable,
 )
 from syncreact.abstraction import doe_levels, ssp_levels
-from syncreact.core import SynchronousSystem
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
@@ -197,38 +200,24 @@ class TestSsp:
         with pytest.raises(SignatureMismatch):
             ssp(p1_sys, "p0", union_sys, "w0")
 
-    def test_refines_two_systems_once_across_calls(self, monkeypatch):
+    def test_two_system_queries_leave_no_reference_cycle(self):
         rng = random.Random(5)
         sys_a = sized_system(rng, "a", 6, ("a", "b"), ("0", "1"))
         sys_b = sized_system(rng, "b", 5, ("b", "a"), ("1", "0"))
-        built = count_refinements(monkeypatch)
-        found = {(p, q): ssp(sys_a, p, sys_b, q) for p in sys_a.states for q in sys_b.states}
-        assert len(built) == 1
-        for (p, q), pairs in found.items():
-            fresh = SynchronousSystem(*(getattr(sys_b, f) for f in sys_b._fields))
-            assert ssp(sys_a, p, fresh, q) == pairs
-        assert len(built) == 1 + len(found)
-
-    def test_cached_refinements_keep_no_system_alive(self):
-        rng = random.Random(5)
-        sys_a = sized_system(rng, "a", 6, ("a", "b"), ("0", "1"))
-        sys_b = sized_system(rng, "b", 5, ("b", "a"), ("1", "0"))
+        p = next(p for p in sys_a.states if reactive(sys_a, p))
+        q = next(q for q in sys_b.states if reactive(sys_b, q))
         enabled = gc.isenabled()
-        gc.disable()  # whatever is freed below is freed without the collector
+        gc.collect()
+        gc.disable()  # whatever the queries leave in a cycle waits for the collector
         try:
-            for q in sys_b.states:
-                fresh = SynchronousSystem(*(getattr(sys_b, f) for f in sys_b._fields))
-                ssp(sys_a, sys_a.initial, fresh, q)
-            ssp(sys_a, sys_a.initial, sys_b, sys_b.initial)
-            assert sorted(sys_a._joined) == sorted([id(fresh), id(sys_b)])
-            del fresh
-            assert list(sys_a._joined) == [id(sys_b)]
-            # Both ways round: neither cache entry holds the other system.
-            ssp(sys_b, sys_b.initial, sys_a, sys_a.initial)
-            dead = weakref.ref(sys_a)
-            del sys_a
-            assert dead() is None
-            assert sys_b._joined == {}
+            ssp(sys_a, p, sys_b, q)
+            ssp_seq_pair(sys_a, p, sys_b, q)
+            non_bisimilar(sys_a, p, sys_b, q)
+            strongly_separable(sys_a, p, sys_b, q)
+            separators(sys_a, p, sys_b, q, 3)
+            diff(sys_a, p, sys_b, q, sys_a.inputs.symbols)
+            del sys_a, sys_b
+            assert gc.collect() == 0
         finally:
             if enabled:
                 gc.enable()

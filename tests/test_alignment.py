@@ -12,6 +12,7 @@ import pytest
 
 from syncreact import (
     Alphabet,
+    BisimOracle,
     SynchronousSystem,
     diff,
     disjoint_union,
@@ -26,7 +27,7 @@ from syncreact import (
     ssp_seq_pair,
     strongly_separable,
 )
-from syncreact.errors import PreconditionFailed
+from syncreact.errors import PreconditionFailed, SignatureMismatch
 
 from .conftest import load_fixture
 from .oracles import chain_sender, naive_approximants, naive_separation_depth, random_system
@@ -99,6 +100,53 @@ def test_cross_system_oracle_ignores_the_second_systems_declaration_order(sys_a,
             if witness is not None:
                 assert witness.depth == expected.depth == depth
                 assert replay_witness(union, witness)
+
+
+@pytest.mark.parametrize("sys_a, sys_b", same_signature_cases())
+def test_two_system_queries_equal_the_one_system_query_on_the_union(sys_a, sys_b):
+    union, pa, pb = disjoint_union(sys_a, sys_b)
+    word = [sys_a.inputs.symbols[k % len(sys_a.inputs)] for k in (0, 1, 2, 1)]
+    for p in sys_a.states:
+        for q in sys_b.states:
+            up, uq = pa + p, pb + q
+            assert ssp(sys_a, p, sys_b, q) == ssp(union, up, union, uq)
+            assert separators(sys_a, p, sys_b, q, 3) == separators(union, up, union, uq, 3)
+            assert diff(sys_a, p, sys_b, q, word) == diff(union, up, union, uq, word)
+            if reactive(sys_a, p) and reactive(sys_b, q):
+                assert ssp_seq_pair(sys_a, p, sys_b, q) == ssp_seq_pair(union, up, union, uq)
+            verdict = strongly_separable(sys_a, p, sys_b, q)
+            on_union = strongly_separable(union, up, union, uq)
+            assert (verdict.separable, verdict.bound) == (on_union.separable, on_union.bound)
+            if not verdict.separable:
+                unprefixed = tuple(((x[2:], y[2:]), a) for ((x, y), a) in on_union.cycle)
+                assert verdict.cycle == unprefixed
+            witness = non_bisimilar(sys_a, p, sys_b, q)
+            expected = non_bisimilar(union, up, union, uq)
+            assert (witness is None) == (expected is None)
+            if witness is not None:
+                assert witness.depth == expected.depth
+                assert replay_witness(union, witness)
+
+
+TWO_SYSTEM_QUERIES = {
+    "ssp": ssp,
+    "separators": lambda sys_a, p, sys_b, q: separators(sys_a, p, sys_b, q, 2),
+    "diff": lambda sys_a, p, sys_b, q: diff(sys_a, p, sys_b, q, sys_a.inputs.symbols),
+    "strongly_separable": strongly_separable,
+    "ssp_seq_pair": ssp_seq_pair,
+    "non_bisimilar": non_bisimilar,
+    "lemma_check": lemma_check,
+    "BisimOracle": lambda sys_a, p, sys_b, q: BisimOracle(sys_a, sys_b).depth(p, q),
+}
+
+
+@pytest.mark.parametrize("query", TWO_SYSTEM_QUERIES.values(), ids=list(TWO_SYSTEM_QUERIES))
+def test_every_two_system_query_rejects_a_signature_mismatch(query):
+    # Both states are reactive, so no NotReactive can come first.
+    sys_a, sys_b = load_fixture("p1.sls"), load_fixture("toggle.sls")
+    assert reactive(sys_a, "p0") and reactive(sys_b, "s0")
+    with pytest.raises(SignatureMismatch):
+        query(sys_a, "p0", sys_b, "s0")
 
 
 def composition_cases():

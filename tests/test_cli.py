@@ -169,6 +169,36 @@ class TestImports:
         assert len(files) >= 15
         assert unused == []
 
+    def test_no_module_defines_an_unread_private_name(self):
+        # A module-level ``_name`` that nothing else in the package reads
+        # is a leftover; reads are names and attribute names in the AST.
+        files = sorted(pathlib.Path(syncreact.__file__).parent.rglob("*.py"))
+        defined = []
+        reads: dict = {}
+        for path in files:
+            tree = ast.parse(path.read_text())
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names = [stmt.name]
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                defined += [(path, stmt, n) for n in names if n[:1] == "_" and n[:2] != "__"]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    reads.setdefault(node.id, []).append(node)
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, []).append(node)
+        unread = []
+        for path, stmt, name in defined:
+            own = set(map(id, ast.walk(stmt)))
+            if all(id(node) in own for node in reads.get(name, ())):
+                unread.append(f"{path.name}:{stmt.lineno} {name}")
+        assert len(defined) >= 30
+        assert unread == []
+
     def test_import_syncreact_loads_no_submodule(self):
         assert ours(loaded_modules("import syncreact")) == {"syncreact"}
         from_doe = ours(loaded_modules("from syncreact import doe"))
@@ -732,9 +762,11 @@ class TestPsyc:
     def test_type_error_exits_2(self, capsys, tmp_path):
         src = tmp_path / "bad.psy"
         src.write_text("inputs tt ff\noutputs tt ff\nvar x : bool\nx := 3")
+        line = f"error: {src}: Assign: x := 3 assigns exp(int) to var(bool)\n"
         code, _, err = run(capsys, "psyc", "typecheck", src)
-        assert code == 2
-        assert "Assign" in err
+        assert (code, err) == (2, line)
+        code, _, err = run(capsys, "psyc", "build", src, "-o", tmp_path / "bad.sls")
+        assert (code, err) == (2, line)
 
     def test_2000_statement_loop_body_in_a_fresh_interpreter(self, tmp_path):
         src = tmp_path / "long.psy"
@@ -828,7 +860,7 @@ class TestPsyc:
             if last is None:
                 assert done.returncode == 2
                 assert done.stderr == (
-                    "error: NotZero: operand has type exp(bool), not exp(int)\n"
+                    f"error: {src}: NotZero: operand has type exp(bool), not exp(int)\n"
                 )
             else:
                 assert done.returncode == 0, done.stderr
@@ -842,7 +874,7 @@ class TestPsyc:
         )
         done = self._psyc_fresh(["typecheck", str(src)])
         assert done.returncode == 2
-        assert done.stderr == "error: Deref: !!x needs a variable\n"
+        assert done.stderr == f"error: {src}: Deref: !!x needs a variable\n"
 
 
 class TestLevelBound:
