@@ -3,7 +3,9 @@
 A configuration is a store, a pending input symbol, and a program.  One
 reduction either rewrites the configuration or fires a tick, which
 emits the evaluated output tuple and branches over every input symbol.
-``Machine.run_round`` reduces a configuration up to its next tick.
+``Machine.run_round`` reduces a configuration up to its next tick and
+returns the output with the store and continuation every branch starts
+from.
 
 Reduction is organised by refocusing.  ``_decompose`` walks from a
 term down to its redex, pushing one context frame per level it passes
@@ -59,13 +61,6 @@ Store = tuple[tuple[str, Value], ...]
 
 # Reduction steps allowed within one round before diagnosing divergence.
 ROUND_STEP_BUDGET = 100_000
-
-
-class Config(Record):
-    __slots__ = ("store", "pending", "prog")
-
-    def __init__(self, store: Store, pending: str, prog: Ast):
-        self.store, self.pending, self.prog = store, pending, prog
 
 
 class VarDecl(Record):
@@ -266,22 +261,24 @@ class Machine:
             return _literal(redex.inner.value != 0), store
         return _literal(redex.left.value and redex.right.value), store  # Conj
 
-    def run_round(self, config: Config) -> Optional[tuple[str, dict[str, Config]]]:
-        """Reduce until a tick fires; None when the program terminates.
+    def run_round(
+        self, store: Store, pending: str, term: Ast
+    ) -> Optional[tuple[str, Store, Ast]]:
+        """Reduce until a tick fires: ``(output, store, continuation)``.
 
-        Keeps the program as frames around a focus term between
-        reductions, so one reduction costs the redex and its frame, not
-        the program.
+        None when the program terminates first.  Every input symbol's
+        branch of the tick starts the next round from that store and
+        continuation.  Keeps the program as frames around a focus term
+        between reductions, so one reduction costs the redex and its
+        frame, not the program.
         """
-        store, pending, term = config.store, config.pending, config.prog
         frames: list[Frame] = []
         for _ in range(ROUND_STEP_BUDGET):
             if not frames and isinstance(term, Skip):
                 return None
             redex = _decompose(term, frames)
             if isinstance(redex, Tick):
-                out, cont = self.emit_symbol(redex.args), _plug(frames, _SKIP)
-                return out, {symbol: Config(store, symbol, cont) for symbol in self.inputs}
+                return self.emit_symbol(redex.args), store, _plug(frames, _SKIP)
             term, store = self._contract(redex, store, pending)
             if frames and isinstance(term, _SETTLED):
                 node, hole = frames.pop()
@@ -314,7 +311,10 @@ def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> froz
 
     ``memo`` keeps the answer for every (term, live-out set) met, so
     calls that share it share the work on common subterms; the builder
-    passes one for all the continuations of a program.
+    passes one for all the continuations of a program.  Terms are
+    hash-consed, so a lookup hashes a term by identity at any depth.
+    Their table lives as long as the process; a CLI command is one
+    process.
     """
     if memo is None:
         memo = {}
@@ -394,8 +394,7 @@ def build_lts(
         initial_input = machine.inputs.symbols[0]
     elif initial_input not in machine.inputs:
         raise BuildError(f"initial input {initial_input!r} is not declared")
-    initial = Config(machine.initial_store(), initial_input, program)
-    first = machine.run_round(initial)
+    first = machine.run_round(machine.initial_store(), initial_input, program)
     if first is None:
         raise BuildError("program terminates before its first tick")
 
@@ -403,28 +402,27 @@ def build_lts(
     ids: dict = {}
     out_id = {o: i for i, o in enumerate(machine.outputs)}
     out_ids: list[int] = []
-    pending: list[dict[str, Config]] = []  # each state's branches, by state id
+    pending: list[tuple[Store, Ast]] = []  # each state's store and continuation, by id
 
-    def intern(out: str, branches: dict[str, Config]) -> int:
-        """The state id of a round; every branch of one tick shares store and continuation."""
-        cont = branches[machine.inputs.symbols[0]]
-        live = live_in(cont.prog, frozenset(), liveness)
-        key = (out, tuple((n, v) for (n, v) in cont.store if n in live), cont.prog)
+    def intern(out: str, store: Store, cont: Ast) -> int:
+        """The state id of a round."""
+        live = live_in(cont, frozenset(), liveness)
+        key = (out, tuple((n, v) for (n, v) in store if n in live), cont)
         state = ids.get(key)
         if state is None:
             if len(ids) >= max_states:
                 raise StateBudgetExceeded(max_states)
             state = ids[key] = len(ids)
             out_ids.append(out_id[out])
-            pending.append(branches)
+            pending.append((store, cont))
         return state
 
     intern(*first)
     succ = []
-    for branches in pending:  # grows while it is walked: breadth-first
+    for store, cont in pending:  # grows while it is walked: breadth-first
         moves = []
         for symbol in machine.inputs:
-            result = machine.run_round(branches[symbol])
+            result = machine.run_round(store, symbol, cont)
             if result is None:
                 raise BuildError(
                     "program terminates; cannot build a complete system"

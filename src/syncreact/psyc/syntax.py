@@ -33,48 +33,42 @@ KEYWORDS = {
 
 
 class Term:
-    """Base of the AST node classes: structural equality, hash fixed once.
+    """Base of the AST node classes: hash-consed, so equal terms are one object.
 
-    Each node computes its hash at construction from its class name, its
-    own fields and the stored hashes of its children, so hashing a term
-    is O(1) and interning a term costs only its new nodes.  Equality is
-    structural and walks both terms with an explicit stack, so neither
-    recurses down long ``;`` spines.  Nodes are never changed after
-    construction.
+    ``Cls(*fields)`` returns the one node for ``(Cls, *fields)`` from a
+    table of every term built so far; a miss makes and stores the node.
+    Equal terms are therefore the same object, and terms compare and
+    hash by identity (``object``'s ``==`` and ``hash``) in O(1), at any
+    depth.  Fields are positional, one per name in the class's
+    ``__slots__``, and nodes are never changed after construction.  A
+    subclass must define no ``__init__``, ``__eq__`` or ``__hash__``,
+    which would break that identity.  Source positions stay out of the
+    key, so one node can stand for several places in a program.  The
+    table lives as long as the process; a CLI command is one process.
     """
 
-    __slots__ = ("_hash",)  # each subclass's __slots__ names its fields
+    __slots__ = ()  # each subclass's __slots__ names its fields
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            for name in a.__slots__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, Term):
-                    todo.append((x, y))
-                elif isinstance(x, tuple):
-                    if len(x) != len(y):
-                        return False
-                    todo.extend(zip(x, y))
-                elif x != y:
-                    return False
-        return True
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _TERMS.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(
+                    f"{cls.__name__} takes {len(cls.__slots__)} fields, not {len(fields)}"
+                )
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                setattr(node, name, value)
+            node = _TERMS.setdefault(key, node)  # one node even if two threads race
+        return node
 
     def __repr__(self) -> str:
         """``Cls(field=value, ...)``, expanded on one stack (see :func:`_render`)."""
         return _render(self, _repr_pieces)
+
+
+_TERMS: dict = {}  # (node class, *fields) -> the one node with them
 
 
 def _render(root: Term, pieces) -> str:
@@ -106,118 +100,57 @@ def _repr_pieces(node: Term) -> list:
 class Skip(Term):
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = hash("Skip")
-
 
 class VarRef(Term):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("VarRef", name))
 
 
 class BoolLit(Term):
     __slots__ = ("value",)
 
-    def __init__(self, value: bool):
-        self.value = value
-        self._hash = hash(("BoolLit", value))
-
 
 class IntLit(Term):
     __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-        self._hash = hash(("IntLit", value))
 
 
 class Deref(Term):
     __slots__ = ("target",)
 
-    def __init__(self, target: "Ast"):
-        self.target = target
-        self._hash = hash(("Deref", target._hash))
-
 
 class Assign(Term):
     __slots__ = ("target", "value")
-
-    def __init__(self, target: "Ast", value: "Ast"):
-        self.target = target
-        self.value = value
-        self._hash = hash(("Assign", target._hash, value._hash))
 
 
 class Seq(Term):
     __slots__ = ("first", "second")
 
-    def __init__(self, first: "Ast", second: "Ast"):
-        self.first = first
-        self.second = second
-        self._hash = hash(("Seq", first._hash, second._hash))
-
 
 class If(Term):
     __slots__ = ("cond", "then_branch", "else_branch")
-
-    def __init__(self, cond: "Ast", then_branch: "Ast", else_branch: "Ast"):
-        self.cond = cond
-        self.then_branch = then_branch
-        self.else_branch = else_branch
-        self._hash = hash(("If", cond._hash, then_branch._hash, else_branch._hash))
 
 
 class While(Term):
     __slots__ = ("cond", "body")
 
-    def __init__(self, cond: "Ast", body: "Ast"):
-        self.cond = cond
-        self.body = body
-        self._hash = hash(("While", cond._hash, body._hash))
-
 
 class Tick(Term):
     __slots__ = ("args",)
-
-    def __init__(self, args: tuple):
-        self.args = args
-        self._hash = hash(("Tick", *(a._hash for a in args)))
 
 
 class Get(Term):
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        self.index = index
-        self._hash = hash(("Get", index))
-
 
 class Dec(Term):
     __slots__ = ("inner",)
-
-    def __init__(self, inner: "Ast"):
-        self.inner = inner
-        self._hash = hash(("Dec", inner._hash))
 
 
 class NotZero(Term):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: "Ast"):
-        self.inner = inner
-        self._hash = hash(("NotZero", inner._hash))
-
 
 class Conj(Term):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: "Ast", right: "Ast"):
-        self.left = left
-        self.right = right
-        self._hash = hash(("Conj", left._hash, right._hash))
 
 
 Ast = Union[

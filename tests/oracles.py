@@ -63,6 +63,7 @@ from syncreact.psyc.syntax import (
     NotZero,
     Seq,
     Skip,
+    Term,
     Tick,
     VarRef,
     While,
@@ -1086,6 +1087,23 @@ def naive_unparse(node):
     if isinstance(node, Conj):
         return f"({naive_unparse(node.left)} && {naive_unparse(node.right)})"
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def naive_term_equal(a, b):
+    """Structural equality of two terms: same class, equal fields, recursing into subterms."""
+    if a.__class__ is not b.__class__:
+        return False
+    for name in a.__slots__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, Term):
+            if not naive_term_equal(x, y):
+                return False
+        elif isinstance(x, tuple):
+            if len(x) != len(y) or not all(map(naive_term_equal, x, y)):
+                return False
+        elif x != y:
+            return False
+    return True
 
 
 def naive_build(machine, program, max_states, name="program"):

@@ -18,7 +18,6 @@ from syncreact.errors import (
     StateBudgetExceeded,
 )
 from syncreact.psyc import build_lts, live_in, loads, parse, typecheck, unparse
-from syncreact.psyc.semantics import Config
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -30,6 +29,7 @@ from syncreact.psyc.syntax import (
     NotZero,
     Seq,
     Skip,
+    Term,
     Tick,
     VarRef,
     While,
@@ -37,6 +37,7 @@ from syncreact.psyc.syntax import (
 from syncreact.psyc.typecheck import COMM
 
 from .conftest import FIXTURES, shallow_stack
+from .oracles import naive_term_equal
 
 
 expressions = st.recursive(
@@ -172,7 +173,7 @@ class TestTermHashing:
     def test_equal_terms_built_apart_compare_and_hash_equal(self):
         source = "x := ff; while get && !y != 0 do y := !y - 1; tick(!x) done"
         first, second = parse(source), parse(source)
-        assert first is not second
+        assert first is second
         assert first == second
         assert hash(first) == hash(second)
         assert parse(unparse(first)) == first
@@ -192,6 +193,30 @@ class TestTermHashing:
         assert hash(deep) == hash(spine(5000))
         assert deep != spine(5000, last=Tick((BoolLit(True),)))
         assert {deep: 1}[spine(5000)] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions, expressions)
+    def test_identity_is_structural_equality(self, a, b):
+        assert (a is b) == naive_term_equal(a, b)
+        assert (a == b) == (a is b)
+
+    def test_construction_checks_the_field_count(self):
+        for build in (lambda: Seq(Skip()), lambda: Tick(), lambda: Skip(1)):
+            with pytest.raises(TypeError):
+                build()
+        assert BoolLit(True) is not IntLit(1)
+
+    def test_no_node_class_overrides_identity(self):
+        # Hash-consing makes identity the equality of terms; any of these
+        # methods on a node class would silently break it.
+        classes, todo = [], [Term]
+        while todo:
+            cls = todo.pop()
+            classes.append(cls)
+            todo += cls.__subclasses__()
+        assert len(classes) == 15
+        for cls in classes:
+            assert not {"__init__", "__eq__", "__hash__"} & set(vars(cls)), cls
 
     def test_deep_spine_typechecks_unparses_and_has_liveness(self):
         deep = spine(5000)
@@ -318,41 +343,33 @@ class TestStep:
     def test_seq_skip(self):
         machine = simple_machine()
         store = (("x", False),)
-        result = machine.run_round(Config(store, "tt", parse("skip; tick(!x)")))
-        assert result == machine.run_round(Config(store, "tt", parse("tick(!x)")))
-        assert result == ("ff", {s: Config(store, s, Skip()) for s in ("tt", "ff")})
-        assert machine.run_round(Config(store, "tt", parse("skip; skip"))) is None
+        result = machine.run_round(store, "tt", parse("skip; tick(!x)"))
+        assert result == machine.run_round(store, "tt", parse("tick(!x)"))
+        assert result == ("ff", store, Skip())
+        assert machine.run_round(store, "tt", parse("skip; skip")) is None
 
     def test_get_projects_pending_input(self):
         machine = simple_machine()
         for pending in ("tt", "ff"):
-            out, _ = machine.run_round(Config((("x", False),), pending, parse("tick(get)")))
+            out, _, _ = machine.run_round((("x", False),), pending, parse("tick(get)"))
             assert out == pending
 
     def test_while_unfolds_to_conditional(self):
         machine = simple_machine()
         loop = parse("while tt do tick(tt) done")
-        out, branches = machine.run_round(Config((("x", False),), "ff", loop))
-        assert out == "tt"
-        for (sym, child) in branches.items():
-            assert child == Config((("x", False),), sym, Seq(Skip(), loop))
+        result = machine.run_round((("x", False),), "ff", loop)
+        assert result == ("tt", (("x", False),), Seq(Skip(), loop))
 
     def test_tick_emits_node_branching_over_all_inputs(self):
+        # Every input's branch starts from the one store and continuation.
         machine = simple_machine()
-        config = Config((("x", True),), "ff", parse("tick(!x); x := ff"))
-        out, branches = machine.run_round(config)
-        assert out == "tt"
-        assert list(branches) == ["tt", "ff"]
-        for (sym, child) in branches.items():
-            assert child == Config((("x", True),), sym, parse("skip; x := ff"))
+        result = machine.run_round((("x", True),), "ff", parse("tick(!x); x := ff"))
+        assert result == ("tt", (("x", True),), parse("skip; x := ff"))
 
     def test_assignment_updates_store(self):
         machine = simple_machine()
-        config = Config((("x", False),), "tt", parse("x := tt; tick(!x)"))
-        out, branches = machine.run_round(config)
-        assert out == "tt"
-        for child in branches.values():
-            assert (child.store, child.prog) == ((("x", True),), Skip())
+        result = machine.run_round((("x", False),), "tt", parse("x := tt; tick(!x)"))
+        assert result == ("tt", (("x", True),), Skip())
 
     def test_each_config_matches_exactly_one_rule(self):
         # Redex audit: for every statement kind, the dispatcher either
@@ -372,8 +389,8 @@ class TestStep:
             "tick(get)",
         ]
         for text in samples:
-            config = Config((("x", False),), "tt", parse(text))
-            assert machine.run_round(config) == machine.run_round(config)
+            config = ((("x", False),), "tt", parse(text))
+            assert machine.run_round(*config) == machine.run_round(*config)
 
     def test_subject_reduction_along_program1_round(self):
         # Every continuation of every round reached from program1 is a
@@ -381,12 +398,12 @@ class TestStep:
         program = load_program("program1.psy")
         machine = program.machine
         env = {v.name: v.base for v in machine.variables}
-        start = Config(machine.initial_store(), machine.inputs.symbols[0], program.body)
+        start = (machine.initial_store(), machine.inputs.symbols[0], program.body)
         seen, todo = {start}, [start]
         while todo:
-            _, branches = machine.run_round(todo.pop())
-            for c in branches.values():
-                assert typecheck(c.prog, env, machine.in_types, machine.out_types) == COMM
+            _, store, cont = machine.run_round(*todo.pop())
+            assert typecheck(cont, env, machine.in_types, machine.out_types) == COMM
+            for c in ((store, s, cont) for s in machine.inputs):
                 if c not in seen:
                     seen.add(c)
                     todo.append(c)
@@ -438,22 +455,21 @@ class TestBuildLts:
         program = load_program("program2.psy")
         machine = program.machine
         built = build_lts(machine, program.body, 100)
-        config = Config(
+        out0, store, cont = machine.run_round(
             machine.initial_store(), machine.inputs.symbols[0], program.body
         )
-        out0, branches = machine.run_round(config)
         assert out0 == built.out(built.initial)
 
-        def compare(branches, state, depth):
+        def compare(store, cont, state, depth):
             if depth == 0:
                 return
             for sym in machine.inputs:
-                out2, branches2 = machine.run_round(branches[sym])
+                out2, store2, cont2 = machine.run_round(store, sym, cont)
                 (target,) = built.successors(state, sym)
                 assert built.out(target) == out2
-                compare(branches2, target, depth - 1)
+                compare(store2, cont2, target, depth - 1)
 
-        compare(branches, built.initial, 6)
+        compare(store, cont, built.initial, 6)
 
     def test_state_budget(self):
         program = load_program("program2.psy")

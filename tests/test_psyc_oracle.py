@@ -22,7 +22,6 @@ from syncreact.errors import (
     SyncReactError,
 )
 from syncreact.psyc import build_lts, live_in, loads, parse, semantics, typecheck, unparse
-from syncreact.psyc.semantics import Config
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -62,22 +61,18 @@ PROGRAMS = {
 }
 
 
-def naive(config: Config) -> NaiveConfig:
-    return NaiveConfig(config.store, config.pending, config.prog)
-
-
 def refocused_round(machine, config):
-    """``Machine.run_round`` with each branch as a plain triple."""
-    result = machine.run_round(config)
+    """``Machine.run_round`` with its store and continuation branched over the inputs."""
+    result = machine.run_round(*config)
     if result is None:
         return None
-    out, branches = result
-    return out, {s: (c.store, c.pending, c.prog) for (s, c) in branches.items()}
+    out, store, cont = result
+    return out, {s: (store, s, cont) for s in machine.inputs}
 
 
 def naive_round(machine, config, budget=None):
     """``naive_run_round`` with each branch as a plain triple."""
-    result = naive_run_round(machine, naive(config), budget)
+    result = naive_run_round(machine, NaiveConfig(*config), budget)
     if result is None:
         return None
     out, branches = result
@@ -93,13 +88,14 @@ def outcome(run):
 
 
 def reached_rounds(machine, body):
-    """Every round configuration a build of ``body`` starts from, each once."""
-    start = Config(machine.initial_store(), machine.inputs.symbols[0], body)
+    """Every (store, pending, prog) round a build of ``body`` starts from, each once."""
+    start = (machine.initial_store(), machine.inputs.symbols[0], body)
     todo, seen = [start], {start}
     while todo:
         config = todo.pop()
         yield config
-        for child in machine.run_round(config)[1].values():
+        _, store, cont = machine.run_round(*config)
+        for child in ((store, s, cont) for s in machine.inputs):
             if child not in seen:
                 seen.add(child)
                 todo.append(child)
@@ -136,7 +132,7 @@ def test_silent_round_is_diagnosed_at_the_same_step(monkeypatch):
     machine = program.machine
     seen = set()
     for pending in machine.inputs:
-        config = Config(machine.initial_store(), pending, program.body)
+        config = (machine.initial_store(), pending, program.body)
         for budget in range(1, 140):
             monkeypatch.setattr(semantics, "ROUND_STEP_BUDGET", budget)
             got = outcome(lambda: refocused_round(machine, config))

@@ -22,8 +22,8 @@ from syncreact.core import (
 )
 from syncreact.lasso import EffectSequence, PairSetSequence
 from syncreact.psyc.loader import ProgramFile
-from syncreact.psyc.semantics import Config, Machine, VarDecl
-from syncreact.psyc.syntax import Skip, Token, VarRef
+from syncreact.psyc.semantics import Machine, VarDecl
+from syncreact.psyc.syntax import Token, VarRef
 from syncreact.psyc.typecheck import Ty
 from syncreact.reactivity import ReactionTime, SepPairSet, StrongSepResult
 
@@ -46,7 +46,6 @@ SYSTEM_REPR = (
 )
 SILENT = EffectSequence((), (None,))
 MACHINE = Machine(IO, OUT, ("bool",), ("bool",), ())
-CONFIG_REPR = "Config(store=(('x', True),), pending='i', prog=Skip())"
 
 # class, fields in order, a changed value for the first field, repr, hashable
 CASES = [
@@ -131,7 +130,6 @@ CASES = [
         "Token(kind='IDENT', text='x', line=1, column=2)",
         True,
     ),
-    (Config, {"store": (("x", True),), "pending": "i", "prog": Skip()}, (), CONFIG_REPR, True),
     (
         VarDecl,
         {"name": "y", "base": "int", "low": 0, "high": 4},
