@@ -23,7 +23,9 @@ import itertools
 from math import lcm
 from typing import Optional
 
-from .core import BisimOracle, PairRows, Record, SynchronousSystem, feed_of, lasso_at
+from .core import (
+    BisimOracle, PairRows, Record, SynchronousSystem, feed_of, lasso_at, require_complete
+)
 from .errors import NotReactive, PreconditionFailed
 from .lasso import (
     STAR,
@@ -72,10 +74,11 @@ def doe_levels(
     index the tail loops back to.
     """
     sys.check_state(q)
-    pairs, _ = _separating_ids(sys, q, sys, q)
+    require_complete(sys)
+    succ, i = sys.succ, sys.index[q]
+    pairs, _ = _separating_ids(sys, i, i)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    succ, i = sys.succ, sys.index[q]
     rows = PairRows(succ, succ)
     split = [(a1, a2, -1) for (a1, a2) in pairs]
     start = rows.step(rows.frontier([(i, i)]), rows.columns(lambda p: split))
@@ -143,12 +146,7 @@ def _effects(sys: SynchronousSystem, levels: list[frozenset], start: int) -> Eff
     return EffectSequence(tuple(values[:start]), tuple(values[start:]))
 
 
-def ssp(
-    sys_a: SynchronousSystem,
-    q1: str,
-    sys_b: SynchronousSystem,
-    q2: str,
-) -> tuple[tuple[str, str], ...]:
+def ssp(sys: SynchronousSystem, q1: str, q2: str) -> tuple[tuple[str, str], ...]:
     """Strongly separating pairs: separating pairs of the union of q1, q2.
 
     (a1, a2) qualifies when some a1-successor of q1 is non-bisimilar to
@@ -156,11 +154,10 @@ def ssp(
     Evaluated for all states, reactive or not; on a single state this
     coincides with its separating pairs.
     """
-    sys_a.require_same_signature(sys_b)
-    sys_a.check_state(q1)
-    sys_b.check_state(q2)
-    symbols = sys_a.inputs.symbols
-    pairs, _ = _separating_ids(sys_a, q1, sys_b, q2)
+    sys.check_state(q1)
+    sys.check_state(q2)
+    symbols = sys.inputs.symbols
+    pairs, _ = _separating_ids(sys, sys.index[q1], sys.index[q2])
     return tuple((symbols[a1], symbols[a2]) for (a1, a2) in pairs)
 
 
@@ -199,22 +196,20 @@ def obs_order(sys: SynchronousSystem, q: str) -> ObsOrder:
     return ObsOrder(doe(sys, q))
 
 
-def ssp_levels(
-    sys_a: SynchronousSystem, q1: str, sys_b: SynchronousSystem, q2: str
-) -> tuple[list[frozenset], int]:
-    """SSPseq levels of the cross pair (q1, q2), as a lasso of symbol-pair sets.
+def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
+    """SSPseq levels of the pair (q1, q2), as a lasso of symbol-pair sets.
 
     The walk steps a pair (p, q) along every orientation (ae, af) under
     which ae beats af there, so its frontiers only hold pairs reached
     through strongly separating pairs.  Level n intersects the SSP of
     every pair of the n-th frontier, and is every input pair once the
     frontier is empty.  Returns one set per level and the index the tail
-    loops back to.  Pairs are ids of the two systems' joined system
-    (:func:`core.joined`).
+    loops back to.  Rows and bitsets span all of ``sys``'s states, so a
+    cross pair of a disjoint union walks the union's ids.
     """
-    oracle = BisimOracle(sys_a, sys_b)
-    succ, cls = oracle.system.succ, oracle.cls
-    symbols = sys_a.inputs.symbols
+    require_complete(sys)
+    succ, cls = sys.succ, BisimOracle(sys).cls
+    symbols = sys.inputs.symbols
     candidates = list(itertools.combinations(range(len(symbols)), 2))
     everything = (1 << len(succ)) - 1
     gaps = class_gaps(succ, cls, len(symbols))
@@ -247,7 +242,7 @@ def ssp_levels(
         return named[kept]
 
     rows = PairRows(succ, succ)
-    start = rows.frontier([oracle.ids(q1, q2)])
+    start = rows.frontier([(sys.index[q1], sys.index[q2])])
     return rows.walk(start, rows.columns(lambda p: row(p)[0]), value)
 
 
@@ -260,23 +255,20 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     pair space, extracted as a lasso.
     """
     sys.check_state(q)
-    levels, loop = ssp_levels(sys, q, sys, q)
+    levels, loop = ssp_levels(sys, q, q)
     if not levels[0]:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
 
 
-def ssp_seq_pair(
-    sys_a: SynchronousSystem, q1: str, sys_b: SynchronousSystem, q2: str
-) -> PairSetSequence:
-    """SSPseq of a cross pair; both states must be reactive."""
-    sys_a.check_state(q1)
-    sys_b.check_state(q2)
-    if not reactive(sys_a, q1):
-        raise NotReactive(f"state {q1} of {sys_a.name} is not reactive")
-    if not reactive(sys_b, q2):
-        raise NotReactive(f"state {q2} of {sys_b.name} is not reactive")
-    levels, loop = ssp_levels(sys_a, q1, sys_b, q2)
+def ssp_seq_pair(sys: SynchronousSystem, q1: str, q2: str) -> PairSetSequence:
+    """SSPseq of a pair of states; both must be reactive."""
+    sys.check_state(q1)
+    sys.check_state(q2)
+    for q in (q1, q2):
+        if not reactive(sys, q):
+            raise NotReactive(f"state {q} of {sys.name} is not reactive")
+    levels, loop = ssp_levels(sys, q1, q2)
     return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
 
 

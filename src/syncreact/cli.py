@@ -37,7 +37,7 @@ import gc
 import sys as _sys
 
 from . import sls
-from .core import SynchronousSystem, bisim_quotient, non_bisimilar, validate
+from .core import SynchronousSystem, bisim_quotient, disjoint_union, non_bisimilar, validate
 from .errors import (
     PreconditionFailed,
     PsyTypeError,
@@ -104,7 +104,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_bisim(args) -> int:
     sys = _load_complete(args.file)
-    witness = non_bisimilar(sys, args.p, sys, args.q)
+    witness = non_bisimilar(sys, args.p, args.q)
     if witness is not None:
         print(f"witness depth {witness.depth}", file=_sys.stderr)
     return _print_bool(witness is None)
@@ -127,7 +127,7 @@ def cmd_separators(args) -> int:
     from . import reactivity
 
     sys = _load_complete(args.file)
-    found = reactivity.separators(sys, args.p, sys, args.q, args.max_len)
+    found = reactivity.separators(sys, args.p, args.q, args.max_len)
     for (word, deterministic) in found:
         suffix = " det" if deterministic else ""
         body = (" " + " ".join(word)) if word else ""
@@ -140,7 +140,7 @@ def cmd_strongsep(args) -> int:
     from . import reactivity
 
     sys = _load_complete(args.file)
-    verdict = reactivity.strongly_separable(sys, args.p, sys, args.q)
+    verdict = reactivity.strongly_separable(sys, args.p, args.q)
     if verdict.separable:
         print(f"bound {verdict.bound}", file=_sys.stderr)
     else:
@@ -168,7 +168,7 @@ def cmd_diff(args) -> int:
 
     sys = _load_complete(args.file)
     word = _word(args.word)
-    table = reactivity.diff(sys, args.p, sys, args.q, word)
+    table = reactivity.diff(sys, args.p, args.q, word)
     for index, values in enumerate(table):
         rendered = []
         for value in sorted(values, key=lambda v: ("", "") if v is None else v):
@@ -192,15 +192,19 @@ def cmd_ssp(args) -> int:
     from . import abstraction
     from .lasso import format_pair_set
 
-    sys_a = _load_complete(args.file)
+    sys, p = _load_complete(args.file), args.p
     if len(args.rest) == 1:
-        sys_b, q = sys_a, args.rest[0]
+        q = args.rest[0]
     elif len(args.rest) == 2:
-        sys_b, q = _load_complete(args.rest[0]), args.rest[1]
+        other, q = _load_complete(args.rest[0]), args.rest[1]
+        union, prefix_a, prefix_b = disjoint_union(sys, other)
+        sys.check_state(p)
+        other.check_state(q)
+        sys, p, q = union, prefix_a + p, prefix_b + q
     else:
         print("error: ssp takes FILE P [FILE2] Q", file=_sys.stderr)
         return EXIT_USAGE
-    pairs = abstraction.ssp(sys_a, args.p, sys_b, q)
+    pairs = abstraction.ssp(sys, p, q)
     print(format_pair_set(frozenset(pairs)))
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, S
 from .errors import (
     LevelBoundExceeded,
     NotAProductSymbol,
+    PreconditionFailed,
     SignatureMismatch,
     UnknownState,
     UnknownSymbol,
@@ -363,17 +364,6 @@ class SynchronousSystem(Record):
         """The system's own bisimulation refinement, built once (a race builds equal ones)."""
         return _Refinement(self.succ, self.out_ids)
 
-    def same_signature(self, other: "SynchronousSystem") -> bool:
-        return self.inputs.same_symbols(other.inputs) and self.outputs.same_symbols(
-            other.outputs
-        )
-
-    def require_same_signature(self, other: "SynchronousSystem") -> None:
-        if not self.same_signature(other):
-            raise SignatureMismatch(
-                f"systems {self.name} and {other.name} have different signatures"
-            )
-
 
 def validate(sys: SynchronousSystem) -> list[str]:
     """Invariant report; empty list means the system is valid.
@@ -387,6 +377,12 @@ def validate(sys: SynchronousSystem) -> list[str]:
         f"incomplete: state {states[q]} has no transition on input {symbols[a]}"
         for q, a in sys.gaps
     ]
+
+
+def require_complete(sys: SynchronousSystem) -> None:
+    """Raise PreconditionFailed, naming the first missing move, on an incomplete system."""
+    if sys.gaps:
+        raise PreconditionFailed(f"system {sys.name}: {validate(sys)[0]}")
 
 
 class Run(Record):
@@ -469,7 +465,8 @@ def align(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, lis
     of the result is ``sys_b``'s column for ``sys_a``'s a-th input, and
     output ids name ``sys_a``'s output symbols.
     """
-    sys_a.require_same_signature(sys_b)
+    if not (sys_a.inputs.same_symbols(sys_b.inputs) and sys_a.outputs.same_symbols(sys_b.outputs)):
+        raise SignatureMismatch(f"systems {sys_a.name} and {sys_b.name} have different signatures")
     succ, out = sys_b.succ, sys_b.out_ids
     columns = [sys_b.inputs.index(a) for a in sys_a.inputs]
     if columns != sorted(columns):
@@ -498,8 +495,8 @@ class Product:
     """Synchronized product of a system with itself, explored lazily.
 
     Both components step on the same input; a node is a pair of state
-    ids, EQ iff their output ids are equal.  A product of two systems of
-    one signature is the product of their :func:`joined` system.
+    ids, EQ iff their output ids are equal.  Two systems of one
+    signature are paired through their :func:`disjoint_union`.
     """
 
     def __init__(self, system: SynchronousSystem):
@@ -929,11 +926,11 @@ def disjoint_union(
     """Disjoint union with ``A.``/``B.`` prefixed state names.
 
     Returns the union plus the two prefixes; requires equal signatures.
-    Queries over two distinct systems run on it (:func:`joined`), so
-    :func:`non_bisimilar` witnesses replay against it.  ``sys_b``'s ids
-    follow ``sys_a``'s and its tables are read in ``sys_a``'s numbering
-    (:func:`align`): the transitions list ``sys_a``'s and then
-    ``sys_b``'s, both by ``sys_a``'s input order.
+    A question about a state of each system is asked of the union by
+    the prefixed names, so all such questions share its one refinement.
+    ``sys_b``'s ids follow ``sys_a``'s and its tables are read in
+    ``sys_a``'s numbering (:func:`align`): the transitions list
+    ``sys_a``'s and then ``sys_b``'s, both by ``sys_a``'s input order.
     """
     succ_b, out_b = align(sys_a, sys_b)
     n = len(sys_a.states)
@@ -950,48 +947,23 @@ def disjoint_union(
     return union, "A.", "B."
 
 
-def joined(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[SynchronousSystem, int]:
-    """One system holding the states of both, and the first id of ``sys_b``'s states in it.
-
-    That is ``sys_a`` itself when both sides are one system, and
-    otherwise their :func:`disjoint_union`, built anew for each query.
-    """
-    if sys_a is sys_b:
-        return sys_a, 0
-    return disjoint_union(sys_a, sys_b)[0], len(sys_a.states)
-
-
 class BisimOracle:
-    """Non-bisimilarity queries between two (possibly identical) systems.
+    """Non-bisimilarity queries on one system, from its cached ``refinement``.
 
-    Refines their :func:`joined` system, ``system``, once per oracle:
-    the system's own cached refinement when both sides are one system,
-    else that of their disjoint union, which lives as long as the
-    oracle.  :meth:`ids` gives the joined id of a state of each side.
-    ``cls`` gives the final block of each joined id (equal blocks iff
-    bisimilar); ``cls_a`` and ``cls_b`` index it by either side's own
-    state ids.  The refinement history answers :meth:`depth` and the
+    ``cls`` gives the final block of each state id (equal blocks iff
+    bisimilar); the refinement history answers :meth:`depth` and the
     moves of every witness.
     """
 
-    def __init__(self, sys_a: SynchronousSystem, sys_b: SynchronousSystem):
-        self.sys_a, self.sys_b = sys_a, sys_b
-        self.system, self.offset = joined(sys_a, sys_b)
-        self.cls = self.cls_a = self.system.refinement.cls
-        self.cls_b = self.cls[self.offset:]
+    def __init__(self, system: SynchronousSystem):
+        self.system = system
+        self.refinement = system.refinement
+        self.cls = self.refinement.cls
 
-    def ids(self, qa: str, qb: str) -> tuple[int, int]:
-        """Joined ids of a state of each side."""
-        return self.sys_a.index[qa], self.offset + self.sys_b.index[qb]
-
-    def distinct(self, qa: str, qb: str) -> bool:
-        """True iff the two states are non-bisimilar."""
-        i, j = self.ids(qa, qb)
-        return self.cls[i] != self.cls[j]
-
-    def depth(self, qa: str, qb: str) -> Optional[int]:
+    def depth(self, p: str, q: str) -> Optional[int]:
         """Least k at which the k-step approximants separate, None if bisimilar."""
-        return self.system.refinement.depth(*self.ids(qa, qb))
+        index = self.system.index
+        return self.refinement.depth(index[p], index[q])
 
 
 class BaseWitness(Record):
@@ -1057,27 +1029,21 @@ class IndWitness:
 NonBisimWitness = Union[BaseWitness, IndWitness]
 
 
-def non_bisimilar(
-    sys_a: SynchronousSystem,
-    qa: str,
-    sys_b: SynchronousSystem,
-    qb: str,
-) -> Optional[NonBisimWitness]:
-    """Minimal-depth witness that qa and qb are non-bisimilar, or None.
+def non_bisimilar(sys: SynchronousSystem, p: str, q: str) -> Optional[NonBisimWitness]:
+    """Minimal-depth witness that p and q are non-bisimilar, or None.
 
     The witness depth equals the least k at which the k-step
     bisimulation approximants separate the states.  Each state pair's
-    sub-witness is built once and shared.  Witnesses name the states of
-    the :func:`joined` system: ``A.``/``B.`` prefixed across two systems.
+    sub-witness is built once and shared.
     """
-    sys_a.check_state(qa)
-    sys_b.check_state(qb)
-    oracle = BisimOracle(sys_a, sys_b)
-    if not oracle.distinct(qa, qb):
+    sys.check_state(p)
+    sys.check_state(q)
+    oracle = BisimOracle(sys)
+    root = (sys.index[p], sys.index[q])
+    if oracle.cls[root[0]] == oracle.cls[root[1]]:
         return None
-    system = oracle.system
-    ref, names, out = system.refinement, system.states, system.out_ids
-    inputs, outputs = sys_a.inputs.symbols, sys_a.outputs.symbols
+    ref, names, out = oracle.refinement, sys.states, sys.out_ids
+    inputs, outputs = sys.inputs.symbols, sys.outputs.symbols
     built: dict[tuple[int, int], NonBisimWitness] = {}
 
     def rule(pair: tuple[int, int]):
@@ -1096,7 +1062,7 @@ def non_bisimilar(
         built[pair] = w
         return w
 
-    return fold(rule, oracle.ids(qa, qb))
+    return fold(rule, root)
 
 
 def replay_witness(

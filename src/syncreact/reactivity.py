@@ -1,9 +1,9 @@
 """Separating pairs, separators, observable effects, and reaction time.
 
-Everything here walks the synchronized product of two state spaces
-stepping on one shared input per tick (:class:`core.Product`): of one
-system with itself, or of two systems' disjoint union, lazily
-and only as far as a query needs.  A node is EQ when both components
+Everything here walks the synchronized product of a system with itself,
+stepping on one shared input per tick (:class:`core.Product`), lazily
+and only as far as a query needs; states of two systems are compared on
+their disjoint union.  A node is EQ when both components
 emit the same output and DIFF otherwise.  Quantifications over infinite
 input words are discharged by graph arguments: completeness and finite
 branching make the set of run-pair paths a finitely-branching tree, so
@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, joined, validate
-from .errors import PreconditionFailed, SeparatorBoundExceeded
+from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, require_complete
+from .errors import SeparatorBoundExceeded
 
 Pair = tuple[str, str]
 
@@ -85,19 +85,16 @@ def row_orientations(moves_p, cls, gaps: list[dict[int, int]], everything: int) 
     return masks
 
 
-def _separating_ids(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):
-    """Separating pairs of (p, q) and their deterministic subset, as input id pairs in order.
+def _separating_ids(sys: SynchronousSystem, i: int, j: int):
+    """Separating pairs of state ids (i, j) and their deterministic subset, as input id pairs.
 
-    (a1, a2) separates when some a1-successor of p is non-bisimilar to
-    every a2-successor of q, or the same with a1 and a2 swapped.  It is
-    deterministic when no a1-successor of p is bisimilar to an
-    a2-successor of q.  Both rows and their blocks are read from the
-    oracle's joined system (:func:`core.joined`).
+    (a1, a2) separates when some a1-successor of i is non-bisimilar to
+    every a2-successor of j, or the same with a1 and a2 swapped.  It is
+    deterministic when no a1-successor of i is bisimilar to an
+    a2-successor of j.
     """
-    oracle = BisimOracle(sys_a, sys_b)
-    succ, cls = oracle.system.succ, oracle.cls
-    i, j = oracle.ids(p, q)
-    moves_p, moves_q = succ[i], succ[j]
+    cls = BisimOracle(sys).cls
+    moves_p, moves_q = sys.succ[i], sys.succ[j]
     held = row_orientations(moves_p, cls, class_gaps([moves_q], cls, len(moves_q)), 1)
     pairs, deterministic = [], []
     for (a1, a2) in itertools.combinations(range(len(moves_p)), 2):
@@ -117,10 +114,10 @@ def separating_pairs(sys: SynchronousSystem, q: str) -> SepPairSet:
     reported with symbols in input declaration order.
     """
     sys.check_state(q)
-    symbols = sys.inputs.symbols
+    symbols, i = sys.inputs.symbols, sys.index[q]
     pairs, deterministic = (
         tuple((symbols[a1], symbols[a2]) for (a1, a2) in ids)
-        for ids in _separating_ids(sys, q, sys, q)
+        for ids in _separating_ids(sys, i, i)
     )
     return SepPairSet(pairs, deterministic)
 
@@ -129,20 +126,16 @@ def reactive(sys: SynchronousSystem, q: str) -> bool:
     return separating_pairs(sys, q).reactive
 
 
-def _rooted(sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str):
-    """The product of the two systems' joined system and its node for (p, q)."""
-    system, offset = joined(sys_a, sys_b)
-    sys_a.check_state(p)
-    sys_b.check_state(q)
-    return Product(system), (sys_a.index[p], offset + sys_b.index[q])
+def _rooted(sys: SynchronousSystem, p: str, q: str):
+    """The product of a complete system with itself and its node for (p, q)."""
+    sys.check_state(p)
+    sys.check_state(q)
+    require_complete(sys)
+    return Product(sys), (sys.index[p], sys.index[q])
 
 
 def separators(
-    sys_a: SynchronousSystem,
-    p: str,
-    sys_b: SynchronousSystem,
-    q: str,
-    max_len: int,
+    sys: SynchronousSystem, p: str, q: str, max_len: int
 ) -> list[tuple[tuple[str, ...], bool]]:
     """Minimal separators of (p, q) up to max_len, each flagged deterministic.
 
@@ -156,14 +149,14 @@ def separators(
 
     A word keeps its pending nodes, whose run pairs have not differed,
     and one flag for "some run pair has differed".  That relies on
-    completeness, which every analysis assumes and the command line
-    enforces: a differed run pair stays differed on every extension.
+    completeness, which every analysis requires: a differed run pair
+    stays differed on every extension.
     """
-    product, root = _rooted(sys_a, p, sys_b, q)
+    product, root = _rooted(sys, p, q)
     if not product.eq(root):
         # The empty word already separates: output at index 0 differs.
         return [((), True)]
-    symbols = sys_a.inputs.symbols
+    symbols = sys.inputs.symbols
     results: list[tuple[tuple[str, ...], bool]] = []
     frontier: list[tuple[tuple[str, ...], set, bool]] = [((), {root}, False)]
     for _ in range(max_len):
@@ -208,20 +201,17 @@ class StrongSepResult(Record):
         self.separable, self.bound, self.cycle = separable, bound, cycle
 
 
-def strongly_separable(
-    sys_a: SynchronousSystem, p: str, sys_b: SynchronousSystem, q: str
-) -> StrongSepResult:
+def strongly_separable(sys: SynchronousSystem, p: str, q: str) -> StrongSepResult:
     """True iff every infinite input word has a deterministic separator prefix.
 
     On finite complete systems this reduces to acyclicity of the EQ
     region reachable from (p, q) through EQ nodes.
     """
-    product, root = _rooted(sys_a, p, sys_b, q)
+    product, root = _rooted(sys, p, q)
     cycle, _, length = _eq_search(product, [root])
     if cycle is None:
         return StrongSepResult(True, bound=length.get(root, 0))
-    symbols = sys_a.inputs.symbols
-    names = sys_a.states if sys_a is sys_b else sys_a.states + sys_b.states
+    symbols, names = sys.inputs.symbols, sys.states
     return StrongSepResult(
         False,
         cycle=tuple(((names[x], names[y]), symbols[a]) for ((x, y), a) in cycle),
@@ -268,13 +258,7 @@ def _eq_search(product: Product, roots) -> tuple[Optional[tuple], dict, dict]:
     return None, edges, length
 
 
-def diff(
-    sys_a: SynchronousSystem,
-    p: str,
-    sys_b: SynchronousSystem,
-    q: str,
-    word: Sequence[str],
-) -> list[set]:
+def diff(sys: SynchronousSystem, p: str, q: str, word: Sequence[str]) -> list[set]:
     """Observed effect values of (p, q) along a word, one set per index.
 
     Index n collects, over every synchronized run pair on the first n
@@ -283,10 +267,10 @@ def diff(
     Indices run from 0 to len(word) inclusive; a singleton non-silent
     set means a guaranteed effect at that index.
     """
-    product, root = _rooted(sys_a, p, sys_b, q)
-    sys_a.check_word(word)
-    inputs = [sys_a.inputs.index(sym) for sym in word]
-    outputs = sys_a.outputs.symbols
+    product, root = _rooted(sys, p, q)
+    sys.check_word(word)
+    inputs = [sys.inputs.index(sym) for sym in word]
+    outputs = sys.outputs.symbols
     succ, out = product.succ, product.out
     frontier = {root}
     result = []
@@ -328,13 +312,13 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     move on some input ends every run through it.
     """
     sys.check_state(q)
-    if sys.gaps:
-        raise PreconditionFailed(f"system {sys.name}: {validate(sys)[0]}")
-    _, deterministic = _separating_ids(sys, q, sys, q)
+    require_complete(sys)
+    i = sys.index[q]
+    _, deterministic = _separating_ids(sys, i, i)
     if not deterministic:
         return ReactionTime(None)
     product = Product(sys)
-    moves = sys.succ[sys.index[q]]
+    moves = sys.succ[i]
     roots = [(q1, q2) for (a1, a2) in deterministic for q1 in moves[a1] for q2 in moves[a2]]
     cycle, edges, length = _eq_search(product, roots)
     if cycle is not None:

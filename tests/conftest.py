@@ -13,6 +13,12 @@ def load_fixture(name: str):
     return sls.load(FIXTURES / name)
 
 
+def on_union(query, sys_a, p, sys_b, q, *args):
+    """``query`` about state p of ``sys_a`` and q of ``sys_b``, asked of their disjoint union."""
+    union, pa, pb = core.disjoint_union(sys_a, sys_b)
+    return query(union, pa + p, pb + q, *args)
+
+
 def count_refinements(monkeypatch) -> list:
     """Record the successor table of every bisimulation refinement built from now on."""
     built = []

@@ -654,12 +654,12 @@ def orientations(moves_a, moves_b, cls_a, cls_b, a1: int, a2: int) -> list[tuple
 
 
 def _naive_doe_frontiers(sys, q):
-    oracle = BisimOracle(sys, sys)
+    cls = BisimOracle(sys).cls
     succ, i = sys.succ, sys.index[q]
     pairs = [
         (a1, a2)
         for (a1, a2) in itertools.combinations(range(len(sys.inputs)), 2)
-        if orientations(succ[i], succ[i], oracle.cls_a, oracle.cls_b, a1, a2)
+        if orientations(succ[i], succ[i], cls, cls, a1, a2)
     ]
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
@@ -679,7 +679,8 @@ def naive_ssp_seq(sys_a, q1, sys_b, q2):
 
     Returns each level's set of symbol pairs and the loop index.
     """
-    oracle = BisimOracle(sys_a, sys_b)
+    cls, n = BisimOracle(disjoint_union(sys_a, sys_b)[0]).cls, len(sys_a.states)
+    cls_a, cls_b = cls[:n], cls[n:]
     succ_a, (succ_b, _) = sys_a.succ, align(sys_a, sys_b)
     symbols = sys_a.inputs.symbols
     candidates = list(itertools.combinations(range(len(symbols)), 2))
@@ -690,7 +691,7 @@ def naive_ssp_seq(sys_a, q1, sys_b, q2):
         if node not in ssp:
             moves_a, moves_b = succ_a[node[0]], succ_b[node[1]]
             found = {
-                (a1, a2): orientations(moves_a, moves_b, oracle.cls_a, oracle.cls_b, a1, a2)
+                (a1, a2): orientations(moves_a, moves_b, cls_a, cls_b, a1, a2)
                 for (a1, a2) in candidates
             }
             ssp[node] = frozenset(c for c, h in found.items() if h)

@@ -10,6 +10,7 @@ from syncreact import (
     STAR,
     STAR_FOREVER,
     diff,
+    disjoint_union,
     doe,
     doe_compose,
     lemma_check,
@@ -19,6 +20,7 @@ from syncreact import (
     separating_pairs,
     separators,
     seq_compose,
+    sls,
     ssp,
     ssp_seq,
     ssp_seq_pair,
@@ -28,7 +30,7 @@ from syncreact.abstraction import doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
-from .conftest import count_refinements, load_fixture
+from .conftest import FIXTURES, count_refinements, load_fixture, on_union
 from .oracles import (
     brute_doe,
     brute_ssp_seq,
@@ -107,7 +109,7 @@ class TestWalkOracles:
         for sys in _walk_systems(n):
             for q in sys.states[:3]:
                 assert _outcome(doe_levels, sys, q) == _outcome(naive_doe_levels, sys, q)
-                assert _outcome(ssp_levels, sys, q, sys, q) == naive_ssp_seq(sys, q, sys, q)
+                assert _outcome(ssp_levels, sys, q, q) == naive_ssp_seq(sys, q, sys, q)
 
     @pytest.mark.parametrize("n", WALK_SIZES)
     def test_cross_pairs_with_rotated_inputs_and_reversed_outputs(self, n):
@@ -117,15 +119,17 @@ class TestWalkOracles:
             other = sized_system(
                 rng, "other", max(1, n // 2), symbols[1:] + symbols[:1], OUTPUTS[::-1], 0.3
             )
+            union, pa, pb = disjoint_union(sys, other)
             for q1 in sys.states[:2]:
                 for q2 in other.states[:2]:
                     levels, loop = naive_ssp_seq(sys, q1, other, q2)
-                    assert ssp_levels(sys, q1, other, q2) == (levels, loop)
-                    assert ssp(sys, q1, other, q2) == tuple(
+                    u1, u2 = pa + q1, pb + q2
+                    assert ssp_levels(union, u1, u2) == (levels, loop)
+                    assert ssp(union, u1, u2) == tuple(
                         sorted(levels[0], key=lambda pair: tuple(map(symbols.index, pair)))
                     )
                     if separating_pairs(sys, q1).reactive and separating_pairs(other, q2).reactive:
-                        assert ssp_seq_pair(sys, q1, other, q2) == PairSetSequence(
+                        assert ssp_seq_pair(union, u1, u2) == PairSetSequence(
                             tuple(levels[:loop]), tuple(levels[loop:])
                         )
 
@@ -184,39 +188,43 @@ class TestObsOrder:
 
 class TestSsp:
     def test_union_pair_is_excluded(self, union1_sys, union2_sys):
-        assert ssp(union1_sys, "u0", union2_sys, "v0") == ()
+        assert on_union(ssp, union1_sys, "u0", union2_sys, "v0") == ()
 
     def test_identity_with_separating_pairs(
         self, p1_sys, p2_sys, toggle_sys, union_sys, delay1_sys
     ):
         for sys in (p1_sys, p2_sys, toggle_sys, union_sys, delay1_sys):
             for q in sys.states:
-                assert ssp(sys, q, sys, q) == separating_pairs(sys, q).pairs
+                assert ssp(sys, q, q) == separating_pairs(sys, q).pairs
 
     def test_two_copies_of_toggle(self, toggle_sys):
-        assert ssp(toggle_sys, "s0", toggle_sys, "s0") == (("a", "b"),)
+        assert ssp(toggle_sys, "s0", "s0") == (("a", "b"),)
 
     def test_signature_mismatch(self, p1_sys, union_sys):
         with pytest.raises(SignatureMismatch):
-            ssp(p1_sys, "p0", union_sys, "w0")
+            disjoint_union(p1_sys, union_sys)
 
-    def test_two_system_queries_leave_no_reference_cycle(self):
+    def test_two_system_queries_leave_no_reference_cycle(self, monkeypatch):
         rng = random.Random(5)
         sys_a = sized_system(rng, "a", 6, ("a", "b"), ("0", "1"))
         sys_b = sized_system(rng, "b", 5, ("b", "a"), ("1", "0"))
         p = next(p for p in sys_a.states if reactive(sys_a, p))
         q = next(q for q in sys_b.states if reactive(sys_b, q))
+        union, pa, pb = disjoint_union(sys_a, sys_b)
+        p, q = pa + p, pb + q
+        built = count_refinements(monkeypatch)
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()  # whatever the queries leave in a cycle waits for the collector
         try:
-            ssp(sys_a, p, sys_b, q)
-            ssp_seq_pair(sys_a, p, sys_b, q)
-            non_bisimilar(sys_a, p, sys_b, q)
-            strongly_separable(sys_a, p, sys_b, q)
-            separators(sys_a, p, sys_b, q, 3)
-            diff(sys_a, p, sys_b, q, sys_a.inputs.symbols)
-            del sys_a, sys_b
+            ssp(union, p, q)
+            ssp_seq_pair(union, p, q)
+            non_bisimilar(union, p, q)
+            strongly_separable(union, p, q)
+            separators(union, p, q, 3)
+            diff(union, p, q, union.inputs.symbols)
+            assert list(map(id, built)) == [id(union.succ)]  # one refinement for all six
+            del sys_a, sys_b, union
             assert gc.collect() == 0
         finally:
             if enabled:
@@ -234,7 +242,7 @@ class TestSspSeq:
             ssp_seq(const_sys, "c0")
 
     def test_union_cross_pair_has_empty_level_zero(self, union1_sys, union2_sys):
-        seq = ssp_seq_pair(union1_sys, "u0", union2_sys, "v0")
+        seq = on_union(ssp_seq_pair, union1_sys, "u0", union2_sys, "v0")
         assert seq[0] == frozenset()
 
     def test_receiver_level_two_contains_the_delay1_effect(self, receiver_sys):
@@ -243,7 +251,7 @@ class TestSspSeq:
 
     def test_cross_pair_requires_reactive_states(self, const_sys, toggle_sys):
         with pytest.raises(NotReactive):
-            ssp_seq_pair(const_sys, "c0", const_sys, "c0")
+            ssp_seq_pair(const_sys, "c0", "c0")
 
 
 class TestLemmaCheck:
@@ -387,3 +395,29 @@ class TestDoeCompose:
             result = doe_compose(sf, qf, sg, qg, t)
             composed = seq_compose(sf, sg, start=(qf, qg)).system
             assert obs_leq(result, doe(composed, composed.initial))
+
+
+# The queries over infinite words, each asked about p0 of an incomplete p1.
+INFINITE_WORD_QUERIES = {
+    "separators": lambda sys: separators(sys, "p0", "p1", 3),
+    "strongly_separable": lambda sys: strongly_separable(sys, "p0", "p1"),
+    "diff": lambda sys: diff(sys, "p0", "p1", ["tt", "ff"]),
+    "doe": lambda sys: doe(sys, "p0"),
+    "ssp_seq": lambda sys: ssp_seq(sys, "p0"),
+    "ssp_seq_pair": lambda sys: ssp_seq_pair(sys, "p0", "p0"),
+    "lemma_check": lambda sys: lemma_check(sys, "p0", sys, "p0"),
+    "doe_compose": lambda sys: doe_compose(sys, "p0", sys, "p0", 0),
+}
+
+
+@pytest.mark.parametrize(
+    "query", INFINITE_WORD_QUERIES.values(), ids=list(INFINITE_WORD_QUERIES)
+)
+def test_infinite_word_queries_reject_an_incomplete_system(query):
+    text = (FIXTURES / "p1.sls").read_text()
+    sys = sls.loads(text.replace("trans p2 ff p0\n", ""))
+    # p0 stays reactive, so no query stops at NotReactive first.
+    assert reactive(sys, "p0")
+    message = "system p1: incomplete: state p2 has no transition on input ff"
+    with pytest.raises(PreconditionFailed, match=message):
+        query(sys)

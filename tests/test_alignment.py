@@ -1,12 +1,13 @@
 """Cross-system queries match symbols by name, not by declaration order.
 
-Signatures compare symbol sets, so the second system of a query (or the
-receiver of a composition) may declare its inputs and outputs in
+Signatures compare symbol sets, so the second system of a disjoint union
+(or the receiver of a composition) may declare its inputs and outputs in
 another order.  Every answer must then be exactly the one given for the
 same system declared in the first system's order.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -28,9 +29,20 @@ from syncreact import (
     strongly_separable,
 )
 from syncreact.errors import PreconditionFailed, SignatureMismatch
+from syncreact.lasso import STAR, PairSetSequence
 
-from .conftest import load_fixture
-from .oracles import chain_sender, naive_approximants, naive_separation_depth, random_system
+from .conftest import load_fixture, on_union
+from .oracles import (
+    brute_separators,
+    chain_sender,
+    guaranteed_diff_index,
+    naive_approximants,
+    naive_non_bisimilar,
+    naive_separation_depth,
+    naive_ssp_seq,
+    naive_strongly_separable,
+    random_system,
+)
 
 
 def reorder(sys, inputs=None, outputs=None):
@@ -73,15 +85,18 @@ def test_pair_queries_ignore_the_second_systems_declaration_order(sys_a, sys_b):
         sys_b, rotated(sys_b.inputs.symbols), tuple(reversed(sys_b.outputs.symbols))
     )
     assert permuted.inputs.symbols != sys_b.inputs.symbols
+    union, pa, pb = disjoint_union(sys_a, sys_b)
+    on_permuted = disjoint_union(sys_a, permuted)[0]
     word = [sys_a.inputs.symbols[k % len(sys_a.inputs)] for k in (0, 1, 2, 1)]
     for p in sys_a.states:
         for q in sys_b.states:
+            up, uq = pa + p, pb + q
             for query in (ssp, strongly_separable):
-                assert query(sys_a, p, permuted, q) == query(sys_a, p, sys_b, q)
-            assert separators(sys_a, p, permuted, q, 3) == separators(sys_a, p, sys_b, q, 3)
-            assert diff(sys_a, p, permuted, q, word) == diff(sys_a, p, sys_b, q, word)
+                assert query(on_permuted, up, uq) == query(union, up, uq)
+            assert separators(on_permuted, up, uq, 3) == separators(union, up, uq, 3)
+            assert diff(on_permuted, up, uq, word) == diff(union, up, uq, word)
             if reactive(sys_a, p) and reactive(sys_b, q):
-                assert ssp_seq_pair(sys_a, p, permuted, q) == ssp_seq_pair(sys_a, p, sys_b, q)
+                assert ssp_seq_pair(on_permuted, up, uq) == ssp_seq_pair(union, up, uq)
 
 
 @pytest.mark.parametrize("sys_a, sys_b", same_signature_cases())
@@ -90,12 +105,14 @@ def test_cross_system_oracle_ignores_the_second_systems_declaration_order(sys_a,
         sys_b, rotated(sys_b.inputs.symbols), tuple(reversed(sys_b.outputs.symbols))
     )
     union, pa, pb = disjoint_union(sys_a, permuted)
+    in_order = disjoint_union(sys_a, sys_b)[0]
     approximants = naive_approximants(union)
     for p in sys_a.states:
         for q in sys_b.states:
-            witness = non_bisimilar(sys_a, p, permuted, q)
-            expected = non_bisimilar(sys_a, p, sys_b, q)
-            depth = naive_separation_depth(union, pa + p, pb + q, approximants)
+            up, uq = pa + p, pb + q
+            witness = non_bisimilar(union, up, uq)
+            expected = non_bisimilar(in_order, up, uq)
+            depth = naive_separation_depth(union, up, uq, approximants)
             assert (witness is None) == (expected is None) == (depth is None)
             if witness is not None:
                 assert witness.depth == expected.depth == depth
@@ -104,39 +121,53 @@ def test_cross_system_oracle_ignores_the_second_systems_declaration_order(sys_a,
 
 @pytest.mark.parametrize("sys_a, sys_b", same_signature_cases())
 def test_two_system_queries_equal_the_one_system_query_on_the_union(sys_a, sys_b):
+    """The brute-force oracles, which take the two systems, against the union's queries."""
     union, pa, pb = disjoint_union(sys_a, sys_b)
     word = [sys_a.inputs.symbols[k % len(sys_a.inputs)] for k in (0, 1, 2, 1)]
     for p in sys_a.states:
         for q in sys_b.states:
             up, uq = pa + p, pb + q
-            assert ssp(sys_a, p, sys_b, q) == ssp(union, up, union, uq)
-            assert separators(sys_a, p, sys_b, q, 3) == separators(union, up, union, uq, 3)
-            assert diff(sys_a, p, sys_b, q, word) == diff(union, up, union, uq, word)
+            levels, loop = naive_ssp_seq(sys_a, p, sys_b, q)
+            assert frozenset(ssp(union, up, uq)) == levels[0]
             if reactive(sys_a, p) and reactive(sys_b, q):
-                assert ssp_seq_pair(sys_a, p, sys_b, q) == ssp_seq_pair(union, up, union, uq)
-            verdict = strongly_separable(sys_a, p, sys_b, q)
-            on_union = strongly_separable(union, up, union, uq)
-            assert (verdict.separable, verdict.bound) == (on_union.separable, on_union.bound)
+                assert ssp_seq_pair(union, up, uq) == PairSetSequence(
+                    tuple(levels[:loop]), tuple(levels[loop:])
+                )
+            assert sorted(separators(union, up, uq, 3)) == sorted(
+                brute_separators(sys_a, p, sys_b, q, 3)
+            )
+            table = diff(union, up, uq, word)
+            first = next((n for n, values in enumerate(table) if STAR not in values), None)
+            assert first == guaranteed_diff_index(sys_a, p, sys_b, q, word)
+            verdict = strongly_separable(union, up, uq)
+            expected = naive_strongly_separable(sys_a, p, sys_b, q)
+            assert (verdict.separable, verdict.bound) == (expected.separable, expected.bound)
             if not verdict.separable:
-                unprefixed = tuple(((x[2:], y[2:]), a) for ((x, y), a) in on_union.cycle)
-                assert verdict.cycle == unprefixed
-            witness = non_bisimilar(sys_a, p, sys_b, q)
-            expected = non_bisimilar(union, up, union, uq)
-            assert (witness is None) == (expected is None)
+                # The union names the cycle's states A.x and B.y.
+                prefixed = tuple(((pa + x, pb + y), a) for ((x, y), a) in expected.cycle)
+                assert verdict.cycle == prefixed
+            witness = non_bisimilar(union, up, uq)
+            assert (witness is not None) == naive_non_bisimilar(sys_a, p, sys_b, q)
             if witness is not None:
-                assert witness.depth == expected.depth
                 assert replay_witness(union, witness)
 
 
+def _depth(union, p, q):
+    return BisimOracle(union).depth(p, q)
+
+
+# Each query asked about a state of each of two systems, the one way it
+# can be: on their disjoint union, which checks the signatures first.
 TWO_SYSTEM_QUERIES = {
-    "ssp": ssp,
-    "separators": lambda sys_a, p, sys_b, q: separators(sys_a, p, sys_b, q, 2),
-    "diff": lambda sys_a, p, sys_b, q: diff(sys_a, p, sys_b, q, sys_a.inputs.symbols),
-    "strongly_separable": strongly_separable,
-    "ssp_seq_pair": ssp_seq_pair,
-    "non_bisimilar": non_bisimilar,
+    "disjoint_union": lambda sys_a, p, sys_b, q: disjoint_union(sys_a, sys_b),
+    "ssp": partial(on_union, ssp),
+    "separators": lambda sys_a, p, sys_b, q: on_union(separators, sys_a, p, sys_b, q, 2),
+    "diff": lambda sys_a, p, sys_b, q: on_union(diff, sys_a, p, sys_b, q, sys_a.inputs.symbols),
+    "strongly_separable": partial(on_union, strongly_separable),
+    "ssp_seq_pair": partial(on_union, ssp_seq_pair),
+    "non_bisimilar": partial(on_union, non_bisimilar),
     "lemma_check": lemma_check,
-    "BisimOracle": lambda sys_a, p, sys_b, q: BisimOracle(sys_a, sys_b).depth(p, q),
+    "BisimOracle": partial(on_union, _depth),
 }
 
 

@@ -469,6 +469,22 @@ class TestQueries:
         assert code == 0
         assert last_line(out) == "{}"
 
+    @pytest.mark.parametrize(
+        "first, p, second, q, message",
+        [
+            ("union1.sls", "zz", "union2.sls", "v0", "unknown state 'zz' in system union1"),
+            ("union1.sls", "u0", "union2.sls", "zz", "unknown state 'zz' in system union2"),
+            ("p1.sls", "p0", "toggle.sls", "s0", "systems p1 and toggle have different signatures"),
+        ],
+    )
+    def test_ssp_two_files_names_the_bad_file(self, capsys, first, p, second, q, message):
+        # The states are asked of the union by their A./B. names, but
+        # errors name each file's own system and state.
+        code, out, err = run(capsys, "ssp", FIXTURES / first, p, FIXTURES / second, q)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_ssp_one_file(self, capsys):
         code, out, _ = run(capsys, "ssp", FIXTURES / "toggle.sls", "s0", "s0")
         assert code == 0

@@ -205,15 +205,15 @@ class TestQuotient:
 class TestNonBisimilar:
     def test_reflexive_states_have_no_witness(self, p1_sys):
         for q in p1_sys.states:
-            assert non_bisimilar(p1_sys, q, p1_sys, q) is None
+            assert non_bisimilar(p1_sys, q, q) is None
 
     def test_p1_base_witness(self, p1_sys):
-        witness = non_bisimilar(p1_sys, "p0", p1_sys, "p2")
+        witness = non_bisimilar(p1_sys, "p0", "p2")
         assert isinstance(witness, BaseWitness)
         assert (witness.out_p, witness.out_q) == ("ff", "tt")
 
     def test_p1_inductive_witness_depth_one(self, p1_sys):
-        witness = non_bisimilar(p1_sys, "p0", p1_sys, "p1")
+        witness = non_bisimilar(p1_sys, "p0", "p1")
         assert isinstance(witness, IndWitness)
         assert witness.depth == 1
         assert witness.input == "ff"
@@ -222,15 +222,15 @@ class TestNonBisimilar:
         for sys in (p1_sys, p2_sys):
             for p in sys.states:
                 for q in sys.states:
-                    witness = non_bisimilar(sys, p, sys, q)
+                    witness = non_bisimilar(sys, p, q)
                     if witness is not None:
                         assert replay_witness(sys, witness)
 
     def test_deep_witness_without_recursion(self):
         # Depth 1500 exceeds the default recursion limit of 1000 frames.
         sys = chain_sender(1500, ("x", "y", "z"))
-        oracle = BisimOracle(sys, sys)
-        witness = non_bisimilar(sys, "l0", sys, "m0")
+        oracle = BisimOracle(sys)
+        witness = non_bisimilar(sys, "l0", "m0")
         assert oracle.depth("l0", "m0") == 1500
         assert witness.depth == 1500
         assert replay_witness(sys, witness)
@@ -242,14 +242,14 @@ class TestNonBisimilar:
     def test_3000_deep_witness_is_built_and_measured_without_recursion(self):
         sys = chain_sender(3000, ("x", "y", "z"))
         with shallow_stack():
-            witness = non_bisimilar(sys, "l0", sys, "m0")
+            witness = non_bisimilar(sys, "l0", "m0")
             assert witness.depth == 3000
         assert replay_witness(sys, witness)
 
     def test_self_oracles_share_one_refinement(self, monkeypatch):
         built = count_refinements(monkeypatch)
         sys = chain_sender(3, ("x", "y", "z"))
-        first, second = BisimOracle(sys, sys), BisimOracle(sys, sys)
+        first, second = BisimOracle(sys), BisimOracle(sys)
         assert first.depth("l0", "m0") == second.depth("l0", "m0") == 3
         assert len(bisim_classes(sys).classes) == len(sys.states)
         assert len(built) == 1
@@ -273,7 +273,7 @@ class TestNonBisimilar:
             out_label={"p": "0", "q": "0", "x": "0", "y1": "0", "y2": "0", "z": "0", "w": "1"},
             initial="p",
         )
-        witness = non_bisimilar(sys, "p", sys, "q")
+        witness = non_bisimilar(sys, "p", "q")
         assert witness.depth == 2
         (_, first), (_, second) = witness.children
         assert first.children[0][1] is second.children[0][1]
@@ -281,14 +281,14 @@ class TestNonBisimilar:
 
     def test_cross_system_signature_check(self, p1_sys, toggle_sys):
         with pytest.raises(SignatureMismatch):
-            non_bisimilar(p1_sys, "p0", toggle_sys, "s0")
+            disjoint_union(p1_sys, toggle_sys)
 
     def test_agrees_with_quotient_on_fixtures(self, p1_sys, p2_sys, union_sys):
         for sys in (p1_sys, p2_sys, union_sys):
             partition = bisim_classes(sys)
             for p in sys.states:
                 for q in sys.states:
-                    witness = non_bisimilar(sys, p, sys, q)
+                    witness = non_bisimilar(sys, p, q)
                     assert (witness is None) == partition.same_class(p, q)
 
     def test_agrees_with_naive_fixpoint_on_random_systems(self):
@@ -300,7 +300,7 @@ class TestNonBisimilar:
             for p in sys.states:
                 for q in sys.states:
                     assert ((p, q) in naive) == partition.same_class(p, q)
-                    witness = non_bisimilar(sys, p, sys, q)
+                    witness = non_bisimilar(sys, p, q)
                     assert (witness is None) == ((p, q) in naive)
                     if witness is not None:
                         assert replay_witness(sys, witness)

@@ -36,7 +36,7 @@ from syncreact.psyc.syntax import (
 )
 from syncreact.psyc.typecheck import COMM
 
-from .conftest import FIXTURES, shallow_stack
+from .conftest import FIXTURES, on_union, shallow_stack
 from .oracles import naive_term_equal
 
 
@@ -416,7 +416,7 @@ class TestBuildLts:
         built = build_lts(program.machine, program.body, 100, name="prog1")
         assert validate(built) == []
         assert len(built.states) == 3
-        assert non_bisimilar(built, built.initial, p1_sys, "p0") is None
+        assert on_union(non_bisimilar, built, built.initial, p1_sys, "p0") is None
 
     def test_program1_initial_input_choice_is_unobservable(self):
         program = load_program("program1.psy")
@@ -426,7 +426,7 @@ class TestBuildLts:
         ]
         for other in variants[1:]:
             assert (
-                non_bisimilar(variants[0], variants[0].initial, other, other.initial)
+                on_union(non_bisimilar, variants[0], variants[0].initial, other, other.initial)
                 is None
             )
 
@@ -437,8 +437,8 @@ class TestBuildLts:
             for sym in program.machine.inputs
         ]
         assert (
-            non_bisimilar(
-                variants[0], variants[0].initial, variants[1], variants[1].initial
+            on_union(
+                non_bisimilar, variants[0], variants[0].initial, variants[1], variants[1].initial
             )
             is None
         )
@@ -556,6 +556,6 @@ class TestProgram2Compiled:
         assert separating_pairs(built, q0).pairs == (("tt", "ff"),)
         assert doe(built, q0) == STAR_FOREVER
         (q1,) = built.successors(q0, "tt")
-        words = {w for (w, _) in separators(built, q0, built, q1, 4)}
+        words = {w for (w, _) in separators(built, q0, q1, 4)}
         assert words == {("ff",), ("tt", "tt", "tt", "tt")}
         assert det_reaction_time(built, q0).time is None

@@ -11,6 +11,7 @@ from syncreact import (
     bisim_quotient,
     det_reaction_time,
     diff,
+    disjoint_union,
     reactive,
     separating_pairs,
     separators,
@@ -104,8 +105,7 @@ class TestRowOrientations:
         rng = random.Random(37)
         for i in range(12):
             sys = random_system(rng, f"r{i}", 12, ("a", "b", "c"), ("0", "1"), 0.4)
-            oracle = BisimOracle(sys, sys)
-            cls = oracle.cls_a
+            cls = BisimOracle(sys).cls
             everything = (1 << len(sys.states)) - 1
             gaps = class_gaps(sys.succ, cls, len(sys.inputs))
             for moves_p in sys.succ:
@@ -119,10 +119,10 @@ class TestRowOrientations:
 
 class TestSeparators:
     def test_p1_only_separator(self, p1_sys):
-        assert separators(p1_sys, "p0", p1_sys, "p1", 3) == [(("ff",), True)]
+        assert separators(p1_sys, "p0", "p1", 3) == [(("ff",), True)]
 
     def test_p2_separator_ladder(self, p2_sys):
-        found = separators(p2_sys, "q0", p2_sys, "q1", 4)
+        found = separators(p2_sys, "q0", "q1", 4)
         words = {w for (w, _) in found}
         assert words == {
             ("ff",),
@@ -135,7 +135,7 @@ class TestSeparators:
 
     def test_identical_states_have_none(self, p1_sys):
         for q in p1_sys.states:
-            assert separators(p1_sys, q, p1_sys, q, 4) == []
+            assert separators(p1_sys, q, q, 4) == []
 
     def test_matches_brute_force_on_fixtures(self, p1_sys, p2_sys, union_sys):
         cases = [
@@ -146,7 +146,7 @@ class TestSeparators:
             (union_sys, "w0", "x1"),
         ]
         for (sys, p, q) in cases:
-            fast = separators(sys, p, sys, q, 5)
+            fast = separators(sys, p, q, 5)
             brute = brute_separators(sys, p, sys, q, 5)
             assert sorted(fast) == sorted(brute)
 
@@ -155,27 +155,27 @@ class TestSeparators:
         for i in range(25):
             sys = random_system(rng, f"r{i}", 6, ("a", "b"), ("0", "1"))
             p, q = rng.choice(sys.states), rng.choice(sys.states)
-            fast = separators(sys, p, sys, q, 5)
+            fast = separators(sys, p, q, 5)
             brute = brute_separators(sys, p, sys, q, 5)
             assert sorted(fast) == sorted(brute)
 
 
 class TestStronglySeparable:
     def test_p1_false_with_tt_cycle(self, p1_sys):
-        verdict = strongly_separable(p1_sys, "p1", p1_sys, "p0")
+        verdict = strongly_separable(p1_sys, "p1", "p0")
         assert not verdict.separable
         assert verdict.cycle is not None
         assert all(sym == "tt" for (_, sym) in verdict.cycle)
 
     def test_p2_true(self, p2_sys):
-        verdict = strongly_separable(p2_sys, "q1", p2_sys, "q0")
+        verdict = strongly_separable(p2_sys, "q1", "q0")
         assert verdict.separable
         assert verdict.bound == 3
 
     def test_diagonal_pairs_never_separable(self, p1_sys, toggle_sys):
         for sys in (p1_sys, toggle_sys):
             for q in sys.states:
-                assert not strongly_separable(sys, q, sys, q).separable
+                assert not strongly_separable(sys, q, q).separable
 
     def test_implies_deterministic_separator_exists(self, p2_sys, toggle_sys, delay1_sys):
         cases = [
@@ -184,14 +184,14 @@ class TestStronglySeparable:
             (delay1_sys, "s1", "s2"),
         ]
         for (sys, p, q) in cases:
-            verdict = strongly_separable(sys, p, sys, q)
+            verdict = strongly_separable(sys, p, q)
             assert verdict.separable
-            found = separators(sys, p, sys, q, verdict.bound + 1)
+            found = separators(sys, p, q, verdict.bound + 1)
             assert any(det for (_, det) in found)
 
     def test_signature_mismatch(self, p1_sys, union_sys):
         with pytest.raises(SignatureMismatch):
-            strongly_separable(p1_sys, "p0", union_sys, "w0")
+            disjoint_union(p1_sys, union_sys)
 
     def test_matches_path_length_oracle_on_random_systems(self):
         # Pigeonhole oracle: an all-EQ path longer than the number of
@@ -200,7 +200,7 @@ class TestStronglySeparable:
         for i in range(40):
             sys = random_system(rng, f"r{i}", 5, ("a", "b"), ("0", "1"))
             p, q = rng.choice(sys.states), rng.choice(sys.states)
-            verdict = strongly_separable(sys, p, sys, q)
+            verdict = strongly_separable(sys, p, q)
             bound = len(sys.states) ** 2 + 1
             frontier = {(p, q)} if sys.out(p) == sys.out(q) else set()
             survived = bool(frontier)
@@ -244,10 +244,12 @@ def uncovered(deterministic: set, symbols, length: int):
 
 
 def random_pair(seed: int):
-    """Two random complete systems of one signature (often one system) and two states.
+    """A state of each of two random complete systems of one signature, and the system asked.
 
-    The second state shares the first one's output where it can, so that
-    most pairs are not told apart by the empty word.
+    The two systems are often one system, which is then the system
+    asked; otherwise it is their disjoint union.  The second state
+    shares the first one's output where it can, so that most pairs are
+    not told apart by the empty word.
     """
     rng = random.Random(seed)
     sys_a = random_system(rng, "a", 8, ("a", "b"), ("0", "1", "2"))
@@ -260,7 +262,11 @@ def random_pair(seed: int):
         q for q in sys_b.states
         if sys_b.out(q) == sys_a.out(p) and (sys_b is not sys_a or q != p)
     ]
-    return sys_a, p, sys_b, rng.choice(alike or sys_b.states)
+    q = rng.choice(alike or sys_b.states)
+    if sys_b is sys_a:
+        return sys_a, p, q
+    union, pa, pb = disjoint_union(sys_a, sys_b)
+    return union, pa + p, pb + q
 
 
 class TestStrongSeparabilityAgreesWithSeparators:
@@ -269,14 +275,14 @@ class TestStrongSeparabilityAgreesWithSeparators:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_bound_plus_one_is_covered_and_bound_is_not(self, seed):
-        sys_a, p, sys_b, q = random_pair(seed)
-        verdict = strongly_separable(sys_a, p, sys_b, q)
+        sys, p, q = random_pair(seed)
+        verdict = strongly_separable(sys, p, q)
         if not verdict.separable:
             return
         b = verdict.bound
-        found = separators(sys_a, p, sys_b, q, b + 1)
+        found = separators(sys, p, q, b + 1)
         deterministic = {word for (word, det) in found if det}
-        symbols = sys_a.inputs.symbols
+        symbols = sys.inputs.symbols
         assert next(uncovered(deterministic, symbols, b + 1), None) is None
         if b >= 1:
             assert next(uncovered(deterministic, symbols, b), None) is not None
@@ -284,31 +290,31 @@ class TestStrongSeparabilityAgreesWithSeparators:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_non_separable_pair_leaves_a_length_4_word_uncovered(self, seed):
-        sys_a, p, sys_b, q = random_pair(seed)
-        if strongly_separable(sys_a, p, sys_b, q).separable:
+        sys, p, q = random_pair(seed)
+        if strongly_separable(sys, p, q).separable:
             return
-        found = separators(sys_a, p, sys_b, q, 4)
+        found = separators(sys, p, q, 4)
         deterministic = {word for (word, det) in found if det}
-        assert next(uncovered(deterministic, sys_a.inputs.symbols, 4), None) is not None
+        assert next(uncovered(deterministic, sys.inputs.symbols, 4), None) is not None
 
 class TestDiff:
     def test_p1_effect_at_index_one(self, p1_sys):
-        table = diff(p1_sys, "p0", p1_sys, "p1", ["ff", "ff"])
+        table = diff(p1_sys, "p0", "p1", ["ff", "ff"])
         assert table[0] == {STAR}
         assert table[1] == {("ff", "tt")}
 
     def test_p2_effect_at_index_two(self, p2_sys):
-        table = diff(p2_sys, "q0", p2_sys, "q1", ["tt", "ff", "ff"])
+        table = diff(p2_sys, "q0", "q1", ["tt", "ff", "ff"])
         assert table[0] == {STAR}
         assert table[1] == {STAR}
         assert {frozenset(v) for v in table[2]} == {frozenset(("ff", "tt"))}
 
     def test_diagonal_all_silent(self, p1_sys):
-        table = diff(p1_sys, "p1", p1_sys, "p1", ["tt", "ff", "tt"])
+        table = diff(p1_sys, "p1", "p1", ["tt", "ff", "tt"])
         assert all(v == {STAR} for v in table)
 
     def test_union_mixed_values_at_one_index(self, union_sys):
-        table = diff(union_sys, "w0", union_sys, "w0", ["A"])
+        table = diff(union_sys, "w0", "w0", ["A"])
         assert table[0] == {STAR}
         # Nondeterministic branches both agree and disagree at index 1.
         assert STAR in table[1]
@@ -324,12 +330,12 @@ class TestDiff:
         """A non-silent singleton at index n >= 1 of ``diff`` along ``word``
         means ``separators(.., n)`` lists a prefix of ``word[:n]`` as
         deterministic."""
-        sys_a, p, sys_b, q = random_pair(seed)
-        table = diff(sys_a, p, sys_b, q, word)
+        sys, p, q = random_pair(seed)
+        table = diff(sys, p, q, word)
         for n in range(1, len(word) + 1):
             if STAR in table[n] or len(table[n]) != 1:
                 continue
-            found = separators(sys_a, p, sys_b, q, n)
+            found = separators(sys, p, q, n)
             head = tuple(word[:n])
             assert any(det and head[: len(w)] == w for (w, det) in found), (n, found)
 
@@ -445,12 +451,17 @@ class TestEqSearch:
             if i % 2:
                 permuted = tuple(rng.sample(inputs, len(inputs)))
                 sys_b = sized_system(rng, "b", rng.randint(1, 7), permuted, ("1", "0"), nondet)
+                asked, pa, pb = disjoint_union(sys_a, sys_b)
             else:
-                sys_b = sys_a
+                sys_b, asked, pa, pb = sys_a, sys_a, "", ""
             for p in sys_a.states:
                 for q in sys_b.states:
                     expected = naive_strongly_separable(sys_a, p, sys_b, q)
-                    assert strongly_separable(sys_a, p, sys_b, q) == expected
+                    if not expected.separable:
+                        # The union names its states A.x and B.y.
+                        cycle = tuple(((pa + x, pb + y), a) for ((x, y), a) in expected.cycle)
+                        expected = StrongSepResult(False, cycle=cycle)
+                    assert strongly_separable(asked, pa + p, pb + q) == expected
             for q in sys_a.states:
                 assert det_reaction_time(sys_a, q) == naive_reaction_time(sys_a, q)
 
@@ -469,7 +480,7 @@ class TestEqSearch:
                 moves[f"{side}{i}"] = [(f"{side}{min(i + 1, n - 1)}",), (f"{side}{i}",)]
         sys = build(("a", "b"), out_label, moves)
         expanded = count_expansions(monkeypatch)
-        verdict = strongly_separable(sys, "x0", sys, "y0")
+        verdict = strongly_separable(sys, "x0", "y0")
         assert verdict == StrongSepResult(False, cycle=((("x0", "y0"), "b"),))
         assert verdict == naive_strongly_separable(sys, "x0", sys, "y0")
         assert len(expanded) <= 3 < n
