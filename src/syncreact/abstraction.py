@@ -14,19 +14,18 @@ discharged exactly by level-set constructions: the frontier of run
 pairs after n shared inputs ranges over a finite powerset, so both DOE
 and SSPseq are ultimately periodic and are extracted as lassos by
 frontier hashing.  Frontiers are per-row bitsets walked by
-:class:`core.PairRows`; each level keeps only the value a query reads.
+:class:`PairRows`, defined here, the one module that reads their
+format; each level keeps only the value a query reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (
-    BisimOracle, PairRows, Record, SynchronousSystem, feed_of, lasso_at, require_complete
-)
-from .errors import NotReactive, PreconditionFailed
+from .core import BisimOracle, Record, SynchronousSystem, feed_of, require_complete
+from .errors import LevelBoundExceeded, NotReactive, PreconditionFailed
 from .lasso import (
     STAR,
     STAR_FOREVER,
@@ -61,6 +60,188 @@ __all__ = [
     "doe_compose",
     "LemmaVerdict",
 ]
+
+
+# A PairRows walk raises LevelBoundExceeded past this many levels.  A
+# state entering output cycles of lengths 13, 17, 19 and 23 walks
+# 96,577 levels (their lcm); adding a cycle of 29 would walk 2.8 million.
+MAX_LEVELS = 200_000
+
+
+class _Image(dict):
+    """Successor bitsets of one set of inputs, each set's image computed once.
+
+    ``image[bits]`` is the union of the successors, on any of the inputs
+    (bit a of ``inputs`` marks input a), of the states in ``bits``.  For
+    one state q it is ``single[q]``.  A larger set is read through byte
+    tables: the table of chunk c maps each byte value b to the union of
+    ``single[q]`` over the states q = 8c + k with bit k set in b (the
+    "Four Russians" tables of Arlazarov, Dinic, Kronrod and Faradzev
+    1970), built the first time a set of two or more states reads that
+    chunk.
+    """
+
+    def __init__(self, succ: Sequence, inputs: int):
+        super().__init__()
+        ids = [a for a in range(inputs.bit_length()) if inputs >> a & 1]
+        self.single = []
+        for moves in succ:
+            bits = 0
+            for a in ids:
+                for t in moves[a]:
+                    bits |= 1 << t
+            self.single.append(bits)
+        self.width = (len(succ) + 7) // 8
+        self.chunks: list[Optional[list[int]]] = [None] * self.width
+
+    def _chunk(self, c: int) -> list[int]:
+        table = [0]
+        for row in self.single[8 * c : 8 * c + 8]:
+            table += [image | row for image in table]
+        table += [0] * (256 - len(table))
+        self.chunks[c] = table
+        return table
+
+    def __missing__(self, bits: int) -> int:
+        if not bits & (bits - 1):
+            image = self.single[bits.bit_length() - 1]
+        else:
+            image = 0
+            chunks = self.chunks
+            for c, byte in enumerate(bits.to_bytes(self.width, "little")):
+                if byte:
+                    image |= (chunks[c] or self._chunk(c))[byte]
+        self[bits] = image
+        return image
+
+
+class PairRows:
+    """Sets of state pairs of two successor tables, one bitset per row.
+
+    A pair (p, q) holds a state id p of ``succ_a`` and q of ``succ_b``.  A
+    frontier is the tuple of ``(p, bits)`` over its nonempty rows in
+    increasing p, where bit q of ``bits`` marks the pair (p, q); equal
+    sets are equal tuples.  A step follows each row's masked columns
+    ``(ae, af, mask)``: every p' in ``succ_a[p][ae]`` gains the
+    af-image of ``bits & mask`` (mask -1 keeps every bit).  Columns of a
+    row with one successor tuple and one mask form one group, which
+    reads the image of all their af inputs at once.  A step thus costs,
+    per row and column group, one table lookup per 8-state chunk its
+    masked bits touch.  A set met before in the walk costs one
+    dictionary lookup, and so does a row with one bit, whose pair's
+    whole step is kept.
+    """
+
+    def __init__(self, succ_a: Sequence, succ_b: Sequence):
+        self.succ_a, self.succ_b = succ_a, succ_b
+        self._images: dict[int, _Image] = {}
+
+    def frontier(self, pairs: Iterable[tuple[int, int]]) -> tuple:
+        """The frontier holding the given pairs."""
+        rows: dict[int, int] = {}
+        for p, q in pairs:
+            rows[p] = rows.get(p, 0) | 1 << q
+        return tuple(sorted(rows.items()))
+
+    def columns(self, masked: Callable) -> "_Columns":
+        """The step along the masked columns ``masked(p)`` of each row p."""
+        return _Columns(self, masked)
+
+    def group(self, p: int, masked: Iterable[tuple[int, int, int]]) -> list:
+        """Row p's columns as ``(targets, mask, image)``, one per successor tuple and mask."""
+        afs: dict[tuple, int] = {}
+        moves = self.succ_a[p]
+        for ae, af, mask in masked:
+            key = (moves[ae], mask)
+            afs[key] = afs.get(key, 0) | 1 << af
+        groups = []
+        for (targets, mask), inputs in afs.items():
+            image = self._images.get(inputs)
+            if image is None:
+                image = self._images[inputs] = _Image(self.succ_b, inputs)
+            groups.append((targets, mask, image))
+        return groups
+
+    def step(self, frontier: tuple, columns: "_Columns") -> tuple:
+        rows: dict[int, int] = {}
+        pairs = columns.pairs
+        for row in frontier:
+            p, bits = row
+            if bits & (bits - 1):
+                for targets, mask, image in columns[p]:
+                    masked = bits & mask
+                    if masked:
+                        image_bits = image[masked]
+                        for t in targets:
+                            if t in rows:
+                                rows[t] |= image_bits
+                            else:
+                                rows[t] = image_bits
+            else:
+                moved = pairs.get(row)
+                if moved is None:
+                    moved = pairs[row] = _pair_step(bits, columns[p])
+                for t, image_bits in moved:
+                    if t in rows:
+                        rows[t] |= image_bits
+                    else:
+                        rows[t] = image_bits
+        return tuple(sorted(rows.items()))
+
+    def walk(self, frontier: tuple, columns: "_Columns", value: Callable) -> tuple[list, int]:
+        """Values of the frontiers from ``frontier`` on, as a lasso.
+
+        Steps until a frontier repeats and returns ``value`` of each
+        frontier in order and the index the last one loops back to.
+        Finitely many frontiers exist; past :data:`MAX_LEVELS` of them
+        the walk raises LevelBoundExceeded.
+        """
+        seen: dict[tuple, int] = {}
+        values: list = []
+        step = self.step
+        while frontier not in seen:
+            if len(values) == MAX_LEVELS:
+                raise LevelBoundExceeded(MAX_LEVELS)
+            seen[frontier] = len(values)
+            values.append(value(frontier))
+            frontier = step(frontier, columns)
+        return values, seen[frontier]
+
+
+class _Columns(dict):
+    """Row p's column groups (:meth:`PairRows.group`), built on first lookup.
+
+    ``pairs`` maps each single-pair row ``(p, 1 << q)`` met so far to its
+    step, as ``((p', bits'), ...)``.
+    """
+
+    def __init__(self, rows: PairRows, masked: Callable):
+        super().__init__()
+        self.rows, self.masked = rows, masked
+        self.pairs: dict[tuple[int, int], tuple] = {}
+
+    def __missing__(self, p: int) -> list:
+        groups = self[p] = self.rows.group(p, self.masked(p))
+        return groups
+
+
+def _pair_step(bits: int, groups: list) -> tuple:
+    """The step of the one pair in ``bits`` along a row's column groups."""
+    step: dict[int, int] = {}
+    for targets, mask, image in groups:
+        if bits & mask:
+            image_bits = image[bits]
+            for t in targets:
+                step[t] = step.get(t, 0) | image_bits
+    return tuple(step.items())
+
+
+def lasso_at(values: Sequence, loop: int, i: int):
+    """Element i of the lasso whose tail ``values[loop:]`` repeats forever."""
+    if i < len(values):
+        return values[i]
+    return values[loop + (i - loop) % (len(values) - loop)]
+
 
 def doe_levels(
     sys: SynchronousSystem, q: str

@@ -11,7 +11,9 @@ bisimilarity class of the initial state.
 
 from __future__ import annotations
 
-from .core import Alphabet, Record, SynchronousSystem, feed_of, pair_step, pair_symbol, reach
+import itertools
+
+from .core import Alphabet, Record, SynchronousSystem, feed_of, pair_symbol
 from .errors import UnknownState
 
 # `*` is reserved in state names to join the two component state names.
@@ -27,27 +29,35 @@ class ComposedSystem(Record):
         self.system, self.kind, self.left, self.right = system, kind, left, right
 
 
-def seq_step(sys_f: SynchronousSystem, sys_g: SynchronousSystem):
-    """Step of the sequential composite on state id pairs, labelled by input id.
+def _composite(name, inputs, outputs, sys_f, sys_g, start, columns, output) -> SynchronousSystem:
+    """The part of a product reachable from the state pair ``start``, explored breadth first.
 
-    On input a the first machine steps on a and the second on the first
-    machine's current output.
+    ``columns(p)`` lists, for each composite input id in order, the
+    pair ``(a, b)`` of component input ids it steps a pair (p, q) on:
+    every combination of p's a-successors and q's b-successors, in that
+    order, is one edge.  Composite states are named ``qf*qg`` and
+    numbered in discovery order, and ``output(node)`` is a composite
+    state's output id.  Raises :class:`UnknownState` when component
+    names holding ``*`` give two reachable pairs one name.
     """
-    fed = feed_of(sys_f, sys_g)
-    by_feed = [[(a, a, y) for a in range(len(sys_f.inputs))] for y in range(len(sys_g.inputs))]
-    return pair_step(sys_f.succ, sys_g.succ, lambda node: by_feed[fed[node[0]]])
-
-
-def _composite(name, inputs, outputs, sys_f, sys_g, start, step, output) -> SynchronousSystem:
-    """The part of a product reachable from the state pair ``start``.
-
-    Composite states are named ``qf*qg`` and numbered in discovery
-    order (:func:`reach`); an edge label indexes ``inputs`` and
-    ``output(node)`` is a composite state's output id.  Raises
-    :class:`UnknownState` when component names holding ``*`` give two
-    reachable pairs one name.
-    """
-    nodes, succ = reach((sys_f.index[start[0]], sys_g.index[start[1]]), step, len(inputs))
+    succ_f, succ_g = sys_f.succ, sys_g.succ
+    root = (sys_f.index[start[0]], sys_g.index[start[1]])
+    number = {root: 0}
+    nodes = [root]
+    succ = []
+    for (p, q) in nodes:
+        moves_f, moves_g = succ_f[p], succ_g[q]
+        row = []
+        for (a, b) in columns(p):
+            targets = []
+            for t in itertools.product(moves_f[a], moves_g[b]):
+                i = number.get(t)
+                if i is None:
+                    i = number[t] = len(nodes)
+                    nodes.append(t)
+                targets.append(i)
+            row.append(tuple(targets))
+        succ.append(tuple(row))
     names_f, names_g = sys_f.states, sys_g.states
     states = tuple(f"{names_f[p]}{STATE_JOIN}{names_g[q]}" for (p, q) in nodes)
     if len(set(states)) < len(states):
@@ -80,7 +90,9 @@ def seq_compose(
     machine's output.  ``start`` overrides the initial pair, which is
     used to explore composites from non-initial states.
     """
-    step = seq_step(sys_f, sys_g)
+    fed = feed_of(sys_f, sys_g)
+    # On input a the first machine steps on a and the second on the first one's output.
+    by_feed = [[(a, y) for a in range(len(sys_f.inputs))] for y in range(len(sys_g.inputs))]
     if start is None:
         start = (sys_f.initial, sys_g.initial)
     sys_f.check_state(start[0])
@@ -92,7 +104,7 @@ def seq_compose(
         sys_f,
         sys_g,
         start,
-        step,
+        lambda p: by_feed[fed[p]],
         lambda node: sys_g.out_ids[node[1]],
     )
     return ComposedSystem(system, "seq", sys_f.name, sys_g.name)
@@ -106,10 +118,7 @@ def par_compose(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> ComposedS
     outputs = Alphabet(
         tuple(pair_symbol(b, d) for b in sys_f.outputs for d in sys_g.outputs)
     )
-    width = len(sys_g.inputs)
-    columns = [
-        (a * width + c, a, c) for a in range(len(sys_f.inputs)) for c in range(width)
-    ]
+    columns = list(itertools.product(range(len(sys_f.inputs)), range(len(sys_g.inputs))))
     system = _composite(
         f"{sys_f.name}-par-{sys_g.name}",
         inputs,
@@ -117,7 +126,7 @@ def par_compose(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> ComposedS
         sys_f,
         sys_g,
         (sys_f.initial, sys_g.initial),
-        pair_step(sys_f.succ, sys_g.succ, lambda node: columns),
+        lambda p: columns,
         lambda node: sys_f.out_ids[node[0]] * len(sys_g.outputs) + sys_g.out_ids[node[1]],
     )
     return ComposedSystem(system, "par", sys_f.name, sys_g.name)

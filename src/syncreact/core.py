@@ -5,7 +5,8 @@ complete (every state has at least one successor per input symbol) and
 finitely branching.  All analysis in the sibling modules runs over the
 immutable :class:`SynchronousSystem` defined here, together with runs,
 output languages, the bisimulation quotient, and constructive
-non-bisimilarity witnesses.
+non-bisimilarity witnesses.  Each walk over a product of the tables
+lives in the one module that runs it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from operator import attrgetter
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
-    LevelBoundExceeded,
     NotAProductSymbol,
     PreconditionFailed,
     SignatureMismatch,
@@ -438,26 +438,6 @@ def output_language(
     return sorted(words)
 
 
-def pair_step(succ_a: Sequence, succ_b: Sequence, columns: Callable) -> Callable:
-    """Step function of a product of two successor tables, on id pairs.
-
-    ``columns(node)`` lists ``(label, a, b)``: the left state moves on
-    input id a, the right one on input id b, and every combination of
-    their successors is one labelled edge, in that order.
-    """
-
-    def step(node):
-        moves_a, moves_b = succ_a[node[0]], succ_b[node[1]]
-        return [
-            (label, (p2, q2))
-            for (label, a, b) in columns(node)
-            for p2 in moves_a[a]
-            for q2 in moves_b[b]
-        ]
-
-    return step
-
-
 def align(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, list]:
     """``sys_b``'s successor and output tables in ``sys_a``'s numbering.
 
@@ -491,47 +471,6 @@ def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
     return [feed[o] for o in sys_f.out_ids]
 
 
-class Product:
-    """Synchronized product of a system with itself, explored lazily.
-
-    Both components step on the same input; a node is a pair of state
-    ids, EQ iff their output ids are equal.  Two systems of one
-    signature are paired through their :func:`disjoint_union`.
-    """
-
-    def __init__(self, system: SynchronousSystem):
-        self.succ, self.out = system.succ, system.out_ids
-        steps = [(a, a, a) for a in range(len(system.inputs))]
-        self.step = pair_step(self.succ, self.succ, lambda node: steps)
-
-    def eq(self, node) -> bool:
-        return self.out[node[0]] == self.out[node[1]]
-
-
-def reach(start, step: Callable, width: int) -> tuple[list, list]:
-    """Breadth-first exploration from ``start``, e.g. of a composite's states.
-
-    ``step(node)`` lists a node's ``(label, successor)`` edges, labels
-    below ``width``.  Returns the nodes in discovery order, which
-    numbers them, and the successor table over those numbers: row i,
-    column ``label``, holds node i's successors on that label in the
-    order ``step`` lists them.
-    """
-    number = {start: 0}
-    nodes = [start]
-    succ = []
-    for node in nodes:
-        moves: list[list[int]] = [[] for _ in range(width)]
-        for (label, t) in step(node):
-            i = number.get(t)
-            if i is None:
-                i = number[t] = len(nodes)
-                nodes.append(t)
-            moves[label].append(i)
-        succ.append(tuple(map(tuple, moves)))
-    return nodes, succ
-
-
 def fold(rule: Callable[..., Generator], root):
     """``rule``'s result at ``root``, with every level on one explicit stack.
 
@@ -553,187 +492,6 @@ def fold(rule: Callable[..., Generator], root):
         else:
             stack.append(rule(child))
             result = None
-
-
-# A PairRows walk raises LevelBoundExceeded past this many levels.  A
-# state entering output cycles of lengths 13, 17, 19 and 23 walks
-# 96,577 levels (their lcm); adding a cycle of 29 would walk 2.8 million.
-MAX_LEVELS = 200_000
-
-
-class _Image(dict):
-    """Successor bitsets of one set of inputs, each set's image computed once.
-
-    ``image[bits]`` is the union of the successors, on any of the inputs
-    (bit a of ``inputs`` marks input a), of the states in ``bits``.  For
-    one state q it is ``single[q]``.  A larger set is read through byte
-    tables: the table of chunk c maps each byte value b to the union of
-    ``single[q]`` over the states q = 8c + k with bit k set in b (the
-    "Four Russians" tables of Arlazarov, Dinic, Kronrod and Faradzev
-    1970), built the first time a set of two or more states reads that
-    chunk.
-    """
-
-    def __init__(self, succ: Sequence, inputs: int):
-        super().__init__()
-        ids = [a for a in range(inputs.bit_length()) if inputs >> a & 1]
-        self.single = []
-        for moves in succ:
-            bits = 0
-            for a in ids:
-                for t in moves[a]:
-                    bits |= 1 << t
-            self.single.append(bits)
-        self.width = (len(succ) + 7) // 8
-        self.chunks: list[Optional[list[int]]] = [None] * self.width
-
-    def _chunk(self, c: int) -> list[int]:
-        table = [0]
-        for row in self.single[8 * c : 8 * c + 8]:
-            table += [image | row for image in table]
-        table += [0] * (256 - len(table))
-        self.chunks[c] = table
-        return table
-
-    def __missing__(self, bits: int) -> int:
-        if not bits & (bits - 1):
-            image = self.single[bits.bit_length() - 1]
-        else:
-            image = 0
-            chunks = self.chunks
-            for c, byte in enumerate(bits.to_bytes(self.width, "little")):
-                if byte:
-                    image |= (chunks[c] or self._chunk(c))[byte]
-        self[bits] = image
-        return image
-
-
-class PairRows:
-    """Sets of state pairs of two successor tables, one bitset per row.
-
-    A pair (p, q) holds a state id p of ``succ_a`` and q of ``succ_b``.  A
-    frontier is the tuple of ``(p, bits)`` over its nonempty rows in
-    increasing p, where bit q of ``bits`` marks the pair (p, q); equal
-    sets are equal tuples.  A step follows each row's masked columns
-    ``(ae, af, mask)``: every p' in ``succ_a[p][ae]`` gains the
-    af-image of ``bits & mask`` (mask -1 keeps every bit).  Columns of a
-    row with one successor tuple and one mask form one group, which
-    reads the image of all their af inputs at once.  A step thus costs,
-    per row and column group, one table lookup per 8-state chunk its
-    masked bits touch.  A set met before in the walk costs one
-    dictionary lookup, and so does a row with one bit, whose pair's
-    whole step is kept.
-    """
-
-    def __init__(self, succ_a: Sequence, succ_b: Sequence):
-        self.succ_a, self.succ_b = succ_a, succ_b
-        self._images: dict[int, _Image] = {}
-
-    def frontier(self, pairs: Iterable[tuple[int, int]]) -> tuple:
-        """The frontier holding the given pairs."""
-        rows: dict[int, int] = {}
-        for p, q in pairs:
-            rows[p] = rows.get(p, 0) | 1 << q
-        return tuple(sorted(rows.items()))
-
-    def columns(self, masked: Callable) -> "_Columns":
-        """The step along the masked columns ``masked(p)`` of each row p."""
-        return _Columns(self, masked)
-
-    def group(self, p: int, masked: Iterable[tuple[int, int, int]]) -> list:
-        """Row p's columns as ``(targets, mask, image)``, one per successor tuple and mask."""
-        afs: dict[tuple, int] = {}
-        moves = self.succ_a[p]
-        for ae, af, mask in masked:
-            key = (moves[ae], mask)
-            afs[key] = afs.get(key, 0) | 1 << af
-        groups = []
-        for (targets, mask), inputs in afs.items():
-            image = self._images.get(inputs)
-            if image is None:
-                image = self._images[inputs] = _Image(self.succ_b, inputs)
-            groups.append((targets, mask, image))
-        return groups
-
-    def step(self, frontier: tuple, columns: "_Columns") -> tuple:
-        rows: dict[int, int] = {}
-        pairs = columns.pairs
-        for row in frontier:
-            p, bits = row
-            if bits & (bits - 1):
-                for targets, mask, image in columns[p]:
-                    masked = bits & mask
-                    if masked:
-                        image_bits = image[masked]
-                        for t in targets:
-                            if t in rows:
-                                rows[t] |= image_bits
-                            else:
-                                rows[t] = image_bits
-            else:
-                moved = pairs.get(row)
-                if moved is None:
-                    moved = pairs[row] = _pair_step(bits, columns[p])
-                for t, image_bits in moved:
-                    if t in rows:
-                        rows[t] |= image_bits
-                    else:
-                        rows[t] = image_bits
-        return tuple(sorted(rows.items()))
-
-    def walk(self, frontier: tuple, columns: "_Columns", value: Callable) -> tuple[list, int]:
-        """Values of the frontiers from ``frontier`` on, as a lasso.
-
-        Steps until a frontier repeats and returns ``value`` of each
-        frontier in order and the index the last one loops back to.
-        Finitely many frontiers exist; past :data:`MAX_LEVELS` of them
-        the walk raises LevelBoundExceeded.
-        """
-        seen: dict[tuple, int] = {}
-        values: list = []
-        step = self.step
-        while frontier not in seen:
-            if len(values) == MAX_LEVELS:
-                raise LevelBoundExceeded(MAX_LEVELS)
-            seen[frontier] = len(values)
-            values.append(value(frontier))
-            frontier = step(frontier, columns)
-        return values, seen[frontier]
-
-
-class _Columns(dict):
-    """Row p's column groups (:meth:`PairRows.group`), built on first lookup.
-
-    ``pairs`` maps each single-pair row ``(p, 1 << q)`` met so far to its
-    step, as ``((p', bits'), ...)``.
-    """
-
-    def __init__(self, rows: PairRows, masked: Callable):
-        super().__init__()
-        self.rows, self.masked = rows, masked
-        self.pairs: dict[tuple[int, int], tuple] = {}
-
-    def __missing__(self, p: int) -> list:
-        groups = self[p] = self.rows.group(p, self.masked(p))
-        return groups
-
-
-def _pair_step(bits: int, groups: list) -> tuple:
-    """The step of the one pair in ``bits`` along a row's column groups."""
-    step: dict[int, int] = {}
-    for targets, mask, image in groups:
-        if bits & mask:
-            image_bits = image[bits]
-            for t in targets:
-                step[t] = step.get(t, 0) | image_bits
-    return tuple(step.items())
-
-
-def lasso_at(values: Sequence, loop: int, i: int):
-    """Element i of the lasso whose tail ``values[loop:]`` repeats forever."""
-    if i < len(values):
-        return values[i]
-    return values[loop + (i - loop) % (len(values) - loop)]
 
 
 class Partition(Record):

@@ -1,7 +1,7 @@
 """Separating pairs, separators, observable effects, and reaction time.
 
 Everything here walks the synchronized product of a system with itself,
-stepping on one shared input per tick (:class:`core.Product`), lazily
+stepping on one shared input per tick (:func:`_successor_pairs`), lazily
 and only as far as a query needs; states of two systems are compared on
 their disjoint union.  A node is EQ when both components
 emit the same output and DIFF otherwise.  Quantifications over infinite
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Product, Record, SynchronousSystem, require_complete
+from .core import STAR, BisimOracle, Record, SynchronousSystem, require_complete
 from .errors import SeparatorBoundExceeded
 
 Pair = tuple[str, str]
@@ -126,12 +126,18 @@ def reactive(sys: SynchronousSystem, q: str) -> bool:
     return separating_pairs(sys, q).reactive
 
 
-def _rooted(sys: SynchronousSystem, p: str, q: str):
-    """The product of a complete system with itself and its node for (p, q)."""
+def _rooted(sys: SynchronousSystem, p: str, q: str) -> tuple[int, int]:
+    """The node of (p, q) in the product of a complete system with itself."""
     sys.check_state(p)
     sys.check_state(q)
     require_complete(sys)
-    return Product(sys), (sys.index[p], sys.index[q])
+    return sys.index[p], sys.index[q]
+
+
+def _successor_pairs(succ, node: tuple[int, int]) -> list:
+    """A node's ``(input id, pair)`` steps: both states move on each input, in order."""
+    moves = map(itertools.product, succ[node[0]], succ[node[1]])
+    return [(a, t) for a, pairs in enumerate(moves) for t in pairs]
 
 
 def separators(
@@ -152,8 +158,9 @@ def separators(
     completeness, which every analysis requires: a differed run pair
     stays differed on every extension.
     """
-    product, root = _rooted(sys, p, q)
-    if not product.eq(root):
+    root = _rooted(sys, p, q)
+    succ, out = sys.succ, sys.out_ids
+    if out[root[0]] != out[root[1]]:
         # The empty word already separates: output at index 0 differs.
         return [((), True)]
     symbols = sys.inputs.symbols
@@ -165,8 +172,8 @@ def separators(
             reached: list[set] = [set() for _ in symbols]
             split = [differed] * len(symbols)
             for node in pending:
-                for (a, t) in product.step(node):
-                    if product.eq(t):
+                for (a, t) in _successor_pairs(succ, node):
+                    if out[t[0]] == out[t[1]]:
                         reached[a].add(t)
                     else:
                         split[a] = True
@@ -207,8 +214,8 @@ def strongly_separable(sys: SynchronousSystem, p: str, q: str) -> StrongSepResul
     On finite complete systems this reduces to acyclicity of the EQ
     region reachable from (p, q) through EQ nodes.
     """
-    product, root = _rooted(sys, p, q)
-    cycle, _, length = _eq_search(product, [root])
+    root = _rooted(sys, p, q)
+    cycle, _, length = _eq_search(sys, [root])
     if cycle is None:
         return StrongSepResult(True, bound=length.get(root, 0))
     symbols, names = sys.inputs.symbols, sys.states
@@ -218,21 +225,22 @@ def strongly_separable(sys: SynchronousSystem, p: str, q: str) -> StrongSepResul
     )
 
 
-def _eq_search(product: Product, roots) -> tuple[Optional[tuple], dict, dict]:
-    """Depth-first search of the EQ region from each root in turn: ``(cycle, edges, length)``.
+def _eq_search(sys: SynchronousSystem, roots) -> tuple[Optional[tuple], dict, dict]:
+    """Depth-first search of sys's EQ region from each root in turn: ``(cycle, edges, length)``.
 
     ``cycle`` is the first EQ lasso met, as ``(node, input id)`` steps,
-    else None.  ``edges`` holds a node's EQ edges ``(input id,
-    successor)`` in step order, listed when the search enters it, so it
-    expands only what it reaches, and each node once.  ``length`` holds
-    each finished node's longest all-EQ path, set at exit.  DIFF roots
-    and finished roots are skipped.  Children are pushed in edge order
-    and the last is entered first; back edges are caught on entry.
+    else None.  ``edges`` holds a node's EQ :func:`_successor_pairs`,
+    listed when the search enters it, so it expands only what it
+    reaches, and each node once.  ``length`` holds each finished node's
+    longest all-EQ path, set at exit.  DIFF roots and finished roots are
+    skipped.  Children are pushed in edge order and the last is entered
+    first; back edges are caught on entry.
     """
+    succ, out = sys.succ, sys.out_ids
     edges: dict = {}
     length: dict = {}
     for root in roots:
-        if root in edges or not product.eq(root):
+        if root in edges or out[root[0]] != out[root[1]]:
             continue
         path: list[tuple] = []  # (node, input id it was entered on) of unfinished nodes
         stack: list[tuple] = [(True, root, None)]
@@ -246,8 +254,10 @@ def _eq_search(product: Product, roots) -> tuple[Optional[tuple], dict, dict]:
                 continue
             path.append((node, via))
             stack.append((False, node, None))
-            out = edges[node] = [(a, t) for (a, t) in product.step(node) if product.eq(t)]
-            for (a, t) in out:
+            eq = edges[node] = [
+                (a, t) for (a, t) in _successor_pairs(succ, node) if out[t[0]] == out[t[1]]
+            ]
+            for (a, t) in eq:
                 if t not in edges:
                     stack.append((True, t, a))
                 elif t not in length:
@@ -267,11 +277,11 @@ def diff(sys: SynchronousSystem, p: str, q: str, word: Sequence[str]) -> list[se
     Indices run from 0 to len(word) inclusive; a singleton non-silent
     set means a guaranteed effect at that index.
     """
-    product, root = _rooted(sys, p, q)
+    root = _rooted(sys, p, q)
     sys.check_word(word)
     inputs = [sys.inputs.index(sym) for sym in word]
     outputs = sys.outputs.symbols
-    succ, out = product.succ, product.out
+    succ, out = sys.succ, sys.out_ids
     frontier = {root}
     result = []
     for i in range(len(word) + 1):
@@ -317,14 +327,13 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     _, deterministic = _separating_ids(sys, i, i)
     if not deterministic:
         return ReactionTime(None)
-    product = Product(sys)
-    moves = sys.succ[i]
+    moves, out = sys.succ[i], sys.out_ids
     roots = [(q1, q2) for (a1, a2) in deterministic for q1 in moves[a1] for q2 in moves[a2]]
-    cycle, edges, length = _eq_search(product, roots)
+    cycle, edges, length = _eq_search(sys, roots)
     if cycle is not None:
         return ReactionTime(None)
     # The first worst case wins ties.
-    times = [(length[r] + 1 if product.eq(r) else 0, r) for r in roots]
+    times = [(length[r] + 1 if out[r[0]] == out[r[1]] else 0, r) for r in roots]
     time, node = max(times, key=lambda c: c[0])
     witness = []
     if time > 0:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from syncreact import core, sls
+from syncreact import core, reactivity, sls
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -33,21 +33,15 @@ def count_refinements(monkeypatch) -> list:
 
 
 def count_expansions(monkeypatch) -> list:
-    """Record every node whose successors a ``Product.step`` lists from now on."""
+    """Record every node whose synchronized successors ``reactivity`` lists from now on."""
     expanded = []
-    original = core.Product.__init__
+    original = reactivity._successor_pairs
 
-    def counting(self, system):
-        original(self, system)
-        step = self.step
+    def counting(succ, node):
+        expanded.append(node)
+        return original(succ, node)
 
-        def recording(node):
-            expanded.append(node)
-            return step(node)
-
-        self.step = recording
-
-    monkeypatch.setattr(core.Product, "__init__", counting)
+    monkeypatch.setattr(reactivity, "_successor_pairs", counting)
     return expanded
 
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import syncreact
-from syncreact import core, reactivity, sls, validate
+from syncreact import abstraction, core, reactivity, sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
@@ -897,13 +897,22 @@ class TestLevelBound:
     def test_walk_past_the_bound_exits_3(self, capsys, monkeypatch, tmp_path):
         target = tmp_path / "chain.sls"
         sls.dump(chain_sender(60, ("x", "y", "z")), target)
-        for command in ("doe", "sspseq"):
-            code, out, _ = run(capsys, command, target, "r")
-            assert code == 0
-        monkeypatch.setattr(core, "MAX_LEVELS", 50)
-        for command in ("doe", "sspseq"):
-            code, out, err = run(capsys, command, target, "r")
-            assert (code, out) == (3, "")
+        sender = tmp_path / "sender.sls"
+        sls.dump(chain_sender(60, ("0", "1", "2")), sender)
+        receiver = ("--qf", "r", "--qg", "g0")
+        argvs = [
+            ("doe", target, "r"),
+            ("sspseq", target, "r"),
+            ("lemma", sender, FIXTURES / "receiver.sls", *receiver),
+            ("doe-compose", sender, FIXTURES / "receiver.sls", *receiver, "-t", "60"),
+        ]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+        monkeypatch.setattr(abstraction, "MAX_LEVELS", 50)
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
             assert err == "resource limit: level walk exceeded its bound of 50 levels\n"
 
     def test_separators_past_the_word_bound_exits_3(self, capsys, monkeypatch):
