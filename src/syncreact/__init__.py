@@ -20,14 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "abstraction": (
         "LemmaVerdict",
-        "ObsOrder",
         "doe",
         "doe_compose",
         "lemma_check",
-        "obs_order",
         "ssp",
         "ssp_seq",
-        "ssp_seq_pair",
     ),
     "compose": ("ComposedSystem", "par_compose", "seq_compose"),
     "core": (
@@ -48,8 +45,6 @@ _EXPORTS = {
         "replay_witness",
         "run_outputs",
         "runs",
-        "split_symbol",
-        "symbol_arity",
         "symbol_components",
         "validate",
     ),
@@ -63,8 +58,6 @@ _EXPORTS = {
         "merge_sequences",
         "merge_symbols",
         "obs_leq",
-        "parse_effect_sequence",
-        "parse_pair_set_sequence",
     ),
     "reactivity": (
         "ReactionTime",

@@ -33,29 +33,16 @@ from .lasso import (
     EffectSymbol,
     PairSetSequence,
     merge_sequences,
-    merge_symbols,
-    obs_leq,
     star_prepend,
 )
+from .reactivity import _separating_ids, class_gaps, reactive, row_orientations
 # separating_pairs stays importable from here, where the benchmark tracer patches it.
-from .reactivity import (  # noqa: F401
-    _separating_ids,
-    class_gaps,
-    reactive,
-    row_orientations,
-    separating_pairs,
-)
+from .reactivity import separating_pairs  # noqa: F401
 
 __all__ = [
-    "ObsOrder",
-    "obs_order",
-    "merge_symbols",
-    "merge_sequences",
-    "obs_leq",
     "doe",
     "ssp",
     "ssp_seq",
-    "ssp_seq_pair",
     "lemma_check",
     "doe_compose",
     "LemmaVerdict",
@@ -351,32 +338,6 @@ class LemmaVerdict(Record):
         self.guaranteed, self.index = guaranteed, index
 
 
-class ObsOrder(Record):
-    """The observational order of a state, held intensionally.
-
-    The interval between the silent sequence and the state's DOE is
-    uncountable as a set of infinite sequences, so it is represented by
-    its greatest element plus a membership test: a sequence belongs iff
-    each position is silent or equals the greatest element there.
-    """
-
-    __slots__ = ("greatest",)
-
-    def __init__(self, greatest: EffectSequence):
-        self.greatest = greatest
-
-    def __contains__(self, candidate: EffectSequence) -> bool:
-        return obs_leq(candidate, self.greatest)
-
-    @property
-    def least(self) -> EffectSequence:
-        return STAR_FOREVER
-
-
-def obs_order(sys: SynchronousSystem, q: str) -> ObsOrder:
-    return ObsOrder(doe(sys, q))
-
-
 def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
     """SSPseq levels of the pair (q1, q2), as a lasso of symbol-pair sets.
 
@@ -439,17 +400,6 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     levels, loop = ssp_levels(sys, q, q)
     if not levels[0]:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
-
-
-def ssp_seq_pair(sys: SynchronousSystem, q1: str, q2: str) -> PairSetSequence:
-    """SSPseq of a pair of states; both must be reactive."""
-    sys.check_state(q1)
-    sys.check_state(q2)
-    for q in (q1, q2):
-        if not reactive(sys, q):
-            raise NotReactive(f"state {q} of {sys.name} is not reactive")
-    levels, loop = ssp_levels(sys, q1, q2)
     return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
 
 

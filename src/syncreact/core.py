@@ -20,7 +20,6 @@ from operator import attrgetter
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
-    NotAProductSymbol,
     PreconditionFailed,
     SignatureMismatch,
     UnknownState,
@@ -45,27 +44,11 @@ def symbol_components(symbol: str) -> tuple[str, ...]:
     return tuple(symbol.split(","))
 
 
-def symbol_arity(symbol: str) -> int:
-    return len(symbol_components(symbol))
-
-
 def pair_symbol(left: str, right: str) -> str:
     """Product symbol, textual form ``left,right`` with no spaces."""
     if not (is_token(left) and is_token(right)):
         raise UnknownSymbol(f"cannot pair non-token symbols {left!r}, {right!r}")
     return f"{left},{right}"
-
-
-def split_symbol(symbol: str) -> tuple[str, str]:
-    """Invert :func:`pair_symbol` by splitting at the last top-level comma.
-
-    Only symbols whose right factor is atomic round-trip; the product
-    monoid is used left-nested throughout this package.
-    """
-    if "," not in symbol:
-        raise NotAProductSymbol(f"{symbol!r} has no product structure")
-    left, _, right = symbol.rpartition(",")
-    return left, right
 
 
 class Record:
@@ -143,9 +126,6 @@ class Alphabet(Record):
     def canonical_pair(self, a: str, b: str) -> tuple[str, str]:
         """Unordered symbol pair in declaration order."""
         return (a, b) if self.index(a) <= self.index(b) else (b, a)
-
-    def unordered_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(itertools.combinations(self.symbols, 2))
 
 
 Transition = tuple[str, str, str]
@@ -396,9 +376,6 @@ class Run(Record):
     def states(self) -> tuple[str, ...]:
         return (self.start,) + tuple(q for (_, q) in self.steps)
 
-    def word(self) -> tuple[str, ...]:
-        return tuple(a for (a, _) in self.steps)
-
 
 def runs(sys: SynchronousSystem, q0: str, word: Sequence[str]) -> list[Run]:
     """All runs of ``sys`` on ``word`` from ``q0``, in deterministic order.
@@ -506,9 +483,6 @@ class Partition(Record):
         representative: Mapping[int, str],
     ):
         self.class_of, self.classes, self.representative = class_of, classes, representative
-
-    def same_class(self, p: str, q: str) -> bool:
-        return self.class_of[p] == self.class_of[q]
 
 
 class _Refinement:

@@ -30,10 +30,6 @@ class SignatureMismatch(UserError):
     """Two systems were combined whose input/output alphabets do not line up."""
 
 
-class NotAProductSymbol(UserError):
-    pass
-
-
 class NotReactive(UserError):
     """An operation that requires a reactive state was given a non-reactive one."""
 
@@ -43,7 +39,7 @@ class PreconditionFailed(UserError):
 
 
 class FormatError(UserError):
-    """Malformed `.sls` or report text; carries file/line context in the message."""
+    """Malformed `.sls` or `.psy` text; carries file/line context in the message."""
 
 
 class PsySyntaxError(UserError):

@@ -14,7 +14,6 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .core import STAR, Record  # STAR (the silent symbol) stays importable from here
-from .errors import FormatError
 
 EffectSymbol = Optional[tuple[str, str]]
 
@@ -136,9 +135,10 @@ def star_prepend(count: int, seq: EffectSequence) -> EffectSequence:
     return EffectSequence((STAR,) * count + seq.prefix, seq.cycle)
 
 
-# Textual forms.  Effect sequences print as whitespace separated symbols
-# with a single `|` token before the cycle: `* | (ff,tt)`.  Pair set
-# sequences print sets as `{a1/a2 ...}` with `{}` for the empty set.
+# Writers of the report forms.  An effect sequence prints as whitespace
+# separated symbols with a single `|` token before the cycle:
+# `* | (ff,tt)`.  A pair set sequence prints its sets as `{a1/a2 ...}`,
+# with `{}` for the empty set.
 
 
 def format_effect_symbol(e: EffectSymbol) -> str:
@@ -153,32 +153,6 @@ def format_effect_sequence(seq: EffectSequence) -> str:
     return f"{left} | {right}" if left else f"| {right}"
 
 
-def parse_effect_symbol(token: str) -> EffectSymbol:
-    if token == "*":
-        return STAR
-    if not (token.startswith("(") and token.endswith(")")):
-        raise FormatError(f"bad effect symbol {token!r}")
-    body = token[1:-1]
-    parts = body.split(",")
-    if len(parts) < 2 or len(parts) % 2 != 0:
-        raise FormatError(f"bad effect pair {token!r}")
-    # Components of the two outputs have equal arity, so split evenly.
-    half = len(parts) // 2
-    return (",".join(parts[:half]), ",".join(parts[half:]))
-
-
-def parse_effect_sequence(text: str) -> EffectSequence:
-    tokens = text.split()
-    if tokens.count("|") != 1:
-        raise FormatError("effect sequence needs exactly one | separator")
-    split = tokens.index("|")
-    prefix = tuple(parse_effect_symbol(t) for t in tokens[:split])
-    cycle = tuple(parse_effect_symbol(t) for t in tokens[split + 1 :])
-    if not cycle:
-        raise FormatError("effect sequence cycle must be nonempty")
-    return EffectSequence(prefix, cycle)
-
-
 def format_pair_set(pairs: frozenset) -> str:
     if not pairs:
         return "{}"
@@ -190,42 +164,3 @@ def format_pair_set_sequence(seq: PairSetSequence) -> str:
     left = " ".join(format_pair_set(s) for s in seq.prefix)
     right = " ".join(format_pair_set(s) for s in seq.cycle)
     return f"{left} | {right}" if left else f"| {right}"
-
-
-def parse_pair_set(token: str) -> frozenset:
-    if not (token.startswith("{") and token.endswith("}")):
-        raise FormatError(f"bad pair set {token!r}")
-    body = token[1:-1].split()
-    pairs = []
-    for item in body:
-        if item.count("/") != 1:
-            raise FormatError(f"bad input pair {item!r}")
-        a, b = item.split("/")
-        pairs.append((a, b))
-    return frozenset(pairs)
-
-
-def parse_pair_set_sequence(text: str) -> PairSetSequence:
-    # Sets may contain spaces, so tokenize on braces first.
-    tokens = []
-    rest = text.strip()
-    while rest:
-        if rest.startswith("{"):
-            end = rest.find("}")
-            if end < 0:
-                raise FormatError("unterminated pair set")
-            tokens.append(rest[: end + 1])
-            rest = rest[end + 1 :].strip()
-        elif rest.startswith("|"):
-            tokens.append("|")
-            rest = rest[1:].strip()
-        else:
-            raise FormatError(f"unexpected text {rest!r} in pair set sequence")
-    if tokens.count("|") != 1:
-        raise FormatError("pair set sequence needs exactly one | separator")
-    split = tokens.index("|")
-    prefix = tuple(parse_pair_set(t) for t in tokens[:split])
-    cycle = tuple(parse_pair_set(t) for t in tokens[split + 1 :])
-    if not cycle:
-        raise FormatError("pair set sequence cycle must be nonempty")
-    return PairSetSequence(prefix, cycle)

@@ -23,7 +23,6 @@ from syncreact import (
     sls,
     ssp,
     ssp_seq,
-    ssp_seq_pair,
     strongly_separable,
 )
 from syncreact.abstraction import doe_levels, ssp_levels
@@ -128,10 +127,6 @@ class TestWalkOracles:
                     assert ssp(union, u1, u2) == tuple(
                         sorted(levels[0], key=lambda pair: tuple(map(symbols.index, pair)))
                     )
-                    if separating_pairs(sys, q1).reactive and separating_pairs(other, q2).reactive:
-                        assert ssp_seq_pair(union, u1, u2) == PairSetSequence(
-                            tuple(levels[:loop]), tuple(levels[loop:])
-                        )
 
     def test_lemma_verdicts_match(self):
         rng = random.Random(7)
@@ -174,16 +169,12 @@ class TestWalkOracles:
 
 class TestObsOrder:
     def test_interval_membership(self, delay1_sys):
-        from syncreact import obs_order
-        from syncreact.lasso import star_prepend
-
-        order = obs_order(delay1_sys, "s0")
-        assert order.greatest == doe(delay1_sys, "s0")
-        assert order.least in order
-        assert order.greatest in order
+        greatest = doe(delay1_sys, "s0")
+        assert obs_leq(STAR_FOREVER, greatest)
+        assert obs_leq(greatest, greatest)
         # Weakening the tail stays inside; conflicting values fall out.
-        assert EffectSequence((STAR, ("1", "2")), (STAR,)) in order
-        assert EffectSequence((), (("2", "1"),)) not in order
+        assert obs_leq(EffectSequence((STAR, ("1", "2")), (STAR,)), greatest)
+        assert not obs_leq(EffectSequence((), (("2", "1"),)), greatest)
 
 
 class TestSsp:
@@ -218,7 +209,7 @@ class TestSsp:
         gc.disable()  # whatever the queries leave in a cycle waits for the collector
         try:
             ssp(union, p, q)
-            ssp_seq_pair(union, p, q)
+            ssp_levels(union, p, q)
             non_bisimilar(union, p, q)
             strongly_separable(union, p, q)
             separators(union, p, q, 3)
@@ -242,16 +233,12 @@ class TestSspSeq:
             ssp_seq(const_sys, "c0")
 
     def test_union_cross_pair_has_empty_level_zero(self, union1_sys, union2_sys):
-        seq = on_union(ssp_seq_pair, union1_sys, "u0", union2_sys, "v0")
-        assert seq[0] == frozenset()
+        levels, _ = on_union(ssp_levels, union1_sys, "u0", union2_sys, "v0")
+        assert levels[0] == frozenset()
 
     def test_receiver_level_two_contains_the_delay1_effect(self, receiver_sys):
         seq = ssp_seq(receiver_sys, "g0")
         assert ("1", "2") in seq[2]
-
-    def test_cross_pair_requires_reactive_states(self, const_sys, toggle_sys):
-        with pytest.raises(NotReactive):
-            ssp_seq_pair(const_sys, "c0", "c0")
 
 
 class TestLemmaCheck:
@@ -404,7 +391,6 @@ INFINITE_WORD_QUERIES = {
     "diff": lambda sys: diff(sys, "p0", "p1", ["tt", "ff"]),
     "doe": lambda sys: doe(sys, "p0"),
     "ssp_seq": lambda sys: ssp_seq(sys, "p0"),
-    "ssp_seq_pair": lambda sys: ssp_seq_pair(sys, "p0", "p0"),
     "lemma_check": lambda sys: lemma_check(sys, "p0", sys, "p0"),
     "doe_compose": lambda sys: doe_compose(sys, "p0", sys, "p0", 0),
 }

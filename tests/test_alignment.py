@@ -25,11 +25,11 @@ from syncreact import (
     separators,
     seq_compose,
     ssp,
-    ssp_seq_pair,
     strongly_separable,
 )
+from syncreact.abstraction import ssp_levels
 from syncreact.errors import PreconditionFailed, SignatureMismatch
-from syncreact.lasso import STAR, PairSetSequence
+from syncreact.lasso import STAR
 
 from .conftest import load_fixture, on_union
 from .oracles import (
@@ -95,8 +95,7 @@ def test_pair_queries_ignore_the_second_systems_declaration_order(sys_a, sys_b):
                 assert query(on_permuted, up, uq) == query(union, up, uq)
             assert separators(on_permuted, up, uq, 3) == separators(union, up, uq, 3)
             assert diff(on_permuted, up, uq, word) == diff(union, up, uq, word)
-            if reactive(sys_a, p) and reactive(sys_b, q):
-                assert ssp_seq_pair(on_permuted, up, uq) == ssp_seq_pair(union, up, uq)
+            assert ssp_levels(on_permuted, up, uq) == ssp_levels(union, up, uq)
 
 
 @pytest.mark.parametrize("sys_a, sys_b", same_signature_cases())
@@ -129,10 +128,7 @@ def test_two_system_queries_equal_the_one_system_query_on_the_union(sys_a, sys_b
             up, uq = pa + p, pb + q
             levels, loop = naive_ssp_seq(sys_a, p, sys_b, q)
             assert frozenset(ssp(union, up, uq)) == levels[0]
-            if reactive(sys_a, p) and reactive(sys_b, q):
-                assert ssp_seq_pair(union, up, uq) == PairSetSequence(
-                    tuple(levels[:loop]), tuple(levels[loop:])
-                )
+            assert ssp_levels(union, up, uq) == (levels, loop)
             assert sorted(separators(union, up, uq, 3)) == sorted(
                 brute_separators(sys_a, p, sys_b, q, 3)
             )
@@ -164,7 +160,6 @@ TWO_SYSTEM_QUERIES = {
     "separators": lambda sys_a, p, sys_b, q: on_union(separators, sys_a, p, sys_b, q, 2),
     "diff": lambda sys_a, p, sys_b, q: on_union(diff, sys_a, p, sys_b, q, sys_a.inputs.symbols),
     "strongly_separable": partial(on_union, strongly_separable),
-    "ssp_seq_pair": partial(on_union, ssp_seq_pair),
     "non_bisimilar": partial(on_union, non_bisimilar),
     "lemma_check": lemma_check,
     "BisimOracle": partial(on_union, _depth),

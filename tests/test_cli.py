@@ -3,6 +3,7 @@
 import ast
 import gc
 import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import time
 import pytest
 
 import syncreact
-from syncreact import abstraction, core, reactivity, sls, validate
+from syncreact import abstraction, core, par_compose, reactivity, sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
@@ -71,6 +72,33 @@ def loaded_modules(code: str) -> set[str]:
 
 def ours(modules: set[str]) -> set[str]:
     return {m for m in modules if m.split(".")[0] == "syncreact"}
+
+
+def package_imports() -> list[tuple[str, int, str, bool, bool, bool]]:
+    """Every name a module under ``syncreact`` imports, as ``(file, line,
+    name, read, listed, marked)``: the module reads the name, its
+    ``__all__`` lists it, or the name's own line carries ``# noqa: F401``."""
+    root = pathlib.Path(syncreact.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        file = path.relative_to(root).as_posix()
+        module = "syncreact." + file.removesuffix(".py").removesuffix("__init__")
+        module = importlib.import_module(module.replace("/", ".").rstrip("."))
+        listed = set(getattr(module, "__all__", ()))
+        read, imported = set(), []
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Import):
+                imported += [(a, a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(a, a.asname or a.name) for a in node.names]
+        for alias, name in imported:
+            marked = "# noqa: F401" in lines[alias.lineno - 1]
+            found.append((file, alias.lineno, name, name in read, name in listed, marked))
+    return found
 
 
 # Slow to import (``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
@@ -137,36 +165,13 @@ class TestImports:
         assert offenders == []
 
     def test_no_module_has_an_unused_import(self):
-        # Packages' __init__ files re-export; ``__all__`` names and lines
-        # marked ``# noqa: F401`` are kept on purpose.
-        files = sorted(pathlib.Path(syncreact.__file__).parent.rglob("*.py"))
-        unused = []
-        for path in files:
-            if path.name == "__init__.py":
-                continue
-            text = path.read_text()
-            tree = ast.parse(text)
-            lines = text.splitlines()
-            kept = set()
-            used = set()
-            imported = []
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-                ):
-                    kept.update(ast.literal_eval(node.value))
-                elif isinstance(node, ast.Import):
-                    imported += [(a, a.name.split(".")[0], node) for a in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                    imported += [(a, a.name, node) for a in node.names]
-            for alias, name, node in imported:
-                name = alias.asname or name
-                marked = any("# noqa: F401" in lines[n - 1] for n in (node.lineno, alias.lineno))
-                if name not in used and name not in kept and not marked:
-                    unused.append(f"{path.name}:{alias.lineno} {name}")
-        assert len(files) >= 15
+        # ``__all__`` names and lines marked ``# noqa: F401`` are kept on purpose.
+        imports = package_imports()
+        unused = [
+            f"{file}:{line} {name}" for file, line, name, read, listed, marked in imports
+            if not (read or listed or marked)
+        ]
+        assert len(imports) >= 100
         assert unused == []
 
     def test_no_module_defines_an_unread_private_name(self):
@@ -199,13 +204,41 @@ class TestImports:
         assert len(defined) >= 30
         assert unread == []
 
+    def test_only_the_tracer_pin_is_imported_unread(self):
+        # Outside the packages' __init__ files, which re-export, a module
+        # reads every name it imports.  The one exception is abstraction's
+        # separating_pairs, which the benchmark tracer patches there.
+        unread = [
+            f"{file} {name}" for file, _, name, read, _, _ in package_imports()
+            if not read and not file.endswith("__init__.py")
+        ]
+        assert unread == ["abstraction.py separating_pairs"]
+
+    def test_the_benchmark_tracers_targets_resolve(self):
+        # The tracer skips a target it cannot find and reports zero work
+        # for it, so deleting one would blank a per-layer metric silently.
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for span, (module, attr, _, _) in tracer.FUNCTIONS.items():
+            assert callable(getattr(importlib.import_module(module), attr, None)), span
+        methods = [m for m in tracer.METHODS if m[0] in ("core.oracle", "lasso.sequences")]
+        assert len(methods) == 3
+        for span, module, cls, method, _, _ in methods:
+            assert method in vars(getattr(importlib.import_module(module), cls)), span
+        assert abstraction.separating_pairs is reactivity.separating_pairs
+        assert callable(core.runs)
+        composed = par_compose(sls.load(FIXTURES / "p1.sls"), sls.load(FIXTURES / "toggle.sls"))
+        assert tracer.FUNCTIONS["compose.par_compose"][3](composed) == len(composed.system.states)
+
     def test_import_syncreact_loads_no_submodule(self):
         assert ours(loaded_modules("import syncreact")) == {"syncreact"}
         from_doe = ours(loaded_modules("from syncreact import doe"))
         assert from_doe == LEVEL_SETS - {"syncreact.cli", "syncreact.sls"}
 
     def test_public_names_are_their_defining_modules_objects(self):
-        assert len(syncreact.__all__) == len(set(syncreact.__all__)) == 53
+        assert len(syncreact.__all__) == len(set(syncreact.__all__)) == 46
         for name in syncreact.__all__:
             home = importlib.import_module(f"syncreact.{syncreact._HOME[name]}")
             value = getattr(syncreact, name)

@@ -15,7 +15,6 @@ from syncreact import (
     runs,
     separating_pairs,
     seq_compose,
-    split_symbol,
     validate,
 )
 from syncreact.errors import SignatureMismatch, UnknownState
@@ -199,7 +198,7 @@ class TestParCompose:
         for (src, sym, dst) in composed.transitions:
             qf, qg = src.split("*")
             qf2, qg2 = dst.split("*")
-            a, c = split_symbol(sym)
+            a, c = sym.split(",")
             assert qf2 in toggle_sys.successors(qf, a)
             assert qg2 in delay1_sys.successors(qg, c)
             assert composed.out(src) == pair_symbol(
@@ -212,7 +211,7 @@ class TestParCompose:
         for _ in range(20):
             word = [rng.choice(composed.inputs.symbols) for _ in range(5)]
             for run in runs(composed, composed.initial, word):
-                projected_word = [split_symbol(a)[0] for a in word]
+                projected_word = [a.split(",")[0] for a in word]
                 projected_states = [s.split("*")[0] for s in run.states()]
                 candidates = runs(toggle_sys, projected_states[0], projected_word)
                 assert any(

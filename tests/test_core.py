@@ -18,16 +18,10 @@ from syncreact import (
     pair_symbol,
     replay_witness,
     runs,
-    split_symbol,
-    symbol_arity,
+    symbol_components,
     validate,
 )
-from syncreact.errors import (
-    NotAProductSymbol,
-    SignatureMismatch,
-    UnknownState,
-    UnknownSymbol,
-)
+from syncreact.errors import SignatureMismatch, UnknownState, UnknownSymbol
 
 from .conftest import count_refinements, shallow_stack
 from .oracles import chain_sender, naive_bisimilar_pairs, random_system
@@ -48,20 +42,10 @@ def make_incomplete_const():
 class TestSymbols:
     def test_pair_and_split(self):
         assert pair_symbol("tt", "0") == "tt,0"
-        assert split_symbol("tt,0") == ("tt", "0")
-
-    def test_nested_pair_splits_at_last_comma(self):
+        assert symbol_components("tt,0") == ("tt", "0")
         nested = pair_symbol(pair_symbol("a", "b"), "c")
         assert nested == "a,b,c"
-        assert split_symbol(nested) == ("a,b", "c")
-
-    def test_arity_adds_components(self):
-        assert symbol_arity("a") == 1
-        assert symbol_arity(pair_symbol("a", "b")) == 2
-
-    def test_split_rejects_atomic(self):
-        with pytest.raises(NotAProductSymbol):
-            split_symbol("plain")
+        assert symbol_components(nested) == ("a", "b", "c")
 
     def test_alphabet_rejects_duplicates_and_bad_tokens(self):
         with pytest.raises(UnknownSymbol):
@@ -176,7 +160,7 @@ class TestQuotient:
         naive = naive_bisimilar_pairs(p2_sys)
         for p in p2_sys.states:
             for q in p2_sys.states:
-                assert ((p, q) in naive) == partition.same_class(p, q)
+                assert ((p, q) in naive) == (partition.class_of[p] == partition.class_of[q])
 
     def test_quotient_idempotent(self, p1_sys, p2_sys, toggle_sys, union_sys):
         for sys in (p1_sys, p2_sys, toggle_sys, union_sys):
@@ -289,7 +273,7 @@ class TestNonBisimilar:
             for p in sys.states:
                 for q in sys.states:
                     witness = non_bisimilar(sys, p, q)
-                    assert (witness is None) == partition.same_class(p, q)
+                    assert (witness is None) == (partition.class_of[p] == partition.class_of[q])
 
     def test_agrees_with_naive_fixpoint_on_random_systems(self):
         rng = random.Random(7)
@@ -299,7 +283,7 @@ class TestNonBisimilar:
             partition = bisim_classes(sys)
             for p in sys.states:
                 for q in sys.states:
-                    assert ((p, q) in naive) == partition.same_class(p, q)
+                    assert ((p, q) in naive) == (partition.class_of[p] == partition.class_of[q])
                     witness = non_bisimilar(sys, p, q)
                     assert (witness is None) == ((p, q) in naive)
                     if witness is not None:

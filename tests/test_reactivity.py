@@ -59,7 +59,7 @@ class TestSeparatingPairs:
         for sys in (p1_sys, p2_sys, toggle_sys, union_sys):
             for q in sys.states:
                 result = separating_pairs(sys, q)
-                for (a1, a2) in sys.inputs.unordered_pairs():
+                for (a1, a2) in itertools.combinations(sys.inputs.symbols, 2):
                     s1 = sys.successors(q, a1)
                     s2 = sys.successors(q, a2)
                     holds = any(
@@ -79,7 +79,7 @@ class TestSeparatingPairs:
             sys = random_system(rng, f"r{i}", 8, ("a", "b", "c"), ("0", "1"))
             for q in sys.states:
                 result = separating_pairs(sys, q)
-                for (a1, a2) in sys.inputs.unordered_pairs():
+                for (a1, a2) in itertools.combinations(sys.inputs.symbols, 2):
                     s1 = sys.successors(q, a1)
                     s2 = sys.successors(q, a2)
                     holds = any(

@@ -10,7 +10,7 @@ hashes by identity and shows one layer.
 
 import pytest
 
-from syncreact.abstraction import LemmaVerdict, ObsOrder
+from syncreact.abstraction import LemmaVerdict
 from syncreact.compose import ComposedSystem
 from syncreact.core import (
     Alphabet,
@@ -44,7 +44,6 @@ SYSTEM_REPR = (
     "outputs=Alphabet(symbols=('o',)), states=('q',), transitions=(('q', 'i', 'q'),), "
     "out_label={'q': 'o'}, initial='q')"
 )
-SILENT = EffectSequence((), (None,))
 MACHINE = Machine(IO, OUT, ("bool",), ("bool",), ())
 
 # class, fields in order, a changed value for the first field, repr, hashable
@@ -106,13 +105,6 @@ CASES = [
         {"guaranteed": True, "index": 3},
         False,
         "LemmaVerdict(guaranteed=True, index=3)",
-        True,
-    ),
-    (
-        ObsOrder,
-        {"greatest": SILENT},
-        EffectSequence((("0", "1"),), (None,)),
-        "ObsOrder(greatest=EffectSequence(prefix=(), cycle=(None,)))",
         True,
     ),
     (
