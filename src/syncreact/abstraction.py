@@ -15,17 +15,35 @@ pairs after n shared inputs ranges over a finite powerset, so both DOE
 and SSPseq are ultimately periodic and are extracted as lassos by
 frontier hashing.  Frontiers are per-row bitsets walked by
 :class:`PairRows`, defined here, the one module that reads their
-format; each level keeps only the value a query reads.
+format; each level keeps only an integer key of what a query reads.
+
+A step is a union of per-pair steps and a key is the OR of its pairs'
+keys, so a frontier's future is the union of its pairs' own walks,
+their orbits.  A joint walk loops only after the lcm of the periods of
+the cycles its pairs enter; :func:`doe` and :func:`ssp_seq` therefore
+answer a walk still going at :data:`SPLIT_LEVEL` whose frontier holds
+at most :data:`MAX_ORBITS` pairs from one walk per pair, combining the
+orbits' keys as per-key-bit bitsets over time (:func:`_orbits`,
+:func:`_combine`).  Where the orbits pass a bound the joint walk goes
+on instead.  :func:`doe_levels`, :func:`ssp_levels` and the walks of
+:func:`lemma_check` and :func:`doe_compose` stay joint.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import lcm
+from functools import cache
+from math import isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import BisimOracle, Record, SynchronousSystem, feed_of, require_complete
-from .errors import LevelBoundExceeded, NotReactive, PreconditionFailed
+from .errors import (
+    LevelBoundExceeded,
+    NotReactive,
+    PeriodBoundExceeded,
+    PreconditionFailed,
+    ResourceError,
+)
 from .lasso import (
     STAR,
     STAR_FOREVER,
@@ -49,10 +67,26 @@ __all__ = [
 ]
 
 
-# A PairRows walk raises LevelBoundExceeded past this many levels.  A
-# state entering output cycles of lengths 13, 17, 19 and 23 walks
-# 96,577 levels (their lcm); adding a cycle of 29 would walk 2.8 million.
+# A PairRows walk, joint or one orbit, raises LevelBoundExceeded past
+# this many levels, and a lasso combined from orbits builds no more.
+# Jointly, a state entering output cycles of lengths 13, 17, 19 and 23
+# walks 96,577 levels (their lcm), while its longest orbit, a pair of
+# two of those cycles, walks 437.
 MAX_LEVELS = 200_000
+# doe and ssp_seq split a walk that has not looped after SPLIT_LEVEL
+# levels into one-pair orbits when its frontier holds at most MAX_ORBITS
+# pairs: the benchmark's cycle roots split 6 (DOE) and 12 (SSPseq).
+# Where pairs are many, as in p2-150 (153 at level 256) and p2-2000
+# (258), each orbit spreads over most of the joint frontier and walking
+# them one by one repeats the joint walk many times; those stay joint.
+SPLIT_LEVEL = 256
+MAX_ORBITS = 12
+# The lcm of the orbits' periods is the length in bits of the bitsets
+# they are combined in (256 KiB each at this bound); past it the orbits
+# give up before building them.  It exceeds MAX_LEVELS because it sizes
+# bitsets, not levels: cycles of 29, 31, 37 and 41 combine to 1,363,783
+# bits, while their DOE and SSPseq repeat every level from the split on.
+MAX_PERIOD = 1 << 21
 
 
 class _Image(dict):
@@ -183,16 +217,44 @@ class PairRows:
         Finitely many frontiers exist; past :data:`MAX_LEVELS` of them
         the walk raises LevelBoundExceeded.
         """
-        seen: dict[tuple, int] = {}
-        values: list = []
-        step = self.step
+        walk = _Walk(self, frontier, columns, value)
+        walk.run()
+        return walk.values, walk.loop
+
+
+class _Walk:
+    """A :meth:`PairRows.walk` that can pause.
+
+    ``values`` holds the levels valued so far and ``frontier`` the next
+    one; ``loop`` is the index the walk loops back to once it is known.
+    """
+
+    def __init__(self, rows: PairRows, frontier: tuple, columns: "_Columns", value: Callable):
+        self.step, self.columns, self.value = rows.step, columns, value
+        self.frontier = frontier
+        self.seen: dict[tuple, int] = {}
+        self.values: list = []
+        self.loop: Optional[int] = None
+
+    def run(self, levels: Optional[int] = None) -> None:
+        """Walks on until a frontier repeats or, given ``levels``, that many are valued.
+
+        Past :data:`MAX_LEVELS` levels raises LevelBoundExceeded.
+        """
+        seen, values, step, columns, value = (
+            self.seen, self.values, self.step, self.columns, self.value
+        )
+        frontier = self.frontier
         while frontier not in seen:
+            if len(values) == levels:
+                self.frontier = frontier
+                return
             if len(values) == MAX_LEVELS:
                 raise LevelBoundExceeded(MAX_LEVELS)
             seen[frontier] = len(values)
             values.append(value(frontier))
             frontier = step(frontier, columns)
-        return values, seen[frontier]
+        self.frontier, self.loop = frontier, seen[frontier]
 
 
 class _Columns(dict):
@@ -230,16 +292,105 @@ def lasso_at(values: Sequence, loop: int, i: int):
     return values[loop + (i - loop) % (len(values) - loop)]
 
 
-def doe_levels(
-    sys: SynchronousSystem, q: str
-) -> tuple[list[frozenset], int]:
-    """Output pairs of the run-pair level sets of a reactive state, as a lasso.
+def _levels(walk: tuple, signals: Optional[Callable] = None) -> tuple[list, int]:
+    """The level sets of a walk ``(rows, start, columns, key, named)``, as a lasso.
 
-    Level 0 holds every successor combination of every separating pair
-    of q in input declaration order; level i+1 holds all one-step
-    synchronized successors.  Each level is given by the set of output
-    id pairs its run pairs show.  Returns one set per level and the
-    index the tail loops back to.
+    ``key`` maps a frontier to an int whose bits are per-pair facts,
+    so the key of a union is the OR of its parts' keys, and ``named``
+    maps a key to its level set.  Given ``signals``, a walk that has
+    not looped after :data:`SPLIT_LEVEL` levels, with at most
+    :data:`MAX_ORBITS` pairs in its frontier, is answered from its
+    orbits (:func:`_orbits`, :func:`_combine`).  Should they pass a
+    bound, or without ``signals``, the joint walk answers; should it
+    pass :data:`MAX_LEVELS` too, the orbits' error is raised.
+    """
+    rows, start, columns, key, named = walk
+    joint = _Walk(rows, start, columns, key)
+    joint.run(SPLIT_LEVEL if signals else None)
+    pairs = sum(bits.bit_count() for _, bits in joint.frontier)
+    if joint.loop is None and pairs <= MAX_ORBITS:
+        try:
+            keys, loop = _combine(_orbits(rows, columns, key, joint.frontier), signals)
+            return [named(k) for k in joint.values + keys], len(joint.values) + loop
+        except ResourceError as exc:
+            try:
+                joint.run()
+            except LevelBoundExceeded:
+                raise exc from None
+    joint.run()
+    return [named(k) for k in joint.values], joint.loop
+
+
+def _orbits(rows: PairRows, columns: "_Columns", key: Callable, frontier: tuple) -> list:
+    """The walk of each pair of ``frontier`` alone, its orbit, as a lasso of keys."""
+    lassos = []
+    for p, bits in frontier:
+        while bits:
+            pair = bits & -bits
+            bits ^= pair
+            lassos.append(rows.walk(((p, pair),), columns, key))
+    return lassos
+
+
+def _combine(lassos: list[tuple[list, int]], signals: Callable) -> tuple[list[int], int]:
+    """The keys of the union of the orbits' walks, as a lasso.
+
+    The orbits' keys from the level where every orbit has looped on
+    become, per key bit b, a bitset over time: bit t is set when b is
+    at level t.  An orbit's cycle pattern is repeated to the combined
+    period P, the lcm of the orbits' periods, by one product with
+    (2^P - 1)/(2^n - 1), n its period; the orbits' bitsets are ORed.
+    ``signals`` maps these bitsets to the ones the query reads, whose
+    least common period d divides P; only those d levels are built as
+    keys.  Raises PeriodBoundExceeded past :data:`MAX_PERIOD` for P, and
+    LevelBoundExceeded past :data:`MAX_LEVELS` for the levels built.
+    """
+    period = lcm(*(len(keys) - loop for keys, loop in lassos))
+    if period > MAX_PERIOD:
+        raise PeriodBoundExceeded(MAX_PERIOD)
+    start = max((loop for _, loop in lassos), default=0)
+    prefix = [0] * start
+    cycles: dict[int, list[int]] = {}  # orbit period -> ORed keys from level start on
+    for keys, loop in lassos:
+        n = len(keys) - loop
+        cycle = cycles.setdefault(n, [0] * n)
+        for t in range(start):
+            prefix[t] |= lasso_at(keys, loop, t)
+        for t in range(n):
+            cycle[t] |= lasso_at(keys, loop, start + t)
+    width = max((k.bit_length() for cycle in cycles.values() for k in cycle), default=0)
+    tails = [0] * width
+    for n, cycle in cycles.items():
+        repeat = ((1 << period) - 1) // ((1 << n) - 1)
+        for b in range(width):
+            bits = "".join("1" if k >> b & 1 else "0" for k in reversed(cycle))
+            tails[b] |= int(bits, 2) * repeat
+    read = signals(tails)
+    d = _least_period(read, period)
+    if start + d > MAX_LEVELS:
+        raise LevelBoundExceeded(MAX_LEVELS)
+    keys = [0] * d
+    for b, bits in enumerate(read):
+        for t, bit in enumerate(reversed(format(bits & ((1 << d) - 1), f"0{d}b"))):
+            if bit == "1":
+                keys[t] |= 1 << b
+    return prefix + keys, start
+
+
+def _least_period(bitsets: list[int], n: int) -> int:
+    """The least d dividing n such that each bitset of n bits repeats every d bits."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    periods = small + [n // d for d in reversed(small)]
+    return next(d for d in periods if all(x >> d == x & ((1 << (n - d)) - 1) for x in bitsets))
+
+
+def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
+    """The DOE walk of a reactive state, as :func:`_levels` reads it.
+
+    Its first frontier holds every successor combination of every
+    separating pair of q in input declaration order; a step follows
+    every shared input.  Bit x * m + y of a key marks the output id pair
+    (x, y), m outputs.
     """
     sys.check_state(q)
     require_complete(sys)
@@ -248,10 +399,26 @@ def doe_levels(
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     rows = PairRows(succ, succ)
-    split = [(a1, a2, -1) for (a1, a2) in pairs]
-    start = rows.step(rows.frontier([(i, i)]), rows.columns(lambda p: split))
+    separating = [(a1, a2, -1) for (a1, a2) in pairs]
+    start = rows.step(rows.frontier([(i, i)]), rows.columns(lambda p: separating))
     every = [(a, a, -1) for a in range(len(sys.inputs))]
-    return rows.walk(start, rows.columns(lambda p: every), _output_pairs(sys))
+    m = len(sys.outputs)
+    named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
+    return rows, start, rows.columns(lambda p: every), _output_pairs(sys), named
+
+
+def doe_levels(
+    sys: SynchronousSystem, q: str
+) -> tuple[list[frozenset], int]:
+    """Output pairs of the run-pair level sets of a reactive state, as a lasso.
+
+    Level 0 holds every successor combination of every separating pair
+    of q in input declaration order; level i+1 holds all one-step
+    synchronized successors.  Each level is given by the set of output
+    id pairs its run pairs show.  Returns one set per level of the
+    joint walk and the index the tail loops back to.
+    """
+    return _levels(_doe_walk(sys, q))
 
 
 def _emitting(sys: SynchronousSystem) -> list[int]:
@@ -262,28 +429,37 @@ def _emitting(sys: SynchronousSystem) -> list[int]:
     return emitting
 
 
-def _output_pairs(sys: SynchronousSystem):
-    """Level value of a frontier over two copies of sys: its output id pairs."""
+def _output_pairs(sys: SynchronousSystem) -> Callable:
+    """Key of a frontier over two copies of sys: bit x * m + y marks output id pair (x, y)."""
     out, emitting = sys.out_ids, _emitting(sys)
     m = len(emitting)
-    named: dict[int, frozenset] = {}
 
-    def value(frontier: tuple) -> frozenset:
+    def key(frontier: tuple) -> int:
         by_output = [0] * m
         for p, bits in frontier:
             by_output[out[p]] |= bits
-        # Bit x * m + y of the key marks the output pair (x, y).
         key, pair = 0, 1
         for bits in by_output:
             for e in emitting:
                 if bits & e:
                     key |= pair
                 pair <<= 1
-        if key not in named:
-            named[key] = frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1)
-        return named[key]
+        return key
 
-    return value
+    return key
+
+
+def _effect_signals(m: int) -> Callable:
+    """Per output-pair bit b = x * m + y, x != y, the times b is a level's only pair."""
+
+    def signals(tails: list[int]) -> list[int]:
+        one = two = 0
+        for bits in tails:
+            two |= one & bits
+            one |= bits
+        return [0 if b // m == b % m else bits & ~two for b, bits in enumerate(tails)]
+
+    return signals
 
 
 def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
@@ -296,13 +472,14 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
     silent sequence.
 
     Computed on level sets: the position is an effect iff the output
-    pair set of the level is one non-equal singleton.
+    pair set of the level is one non-equal singleton.  A long walk
+    splits into orbits that keep, per level, only that effect.
     """
     try:
-        levels, start = doe_levels(sys, q)
+        walk = _doe_walk(sys, q)
     except NotReactive:
         return STAR_FOREVER
-    return _effects(sys, levels, start)
+    return _effects(sys, *_levels(walk, _effect_signals(len(sys.outputs))))
 
 
 def _effects(sys: SynchronousSystem, levels: list[frozenset], start: int) -> EffectSequence:
@@ -338,16 +515,13 @@ class LemmaVerdict(Record):
         self.guaranteed, self.index = guaranteed, index
 
 
-def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
-    """SSPseq levels of the pair (q1, q2), as a lasso of symbol-pair sets.
+def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
+    """The SSPseq walk of the pair (q1, q2), as :func:`_levels` reads it.
 
-    The walk steps a pair (p, q) along every orientation (ae, af) under
-    which ae beats af there, so its frontiers only hold pairs reached
-    through strongly separating pairs.  Level n intersects the SSP of
-    every pair of the n-th frontier, and is every input pair once the
-    frontier is empty.  Returns one set per level and the index the tail
-    loops back to.  Rows and bitsets span all of ``sys``'s states, so a
-    cross pair of a disjoint union walks the union's ids.
+    A step moves a pair (p, q) along every orientation (ae, af) under
+    which ae beats af there.  Bit c of a key marks the c-th candidate
+    input pair (a1 < a2) as no SSP of some pair of the frontier; a
+    level set is the candidates its key leaves clear.
     """
     require_complete(sys)
     succ, cls = sys.succ, BisimOracle(sys).cls
@@ -367,25 +541,39 @@ def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset
             )
         return held[p]
 
-    named: dict[int, frozenset] = {}
-
-    def value(frontier: tuple) -> frozenset:
-        kept = (1 << len(candidates)) - 1
+    def key(frontier: tuple) -> int:
+        lacking = 0
         for p, bits in frontier:
             for c, missing in enumerate(row(p)[1]):
                 if bits & missing:
-                    kept &= ~(1 << c)
-        if kept not in named:
-            named[kept] = frozenset(
-                (symbols[a1], symbols[a2])
-                for c, (a1, a2) in enumerate(candidates)
-                if kept >> c & 1
-            )
-        return named[kept]
+                    lacking |= 1 << c
+        return lacking
+
+    def named(lacking: int) -> frozenset:
+        return frozenset(
+            (symbols[a1], symbols[a2])
+            for c, (a1, a2) in enumerate(candidates)
+            if not lacking >> c & 1
+        )
 
     rows = PairRows(succ, succ)
     start = rows.frontier([(sys.index[q1], sys.index[q2])])
-    return rows.walk(start, rows.columns(lambda p: row(p)[0]), value)
+    return rows, start, rows.columns(lambda p: row(p)[0]), key, cache(named)
+
+
+def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
+    """SSPseq levels of the pair (q1, q2), as a lasso of symbol-pair sets.
+
+    The walk steps a pair (p, q) along every orientation (ae, af) under
+    which ae beats af there, so its frontiers only hold pairs reached
+    through strongly separating pairs.  Level n intersects the SSP of
+    every pair of the n-th frontier, and is every input pair once the
+    frontier is empty.  Returns one set per level of the joint walk and
+    the index the tail loops back to.  Rows and bitsets span all of
+    ``sys``'s states, so a cross pair of a disjoint union walks the
+    union's ids.
+    """
+    return _levels(_ssp_walk(sys, q1, q2))
 
 
 def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
@@ -394,10 +582,10 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     Level 0 is the state's separating pairs; level n+1 intersects the
     SSP of every pair reached by following separating-pair orientations
     for n+1 steps.  Computed as the greatest fixpoint over the finite
-    pair space, extracted as a lasso.
+    pair space, extracted as a lasso; a long walk splits into orbits.
     """
     sys.check_state(q)
-    levels, loop = ssp_levels(sys, q, q)
+    levels, loop = _levels(_ssp_walk(sys, q, q), lambda tails: tails)
     if not levels[0]:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))

@@ -21,6 +21,12 @@ loads:
 - ``compose``: the first set and ``compose``; ``dot``: the first set and
   ``dot``; ``psyc``: the first set and the ``psyc`` package.
 
+When the first argument names one of :data:`COMMANDS`, :func:`main`
+builds that command's parser alone, which prints the same help, usage
+and errors as the whole parser does for it; building every subparser
+cost a few milliseconds of each command's start-up.  Anything else (no
+arguments, ``-h``, an unknown command) gets the whole parser.
+
 :func:`main` pauses the cyclic garbage collector for the command and
 restores its previous state on the way out.  A command builds tables of
 tens of thousands of containers that live until it exits.  Each
@@ -35,6 +41,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys as _sys
+from typing import Optional
 
 from . import sls
 from .core import SynchronousSystem, bisim_quotient, disjoint_union, non_bisimilar, validate
@@ -299,114 +306,160 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order help lists them.
+COMMANDS = (
+    "check",
+    "quotient",
+    "bisim",
+    "seppairs",
+    "separators",
+    "strongsep",
+    "reactime",
+    "diff",
+    "doe",
+    "ssp",
+    "sspseq",
+    "compose",
+    "lemma",
+    "doe-compose",
+    "psyc",
+    "dot",
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    A parser of one command prints the same usage, help and errors for
+    it: its usage line spells out the whole command list.
+    """
     parser = argparse.ArgumentParser(
         prog="syncreact",
         description="Analyze finite synchronous systems for reactivity,"
         " observable effects, and reaction time.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        names = "{" + ",".join(COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=names)
 
-    p = sub.add_parser("check", help="validate a .sls file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        p = sub.add_parser("check", help="validate a .sls file")
+        p.add_argument("file")
+        p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("quotient", help="write the bisimulation quotient")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_quotient)
+    if command in (None, "quotient"):
+        p = sub.add_parser("quotient", help="write the bisimulation quotient")
+        p.add_argument("file")
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("bisim", help="are two states bisimilar?")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=cmd_bisim)
+    if command in (None, "bisim"):
+        p = sub.add_parser("bisim", help="are two states bisimilar?")
+        p.add_argument("file")
+        p.add_argument("p")
+        p.add_argument("q")
+        p.set_defaults(func=cmd_bisim)
 
-    p = sub.add_parser("seppairs", help="separating pairs of a state")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_seppairs)
+    if command in (None, "seppairs"):
+        p = sub.add_parser("seppairs", help="separating pairs of a state")
+        p.add_argument("file")
+        p.add_argument("state")
+        p.set_defaults(func=cmd_seppairs)
 
-    p = sub.add_parser("separators", help="minimal separators of a state pair")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("--max-len", type=_at_least(0), default=4)
-    p.set_defaults(func=cmd_separators)
+    if command in (None, "separators"):
+        p = sub.add_parser("separators", help="minimal separators of a state pair")
+        p.add_argument("file")
+        p.add_argument("p")
+        p.add_argument("q")
+        p.add_argument("--max-len", type=_at_least(0), default=4)
+        p.set_defaults(func=cmd_separators)
 
-    p = sub.add_parser("strongsep", help="is a state pair strongly separable?")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=cmd_strongsep)
+    if command in (None, "strongsep"):
+        p = sub.add_parser("strongsep", help="is a state pair strongly separable?")
+        p.add_argument("file")
+        p.add_argument("p")
+        p.add_argument("q")
+        p.set_defaults(func=cmd_strongsep)
 
-    p = sub.add_parser("reactime", help="deterministic reaction time of a state")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_reactime)
+    if command in (None, "reactime"):
+        p = sub.add_parser("reactime", help="deterministic reaction time of a state")
+        p.add_argument("file")
+        p.add_argument("state")
+        p.set_defaults(func=cmd_reactime)
 
-    p = sub.add_parser("diff", help="observable effects along a word")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("-w", "--word", required=True, help="input word, e.g. 'tt ff'")
-    p.set_defaults(func=cmd_diff)
+    if command in (None, "diff"):
+        p = sub.add_parser("diff", help="observable effects along a word")
+        p.add_argument("file")
+        p.add_argument("p")
+        p.add_argument("q")
+        p.add_argument("-w", "--word", required=True, help="input word, e.g. 'tt ff'")
+        p.set_defaults(func=cmd_diff)
 
-    p = sub.add_parser("doe", help="deterministic observable effects of a state")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_doe)
+    if command in (None, "doe"):
+        p = sub.add_parser("doe", help="deterministic observable effects of a state")
+        p.add_argument("file")
+        p.add_argument("state")
+        p.set_defaults(func=cmd_doe)
 
-    p = sub.add_parser("ssp", help="strongly separating pairs of two states")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("rest", nargs="+", metavar="[FILE2] Q")
-    p.set_defaults(func=cmd_ssp)
+    if command in (None, "ssp"):
+        p = sub.add_parser("ssp", help="strongly separating pairs of two states")
+        p.add_argument("file")
+        p.add_argument("p")
+        p.add_argument("rest", nargs="+", metavar="[FILE2] Q")
+        p.set_defaults(func=cmd_ssp)
 
-    p = sub.add_parser("sspseq", help="strongly separating pair sequence")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.set_defaults(func=cmd_sspseq)
+    if command in (None, "sspseq"):
+        p = sub.add_parser("sspseq", help="strongly separating pair sequence")
+        p.add_argument("file")
+        p.add_argument("state")
+        p.set_defaults(func=cmd_sspseq)
 
-    p = sub.add_parser("compose", help="compose two systems")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seq", action="store_true")
-    group.add_argument("--par", action="store_true")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_compose)
+    if command in (None, "compose"):
+        p = sub.add_parser("compose", help="compose two systems")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--seq", action="store_true")
+        group.add_argument("--par", action="store_true")
+        p.add_argument("f")
+        p.add_argument("g")
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("lemma", help="reactivity guarantee for a composition")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--qf", required=True)
-    p.add_argument("--qg", required=True)
-    p.set_defaults(func=cmd_lemma)
+    if command in (None, "lemma"):
+        p = sub.add_parser("lemma", help="reactivity guarantee for a composition")
+        p.add_argument("f")
+        p.add_argument("g")
+        p.add_argument("--qf", required=True)
+        p.add_argument("--qg", required=True)
+        p.set_defaults(func=cmd_lemma)
 
-    p = sub.add_parser("doe-compose", help="composite observable effects at index t")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--qf", required=True)
-    p.add_argument("--qg", required=True)
-    p.add_argument("-t", type=int, required=True)
-    p.set_defaults(func=cmd_doe_compose)
+    if command in (None, "doe-compose"):
+        p = sub.add_parser("doe-compose", help="composite observable effects at index t")
+        p.add_argument("f")
+        p.add_argument("g")
+        p.add_argument("--qf", required=True)
+        p.add_argument("--qg", required=True)
+        p.add_argument("-t", type=int, required=True)
+        p.set_defaults(func=cmd_doe_compose)
 
-    psyc = sub.add_parser("psyc", help="language frontend")
-    psyc_sub = psyc.add_subparsers(dest="psyc_command", required=True)
-    p = psyc_sub.add_parser("typecheck", help="typecheck a .psy program")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_psyc_typecheck)
-    p = psyc_sub.add_parser("build", help="build the system of a .psy program")
-    p.add_argument("file")
-    p.add_argument("--max-states", type=_at_least(1), default=10_000)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_psyc_build)
+    if command in (None, "psyc"):
+        psyc = sub.add_parser("psyc", help="language frontend")
+        psyc_sub = psyc.add_subparsers(dest="psyc_command", required=True)
+        p = psyc_sub.add_parser("typecheck", help="typecheck a .psy program")
+        p.add_argument("file")
+        p.set_defaults(func=cmd_psyc_typecheck)
+        p = psyc_sub.add_parser("build", help="build the system of a .psy program")
+        p.add_argument("file")
+        p.add_argument("--max-states", type=_at_least(1), default=10_000)
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=cmd_psyc_build)
 
-    p = sub.add_parser("dot", help="export a system to DOT")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_dot)
+    if command in (None, "dot"):
+        p = sub.add_parser("dot", help="export a system to DOT")
+        p.add_argument("file")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_dot)
 
     return parser
 
@@ -423,7 +476,9 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = _sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

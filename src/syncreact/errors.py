@@ -71,6 +71,12 @@ class LevelBoundExceeded(ResourceError):
         self.bound = bound
 
 
+class PeriodBoundExceeded(ResourceError):
+    def __init__(self, bound: int):
+        super().__init__(f"combined orbit period exceeded its bound of {bound} levels")
+        self.bound = bound
+
+
 class SeparatorBoundExceeded(ResourceError):
     def __init__(self, bound: int):
         super().__init__(f"separator search exceeded its bound of {bound} pending words")

@@ -19,8 +19,10 @@ separating pairs cached one pair at a time.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 from collections import namedtuple
 
@@ -590,6 +592,15 @@ def chain_sender(
         out_label=out_label,
         initial="r",
     )
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py`` of this checkout, so tests build what the benchmark runs."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def stepwise_canonical(prefix: tuple, cycle: tuple) -> tuple[tuple, tuple]:

@@ -25,7 +25,8 @@ from syncreact import (
     ssp_seq,
     strongly_separable,
 )
-from syncreact.abstraction import doe_levels, ssp_levels
+from syncreact import abstraction
+from syncreact.abstraction import _effects, doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
@@ -39,6 +40,7 @@ from .oracles import (
     naive_doe_levels,
     naive_lemma_check,
     naive_ssp_seq,
+    perfbench_module,
     random_system,
     sized_system,
 )
@@ -46,6 +48,7 @@ from .oracles import (
 # Sizes on both sides of the 8-state table chunks and the 64-bit words.
 WALK_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
 OUTPUTS = ("0", "1", "2")
+GEN = perfbench_module("gen")
 
 
 def _walk_systems(n: int):
@@ -165,6 +168,109 @@ class TestWalkOracles:
                 )
                 compared += 1
         assert compared > 100
+
+
+class TestOrbits:
+    """doe and ssp_seq answered from per-pair orbits against the joint walks."""
+
+    @pytest.fixture(params=[0, 1, 3])
+    def level(self, request):
+        return request.param
+
+    @pytest.fixture
+    def split(self, level, monkeypatch):
+        # A frontier of more pairs stays joint: the 64-state and larger
+        # walk systems hold 168 to 2,565 at level 3, where their overlapping
+        # orbits take seconds a query.
+        return self.split_at(level, monkeypatch, max_orbits=160)
+
+    @staticmethod
+    def split_at(level, monkeypatch, max_orbits):
+        """Split at ``level`` up to ``max_orbits`` pairs; returns the list of frontiers split."""
+        monkeypatch.setattr(abstraction, "SPLIT_LEVEL", level)
+        monkeypatch.setattr(abstraction, "MAX_ORBITS", max_orbits)
+        split = []
+        orbits = abstraction._orbits
+
+        def counted(rows, columns, key, frontier):
+            split.append(frontier)
+            return orbits(rows, columns, key, frontier)
+
+        monkeypatch.setattr(abstraction, "_orbits", counted)
+        return split
+
+    @staticmethod
+    def assert_joint_answers(sys, q):
+        try:
+            expected = _effects(sys, *doe_levels(sys, q))
+        except NotReactive:
+            expected = STAR_FOREVER
+        assert doe(sys, q) == expected
+        levels, loop = ssp_levels(sys, q, q)
+        if levels[0]:
+            assert ssp_seq(sys, q) == PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
+        else:
+            assert _outcome(ssp_seq, sys, q) is NotReactive
+
+    @pytest.mark.parametrize("n", WALK_SIZES)
+    def test_walk_systems(self, n, level, split):
+        for sys in _walk_systems(n):
+            for q in sys.states[:3]:
+                self.assert_joint_answers(sys, q)
+        # A one-state system's walks loop within three levels.
+        assert split or n == 1 or (level == 3 and n >= 64)
+
+    def test_small_random_systems(self, split):
+        # Among these, effects and SSPseq levels keep changing after the
+        # split: deterministic systems walk one pair per orbit.
+        for seed in range(240):
+            rng = random.Random(seed)
+            n = rng.choice([5, 8, 12])
+            inputs = ("a", "b", "c")[: rng.choice([2, 3])]
+            sys = sized_system(rng, f"s{seed}", n, inputs, OUTPUTS, rng.choice([0.0, 0.1, 0.3]))
+            for q in sys.states[:4]:
+                self.assert_joint_answers(sys, q)
+
+    @pytest.mark.parametrize(
+        "lengths", [(2, 3), (4, 6), (2, 3, 5), (7, 11, 13), (7, 11, 13, 17), (5, 5, 7), (3, 9, 27)]
+    )
+    def test_cycle_roots(self, lengths, split):
+        sys = GEN.cyc(lengths, random.Random(str(lengths)))
+        for q in ("r", "c0_0"):
+            self.assert_joint_answers(sys, q)
+        assert split
+
+    def test_nondeterministic_class_inflated_system(self, level, split):
+        rng = random.Random(29)
+        sys = inflated_system(rng, "infl", 60, 7, ("a", "b", "c"), OUTPUTS, 0.6)
+        for q in sys.states[:8]:
+            self.assert_joint_answers(sys, q)
+        assert split or level == 3
+
+    def test_orbits_past_the_period_bound_leave_the_answer_to_the_joint_walk(
+        self, split, monkeypatch
+    ):
+        monkeypatch.setattr(abstraction, "MAX_PERIOD", 1)
+        for lengths in ((2, 3), (7, 11, 13)):
+            self.assert_joint_answers(GEN.cyc(lengths, random.Random(str(lengths))), "r")
+        for sys in _walk_systems(9):
+            for q in sys.states[:3]:
+                self.assert_joint_answers(sys, q)
+        assert split
+
+    def test_the_benchmark_cycle_root_splits_at_the_default_level(self, monkeypatch):
+        split = self.split_at(abstraction.SPLIT_LEVEL, monkeypatch, abstraction.MAX_ORBITS)
+        self.assert_joint_answers(GEN.cyc((7, 11, 13, 17), random.Random(1)), "r")
+        # DOE splits the 6 unordered pairs of branches, SSPseq the 12 ordered ones.
+        assert [sum(bits.bit_count() for _, bits in frontier) for frontier in split] == [6, 12]
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_more_pairs_than_max_orbits_stay_joint(self, level, monkeypatch):
+        # The root's frontiers past level 0 hold 3 (DOE) and 6 (SSPseq) pairs.
+        split = self.split_at(level, monkeypatch, max_orbits=2)
+        sys = GEN.cyc((7, 11, 13), random.Random(1))
+        self.assert_joint_answers(sys, "r")
+        assert split == []
 
 
 class TestObsOrder:

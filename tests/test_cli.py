@@ -3,10 +3,10 @@
 import ast
 import gc
 import importlib
-import importlib.util
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -14,11 +14,14 @@ import time
 import pytest
 
 import syncreact
-from syncreact import abstraction, core, par_compose, reactivity, sls, validate
+from syncreact import abstraction, cli, core, par_compose, reactivity, sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
-from .oracles import chain_sender
+from .oracles import chain_sender, perfbench_module
+from .test_golden_cli import render_command
+
+GEN = perfbench_module("gen")
 
 BROKEN = "system b\ninputs a b\noutputs 0\ninit c0\nstate c0 0\ntrans c0 a c0\n"
 # s1 has no move on b; s0 and s1 differ only in that.
@@ -217,10 +220,7 @@ class TestImports:
     def test_the_benchmark_tracers_targets_resolve(self):
         # The tracer skips a target it cannot find and reports zero work
         # for it, so deleting one would blank a per-layer metric silently.
-        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = perfbench_module("tracer")
         for span, (module, attr, _, _) in tracer.FUNCTIONS.items():
             assert callable(getattr(importlib.import_module(module), attr, None)), span
         methods = [m for m in tracer.METHODS if m[0] in ("core.oracle", "lasso.sequences")]
@@ -948,6 +948,39 @@ class TestLevelBound:
             assert (code, out) == (3, ""), argv
             assert err == "resource limit: level walk exceeded its bound of 50 levels\n"
 
+    def test_orbits_past_the_period_bound_leave_the_answer_to_the_joint_walk(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Orbit periods 77, 91 and 143 combine to 1001; the joint walk
+        # loops after 1001 levels and the longest orbit after 143.
+        target = tmp_path / "cyc.sls"
+        sls.dump(GEN.cyc((7, 11, 13), random.Random(1)), target)
+        argvs = [("doe", target, "r"), ("sspseq", target, "r")]
+        answers = [run(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in answers] == [0, 0]
+        monkeypatch.setattr(abstraction, "MAX_PERIOD", 1000)
+        assert [run(capsys, *argv) for argv in argvs] == answers
+        monkeypatch.setattr(abstraction, "MAX_LEVELS", 600)
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert err == (
+                "resource limit: combined orbit period exceeded its bound of 1000 levels\n"
+            )
+
+    def test_cycle_root_of_lcm_215441_answers_in_a_fresh_interpreter(self, tmp_path):
+        # A joint walk would need 215,441 levels, past MAX_LEVELS.
+        target = tmp_path / "cyc.sls"
+        sls.dump(GEN.cyc((17, 19, 23, 29), random.Random(1)), target)
+        for command in ("doe", "sspseq"):
+            start = time.perf_counter()
+            done = run_fresh(command, target, "r")
+            assert time.perf_counter() - start < 5, command
+            assert done.returncode == 0, done.stderr
+            if command == "doe":
+                # Three or more distinct branches never share one effect.
+                assert done.stdout == "| *\n"
+
     def test_separators_past_the_word_bound_exits_3(self, capsys, monkeypatch):
         argv = ["separators", FIXTURES / "p1.sls", "p0", "p0", "--max-len"]
         monkeypatch.setattr(reactivity, "MAX_PENDING_WORDS", 4)
@@ -984,9 +1017,49 @@ class TestLevelBound:
             assert done.stdout == "| *\n"
 
 
+# The argvs whose output must not change with the parser a command builds.
+USAGE_ARGVS = [
+    [],
+    ["--help"],
+    ["nosuch"],
+    ["doe", "-h"],
+    ["doe", "fixtures/p1.sls"],
+    ["psyc", "build"],
+    *([command, *rest] for command in cli.COMMANDS for rest in ([], ["-h"], list("xyzwv"))),
+]
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+    def test_one_command_parser_prints_what_the_full_parser_prints(self, argv, monkeypatch):
+        # Help text is wrapped to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(FIXTURES.parent)
+        lazy = render_command(argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert render_command(argv) == lazy
+
+    def test_the_full_parser_names_the_command_argument(self, capsys):
+        assert run(capsys, "nosuch")[2].splitlines()[-1].startswith(
+            "syncreact: error: argument command: invalid choice: 'nosuch'"
+        )
+        assert run(capsys)[2].splitlines()[-1] == (
+            "syncreact: error: the following arguments are required: command"
+        )
+
+    def test_main_builds_the_named_command_alone(self, capsys, monkeypatch):
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(
+            cli, "build_parser", lambda command=None: built.append(command) or full(command)
+        )
+        for argv in (["check", FIXTURES / "p1.sls"], ["nosuch"], ["-h"], []):
+            main([str(a) for a in argv])
+        assert built == ["check", None, None, None]
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
