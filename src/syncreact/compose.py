@@ -14,10 +14,14 @@ from __future__ import annotations
 import itertools
 
 from .core import Alphabet, Record, SynchronousSystem, feed_of, pair_symbol
-from .errors import UnknownState
+from .errors import StateBudgetExceeded, UnknownState
 
 # `*` is reserved in state names to join the two component state names.
 STATE_JOIN = "*"
+
+# The most states a composite may have.  A state costs about 470 bytes,
+# so the bound holds a composite to about 200 MB.
+MAX_NODES = 400_000
 
 
 class ComposedSystem(Record):
@@ -36,43 +40,55 @@ def _composite(name, inputs, outputs, sys_f, sys_g, start, columns, output) -> S
     pair ``(a, b)`` of component input ids it steps a pair (p, q) on:
     every combination of p's a-successors and q's b-successors, in that
     order, is one edge.  Composite states are named ``qf*qg`` and
-    numbered in discovery order, and ``output(node)`` is a composite
-    state's output id.  Raises :class:`UnknownState` when component
+    numbered in discovery order, and ``output(p, q)`` is a composite
+    state's output id.  A pair is keyed by the int ``p * len(sys_g.states)
+    + q``.  Raises :class:`StateBudgetExceeded` when the part has more
+    than ``MAX_NODES`` states, and :class:`UnknownState` when component
     names holding ``*`` give two reachable pairs one name.
     """
     succ_f, succ_g = sys_f.succ, sys_g.succ
-    root = (sys_f.index[start[0]], sys_g.index[start[1]])
+    width = len(sys_g.states)
+    root = sys_f.index[start[0]] * width + sys_g.index[start[1]]
     number = {root: 0}
     nodes = [root]
     succ = []
-    for (p, q) in nodes:
+    for node in nodes:
+        p, q = divmod(node, width)
         moves_f, moves_g = succ_f[p], succ_g[q]
         row = []
         for (a, b) in columns(p):
             targets = []
-            for t in itertools.product(moves_f[a], moves_g[b]):
-                i = number.get(t)
-                if i is None:
-                    i = number[t] = len(nodes)
-                    nodes.append(t)
-                targets.append(i)
+            gs = moves_g[b]
+            for f in moves_f[a]:
+                base = f * width
+                for g in gs:
+                    t = base + g
+                    i = number.get(t)
+                    if i is None:
+                        i = len(nodes)
+                        if i == MAX_NODES:
+                            raise StateBudgetExceeded(MAX_NODES)
+                        number[t] = i
+                        nodes.append(t)
+                    targets.append(i)
             row.append(tuple(targets))
         succ.append(tuple(row))
+    pairs = [divmod(node, width) for node in nodes]
     names_f, names_g = sys_f.states, sys_g.states
-    states = tuple(f"{names_f[p]}{STATE_JOIN}{names_g[q]}" for (p, q) in nodes)
+    states = tuple([f"{names_f[p]}{STATE_JOIN}{names_g[q]}" for (p, q) in pairs])
     if len(set(states)) < len(states):
         owner: dict[str, tuple[int, int]] = {}
-        for node, joined in zip(nodes, states):
-            first = owner.setdefault(joined, node)
-            if first != node:
-                pairs = [(names_f[p], names_g[q]) for (p, q) in (first, node)]
+        for pair, joined in zip(pairs, states):
+            first = owner.setdefault(joined, pair)
+            if first != pair:
+                named = [(names_f[p], names_g[q]) for (p, q) in (first, pair)]
                 raise UnknownState(
                     f"composite state {joined!r} names both pairs "
-                    + " and ".join(f"({qf}, {qg})" for (qf, qg) in pairs)
+                    + " and ".join(f"({qf}, {qg})" for (qf, qg) in named)
                     + f"; {STATE_JOIN!r} is reserved in state names"
                 )
     return SynchronousSystem.from_tables(
-        name, inputs, outputs, states, succ, [output(node) for node in nodes], 0
+        name, inputs, outputs, states, succ, [output(p, q) for (p, q) in pairs], 0
     )
 
 
@@ -105,7 +121,7 @@ def seq_compose(
         sys_g,
         start,
         lambda p: by_feed[fed[p]],
-        lambda node: sys_g.out_ids[node[1]],
+        lambda p, q: sys_g.out_ids[q],
     )
     return ComposedSystem(system, "seq", sys_f.name, sys_g.name)
 
@@ -127,6 +143,6 @@ def par_compose(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> ComposedS
         sys_g,
         (sys_f.initial, sys_g.initial),
         lambda p: columns,
-        lambda node: sys_f.out_ids[node[0]] * len(sys_g.outputs) + sys_g.out_ids[node[1]],
+        lambda p, q: sys_f.out_ids[p] * len(sys_g.outputs) + sys_g.out_ids[q],
     )
     return ComposedSystem(system, "par", sys_f.name, sys_g.name)

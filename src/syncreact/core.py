@@ -142,24 +142,27 @@ class _Tables:
     The one home of a system's name rules, each checked once where the
     name is declared, so a state needs the outputs set first and a
     transition the inputs and both of its states.  The validating
-    constructor feeds it its fields and ``sls.loads`` its lines.
+    constructor feeds it its fields and ``sls.loads`` its lines; the
+    loader fills the row of a well-formed ``trans`` line itself, through
+    ``index`` and ``column`` (each input's id), and calls :meth:`trans`
+    only for its error.
     """
 
-    __slots__ = ("name", "inputs", "outputs", "index", "succ", "out_ids", "_column", "_out_id")
+    __slots__ = ("name", "inputs", "outputs", "index", "succ", "out_ids", "column", "_out_id")
 
     def __init__(self):
         self.name = self.inputs = self.outputs = None
         self.index, self.succ, self.out_ids = {}, [], []
-        self._column, self._out_id = {}, {}
+        self.column, self._out_id = {}, {}
 
     def set_name(self, name: str) -> None:
         _check_name(name)
         self.name = name
 
     def set_inputs(self, inputs: Alphabet) -> None:
-        self.inputs, self._column = inputs, {a: i for i, a in enumerate(inputs)}
+        self.inputs, self.column = inputs, {a: i for i, a in enumerate(inputs)}
         # A transition needs its input, so every row so far is empty.
-        self.succ = [[[] for _ in self._column] for _ in self.succ]
+        self.succ = [[[] for _ in self.column] for _ in self.succ]
 
     def set_outputs(self, outputs: Alphabet) -> None:
         self.outputs, self._out_id = outputs, {o: i for i, o in enumerate(outputs)}
@@ -174,10 +177,10 @@ class _Tables:
             raise UnknownSymbol(f"state {q} uses undeclared output {out}")
         self.index[q] = len(self.out_ids)
         self.out_ids.append(o)
-        self.succ.append([[] for _ in self._column])
+        self.succ.append([[] for _ in self.column])
 
     def trans(self, src: str, sym: str, dst: str) -> None:
-        s, t, a = self.index.get(src), self.index.get(dst), self._column.get(sym)
+        s, t, a = self.index.get(src), self.index.get(dst), self.column.get(sym)
         if s is None:
             raise UnknownState(f"transition from undeclared state {src}")
         if t is None:
@@ -497,11 +500,17 @@ class _Refinement:
     splits, its largest part keeps the block id and every other part gets
     a fresh one, so a state changes id at most log2(n) times (Paige and
     Tarjan 1987) and a round costs what its re-signed states cost.  A
-    signature holds one set of ids per input, written as the bare id
-    when it has one member, so signatures are equal exactly when their
-    sets are.  Each change is appended to the state's history as
-    ``(round, id)``; ids name blocks uniquely, so two states share a
-    block at round k iff their ids at round k are equal.
+    block of one state never splits, so its state is never re-signed.
+    Blocks are kept as sizes: the members of a block are read only when
+    the part no re-signed state fell in is smaller than the biggest
+    re-signed part, so that it must take a fresh id.  A signature holds
+    one set of ids per input, written as the bare id when it has one
+    member, so signatures are equal exactly when their sets are.  Each
+    change is appended to the state's history as ``(round, id)``; ids
+    name blocks uniquely, so two states share a block at round k iff
+    their ids at round k are equal.  ``rounds`` is the first stable
+    round: the last round that split a block, 0 if none did, so the
+    round-k partition for every k >= ``rounds`` is bisimilarity.
     """
 
     def __init__(self, succ: Sequence[tuple[tuple[int, ...], ...]], out: Sequence[int]):
@@ -525,16 +534,21 @@ class _Refinement:
             ids = frozenset(map(class_of, ts))
             return next(iter(ids)) if len(ids) == 1 else ids
 
-        members: list[set[int]] = [set() for _ in first]
+        # members[c] lists every state of block c, and may still list
+        # states that have since left it; size[c] is exact.
+        members: list[list[int]] = [[] for _ in first]
         for i, c in enumerate(cls):
-            members[c].add(i)
+            members[c].append(i)
+        size = list(map(len, members))
         history = [[(0, c)] for c in cls]
-        rounds = 0
+        rounds = stable = 0
         dirty: Iterable[int] = range(len(succ))
         while dirty:
             rounds += 1
             parts: dict[tuple, list[int]] = {}
             for i in dirty:
+                if size[cls[i]] == 1:
+                    continue  # a block of one state never splits
                 row = flat[i]
                 if row is not None:
                     key = (cls[i], *map(class_of, row))
@@ -546,27 +560,34 @@ class _Refinement:
                 splits.setdefault(key[0], []).append(part)
             moved: list[int] = []
             for block, split in splits.items():
-                rest = members[block]
-                for part in split:
-                    rest.difference_update(part)
+                unsigned = size[block] - sum(map(len, split))
                 biggest = max(split, key=len)
-                if len(rest) < len(biggest):
+                if unsigned < len(biggest):
+                    # The biggest part keeps the id and the unsigned rest moves.
                     split.remove(biggest)
-                    split.append(rest)
-                    members[block] = set(biggest)
+                    if unsigned:
+                        signed = set(itertools.chain.from_iterable(split))
+                        signed.update(biggest)
+                        rest = [i for i in members[block] if cls[i] == block and i not in signed]
+                        split.append(rest)
+                    members[block] = biggest
+                    size[block] = len(biggest)
+                else:
+                    size[block] = unsigned
                 for part in split:
-                    if not part:
-                        continue
-                    fresh = len(members)
-                    members.append(set(part))
+                    fresh = len(size)
+                    members.append(part)
+                    size.append(len(part))
                     for i in part:
                         cls[i] = fresh
                         history[i].append((rounds, fresh))
                     moved.extend(part)
+            if moved:
+                stable = rounds
             dirty = {p for i in moved for p in preds[i]}
         self.cls = cls
         self.history = history
-        self.rounds = rounds
+        self.rounds = stable
 
     def id_at(self, i: int, k: int) -> int:
         """Block id of state ``i`` after round ``k``."""
@@ -631,22 +652,35 @@ def bisim_quotient(
     """Quotient by bisimilarity; quotient states are class representatives.
 
     Each quotient transition is listed once, where it first occurs in
-    ``sys``'s transitions (walked as id triples in table order).
+    ``sys``'s transitions (walked as id triples in table order).  Every
+    member of a class reaches the same set of classes on each input, and
+    a class's representative is its first state in table order, so its
+    row alone, mapped to class ids and each id kept at its first
+    occurrence, is the class's row.
     """
     partition = bisim_classes(sys)
     class_ids = list(partition.class_of.values())  # in state order
     states = tuple(partition.representative.values())
-    rows: list[list[list[int]]] = [[[] for _ in sys.inputs] for _ in states]
-    moves = ((s, a, t) for s, row in enumerate(sys.succ) for a, ts in enumerate(row) for t in ts)
-    for c, a, t in dict.fromkeys((class_ids[s], a, class_ids[t]) for s, a, t in moves):
-        rows[c][a].append(t)
+    reps = list(map(sys.index.__getitem__, states))
+    succ = sys.succ
+    one = [(c,) for c in class_ids]
+    rows = []
+    for r in reps:
+        row = []
+        for ts in succ[r]:
+            if len(ts) == 1:
+                row.append(one[ts[0]])
+            else:
+                row.append(tuple(dict.fromkeys(map(class_ids.__getitem__, ts))))
+        rows.append(tuple(row))
+    out_ids = sys.out_ids
     quotient = SynchronousSystem.from_tables(
         f"{sys.name}_q",
         sys.inputs,
         sys.outputs,
         states,
-        [tuple(map(tuple, row)) for row in rows],
-        [sys.out_ids[sys.index[q]] for q in states],
+        rows,
+        [out_ids[r] for r in reps],
         class_ids[sys.index[sys.initial]],
     )
     return partition, quotient

@@ -10,19 +10,24 @@ end of line is a comment::
     state STATE OUTSYM
     trans STATE INSYM STATE
 
-Parsing is one pass and strict: each ``state`` and ``trans`` line fills
-the system's tables through the name checks of the validating
-:class:`~syncreact.core.SynchronousSystem` constructor, so a name must
-be declared on an earlier line: a ``state`` needs ``outputs``, a
-``trans`` needs ``inputs`` and both of its states.  Unknown directives,
-undeclared symbols or states, duplicates, and a missing ``init`` are
-errors.  Every error names the source and, where it has one, the line.
+Parsing is one pass and strict, and splits each line once, cutting it
+at ``#`` only when the text holds one.  Each ``state`` line fills the
+system's tables through the name checks of the validating
+:class:`~syncreact.core.SynchronousSystem` constructor, and a well-formed
+``trans`` line fills its row in place, calling those checks only to
+raise its error, so a name must be declared on an earlier line: a
+``state`` needs ``outputs``, a ``trans`` needs ``inputs`` and both of
+its states.  Unknown directives, undeclared symbols or states,
+duplicates, and a missing ``init`` are errors.  Every error names the
+source and, where it has one, the line.
 
 A system is its tables, so the transitions are a set: the writer emits
 states in declaration order and transitions in table order, state by
 state and input by input, each row's successors in the order they were
 first declared, each triple once (the ``transitions`` of
-:class:`~syncreact.core.SynchronousSystem`, walked one by one).  A file
+:class:`~syncreact.core.SynchronousSystem`).  It builds the text a block
+of states at a time: :func:`dump` writes each block to the file as it
+is built, and :func:`dumps` joins the same blocks.  A file
 thus round-trips byte exactly when it is canonical: the ``system``,
 ``inputs``, ``outputs`` and ``init`` lines in that order, then every
 ``state`` line, then every ``trans`` line in table order without
@@ -32,7 +37,7 @@ every line ended by a newline.
 
 from __future__ import annotations
 
-import io
+from typing import Iterator
 
 from .core import Alphabet, SynchronousSystem, _Tables
 from .errors import FormatError, UnknownState, UnknownSymbol
@@ -43,30 +48,39 @@ _ONCE = ("system", "inputs", "outputs", "init")
 
 def loads(text: str, source: str = "<string>") -> SynchronousSystem:
     tables = _Tables()
-    state, trans = tables.state, tables.trans
+    state, index, column, succ = tables.state, tables.index, tables.column, tables.succ
     seen: set[str] = set()
     init = init_line = None
     lineno = 0
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
 
     def err(message: str) -> FormatError:
         return FormatError(f"{source}:{lineno}: {message}")
 
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in enumerate(lines, start=1):
             tokens = line.split()
-            directive, args = tokens[0], tokens[1:]
+            if not tokens:
+                continue
+            directive = tokens[0]
             if directive == "trans":
-                if len(args) != 3:
+                if len(tokens) != 4:
                     raise err("trans takes source, input symbol, target")
-                trans(*args)
+                _, src, sym, dst = tokens
+                s, a, t = index.get(src), column.get(sym), index.get(dst)
+                if s is None or a is None or t is None:
+                    tables.trans(src, sym, dst)
+                moves = succ[s][a]
+                if t not in moves:
+                    moves.append(t)
             elif directive == "state":
-                if len(args) != 2:
+                if len(tokens) != 3:
                     raise err("state takes a name and an output symbol")
-                state(*args)
+                state(tokens[1], tokens[2])
             elif directive in _ONCE:
+                args = tokens[1:]
                 if directive in seen:
                     raise err(f"duplicate {directive} directive")
                 seen.add(directive)
@@ -82,6 +96,7 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
                     raise err(f"{directive} must list at least one symbol")
                 elif directive == "inputs":
                     tables.set_inputs(Alphabet(tuple(args)))
+                    column, succ = tables.column, tables.succ
                 else:
                     tables.set_outputs(Alphabet(tuple(args)))
             else:
@@ -105,21 +120,36 @@ def load(path) -> SynchronousSystem:
     return loads(text, source=str(path))
 
 
-def dumps(sys: SynchronousSystem) -> str:
+# States whose lines the writer joins into one chunk.
+_CHUNK_STATES = 1024
+
+
+def _chunks(sys: SynchronousSystem) -> Iterator[str]:
+    """The file text in pieces: the header, then the lines of a block of states at a time."""
     states, symbols, outputs = sys.states, sys.inputs.symbols, sys.outputs.symbols
-    out = io.StringIO()
-    write = out.write
-    write(f"system {sys.name}\n")
-    write("inputs " + " ".join(symbols) + "\n")
-    write("outputs " + " ".join(outputs) + "\n")
-    write(f"init {sys.initial}\n")
-    for q, o in zip(states, sys.out_ids):
-        write(f"state {q} {outputs[o]}\n")
-    for (src, sym, dst) in sys.iter_transitions():
-        write(f"trans {src} {sym} {dst}\n")
-    return out.getvalue()
+    yield (
+        f"system {sys.name}\n"
+        f"inputs {' '.join(symbols)}\n"
+        f"outputs {' '.join(outputs)}\n"
+        f"init {sys.initial}\n"
+    )
+    out_ids, succ = sys.out_ids, sys.succ
+    blocks = [slice(lo, lo + _CHUNK_STATES) for lo in range(0, len(states), _CHUNK_STATES)]
+    for block in blocks:
+        yield "".join([f"state {q} {outputs[o]}\n" for q, o in zip(states[block], out_ids[block])])
+    for block in blocks:
+        yield "".join([
+            f"trans {q} {a} {states[t]}\n"
+            for q, moves in zip(states[block], succ[block])
+            for a, ts in zip(symbols, moves)
+            for t in ts
+        ])
+
+
+def dumps(sys: SynchronousSystem) -> str:
+    return "".join(_chunks(sys))
 
 
 def dump(sys: SynchronousSystem, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(sys))
+        handle.writelines(_chunks(sys))

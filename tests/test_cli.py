@@ -14,7 +14,7 @@ import time
 import pytest
 
 import syncreact
-from syncreact import abstraction, cli, core, par_compose, reactivity, sls, validate
+from syncreact import abstraction, cli, compose, core, par_compose, reactivity, sls, validate
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
@@ -980,6 +980,25 @@ class TestLevelBound:
             if command == "doe":
                 # Three or more distinct branches never share one effect.
                 assert done.stdout == "| *\n"
+
+    @pytest.mark.parametrize(
+        "mode, left, right",
+        [("--seq", "delay1.sls", "receiver.sls"), ("--par", "p1.sls", "toggle.sls")],
+    )
+    def test_compose_past_the_node_budget_exits_3(
+        self, capsys, monkeypatch, tmp_path, mode, left, right
+    ):
+        target = tmp_path / "fg.sls"
+        argv = ["compose", mode, FIXTURES / left, FIXTURES / right, "-o", target]
+        assert run(capsys, *argv)[0] == 0
+        nodes = len(sls.load(target).states)
+        target.unlink()
+        monkeypatch.setattr(compose, "MAX_NODES", nodes)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(compose, "MAX_NODES", nodes - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == f"resource limit: state budget of {nodes - 1} states exceeded\n"
 
     def test_separators_past_the_word_bound_exits_3(self, capsys, monkeypatch):
         argv = ["separators", FIXTURES / "p1.sls", "p0", "p0", "--max-len"]

@@ -24,7 +24,14 @@ from syncreact import (
 from syncreact.errors import SignatureMismatch, UnknownState, UnknownSymbol
 
 from .conftest import count_refinements, shallow_stack
-from .oracles import chain_sender, naive_bisimilar_pairs, random_system
+from .oracles import (
+    chain_sender,
+    inflated_system,
+    naive_approximants,
+    naive_bisimilar_pairs,
+    random_system,
+    sized_system,
+)
 
 
 def make_incomplete_const():
@@ -288,6 +295,39 @@ class TestNonBisimilar:
                     assert (witness is None) == ((p, q) in naive)
                     if witness is not None:
                         assert replay_witness(sys, witness)
+
+
+class TestRefinementHistory:
+    """Each round of the refinement is the approximant of that depth."""
+
+    @staticmethod
+    def systems():
+        rng = random.Random(41)
+        for i in range(30):
+            nondet = (0.0, 0.3, 0.6)[i % 3]
+            yield sized_system(rng, f"r{i}", rng.randint(1, 14), ("a", "b"), ("0", "1"), nondet)
+        for i in range(15):
+            n, classes = rng.randint(2, 16), rng.randint(1, 5)
+            yield inflated_system(rng, f"i{i}", n, classes, ("a", "b"), ("0", "1"), 0.3)
+        for i in range(15):
+            # One deterministic input: blocks split into many small parts over many rounds.
+            yield sized_system(rng, f"d{i}", rng.randint(20, 40), ("a",), ("0", "1", "2"), 0.0)
+        for depth in range(6):
+            yield chain_sender(depth, ("x", "y", "z"))
+
+    def test_every_round_is_the_approximant_of_its_depth(self):
+        for sys in self.systems():
+            ref = sys.refinement
+            levels = naive_approximants(sys)
+            ids = range(len(sys.states))
+            # The first stable round: every round from it on is bisimilarity.
+            assert ref.rounds == len(levels) - 1, sys.name
+            for k in range(ref.rounds + 2):
+                at = [ref.id_at(i, k) for i in ids]
+                induced = {
+                    (sys.states[i], sys.states[j]) for i in ids for j in ids if at[i] == at[j]
+                }
+                assert induced == levels[min(k, ref.rounds)], (sys.name, k)
 
 
 class TestDisjointUnion:

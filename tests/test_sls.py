@@ -27,11 +27,12 @@ def test_comments_and_blank_lines_are_ignored():
         "# a comment\n"
         "system t\n\n"
         "inputs a\noutputs 0   # trailing comment\n"
-        "init s\nstate s 0\ntrans s a s\n"
+        "init s\nstate s 0\ntrans s a s # a loop\n"
     )
     sys = sls.loads(text)
     assert sys.name == "t"
     assert sys.states == ("s",)
+    assert sys.transitions == (("s", "a", "s"),)
 
 
 STRICT_BASE = ("system t", "inputs a", "outputs 0", "init s", "state s 0", "trans s a s")
@@ -57,6 +58,10 @@ def strict(mutation, rule, message, at=None, line=None):
         strict("trans s c s", "undeclared input", "transition on undeclared input c"),
         strict("trans s a t", "undeclared state", "transition to undeclared state t"),
         strict("trans t a s", "undeclared source", "transition from undeclared state t"),
+        strict("trans t c u", "all undeclared", "transition from undeclared state t"),
+        strict("trans s a", "two arguments", "trans takes source, input symbol, target"),
+        strict("trans s a s s", "four arguments", "trans takes source, input symbol, target"),
+        strict("trans s c s # c is no input", "trailing comment", "transition on undeclared input c"),
         strict("state t 1", "undeclared output", "state t uses undeclared output 1"),
         strict("state s|x 0", "bad state token 's|x'", "bad state token 's|x'"),
         strict("state s 0", "duplicate state", "duplicate state s"),

@@ -20,7 +20,16 @@ from syncreact.core import Alphabet, SynchronousSystem, bisim_quotient, disjoint
 from syncreact.errors import FormatError, UnknownState, UnknownSymbol
 
 from .conftest import FIXTURES
-from .oracles import naive_composite, naive_quotient, random_system, sized_system
+from .oracles import (
+    inflated_system,
+    naive_composite,
+    naive_quotient,
+    perfbench_module,
+    random_system,
+    sized_system,
+)
+
+GEN = perfbench_module("gen")
 
 
 def rebuilt(system: SynchronousSystem) -> SynchronousSystem:
@@ -40,6 +49,20 @@ def assert_same_as_validated(system: SynchronousSystem) -> None:
     assert (again.index, again.succ, again.out_ids) == (system.index, system.succ, system.out_ids)
     assert tuple(system.iter_transitions()) == system.transitions == table_order(system)
     assert sls.dumps(again) == sls.dumps(system)
+
+
+def assert_written(system: SynchronousSystem, path) -> None:
+    """``sls.dump`` writes exactly the text ``sls.dumps`` returns."""
+    sls.dump(system, path)
+    assert path.read_bytes() == sls.dumps(system).encode("utf-8")
+
+
+def with_gaps(system: SynchronousSystem, rng: random.Random) -> SynchronousSystem:
+    """The system with about a third of its (state, input) rows emptied."""
+    empty = {(q, a) for q in system.states for a in system.inputs if rng.random() < 0.3}
+    fields = {f: getattr(system, f) for f in system._fields}
+    kept = tuple((q, a, t) for (q, a, t) in system.transitions if (q, a) not in empty)
+    return SynchronousSystem(**{**fields, "transitions": kept})
 
 
 def redeclared(system: SynchronousSystem, rng: random.Random) -> SynchronousSystem:
@@ -98,7 +121,7 @@ class TestDeclaredOrder:
 
 
 class TestQuotient:
-    def test_matches_the_name_triple_quotient(self):
+    def test_matches_the_name_triple_quotient(self, tmp_path):
         for rng, sys in systems(11, 150):
             for source in (sys, redeclared(sys, rng)):
                 _, quotient = bisim_quotient(source)
@@ -106,8 +129,9 @@ class TestQuotient:
                 assert quotient == expected and repr(quotient) == repr(expected)
                 assert sls.dumps(quotient) == sls.dumps(expected)
                 assert_same_as_validated(quotient)
+                assert_written(quotient, tmp_path / "q.sls")
 
-    def test_inflated_systems_collapse_the_same_way(self):
+    def test_inflated_systems_collapse_the_same_way(self, tmp_path):
         # Many bisimilar copies: representatives are not the only sources.
         rng = random.Random(12)
         for _ in range(40):
@@ -126,11 +150,49 @@ class TestQuotient:
                 {q: base.out(f"s{i % n}") for i, q in enumerate(states)}, "s0",
             )
             for source in (sys, redeclared(sys, rng)):
-                assert sls.dumps(bisim_quotient(source)[1]) == sls.dumps(naive_quotient(source))
+                _, quotient = bisim_quotient(source)
+                assert sls.dumps(quotient) == sls.dumps(naive_quotient(source))
+                assert_written(quotient, tmp_path / "q.sls")
+
+    def test_incomplete_systems(self):
+        # Every member of a class has an empty row where its representative has one.
+        gaps = 0
+        for rng, sys in systems(13, 90):
+            source = with_gaps(sys, rng)
+            gaps += len(source.gaps)
+            _, quotient = bisim_quotient(source)
+            expected = naive_quotient(source)
+            assert quotient == expected and sls.dumps(quotient) == sls.dumps(expected)
+        assert gaps > 0
+
+    def test_rows_with_several_successors(self):
+        rng = random.Random(14)
+        several = 0
+        for i in range(40):
+            n, classes = rng.randint(2, 24), rng.randint(1, 6)
+            sys = inflated_system(rng, f"i{i}", n, classes, ("a", "b", "c"), ("0", "1"), 0.7)
+            for source in (sys, redeclared(sys, rng)):
+                several += sum(len(ts) > 1 for moves in source.succ for ts in moves)
+                _, quotient = bisim_quotient(source)
+                expected = naive_quotient(source)
+                assert quotient == expected and sls.dumps(quotient) == sls.dumps(expected)
+        assert several > 0
+
+    def test_the_benchmark_seq_composite(self, tmp_path):
+        # snd-100;rcv-100 as the product workload seeds it: nearly every class is one state.
+        sender = GEN.snd(100, random.Random("1:snd-100"))
+        receiver = GEN.rcv(100, random.Random("1:rcv-100"))
+        composed = seq_compose(sender, receiver).system
+        partition, quotient = bisim_quotient(composed)
+        assert (len(composed.states), len(partition.classes)) == (8709, 8101)
+        expected = naive_quotient(composed)
+        assert quotient == expected and sls.dumps(quotient) == sls.dumps(expected)
+        assert_written(quotient, tmp_path / "seq.q.sls")
+        assert_written(composed, tmp_path / "seq.sls")
 
 
 class TestComposite:
-    def test_seq_matches_the_name_triple_composite(self):
+    def test_seq_matches_the_name_triple_composite(self, tmp_path):
         rng = random.Random(21)
         for i in range(120):
             sender = sized_system(rng, "f", rng.randint(1, 6), ("a", "b"), ("x", "y", "z"), 0.3)
@@ -145,8 +207,9 @@ class TestComposite:
                 assert composed == expected and repr(composed) == repr(expected)
                 assert sls.dumps(composed) == sls.dumps(expected)
                 assert_same_as_validated(composed)
+                assert_written(composed, tmp_path / "fg.sls")
 
-    def test_par_matches_the_name_triple_composite(self):
+    def test_par_matches_the_name_triple_composite(self, tmp_path):
         rng = random.Random(22)
         for i in range(120):
             left = sized_system(rng, "f", rng.randint(1, 5), ("a", "b"), ("0", "1"), 0.3)
@@ -158,6 +221,7 @@ class TestComposite:
             assert composed == expected and repr(composed) == repr(expected)
             assert sls.dumps(composed) == sls.dumps(expected)
             assert_same_as_validated(composed)
+            assert_written(composed, tmp_path / "fg.sls")
 
 
 class TestOtherBuilders:
