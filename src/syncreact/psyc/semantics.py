@@ -1,20 +1,22 @@
-"""Small-step semantics and the finite-system builder.
+"""Round semantics and the finite-system builder.
 
-A configuration is a store, a pending input symbol, and a program.  One
-reduction either rewrites the configuration or fires a tick, which
-emits the evaluated output tuple and branches over every input symbol.
-``Machine.run_round`` reduces a configuration up to its next tick and
-returns the output with the store and continuation every branch starts
-from.
+A configuration is a store, a pending input symbol, and a program.  The
+small-step relation reduces it one contraction at a time until a tick
+fires, emitting the evaluated output tuple and branching over every
+input symbol.  ``Machine.run_round`` takes such a round in one big
+step.  One step is one contraction: ``skip; s`` to ``s``, unfolding a
+``while``, an ``if`` on an evaluated condition, an assignment of an
+evaluated value, and each ``!x``, ``get``, ``e - 1``, ``e != 0`` and
+``e && e`` on evaluated operands.  Firing the tick, or terminating,
+takes one more step, so a round of k contractions needs a budget of
+k + 1.  An error is raised at the step where the relation meets it, or
+as ``RoundDivergence`` if the budget is spent before.
 
-Reduction is organised by refocusing.  ``_decompose`` walks from a
-term down to its redex, pushing one context frame per level it passes
-(sequencing, dereference, assignment, conditionals, operators and tick
-arguments); ``Machine._contract`` applies one rule at the redex.
-``run_round`` keeps the frames between reductions: it contracts each
-redex where it sits, pops only the frame around a result that is a
-value or ``skip`` (``_rebuild``), and plugs the program once, when the
-tick fires (``_plug``).
+``run_round`` walks statements on a stack of the second halves of the
+sequences it enters, and evaluates expressions from flat postfix op
+lists compiled once per term (terms are interned).  It builds the
+continuation only when the tick fires: ``skip`` plugged into that
+stack, innermost first, which is the program the relation reaches.
 
 The coinductive limit of this process is realized by interning: each
 tick is keyed by its emitted output, its continuation program, and its
@@ -52,7 +54,6 @@ from .syntax import (
     Tick,
     VarRef,
     While,
-    is_value,
     unparse,
 )
 
@@ -78,108 +79,67 @@ class VarDecl(Record):
 
 
 _SKIP = Skip()
-_TRUE = BoolLit(True)
-_FALSE = BoolLit(False)
 
-# A contraction to one of these may change what its enclosing frame does
-# next: the frame becomes a redex or moves its hole to the next operand.
-_SETTLED = (Skip, BoolLit, IntLit, VarRef)
-
-
-def _literal(value: Value) -> Ast:
-    if isinstance(value, bool):
-        return _TRUE if value else _FALSE
-    return IntLit(value)
-
-
-def _lookup(store: Store, name: str) -> Value:
-    for (n, v) in store:
-        if n == name:
-            return v
-    raise StuckConfiguration(f"variable {name!r} missing from store")
-
-
-def _updated(store: Store, name: str, value: Value) -> Store:
-    return tuple((n, value if n == name else v) for (n, v) in store)
-
-
-# A context frame: a node and the position of the hole being reduced in it.
-Frame = tuple[Ast, int]
-
-
-def _decompose(term: Ast, frames: list[Frame]) -> Ast:
-    """The redex of ``term``; pushes one frame per level walked through."""
-    while True:
-        cls = term.__class__
-        hole, child = 0, None  # the operand reduced next; None at a redex
-        if cls is Seq:
-            if not isinstance(term.first, Skip):
-                child = term.first
-        elif cls is If:
-            if not isinstance(term.cond, BoolLit):
-                child = term.cond
-        elif cls is Assign:
-            if not is_value(term.value):
-                child = term.value
-        elif cls is Deref:
-            if not isinstance(term.target, VarRef):
-                child = term.target
-        elif cls is Dec or cls is NotZero:
-            if not isinstance(term.inner, IntLit):
-                child = term.inner
-        elif cls is Conj:
-            if not isinstance(term.left, BoolLit):
-                child = term.left
-            elif not isinstance(term.right, BoolLit):
-                hole, child = 1, term.right
-        elif cls is Tick:
-            for (i, arg) in enumerate(term.args):
-                if not is_value(arg):
-                    hole, child = i, arg
-                    break
-        elif cls is not While and cls is not Get:
-            raise StuckConfiguration(f"no rule applies to {unparse(term)!r}")
-        if child is None:
-            return term
-        frames.append((term, hole))
-        term = child
-
-
-def _rebuild(node: Ast, hole: int, child: Ast) -> Ast:
-    """``node`` with ``child`` in the hole of its frame."""
-    cls = node.__class__
-    if cls is Seq:
-        return Seq(child, node.second)
-    if cls is If:
-        return If(child, node.then_branch, node.else_branch)
-    if cls is Assign:
-        return Assign(node.target, child)
-    if cls is Conj:
-        return Conj(child, node.right) if hole == 0 else Conj(node.left, child)
-    if cls is Tick:
-        args = node.args
-        return Tick(args[:hole] + (child,) + args[hole + 1 :])
-    return cls(child)  # Deref, Dec, NotZero
-
-
-def _plug(frames: list[Frame], term: Ast) -> Ast:
-    """The whole program: ``term`` rebuilt into every frame, innermost first."""
-    while frames:
-        node, hole = frames.pop()
-        term = _rebuild(node, hole, term)
-    return term
-
-
-def _component_value(text: str, base: str) -> Value:
-    if base == "bool":
-        return text == "tt"
-    return int(text)
+# Codes of the postfix ops an expression compiles to; the first five are
+# contractions.  _ISBOOL checks that a conjunction's left operand is
+# boolean before its right operand runs; _STUCK raises its message, or
+# on the value on top of the stack when it has none.
+_LOAD, _GET, _DEC, _NOTZERO, _CONJ, _CONST, _ISBOOL, _STUCK = range(8)
 
 
 def _value_text(value: Value) -> str:
     if isinstance(value, bool):
         return "tt" if value else "ff"
     return str(value)
+
+
+def _stuck(value: Value) -> StuckConfiguration:
+    return StuckConfiguration(f"no rule applies to {_value_text(value)!r}")
+
+
+def _budget(steps: int) -> None:
+    """Diagnose divergence once ``steps`` contractions leave no step for what comes next."""
+    if steps >= ROUND_STEP_BUDGET:
+        raise RoundDivergence(f"no tick after {ROUND_STEP_BUDGET} reduction steps")
+
+
+def _compile(exprs) -> tuple[list, int]:
+    """Postfix ops of an expression or a tuple of them, and the contractions they make.
+
+    Each op is ``(code, argument, contractions before it)``, in the
+    order the small-step relation reduces operands; a term it is
+    stuck on compiles to a _STUCK op where the relation meets it.
+    ``todo`` holds terms, and operators whose operands are done.
+    """
+    ops: list = []
+    steps = 0
+    todo: list = list(reversed(exprs)) if exprs.__class__ is tuple else [exprs]
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is tuple:
+            ops.append((*node, steps))
+            steps += node[0] < _CONST
+        elif cls is BoolLit or cls is IntLit:
+            ops.append((_CONST, node.value, steps))
+        elif cls is Deref and node.target.__class__ is VarRef:
+            ops.append((_LOAD, node.target.name, steps))
+            steps += 1
+        elif cls is Get:
+            ops.append((_GET, node.index, steps))
+            steps += 1
+        elif cls is Dec or cls is NotZero:
+            todo += ((_DEC if cls is Dec else _NOTZERO, None), node.inner)
+        elif cls is Deref:  # of a non-variable: stuck on the operand's value
+            todo += ((_STUCK, None), node.target)
+        elif cls is Conj:  # a left operand that may not be boolean is checked first
+            todo += ((_CONJ, None), node.right)
+            if node.left.__class__ not in (BoolLit, NotZero, Conj):
+                todo.append((_ISBOOL, None))
+            todo.append(node.left)
+        else:
+            ops.append((_STUCK, f"no rule applies to {unparse(node)!r}", steps))
+    return ops, steps
 
 
 class Machine:
@@ -199,15 +159,15 @@ class Machine:
         self.out_types = out_types
         self.variables = variables
         self.var_decl = {v.name: v for v in variables}
+        self._code: dict = {}  # expression or tick arguments -> postfix ops, steps
+        self._values: dict = {}  # input symbol -> its component values
 
     def initial_store(self) -> Store:
         store = []
         for v in self.variables:
             value = v.default()
             if v.base == "int" and v.low is not None and not v.low <= 0 <= v.high:
-                raise BuildError(
-                    f"default 0 outside declared range of variable {v.name}"
-                )
+                raise BuildError(f"default 0 outside declared range of variable {v.name}")
             store.append((v.name, value))
         return tuple(store)
 
@@ -217,75 +177,117 @@ class Machine:
             raise StuckConfiguration(f"assignment to undeclared variable {name}")
         if decl.base == "int" and not isinstance(value, bool):
             if decl.low is None:
-                raise NonFiniteIntRange(
-                    f"integer variable {name} has no declared range"
-                )
+                raise NonFiniteIntRange(f"integer variable {name} has no declared range")
             if not decl.low <= value <= decl.high:
                 raise IntRangeExceeded(
                     f"assignment {name} := {value} leaves range"
                     f" [{decl.low}..{decl.high}]"
                 )
 
-    def input_component(self, pending: str, index: int) -> Value:
-        comps = symbol_components(pending)
-        return _component_value(comps[index], self.in_types[index])
-
-    def emit_symbol(self, args: tuple) -> str:
-        text = ",".join(_value_text(a.value) for a in args)
-        if text not in self.outputs:
-            raise BuildError(f"program emits undeclared output symbol {text!r}")
-        return text
-
-    def _contract(self, redex: Ast, store: Store, pending: str) -> tuple[Ast, Store]:
-        """One reduction rule at a redex other than a tick."""
-        cls = redex.__class__
-        if cls is Seq:
-            return redex.second, store
-        if cls is While:
-            return If(redex.cond, Seq(redex.body, redex), _SKIP), store
-        if cls is If:
-            branch = redex.then_branch if redex.cond.value else redex.else_branch
-            return branch, store
-        if cls is Assign:
-            name = redex.target.name
-            value = redex.value.value
-            self.check_assignment(name, value)
-            return _SKIP, _updated(store, name, value)
-        if cls is Deref:
-            return _literal(_lookup(store, redex.target.name)), store
-        if cls is Get:
-            return _literal(self.input_component(pending, redex.index)), store
-        if cls is Dec:
-            return IntLit(redex.inner.value - 1), store
-        if cls is NotZero:
-            return _literal(redex.inner.value != 0), store
-        return _literal(redex.left.value and redex.right.value), store  # Conj
+    def _eval(self, exprs, steps: int, store: Store, values: tuple) -> tuple[list, int]:
+        """The values of ``exprs`` entered after ``steps`` contractions, and the count after."""
+        code = self._code.get(exprs)
+        if code is None:
+            code = self._code[exprs] = _compile(exprs)
+        ops, cost = code
+        stack: list = []
+        try:
+            for op, arg, before in ops:
+                if op == _CONST:
+                    stack.append(arg)
+                elif op == _LOAD:
+                    for name, value in store:
+                        if name == arg:
+                            break
+                    else:
+                        raise StuckConfiguration(f"variable {arg!r} missing from store")
+                    stack.append(value)
+                elif op == _GET:
+                    stack.append(values[arg])
+                elif op == _CONJ:
+                    right = stack.pop()
+                    if right.__class__ is not bool:
+                        raise _stuck(right)
+                    stack[-1] = stack[-1] and right
+                elif op == _STUCK:
+                    raise _stuck(stack[-1]) if arg is None else StuckConfiguration(arg)
+                else:
+                    value = stack[-1]
+                    if value.__class__ is not (bool if op == _ISBOOL else int):
+                        raise _stuck(value)
+                    if op == _DEC:
+                        stack[-1] = value - 1
+                    elif op == _NOTZERO:
+                        stack[-1] = value != 0
+        except StuckConfiguration:
+            _budget(steps + before)
+            raise
+        return stack, steps + cost
 
     def run_round(
         self, store: Store, pending: str, term: Ast
     ) -> Optional[tuple[str, Store, Ast]]:
-        """Reduce until a tick fires: ``(output, store, continuation)``.
+        """Evaluate until a tick fires: ``(output, store, continuation)``.
 
-        None when the program terminates first.  Every input symbol's
-        branch of the tick starts the next round from that store and
-        continuation.  Keeps the program as frames around a focus term
-        between reductions, so one reduction costs the redex and its
-        frame, not the program.
+        Every input symbol's branch starts from them; None if the program ends first.
         """
-        frames: list[Frame] = []
-        for _ in range(ROUND_STEP_BUDGET):
-            if not frames and isinstance(term, Skip):
-                return None
-            redex = _decompose(term, frames)
-            if isinstance(redex, Tick):
-                return self.emit_symbol(redex.args), store, _plug(frames, _SKIP)
-            term, store = self._contract(redex, store, pending)
-            if frames and isinstance(term, _SETTLED):
-                node, hole = frames.pop()
-                term = _rebuild(node, hole, term)
-        raise RoundDivergence(
-            f"no tick after {ROUND_STEP_BUDGET} reduction steps"
-        )
+        values = self._values.get(pending)
+        if values is None:
+            comps = zip(symbol_components(pending), self.in_types)
+            values = tuple(c == "tt" if base == "bool" else int(c) for c, base in comps)
+            self._values[pending] = values
+        evaluate = self._eval
+        seconds: list[Ast] = []  # the .second of each Seq entered, innermost last
+        steps = 0
+        while True:
+            cls = term.__class__
+            if cls is Seq:
+                seconds.append(term.second)
+                term = term.first
+            elif cls is Skip:
+                if not seconds:
+                    _budget(steps)
+                    return None
+                term = seconds.pop()
+                steps += 1
+            elif cls is If or cls is While:
+                if cls is While:  # unfold; every silent loop passes here
+                    _budget(steps)
+                    steps += 1
+                [cond], steps = evaluate(term.cond, steps, store, values)
+                if cond.__class__ is not bool:
+                    _budget(steps)
+                    raise _stuck(cond)
+                if cls is If:
+                    term = term.then_branch if cond else term.else_branch
+                elif cond:
+                    seconds.append(term)
+                    term = term.body
+                else:
+                    term = _SKIP
+                steps += 1
+            elif cls is Assign:
+                [value], steps = evaluate(term.value, steps, store, values)
+                _budget(steps)
+                name = term.target.name
+                self.check_assignment(name, value)
+                store = tuple([(n, value if n == name else v) for (n, v) in store])
+                steps += 1
+                term = _SKIP
+            elif cls is Tick:
+                out, steps = evaluate(term.args, steps, store, values)
+                _budget(steps)
+                symbol = ",".join(map(_value_text, out))
+                if symbol not in self.outputs:
+                    raise BuildError(f"program emits undeclared output symbol {symbol!r}")
+                cont = _SKIP  # plugged into the sequences entered, innermost first
+                for second in reversed(seconds):
+                    cont = Seq(cont, second)
+                return symbol, store, cont
+            else:  # an expression in statement position is stuck on its value
+                [value], steps = evaluate(term, steps, store, values)
+                _budget(steps)
+                raise _stuck(value)
 
 
 def _reads(expr: Ast):
@@ -407,7 +409,7 @@ def build_lts(
     def intern(out: str, store: Store, cont: Ast) -> int:
         """The state id of a round."""
         live = live_in(cont, frozenset(), liveness)
-        key = (out, tuple((n, v) for (n, v) in store if n in live), cont)
+        key = (out, tuple([(n, v) for (n, v) in store if n in live]), cont)
         state = ids.get(key)
         if state is None:
             if len(ids) >= max_states:
@@ -424,9 +426,7 @@ def build_lts(
         for symbol in machine.inputs:
             result = machine.run_round(store, symbol, cont)
             if result is None:
-                raise BuildError(
-                    "program terminates; cannot build a complete system"
-                )
+                raise BuildError("program terminates; cannot build a complete system")
             moves.append((intern(*result),))
         succ.append(tuple(moves))
     return SynchronousSystem.from_tables(

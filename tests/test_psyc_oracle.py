@@ -1,14 +1,16 @@
-"""The refocused evaluator against the original small-step evaluator.
+"""The big-step round evaluator against the original small-step evaluator.
 
 ``tests/oracles.py`` keeps the evaluator that rebuilds the whole program
 after every reduction (``naive_step``/``naive_run_round``) and a builder
 on top of it (``naive_build``).  Every round the builder reaches, the
 bytes of every built system, the step at which a silent round is
 diagnosed and the error a bad program raises must be the same on both
-paths.
+paths.  On p2-8000, where ``naive_build`` is too slow, the built bytes
+are pinned by their hash.
 """
 
 import collections
+import hashlib
 import random
 
 import pytest
@@ -58,10 +60,11 @@ PROGRAMS = {
     "p2-5": lambda: p2_program(5),
     "p2-70": lambda: p2_program(70),
     "p2-200": lambda: p2_program(200),
+    "p2-2000": lambda: p2_program(2000),
 }
 
 
-def refocused_round(machine, config):
+def machine_round(machine, config):
     """``Machine.run_round`` with its store and continuation branched over the inputs."""
     result = machine.run_round(*config)
     if result is None:
@@ -107,7 +110,7 @@ def test_every_reached_round_matches_the_naive_evaluator(name):
     count = 0
     for config in reached_rounds(program.machine, program.body):
         expected = naive_round(program.machine, config)
-        assert refocused_round(program.machine, config) == expected
+        assert machine_round(program.machine, config) == expected
         count += 1
     assert count >= 3
 
@@ -118,6 +121,17 @@ def test_naive_builder_writes_the_same_bytes(name):
     built = build_lts(program.machine, program.body, 10_000, name=program.name)
     oracle = naive_build(program.machine, program.body, 10_000, name=program.name)
     assert sls.dumps(built) == sls.dumps(oracle)
+
+
+# sha256 of the p2-8000 system's .sls text, recorded from the small-step
+# refocusing evaluator that the big-step one replaced.
+P2_8000_SHA256 = "b823222892a9c28e70299a36a641aa246bc2221a8a2706045f841e30e53b4478"
+
+
+def test_p2_8000_builds_the_pinned_bytes():
+    program = p2_program(8000)
+    built = build_lts(program.machine, program.body, 10_000, name=program.name)
+    assert hashlib.sha256(sls.dumps(built).encode()).hexdigest() == P2_8000_SHA256
 
 
 def test_silent_round_is_diagnosed_at_the_same_step(monkeypatch):
@@ -135,7 +149,7 @@ def test_silent_round_is_diagnosed_at_the_same_step(monkeypatch):
         config = (machine.initial_store(), pending, program.body)
         for budget in range(1, 140):
             monkeypatch.setattr(semantics, "ROUND_STEP_BUDGET", budget)
-            got = outcome(lambda: refocused_round(machine, config))
+            got = outcome(lambda: machine_round(machine, config))
             expected = outcome(lambda: naive_round(machine, config, budget))
             assert got == expected
             seen.add(got[0])
@@ -240,6 +254,67 @@ def test_seeded_programs_fail_alike(monkeypatch):
         seen.add(got[0])
     assert {"ok", IntRangeExceeded, RoundDivergence, BuildError} <= seen
 
+
+def test_seeded_programs_stop_at_the_same_step(monkeypatch):
+    # Every budget from 1 to 60 on each program's first round pins the
+    # step count of every construct up to its tick, and which error wins
+    # where a range error or an undeclared output meets the budget.
+    seen = set()
+    for seed in range(150):
+        program = random_program(random.Random(seed))
+        machine = program.machine
+        config = (machine.initial_store(), machine.inputs.symbols[0], program.body)
+        for budget in range(1, 61):
+            monkeypatch.setattr(semantics, "ROUND_STEP_BUDGET", budget)
+            got = outcome(lambda: machine_round(machine, config))
+            expected = outcome(lambda: naive_round(machine, config, budget))
+            assert got == expected, f"seed {seed}, budget {budget}"
+            seen.add(got[0])
+    assert {"ok", IntRangeExceeded, RoundDivergence, BuildError} <= seen
+
+
+# Rounds that end without a tick or get stuck: a terminating program,
+# ill-typed operands of each operator and of a condition (a conjunction's
+# left operand is checked before its right one runs), `!` of a value, a
+# variable without `!`, undeclared variables, and expressions that only a
+# hand-built term puts in statement position.
+X, Y = VarRef("x"), VarRef("y")
+ENDING_BODIES = [
+    "x := get && !x; y := 3; y := !y - 1; skip",
+    "x := get && !y",
+    "x := !y && get",
+    "y := !x - 1",
+    "x := !x != 0",
+    "if !y - 1 then skip else skip",
+    "while !y != 0 && !x do skip done; tick(!y)",
+    "tick(!!x)",
+    "x := tt; tick(get && y)",
+    "x := tt; z := 1",
+    "tick(!z)",
+    Seq(Assign(X, Get(0)), Get(0)),
+    Seq(Skip(), Conj(Get(0), Deref(X))),
+    Seq(Assign(Y, IntLit(1)), Dec(Deref(Y))),
+    Y,
+    IntLit(3),
+]
+
+
+@pytest.mark.parametrize("body", ENDING_BODIES, ids=range(len(ENDING_BODIES)))
+def test_ending_and_stuck_rounds_stop_at_the_same_step(monkeypatch, body):
+    header = "inputs tt ff\noutputs tt ff\nvar x : bool\nvar y : int[0..3]\n"
+    program = loads(header + (body if isinstance(body, str) else "skip"), name="end")
+    machine = program.machine
+    prog = program.body if isinstance(body, str) else body
+    seen = set()
+    for pending in machine.inputs:
+        config = (machine.initial_store(), pending, prog)
+        for budget in range(1, 16):
+            monkeypatch.setattr(semantics, "ROUND_STEP_BUDGET", budget)
+            got = outcome(lambda: machine_round(machine, config))
+            expected = outcome(lambda: naive_round(machine, config, budget))
+            assert got == expected, f"{pending}, budget {budget}"
+            seen.add(got[0])
+    assert seen - {RoundDivergence}
 
 
 # The tree walks on core.fold against textbook structural recursion.
