@@ -20,13 +20,13 @@ format; each level keeps only an integer key of what a query reads.
 A step is a union of per-pair steps and a key is the OR of its pairs'
 keys, so a frontier's future is the union of its pairs' own walks,
 their orbits.  A joint walk loops only after the lcm of the periods of
-the cycles its pairs enter; :func:`doe` and :func:`ssp_seq` therefore
-answer a walk still going at :data:`SPLIT_LEVEL` whose frontier holds
-at most :data:`MAX_ORBITS` pairs from one walk per pair, combining the
-orbits' keys as per-key-bit bitsets over time (:func:`_orbits`,
-:func:`_combine`).  Where the orbits pass a bound the joint walk goes
-on instead.  :func:`doe_levels`, :func:`ssp_levels` and the walks of
-:func:`lemma_check` and :func:`doe_compose` stay joint.
+the cycles its pairs enter; every DOE and SSPseq level walk
+(:func:`_levels`) therefore answers a walk still going at
+:data:`SPLIT_LEVEL` whose frontier holds at most :data:`MAX_ORBITS`
+pairs from one walk per pair, combining the orbits' keys as
+per-key-bit bitsets over time (:func:`_orbits`, :func:`_combine`).
+Where the orbits pass a bound the joint walk goes on instead.  Only
+:func:`doe_compose`'s composite walk stays joint.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ __all__ = [
 # walks 96,577 levels (their lcm), while its longest orbit, a pair of
 # two of those cycles, walks 437.
 MAX_LEVELS = 200_000
-# doe and ssp_seq split a walk that has not looped after SPLIT_LEVEL
-# levels into one-pair orbits when its frontier holds at most MAX_ORBITS
+# A DOE or SSPseq walk that has not looped after SPLIT_LEVEL levels
+# splits into one-pair orbits when its frontier holds at most MAX_ORBITS
 # pairs: the benchmark's cycle roots split 6 (DOE) and 12 (SSPseq).
 # Where pairs are many, as in p2-150 (153 at level 256) and p2-2000
 # (258), each orbit spreads over most of the joint frontier and walking
@@ -164,10 +164,6 @@ class PairRows:
             rows[p] = rows.get(p, 0) | 1 << q
         return tuple(sorted(rows.items()))
 
-    def columns(self, masked: Callable) -> "_Columns":
-        """The step along the masked columns ``masked(p)`` of each row p."""
-        return _Columns(self, masked)
-
     def group(self, p: int, masked: Iterable[tuple[int, int, int]]) -> list:
         """Row p's columns as ``(targets, mask, image)``, one per successor tuple and mask."""
         afs: dict[tuple, int] = {}
@@ -209,24 +205,13 @@ class PairRows:
                         rows[t] = image_bits
         return tuple(sorted(rows.items()))
 
-    def walk(self, frontier: tuple, columns: "_Columns", value: Callable) -> tuple[list, int]:
-        """Values of the frontiers from ``frontier`` on, as a lasso.
-
-        Steps until a frontier repeats and returns ``value`` of each
-        frontier in order and the index the last one loops back to.
-        Finitely many frontiers exist; past :data:`MAX_LEVELS` of them
-        the walk raises LevelBoundExceeded.
-        """
-        walk = _Walk(self, frontier, columns, value)
-        walk.run()
-        return walk.values, walk.loop
-
 
 class _Walk:
-    """A :meth:`PairRows.walk` that can pause.
+    """The frontiers from ``frontier`` on, each valued by ``value``, as a lasso.
 
     ``values`` holds the levels valued so far and ``frontier`` the next
-    one; ``loop`` is the index the walk loops back to once it is known.
+    one; ``loop`` is the index the walk loops back to once a frontier
+    repeats, which finitely many frontiers guarantee.
     """
 
     def __init__(self, rows: PairRows, frontier: tuple, columns: "_Columns", value: Callable):
@@ -292,21 +277,22 @@ def lasso_at(values: Sequence, loop: int, i: int):
     return values[loop + (i - loop) % (len(values) - loop)]
 
 
-def _levels(walk: tuple, signals: Optional[Callable] = None) -> tuple[list, int]:
+def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list, int]:
     """The level sets of a walk ``(rows, start, columns, key, named)``, as a lasso.
 
     ``key`` maps a frontier to an int whose bits are per-pair facts,
     so the key of a union is the OR of its parts' keys, and ``named``
-    maps a key to its level set.  Given ``signals``, a walk that has
-    not looped after :data:`SPLIT_LEVEL` levels, with at most
-    :data:`MAX_ORBITS` pairs in its frontier, is answered from its
-    orbits (:func:`_orbits`, :func:`_combine`).  Should they pass a
-    bound, or without ``signals``, the joint walk answers; should it
-    pass :data:`MAX_LEVELS` too, the orbits' error is raised.
+    maps a key to its level set.  A walk that has not looped after
+    :data:`SPLIT_LEVEL` levels, with at most :data:`MAX_ORBITS` pairs
+    in its frontier, is answered from its orbits (:func:`_orbits`,
+    :func:`_combine`), whose lasso repeats with the least period of
+    the key bits ``signals`` keeps (all of them by default).  Should
+    the orbits pass a bound the joint walk answers; should it pass
+    :data:`MAX_LEVELS` too, the orbits' error is raised.
     """
     rows, start, columns, key, named = walk
     joint = _Walk(rows, start, columns, key)
-    joint.run(SPLIT_LEVEL if signals else None)
+    joint.run(SPLIT_LEVEL)
     pairs = sum(bits.bit_count() for _, bits in joint.frontier)
     if joint.loop is None and pairs <= MAX_ORBITS:
         try:
@@ -328,7 +314,9 @@ def _orbits(rows: PairRows, columns: "_Columns", key: Callable, frontier: tuple)
         while bits:
             pair = bits & -bits
             bits ^= pair
-            lassos.append(rows.walk(((p, pair),), columns, key))
+            orbit = _Walk(rows, ((p, pair),), columns, key)
+            orbit.run()
+            lassos.append((orbit.values, orbit.loop))
     return lassos
 
 
@@ -400,11 +388,11 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     rows = PairRows(succ, succ)
     separating = [(a1, a2, -1) for (a1, a2) in pairs]
-    start = rows.step(rows.frontier([(i, i)]), rows.columns(lambda p: separating))
+    start = rows.step(rows.frontier([(i, i)]), _Columns(rows, lambda p: separating))
     every = [(a, a, -1) for a in range(len(sys.inputs))]
     m = len(sys.outputs)
     named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
-    return rows, start, rows.columns(lambda p: every), _output_pairs(sys), named
+    return rows, start, _Columns(rows, lambda p: every), _output_pairs(sys), named
 
 
 def doe_levels(
@@ -415,8 +403,10 @@ def doe_levels(
     Level 0 holds every successor combination of every separating pair
     of q in input declaration order; level i+1 holds all one-step
     synchronized successors.  Each level is given by the set of output
-    id pairs its run pairs show.  Returns one set per level of the
-    joint walk and the index the tail loops back to.
+    id pairs its run pairs show.  Returns one set per level up to
+    where the tail loops and the index it loops back to; a walk split
+    into orbits (:func:`_levels`) loops with the orbits' least period,
+    which may be shorter than the joint walk's.
     """
     return _levels(_doe_walk(sys, q))
 
@@ -558,7 +548,7 @@ def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
 
     rows = PairRows(succ, succ)
     start = rows.frontier([(sys.index[q1], sys.index[q2])])
-    return rows, start, rows.columns(lambda p: row(p)[0]), key, cache(named)
+    return rows, start, _Columns(rows, lambda p: row(p)[0]), key, cache(named)
 
 
 def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
@@ -568,8 +558,10 @@ def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset
     which ae beats af there, so its frontiers only hold pairs reached
     through strongly separating pairs.  Level n intersects the SSP of
     every pair of the n-th frontier, and is every input pair once the
-    frontier is empty.  Returns one set per level of the joint walk and
-    the index the tail loops back to.  Rows and bitsets span all of
+    frontier is empty.  Returns one set per level up to where the tail
+    loops and the index it loops back to; a walk split into orbits
+    (:func:`_levels`) loops with the orbits' least period, which may be
+    shorter than the joint walk's.  Rows and bitsets span all of
     ``sys``'s states, so a cross pair of a disjoint union walks the
     union's ids.
     """
@@ -585,7 +577,7 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     pair space, extracted as a lasso; a long walk splits into orbits.
     """
     sys.check_state(q)
-    levels, loop = _levels(_ssp_walk(sys, q, q), lambda tails: tails)
+    levels, loop = ssp_levels(sys, q, q)
     if not levels[0]:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
@@ -647,11 +639,11 @@ def lemma_check(
             level = lasso_at(levels, loop, j)
             if level not in by_level:
                 feeds = {(feed[x1], feed[x2], -1) for (x1, x2) in level}
-                by_level[level] = rows.columns(lambda p, feeds=feeds: feeds)
+                by_level[level] = _Columns(rows, lambda p, feeds=feeds: feeds)
             pairs = rows.step(pairs, by_level[level])
         depth = i
         effect = [(*map(sys_g.inputs.index, d[i]), -1)]
-        consumed = rows.step(pairs, rows.columns(lambda p: effect))
+        consumed = rows.step(pairs, _Columns(rows, lambda p: effect))
         if not any(bits & emitting[out_g[p]] for p, bits in consumed):
             return LemmaVerdict(True, i)
     return LemmaVerdict(False)
@@ -687,12 +679,15 @@ def doe_compose(
         )
     # Composite frontiers from (q_f, q_g), each kept as its receiver states:
     # on input a the sender steps on a and the receiver on the sender's output.
+    # The walk stays joint: it reads one level, and its key is as wide as the
+    # receiver, so orbit bitsets would cost receiver states x period bits.
     inputs = range(len(sys_f.inputs))
     rows = PairRows(sys_f.succ, sys_g.succ)
-    columns = rows.columns(lambda f: [(a, fed[f], -1) for a in inputs])
+    columns = _Columns(rows, lambda f: [(a, fed[f], -1) for a in inputs])
     start = rows.frontier([(sys_f.index[q_f], sys_g.index[q_g])])
-    values, loop = rows.walk(start, columns, _receivers)
-    reached = lasso_at(values, loop, t + 1)
+    walk = _Walk(rows, start, columns, _receivers)
+    walk.run()
+    reached = lasso_at(walk.values, walk.loop, t + 1)
     receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)
     merged = merge_sequences([doe(sys_g, g) for g in receivers])
     return star_prepend(t + 1, merged)

@@ -43,6 +43,7 @@ from .oracles import (
     perfbench_module,
     random_system,
     sized_system,
+    stepwise_canonical,
 )
 
 # Sizes on both sides of the 8-state table chunks and the 64-bit words.
@@ -59,11 +60,42 @@ def _walk_systems(n: int):
     yield inflated_system(rng, f"infl{n}", n, 5, inputs, OUTPUTS, 0.3)
 
 
+def _small_random_systems():
+    """Deterministic and nondeterministic systems of 5 to 12 states, 2-3 inputs."""
+    for seed in range(240):
+        rng = random.Random(seed)
+        n = rng.choice([5, 8, 12])
+        inputs = ("a", "b", "c")[: rng.choice([2, 3])]
+        yield sized_system(rng, f"s{seed}", n, inputs, OUTPUTS, rng.choice([0.0, 0.1, 0.3]))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
     except NotReactive:
         return NotReactive
+
+
+def _lasso(levels: list, loop: int) -> tuple:
+    """A level lasso in canonical form: equal infinite sequences give equal forms."""
+    return stepwise_canonical(tuple(levels[:loop]), tuple(levels[loop:]))
+
+
+# The frozenset walks' answers per (system text, state): pure, so the
+# three split levels of TestOrbits share them.
+_NAIVE_LEVELS: dict = {}
+
+
+def _naive_levels(sys, q) -> tuple:
+    """q's DOE (or NotReactive) and SSPseq levels by the frozenset walks, as canonical lassos."""
+    key = (sls.dumps(sys), q)
+    if key not in _NAIVE_LEVELS:
+        doe_lasso = _outcome(naive_doe_levels, sys, q)
+        _NAIVE_LEVELS[key] = (
+            doe_lasso if doe_lasso is NotReactive else _lasso(*doe_lasso),
+            _lasso(*naive_ssp_seq(sys, q, sys, q)),
+        )
+    return _NAIVE_LEVELS[key]
 
 
 class TestDoe:
@@ -171,7 +203,7 @@ class TestWalkOracles:
 
 
 class TestOrbits:
-    """doe and ssp_seq answered from per-pair orbits against the joint walks."""
+    """Level walks answered from per-pair orbits against the frozenset walks."""
 
     @pytest.fixture(params=[0, 1, 3])
     def level(self, request):
@@ -200,17 +232,22 @@ class TestOrbits:
         return split
 
     @staticmethod
-    def assert_joint_answers(sys, q):
-        try:
-            expected = _effects(sys, *doe_levels(sys, q))
-        except NotReactive:
-            expected = STAR_FOREVER
-        assert doe(sys, q) == expected
-        levels, loop = ssp_levels(sys, q, q)
-        if levels[0]:
-            assert ssp_seq(sys, q) == PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
+    def assert_joint_answers(sys, q, levels=True):
+        """doe, ssp_seq and, given ``levels``, doe_levels and ssp_levels match the naive walks."""
+        doe_lasso, (prefix, cycle) = _naive_levels(sys, q)
+        if doe_lasso is NotReactive:
+            assert doe(sys, q) == STAR_FOREVER
+        else:
+            outputs, cycle_outputs = doe_lasso
+            assert doe(sys, q) == _effects(sys, outputs + cycle_outputs, len(outputs))
+        if (prefix + cycle)[0]:
+            assert ssp_seq(sys, q) == PairSetSequence(prefix, cycle)
         else:
             assert _outcome(ssp_seq, sys, q) is NotReactive
+        if levels:
+            found = _outcome(doe_levels, sys, q)
+            assert (found if found is NotReactive else _lasso(*found)) == doe_lasso
+            assert _lasso(*ssp_levels(sys, q, q)) == (prefix, cycle)
 
     @pytest.mark.parametrize("n", WALK_SIZES)
     def test_walk_systems(self, n, level, split):
@@ -223,11 +260,7 @@ class TestOrbits:
     def test_small_random_systems(self, split):
         # Among these, effects and SSPseq levels keep changing after the
         # split: deterministic systems walk one pair per orbit.
-        for seed in range(240):
-            rng = random.Random(seed)
-            n = rng.choice([5, 8, 12])
-            inputs = ("a", "b", "c")[: rng.choice([2, 3])]
-            sys = sized_system(rng, f"s{seed}", n, inputs, OUTPUTS, rng.choice([0.0, 0.1, 0.3]))
+        for sys in _small_random_systems():
             for q in sys.states[:4]:
                 self.assert_joint_answers(sys, q)
 
@@ -260,9 +293,33 @@ class TestOrbits:
 
     def test_the_benchmark_cycle_root_splits_at_the_default_level(self, monkeypatch):
         split = self.split_at(abstraction.SPLIT_LEVEL, monkeypatch, abstraction.MAX_ORBITS)
-        self.assert_joint_answers(GEN.cyc((7, 11, 13, 17), random.Random(1)), "r")
+        self.assert_joint_answers(GEN.cyc((7, 11, 13, 17), random.Random(1)), "r", levels=False)
         # DOE splits the 6 unordered pairs of branches, SSPseq the 12 ordered ones.
         assert [sum(bits.bit_count() for _, bits in frontier) for frontier in split] == [6, 12]
+
+    def test_lemma_splits_the_benchmark_cycle_sender_at_the_default_level(self, monkeypatch):
+        split = self.split_at(abstraction.SPLIT_LEVEL, monkeypatch, abstraction.MAX_ORBITS)
+        sender = GEN.cyc((7, 11, 13, 17), random.Random(1))
+        receiver = sized_system(random.Random(4), "g", 3, sender.outputs.symbols, ("u", "v"))
+        assert reactive(receiver, "s0")
+        verdict = lemma_check(sender, "r", receiver, "s0")
+        # The sender's DOE splits its 6 pairs of branches; the receiver's walk loops first.
+        assert [sum(bits.bit_count() for _, bits in frontier) for frontier in split] == [6]
+        expected = naive_lemma_check(sender, "r", receiver, "s0")
+        assert (verdict.index if verdict.guaranteed else None) == expected
+
+    def test_lemma_matches_the_frozenset_walks(self, split):
+        roots = [GEN.cyc(ls, random.Random(str(ls))) for ls in ((2, 3), (7, 11, 13))]
+        fired = 0
+        for k, sender in enumerate(roots + list(_small_random_systems())):
+            rng = random.Random(-k)
+            receiver = random_system(rng, f"g{k}", 6, sender.outputs.symbols, ("u", "v"), 0.3)
+            for q_g in receiver.states[:2]:
+                verdict = lemma_check(sender, sender.initial, receiver, q_g)
+                expected = naive_lemma_check(sender, sender.initial, receiver, q_g)
+                assert (verdict.index if verdict.guaranteed else None) == expected
+                fired += verdict.guaranteed
+        assert fired and split
 
     @pytest.mark.parametrize("level", [1, 3])
     def test_more_pairs_than_max_orbits_stay_joint(self, level, monkeypatch):
