@@ -13,9 +13,10 @@ Per-position universal quantifications over infinite words are
 discharged exactly by level-set constructions: the frontier of run
 pairs after n shared inputs ranges over a finite powerset, so both DOE
 and SSPseq are ultimately periodic and are extracted as lassos by
-frontier hashing.  Frontiers are per-row bitsets walked by
-:class:`PairRows`, defined here, the one module that reads their
-format; each level keeps only an integer key of what a query reads.
+frontier hashing.  Frontiers are per-row bitsets, and each step
+relation is one :class:`PairRows`, which owns its masked columns and
+their image tables; this is the one module that reads the format, and
+each level keeps only an integer key of what a query reads.
 
 A step is a union of per-pair steps and a key is the OR of its pairs'
 keys, so a frontier's future is the union of its pairs' own walks,
@@ -136,39 +137,34 @@ class _Image(dict):
         return image
 
 
-class PairRows:
-    """Sets of state pairs of two successor tables, one bitset per row.
+class PairRows(dict):
+    """Sets of state pairs of two successor tables, stepped along masked columns.
 
     A pair (p, q) holds a state id p of ``succ_a`` and q of ``succ_b``.  A
-    frontier is the tuple of ``(p, bits)`` over its nonempty rows in
-    increasing p, where bit q of ``bits`` marks the pair (p, q); equal
-    sets are equal tuples.  A step follows each row's masked columns
-    ``(ae, af, mask)``: every p' in ``succ_a[p][ae]`` gains the
-    af-image of ``bits & mask`` (mask -1 keeps every bit).  Columns of a
-    row with one successor tuple and one mask form one group, which
-    reads the image of all their af inputs at once.  A step thus costs,
-    per row and column group, one table lookup per 8-state chunk its
-    masked bits touch.  A set met before in the walk costs one
-    dictionary lookup, and so does a row with one bit, whose pair's
-    whole step is kept.
+    frontier (:func:`_frontier`) is the tuple of ``(p, bits)`` over its
+    nonempty rows in increasing p, where bit q of ``bits`` marks the
+    pair (p, q); equal sets are equal tuples.  ``masked(p)`` lists row
+    p's columns ``(ae, af, mask)``, and a step follows them: every p' in
+    ``succ_a[p][ae]`` gains the af-image of ``bits & mask`` (mask -1
+    keeps every bit).  Columns of a row with one successor tuple and one
+    mask form one group, which reads the image of all their af inputs at
+    once; ``self[p]`` is row p's groups as ``(targets, mask, image)``,
+    built on first lookup.  A step thus costs, per row and column group,
+    one table lookup per 8-state chunk its masked bits touch.  A set met
+    before costs one dictionary lookup, and so does a row with one bit,
+    whose pair's whole step is kept.
     """
 
-    def __init__(self, succ_a: Sequence, succ_b: Sequence):
-        self.succ_a, self.succ_b = succ_a, succ_b
+    def __init__(self, succ_a: Sequence, succ_b: Sequence, masked: Callable):
+        super().__init__()
+        self.succ_a, self.succ_b, self.masked = succ_a, succ_b, masked
         self._images: dict[int, _Image] = {}
+        self._pairs: dict[tuple[int, int], tuple] = {}  # (p, 1 << q) -> its step's rows
 
-    def frontier(self, pairs: Iterable[tuple[int, int]]) -> tuple:
-        """The frontier holding the given pairs."""
-        rows: dict[int, int] = {}
-        for p, q in pairs:
-            rows[p] = rows.get(p, 0) | 1 << q
-        return tuple(sorted(rows.items()))
-
-    def group(self, p: int, masked: Iterable[tuple[int, int, int]]) -> list:
-        """Row p's columns as ``(targets, mask, image)``, one per successor tuple and mask."""
+    def __missing__(self, p: int) -> list:
         afs: dict[tuple, int] = {}
         moves = self.succ_a[p]
-        for ae, af, mask in masked:
+        for ae, af, mask in self.masked(p):
             key = (moves[ae], mask)
             afs[key] = afs.get(key, 0) | 1 << af
         groups = []
@@ -177,15 +173,16 @@ class PairRows:
             if image is None:
                 image = self._images[inputs] = _Image(self.succ_b, inputs)
             groups.append((targets, mask, image))
+        self[p] = groups
         return groups
 
-    def step(self, frontier: tuple, columns: "_Columns") -> tuple:
+    def step(self, frontier: tuple) -> tuple:
         rows: dict[int, int] = {}
-        pairs = columns.pairs
+        pairs = self._pairs
         for row in frontier:
             p, bits = row
             if bits & (bits - 1):
-                for targets, mask, image in columns[p]:
+                for targets, mask, image in self[p]:
                     masked = bits & mask
                     if masked:
                         image_bits = image[masked]
@@ -197,13 +194,27 @@ class PairRows:
             else:
                 moved = pairs.get(row)
                 if moved is None:
-                    moved = pairs[row] = _pair_step(bits, columns[p])
+                    one: dict[int, int] = {}
+                    for targets, mask, image in self[p]:
+                        if bits & mask:
+                            image_bits = image[bits]
+                            for t in targets:
+                                one[t] = one.get(t, 0) | image_bits
+                    moved = pairs[row] = tuple(one.items())
                 for t, image_bits in moved:
                     if t in rows:
                         rows[t] |= image_bits
                     else:
                         rows[t] = image_bits
         return tuple(sorted(rows.items()))
+
+
+def _frontier(pairs: Iterable[tuple[int, int]]) -> tuple:
+    """The frontier holding the given pairs."""
+    rows: dict[int, int] = {}
+    for p, q in pairs:
+        rows[p] = rows.get(p, 0) | 1 << q
+    return tuple(sorted(rows.items()))
 
 
 class _Walk:
@@ -214,8 +225,8 @@ class _Walk:
     repeats, which finitely many frontiers guarantee.
     """
 
-    def __init__(self, rows: PairRows, frontier: tuple, columns: "_Columns", value: Callable):
-        self.step, self.columns, self.value = rows.step, columns, value
+    def __init__(self, rows: PairRows, frontier: tuple, value: Callable):
+        self.step, self.value = rows.step, value
         self.frontier = frontier
         self.seen: dict[tuple, int] = {}
         self.values: list = []
@@ -226,9 +237,7 @@ class _Walk:
 
         Past :data:`MAX_LEVELS` levels raises LevelBoundExceeded.
         """
-        seen, values, step, columns, value = (
-            self.seen, self.values, self.step, self.columns, self.value
-        )
+        seen, values, step, value = self.seen, self.values, self.step, self.value
         frontier = self.frontier
         while frontier not in seen:
             if len(values) == levels:
@@ -238,36 +247,8 @@ class _Walk:
                 raise LevelBoundExceeded(MAX_LEVELS)
             seen[frontier] = len(values)
             values.append(value(frontier))
-            frontier = step(frontier, columns)
+            frontier = step(frontier)
         self.frontier, self.loop = frontier, seen[frontier]
-
-
-class _Columns(dict):
-    """Row p's column groups (:meth:`PairRows.group`), built on first lookup.
-
-    ``pairs`` maps each single-pair row ``(p, 1 << q)`` met so far to its
-    step, as ``((p', bits'), ...)``.
-    """
-
-    def __init__(self, rows: PairRows, masked: Callable):
-        super().__init__()
-        self.rows, self.masked = rows, masked
-        self.pairs: dict[tuple[int, int], tuple] = {}
-
-    def __missing__(self, p: int) -> list:
-        groups = self[p] = self.rows.group(p, self.masked(p))
-        return groups
-
-
-def _pair_step(bits: int, groups: list) -> tuple:
-    """The step of the one pair in ``bits`` along a row's column groups."""
-    step: dict[int, int] = {}
-    for targets, mask, image in groups:
-        if bits & mask:
-            image_bits = image[bits]
-            for t in targets:
-                step[t] = step.get(t, 0) | image_bits
-    return tuple(step.items())
 
 
 def lasso_at(values: Sequence, loop: int, i: int):
@@ -278,7 +259,7 @@ def lasso_at(values: Sequence, loop: int, i: int):
 
 
 def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list, int]:
-    """The level sets of a walk ``(rows, start, columns, key, named)``, as a lasso.
+    """The level sets of a walk ``(rows, start, key, named)``, as a lasso.
 
     ``key`` maps a frontier to an int whose bits are per-pair facts,
     so the key of a union is the OR of its parts' keys, and ``named``
@@ -290,13 +271,13 @@ def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list,
     the orbits pass a bound the joint walk answers; should it pass
     :data:`MAX_LEVELS` too, the orbits' error is raised.
     """
-    rows, start, columns, key, named = walk
-    joint = _Walk(rows, start, columns, key)
+    rows, start, key, named = walk
+    joint = _Walk(rows, start, key)
     joint.run(SPLIT_LEVEL)
     pairs = sum(bits.bit_count() for _, bits in joint.frontier)
     if joint.loop is None and pairs <= MAX_ORBITS:
         try:
-            keys, loop = _combine(_orbits(rows, columns, key, joint.frontier), signals)
+            keys, loop = _combine(_orbits(rows, key, joint.frontier), signals)
             return [named(k) for k in joint.values + keys], len(joint.values) + loop
         except ResourceError as exc:
             try:
@@ -307,14 +288,14 @@ def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list,
     return [named(k) for k in joint.values], joint.loop
 
 
-def _orbits(rows: PairRows, columns: "_Columns", key: Callable, frontier: tuple) -> list:
+def _orbits(rows: PairRows, key: Callable, frontier: tuple) -> list:
     """The walk of each pair of ``frontier`` alone, its orbit, as a lasso of keys."""
     lassos = []
     for p, bits in frontier:
         while bits:
             pair = bits & -bits
             bits ^= pair
-            orbit = _Walk(rows, ((p, pair),), columns, key)
+            orbit = _Walk(rows, ((p, pair),), key)
             orbit.run()
             lassos.append((orbit.values, orbit.loop))
     return lassos
@@ -386,13 +367,12 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
     pairs, _ = _separating_ids(sys, i, i)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    rows = PairRows(succ, succ)
     separating = [(a1, a2, -1) for (a1, a2) in pairs]
-    start = rows.step(rows.frontier([(i, i)]), _Columns(rows, lambda p: separating))
+    start = PairRows(succ, succ, lambda p: separating).step(_frontier([(i, i)]))
     every = [(a, a, -1) for a in range(len(sys.inputs))]
     m = len(sys.outputs)
     named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
-    return rows, start, _Columns(rows, lambda p: every), _output_pairs(sys), named
+    return PairRows(succ, succ, lambda p: every), start, _output_pairs(sys), named
 
 
 def doe_levels(
@@ -546,9 +526,8 @@ def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
             if not lacking >> c & 1
         )
 
-    rows = PairRows(succ, succ)
-    start = rows.frontier([(sys.index[q1], sys.index[q2])])
-    return rows, start, _Columns(rows, lambda p: row(p)[0]), key, cache(named)
+    rows = PairRows(succ, succ, lambda p: row(p)[0])
+    return rows, _frontier([(sys.index[q1], sys.index[q2])]), key, cache(named)
 
 
 def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
@@ -627,9 +606,8 @@ def lemma_check(
     # every synchronized composite run pair.
     succ_g, out_g, emitting = sys_g.succ, sys_g.out_ids, _emitting(sys_g)
     feed = dict(zip(sys_f.out_ids, fed))
-    rows = PairRows(succ_g, succ_g)
     moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
-    pairs, depth = rows.frontier(itertools.product(moves, moves)), 0
+    pairs, depth = _frontier(itertools.product(moves, moves)), 0
     by_level: dict = {}
     window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
     for i in range(window):
@@ -639,11 +617,11 @@ def lemma_check(
             level = lasso_at(levels, loop, j)
             if level not in by_level:
                 feeds = {(feed[x1], feed[x2], -1) for (x1, x2) in level}
-                by_level[level] = _Columns(rows, lambda p, feeds=feeds: feeds)
-            pairs = rows.step(pairs, by_level[level])
+                by_level[level] = PairRows(succ_g, succ_g, lambda p, feeds=feeds: feeds)
+            pairs = by_level[level].step(pairs)
         depth = i
         effect = [(*map(sys_g.inputs.index, d[i]), -1)]
-        consumed = rows.step(pairs, _Columns(rows, lambda p: effect))
+        consumed = PairRows(succ_g, succ_g, lambda p: effect).step(pairs)
         if not any(bits & emitting[out_g[p]] for p, bits in consumed):
             return LemmaVerdict(True, i)
     return LemmaVerdict(False)
@@ -682,10 +660,8 @@ def doe_compose(
     # The walk stays joint: it reads one level, and its key is as wide as the
     # receiver, so orbit bitsets would cost receiver states x period bits.
     inputs = range(len(sys_f.inputs))
-    rows = PairRows(sys_f.succ, sys_g.succ)
-    columns = _Columns(rows, lambda f: [(a, fed[f], -1) for a in inputs])
-    start = rows.frontier([(sys_f.index[q_f], sys_g.index[q_g])])
-    walk = _Walk(rows, start, columns, _receivers)
+    rows = PairRows(sys_f.succ, sys_g.succ, lambda f: [(a, fed[f], -1) for a in inputs])
+    walk = _Walk(rows, _frontier([(sys_f.index[q_f], sys_g.index[q_g])]), _receivers)
     walk.run()
     reached = lasso_at(walk.values, walk.loop, t + 1)
     receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)

@@ -717,19 +717,13 @@ class BisimOracle:
     """Non-bisimilarity queries on one system, from its cached ``refinement``.
 
     ``cls`` gives the final block of each state id (equal blocks iff
-    bisimilar); the refinement history answers :meth:`depth` and the
-    moves of every witness.
+    bisimilar); the refinement history answers the separation depth of
+    two state ids and the moves of every witness.
     """
 
     def __init__(self, system: SynchronousSystem):
-        self.system = system
         self.refinement = system.refinement
         self.cls = self.refinement.cls
-
-    def depth(self, p: str, q: str) -> Optional[int]:
-        """Least k at which the k-step approximants separate, None if bisimilar."""
-        index = self.system.index
-        return self.refinement.depth(index[p], index[q])
 
 
 class BaseWitness(Record):

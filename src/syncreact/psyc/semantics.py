@@ -290,22 +290,10 @@ class Machine:
                 raise _stuck(value)
 
 
-def _reads(expr: Ast):
-    cls = expr.__class__
-    if cls is Deref:
-        if isinstance(expr.target, VarRef):
-            return frozenset((expr.target.name,))
-        return (yield expr.target)
-    if cls is Dec or cls is NotZero:
-        return (yield expr.inner)
-    if cls is Conj:
-        return (yield expr.left) | (yield expr.right)
-    return frozenset()
-
-
-def reads(expr: Ast) -> frozenset:
-    """Variables read through a dereference anywhere in an expression."""
-    return fold(_reads, expr)
+def reads(exprs) -> frozenset:
+    """Variables an expression, or a tuple of them, dereferences: the names its loads read."""
+    ops, _ = _compile(exprs)
+    return frozenset([name for op, name, _ in ops if op == _LOAD])
 
 
 def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> frozenset:
@@ -357,9 +345,7 @@ def _live_in(key: tuple[Ast, frozenset], memo: dict):
                 break
             live = refined
     elif cls is Tick:
-        live = live_out
-        for arg in prog.args:
-            live |= reads(arg)
+        live = live_out | reads(prog.args)
     else:
         # Expression forms in statement position cannot occur in typed
         # programs; treat them as pure reads.
@@ -373,30 +359,22 @@ def build_lts(
     program: Ast,
     max_states: int,
     name: str = "program",
-    initial_input: Optional[str] = None,
 ) -> SynchronousSystem:
     """Unfold a program into its reachable finite synchronous system.
 
     States are interned at tick boundaries, keyed by the emitted output,
     the continuation program, and the store restricted to the
     continuation's live variables.  Completeness holds by construction
-    because every tick branches over the whole input alphabet.
-
-    ``initial_input`` fills the pending-input slot before the first
-    tick; it defaults to the first declared symbol.  A program that
-    reads input before ticking can observe the choice, so it is
-    explicit here and covered by tests for the shipped programs.
+    because every tick branches over the whole input alphabet.  The
+    first declared input symbol fills the pending-input slot before the
+    first tick.
     """
     for v in machine.variables:
         if v.base == "int" and v.low is None:
             raise NonFiniteIntRange(
                 f"integer variable {v.name} needs a declared range [lo..hi]"
             )
-    if initial_input is None:
-        initial_input = machine.inputs.symbols[0]
-    elif initial_input not in machine.inputs:
-        raise BuildError(f"initial input {initial_input!r} is not declared")
-    first = machine.run_round(machine.initial_store(), initial_input, program)
+    first = machine.run_round(machine.initial_store(), machine.inputs.symbols[0], program)
     if first is None:
         raise BuildError("program terminates before its first tick")
 

@@ -26,7 +26,7 @@ from syncreact import (
     strongly_separable,
 )
 from syncreact import abstraction
-from syncreact.abstraction import _effects, doe_levels, ssp_levels
+from syncreact.abstraction import PairRows, _effects, _frontier, doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
 from syncreact.lasso import PairSetSequence, star_prepend
 
@@ -202,6 +202,74 @@ class TestWalkOracles:
         assert compared > 100
 
 
+def _successor_table(rng: random.Random, n: int, inputs: int) -> list:
+    """A complete, partly nondeterministic table of n states; some inputs repeat another's moves."""
+    succ = []
+    for _ in range(n):
+        moves: list = []
+        for a in range(inputs):
+            if a and rng.random() < 0.3:
+                moves.append(moves[rng.randrange(a)])
+                continue
+            targets = {rng.randrange(n)}
+            while rng.random() < 0.3:
+                targets.add(rng.randrange(n))
+            moves.append(tuple(sorted(targets)))
+        succ.append(tuple(moves))
+    return succ
+
+
+def _pair_set(frontier: tuple) -> frozenset:
+    return frozenset(
+        (p, q) for p, bits in frontier for q in range(bits.bit_length()) if bits >> q & 1
+    )
+
+
+class TestPairRows:
+    def test_a_step_is_the_union_of_its_pairs_steps(self):
+        """What the orbit split relies on, checked against a frozenset step and the pair cache."""
+        grouped = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            inputs = rng.choice([2, 3])
+            na, nb = rng.choice(WALK_SIZES), rng.choice(WALK_SIZES)
+            succ_a, succ_b = _successor_table(rng, na, inputs), _successor_table(rng, nb, inputs)
+            columns = []
+            for _ in range(na):
+                masks = [-1, rng.getrandbits(nb)]
+                columns.append({
+                    (rng.randrange(inputs), rng.randrange(inputs), rng.choice(masks))
+                    for _ in range(rng.randint(1, 2 * inputs))
+                })
+            rows = PairRows(succ_a, succ_b, lambda p: columns[p])
+            for _ in range(30):
+                # Rows of one bit, two bits or any number of them.
+                widths = [1, 1, min(nb, 2), rng.randint(1, nb)]
+                frontier = _frontier(
+                    (p, q)
+                    for p in rng.sample(range(na), rng.randint(1, min(na, 5)))
+                    for q in rng.sample(range(nb), rng.choice(widths))
+                )
+                reference = frozenset(
+                    (p2, q2)
+                    for p, q in _pair_set(frontier)
+                    for ae, af, mask in columns[p]
+                    if mask >> q & 1
+                    for p2 in succ_a[p][ae]
+                    for q2 in succ_b[q][af]
+                )
+                stepped = [rows.step(frontier) for _ in range(2)]
+                union: dict = {}
+                for p, q in _pair_set(frontier):
+                    for t, bits in rows.step(((p, 1 << q),)):
+                        union[t] = union.get(t, 0) | bits
+                for step in stepped:
+                    assert step == tuple(sorted(union.items()))
+                    assert _pair_set(step) == reference
+            grouped += sum(len(rows[p]) < len(columns[p]) for p in rows)
+        assert grouped
+
+
 class TestOrbits:
     """Level walks answered from per-pair orbits against the frozenset walks."""
 
@@ -224,9 +292,9 @@ class TestOrbits:
         split = []
         orbits = abstraction._orbits
 
-        def counted(rows, columns, key, frontier):
+        def counted(rows, key, frontier):
             split.append(frontier)
-            return orbits(rows, columns, key, frontier)
+            return orbits(rows, key, frontier)
 
         monkeypatch.setattr(abstraction, "_orbits", counted)
         return split

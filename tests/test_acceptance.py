@@ -254,7 +254,7 @@ def test_criterion_7a_bisimulation_oracle_equivalence():
                 witness = non_bisimilar(sys, p, q)
                 assert (witness is None) == ((p, q) in naive)
                 depth = naive_separation_depth(sys, p, q, levels)
-                assert oracle.depth(p, q) == depth
+                assert oracle.refinement.depth(sys.index[p], sys.index[q]) == depth
                 assert (None if witness is None else witness.depth) == depth
     report(
         7,

@@ -149,7 +149,7 @@ def test_two_system_queries_equal_the_one_system_query_on_the_union(sys_a, sys_b
 
 
 def _depth(union, p, q):
-    return BisimOracle(union).depth(p, q)
+    return BisimOracle(union).refinement.depth(union.index[p], union.index[q])
 
 
 # Each query asked about a state of each of two systems, the one way it

@@ -14,7 +14,17 @@ import time
 import pytest
 
 import syncreact
-from syncreact import abstraction, cli, compose, core, par_compose, reactivity, sls, validate
+from syncreact import (
+    abstraction,
+    cli,
+    compose,
+    core,
+    errors,
+    par_compose,
+    reactivity,
+    sls,
+    validate,
+)
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
@@ -1082,6 +1092,19 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_the_readme_exit_code_paragraph_names_every_resource_error(self):
+        text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        paragraph = text.split("Exit codes follow the class of the error", 1)[1].split("\n\n", 1)[0]
+        bounds = [
+            name
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type)
+            and issubclass(cls, errors.ResourceError)
+            and cls is not errors.ResourceError
+        ]
+        assert len(bounds) >= 5
+        assert [name for name in bounds if f"`{name}`" not in paragraph] == []
 
     @pytest.mark.parametrize("bound", ["0", "-7"])
     def test_state_budget_below_one_exits_2(self, capsys, tmp_path, bound):

@@ -222,7 +222,7 @@ class TestNonBisimilar:
         sys = chain_sender(1500, ("x", "y", "z"))
         oracle = BisimOracle(sys)
         witness = non_bisimilar(sys, "l0", "m0")
-        assert oracle.depth("l0", "m0") == 1500
+        assert oracle.refinement.depth(sys.index["l0"], sys.index["m0"]) == 1500
         assert witness.depth == 1500
         assert replay_witness(sys, witness)
         assert repr(witness) == (
@@ -241,7 +241,8 @@ class TestNonBisimilar:
         built = count_refinements(monkeypatch)
         sys = chain_sender(3, ("x", "y", "z"))
         first, second = BisimOracle(sys), BisimOracle(sys)
-        assert first.depth("l0", "m0") == second.depth("l0", "m0") == 3
+        l0, m0 = sys.index["l0"], sys.index["m0"]
+        assert first.refinement.depth(l0, m0) == second.refinement.depth(l0, m0) == 3
         assert len(bisim_classes(sys).classes) == len(sys.states)
         assert len(built) == 1
 

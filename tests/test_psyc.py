@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncreact import non_bisimilar, validate
+from syncreact import Alphabet, non_bisimilar, validate
 from syncreact.errors import (
     BuildError,
     FormatError,
@@ -17,7 +17,7 @@ from syncreact.errors import (
     RoundDivergence,
     StateBudgetExceeded,
 )
-from syncreact.psyc import build_lts, live_in, loads, parse, typecheck, unparse
+from syncreact.psyc import Machine, build_lts, live_in, loads, parse, typecheck, unparse
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -418,12 +418,20 @@ class TestBuildLts:
         assert len(built.states) == 3
         assert on_union(non_bisimilar, built, built.initial, p1_sys, "p0") is None
 
-    def test_program1_initial_input_choice_is_unobservable(self):
-        program = load_program("program1.psy")
-        variants = [
-            build_lts(program.machine, program.body, 100, initial_input=sym)
-            for sym in program.machine.inputs
+    @staticmethod
+    def first_input_variants(name: str) -> list:
+        """The program built once per input symbol, declared first: the first tick's input."""
+        program = load_program(name)
+        m = program.machine
+        symbols = m.inputs.symbols
+        rest = (m.outputs, m.in_types, m.out_types, m.variables)
+        return [
+            build_lts(Machine(Alphabet(symbols[k:] + symbols[:k]), *rest), program.body, 100)
+            for k in range(len(symbols))
         ]
+
+    def test_program1_initial_input_choice_is_unobservable(self):
+        variants = self.first_input_variants("program1.psy")
         for other in variants[1:]:
             assert (
                 on_union(non_bisimilar, variants[0], variants[0].initial, other, other.initial)
@@ -431,11 +439,7 @@ class TestBuildLts:
             )
 
     def test_program2_initial_input_choice_is_unobservable(self):
-        program = load_program("program2.psy")
-        variants = [
-            build_lts(program.machine, program.body, 100, initial_input=sym)
-            for sym in program.machine.inputs
-        ]
+        variants = self.first_input_variants("program2.psy")
         assert (
             on_union(
                 non_bisimilar, variants[0], variants[0].initial, variants[1], variants[1].initial
