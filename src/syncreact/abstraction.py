@@ -26,8 +26,7 @@ the cycles its pairs enter; every DOE and SSPseq level walk
 :data:`SPLIT_LEVEL` whose frontier holds at most :data:`MAX_ORBITS`
 pairs from one walk per pair, combining the orbits' keys as
 per-key-bit bitsets over time (:func:`_orbits`, :func:`_combine`).
-Where the orbits pass a bound the joint walk goes on instead.  Only
-:func:`doe_compose`'s composite walk stays joint.
+Where the orbits pass a bound the joint walk goes on instead.
 """
 
 from __future__ import annotations
@@ -367,8 +366,7 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
     pairs, _ = _separating_ids(sys, i, i)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
-    separating = [(a1, a2, -1) for (a1, a2) in pairs]
-    start = PairRows(succ, succ, lambda p: separating).step(_frontier([(i, i)]))
+    start = _frontier((x, y) for a1, a2 in pairs for x in succ[i][a1] for y in succ[i][a2])
     every = [(a, a, -1) for a in range(len(sys.inputs))]
     m = len(sys.outputs)
     named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
@@ -657,12 +655,10 @@ def doe_compose(
         )
     # Composite frontiers from (q_f, q_g), each kept as its receiver states:
     # on input a the sender steps on a and the receiver on the sender's output.
-    # The walk stays joint: it reads one level, and its key is as wide as the
-    # receiver, so orbit bitsets would cost receiver states x period bits.
     inputs = range(len(sys_f.inputs))
     rows = PairRows(sys_f.succ, sys_g.succ, lambda f: [(a, fed[f], -1) for a in inputs])
     walk = _Walk(rows, _frontier([(sys_f.index[q_f], sys_g.index[q_g])]), _receivers)
-    walk.run()
+    walk.run(t + 2)
     reached = lasso_at(walk.values, walk.loop, t + 1)
     receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)
     merged = merge_sequences([doe(sys_g, g) for g in receivers])

@@ -21,7 +21,9 @@ loads:
 - ``compose``: the first set and ``compose``; ``dot``: the first set and
   ``dot``; ``psyc``: the first set and the ``psyc`` package.
 
-When the first argument names one of :data:`COMMANDS`, :func:`main`
+:data:`COMMANDS` is the one table of the command line: each command's
+help text, handler and arguments, from which :func:`build_parser` adds
+its subparser.  When the first argument names one of them, :func:`main`
 builds that command's parser alone, which prints the same help, usage
 and errors as the whole parser does for it; building every subparser
 cost a few milliseconds of each command's start-up.  Anything else (no
@@ -306,25 +308,68 @@ def cmd_dot(args) -> int:
     return EXIT_OK
 
 
-# The subcommands, in the order help lists them.
-COMMANDS = (
-    "check",
-    "quotient",
-    "bisim",
-    "seppairs",
-    "separators",
-    "strongsep",
-    "reactime",
-    "diff",
-    "doe",
-    "ssp",
-    "sspseq",
-    "compose",
-    "lemma",
-    "doe-compose",
-    "psyc",
-    "dot",
-)
+def _option(*flags, **options) -> tuple:
+    """An option of a :data:`COMMANDS` entry: its flags and add_argument options."""
+    return flags, options
+
+
+_OUTPUT = _option("-o", "--output", required=True)
+_SENDER_RECEIVER = ("f", "g", _option("--qf", required=True), _option("--qg", required=True))
+
+# Every command, in the order help lists them: its help, its handler and
+# its arguments.  An argument is a positional name or an _option; a tuple
+# of flags is a choice of exactly one of them (``compose``), and the
+# handler of ``psyc`` is a table of its subcommands.
+# fmt: off
+COMMANDS = {
+    "check": ("validate a .sls file", cmd_check, "file"),
+    "quotient": ("write the bisimulation quotient", cmd_quotient, "file", _OUTPUT),
+    "bisim": ("are two states bisimilar?", cmd_bisim, "file", "p", "q"),
+    "seppairs": ("separating pairs of a state", cmd_seppairs, "file", "state"),
+    "separators": ("minimal separators of a state pair", cmd_separators, "file", "p", "q",
+                   _option("--max-len", type=_at_least(0), default=4)),
+    "strongsep": ("is a state pair strongly separable?", cmd_strongsep, "file", "p", "q"),
+    "reactime": ("deterministic reaction time of a state", cmd_reactime, "file", "state"),
+    "diff": ("observable effects along a word", cmd_diff, "file", "p", "q",
+             _option("-w", "--word", required=True, help="input word, e.g. 'tt ff'")),
+    "doe": ("deterministic observable effects of a state", cmd_doe, "file", "state"),
+    "ssp": ("strongly separating pairs of two states", cmd_ssp, "file", "p",
+            _option("rest", nargs="+", metavar="[FILE2] Q")),
+    "sspseq": ("strongly separating pair sequence", cmd_sspseq, "file", "state"),
+    "compose": ("compose two systems", cmd_compose, ("--seq", "--par"), "f", "g", _OUTPUT),
+    "lemma": ("reactivity guarantee for a composition", cmd_lemma, *_SENDER_RECEIVER),
+    "doe-compose": ("composite observable effects at index t", cmd_doe_compose,
+                    *_SENDER_RECEIVER, _option("-t", type=int, required=True)),
+    "psyc": ("language frontend", {
+        "typecheck": ("typecheck a .psy program", cmd_psyc_typecheck, "file"),
+        "build": ("build the system of a .psy program", cmd_psyc_build, "file",
+                  _option("--max-states", type=_at_least(1), default=10_000), _OUTPUT),
+    }),
+    "dot": ("export a system to DOT", cmd_dot, "file", _option("-o", "--output")),
+}
+# fmt: on
+
+
+def _add(sub, name: str, entry: tuple) -> None:
+    """Add the command ``name`` with its :data:`COMMANDS` entry to the subparsers ``sub``."""
+    text, handler, *arguments = entry
+    parser = sub.add_parser(name, help=text)
+    if isinstance(handler, dict):
+        nested = parser.add_subparsers(dest=f"{name}_command", required=True)
+        for inner in handler.items():
+            _add(nested, *inner)
+        return
+    for argument in arguments:
+        if isinstance(argument, str):
+            parser.add_argument(argument)
+        elif isinstance(argument[0], str):
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flag in argument:
+                group.add_argument(flag, action="store_true")
+        else:
+            flags, options = argument
+            parser.add_argument(*flags, **options)
+    parser.set_defaults(func=handler)
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -338,129 +383,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Analyze finite synchronous systems for reactivity,"
         " observable effects, and reaction time.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        names = "{" + ",".join(COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=names)
-
-    if command in (None, "check"):
-        p = sub.add_parser("check", help="validate a .sls file")
-        p.add_argument("file")
-        p.set_defaults(func=cmd_check)
-
-    if command in (None, "quotient"):
-        p = sub.add_parser("quotient", help="write the bisimulation quotient")
-        p.add_argument("file")
-        p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=cmd_quotient)
-
-    if command in (None, "bisim"):
-        p = sub.add_parser("bisim", help="are two states bisimilar?")
-        p.add_argument("file")
-        p.add_argument("p")
-        p.add_argument("q")
-        p.set_defaults(func=cmd_bisim)
-
-    if command in (None, "seppairs"):
-        p = sub.add_parser("seppairs", help="separating pairs of a state")
-        p.add_argument("file")
-        p.add_argument("state")
-        p.set_defaults(func=cmd_seppairs)
-
-    if command in (None, "separators"):
-        p = sub.add_parser("separators", help="minimal separators of a state pair")
-        p.add_argument("file")
-        p.add_argument("p")
-        p.add_argument("q")
-        p.add_argument("--max-len", type=_at_least(0), default=4)
-        p.set_defaults(func=cmd_separators)
-
-    if command in (None, "strongsep"):
-        p = sub.add_parser("strongsep", help="is a state pair strongly separable?")
-        p.add_argument("file")
-        p.add_argument("p")
-        p.add_argument("q")
-        p.set_defaults(func=cmd_strongsep)
-
-    if command in (None, "reactime"):
-        p = sub.add_parser("reactime", help="deterministic reaction time of a state")
-        p.add_argument("file")
-        p.add_argument("state")
-        p.set_defaults(func=cmd_reactime)
-
-    if command in (None, "diff"):
-        p = sub.add_parser("diff", help="observable effects along a word")
-        p.add_argument("file")
-        p.add_argument("p")
-        p.add_argument("q")
-        p.add_argument("-w", "--word", required=True, help="input word, e.g. 'tt ff'")
-        p.set_defaults(func=cmd_diff)
-
-    if command in (None, "doe"):
-        p = sub.add_parser("doe", help="deterministic observable effects of a state")
-        p.add_argument("file")
-        p.add_argument("state")
-        p.set_defaults(func=cmd_doe)
-
-    if command in (None, "ssp"):
-        p = sub.add_parser("ssp", help="strongly separating pairs of two states")
-        p.add_argument("file")
-        p.add_argument("p")
-        p.add_argument("rest", nargs="+", metavar="[FILE2] Q")
-        p.set_defaults(func=cmd_ssp)
-
-    if command in (None, "sspseq"):
-        p = sub.add_parser("sspseq", help="strongly separating pair sequence")
-        p.add_argument("file")
-        p.add_argument("state")
-        p.set_defaults(func=cmd_sspseq)
-
-    if command in (None, "compose"):
-        p = sub.add_parser("compose", help="compose two systems")
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--seq", action="store_true")
-        group.add_argument("--par", action="store_true")
-        p.add_argument("f")
-        p.add_argument("g")
-        p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=cmd_compose)
-
-    if command in (None, "lemma"):
-        p = sub.add_parser("lemma", help="reactivity guarantee for a composition")
-        p.add_argument("f")
-        p.add_argument("g")
-        p.add_argument("--qf", required=True)
-        p.add_argument("--qg", required=True)
-        p.set_defaults(func=cmd_lemma)
-
-    if command in (None, "doe-compose"):
-        p = sub.add_parser("doe-compose", help="composite observable effects at index t")
-        p.add_argument("f")
-        p.add_argument("g")
-        p.add_argument("--qf", required=True)
-        p.add_argument("--qg", required=True)
-        p.add_argument("-t", type=int, required=True)
-        p.set_defaults(func=cmd_doe_compose)
-
-    if command in (None, "psyc"):
-        psyc = sub.add_parser("psyc", help="language frontend")
-        psyc_sub = psyc.add_subparsers(dest="psyc_command", required=True)
-        p = psyc_sub.add_parser("typecheck", help="typecheck a .psy program")
-        p.add_argument("file")
-        p.set_defaults(func=cmd_psyc_typecheck)
-        p = psyc_sub.add_parser("build", help="build the system of a .psy program")
-        p.add_argument("file")
-        p.add_argument("--max-states", type=_at_least(1), default=10_000)
-        p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=cmd_psyc_build)
-
-    if command in (None, "dot"):
-        p = sub.add_parser("dot", help="export a system to DOT")
-        p.add_argument("file")
-        p.add_argument("-o", "--output")
-        p.set_defaults(func=cmd_dot)
-
+    names = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name in [command] if command else COMMANDS:
+        _add(sub, name, COMMANDS[name])
     return parser
 
 

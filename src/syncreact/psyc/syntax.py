@@ -12,7 +12,6 @@ conjunction ``&&``.
 from __future__ import annotations
 
 import re
-from typing import Union
 
 from ..core import Record, fold
 from ..errors import PsySyntaxError
@@ -153,22 +152,7 @@ class Conj(Term):
     __slots__ = ("left", "right")
 
 
-Ast = Union[
-    Skip,
-    VarRef,
-    BoolLit,
-    IntLit,
-    Deref,
-    Assign,
-    Seq,
-    If,
-    While,
-    Tick,
-    Get,
-    Dec,
-    NotZero,
-    Conj,
-]
+Ast = Term
 
 
 def is_value(node: Ast) -> bool:

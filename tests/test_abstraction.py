@@ -536,6 +536,37 @@ class TestDoeCompose:
         result = doe_compose(sender, "r", receiver_sys, "g0", 1)
         assert result == star_prepend(2, doe(receiver_sys, "g0"))
 
+    def test_composite_entering_coprime_rings_is_read_at_index_t_plus_one(self, receiver_sys):
+        from syncreact.core import Alphabet, SynchronousSystem
+
+        # r feeds 1 on i0/i1 and 2 on i2/i3; on input k both then enter
+        # ring k, silent, of length lengths[k]. The composite loops only
+        # after lcm(lengths) levels, past MAX_LEVELS.
+        lengths = (29, 31, 37, 41)
+        inputs = tuple(f"i{k}" for k in range(4))
+        rings = [[f"c{k}_{j}" for j in range(n)] for k, n in enumerate(lengths)]
+        transitions = [("r", a, "s1" if k < 2 else "s2") for k, a in enumerate(inputs)]
+        transitions += [(s, a, rings[k][0]) for s in ("s1", "s2") for k, a in enumerate(inputs)]
+        transitions += [
+            (ring[j], a, ring[(j + 1) % len(ring)])
+            for ring in rings
+            for j in range(len(ring))
+            for a in inputs
+        ]
+        sender = SynchronousSystem(
+            name="rings",
+            inputs=Alphabet(inputs),
+            outputs=Alphabet(("0", "1", "2")),
+            states=("r", "s1", "s2", *(c for ring in rings for c in ring)),
+            transitions=tuple(transitions),
+            out_label={"r": "0", "s1": "1", "s2": "2", **{c: "0" for ring in rings for c in ring}},
+            initial="r",
+        )
+        assert doe(sender, "r") == EffectSequence((("1", "2"),), (STAR,))
+        verdict = lemma_check(sender, "r", receiver_sys, "g0")
+        assert verdict.guaranteed and verdict.index == 0
+        assert doe_compose(sender, "r", receiver_sys, "g0", 0) == STAR_FOREVER
+
     def test_bad_index_raises(self, delay1_sys, receiver_sys):
         with pytest.raises(PreconditionFailed):
             doe_compose(delay1_sys, "s0", receiver_sys, "g0", 0)

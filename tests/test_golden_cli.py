@@ -22,7 +22,7 @@ import pathlib
 import shlex
 import shutil
 
-from syncreact import sls
+from syncreact import cli, sls
 from syncreact.cli import main
 
 from .conftest import ALL_SYSTEM_FIXTURES, FIXTURES
@@ -116,6 +116,10 @@ def render(workdir: pathlib.Path) -> str:
 
 def test_readme_block_is_found():
     assert len(readme_commands()) >= 16
+
+
+def test_the_snapshot_runs_every_command():
+    assert {argv[0] for argv in readme_commands() + sweep_commands()} == set(cli.COMMANDS)
 
 
 def test_cli_output_matches_snapshot(tmp_path):
