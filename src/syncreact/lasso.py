@@ -63,9 +63,6 @@ class _Lasso(Record):
             return self.prefix[i]
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
-    def window(self, n: int) -> tuple:
-        return tuple(self[i] for i in range(n))
-
 
 class EffectSequence(_Lasso):
     __slots__ = ("prefix", "cycle")

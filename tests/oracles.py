@@ -618,6 +618,11 @@ def stepwise_canonical(prefix: tuple, cycle: tuple) -> tuple[tuple, tuple]:
     return prefix, minimal(cycle)
 
 
+def window(seq, n: int) -> tuple:
+    """The first ``n`` symbols of a lasso sequence, read by index."""
+    return tuple(seq[i] for i in range(n))
+
+
 # The original level-set walks: a frontier is a frozenset of state-id
 # pairs and each pair's successor tuple is computed once.
 

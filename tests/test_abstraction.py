@@ -44,6 +44,7 @@ from .oracles import (
     random_system,
     sized_system,
     stepwise_canonical,
+    window,
 )
 
 # Sizes on both sides of the 8-state table chunks and the 64-bit words.
@@ -129,9 +130,9 @@ class TestLevelOracles:
             sys = random_system(rng, f"r{index}", 5, inputs, ("0", "1", "2"))
             index += 1
             for q in sys.states:
-                assert doe(sys, q).window(n) == brute_doe(sys, q, n)
+                assert window(doe(sys, q), n) == brute_doe(sys, q, n)
                 if separating_pairs(sys, q).reactive:
-                    assert ssp_seq(sys, q).window(n) == brute_ssp_seq(sys, q, n)
+                    assert window(ssp_seq(sys, q), n) == brute_ssp_seq(sys, q, n)
                     reactive_states += 1
 
 

@@ -304,13 +304,78 @@ class TestCollectorPause:
         ids=["exit-0", "exit-2", "exit-3"],
     )
     def test_main_restores_the_collector_state(self, capsys, tmp_path, enabled, argv, expected):
+        """In-process callers get their collector back, and nothing frozen."""
         was = gc.isenabled()
+        frozen = gc.get_freeze_count()
         (gc.enable if enabled else gc.disable)()
         try:
             code, _, _ = run(capsys, *argv(tmp_path))
-            assert (code, gc.isenabled()) == (expected, enabled)
+            assert (code, gc.isenabled(), gc.get_freeze_count()) == (expected, enabled, frozen)
         finally:
             (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (lambda tmp: ("quotient", FIXTURES / "p2_n4.sls", "-o", tmp / "out.sls"), 0),
+            (lambda tmp: ("check", tmp / "missing.sls"), 2),
+            (
+                lambda tmp: (
+                    "psyc", "build", FIXTURES / "program2.psy", "--max-states", "2",
+                    "-o", tmp / "out.sls",
+                ),
+                3,
+            ),
+        ],
+        ids=["exit-0", "exit-2", "exit-3"],
+    )
+    def test_process_entry_answers_as_main_does(self, capsys, tmp_path, argv, expected):
+        out = tmp_path / "out.sls"
+
+        def written():
+            return out.read_bytes() if out.exists() else None
+
+        done = run_fresh(*argv(tmp_path))
+        fresh = (done.returncode, done.stdout, done.stderr, written())
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = run(capsys, *argv(tmp_path))
+        assert fresh == (code, stdout, stderr, written())
+        assert code == expected
+
+    def test_process_entry_freezes_what_the_command_made(self):
+        src = pathlib.Path(syncreact.__file__).resolve().parents[1]
+        code = (
+            "import gc, sys\n"
+            "from syncreact import cli\n"
+            f"sys.argv = ['syncreact', 'check', {str(FIXTURES / 'p1.sls')!r}]\n"
+            "print(gc.get_freeze_count(), cli.entry(), gc.get_freeze_count() > 0)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "0 0 True")
+
+    def test_installed_script_is_the_process_entry(self):
+        """``pyproject.toml``'s script runs what ``python -m syncreact.cli`` runs."""
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(syncreact.__file__).resolve().parents[2]
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        module, _, name = project["scripts"]["syncreact"].partition(":")
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        block = next(
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        )
+        called = [
+            node.func.id for node in ast.walk(block)
+            if isinstance(node, ast.Call) and node.func.id != "SystemExit"
+        ]
+        assert (module, called) == ("syncreact.cli", [name])
+        assert getattr(cli, name) is cli.entry
 
     @pytest.mark.parametrize("command", ["compose", "lemma", "sspseq"])
     def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path, command):

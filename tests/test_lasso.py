@@ -18,7 +18,7 @@ from syncreact.lasso import (
     star_prepend,
 )
 
-from .oracles import stepwise_canonical
+from .oracles import stepwise_canonical, window
 
 SYMBOLS = [STAR, ("0", "1"), ("1", "0"), ("ff", "tt")]
 
@@ -71,7 +71,7 @@ class TestCanonicalForm:
         raw_prefix = (STAR, STAR) + seq.prefix
         raw = EffectSequence(raw_prefix, seq.cycle * 2)
         padded = star_prepend(2, seq)
-        assert raw.window(16) == padded.window(16)
+        assert window(raw, 16) == window(padded, 16)
 
 
 class TestMerge:
@@ -159,9 +159,9 @@ class TestObsOrder:
             unrolled = base
         else:
             unrolled = base + period * ((position - base) // period + 1)
-        window = list(seq.window(unrolled))
-        window[position] = STAR
-        weakened = EffectSequence(tuple(window), seq.cycle)
+        head = list(window(seq, unrolled))
+        head[position] = STAR
+        weakened = EffectSequence(tuple(head), seq.cycle)
         assert obs_leq(weakened, seq)
         if seq[position] is not STAR:
             assert not obs_leq(seq, weakened)
