@@ -594,9 +594,15 @@ def lemma_check(
     sys_g.check_state(q_g)
     if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
         return LemmaVerdict(False)
+    # Whether an index fits depends on the effects alone, so the split
+    # DOE answers it before the output-pair lasso is built.
+    d = doe(sys_f, q_f)
+    s = ssp_seq(sys_g, q_g)
+    window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
+    if not any(_effect_fits(d, s, sys_g, i) for i in range(window)):
+        return LemmaVerdict(False)
     levels, loop = doe_levels(sys_f, q_f)
     d = _effects(sys_f, levels, loop)
-    s = ssp_seq(sys_g, q_g)
     # Receiver pairs reachable while tracking the two sender runs: both
     # copies first consume the sender's current output, then at step j+2
     # the output pair of some sender level-j run pair.  The per-level

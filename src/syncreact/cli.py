@@ -295,9 +295,7 @@ def cmd_psyc_typecheck(args) -> int:
 def cmd_psyc_build(args) -> int:
     from . import psyc as psyc_frontend
 
-    program, ty = _typed_program(args.file)
-    if str(ty) != "comm":
-        raise PsyTypeError(f"{args.file}: program has type {ty}, not comm")
+    program = _typed_program(args.file)[0]
     system = psyc_frontend.build_lts(
         program.machine, program.body, args.max_states, name=program.name
     )

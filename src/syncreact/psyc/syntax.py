@@ -62,38 +62,8 @@ class Term:
             node = _TERMS.setdefault(key, node)  # one node even if two threads race
         return node
 
-    def __repr__(self) -> str:
-        """``Cls(field=value, ...)``, expanded on one stack (see :func:`_render`)."""
-        return _render(self, _repr_pieces)
-
 
 _TERMS: dict = {}  # (node class, *fields) -> the one node with them
-
-
-def _render(root: Term, pieces) -> str:
-    """Text of ``root``: ``pieces(node)`` lists a node's literal strings and subterms.
-
-    Subterms are expanded in place on one stack, so the cost is linear
-    in the text and no nesting depth recurses.
-    """
-    text: list[str] = []
-    todo: list = [root]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            text.append(item)
-        else:
-            todo += reversed(pieces(item))
-    return "".join(text)
-
-
-def _repr_pieces(node: Term) -> list:
-    out: list = [f"{node.__class__.__name__}("]
-    for k, name in enumerate(node.__slots__):
-        value = getattr(node, name)
-        out.append(f"{', ' if k else ''}{name}=")
-        out.append(value if isinstance(value, Term) else repr(value))
-    return out + [")"]
 
 
 class Skip(Term):
@@ -204,8 +174,17 @@ def unparse(node: Ast) -> str:
     program: ``Seq(If(c, a, d), x)`` prints ``if c then a else d; x``,
     which parses as ``If(c, a, Seq(d, x))``, and a left-nested ``;``
     (as in a built system's continuations) re-parses right-nested.
+    Subterms are expanded in place on one stack, so no depth recurses.
     """
-    return _render(node, _unparse_pieces)
+    text: list[str] = []
+    todo: list = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            text.append(item)
+        else:
+            todo += reversed(_unparse_pieces(item))
+    return "".join(text)
 
 
 class Token(Record):
@@ -242,13 +221,9 @@ def tokenize(text: str) -> list[Token]:
         if kind == "NEWLINE":
             line += 1
             line_start = match.end()
-        elif kind in ("SKIPWS", "COMMENT"):
-            pass
-        elif kind == "IDENT" and value in KEYWORDS:
-            tokens.append(Token(value, value, line, col))
-        elif kind == "OP":
-            tokens.append(Token(value, value, line, col))
-        else:
+        elif kind not in ("SKIPWS", "COMMENT"):
+            if kind == "OP" or value in KEYWORDS:
+                kind = value  # an operator or keyword is its own kind
             tokens.append(Token(kind, value, line, col))
         pos = match.end()
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
@@ -353,22 +328,20 @@ class _Parser:
         """``cmp := unary ('-' 1)* ['!=' 0]``."""
         node = yield self.unary
         while self.peek().kind == "-":
-            self.advance()
-            one = self.expect("INT")
-            if one.text != "1":
-                raise PsySyntaxError(
-                    "only the decrement `- 1` is supported", one.line, one.column
-                )
+            self.literal("1", "decrement")
             node = Dec(node)
         if self.peek().kind == "!=":
-            self.advance()
-            zero = self.expect("INT")
-            if zero.text != "0":
-                raise PsySyntaxError(
-                    "only the zero test `!= 0` is supported", zero.line, zero.column
-                )
+            self.literal("0", "zero test")
             node = NotZero(node)
         return node
+
+    def literal(self, digits: str, what: str) -> None:
+        """Consume an operator and the one integer literal, ``digits``, it takes."""
+        op = self.advance().text
+        tok = self.expect("INT")
+        if tok.text != digits:
+            message = f"only the {what} `{op} {digits}` is supported"
+            raise PsySyntaxError(message, tok.line, tok.column)
 
     def unary(self):
         """``unary := '!' unary | '(' expr ')' | atom``."""

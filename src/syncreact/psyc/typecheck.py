@@ -2,8 +2,8 @@
 
 Types are commands, variable references var(int)/var(bool), and
 expressions exp(int)/exp(bool).  Every rule failure names its rule.
-The conditional's branches must share one type and the condition is a
-boolean expression; a complete program must type as comm.
+A conditional has the one type its branches share, and its condition
+is a boolean expression; a complete program must type as comm.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class Ty(Record):
 
 
 COMM = Ty("comm")
+_BOOL = Ty("exp", "bool")
+_INT = Ty("exp", "int")
 
 
 def typecheck(
@@ -60,6 +62,11 @@ def typecheck(
     output component.
     """
 
+    def need(what: str, got: Ty, want: Ty) -> None:
+        """The premise that ``what`` has type ``want``."""
+        if got != want:
+            raise PsyTypeError(f"{what} has type {got}, not {want}")
+
     def rule(n: Ast):
         """Type of one node; yields each subterm to be typed (see core.fold)."""
         cls = n.__class__
@@ -70,9 +77,9 @@ def typecheck(
                 raise PsyTypeError(f"Var: variable {n.name!r} is not declared")
             return Ty("var", env[n.name])
         if cls is BoolLit:
-            return Ty("exp", "bool")
+            return _BOOL
         if cls is IntLit:
-            return Ty("exp", "int")
+            return _INT
         if cls is Deref:
             target = yield n.target
             if target.kind != "var":
@@ -91,30 +98,21 @@ def typecheck(
                 )
             return COMM
         if cls is Seq:
-            first = yield n.first
-            if first != COMM:
-                raise PsyTypeError(f"Seq: left of ';' has type {first}, not comm")
-            yield n.second
+            need("Seq: left of ';'", (yield n.first), COMM)
+            need("Seq: right of ';'", (yield n.second), COMM)
             return COMM
-        if cls is If:
-            cond = yield n.cond
-            if cond != Ty("exp", "bool"):
-                raise PsyTypeError(f"If: condition has type {cond}, not exp(bool)")
+        if cls is If or cls is While:
+            need(f"{cls.__name__}: condition", (yield n.cond), _BOOL)
+            if cls is While:
+                need("While: body", (yield n.body), COMM)
+                return COMM
             then_ty = yield n.then_branch
             else_ty = yield n.else_branch
             if then_ty != else_ty:
                 raise PsyTypeError(
                     f"If: branches have different types {then_ty} and {else_ty}"
                 )
-            return COMM
-        if cls is While:
-            cond = yield n.cond
-            if cond != Ty("exp", "bool"):
-                raise PsyTypeError(f"While: condition has type {cond}, not exp(bool)")
-            body = yield n.body
-            if body != COMM:
-                raise PsyTypeError(f"While: body has type {body}, not comm")
-            return COMM
+            return then_ty
         if cls is Tick:
             if len(n.args) != len(out_types):
                 raise PsyTypeError(
@@ -122,12 +120,7 @@ def typecheck(
                     " components"
                 )
             for i, arg in enumerate(n.args):
-                ty = yield arg
-                if ty != Ty("exp", out_types[i]):
-                    raise PsyTypeError(
-                        f"Tick: argument {i} has type {ty},"
-                        f" not exp({out_types[i]})"
-                    )
+                need(f"Tick: argument {i}", (yield arg), Ty("exp", out_types[i]))
             return COMM
         if cls is Get:
             if not 0 <= n.index < len(in_types):
@@ -137,18 +130,12 @@ def typecheck(
                 )
             return Ty("exp", in_types[n.index])
         if cls is Dec or cls is NotZero:
-            inner = yield n.inner
-            if inner != Ty("exp", "int"):
-                raise PsyTypeError(f"{cls.__name__}: operand has type {inner}, not exp(int)")
-            return Ty("exp", "int" if cls is Dec else "bool")
+            need(f"{cls.__name__}: operand", (yield n.inner), _INT)
+            return _INT if cls is Dec else _BOOL
         if cls is Conj:
-            for side, sub in (("left", n.left), ("right", n.right)):
-                ty = yield sub
-                if ty != Ty("exp", "bool"):
-                    raise PsyTypeError(
-                        f"Conj: {side} operand has type {ty}, not exp(bool)"
-                    )
-            return Ty("exp", "bool")
+            need("Conj: left operand", (yield n.left), _BOOL)
+            need("Conj: right operand", (yield n.right), _BOOL)
+            return _BOOL
         raise PsyTypeError(f"unknown syntax node {n!r}")
 
     return fold(rule, node)

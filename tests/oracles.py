@@ -1021,7 +1021,9 @@ def naive_typecheck(node, env, in_types, out_types):
             first = check(n.first)
             if first != "comm":
                 raise PsyTypeError(f"Seq: left of ';' has type {first}, not comm")
-            check(n.second)
+            second = check(n.second)
+            if second != "comm":
+                raise PsyTypeError(f"Seq: right of ';' has type {second}, not comm")
             return "comm"
         if isinstance(n, (If, While)):
             rule = type(n).__name__
@@ -1036,7 +1038,7 @@ def naive_typecheck(node, env, in_types, out_types):
             then_ty, else_ty = check(n.then_branch), check(n.else_branch)
             if then_ty != else_ty:
                 raise PsyTypeError(f"If: branches have different types {then_ty} and {else_ty}")
-            return "comm"
+            return then_ty
         if isinstance(n, Tick):
             if len(n.args) != len(out_types):
                 raise PsyTypeError(

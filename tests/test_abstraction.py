@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 
 import pytest
 
@@ -376,6 +377,16 @@ class TestOrbits:
         assert [sum(bits.bit_count() for _, bits in frontier) for frontier in split] == [6]
         expected = naive_lemma_check(sender, "r", receiver, "s0")
         assert (verdict.index if verdict.guaranteed else None) == expected
+
+    def test_lemma_answers_on_a_cycle_root_whose_output_pairs_pass_max_levels(self):
+        # The root's output pairs repeat only every 215,441 levels, but its
+        # DOE is ``| *``: no index fits, so no output-pair walk is needed.
+        sender = GEN.cyc((17, 19, 23, 29), random.Random("1:cyc-17-19-23-29"))
+        receiver = sized_system(random.Random(4), "g", 3, sender.outputs.symbols, ("u", "v"))
+        assert reactive(receiver, "s0")
+        start = time.perf_counter()
+        assert not lemma_check(sender, "r", receiver, "s0").guaranteed
+        assert time.perf_counter() - start < 0.5
 
     def test_lemma_matches_the_frozenset_walks(self, split):
         roots = [GEN.cyc(ls, random.Random(str(ls))) for ls in ((2, 3), (7, 11, 13))]

@@ -28,7 +28,7 @@ from syncreact import (
 from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
-from .oracles import chain_sender, perfbench_module
+from .oracles import chain_sender, perfbench_module, sized_system
 from .test_golden_cli import render_command
 
 GEN = perfbench_module("gen")
@@ -1045,16 +1045,22 @@ class TestLevelBound:
 
     def test_cycle_root_of_lcm_215441_answers_in_a_fresh_interpreter(self, tmp_path):
         # A joint walk would need 215,441 levels, past MAX_LEVELS.
-        target = tmp_path / "cyc.sls"
-        sls.dump(GEN.cyc((17, 19, 23, 29), random.Random(1)), target)
-        for command in ("doe", "sspseq"):
+        target, receiver = tmp_path / "cyc.sls", tmp_path / "g.sls"
+        sender = GEN.cyc((17, 19, 23, 29), random.Random(1))
+        sls.dump(sender, target)
+        sls.dump(sized_system(random.Random(4), "g", 3, sender.outputs.symbols, ("u", "v")), receiver)
+        lemma = ("lemma", target, receiver, "--qf", "r", "--qg", "s0")
+        for argv in (("doe", target, "r"), ("sspseq", target, "r"), lemma):
             start = time.perf_counter()
-            done = run_fresh(command, target, "r")
-            assert time.perf_counter() - start < 5, command
+            done = run_fresh(*argv)
+            assert time.perf_counter() - start < 5, argv
             assert done.returncode == 0, done.stderr
-            if command == "doe":
+            if argv[0] == "doe":
                 # Three or more distinct branches never share one effect.
                 assert done.stdout == "| *\n"
+            if argv[0] == "lemma":
+                # So no index fits, and the output pairs are never walked.
+                assert done.stdout == "NoGuarantee\n"
 
     @pytest.mark.parametrize(
         "mode, left, right",

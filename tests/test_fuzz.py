@@ -13,9 +13,19 @@ on the mutants: it exits 0, 2 or 3 without a traceback, a success ends
 its output with a non-empty line, and a mutant that fails to load, is
 incomplete, or fails to parse or typecheck is reported by an error that
 names its file first.
+
+Most token mutants never load, so two more families keep the file
+well-formed and reach what lies behind the loaders.  A ``.sls`` file
+has one ``trans`` line moved to another declared target state or one
+``state`` line relabelled with another declared output: every such
+mutant loads complete, and the analyses run on it.  A ``.psy`` body has
+one token swapped for another that still parses (``tt`` for ``1``,
+``!x`` for ``x``, ...): every such mutant breaks a typing rule, and
+both ``psyc`` commands name the file and then the rule.
 """
 
 import random
+import re
 
 import pytest
 
@@ -40,6 +50,48 @@ def mutants(text: str, rng: random.Random):
         before, token, after = tokens[:k], tokens[k], tokens[k + 1 :]
         middle = ([], [token, token], ["fresh"])[(turn + i) % 3]
         yield "\n".join(lines[:i] + [" ".join(before + middle + after)] + lines[i + 1 :]) + "\n"
+
+
+def retargeted(fixture, text: str, rng: random.Random):
+    """Per ``trans`` and ``state`` line, the file with that line's last field changed.
+
+    A transition moves to another declared state it does not already
+    reach on that input; a state takes another declared output.
+    """
+    lines = text.splitlines()
+    moves = {tuple(line.split()[1:]) for line in lines if line.startswith("trans ")}
+    for i, line in enumerate(lines):
+        kind, *fields = line.split() or [""]
+        if kind == "trans":
+            choices = [q for q in fixture.states if (*fields[:2], q) not in moves]
+        elif kind == "state":
+            choices = [x for x in fixture.outputs.symbols if x != fields[-1]]
+        else:
+            continue
+        if choices:
+            fields[-1] = rng.choice(choices)
+            yield "\n".join(lines[:i] + [" ".join([kind, *fields])] + lines[i + 1 :]) + "\n"
+
+
+# Token swaps that keep a program body parsable; each breaks a typing rule.
+SWAPS = [
+    (r"\btt\b", "1"),
+    (r"\bff\b", "0"),
+    (r"!(?=\w)", ""),  # !x -> x
+    (r"(?<![-=] )\b\d+\b", "tt"),  # but not the literal of `- 1` or `!= 0`
+    (r"\bget\b", "!get"),
+    (r"- 1\b", "- 1 != 0"),
+    (r"&&", "&& 3 &&"),
+]
+
+
+def ill_typed(text: str):
+    """Per swap and per place in the body where it applies, the program with that one swap."""
+    header, body = text.split("\n\n", 1)
+    for pattern, replacement in SWAPS:
+        for match in re.finditer(pattern, body):
+            swapped = body[: match.start()] + replacement + body[match.end() :]
+            yield f"{header}\n\n{swapped}"
 
 
 def sls_commands(path: str, first: str, last: str, symbol: str, out: str) -> list[list[str]]:
@@ -137,3 +189,31 @@ def test_psyc_keeps_its_contract_on_token_mutations(name, tmp_path, capsys):
 def test_the_fuzz_runs_every_command():
     argvs = sls_commands("f", "p", "q", "a", "o") + psyc_commands("f", "o")
     assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEM_FIXTURES)
+def test_every_command_keeps_its_contract_on_retargeted_systems(name, tmp_path, capsys):
+    path, out = str(tmp_path / name), str(tmp_path / "out.sls")
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    fixture = sls.load(FIXTURES / name)
+    first, last = fixture.states[0], fixture.states[-1]
+    argvs = sls_commands(path, first, last, fixture.inputs.symbols[0], out)
+    for mutant in retargeted(fixture, text, random.Random(name)):
+        (tmp_path / name).write_text(mutant, encoding="utf-8")
+        assert validate(sls.load(path)) == [], mutant
+        for argv in argvs:
+            run_contract(argv, path, False, capsys)
+
+
+def test_psyc_names_the_broken_typing_rule_on_token_swaps(tmp_path, capsys):
+    rules = set()
+    for name in PROGRAMS:
+        path = str(tmp_path / name)
+        for text in ill_typed((FIXTURES / name).read_text(encoding="utf-8")):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            for argv in psyc_commands(path, str(tmp_path / "out.sls")):
+                assert main(argv) == 2, (argv, text)
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {path}: "), (argv, err)
+                rules.add(err[len(f"error: {path}: ") :].split(":")[0])
+    assert {"Assign", "Tick", "Deref", "While", "NotZero", "Conj", "Dec"} <= rules, rules

@@ -403,3 +403,20 @@ def test_tree_walks_match_structural_recursion():
     assert outcomes["ok"] >= 50, outcomes
     rules = {"Var", "Deref", "Assign", "If", "While", "Tick", "Get", "Dec", "NotZero", "Conj"}
     assert rules <= set(outcomes), outcomes
+
+
+# Hand-built terms with an expression where a statement goes: the
+# evaluator has no rule for them, so none may type as comm.
+SEQ_RIGHT = "Seq: right of ';' has type exp(bool), not comm"
+EXPRESSION_STATEMENTS = {
+    "; right": (Seq(Tick((Get(0),)), Get(0)), (PsyTypeError, SEQ_RIGHT)),
+    "if branches": (If(Get(0), Get(0), Get(0)), ("ok", "exp(bool)")),
+    "while body": (While(BoolLit(True), Seq(Tick((Get(0),)), Get(0))), (PsyTypeError, SEQ_RIGHT)),
+}
+
+
+@pytest.mark.parametrize("shape", EXPRESSION_STATEMENTS)
+def test_expression_statements_do_not_type_as_comm(shape):
+    prog, expected = EXPRESSION_STATEMENTS[shape]
+    assert type_outcome(typecheck, prog, ("bool",)) == expected
+    assert type_outcome(oracles.naive_typecheck, prog, ("bool",)) == expected

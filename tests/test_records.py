@@ -133,7 +133,7 @@ CASES = [
         ProgramFile,
         {"name": "prog", "machine": MACHINE, "body": VarRef("x")},
         "other",
-        f"ProgramFile(name='prog', machine={MACHINE!r}, body=VarRef(name='x'))",
+        f"ProgramFile(name='prog', machine={MACHINE!r}, body={VarRef('x')!r})",
         True,
     ),
 ]
