@@ -10,7 +10,9 @@ Every command runs in a process of its own, so start-up counts.  Only
 ``sls``, ``core`` and ``errors`` load with this module; each command
 imports the layers it runs inside its handler.  No command loads
 ``dataclasses`` or ``inspect``: the value classes derive from
-:class:`syncreact.core.Record`.  The ``syncreact`` modules a command
+:class:`syncreact.core.Record`.  Nor does a well-formed command load
+``argparse`` (and with it ``gettext`` and ``locale``): argparse loads
+only for help, usage and errors.  The ``syncreact`` modules a command
 loads:
 
 - ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``;
@@ -22,43 +24,60 @@ loads:
   ``dot``; ``psyc``: the first set and the ``psyc`` package.
 
 :data:`COMMANDS` is the one table of the command line: each command's
-help text, handler and arguments, from which :func:`build_parser` adds
-its subparser.  When the first argument names one of them, :func:`main`
-builds that command's parser alone, which prints the same help, usage
-and errors as the whole parser does for it; building every subparser
-cost a few milliseconds of each command's start-up.  Anything else (no
-arguments, ``-h``, an unknown command) gets the whole parser.
+help text, handler and arguments.  :func:`main` first reads the command
+line straight from the named command's entry (:func:`_read`): its
+positionals in order, its flags each given once with a value, its
+required choice, ``psyc``'s subcommand and the defaults, into a
+namespace with the attributes argparse would set.  Anything else, from
+``-h`` or ``--`` to an abbreviated flag, a missing argument or a value
+its type rejects, is left to argparse, which stays the only source of
+help, usage and error text: :func:`build_parser` then adds the
+command's subparser from the same entry.  When the first argument names
+a command, that command's parser is built alone, and prints the same
+help, usage and errors as the whole parser does for it.  Anything else
+(no arguments, ``-h``, an unknown command) gets the whole parser.
+Importing argparse and parsing with it cost a few milliseconds of each
+command's start-up, much of it ``gettext`` loading ``locale`` for
+argparse's first message lookup: in 30 alternating pairs of fresh runs
+on 2 vCPUs under Python 3.11.7, the direct read saved a median 2.7 to
+5.2 ms of CPU time per command (``check``, ``bisim``, ``doe``, a
+two-file ``ssp``, ``psyc typecheck`` and ``lemma``).
 
 :func:`main` pauses the cyclic garbage collector for the command and
 restores its previous state on the way out.  A command builds tables of
 tens of thousands of containers that live until it exits.  Each
 collection their allocation sets off would scan them again and free
-next to nothing: what a command leaves in cycles is the few hundred
-objects argparse makes, whatever the input.  In-process callers, tests
-among them, get their collector back when it returns.
+next to nothing: what a command leaves in cycles is a few hundred
+objects at most (argparse's, when it runs), whatever the input.
+In-process callers, tests among them, get their collector back when it
+returns.
 
 :func:`entry` is the process's entry point, for ``python -m
 syncreact.cli`` and the installed ``syncreact`` script alike.  It runs
 :func:`main`, then moves every object the process holds into the
 collector's permanent generation (:func:`gc.freeze`), so the full
 collections the interpreter runs as it shuts down skip them: what
-``site``, argparse, the command's layers and its tables made is not
-scanned again.  In 30 interleaved runs on 2 vCPUs under Python 3.11
-this saved a median 6.2 ms of a ``check``, 7.5 ms of a ``doe`` and
-7.1 ms of a ``quotient`` on an 8,626-state composite.  ``atexit`` handlers still run, so a profiler or coverage
-started around the command still writes its data.
+``site``, the command's layers and its tables made is not scanned
+again.  In 30 interleaved runs on 2 vCPUs under Python 3.11 this saved
+a median 6.2 ms of a ``check``, 7.5 ms of a ``doe`` and 7.1 ms of a
+``quotient`` on an 8,626-state composite.  ``atexit`` handlers still
+run, so a profiler or coverage started around the command still writes
+its data.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys as _sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import sls
 from .core import SynchronousSystem, bisim_quotient, disjoint_union, non_bisimilar, validate
 from .errors import (
+    BuildError,
+    IntRangeExceeded,
+    NonFiniteIntRange,
     PreconditionFailed,
     PsyTypeError,
     ResourceError,
@@ -91,6 +110,8 @@ def _at_least(least: int):
     def bound(text: str) -> int:
         value = int(text)
         if value < least:
+            import argparse
+
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value
 
@@ -277,7 +298,8 @@ def cmd_doe_compose(args) -> int:
 
 
 def _typed_program(path):
-    """The ``.psy`` program at path and its type; a type error names the file."""
+    """The ``.psy`` program at path and its type; a type error names the file,
+    as :func:`cmd_psyc_build` does a build error."""
     from . import psyc as psyc_frontend
 
     program = psyc_frontend.load(path)
@@ -296,9 +318,12 @@ def cmd_psyc_build(args) -> int:
     from . import psyc as psyc_frontend
 
     program = _typed_program(args.file)[0]
-    system = psyc_frontend.build_lts(
-        program.machine, program.body, args.max_states, name=program.name
-    )
+    try:
+        system = psyc_frontend.build_lts(
+            program.machine, program.body, args.max_states, name=program.name
+        )
+    except (IntRangeExceeded, NonFiniteIntRange, BuildError) as exc:
+        raise type(exc)(f"{args.file}: {exc}") from None
     sls.dump(system, args.output)
     print(f"states {len(system.states)}")
     return EXIT_OK
@@ -381,12 +406,14 @@ def _add(sub, name: str, entry: tuple) -> None:
     parser.set_defaults(func=handler)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone.
+def build_parser(command: Optional[str] = None):
+    """The argparse parser of every command, or of ``command`` alone.
 
     A parser of one command prints the same usage, help and errors for
     it: its usage line spells out the whole command list.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="syncreact",
         description="Analyze finite synchronous systems for reactivity,"
@@ -397,6 +424,81 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     for name in [command] if command else COMMANDS:
         _add(sub, name, COMMANDS[name])
     return parser
+
+
+def _read(argv: list[str], table: dict = COMMANDS, dest: str = "command"):
+    """The namespace :func:`build_parser` would make of ``argv``, read
+    straight from its :data:`COMMANDS` entry, or None to leave it to argparse.
+
+    It declines whatever argparse might answer with help, usage or an
+    error: an unknown command, a token starting with ``-`` that is not
+    one of the command's flags, a flag given twice or without a value, a
+    value starting with ``-``, the wrong number of positionals, a missing
+    required option or choice, and a ``type`` that raises.  A positional
+    given as an :func:`_option` is a ``nargs="+"`` rest: it comes last and
+    takes every positional left, and no flag may follow its first one.
+    """
+    if not argv or argv[0] not in table:
+        return None
+    name, *tokens = argv
+    _, handler, *arguments = table[name]
+    if isinstance(handler, dict):
+        args = _read(tokens, handler, f"{name}_command")
+        if args is not None:
+            setattr(args, dest, name)
+        return args
+    values = {dest: name, "func": handler}
+    positionals, rest, flags, required, choices = [], None, {}, set(), []
+    for argument in arguments:
+        if isinstance(argument, str):
+            positionals.append(argument)
+        elif isinstance(argument[0], str):
+            choices.append({flag[2:] for flag in argument})
+            for flag in argument:
+                flags[flag] = (flag[2:], None)
+                values[flag[2:]] = False
+        elif argument[0][0][0] != "-":
+            rest = argument[0][0]
+        else:
+            names, options = argument
+            long = [flag for flag in names if flag.startswith("--")]
+            key = (long or names)[0].lstrip("-").replace("-", "_")
+            values[key] = options.get("default")
+            flags.update((flag, (key, options)) for flag in names)
+            if options.get("required"):
+                required.add(key)
+    words, given = [], set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        key, options = flags.get(token, (None, None))
+        if key is None or key in given or (rest and len(words) > len(positionals)):
+            return None
+        given.add(key)
+        if options is None:
+            values[key] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            values[key] = options.get("type", str)(value)
+        except Exception:  # argparse calls the type again, and reports what it raises
+            return None
+    if rest:
+        values[rest] = words[len(positionals) :]
+        del words[len(positionals) :]
+    if (
+        len(words) != len(positionals)
+        or (rest and not values[rest])
+        or not required <= given
+        or any(len(given & choice) != 1 for choice in choices)
+    ):
+        return None
+    values.update(zip(positionals, words))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -413,11 +515,13 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     if argv is None:
         argv = _sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _read(argv)
+    if args is None:
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
     except UserError as exc:

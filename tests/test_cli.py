@@ -1,12 +1,15 @@
 """Command line surface: exit codes and stable final lines."""
 
 import ast
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -29,7 +32,7 @@ from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
 from .oracles import chain_sender, perfbench_module, sized_system
-from .test_golden_cli import render_command
+from .test_golden_cli import GOLDEN, render_command
 
 GEN = perfbench_module("gen")
 
@@ -873,7 +876,7 @@ class TestPsyc:
         src.write_text(source)
         code, _, err = run(capsys, "psyc", "build", src, "-o", tmp_path / "x.sls")
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {src}: ")
         assert message in err
 
     def test_parse_error_names_the_file_line_and_column(self, capsys, tmp_path):
@@ -945,7 +948,7 @@ class TestPsyc:
         assert last_line(done.stdout) == "comm"
         done = self._psyc_fresh(["build", str(src), "-o", str(tmp_path / "dec.sls")])
         assert done.returncode == 2
-        assert done.stderr == "error: assignment y := -1500 leaves range [0..3]\n"
+        assert done.stderr == f"error: {src}: assignment y := -1500 leaves range [0..3]\n"
 
 
     def test_1500_nested_parentheses_in_a_fresh_interpreter(self, tmp_path):
@@ -1157,9 +1160,9 @@ class TestUsage:
         monkeypatch.setattr(
             cli, "build_parser", lambda command=None: built.append(command) or full(command)
         )
-        for argv in (["check", FIXTURES / "p1.sls"], ["nosuch"], ["-h"], []):
+        for argv in (["check", FIXTURES / "p1.sls"], ["nosuch"], ["-h"], [], ["check"]):
             main([str(a) for a in argv])
-        assert built == ["check", None, None, None]
+        assert built == [None, None, None, "check"]
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -1197,3 +1200,132 @@ class TestUsage:
         assert (code, out) == (0, "sep det\nseparators 1\n")
         code, out, _ = run(capsys, "separators", FIXTURES / "p1.sls", "p0", "p1", "--max-len", "0")
         assert (code, out) == (0, "separators 0\n")
+
+
+def golden_argvs() -> list[list[str]]:
+    """argv of every command in ``tests/golden_cli.txt``."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line[len("$ syncreact ") :]) for line in lines if line.startswith("$ ")]
+
+
+def command_flags() -> list[str]:
+    """Every flag of every command in :data:`cli.COMMANDS`, ``psyc``'s included."""
+    flags, tables = [], [cli.COMMANDS]
+    for table in tables:
+        for _, handler, *arguments in table.values():
+            if isinstance(handler, dict):
+                tables.append(handler)
+            for argument in arguments:
+                if isinstance(argument, tuple):
+                    names = argument if isinstance(argument[0], str) else argument[0]
+                    flags += [name for name in names if name.startswith("-")]
+    return flags
+
+
+def token_mutant(argv: list[str], rng: random.Random, inserts: list[str]) -> list[str]:
+    """argv with one or two tokens dropped, duplicated, swapped, replaced or inserted."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.randrange(5) if argv else 4
+        i, j = rng.randrange(len(argv) or 1), rng.randrange(len(argv) or 1)
+        if edit == 0:
+            del argv[i]
+        elif edit == 1:
+            argv.insert(i, argv[i])
+        elif edit == 2:
+            argv[i], argv[j] = argv[j], argv[i]
+        elif edit == 3:
+            argv[i] = rng.choice(inserts)
+        else:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(inserts))
+    return argv
+
+
+# Well-formed and nearly well-formed argvs the snapshot lacks: option
+# values the type rejects, both choices, a choice or an option among the
+# positionals, a second file among ssp's rest.
+EDGE_ARGVS = [
+    ["psyc", "build", "p.psy", "--max-states", "0", "-o", "x"],
+    ["psyc", "build", "--max-states", "5", "p.psy", "-o", "x"],
+    ["psyc", "typecheck", "p.psy", "x"],
+    ["separators", "f", "p", "--max-len", "x", "q"],
+    ["separators", "f", "--max-len", " 2", "p", "q"],
+    ["doe-compose", "f", "g", "--qf", "a", "--qg", "b", "-t", "1_0"],
+    ["doe-compose", "f", "-t", "x", "g", "--qf", "a", "--qg", "b"],
+    ["compose", "--seq", "--par", "f", "g", "-o", "x"],
+    ["compose", "f", "--par", "g", "--output", "x"],
+    ["diff", "f", "p", "q", "--word", "", "-w", "a b"],
+    ["ssp", "f", "p", "g", "q", "r"],
+    ["dot", "f", "-o", ""],
+]
+
+
+class TestDirectRead:
+    """A well-formed command line is read straight from ``COMMANDS``;
+    argparse is loaded only for help, usage and errors."""
+
+    def test_the_direct_read_is_argparse_wherever_it_answers(self):
+        flags = command_flags()
+        inserts = ["-h", "--help", "--", "-1", "-", "", "-ox", "-x y", "0", "3", "x", *flags]
+        inserts += [flag[:k] for flag in flags if flag[:2] == "--" for k in range(3, len(flag))]
+        inserts += [f"{flag}=1" for flag in flags]
+        golden = golden_argvs()
+        rng = random.Random(1)
+        seeds = golden + EDGE_ARGVS
+        argvs = seeds + [token_mutant(argv, rng, inserts) for argv in seeds for _ in range(20)]
+        parsers, declined = {}, []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in argvs:
+                command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+                if command not in parsers:
+                    parsers[command] = cli.build_parser(command)
+                try:
+                    parsed = vars(parsers[command].parse_args(argv))
+                except SystemExit:
+                    parsed = None
+                direct = cli._read(argv)
+                # Where argparse exits, parsed is None and the read must decline.
+                assert direct is None or vars(direct) == parsed, argv
+                declined.append(direct is None)
+        assert len(golden) >= 1700 and len(argvs) - len(seeds) >= 30_000
+        assert {argv[0] for argv in golden} == set(cli.COMMANDS)
+        assert [argv for argv, no in zip(golden, declined) if no] == []
+        assert declined.count(False) - len(golden) >= 2000 and declined.count(True) >= 20_000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "p1.sls"],
+            ["doe", "p1.sls", "p0"],
+            ["ssp", "union1.sls", "u0", "union2.sls", "v1"],
+            ["compose", "--seq", "delay1.sls", "receiver.sls", "-o", "OUT"],
+            ["psyc", "build", "program1.psy", "-o", "OUT"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_a_well_formed_command_loads_no_argparse(self, tmp_path, argv):
+        argv = [str(tmp_path / "out.sls") if a == "OUT" else a for a in argv]
+        code = (
+            "import contextlib, io, sys\nfrom syncreact import cli\n"
+            f"sys.argv = ['syncreact', *{argv!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.entry() == 0"
+        )
+        assert loaded_modules(code) & {"argparse", "gettext", "locale"} == set()
+
+    @pytest.mark.parametrize(
+        "argv, first",
+        [
+            (["doe", "-h"], "usage: syncreact doe [-h] file state\n"),
+            (["doe", "p1.sls"], "usage: syncreact doe [-h] file state\n"),
+        ],
+    )
+    def test_help_and_usage_errors_load_argparse(self, capsys, monkeypatch, argv, first):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(FIXTURES)
+        done = run_fresh(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+        assert (done.stdout or done.stderr).startswith(first)
+        code = "import contextlib, io\nfrom syncreact.cli import main\n"
+        code += "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):"
+        code += f"\n    main({argv!r})"
+        assert "argparse" in loaded_modules(code)

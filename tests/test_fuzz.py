@@ -12,7 +12,10 @@ Every command of :data:`syncreact.cli.COMMANDS` keeps the same contract
 on the mutants: it exits 0, 2 or 3 without a traceback, a success ends
 its output with a non-empty line, and a mutant that fails to load, is
 incomplete, or fails to parse or typecheck is reported by an error that
-names its file first.
+names its file first.  Every line a command writes to stderr starts
+with one of the prefixes of its diagnostics.  The composition commands
+compose each fixture with a small complete receiver of its outputs, so
+they reach the analyses instead of a signature mismatch.
 
 Most token mutants never load, so two more families keep the file
 well-formed and reach what lies behind the loaders.  A ``.sls`` file
@@ -94,9 +97,22 @@ def ill_typed(text: str):
             yield f"{header}\n\n{swapped}"
 
 
-def sls_commands(path: str, first: str, last: str, symbol: str, out: str) -> list[list[str]]:
-    """argv of every command run on the system at path, at its states first and last."""
-    receiver = str(FIXTURES / "receiver.sls")
+def receiver(symbols) -> str:
+    """A complete receiver reading ``symbols``, with one output per state:
+    ``g0`` stays on the first symbol and moves to the sink ``g<j>`` on the j-th."""
+    outputs = [f"r{j}" for j in range(len(symbols))]
+    lines = ["system receiver", "inputs " + " ".join(symbols), "outputs " + " ".join(outputs)]
+    lines += ["init g0", *(f"state g{j} {x}" for j, x in enumerate(outputs))]
+    for i in range(len(symbols)):
+        lines += [f"trans g{i} {x} g{i or j}" for j, x in enumerate(symbols)]
+    return "\n".join(lines) + "\n"
+
+
+def sls_commands(
+    path: str, first: str, last: str, symbol: str, out: str, receiver: str
+) -> list[list[str]]:
+    """argv of every command run on the system at path, at its states first
+    and last, composed with the receiver at ``receiver``."""
     composition = [path, receiver, "--qf", first, "--qg", "g0"]
     return [
         ["check", path],
@@ -123,11 +139,20 @@ def psyc_commands(path: str, out: str) -> list[list[str]]:
     return [["psyc", "typecheck", path], ["psyc", "build", path, "-o", out]]
 
 
+# The prefixes of every line ``cli`` writes to stderr: diagnostics,
+# certificates and argparse's usage and errors.
+STDERR = (
+    "error: ", "resource limit: ", "internal error: ", "incomplete: ", "note: ",
+    "witness depth ", "bound ", "eq-cycle ", "usage: ", "syncreact: error: ",
+)
+
+
 def run_contract(argv: list[str], path: str, rejected: bool, capsys) -> None:
     """Run argv on the mutant at path, which its loader or checker ``rejected`` or not."""
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+    assert all(line.startswith(STDERR) for line in err.splitlines()), (argv, err)
     if code == 0:
         assert out.splitlines()[-1:] not in ([], [""]), (argv, out)
     if code == 2 and rejected and not err.startswith(f"error: {path}:"):
@@ -162,12 +187,21 @@ def test_check_survives_token_mutations(name, tmp_path, capsys):
             assert all(line.startswith("incomplete: ") for line in err.splitlines()), (text, err)
 
 
+def fixture_commands(name: str, tmp_path):
+    """The fixture ``name``, and :func:`sls_commands` on its mutants at
+    ``tmp_path / name`` with a :func:`receiver` of its outputs."""
+    fixture = sls.load(FIXTURES / name)
+    rcv = tmp_path / "rcv.sls"
+    rcv.write_text(receiver(fixture.outputs.symbols), encoding="utf-8")
+    first, last, symbol = fixture.states[0], fixture.states[-1], fixture.inputs.symbols[0]
+    out = str(tmp_path / "out.sls")
+    return fixture, sls_commands(str(tmp_path / name), first, last, symbol, out, str(rcv))
+
+
 @pytest.mark.parametrize("name", ALL_SYSTEM_FIXTURES)
 def test_every_command_keeps_its_contract_on_token_mutations(name, tmp_path, capsys):
-    path, out = str(tmp_path / name), str(tmp_path / "out.sls")
-    fixture = sls.load(FIXTURES / name)
-    first, last = fixture.states[0], fixture.states[-1]
-    argvs = sls_commands(path, first, last, fixture.inputs.symbols[0], out)
+    path = str(tmp_path / name)
+    _, argvs = fixture_commands(name, tmp_path)
     for text in mutants((FIXTURES / name).read_text(encoding="utf-8"), random.Random(name)):
         (tmp_path / name).write_text(text, encoding="utf-8")
         rejected = _rejected_system(path)
@@ -187,17 +221,15 @@ def test_psyc_keeps_its_contract_on_token_mutations(name, tmp_path, capsys):
 
 
 def test_the_fuzz_runs_every_command():
-    argvs = sls_commands("f", "p", "q", "a", "o") + psyc_commands("f", "o")
+    argvs = sls_commands("f", "p", "q", "a", "o", "g") + psyc_commands("f", "o")
     assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEM_FIXTURES)
 def test_every_command_keeps_its_contract_on_retargeted_systems(name, tmp_path, capsys):
-    path, out = str(tmp_path / name), str(tmp_path / "out.sls")
+    path = str(tmp_path / name)
     text = (FIXTURES / name).read_text(encoding="utf-8")
-    fixture = sls.load(FIXTURES / name)
-    first, last = fixture.states[0], fixture.states[-1]
-    argvs = sls_commands(path, first, last, fixture.inputs.symbols[0], out)
+    fixture, argvs = fixture_commands(name, tmp_path)
     for mutant in retargeted(fixture, text, random.Random(name)):
         (tmp_path / name).write_text(mutant, encoding="utf-8")
         assert validate(sls.load(path)) == [], mutant
