@@ -32,7 +32,7 @@ Where the orbits pass a bound the joint walk goes on instead.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, cached_property, reduce
 from math import isqrt, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -219,13 +219,14 @@ def _frontier(pairs: Iterable[tuple[int, int]]) -> tuple:
 class _Walk:
     """The frontiers from ``frontier`` on, each valued by ``value``, as a lasso.
 
+    ``step`` maps a frontier, or any hashable walk state, to the next.
     ``values`` holds the levels valued so far and ``frontier`` the next
     one; ``loop`` is the index the walk loops back to once a frontier
     repeats, which finitely many frontiers guarantee.
     """
 
-    def __init__(self, rows: PairRows, frontier: tuple, value: Callable):
-        self.step, self.value = rows.step, value
+    def __init__(self, step: Callable, frontier: tuple, value: Callable):
+        self.step, self.value = step, value
         self.frontier = frontier
         self.seen: dict[tuple, int] = {}
         self.values: list = []
@@ -258,7 +259,7 @@ def lasso_at(values: Sequence, loop: int, i: int):
 
 
 def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list, int]:
-    """The level sets of a walk ``(rows, start, key, named)``, as a lasso.
+    """The level sets of a walk ``(step, start, key, named)``, as a lasso.
 
     ``key`` maps a frontier to an int whose bits are per-pair facts,
     so the key of a union is the OR of its parts' keys, and ``named``
@@ -270,13 +271,13 @@ def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list,
     the orbits pass a bound the joint walk answers; should it pass
     :data:`MAX_LEVELS` too, the orbits' error is raised.
     """
-    rows, start, key, named = walk
-    joint = _Walk(rows, start, key)
+    step, start, key, named = walk
+    joint = _Walk(step, start, key)
     joint.run(SPLIT_LEVEL)
     pairs = sum(bits.bit_count() for _, bits in joint.frontier)
     if joint.loop is None and pairs <= MAX_ORBITS:
         try:
-            keys, loop = _combine(_orbits(rows, key, joint.frontier), signals)
+            keys, loop = _combine(_orbits(step, key, joint.frontier), signals)
             return [named(k) for k in joint.values + keys], len(joint.values) + loop
         except ResourceError as exc:
             try:
@@ -287,14 +288,14 @@ def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list,
     return [named(k) for k in joint.values], joint.loop
 
 
-def _orbits(rows: PairRows, key: Callable, frontier: tuple) -> list:
+def _orbits(step: Callable, key: Callable, frontier: tuple) -> list:
     """The walk of each pair of ``frontier`` alone, its orbit, as a lasso of keys."""
     lassos = []
     for p, bits in frontier:
         while bits:
             pair = bits & -bits
             bits ^= pair
-            orbit = _Walk(rows, ((p, pair),), key)
+            orbit = _Walk(step, ((p, pair),), key)
             orbit.run()
             lassos.append((orbit.values, orbit.loop))
     return lassos
@@ -370,12 +371,10 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
     every = [(a, a, -1) for a in range(len(sys.inputs))]
     m = len(sys.outputs)
     named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
-    return PairRows(succ, succ, lambda p: every), start, _output_pairs(sys), named
+    return PairRows(succ, succ, lambda p: every).step, start, _output_pairs(sys), named
 
 
-def doe_levels(
-    sys: SynchronousSystem, q: str
-) -> tuple[list[frozenset], int]:
+def doe_levels(sys: SynchronousSystem, q: str) -> tuple[list[frozenset], int]:
     """Output pairs of the run-pair level sets of a reactive state, as a lasso.
 
     Level 0 holds every successor combination of every separating pair
@@ -524,8 +523,8 @@ def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
             if not lacking >> c & 1
         )
 
-    rows = PairRows(succ, succ, lambda p: row(p)[0])
-    return rows, _frontier([(sys.index[q1], sys.index[q2])]), key, cache(named)
+    step = PairRows(succ, succ, lambda p: row(p)[0]).step
+    return step, _frontier([(sys.index[q1], sys.index[q2])]), key, cache(named)
 
 
 def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
@@ -560,120 +559,121 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     return PairSetSequence(tuple(levels[:loop]), tuple(levels[loop:]))
 
 
-def _effect_fits(d: EffectSequence, s: PairSetSequence, sys_g: SynchronousSystem, i: int) -> bool:
-    """The sender's effect at i is a strongly separating pair of the receiver at level i+1."""
-    value = d[i]
-    return value is not STAR and sys_g.inputs.canonical_pair(*value) in s[i + 1]
+class _Lemma:
+    """The sequential-composition lemma of a sender and a receiver state, index by index.
+
+    Indices are asked only if both states are ``reactive``.  The lemma
+    holds at i when the sender's effect ``d[i]`` fits, being a strongly
+    separating pair of the receiver at level i+1, and consuming it
+    forces a receiver output difference.  Fits read the split ``doe``
+    and ``ssp_seq`` and repeat from ``window`` on.  Forcing reads one
+    walk, built at the first index that fits and walked as far as asked.
+    A walk state is a position j of the sender's ``doe_levels`` lasso
+    and a frontier of receiver pairs: both copies first consume the
+    sender's output at q_f, then each step the output pairs of level j,
+    which cover every composite run pair's feeds.  Its value is whether
+    some receiver pair emits equal outputs.  A non-silent d[i] is level
+    i's only pair, so walk level i+1 is the frontier that consumed it.
+    """
+
+    def __init__(self, sys_f: SynchronousSystem, q_f: str, sys_g: SynchronousSystem, q_g: str):
+        self.fed = feed_of(sys_f, sys_g)
+        sys_f.check_state(q_f)
+        sys_g.check_state(q_g)
+        self.reactive = reactive(sys_f, q_f) and reactive(sys_g, q_g)
+        if self.reactive:
+            self.d, self.s = d, s = doe(sys_f, q_f), ssp_seq(sys_g, q_g)
+            self.window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
+        self.sys_f, self.q_f, self.sys_g, self.q_g = sys_f, q_f, sys_g, q_g
+
+    def fits(self, i: int) -> bool:
+        value = self.d[i]
+        return value is not STAR and self.sys_g.inputs.canonical_pair(*value) in self.s[i + 1]
+
+    def holds(self, i: int) -> bool:
+        if not self.fits(i):
+            return False
+        self.walk.run(i + 2)
+        return not lasso_at(self.walk.values, self.walk.loop, i + 1)
+
+    @cached_property
+    def walk(self) -> _Walk:
+        levels, loop = doe_levels(self.sys_f, self.q_f)
+        sys_g, fed = self.sys_g, self.fed
+        succ_g, out_g, emitting = sys_g.succ, sys_g.out_ids, _emitting(sys_g)
+        feed = dict(zip(self.sys_f.out_ids, fed))
+
+        @cache
+        def rows(level: frozenset) -> PairRows:
+            feeds = {(feed[x1], feed[x2], -1) for (x1, x2) in level}
+            return PairRows(succ_g, succ_g, lambda p: feeds)
+
+        def step(state: tuple) -> tuple:
+            j, pairs = state
+            return (j + 1 if j + 1 < len(levels) else loop), rows(levels[j]).step(pairs)
+
+        def equal(state: tuple) -> bool:
+            return any(bits & emitting[out_g[p]] for p, bits in state[1])
+
+        moves = succ_g[sys_g.index[self.q_g]][fed[self.sys_f.index[self.q_f]]]
+        return _Walk(step, (0, _frontier(itertools.product(moves, moves))), equal)
 
 
 def lemma_check(
-    sys_f: SynchronousSystem,
-    q_f: str,
-    sys_g: SynchronousSystem,
-    q_g: str,
+    sys_f: SynchronousSystem, q_f: str, sys_g: SynchronousSystem, q_g: str
 ) -> LemmaVerdict:
     """Reactivity guarantee for a sequential-composition state pair.
 
-    Guaranteed when the sender's deterministic observable effect at some
-    index i is a strongly separating pair of the receiver at level i+1,
-    and consuming that effect forces an immediate receiver output
-    difference on every receiver pair actually reachable alongside the
-    two sender runs.  The second condition makes positive verdicts imply
-    composite reactivity outright: every synchronized run pair of the
-    composite successors then differs at output index i+2, whatever the
-    inputs.  The membership test alone follows separating-pair
-    trajectories and can diverge from the diagonal paths a composition
-    actually drives the receiver along.
-
-    The existential over all weakenings of the sender's DOE reduces to
-    its non-silent positions, since a weakening only erases positions.
-    Returns the least witness index i.
+    Guaranteed at the least index i where the lemma holds
+    (:class:`_Lemma`).  Every synchronized run pair of the composite
+    successors then differs at output index i+2, whatever the inputs, so
+    a positive verdict implies composite reactivity; the fit alone does
+    not, since separating-pair trajectories can diverge from the
+    diagonal paths a composition drives the receiver along.  A weakening
+    of the sender's DOE only erases positions, so its non-silent
+    positions are all the lemma asks about.
     """
-    fed = feed_of(sys_f, sys_g)
-    sys_f.check_state(q_f)
-    sys_g.check_state(q_g)
-    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
+    lemma = _Lemma(sys_f, q_f, sys_g, q_g)
+    if not lemma.reactive:
         return LemmaVerdict(False)
-    # Whether an index fits depends on the effects alone, so the split
-    # DOE answers it before the output-pair lasso is built.
-    d = doe(sys_f, q_f)
-    s = ssp_seq(sys_g, q_g)
-    window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
-    if not any(_effect_fits(d, s, sys_g, i) for i in range(window)):
-        return LemmaVerdict(False)
-    levels, loop = doe_levels(sys_f, q_f)
-    d = _effects(sys_f, levels, loop)
-    # Receiver pairs reachable while tracking the two sender runs: both
-    # copies first consume the sender's current output, then at step j+2
-    # the output pair of some sender level-j run pair.  The per-level
-    # output-pair sets over-approximate the feeds, so the pairs cover
-    # every synchronized composite run pair.
-    succ_g, out_g, emitting = sys_g.succ, sys_g.out_ids, _emitting(sys_g)
-    feed = dict(zip(sys_f.out_ids, fed))
-    moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
-    pairs, depth = _frontier(itertools.product(moves, moves)), 0
-    by_level: dict = {}
-    window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
-    for i in range(window):
-        if not _effect_fits(d, s, sys_g, i):
-            continue
-        for j in range(depth, i):
-            level = lasso_at(levels, loop, j)
-            if level not in by_level:
-                feeds = {(feed[x1], feed[x2], -1) for (x1, x2) in level}
-                by_level[level] = PairRows(succ_g, succ_g, lambda p, feeds=feeds: feeds)
-            pairs = by_level[level].step(pairs)
-        depth = i
-        effect = [(*map(sys_g.inputs.index, d[i]), -1)]
-        consumed = PairRows(succ_g, succ_g, lambda p: effect).step(pairs)
-        if not any(bits & emitting[out_g[p]] for p, bits in consumed):
-            return LemmaVerdict(True, i)
-    return LemmaVerdict(False)
+    i = next(filter(lemma.holds, range(lemma.window)), None)
+    return LemmaVerdict(i is not None, i)
 
 
 def doe_compose(
-    sys_f: SynchronousSystem,
-    q_f: str,
-    sys_g: SynchronousSystem,
-    q_g: str,
-    t: int,
+    sys_f: SynchronousSystem, q_f: str, sys_g: SynchronousSystem, q_g: str, t: int
 ) -> EffectSequence:
     """Composite observable-effect under-approximation at witness index t.
 
-    Requires the sender's effect at t to be a strongly separating pair
-    of the receiver at level t+1.  The result delays t+1 ticks and then
-    merges the receiver DOE of every state reachable in exactly t+1
-    composite steps; the leading silent tick is the communication delay
-    of the synchronous model.
+    Requires both states to be reactive and the sender's effect (x1, x2)
+    at t to fit: to be a strongly separating pair of the receiver at
+    level t+1.  Silent unless the lemma holds at t (:class:`_Lemma`).
+    Otherwise t+1 silent ticks, the first being the communication delay
+    of the synchronous model, then the merged receiver DOEs of every
+    state reachable in exactly t+1 composite steps.  x1 feeds the first
+    copy, so each merged pair is reversed when x1 is declared after x2
+    among the receiver's inputs.
     """
-    fed = feed_of(sys_f, sys_g)
-    sys_f.check_state(q_f)
-    sys_g.check_state(q_g)
+    lemma = _Lemma(sys_f, q_f, sys_g, q_g)
     if t < 0:
         raise PreconditionFailed("witness index must be nonnegative")
-    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
+    if not lemma.reactive:
         raise PreconditionFailed("both composed states must be reactive")
-    d = doe(sys_f, q_f)
-    s = ssp_seq(sys_g, q_g)
-    if not _effect_fits(d, s, sys_g, t):
+    if not lemma.fits(t):
         raise PreconditionFailed(
             f"effect at index {t} is not a strongly separating pair at level {t + 1}"
         )
-    # Composite frontiers from (q_f, q_g), each kept as its receiver states:
-    # on input a the sender steps on a and the receiver on the sender's output.
-    inputs = range(len(sys_f.inputs))
+    if not lemma.holds(t):
+        return STAR_FOREVER
+    # On input a the composite's sender steps on a, its receiver on the sender's output.
+    inputs, fed = range(len(sys_f.inputs)), lemma.fed
     rows = PairRows(sys_f.succ, sys_g.succ, lambda f: [(a, fed[f], -1) for a in inputs])
-    walk = _Walk(rows, _frontier([(sys_f.index[q_f], sys_g.index[q_g])]), _receivers)
+    walk = _Walk(rows.step, _frontier([(sys_f.index[q_f], sys_g.index[q_g])]), tuple)
     walk.run(t + 2)
-    reached = lasso_at(walk.values, walk.loop, t + 1)
+    reached = reduce(int.__or__, (bits for _, bits in lasso_at(walk.values, walk.loop, t + 1)), 0)
     receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)
     merged = merge_sequences([doe(sys_g, g) for g in receivers])
+    if sys_g.inputs.canonical_pair(*lemma.d[t]) != lemma.d[t]:
+        parts = (merged.prefix, merged.cycle)
+        merged = EffectSequence(*(tuple(e and e[::-1] for e in part) for part in parts))
     return star_prepend(t + 1, merged)
-
-
-def _receivers(frontier: tuple) -> int:
-    """Level value of a composite frontier: the bitset of its receiver states."""
-    reached = 0
-    for _, bits in frontier:
-        reached |= bits
-    return reached

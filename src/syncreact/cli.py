@@ -530,6 +530,9 @@ def _run(argv) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=_sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=_sys.stderr)
+        return EXIT_RESOURCE
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

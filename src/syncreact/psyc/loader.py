@@ -19,6 +19,7 @@ import re
 
 from ..core import Alphabet, Record, symbol_components
 from ..errors import FormatError, PsySyntaxError, UnknownSymbol
+from ..sls import read_text
 from .semantics import Machine, VarDecl
 from .syntax import Ast, parse
 from .typecheck import Ty, typecheck
@@ -120,10 +121,5 @@ def loads(text: str, source: str = "<string>", name: str = "program") -> Program
 def load(path) -> ProgramFile:
     import os
 
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return loads(text, source=str(path), name=stem)
+    return loads(read_text(path), source=str(path), name=stem)

@@ -111,13 +111,17 @@ def loads(text: str, source: str = "<string>") -> SynchronousSystem:
         raise err(str(exc)) from None
 
 
-def load(path) -> SynchronousSystem:
+def read_text(path) -> str:
+    """The text of a UTF-8 file, ``.sls`` or ``.psy``; other bytes raise FormatError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            return handle.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return loads(text, source=str(path))
+
+
+def load(path) -> SynchronousSystem:
+    return loads(read_text(path), source=str(path))
 
 
 # States whose lines the writer joins into one chunk.

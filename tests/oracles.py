@@ -26,7 +26,7 @@ import pathlib
 import random
 from collections import namedtuple
 
-from syncreact.abstraction import _effect_fits, _effects, doe, ssp_seq
+from syncreact.abstraction import _effects, doe, ssp_seq
 from syncreact.compose import feed_of
 from syncreact.core import (
     Alphabet,
@@ -52,7 +52,7 @@ from syncreact.errors import (
     StuckConfiguration,
     UnknownState,
 )
-from syncreact.lasso import merge_sequences, star_prepend
+from syncreact.lasso import STAR, STAR_FOREVER, EffectSequence, merge_sequences, star_prepend
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -732,47 +732,73 @@ def naive_ssp_seq(sys_a, q1, sys_b, q2):
     return values, loop
 
 
-def naive_lemma_check(sys_f, q_f, sys_g, q_g):
-    """Least lemma witness index (or None) with the receiver pairs walked as frozensets."""
+def _naive_lemma(sys_f, q_f, sys_g, q_g):
+    """The sender's DOE, the fit window and whether the lemma holds at i = 0, 1, ...
+
+    The receiver pairs are walked as frozensets: both copies first
+    consume the sender's output at q_f, then at step i the output pairs
+    of sender level i-1.  The lemma holds at i when the effect d[i] is a
+    strongly separating pair of the receiver at level i+1 and consuming
+    it gives every receiver pair differing outputs.
+    """
     fed = feed_of(sys_f, sys_g)
-    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
-        return None
     levels, loop = _naive_doe_frontiers(sys_f, q_f)
     out_f = sys_f.out_ids
     d = _effects(sys_f, [{(out_f[p], out_f[r]) for (p, r) in level} for level in levels], loop)
     s = ssp_seq(sys_g, q_g)
-    succ_g, out_g = sys_g.succ, sys_g.out_ids
-    moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
-    pairs = frozenset(itertools.product(moves, moves))
-    period = len(levels) - loop
     window = max(len(d.prefix), len(s.prefix) + 1) + math.lcm(len(d.cycle), len(s.cycle))
-    for i in range(window):
-        if i:
-            j = i - 1
-            level = levels[j if j < len(levels) else loop + (j - loop) % period]
-            feeds = {(fed[r1], fed[r2]) for (r1, r2) in level}
-            pairs = frozenset(
-                (t1, t2)
+
+    def holds():
+        succ_g, out_g = sys_g.succ, sys_g.out_ids
+        moves = succ_g[sys_g.index[q_g]][fed[sys_f.index[q_f]]]
+        pairs = frozenset(itertools.product(moves, moves))
+        period = len(levels) - loop
+        for i in itertools.count():
+            if i:
+                j = i - 1
+                level = levels[j if j < len(levels) else loop + (j - loop) % period]
+                feeds = {(fed[r1], fed[r2]) for (r1, r2) in level}
+                pairs = frozenset(
+                    (t1, t2)
+                    for (g1, g2) in pairs
+                    for (y1, y2) in feeds
+                    for t1 in succ_g[g1][y1]
+                    for t2 in succ_g[g2][y2]
+                )
+            effect = d[i]
+            if effect is STAR or sys_g.inputs.canonical_pair(*effect) not in s[i + 1]:
+                yield False
+                continue
+            e1, e2 = map(sys_g.inputs.index, effect)
+            yield all(
+                out_g[t1] != out_g[t2]
                 for (g1, g2) in pairs
-                for (y1, y2) in feeds
-                for t1 in succ_g[g1][y1]
-                for t2 in succ_g[g2][y2]
+                for t1 in succ_g[g1][e1]
+                for t2 in succ_g[g2][e2]
             )
-        if not _effect_fits(d, s, sys_g, i):
-            continue
-        e1, e2 = map(sys_g.inputs.index, d[i])
-        if all(
-            out_g[t1] != out_g[t2]
-            for (g1, g2) in pairs
-            for t1 in succ_g[g1][e1]
-            for t2 in succ_g[g2][e2]
-        ):
-            return i
-    return None
+
+    return d, window, holds()
+
+
+def naive_lemma_check(sys_f, q_f, sys_g, q_g):
+    """Least lemma witness index (or None) with the receiver pairs walked as frozensets."""
+    feed_of(sys_f, sys_g)
+    if not reactive(sys_f, q_f) or not reactive(sys_g, q_g):
+        return None
+    _, window, holds = _naive_lemma(sys_f, q_f, sys_g, q_g)
+    return next((i for i, held in zip(range(window), holds) if held), None)
 
 
 def naive_doe_compose(sys_f, q_f, sys_g, q_g, t):
-    """The composite DOE bound at index t, stepping the composite frontier t+1 times."""
+    """The composite DOE bound at index t, stepping the composite frontier t+1 times.
+
+    Silent unless the lemma holds at t; otherwise t+1 silent ticks, then
+    the merged DOEs of the receivers reached, each pair oriented as the
+    sender's effect (x1, x2) at t, whose x1 feeds the first copy.
+    """
+    d, _, holds = _naive_lemma(sys_f, q_f, sys_g, q_g)
+    if not next(itertools.islice(holds, t, None)):
+        return STAR_FOREVER
     fed = feed_of(sys_f, sys_g)
     succ_f, succ_g = sys_f.succ, sys_g.succ
     frontier = {(sys_f.index[q_f], sys_g.index[q_g])}
@@ -785,7 +811,14 @@ def naive_doe_compose(sys_f, q_f, sys_g, q_g, t):
             for g2 in succ_g[g][fed[f]]
         }
     receivers = sorted({sys_g.states[g] for (_, g) in frontier})
-    return star_prepend(t + 1, merge_sequences([doe(sys_g, g) for g in receivers]))
+    effects = [doe(sys_g, g) for g in receivers]
+    x1, x2 = d[t]
+    if sys_g.inputs.index(x1) > sys_g.inputs.index(x2):
+        effects = [
+            EffectSequence(*(tuple(e and (e[1], e[0]) for e in part) for part in parts))
+            for parts in ((e.prefix, e.cycle) for e in effects)
+        ]
+    return star_prepend(t + 1, merge_sequences(effects))
 
 
 # The original small-step evaluator of `.psy` programs.  A configuration

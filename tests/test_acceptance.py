@@ -20,6 +20,7 @@ from syncreact import (
     det_reaction_time,
     diff,
     doe,
+    doe_compose,
     lemma_check,
     merge_sequences,
     non_bisimilar,
@@ -34,6 +35,7 @@ from syncreact import (
     strongly_separable,
     validate,
 )
+from syncreact.errors import PreconditionFailed
 from syncreact.psyc import build_lts, load as load_program
 
 from .conftest import ALL_SYSTEM_FIXTURES, FIXTURES, load_fixture, on_union
@@ -234,6 +236,44 @@ def test_criterion_6_lemma_soundness_sweep():
     assert checked >= 500
     assert fired > 0
     report(6, f"{fired} positive verdicts on {checked} pairs, zero violations")
+
+
+def test_criterion_6b_doe_compose_under_approximation_sweep():
+    """doe_compose stays below the DOE of the built composite on every query it answers."""
+    rng = random.Random(602)
+    answered = merged = flipped = 0
+    for draw in range(3750):
+        feed = ("x", "y", "z") if draw % 2 else ("x", "y")
+        if draw % 5 == 0:
+            sys_f = chain_sender(rng.randint(0, 3), ("x", "y", "z"))
+            feed = ("x", "y", "z")
+        else:
+            sys_f = random_system(rng, "f", 6, ("a", "b"), feed)
+        # Every third receiver declares its inputs in reverse.
+        receiver_inputs = feed[::-1] if draw % 3 == 0 else feed
+        sys_g = random_system(rng, "g", 6, receiver_inputs, ("0", "1", "2"), 0.3)
+        for q_f, q_g in itertools.product(sys_f.states[:2], sys_g.states[:2]):
+            composite = None
+            for t in range(4):
+                try:
+                    result = doe_compose(sys_f, q_f, sys_g, q_g, t)
+                except PreconditionFailed:
+                    continue
+                if composite is None:
+                    composed = seq_compose(sys_f, sys_g, start=(q_f, q_g)).system
+                    composite = doe(composed, composed.initial)
+                assert obs_leq(result, composite), (draw, q_f, q_g, t)
+                answered += 1
+                if result != STAR_FOREVER:
+                    merged += 1
+                    effect = doe(sys_f, q_f)[t]
+                    flipped += sys_g.inputs.canonical_pair(*effect) != effect
+    assert answered >= 2500 and merged and flipped
+    report(
+        "6b",
+        f"{answered} doe-compose answers below the composite DOE,"
+        f" {merged} not silent, {flipped} of them against input order",
+    )
 
 
 def test_criterion_7a_bisimulation_oracle_equivalence():

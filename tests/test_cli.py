@@ -1120,6 +1120,48 @@ class TestLevelBound:
             assert done.stdout == "| *\n"
 
 
+class TestOutOfMemory:
+    def test_memory_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(sls, "load", exhausted)
+        assert run(capsys, "check", FIXTURES / "p1.sls") == (3, "", "resource limit: out of memory\n")
+
+    def test_a_command_out_of_memory_exits_3_in_a_fresh_interpreter(self, tmp_path):
+        pytest.importorskip("resource")
+        if not pathlib.Path("/proc/self/status").exists():
+            pytest.skip("the child reads its size from /proc/self/status")
+        # The child caps its address space at its own size after import
+        # plus 40 MB, so the cap follows the interpreter, not the host.
+        # One 64 MB read then fails at once, whatever the heap's layout.
+        big = tmp_path / "big.sls"
+        with open(big, "w") as handle:
+            handle.writelines(["#" * 1023 + "\n"] * (1 << 16))
+        code = (
+            "import resource, sys\n"
+            "from syncreact import cli\n"
+            "with open('/proc/self/status') as status:\n"
+            "    size = next(int(s.split()[1]) for s in status if s.startswith('VmSize:')) << 10\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (40 << 20), hard))\n"
+            "raise SystemExit(cli.main(sys.argv[1:]))\n"
+        )
+        src = pathlib.Path(syncreact.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code, "check", str(big)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3,
+            "",
+            "resource limit: out of memory\n",
+        )
+
+
 # The argvs whose output must not change with the parser a command builds.
 USAGE_ARGVS = [
     [],
