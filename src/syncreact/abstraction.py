@@ -53,9 +53,7 @@ from .lasso import (
     merge_sequences,
     star_prepend,
 )
-from .reactivity import _separating_ids, class_gaps, reactive, row_orientations
-# separating_pairs stays importable from here, where the benchmark tracer patches it.
-from .reactivity import separating_pairs  # noqa: F401
+from .reactivity import _separating_ids, class_gaps, row_orientations, separating_pairs
 
 __all__ = [
     "doe",
@@ -361,9 +359,8 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
     every shared input.  Bit x * m + y of a key marks the output id pair
     (x, y), m outputs.
     """
-    sys.check_state(q)
-    require_complete(sys)
-    succ, i = sys.succ, sys.index[q]
+    (i,) = require_complete(sys, q)
+    succ = sys.succ
     pairs, _ = _separating_ids(sys, i, i)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
@@ -490,7 +487,7 @@ def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
     input pair (a1 < a2) as no SSP of some pair of the frontier; a
     level set is the candidates its key leaves clear.
     """
-    require_complete(sys)
+    root = require_complete(sys, q1, q2)
     succ, cls = sys.succ, BisimOracle(sys).cls
     symbols = sys.inputs.symbols
     candidates = list(itertools.combinations(range(len(symbols)), 2))
@@ -524,7 +521,7 @@ def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
         )
 
     step = PairRows(succ, succ, lambda p: row(p)[0]).step
-    return step, _frontier([(sys.index[q1], sys.index[q2])]), key, cache(named)
+    return step, _frontier([root]), key, cache(named)
 
 
 def ssp_levels(sys: SynchronousSystem, q1: str, q2: str) -> tuple[list[frozenset], int]:
@@ -552,7 +549,6 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
     for n+1 steps.  Computed as the greatest fixpoint over the finite
     pair space, extracted as a lasso; a long walk splits into orbits.
     """
-    sys.check_state(q)
     levels, loop = ssp_levels(sys, q, q)
     if not levels[0]:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
@@ -562,7 +558,7 @@ def ssp_seq(sys: SynchronousSystem, q: str) -> PairSetSequence:
 class _Lemma:
     """The sequential-composition lemma of a sender and a receiver state, index by index.
 
-    Indices are asked only if both states are ``reactive``.  The lemma
+    Indices are asked only if both states are reactive.  The lemma
     holds at i when the sender's effect ``d[i]`` fits, being a strongly
     separating pair of the receiver at level i+1, and consuming it
     forces a receiver output difference.  Fits read the split ``doe``
@@ -578,13 +574,14 @@ class _Lemma:
 
     def __init__(self, sys_f: SynchronousSystem, q_f: str, sys_g: SynchronousSystem, q_g: str):
         self.fed = feed_of(sys_f, sys_g)
-        sys_f.check_state(q_f)
-        sys_g.check_state(q_g)
-        self.reactive = reactive(sys_f, q_f) and reactive(sys_g, q_g)
+        self.root = require_complete(sys_f, q_f) + require_complete(sys_g, q_g)
+        self.reactive = (
+            separating_pairs(sys_f, q_f).reactive and separating_pairs(sys_g, q_g).reactive
+        )
         if self.reactive:
             self.d, self.s = d, s = doe(sys_f, q_f), ssp_seq(sys_g, q_g)
             self.window = max(len(d.prefix), len(s.prefix) + 1) + lcm(len(d.cycle), len(s.cycle))
-        self.sys_f, self.q_f, self.sys_g, self.q_g = sys_f, q_f, sys_g, q_g
+        self.sys_f, self.q_f, self.sys_g = sys_f, q_f, sys_g
 
     def fits(self, i: int) -> bool:
         value = self.d[i]
@@ -615,7 +612,8 @@ class _Lemma:
         def equal(state: tuple) -> bool:
             return any(bits & emitting[out_g[p]] for p, bits in state[1])
 
-        moves = succ_g[sys_g.index[self.q_g]][fed[self.sys_f.index[self.q_f]]]
+        i_f, i_g = self.root
+        moves = succ_g[i_g][fed[i_f]]
         return _Walk(step, (0, _frontier(itertools.product(moves, moves))), equal)
 
 
@@ -654,9 +652,9 @@ def doe_compose(
     copy, so each merged pair is reversed when x1 is declared after x2
     among the receiver's inputs.
     """
-    lemma = _Lemma(sys_f, q_f, sys_g, q_g)
     if t < 0:
         raise PreconditionFailed("witness index must be nonnegative")
+    lemma = _Lemma(sys_f, q_f, sys_g, q_g)
     if not lemma.reactive:
         raise PreconditionFailed("both composed states must be reactive")
     if not lemma.fits(t):
@@ -668,7 +666,7 @@ def doe_compose(
     # On input a the composite's sender steps on a, its receiver on the sender's output.
     inputs, fed = range(len(sys_f.inputs)), lemma.fed
     rows = PairRows(sys_f.succ, sys_g.succ, lambda f: [(a, fed[f], -1) for a in inputs])
-    walk = _Walk(rows.step, _frontier([(sys_f.index[q_f], sys_g.index[q_g])]), tuple)
+    walk = _Walk(rows.step, _frontier([lemma.root]), tuple)
     walk.run(t + 2)
     reached = reduce(int.__or__, (bits for _, bits in lasso_at(walk.values, walk.loop, t + 1)), 0)
     receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)

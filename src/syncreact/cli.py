@@ -31,17 +31,10 @@ required choice, ``psyc``'s subcommand and the defaults, into a
 namespace with the attributes argparse would set.  Anything else, from
 ``-h`` or ``--`` to an abbreviated flag, a missing argument or a value
 its type rejects, is left to argparse, which stays the only source of
-help, usage and error text: :func:`build_parser` then adds the
-command's subparser from the same entry.  When the first argument names
-a command, that command's parser is built alone, and prints the same
-help, usage and errors as the whole parser does for it.  Anything else
-(no arguments, ``-h``, an unknown command) gets the whole parser.
-Importing argparse and parsing with it cost a few milliseconds of each
-command's start-up, much of it ``gettext`` loading ``locale`` for
-argparse's first message lookup: in 30 alternating pairs of fresh runs
-on 2 vCPUs under Python 3.11.7, the direct read saved a median 2.7 to
-5.2 ms of CPU time per command (``check``, ``bisim``, ``doe``, a
-two-file ``ssp``, ``psyc typecheck`` and ``lemma``).
+help, usage and error text: :func:`build_parser` builds the one parser
+of every command from the same table.  Importing argparse and parsing
+with it cost a few milliseconds of each command's start-up, much of it
+``gettext`` loading ``locale`` for argparse's first message lookup.
 
 :func:`main` pauses the cyclic garbage collector for the command and
 restores its previous state on the way out.  A command builds tables of
@@ -58,11 +51,8 @@ syncreact.cli`` and the installed ``syncreact`` script alike.  It runs
 collector's permanent generation (:func:`gc.freeze`), so the full
 collections the interpreter runs as it shuts down skip them: what
 ``site``, the command's layers and its tables made is not scanned
-again.  In 30 interleaved runs on 2 vCPUs under Python 3.11 this saved
-a median 6.2 ms of a ``check``, 7.5 ms of a ``doe`` and 7.1 ms of a
-``quotient`` on an 8,626-state composite.  ``atexit`` handlers still
-run, so a profiler or coverage started around the command still writes
-its data.
+again.  ``atexit`` handlers still run, so a profiler or coverage
+started around the command still writes its data.
 """
 
 from __future__ import annotations
@@ -70,7 +60,6 @@ from __future__ import annotations
 import gc
 import sys as _sys
 from types import SimpleNamespace
-from typing import Optional
 
 from . import sls
 from .core import SynchronousSystem, bisim_quotient, disjoint_union, non_bisimilar, validate
@@ -406,12 +395,8 @@ def _add(sub, name: str, entry: tuple) -> None:
     parser.set_defaults(func=handler)
 
 
-def build_parser(command: Optional[str] = None):
-    """The argparse parser of every command, or of ``command`` alone.
-
-    A parser of one command prints the same usage, help and errors for
-    it: its usage line spells out the whole command list.
-    """
+def build_parser():
+    """The argparse parser of every command, the one source of help, usage and errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -419,10 +404,9 @@ def build_parser(command: Optional[str] = None):
         description="Analyze finite synchronous systems for reactivity,"
         " observable effects, and reaction time.",
     )
-    names = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
-    for name in [command] if command else COMMANDS:
-        _add(sub, name, COMMANDS[name])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in COMMANDS.items():
+        _add(sub, name, entry)
     return parser
 
 
@@ -517,9 +501,8 @@ def _run(argv) -> int:
         argv = _sys.argv[1:]
     args = _read(argv)
     if args is None:
-        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -362,10 +362,19 @@ def validate(sys: SynchronousSystem) -> list[str]:
     ]
 
 
-def require_complete(sys: SynchronousSystem) -> None:
-    """Raise PreconditionFailed, naming the first missing move, on an incomplete system."""
+def require_complete(sys: SynchronousSystem, *states: str) -> tuple[int, ...]:
+    """The ids of ``states``, once they are states of ``sys`` and ``sys`` is complete.
+
+    Every query over infinite input words starts here.  An unknown name
+    raises UnknownState; after the names, an incomplete system raises
+    PreconditionFailed naming its first missing move: a state without a
+    move on some input ends every run through it.
+    """
+    for q in states:
+        sys.check_state(q)
     if sys.gaps:
         raise PreconditionFailed(f"system {sys.name}: {validate(sys)[0]}")
+    return tuple(sys.index[q] for q in states)
 
 
 class Run(Record):

@@ -126,14 +126,6 @@ def reactive(sys: SynchronousSystem, q: str) -> bool:
     return separating_pairs(sys, q).reactive
 
 
-def _rooted(sys: SynchronousSystem, p: str, q: str) -> tuple[int, int]:
-    """The node of (p, q) in the product of a complete system with itself."""
-    sys.check_state(p)
-    sys.check_state(q)
-    require_complete(sys)
-    return sys.index[p], sys.index[q]
-
-
 def _successor_pairs(succ, node: tuple[int, int]) -> list:
     """A node's ``(input id, pair)`` steps: both states move on each input, in order."""
     moves = map(itertools.product, succ[node[0]], succ[node[1]])
@@ -158,7 +150,7 @@ def separators(
     completeness, which every analysis requires: a differed run pair
     stays differed on every extension.
     """
-    root = _rooted(sys, p, q)
+    root = require_complete(sys, p, q)
     succ, out = sys.succ, sys.out_ids
     if out[root[0]] != out[root[1]]:
         # The empty word already separates: output at index 0 differs.
@@ -214,7 +206,7 @@ def strongly_separable(sys: SynchronousSystem, p: str, q: str) -> StrongSepResul
     On finite complete systems this reduces to acyclicity of the EQ
     region reachable from (p, q) through EQ nodes.
     """
-    root = _rooted(sys, p, q)
+    root = require_complete(sys, p, q)
     cycle, _, length = _eq_search(sys, [root])
     if cycle is None:
         return StrongSepResult(True, bound=length.get(root, 0))
@@ -277,7 +269,7 @@ def diff(sys: SynchronousSystem, p: str, q: str, word: Sequence[str]) -> list[se
     Indices run from 0 to len(word) inclusive; a singleton non-silent
     set means a guaranteed effect at that index.
     """
-    root = _rooted(sys, p, q)
+    root = require_complete(sys, p, q)
     sys.check_word(word)
     inputs = [sys.inputs.index(sym) for sym in word]
     outputs = sys.outputs.symbols
@@ -318,12 +310,8 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     and infinite words, of the first index at which every run pair has
     differed: one past the longest all-EQ path from each successor pair.
     The witness spells a longest all-EQ path plus one forcing symbol.
-    Raises PreconditionFailed on an incomplete system: a state without a
-    move on some input ends every run through it.
     """
-    sys.check_state(q)
-    require_complete(sys)
-    i = sys.index[q]
+    (i,) = require_complete(sys, q)
     _, deterministic = _separating_ids(sys, i, i)
     if not deterministic:
         return ReactionTime(None)

@@ -10,6 +10,7 @@ from syncreact import (
     EffectSequence,
     STAR,
     STAR_FOREVER,
+    det_reaction_time,
     diff,
     disjoint_union,
     doe,
@@ -28,7 +29,7 @@ from syncreact import (
 )
 from syncreact import abstraction
 from syncreact.abstraction import PairRows, _effects, _frontier, doe_levels, ssp_levels
-from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch
+from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch, UnknownState
 from syncreact.lasso import PairSetSequence, star_prepend
 
 from .conftest import FIXTURES, count_refinements, load_fixture, on_union
@@ -658,26 +659,46 @@ class TestDoeCompose:
             assert obs_leq(result, doe(composed, composed.initial))
 
 
-# The queries over infinite words, each asked about p0 of an incomplete p1.
+# The queries over infinite words, each asked about a state q of a system
+# that also has a state p1.
 INFINITE_WORD_QUERIES = {
-    "separators": lambda sys: separators(sys, "p0", "p1", 3),
-    "strongly_separable": lambda sys: strongly_separable(sys, "p0", "p1"),
-    "diff": lambda sys: diff(sys, "p0", "p1", ["tt", "ff"]),
-    "doe": lambda sys: doe(sys, "p0"),
-    "ssp_seq": lambda sys: ssp_seq(sys, "p0"),
-    "lemma_check": lambda sys: lemma_check(sys, "p0", sys, "p0"),
-    "doe_compose": lambda sys: doe_compose(sys, "p0", sys, "p0", 0),
+    "separators": lambda sys, q: separators(sys, q, "p1", 3),
+    "strongly_separable": lambda sys, q: strongly_separable(sys, q, "p1"),
+    "diff": lambda sys, q: diff(sys, q, "p1", ["tt", "ff"]),
+    "det_reaction_time": det_reaction_time,
+    "doe": doe,
+    "doe_levels": doe_levels,
+    "ssp_seq": ssp_seq,
+    "ssp_levels": lambda sys, q: ssp_levels(sys, q, "p1"),
+    "lemma_check": lambda sys, q: lemma_check(sys, q, sys, q),
+    "doe_compose": lambda sys, q: doe_compose(sys, q, sys, q, 0),
 }
+
+
+def incomplete_p1():
+    """p1 without p2's ff move, plus a state p3 that moves to p0 on both inputs."""
+    text = (FIXTURES / "p1.sls").read_text()
+    extra = "state p3 ff\ntrans p3 tt p0\ntrans p3 ff p0\n"
+    return sls.loads(text.replace("trans p2 ff p0\n", extra))
 
 
 @pytest.mark.parametrize(
     "query", INFINITE_WORD_QUERIES.values(), ids=list(INFINITE_WORD_QUERIES)
 )
 def test_infinite_word_queries_reject_an_incomplete_system(query):
-    text = (FIXTURES / "p1.sls").read_text()
-    sys = sls.loads(text.replace("trans p2 ff p0\n", ""))
-    # p0 stays reactive, so no query stops at NotReactive first.
-    assert reactive(sys, "p0")
-    message = "system p1: incomplete: state p2 has no transition on input ff"
-    with pytest.raises(PreconditionFailed, match=message):
-        query(sys)
+    sys = incomplete_p1()
+    # Reactive or not, no state gets past the check to a verdict or NotReactive.
+    assert reactive(sys, "p0") and not reactive(sys, "p3")
+    message = "^system p1: incomplete: state p2 has no transition on input ff$"
+    for q in ("p0", "p3"):
+        with pytest.raises(PreconditionFailed, match=message):
+            query(sys, q)
+
+
+@pytest.mark.parametrize(
+    "query", INFINITE_WORD_QUERIES.values(), ids=list(INFINITE_WORD_QUERIES)
+)
+def test_infinite_word_queries_name_an_unknown_state_first(query):
+    # The system is incomplete too: the name is checked before completeness.
+    with pytest.raises(UnknownState, match="^unknown state 'nope' in system p1$"):
+        query(incomplete_p1(), "nope")

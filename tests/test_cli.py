@@ -32,7 +32,7 @@ from syncreact.cli import main
 
 from .conftest import FIXTURES, count_refinements
 from .oracles import chain_sender, perfbench_module, sized_system
-from .test_golden_cli import GOLDEN, render_command
+from .test_golden_cli import GOLDEN
 
 GEN = perfbench_module("gen")
 
@@ -220,15 +220,14 @@ class TestImports:
         assert len(defined) >= 30
         assert unread == []
 
-    def test_only_the_tracer_pin_is_imported_unread(self):
+    def test_every_imported_name_is_read(self):
         # Outside the packages' __init__ files, which re-export, a module
-        # reads every name it imports.  The one exception is abstraction's
-        # separating_pairs, which the benchmark tracer patches there.
+        # reads every name it imports, with or without a ``# noqa: F401``.
         unread = [
             f"{file} {name}" for file, _, name, read, _, _ in package_imports()
             if not read and not file.endswith("__init__.py")
         ]
-        assert unread == ["abstraction.py separating_pairs"]
+        assert unread == []
 
     def test_the_benchmark_tracers_targets_resolve(self):
         # The tracer skips a target it cannot find and reports zero work
@@ -1026,6 +1025,14 @@ class TestLevelBound:
             assert (code, out) == (3, ""), argv
             assert err == "resource limit: level walk exceeded its bound of 50 levels\n"
 
+    def test_a_negative_index_exits_2_before_any_walk(self, capsys, monkeypatch, tmp_path):
+        sender = tmp_path / "sender.sls"
+        sls.dump(chain_sender(60, ("0", "1", "2")), sender)
+        argv = ("doe-compose", sender, FIXTURES / "receiver.sls", "--qf", "r", "--qg", "g0", "-t")
+        monkeypatch.setattr(abstraction, "MAX_LEVELS", 50)
+        assert run(capsys, *argv, "60")[0] == 3
+        assert run(capsys, *argv, "-1") == (2, "", "error: witness index must be nonnegative\n")
+
     def test_orbits_past_the_period_bound_leave_the_answer_to_the_joint_walk(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -1162,31 +1169,9 @@ class TestOutOfMemory:
         )
 
 
-# The argvs whose output must not change with the parser a command builds.
-USAGE_ARGVS = [
-    [],
-    ["--help"],
-    ["nosuch"],
-    ["doe", "-h"],
-    ["doe", "fixtures/p1.sls"],
-    ["psyc", "build"],
-    *([command, *rest] for command in cli.COMMANDS for rest in ([], ["-h"], list("xyzwv"))),
-]
-
-
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
-
-    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "-")
-    def test_one_command_parser_prints_what_the_full_parser_prints(self, argv, monkeypatch):
-        # Help text is wrapped to the terminal width.
-        monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.chdir(FIXTURES.parent)
-        lazy = render_command(argv)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert render_command(argv) == lazy
 
     def test_the_full_parser_names_the_command_argument(self, capsys):
         assert run(capsys, "nosuch")[2].splitlines()[-1].startswith(
@@ -1195,16 +1180,6 @@ class TestUsage:
         assert run(capsys)[2].splitlines()[-1] == (
             "syncreact: error: the following arguments are required: command"
         )
-
-    def test_main_builds_the_named_command_alone(self, capsys, monkeypatch):
-        built = []
-        full = cli.build_parser
-        monkeypatch.setattr(
-            cli, "build_parser", lambda command=None: built.append(command) or full(command)
-        )
-        for argv in (["check", FIXTURES / "p1.sls"], ["nosuch"], ["-h"], [], ["check"]):
-            main([str(a) for a in argv])
-        assert built == [None, None, None, "check"]
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -1315,14 +1290,11 @@ class TestDirectRead:
         rng = random.Random(1)
         seeds = golden + EDGE_ARGVS
         argvs = seeds + [token_mutant(argv, rng, inserts) for argv in seeds for _ in range(20)]
-        parsers, declined = {}, []
+        parser, declined = cli.build_parser(), []
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in argvs:
-                command = argv[0] if argv and argv[0] in cli.COMMANDS else None
-                if command not in parsers:
-                    parsers[command] = cli.build_parser(command)
                 try:
-                    parsed = vars(parsers[command].parse_args(argv))
+                    parsed = vars(parser.parse_args(argv))
                 except SystemExit:
                     parsed = None
                 direct = cli._read(argv)
@@ -1333,6 +1305,18 @@ class TestDirectRead:
         assert {argv[0] for argv in golden} == set(cli.COMMANDS)
         assert [argv for argv, no in zip(golden, declined) if no] == []
         assert declined.count(False) - len(golden) >= 2000 and declined.count(True) >= 20_000
+
+    def test_the_direct_read_answers_every_benchmark_command(self, tmp_path, monkeypatch):
+        # The benchmark's commands are all well formed, so none of them
+        # pays for argparse.  ``workloads`` imports its siblings by name.
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        argvs = []
+        for name in ("ladder", "lasso", "product"):
+            (tmp_path / name).mkdir()
+            argvs += [c.argv for c in workloads.build(name, 1, tmp_path / name, None).commands]
+        assert len(argvs) >= 39
+        assert [argv for argv in argvs if cli._read(argv) is None] == []
 
     @pytest.mark.parametrize(
         "argv",
