@@ -72,7 +72,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "psyc", "sls"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "psyc", "separation", "sls"}
 
 __all__ = sorted(_HOME)
 

@@ -26,7 +26,10 @@ the cycles its pairs enter; every DOE and SSPseq level walk
 :data:`SPLIT_LEVEL` whose frontier holds at most :data:`MAX_ORBITS`
 pairs from one walk per pair, combining the orbits' keys as
 per-key-bit bitsets over time (:func:`_orbits`, :func:`_combine`).
-Where the orbits pass a bound the joint walk goes on instead.
+Where the orbits pass a bound the joint walk goes on instead.  The DOE
+walk of :func:`doe` ends sooner, at the first level holding a
+bisimilar pair, after which every position is silent
+(:func:`_doe_walk`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .lasso import (
     merge_sequences,
     star_prepend,
 )
-from .reactivity import _separating_ids, class_gaps, row_orientations, separating_pairs
+from .separation import class_gaps, row_orientations, separating_ids
 
 __all__ = [
     "doe",
@@ -63,6 +66,18 @@ __all__ = [
     "doe_compose",
     "LemmaVerdict",
 ]
+
+
+def __getattr__(name: str):
+    """``abstraction.separating_pairs`` is ``reactivity``'s, imported only when read.
+
+    Nothing here calls it; perfbench's tracer test reads the name here.
+    """
+    if name == "separating_pairs":
+        from .reactivity import separating_pairs
+
+        return separating_pairs
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # A PairRows walk, joint or one orbit, raises LevelBoundExceeded past
@@ -351,24 +366,47 @@ def _least_period(bitsets: list[int], n: int) -> int:
     return next(d for d in periods if all(x >> d == x & ((1 << (n - d)) - 1) for x in bitsets))
 
 
-def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
+def _doe_walk(sys: SynchronousSystem, q: str, absorbing: bool = False) -> tuple:
     """The DOE walk of a reactive state, as :func:`_levels` reads it.
 
     Its first frontier holds every successor combination of every
     separating pair of q in input declaration order; a step follows
     every shared input.  Bit x * m + y of a key marks the output id pair
     (x, y), m outputs.
+
+    With ``absorbing``, a frontier holding a bisimilar pair (x, y) steps
+    to the empty frontier, which steps to itself and keys as bit 0, the
+    equal output pair (0, 0).  That keeps every effect: on a complete
+    system each x' in succ(x, a) has a bisimilar y' in succ(y, a), so
+    every later level holds a bisimilar pair, whose outputs are equal,
+    and no later position is an effect.  The output pairs of the later
+    levels are lost, so only :func:`doe` walks this way.
     """
     (i,) = require_complete(sys, q)
     succ = sys.succ
-    pairs, _ = _separating_ids(sys, i, i)
+    pairs, _ = separating_ids(sys, i, i)
     if not pairs:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     start = _frontier((x, y) for a1, a2 in pairs for x in succ[i][a1] for y in succ[i][a2])
     every = [(a, a, -1) for a in range(len(sys.inputs))]
     m = len(sys.outputs)
     named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
-    return PairRows(succ, succ, lambda p: every).step, start, _output_pairs(sys), named
+    rows, output_pairs = PairRows(succ, succ, lambda p: every), _output_pairs(sys)
+    if not absorbing:
+        return rows.step, start, output_pairs, named
+    cls = BisimOracle(sys).cls
+    blocks: dict[int, int] = {}
+    for x, c in enumerate(cls):
+        blocks[c] = blocks.get(c, 0) | 1 << x
+    block_of = [blocks[c] for c in cls]  # per state, the bitset of its block
+
+    def step(frontier: tuple) -> tuple:
+        for p, bits in frontier:
+            if bits & block_of[p]:
+                return ()
+        return rows.step(frontier)
+
+    return step, start, lambda frontier: output_pairs(frontier) if frontier else 1, named
 
 
 def doe_levels(sys: SynchronousSystem, q: str) -> tuple[list[frozenset], int]:
@@ -436,11 +474,13 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
     silent sequence.
 
     Computed on level sets: the position is an effect iff the output
-    pair set of the level is one non-equal singleton.  A long walk
-    splits into orbits that keep, per level, only that effect.
+    pair set of the level is one non-equal singleton.  The walk ends at
+    the first level holding a bisimilar pair, silent from there on
+    (:func:`_doe_walk`).  A long walk splits into orbits that keep, per
+    level, only that effect.
     """
     try:
-        walk = _doe_walk(sys, q)
+        walk = _doe_walk(sys, q, absorbing=True)
     except NotReactive:
         return STAR_FOREVER
     return _effects(sys, *_levels(walk, _effect_signals(len(sys.outputs))))
@@ -466,7 +506,7 @@ def ssp(sys: SynchronousSystem, q1: str, q2: str) -> tuple[tuple[str, str], ...]
     sys.check_state(q1)
     sys.check_state(q2)
     symbols = sys.inputs.symbols
-    pairs, _ = _separating_ids(sys, sys.index[q1], sys.index[q2])
+    pairs, _ = separating_ids(sys, sys.index[q1], sys.index[q2])
     return tuple((symbols[a1], symbols[a2]) for (a1, a2) in pairs)
 
 
@@ -574,9 +614,9 @@ class _Lemma:
 
     def __init__(self, sys_f: SynchronousSystem, q_f: str, sys_g: SynchronousSystem, q_g: str):
         self.fed = feed_of(sys_f, sys_g)
-        self.root = require_complete(sys_f, q_f) + require_complete(sys_g, q_g)
-        self.reactive = (
-            separating_pairs(sys_f, q_f).reactive and separating_pairs(sys_g, q_g).reactive
+        self.root = i_f, i_g = require_complete(sys_f, q_f) + require_complete(sys_g, q_g)
+        self.reactive = bool(
+            separating_ids(sys_f, i_f, i_f)[0] and separating_ids(sys_g, i_g, i_g)[0]
         )
         if self.reactive:
             self.d, self.s = d, s = doe(sys_f, q_f), ssp_seq(sys_g, q_g)

@@ -17,9 +17,10 @@ loads:
 
 - ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``;
 - ``seppairs``, ``separators``, ``strongsep``, ``reactime``, ``diff``:
-  those and ``reactivity``;
-- ``doe``, ``sspseq``, ``ssp``, ``lemma``, ``doe-compose``: those and
-  ``lasso`` and ``abstraction``;
+  those and ``separation`` and ``reactivity``;
+- ``doe``, ``sspseq``, ``ssp``, ``lemma``, ``doe-compose``: the first set
+  and ``separation``, ``lasso`` and ``abstraction``, but not
+  ``reactivity``: ``doe``'s "not reactive" note reads ``separation``;
 - ``compose``: the first set and ``compose``; ``dot``: the first set and
   ``dot``; ``psyc``: the first set and the ``psyc`` package.
 
@@ -208,11 +209,14 @@ def cmd_diff(args) -> int:
 
 
 def cmd_doe(args) -> int:
-    from . import abstraction, reactivity
+    from . import abstraction
     from .lasso import format_effect_sequence
+    from .separation import separating_ids
 
     sys = _load_complete(args.file)
-    if not reactivity.separating_pairs(sys, args.state).reactive:
+    sys.check_state(args.state)
+    i = sys.index[args.state]
+    if not separating_ids(sys, i, i)[0]:
         print(f"note: state {args.state} is not reactive", file=_sys.stderr)
     print(format_effect_sequence(abstraction.doe(sys, args.state)))
     return EXIT_OK

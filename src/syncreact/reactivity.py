@@ -9,7 +9,10 @@ input words are discharged by graph arguments: completeness and finite
 branching make the set of run-pair paths a finitely-branching tree, so
 an infinite all-EQ path exists iff the region reachable through EQ
 nodes has a cycle, and worst-case first difference indices are longest
-paths in the acyclic case.
+paths in the acyclic case.  The separating pairs of a state are the one
+query here that walks no product: :func:`separating_pairs` names what
+:func:`syncreact.separation.separating_ids` reads off the bisimulation
+blocks.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import STAR, BisimOracle, Record, SynchronousSystem, require_complete
+from .core import STAR, Record, SynchronousSystem, require_complete
 from .errors import SeparatorBoundExceeded
+from .separation import separating_ids
 
 Pair = tuple[str, str]
 
@@ -45,66 +49,6 @@ class SepPairSet(Record):
         return bool(self.pairs)
 
 
-def class_gaps(succ, cls, inputs: int) -> list[dict[int, int]]:
-    """Per input af and block c, the bitset of states q with no af-successor in c.
-
-    Blocks that no af-successor reaches are left out: their bitset is
-    every state.
-    """
-    everything = (1 << len(succ)) - 1
-    gaps = []
-    for af in range(inputs):
-        reached: dict[int, int] = {}
-        for q, moves in enumerate(succ):
-            for c in {cls[y] for y in moves[af]}:
-                reached[c] = reached.get(c, 0) | 1 << q
-        gaps.append({c: everything ^ bits for c, bits in reached.items()})
-    return gaps
-
-
-def row_orientations(moves_p, cls, gaps: list[dict[int, int]], everything: int) -> dict:
-    """The orientations that separate, for a whole row: ``(ae, af) -> bitset of q``.
-
-    ``moves_p`` are the successors per input of one state p, ``gaps``
-    come from :func:`class_gaps` on the states q it is paired with,
-    which ``everything`` holds.  Bit q of the bitset of (ae, af),
-    ae != af, is set iff ae beats af at (p, q): some ae-successor of p
-    has a block that no af-successor of q has.  One pair (p, q) is the
-    row of p against q alone: ``class_gaps([moves_q], ..)`` with
-    ``everything`` 1.
-    """
-    masks = {}
-    for ae, moves in enumerate(moves_p):
-        blocks = {cls[x] for x in moves}
-        for af, gap in enumerate(gaps):
-            if af != ae:
-                bits = 0
-                for c in blocks:
-                    bits |= gap.get(c, everything)
-                masks[(ae, af)] = bits
-    return masks
-
-
-def _separating_ids(sys: SynchronousSystem, i: int, j: int):
-    """Separating pairs of state ids (i, j) and their deterministic subset, as input id pairs.
-
-    (a1, a2) separates when some a1-successor of i is non-bisimilar to
-    every a2-successor of j, or the same with a1 and a2 swapped.  It is
-    deterministic when no a1-successor of i is bisimilar to an
-    a2-successor of j.
-    """
-    cls = BisimOracle(sys).cls
-    moves_p, moves_q = sys.succ[i], sys.succ[j]
-    held = row_orientations(moves_p, cls, class_gaps([moves_q], cls, len(moves_q)), 1)
-    pairs, deterministic = [], []
-    for (a1, a2) in itertools.combinations(range(len(moves_p)), 2):
-        if held[(a1, a2)] | held[(a2, a1)]:
-            pairs.append((a1, a2))
-            if not {cls[x] for x in moves_p[a1]} & {cls[y] for y in moves_q[a2]}:
-                deterministic.append((a1, a2))
-    return pairs, deterministic
-
-
 def separating_pairs(sys: SynchronousSystem, q: str) -> SepPairSet:
     """Separating pairs of q: inputs whose successors are non-bisimilar.
 
@@ -117,7 +61,7 @@ def separating_pairs(sys: SynchronousSystem, q: str) -> SepPairSet:
     symbols, i = sys.inputs.symbols, sys.index[q]
     pairs, deterministic = (
         tuple((symbols[a1], symbols[a2]) for (a1, a2) in ids)
-        for ids in _separating_ids(sys, i, i)
+        for ids in separating_ids(sys, i, i)
     )
     return SepPairSet(pairs, deterministic)
 
@@ -312,7 +256,7 @@ def det_reaction_time(sys: SynchronousSystem, q: str) -> ReactionTime:
     The witness spells a longest all-EQ path plus one forcing symbol.
     """
     (i,) = require_complete(sys, q)
-    _, deterministic = _separating_ids(sys, i, i)
+    _, deterministic = separating_ids(sys, i, i)
     if not deterministic:
         return ReactionTime(None)
     moves, out = sys.succ[i], sys.out_ids

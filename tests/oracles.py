@@ -24,6 +24,7 @@ import itertools
 import math
 import pathlib
 import random
+import sys as _sys
 from collections import namedtuple
 
 from syncreact.abstraction import _effects, doe, ssp_seq
@@ -595,11 +596,27 @@ def chain_sender(
 
 
 def perfbench_module(name: str):
-    """``perfbench/<name>.py`` of this checkout, so tests build what the benchmark runs."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    """``perfbench/<name>.py`` of this checkout, so tests build what the benchmark runs.
+
+    The module is registered as ``perfbench_<name>`` before it runs, as
+    ``dataclasses`` needs, and loaded once.  While it runs, ``perfbench/``
+    leads ``sys.path``, so its imports of its siblings (``import gen``)
+    resolve as they do when the benchmark runs it.
+    """
+    key = f"perfbench_{name}"
+    if key in _sys.modules:
+        return _sys.modules[key]
+    folder = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location(key, folder / f"{name}.py")
+    module = _sys.modules[key] = importlib.util.module_from_spec(spec)
+    _sys.path.insert(0, str(folder))
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del _sys.modules[key]
+        raise
+    finally:
+        _sys.path.remove(str(folder))
     return module
 
 
@@ -688,6 +705,20 @@ def naive_doe_levels(sys, q):
     levels, loop = _naive_doe_frontiers(sys, q)
     out = sys.out_ids
     return [frozenset((out[p], out[r]) for (p, r) in level) for level in levels], loop
+
+
+def naive_doe_absorbed_at(sys, q, bisimilar=None):
+    """The first level of q's DOE frozenset walk holding a bisimilar pair, or None if none does.
+
+    ``bisimilar`` is sys's :func:`naive_bisimilar_pairs`, computed when
+    not given; a state with no separating pair raises NotReactive.
+    """
+    levels, _ = _naive_doe_frontiers(sys, q)
+    bisimilar, names = bisimilar or naive_bisimilar_pairs(sys), sys.states
+    return next(
+        (n for n, level in enumerate(levels) if any((names[p], names[r]) in bisimilar for p, r in level)),
+        None,
+    )
 
 
 def naive_ssp_seq(sys_a, q1, sys_b, q2):

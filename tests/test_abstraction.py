@@ -27,7 +27,7 @@ from syncreact import (
     ssp_seq,
     strongly_separable,
 )
-from syncreact import abstraction
+from syncreact import abstraction, psyc
 from syncreact.abstraction import PairRows, _effects, _frontier, doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch, UnknownState
 from syncreact.lasso import PairSetSequence, star_prepend
@@ -38,6 +38,8 @@ from .oracles import (
     brute_ssp_seq,
     chain_sender,
     inflated_system,
+    naive_bisimilar_pairs,
+    naive_doe_absorbed_at,
     naive_doe_compose,
     naive_doe_levels,
     naive_lemma_check,
@@ -409,6 +411,94 @@ class TestOrbits:
         sys = GEN.cyc((7, 11, 13), random.Random(1))
         self.assert_joint_answers(sys, "r")
         assert split == []
+
+
+def _absorbing_systems():
+    """Random and class-inflated systems of 5 to 12 states, 2-3 inputs: most
+    of their DOE walks meet a bisimilar pair within a few levels."""
+    for seed in range(400):
+        rng = random.Random(f"absorb-{seed}")
+        n, nondeterminism = rng.choice([5, 8, 12]), rng.choice([0.0, 0.1, 0.3])
+        inputs = ("a", "b", "c")[: rng.choice([2, 3])]
+        if seed % 2:
+            yield sized_system(rng, f"s{seed}", n, inputs, OUTPUTS, nondeterminism)
+        else:
+            classes = rng.choice([2, 3, 4])
+            yield inflated_system(rng, f"i{seed}", n, classes, inputs, OUTPUTS, nondeterminism)
+
+
+def _p2(n: int):
+    program = psyc.loads(GEN.p2_source(n))
+    return psyc.build_lts(program.machine, program.body, n + 2, name=f"p2-{n}")
+
+
+class TestAbsorption:
+    """``doe`` ends its walk at the first level holding a bisimilar pair,
+    jointly or in an orbit, with the answer of the walk that does not."""
+
+    def test_small_random_systems_on_every_split_level(self, monkeypatch):
+        queries = []
+        for sys in _absorbing_systems():
+            bisimilar = naive_bisimilar_pairs(sys)
+            for q in sys.states:
+                level = _outcome(naive_doe_absorbed_at, sys, q, bisimilar)
+                if level is NotReactive or level is None:
+                    continue
+                answer = doe(sys, q)
+                assert answer == _effects(sys, *naive_doe_levels(sys, q))
+                assert window(answer, 3) == brute_doe(sys, q, 3)
+                queries.append((sys, q, level, answer))
+        assert len(queries) >= 2000
+        split = TestOrbits.split_at(1, monkeypatch, max_orbits=160)
+        for split_level in (1, 2, 3, 4):
+            monkeypatch.setattr(abstraction, "SPLIT_LEVEL", split_level)
+            in_orbits = 0
+            for sys, q, level, answer in queries:
+                before = len(split)
+                assert doe(sys, q) == answer
+                in_orbits += len(split) > before and level >= split_level
+            # The bisimilar pair first shows at or past the split, in an orbit.
+            assert in_orbits >= 100, split_level
+
+    @staticmethod
+    def walked(sys, q, monkeypatch) -> int:
+        """The levels ``doe`` walks for q, absorbed or not, with the answer checked unchanged."""
+        walked, levels = [], abstraction._levels
+
+        def counted(walk, signals):
+            found = levels(walk, signals)
+            walked.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(abstraction, "_levels", counted)
+        answer = doe(sys, q)
+        monkeypatch.undo()
+        assert answer == _effects(sys, *doe_levels(sys, q))
+        return walked[0]
+
+    @pytest.mark.parametrize("n", [5, 70, 500])
+    def test_p2_stops_at_level_two(self, n, monkeypatch):
+        # Level 2 holds a diagonal pair; p2's states are pairwise non-bisimilar.
+        sys = _p2(n)
+        if n <= 70:  # the naive bisimulation is quadratic in the states
+            assert naive_doe_absorbed_at(sys, "q0") == 2
+        assert doe(sys, "q0") == _effects(sys, *naive_doe_levels(sys, "q0")) == STAR_FOREVER
+        assert self.walked(sys, "q0", monkeypatch) == 4
+        assert len(doe_levels(sys, "q0")[0]) > 2 * n
+
+    def test_the_built_snd_rcv_composite_stops_early(self, monkeypatch):
+        sender = GEN.snd(25, random.Random("1:snd-25"))
+        receiver = GEN.rcv(25, random.Random("1:rcv-25"))
+        sys = seq_compose(sender, receiver).system
+        assert len(sys.states) == 497
+        walked = self.walked(sys, sys.initial, monkeypatch)
+        assert walked < len(doe_levels(sys, sys.initial)[0])
+        answer = doe(sys, sys.initial)
+        for split_level in (1, 2, 3, 4):
+            split = TestOrbits.split_at(split_level, monkeypatch, max_orbits=160)
+            assert doe(sys, sys.initial) == answer
+            assert len(split) == 1
+            monkeypatch.undo()
 
 
 class TestObsOrder:

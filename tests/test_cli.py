@@ -123,32 +123,40 @@ SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
 BASE = {"syncreact", "syncreact.cli", "syncreact.core", "syncreact.errors", "syncreact.sls"}
-PAIR_GRAPH = BASE | {"syncreact.reactivity"}
-LEVEL_SETS = PAIR_GRAPH | {"syncreact.lasso", "syncreact.abstraction"}
+PAIR_GRAPH = BASE | {"syncreact.separation", "syncreact.reactivity"}
+LEVEL_SETS = BASE | {"syncreact.separation", "syncreact.lasso", "syncreact.abstraction"}
 PSYC = {"syncreact.psyc"} | {
     f"syncreact.psyc.{m}" for m in ("loader", "semantics", "syntax", "typecheck")
 }
+_DELAY1_RECEIVER = ("delay1.sls", "receiver.sls", "--qf", "s0", "--qg", "g0")
+
+# One run of every command (both of ``psyc``'s) on the fixtures, and the
+# ``syncreact`` modules it loads.
+COMMAND_MODULES = [
+    (["check", "p1.sls"], BASE),
+    (["quotient", "p1.sls", "-o", "OUT"], BASE),
+    (["bisim", "p1.sls", "p0", "p2"], BASE),
+    (["seppairs", "p1.sls", "p0"], PAIR_GRAPH),
+    (["separators", "p1.sls", "p0", "p2"], PAIR_GRAPH),
+    (["strongsep", "p1.sls", "p1", "p0"], PAIR_GRAPH),
+    (["reactime", "p1.sls", "p0"], PAIR_GRAPH),
+    (["diff", "p1.sls", "p0", "p1", "-w", "tt ff"], PAIR_GRAPH),
+    (["doe", "p1.sls", "p0"], LEVEL_SETS),
+    (["ssp", "union1.sls", "u0", "union2.sls", "v1"], LEVEL_SETS),
+    (["sspseq", "p1.sls", "p0"], LEVEL_SETS),
+    (["compose", "--par", "p1.sls", "toggle.sls", "-o", "OUT"], BASE | {"syncreact.compose"}),
+    (["lemma", *_DELAY1_RECEIVER], LEVEL_SETS),
+    (["doe-compose", *_DELAY1_RECEIVER, "-t", "1"], LEVEL_SETS),
+    (["psyc", "typecheck", "program1.psy"], BASE | PSYC),
+    (["psyc", "build", "program1.psy", "-o", "OUT"], BASE | PSYC),
+    (["dot", "p1.sls"], BASE | {"syncreact.dot"}),
+]
 
 
 class TestImports:
     """Each command loads only the layers it runs; the package loads lazily."""
 
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (["check", "p1.sls"], BASE),
-            (["quotient", "p1.sls", "-o", "OUT"], BASE),
-            (["separators", "p1.sls", "p0", "p2"], PAIR_GRAPH),
-            (["doe", "p1.sls", "p0"], LEVEL_SETS),
-            (["lemma", "delay1.sls", "receiver.sls", "--qf", "s0", "--qg", "g0"], LEVEL_SETS),
-            (
-                ["compose", "--par", "p1.sls", "toggle.sls", "-o", "OUT"],
-                BASE | {"syncreact.compose"},
-            ),
-            (["dot", "p1.sls"], BASE | {"syncreact.dot"}),
-            (["psyc", "typecheck", "program1.psy"], BASE | PSYC),
-        ],
-    )
+    @pytest.mark.parametrize("argv, expected", COMMAND_MODULES)
     def test_command_loads_only_its_layers(self, tmp_path, argv, expected):
         argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
         code = (
@@ -158,6 +166,11 @@ class TestImports:
         loaded = loaded_modules(code)
         assert ours(loaded) == expected
         assert not loaded & SLOW_IMPORTS
+
+    def test_every_command_has_a_module_row(self):
+        rows = {" ".join(argv[:2]) if argv[0] == "psyc" else argv[0] for argv, _ in COMMAND_MODULES}
+        psyc = {f"psyc {sub}" for sub in cli.COMMANDS["psyc"][1]}
+        assert rows == set(cli.COMMANDS) - {"psyc"} | psyc
 
     def test_import_cli_loads_no_slow_module(self):
         loaded = loaded_modules("import syncreact.cli")
@@ -239,7 +252,11 @@ class TestImports:
         assert len(methods) == 3
         for span, module, cls, method, _, _ in methods:
             assert method in vars(getattr(importlib.import_module(module), cls)), span
-        assert abstraction.separating_pairs is reactivity.separating_pairs
+        # A level walk loads no ``reactivity``: abstraction takes no name from it.
+        assert [
+            name for name, value in vars(abstraction).items()
+            if value is reactivity or getattr(value, "__module__", None) == reactivity.__name__
+        ] == []
         assert callable(core.runs)
         composed = par_compose(sls.load(FIXTURES / "p1.sls"), sls.load(FIXTURES / "toggle.sls"))
         assert tracer.FUNCTIONS["compose.par_compose"][3](composed) == len(composed.system.states)
@@ -248,6 +265,8 @@ class TestImports:
         assert ours(loaded_modules("import syncreact")) == {"syncreact"}
         from_doe = ours(loaded_modules("from syncreact import doe"))
         assert from_doe == LEVEL_SETS - {"syncreact.cli", "syncreact.sls"}
+        from_seppairs = ours(loaded_modules("from syncreact import separating_pairs"))
+        assert from_seppairs == PAIR_GRAPH - {"syncreact.cli", "syncreact.sls"}
 
     def test_public_names_are_their_defining_modules_objects(self):
         assert len(syncreact.__all__) == len(set(syncreact.__all__)) == 46
@@ -275,7 +294,7 @@ class TestImports:
     def test_dir_lists_the_public_names_and_submodules(self):
         listed = set(dir(syncreact))
         assert set(syncreact.__all__) <= listed
-        assert {"abstraction", "cli", "core", "psyc", "__version__"} <= listed
+        assert {"abstraction", "cli", "core", "psyc", "separation", "__version__"} <= listed
         assert syncreact.reactivity is reactivity
 
 
@@ -1306,11 +1325,10 @@ class TestDirectRead:
         assert [argv for argv, no in zip(golden, declined) if no] == []
         assert declined.count(False) - len(golden) >= 2000 and declined.count(True) >= 20_000
 
-    def test_the_direct_read_answers_every_benchmark_command(self, tmp_path, monkeypatch):
+    def test_the_direct_read_answers_every_benchmark_command(self, tmp_path):
         # The benchmark's commands are all well formed, so none of them
-        # pays for argparse.  ``workloads`` imports its siblings by name.
-        monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
-        workloads = importlib.import_module("workloads")
+        # pays for argparse.
+        workloads = perfbench_module("workloads")
         argvs = []
         for name in ("ladder", "lasso", "product"):
             (tmp_path / name).mkdir()

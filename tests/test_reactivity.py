@@ -20,7 +20,8 @@ from syncreact import (
 from syncreact.core import Alphabet, BisimOracle, SynchronousSystem, validate
 from syncreact.errors import PreconditionFailed, SignatureMismatch, UnknownState
 from syncreact.lasso import STAR
-from syncreact.reactivity import ReactionTime, StrongSepResult, class_gaps, row_orientations
+from syncreact.reactivity import ReactionTime, StrongSepResult
+from syncreact.separation import class_gaps, row_orientations
 
 from .conftest import count_expansions
 from .oracles import (
