@@ -28,8 +28,7 @@ pairs from one walk per pair, combining the orbits' keys as
 per-key-bit bitsets over time (:func:`_orbits`, :func:`_combine`).
 Where the orbits pass a bound the joint walk goes on instead.  The DOE
 walk of :func:`doe` ends sooner, at the first level holding a
-bisimilar pair, after which every position is silent
-(:func:`_doe_walk`).
+bisimilar pair, after which every position is silent.
 """
 
 from __future__ import annotations
@@ -162,16 +161,14 @@ class PairRows(dict):
     mask form one group, which reads the image of all their af inputs at
     once; ``self[p]`` is row p's groups as ``(targets, mask, image)``,
     built on first lookup.  A step thus costs, per row and column group,
-    one table lookup per 8-state chunk its masked bits touch.  A set met
-    before costs one dictionary lookup, and so does a row with one bit,
-    whose pair's whole step is kept.
+    one table lookup per 8-state chunk its masked bits touch; a set met
+    before, such as a row's one bit, costs one dictionary lookup.
     """
 
     def __init__(self, succ_a: Sequence, succ_b: Sequence, masked: Callable):
         super().__init__()
         self.succ_a, self.succ_b, self.masked = succ_a, succ_b, masked
         self._images: dict[int, _Image] = {}
-        self._pairs: dict[tuple[int, int], tuple] = {}  # (p, 1 << q) -> its step's rows
 
     def __missing__(self, p: int) -> list:
         afs: dict[tuple, int] = {}
@@ -190,34 +187,16 @@ class PairRows(dict):
 
     def step(self, frontier: tuple) -> tuple:
         rows: dict[int, int] = {}
-        pairs = self._pairs
-        for row in frontier:
-            p, bits = row
-            if bits & (bits - 1):
-                for targets, mask, image in self[p]:
-                    masked = bits & mask
-                    if masked:
-                        image_bits = image[masked]
-                        for t in targets:
-                            if t in rows:
-                                rows[t] |= image_bits
-                            else:
-                                rows[t] = image_bits
-            else:
-                moved = pairs.get(row)
-                if moved is None:
-                    one: dict[int, int] = {}
-                    for targets, mask, image in self[p]:
-                        if bits & mask:
-                            image_bits = image[bits]
-                            for t in targets:
-                                one[t] = one.get(t, 0) | image_bits
-                    moved = pairs[row] = tuple(one.items())
-                for t, image_bits in moved:
-                    if t in rows:
-                        rows[t] |= image_bits
-                    else:
-                        rows[t] = image_bits
+        for p, bits in frontier:
+            for targets, mask, image in self[p]:
+                masked = bits & mask
+                if masked:
+                    image_bits = image[masked]
+                    for t in targets:
+                        if t in rows:
+                            rows[t] |= image_bits
+                        else:
+                            rows[t] = image_bits
         return tuple(sorted(rows.items()))
 
 
@@ -366,21 +345,13 @@ def _least_period(bitsets: list[int], n: int) -> int:
     return next(d for d in periods if all(x >> d == x & ((1 << (n - d)) - 1) for x in bitsets))
 
 
-def _doe_walk(sys: SynchronousSystem, q: str, absorbing: bool = False) -> tuple:
+def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
     """The DOE walk of a reactive state, as :func:`_levels` reads it.
 
     Its first frontier holds every successor combination of every
     separating pair of q in input declaration order; a step follows
     every shared input.  Bit x * m + y of a key marks the output id pair
     (x, y), m outputs.
-
-    With ``absorbing``, a frontier holding a bisimilar pair (x, y) steps
-    to the empty frontier, which steps to itself and keys as bit 0, the
-    equal output pair (0, 0).  That keeps every effect: on a complete
-    system each x' in succ(x, a) has a bisimilar y' in succ(y, a), so
-    every later level holds a bisimilar pair, whose outputs are equal,
-    and no later position is an effect.  The output pairs of the later
-    levels are lost, so only :func:`doe` walks this way.
     """
     (i,) = require_complete(sys, q)
     succ = sys.succ
@@ -391,22 +362,7 @@ def _doe_walk(sys: SynchronousSystem, q: str, absorbing: bool = False) -> tuple:
     every = [(a, a, -1) for a in range(len(sys.inputs))]
     m = len(sys.outputs)
     named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
-    rows, output_pairs = PairRows(succ, succ, lambda p: every), _output_pairs(sys)
-    if not absorbing:
-        return rows.step, start, output_pairs, named
-    cls = BisimOracle(sys).cls
-    blocks: dict[int, int] = {}
-    for x, c in enumerate(cls):
-        blocks[c] = blocks.get(c, 0) | 1 << x
-    block_of = [blocks[c] for c in cls]  # per state, the bitset of its block
-
-    def step(frontier: tuple) -> tuple:
-        for p, bits in frontier:
-            if bits & block_of[p]:
-                return ()
-        return rows.step(frontier)
-
-    return step, start, lambda frontier: output_pairs(frontier) if frontier else 1, named
+    return PairRows(succ, succ, lambda p: every).step, start, _output_pairs(sys), named
 
 
 def doe_levels(sys: SynchronousSystem, q: str) -> tuple[list[frozenset], int]:
@@ -474,16 +430,37 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
     silent sequence.
 
     Computed on level sets: the position is an effect iff the output
-    pair set of the level is one non-equal singleton.  The walk ends at
-    the first level holding a bisimilar pair, silent from there on
-    (:func:`_doe_walk`).  A long walk splits into orbits that keep, per
-    level, only that effect.
+    pair set of the level is one non-equal singleton.  A long walk
+    splits into orbits that keep, per level, only that effect.  The
+    walk (:func:`_doe_walk`) ends sooner, at the first level holding a
+    bisimilar pair (x, y): that frontier steps to the empty frontier,
+    which steps to itself and keys as bit 0, the equal output pair
+    (0, 0).  That keeps every effect: on a complete system each x' in
+    succ(x, a) has a bisimilar y' in succ(y, a), so every later level
+    holds a bisimilar pair, whose outputs are equal, and no later
+    position is an effect.
     """
     try:
-        walk = _doe_walk(sys, q, absorbing=True)
+        rows_step, start, output_pairs, named = _doe_walk(sys, q)
     except NotReactive:
         return STAR_FOREVER
-    return _effects(sys, *_levels(walk, _effect_signals(len(sys.outputs))))
+    cls = BisimOracle(sys).cls
+    blocks: dict[int, int] = {}
+    for x, c in enumerate(cls):
+        blocks[c] = blocks.get(c, 0) | 1 << x
+    block_of = [blocks[c] for c in cls]  # per state, the bitset of its block
+
+    def step(frontier: tuple) -> tuple:
+        for p, bits in frontier:
+            if bits & block_of[p]:
+                return ()
+        return rows_step(frontier)
+
+    def key(frontier: tuple) -> int:
+        return output_pairs(frontier) if frontier else 1
+
+    levels = _levels((step, start, key, named), _effect_signals(len(sys.outputs)))
+    return _effects(sys, *levels)
 
 
 def _effects(sys: SynchronousSystem, levels: list[frozenset], start: int) -> EffectSequence:

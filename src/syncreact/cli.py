@@ -63,7 +63,14 @@ import sys as _sys
 from types import SimpleNamespace
 
 from . import sls
-from .core import SynchronousSystem, bisim_quotient, disjoint_union, non_bisimilar, validate
+from .core import (
+    SynchronousSystem,
+    bisim_quotient,
+    disjoint_union,
+    non_bisimilar,
+    require_complete,
+    validate,
+)
 from .errors import (
     BuildError,
     IntRangeExceeded,
@@ -214,8 +221,7 @@ def cmd_doe(args) -> int:
     from .separation import separating_ids
 
     sys = _load_complete(args.file)
-    sys.check_state(args.state)
-    i = sys.index[args.state]
+    (i,) = require_complete(sys, args.state)
     if not separating_ids(sys, i, i)[0]:
         print(f"note: state {args.state} is not reactive", file=_sys.stderr)
     print(format_effect_sequence(abstraction.doe(sys, args.state)))

@@ -525,13 +525,9 @@ class _Refinement:
     def __init__(self, succ: Sequence[tuple[tuple[int, ...], ...]], out: Sequence[int]):
         self.succ = succ
         preds: list[list[int]] = [[] for _ in succ]
-        # A row with one successor per input signs from its flat tuple of them.
-        flat: list[Optional[tuple[int, ...]]] = []
         for i, moves in enumerate(succ):
-            row = tuple(itertools.chain.from_iterable(moves))
-            for j in set(row):
+            for j in set(itertools.chain.from_iterable(moves)):
                 preds[j].append(i)
-            flat.append(row if len(row) == len(moves) and all(moves) else None)
         first: dict[int, int] = {}
         cls = [first.setdefault(o, len(first)) for o in out]
         class_of = cls.__getitem__
@@ -558,11 +554,7 @@ class _Refinement:
             for i in dirty:
                 if size[cls[i]] == 1:
                     continue  # a block of one state never splits
-                row = flat[i]
-                if row is not None:
-                    key = (cls[i], *map(class_of, row))
-                else:
-                    key = (cls[i], *map(class_set, succ[i]))
+                key = (cls[i], *map(class_set, succ[i]))
                 parts.setdefault(key, []).append(i)
             splits: dict[int, list] = {}
             for key, part in parts.items():

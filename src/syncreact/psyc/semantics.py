@@ -27,6 +27,7 @@ initial state's output.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Union
 
 from ..core import Alphabet, Record, SynchronousSystem, fold, symbol_components
@@ -103,13 +104,16 @@ def _budget(steps: int) -> None:
         raise RoundDivergence(f"no tick after {ROUND_STEP_BUDGET} reduction steps")
 
 
+@cache
 def _compile(exprs) -> tuple[list, int]:
     """Postfix ops of an expression or a tuple of them, and the contractions they make.
 
     Each op is ``(code, argument, contractions before it)``, in the
     order the small-step relation reduces operands; a term it is
     stuck on compiles to a _STUCK op where the relation meets it.
-    ``todo`` holds terms, and operators whose operands are done.
+    ``todo`` holds terms, and operators whose operands are done.  Terms
+    are interned, so each is compiled once per process, for every
+    machine and for :func:`reads`.
     """
     ops: list = []
     steps = 0
@@ -159,7 +163,6 @@ class Machine:
         self.out_types = out_types
         self.variables = variables
         self.var_decl = {v.name: v for v in variables}
-        self._code: dict = {}  # expression or tick arguments -> postfix ops, steps
         self._values: dict = {}  # input symbol -> its component values
 
     def initial_store(self) -> Store:
@@ -186,10 +189,7 @@ class Machine:
 
     def _eval(self, exprs, steps: int, store: Store, values: tuple) -> tuple[list, int]:
         """The values of ``exprs`` entered after ``steps`` contractions, and the count after."""
-        code = self._code.get(exprs)
-        if code is None:
-            code = self._code[exprs] = _compile(exprs)
-        ops, cost = code
+        ops, cost = _compile(exprs)
         stack: list = []
         try:
             for op, arg, before in ops:
@@ -296,27 +296,28 @@ def reads(exprs) -> frozenset:
     return frozenset([name for op, name, _ in ops if op == _LOAD])
 
 
-def live_in(prog: Ast, live_out: frozenset, memo: Optional[dict] = None) -> frozenset:
+_LIVE: dict = {}  # (term, live-out set) -> its live-in set
+
+
+def live_in(prog: Ast, live_out: frozenset) -> frozenset:
     """Backward liveness: variables whose value may be read before reassignment.
 
-    ``memo`` keeps the answer for every (term, live-out set) met, so
-    calls that share it share the work on common subterms; the builder
-    passes one for all the continuations of a program.  Terms are
-    hash-consed, so a lookup hashes a term by identity at any depth.
-    Their table lives as long as the process; a CLI command is one
+    The answer for every (term, live-out set) met is kept in one table,
+    so calls share the work on common subterms, such as the builder's
+    calls on all the continuations of a program.  Terms are hash-consed,
+    so a lookup hashes a term by identity at any depth.  Like the terms,
+    the table lives as long as the process; a CLI command is one
     process.
     """
-    if memo is None:
-        memo = {}
-    live = memo.get((prog, live_out))
+    live = _LIVE.get((prog, live_out))
     if live is None:
-        live = fold(lambda key: _live_in(key, memo), (prog, live_out))
+        live = fold(_live_in, (prog, live_out))
     return live
 
 
-def _live_in(key: tuple[Ast, frozenset], memo: dict):
+def _live_in(key: tuple[Ast, frozenset]):
     """Liveness of one (term, live-out) pair, memoised; yields the pairs it needs."""
-    live = memo.get(key)
+    live = _LIVE.get(key)
     if live is not None:
         return live
     prog, live_out = key
@@ -350,7 +351,7 @@ def _live_in(key: tuple[Ast, frozenset], memo: dict):
         # Expression forms in statement position cannot occur in typed
         # programs; treat them as pure reads.
         live = live_out | reads(prog)
-    memo[key] = live
+    _LIVE[key] = live
     return live
 
 
@@ -378,7 +379,6 @@ def build_lts(
     if first is None:
         raise BuildError("program terminates before its first tick")
 
-    liveness: dict = {}  # shared by all continuations; see live_in
     ids: dict = {}
     out_id = {o: i for i, o in enumerate(machine.outputs)}
     out_ids: list[int] = []
@@ -386,7 +386,7 @@ def build_lts(
 
     def intern(out: str, store: Store, cont: Ast) -> int:
         """The state id of a round."""
-        live = live_in(cont, frozenset(), liveness)
+        live = live_in(cont, frozenset())
         key = (out, tuple([(n, v) for (n, v) in store if n in live]), cont)
         state = ids.get(key)
         if state is None:

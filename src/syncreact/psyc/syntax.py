@@ -125,10 +125,6 @@ class Conj(Term):
 Ast = Term
 
 
-def is_value(node: Ast) -> bool:
-    return isinstance(node, (BoolLit, IntLit))
-
-
 def _unparse_pieces(node: Ast) -> list:
     cls = node.__class__
     if cls is Skip:

@@ -70,7 +70,6 @@ from syncreact.psyc.syntax import (
     Tick,
     VarRef,
     While,
-    is_value,
     unparse,
 )
 from syncreact.reactivity import ReactionTime, StrongSepResult, reactive, separating_pairs
@@ -913,6 +912,11 @@ def _naive_emit_symbol(machine, args):
     if symbol not in machine.outputs:
         raise BuildError(f"program emits undeclared output symbol {symbol!r}")
     return symbol
+
+
+def is_value(node) -> bool:
+    """Whether a term is a literal, a value of the reduction relation."""
+    return isinstance(node, (BoolLit, IntLit))
 
 
 def naive_step(machine, config):

@@ -168,6 +168,16 @@ class TestWalkOracles:
                         sorted(levels[0], key=lambda pair: tuple(map(symbols.index, pair)))
                     )
 
+    @pytest.mark.parametrize("n", [5, 70, 200])
+    def test_p2_walks_of_one_bit_rows(self, n):
+        """p2-N's frontiers are many one-bit rows; p2-200's DOE walk is joint past the split."""
+        sys = _p2(n)
+        levels = doe_levels(sys, "q0")
+        assert levels == naive_doe_levels(sys, "q0")
+        assert ssp_levels(sys, "q0", "q0") == naive_ssp_seq(sys, "q0", sys, "q0")
+        if n == 200:  # its frontier at the split holds more than MAX_ORBITS pairs
+            assert len(levels[0]) == 402 > abstraction.SPLIT_LEVEL
+
     def test_lemma_verdicts_match(self):
         rng = random.Random(7)
         feed = ("x", "y", "z")
@@ -232,7 +242,7 @@ def _pair_set(frontier: tuple) -> frozenset:
 
 class TestPairRows:
     def test_a_step_is_the_union_of_its_pairs_steps(self):
-        """What the orbit split relies on, checked against a frozenset step and the pair cache."""
+        """What the orbit split relies on, checked against a frozenset step and one-pair steps."""
         grouped = 0
         for seed in range(40):
             rng = random.Random(seed)
