@@ -26,23 +26,19 @@ _EXPORTS = {
         "ssp",
         "ssp_seq",
     ),
-    "compose": ("ComposedSystem", "par_compose", "seq_compose"),
+    "compose": ("ComposedSystem", "disjoint_union", "par_compose", "seq_compose"),
     "core": (
         "Alphabet",
-        "BaseWitness",
         "BisimOracle",
-        "IndWitness",
         "Partition",
         "Run",
         "STAR",
         "SynchronousSystem",
         "bisim_classes",
         "bisim_quotient",
-        "disjoint_union",
         "non_bisimilar",
         "output_language",
         "pair_symbol",
-        "replay_witness",
         "run_outputs",
         "runs",
         "symbol_components",
@@ -70,6 +66,7 @@ _EXPORTS = {
         "separators",
         "strongly_separable",
     ),
+    "witness": ("BaseWitness", "IndWitness", "replay_witness"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "psyc", "separation", "sls"}

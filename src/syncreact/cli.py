@@ -15,12 +15,14 @@ imports the layers it runs inside its handler.  No command loads
 only for help, usage and errors.  The ``syncreact`` modules a command
 loads:
 
-- ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``;
+- ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``,
+  and ``witness`` for ``bisim`` on a non-bisimilar pair;
 - ``seppairs``, ``separators``, ``strongsep``, ``reactime``, ``diff``:
   those and ``separation`` and ``reactivity``;
 - ``doe``, ``sspseq``, ``ssp``, ``lemma``, ``doe-compose``: the first set
   and ``separation``, ``lasso`` and ``abstraction``, but not
-  ``reactivity``: ``doe``'s "not reactive" note reads ``separation``;
+  ``reactivity``: ``doe``'s "not reactive" note reads ``separation``.
+  ``ssp`` on two files also loads ``compose`` for their disjoint union;
 - ``compose``: the first set and ``compose``; ``dot``: the first set and
   ``dot``; ``psyc``: the first set and the ``psyc`` package.
 
@@ -66,7 +68,6 @@ from . import sls
 from .core import (
     SynchronousSystem,
     bisim_quotient,
-    disjoint_union,
     non_bisimilar,
     require_complete,
     validate,
@@ -230,6 +231,7 @@ def cmd_doe(args) -> int:
 
 def cmd_ssp(args) -> int:
     from . import abstraction
+    from .compose import disjoint_union
     from .lasso import format_pair_set
 
     sys, p = _load_complete(args.file), args.p

@@ -6,7 +6,9 @@ sees the first one's state before the shared transition: the usual one
 tick Moore delay.  Parallel composition pairs transitions and outputs
 componentwise over product symbols.  Both constructions keep only the
 part reachable from the initial pair, which never changes the
-bisimilarity class of the initial state.
+bisimilarity class of the initial state.  The disjoint union, the third
+way to combine two systems, puts them side by side so that a question
+about a state of each is asked of one system.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .core import Alphabet, Record, SynchronousSystem, feed_of, pair_symbol
-from .errors import StateBudgetExceeded, UnknownState
+from .errors import SignatureMismatch, StateBudgetExceeded, UnknownState
 
 # `*` is reserved in state names to join the two component state names.
 STATE_JOIN = "*"
@@ -146,3 +148,49 @@ def par_compose(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> ComposedS
         lambda p, q: sys_f.out_ids[p] * len(sys_g.outputs) + sys_g.out_ids[q],
     )
     return ComposedSystem(system, "par", sys_f.name, sys_g.name)
+
+
+def align(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, list]:
+    """``sys_b``'s successor and output tables in ``sys_a``'s numbering.
+
+    Signatures compare symbol sets, not their order, so input column a
+    of the result is ``sys_b``'s column for ``sys_a``'s a-th input, and
+    output ids name ``sys_a``'s output symbols.
+    """
+    if not (sys_a.inputs.same_symbols(sys_b.inputs) and sys_a.outputs.same_symbols(sys_b.outputs)):
+        raise SignatureMismatch(f"systems {sys_a.name} and {sys_b.name} have different signatures")
+    succ, out = sys_b.succ, sys_b.out_ids
+    columns = [sys_b.inputs.index(a) for a in sys_a.inputs]
+    if columns != sorted(columns):
+        succ = [tuple(moves[c] for c in columns) for moves in succ]
+    renumber = [sys_a.outputs.index(o) for o in sys_b.outputs]
+    if renumber != sorted(renumber):
+        out = [renumber[o] for o in out]
+    return succ, out
+
+
+def disjoint_union(
+    sys_a: SynchronousSystem, sys_b: SynchronousSystem
+) -> tuple[SynchronousSystem, str, str]:
+    """Disjoint union with ``A.``/``B.`` prefixed state names.
+
+    Returns the union plus the two prefixes; requires equal signatures.
+    A question about a state of each system is asked of the union by
+    the prefixed names, so all such questions share its one refinement.
+    ``sys_b``'s ids follow ``sys_a``'s and its tables are read in
+    ``sys_a``'s numbering (:func:`align`): the transitions list
+    ``sys_a``'s and then ``sys_b``'s, both by ``sys_a``'s input order.
+    """
+    succ_b, out_b = align(sys_a, sys_b)
+    n = len(sys_a.states)
+    shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
+    union = SynchronousSystem.from_tables(
+        f"{sys_a.name}+{sys_b.name}",
+        sys_a.inputs,
+        sys_a.outputs,
+        tuple(p + q for (p, side) in (("A.", sys_a), ("B.", sys_b)) for q in side.states),
+        sys_a.succ + shifted,
+        sys_a.out_ids + out_b,
+        0,
+    )
+    return union, "A.", "B."

@@ -4,20 +4,20 @@ A system pairs every state with an output symbol and is required to be
 complete (every state has at least one successor per input symbol) and
 finitely branching.  All analysis in the sibling modules runs over the
 immutable :class:`SynchronousSystem` defined here, together with runs,
-output languages, the bisimulation quotient, and constructive
-non-bisimilarity witnesses.  Each walk over a product of the tables
-lives in the one module that runs it.
+output languages, the bisimulation refinement and the quotient.  Every
+command loads this module, so what only some commands run lives
+elsewhere: the non-bisimilarity witnesses in :mod:`syncreact.witness`,
+the disjoint union in :mod:`syncreact.compose`, and each walk over a
+product of the tables in the one module that runs it.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import math
 import re
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     PreconditionFailed,
@@ -25,6 +25,9 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
+
+if TYPE_CHECKING:
+    from .witness import NonBisimWitness
 
 # The silent observable effect: no fixed output difference at a position
 # (printed ``*``).  Defined here so reactivity need not load ``lasso``.
@@ -427,25 +430,6 @@ def output_language(
     return sorted(words)
 
 
-def align(sys_a: SynchronousSystem, sys_b: SynchronousSystem) -> tuple[list, list]:
-    """``sys_b``'s successor and output tables in ``sys_a``'s numbering.
-
-    Signatures compare symbol sets, not their order, so input column a
-    of the result is ``sys_b``'s column for ``sys_a``'s a-th input, and
-    output ids name ``sys_a``'s output symbols.
-    """
-    if not (sys_a.inputs.same_symbols(sys_b.inputs) and sys_a.outputs.same_symbols(sys_b.outputs)):
-        raise SignatureMismatch(f"systems {sys_a.name} and {sys_b.name} have different signatures")
-    succ, out = sys_b.succ, sys_b.out_ids
-    columns = [sys_b.inputs.index(a) for a in sys_a.inputs]
-    if columns != sorted(columns):
-        succ = [tuple(moves[c] for c in columns) for moves in succ]
-    renumber = [sys_a.outputs.index(o) for o in sys_b.outputs]
-    if renumber != sorted(renumber):
-        out = [renumber[o] for o in out]
-    return succ, out
-
-
 def feed_of(sys_f: SynchronousSystem, sys_g: SynchronousSystem) -> list[int]:
     """The receiver input id each sender state emits, matched by symbol.
 
@@ -498,7 +482,7 @@ class Partition(Record):
 
 
 class _Refinement:
-    """Signature refinement from output equality that records its history.
+    """Signature refinement from output equality that records its block genealogy.
 
     Round 0 groups the states by output.  Round k regroups every block by
     the sets of round-(k-1) block ids its members reach on each input, so
@@ -515,9 +499,14 @@ class _Refinement:
     re-signed part, so that it must take a fresh id.  A signature holds
     one set of ids per input, written as the bare id when it has one
     member, so signatures are equal exactly when their sets are.  Each
-    change is appended to the state's history as ``(round, id)``; ids
-    name blocks uniquely, so two states share a block at round k iff
-    their ids at round k are equal.  ``rounds`` is the first stable
+    fresh block records the block it split from (``parent``) and the
+    round it was born in (``born``); a round-0 block is its own parent,
+    born at 0.  A block never gains members after it is born, so a
+    state's block at round k is the first block on the parent chain
+    from its final block that was born by round k (:meth:`id_at`), one
+    step up per change of the state's id.  Ids name blocks uniquely,
+    so two states share a block at round k iff their ids at round k are
+    equal.  ``rounds`` is the first stable
     round: the last round that split a block, 0 if none did, so the
     round-k partition for every k >= ``rounds`` is bisimilarity.
     """
@@ -545,7 +534,7 @@ class _Refinement:
         for i, c in enumerate(cls):
             members[c].append(i)
         size = list(map(len, members))
-        history = [[(0, c)] for c in cls]
+        parent, born = list(range(len(first))), [0] * len(first)
         rounds = stable = 0
         dirty: Iterable[int] = range(len(succ))
         while dirty:
@@ -579,21 +568,24 @@ class _Refinement:
                     fresh = len(size)
                     members.append(part)
                     size.append(len(part))
+                    parent.append(block)
+                    born.append(rounds)
                     for i in part:
                         cls[i] = fresh
-                        history[i].append((rounds, fresh))
                     moved.extend(part)
             if moved:
                 stable = rounds
             dirty = {p for i in moved for p in preds[i]}
         self.cls = cls
-        self.history = history
+        self.parent, self.born = parent, born
         self.rounds = stable
 
     def id_at(self, i: int, k: int) -> int:
-        """Block id of state ``i`` after round ``k``."""
-        h = self.history[i]
-        return h[bisect.bisect_right(h, (k, math.inf)) - 1][1]
+        """Block id of state ``i`` after round ``k`` >= 0."""
+        c, parent, born = self.cls[i], self.parent, self.born
+        while born[c] > k:
+            c = parent[c]
+        return c
 
     def depth(self, i: int, j: int) -> Optional[int]:
         """Least round at which the ids of i and j differ, None if never."""
@@ -627,7 +619,7 @@ class _Refinement:
                 c = id_at(q2, below)
                 if all(id_at(p2, below) != c for p2 in ps):
                     return a, "right", q2, [(p2, q2) for p2 in ps]
-        raise AssertionError("refinement history is inconsistent")
+        raise AssertionError("refinement genealogy is inconsistent")
 
 
 def bisim_classes(sys: SynchronousSystem) -> Partition:
@@ -687,39 +679,13 @@ def bisim_quotient(
     return partition, quotient
 
 
-def disjoint_union(
-    sys_a: SynchronousSystem, sys_b: SynchronousSystem
-) -> tuple[SynchronousSystem, str, str]:
-    """Disjoint union with ``A.``/``B.`` prefixed state names.
-
-    Returns the union plus the two prefixes; requires equal signatures.
-    A question about a state of each system is asked of the union by
-    the prefixed names, so all such questions share its one refinement.
-    ``sys_b``'s ids follow ``sys_a``'s and its tables are read in
-    ``sys_a``'s numbering (:func:`align`): the transitions list
-    ``sys_a``'s and then ``sys_b``'s, both by ``sys_a``'s input order.
-    """
-    succ_b, out_b = align(sys_a, sys_b)
-    n = len(sys_a.states)
-    shifted = [tuple(tuple(t + n for t in ts) for ts in moves) for moves in succ_b]
-    union = SynchronousSystem.from_tables(
-        f"{sys_a.name}+{sys_b.name}",
-        sys_a.inputs,
-        sys_a.outputs,
-        tuple(p + q for (p, side) in (("A.", sys_a), ("B.", sys_b)) for q in side.states),
-        sys_a.succ + shifted,
-        sys_a.out_ids + out_b,
-        0,
-    )
-    return union, "A.", "B."
-
-
 class BisimOracle:
     """Non-bisimilarity queries on one system, from its cached ``refinement``.
 
     ``cls`` gives the final block of each state id (equal blocks iff
-    bisimilar); the refinement history answers the separation depth of
-    two state ids and the moves of every witness.
+    bisimilar); the refinement's block genealogy answers the separation
+    depth of two state ids and the moves of every witness
+    (:mod:`syncreact.witness`).
     """
 
     def __init__(self, system: SynchronousSystem):
@@ -727,75 +693,14 @@ class BisimOracle:
         self.cls = self.refinement.cls
 
 
-class BaseWitness(Record):
-    """Output mismatch: out(p) != out(q)."""
-
-    __slots__ = ("p", "q", "out_p", "out_q")
-
-    def __init__(self, p: str, q: str, out_p: str, out_q: str):
-        self.p, self.q, self.out_p, self.out_q = p, q, out_p, out_q
-
-    @property
-    def depth(self) -> int:
-        return 0
-
-
-class IndWitness:
-    """One inductive layer of a non-bisimilarity proof.
-
-    ``side`` is 'left' when the existential player moves from p, 'right'
-    when it moves from q.  ``children`` maps every opposing successor to
-    a witness separating it from ``chosen``.  Witnesses can be thousands
-    of layers deep, so equality and hashing go by identity and the repr
-    shows one layer.
-    """
-
-    __slots__ = ("p", "q", "input", "side", "chosen", "children")
-
-    def __init__(
-        self,
-        p: str,
-        q: str,
-        input: str,
-        side: str,
-        chosen: str,
-        children: tuple[tuple[str, Union["BaseWitness", "IndWitness"]], ...],
-    ):
-        self.p, self.q, self.input, self.side = p, q, input, side
-        self.chosen, self.children = chosen, children
-
-    def __repr__(self) -> str:
-        return (
-            f"IndWitness(p={self.p!r}, q={self.q!r}, input={self.input!r}, "
-            f"side={self.side!r}, chosen={self.chosen!r}, children={len(self.children)})"
-        )
-
-    @property
-    def depth(self) -> int:
-        """Longest path to a base witness; an opponent with no move ends at 1."""
-        depth_of: dict[int, int] = {}  # shared sub-witnesses are measured once
-
-        def rule(w: IndWitness):
-            deepest = 0
-            for (_, c) in w.children:
-                if isinstance(c, IndWitness):
-                    d = depth_of.get(id(c))
-                    deepest = max(deepest, (yield c) if d is None else d)
-            depth_of[id(w)] = deepest + 1
-            return deepest + 1
-
-        return fold(rule, self)
-
-
-NonBisimWitness = Union[BaseWitness, IndWitness]
 
 
 def non_bisimilar(sys: SynchronousSystem, p: str, q: str) -> Optional[NonBisimWitness]:
     """Minimal-depth witness that p and q are non-bisimilar, or None.
 
     The witness depth equals the least k at which the k-step
-    bisimulation approximants separate the states.  Each state pair's
-    sub-witness is built once and shared.
+    bisimulation approximants separate the states.  A bisimilar pair is
+    answered here; only a witness loads :mod:`syncreact.witness`.
     """
     sys.check_state(p)
     sys.check_state(q)
@@ -803,57 +708,6 @@ def non_bisimilar(sys: SynchronousSystem, p: str, q: str) -> Optional[NonBisimWi
     root = (sys.index[p], sys.index[q])
     if oracle.cls[root[0]] == oracle.cls[root[1]]:
         return None
-    ref, names, out = oracle.refinement, sys.states, sys.out_ids
-    inputs, outputs = sys.inputs.symbols, sys.outputs.symbols
-    built: dict[tuple[int, int], NonBisimWitness] = {}
+    from .witness import build_witness
 
-    def rule(pair: tuple[int, int]):
-        p, q = pair
-        k = ref.depth(p, q)
-        if k == 0:
-            w = BaseWitness(names[p], names[q], outputs[out[p]], outputs[out[q]])
-        else:
-            a, side, chosen, children = ref.move(p, q, k)
-            opponent = 1 if side == "left" else 0
-            subs = []
-            for c in children:
-                sub = built.get(c)
-                subs.append((names[c[opponent]], (yield c) if sub is None else sub))
-            w = IndWitness(names[p], names[q], inputs[a], side, names[chosen], tuple(subs))
-        built[pair] = w
-        return w
-
-    return fold(rule, root)
-
-
-def replay_witness(
-    union: SynchronousSystem, witness: NonBisimWitness
-) -> bool:
-    """Re-derive p != q by replaying the witness against the union system."""
-    seen: set[int] = set()
-    stack = [witness]
-    while stack:
-        w = stack.pop()
-        if id(w) in seen:
-            continue
-        seen.add(id(w))
-        if isinstance(w, BaseWitness):
-            if not (
-                union.out(w.p) == w.out_p
-                and union.out(w.q) == w.out_q
-                and w.out_p != w.out_q
-            ):
-                return False
-            continue
-        if w.side == "left":
-            movers = union.successors(w.p, w.input)
-            opponents = union.successors(w.q, w.input)
-        else:
-            movers = union.successors(w.q, w.input)
-            opponents = union.successors(w.p, w.input)
-        if w.chosen not in movers:
-            return False
-        if {s for (s, _) in w.children} != set(opponents):
-            return False
-        stack.extend(child for (_, child) in w.children)
-    return True
+    return build_witness(sys, root)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from syncreact import core, reactivity, sls
+from syncreact import compose, core, reactivity, sls
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -15,7 +15,7 @@ def load_fixture(name: str):
 
 def on_union(query, sys_a, p, sys_b, q, *args):
     """``query`` about state p of ``sys_a`` and q of ``sys_b``, asked of their disjoint union."""
-    union, pa, pb = core.disjoint_union(sys_a, sys_b)
+    union, pa, pb = compose.disjoint_union(sys_a, sys_b)
     return query(union, pa + p, pb + q, *args)
 
 

@@ -28,15 +28,13 @@ import sys as _sys
 from collections import namedtuple
 
 from syncreact.abstraction import _effects, doe, ssp_seq
-from syncreact.compose import feed_of
+from syncreact.compose import align, disjoint_union, feed_of
 from syncreact.core import (
     Alphabet,
     BisimOracle,
     Run,
     SynchronousSystem,
-    align,
     bisim_classes,
-    disjoint_union,
     pair_symbol,
     run_outputs,
     runs,

@@ -135,14 +135,15 @@ _DELAY1_RECEIVER = ("delay1.sls", "receiver.sls", "--qf", "s0", "--qg", "g0")
 COMMAND_MODULES = [
     (["check", "p1.sls"], BASE),
     (["quotient", "p1.sls", "-o", "OUT"], BASE),
-    (["bisim", "p1.sls", "p0", "p2"], BASE),
+    (["bisim", "p1.sls", "p0", "p2"], BASE | {"syncreact.witness"}),
+    (["bisim", "p1.sls", "p0", "p0"], BASE),
     (["seppairs", "p1.sls", "p0"], PAIR_GRAPH),
     (["separators", "p1.sls", "p0", "p2"], PAIR_GRAPH),
     (["strongsep", "p1.sls", "p1", "p0"], PAIR_GRAPH),
     (["reactime", "p1.sls", "p0"], PAIR_GRAPH),
     (["diff", "p1.sls", "p0", "p1", "-w", "tt ff"], PAIR_GRAPH),
     (["doe", "p1.sls", "p0"], LEVEL_SETS),
-    (["ssp", "union1.sls", "u0", "union2.sls", "v1"], LEVEL_SETS),
+    (["ssp", "union1.sls", "u0", "union2.sls", "v1"], LEVEL_SETS | {"syncreact.compose"}),
     (["sspseq", "p1.sls", "p0"], LEVEL_SETS),
     (["compose", "--par", "p1.sls", "toggle.sls", "-o", "OUT"], BASE | {"syncreact.compose"}),
     (["lemma", *_DELAY1_RECEIVER], LEVEL_SETS),
@@ -176,6 +177,11 @@ class TestImports:
         loaded = loaded_modules("import syncreact.cli")
         assert ours(loaded) == BASE
         assert not loaded & SLOW_IMPORTS
+
+    def test_import_core_loads_neither_witnesses_nor_compositions(self):
+        # Every command compiles ``core``; what only some commands run stays out of it.
+        loaded = loaded_modules("import syncreact.core")
+        assert ours(loaded) == {"syncreact", "syncreact.core", "syncreact.errors"}
 
     def test_no_module_imports_dataclasses(self):
         files = sorted(pathlib.Path(syncreact.__file__).parent.rglob("*.py"))

@@ -317,8 +317,14 @@ class TestRefinementHistory:
             yield chain_sender(depth, ("x", "y", "z"))
 
     def test_every_round_is_the_approximant_of_its_depth(self):
+        most_changes = 0
         for sys in self.systems():
             ref = sys.refinement
+            for c in ref.cls:
+                changes = 0
+                while ref.born[c]:
+                    c, changes = ref.parent[c], changes + 1
+                most_changes = max(most_changes, changes)
             levels = naive_approximants(sys)
             ids = range(len(sys.states))
             # The first stable round: every round from it on is bisimilarity.
@@ -329,6 +335,8 @@ class TestRefinementHistory:
                     (sys.states[i], sys.states[j]) for i in ids for j in ids if at[i] == at[j]
                 }
                 assert induced == levels[min(k, ref.rounds)], (sys.name, k)
+        # So id_at is checked on walks up more than one parent.
+        assert most_changes >= 3
 
 
 class TestDisjointUnion:

@@ -12,20 +12,14 @@ import pytest
 
 from syncreact.abstraction import LemmaVerdict
 from syncreact.compose import ComposedSystem
-from syncreact.core import (
-    Alphabet,
-    BaseWitness,
-    IndWitness,
-    Partition,
-    Run,
-    SynchronousSystem,
-)
+from syncreact.core import Alphabet, Partition, Run, SynchronousSystem
 from syncreact.lasso import EffectSequence, PairSetSequence
 from syncreact.psyc.loader import ProgramFile
 from syncreact.psyc.semantics import Machine, VarDecl
 from syncreact.psyc.syntax import Token, VarRef
 from syncreact.psyc.typecheck import Ty
 from syncreact.reactivity import ReactionTime, SepPairSet, StrongSepResult
+from syncreact.witness import BaseWitness, IndWitness
 
 IO = Alphabet(("i",))
 OUT = Alphabet(("o",))

@@ -15,8 +15,8 @@ import re
 import pytest
 
 from syncreact import psyc, sls
-from syncreact.compose import par_compose, seq_compose
-from syncreact.core import Alphabet, SynchronousSystem, bisim_quotient, disjoint_union
+from syncreact.compose import disjoint_union, par_compose, seq_compose
+from syncreact.core import Alphabet, SynchronousSystem, bisim_quotient
 from syncreact.errors import FormatError, UnknownState, UnknownSymbol
 
 from .conftest import FIXTURES
