@@ -6,25 +6,33 @@ class: 0 success, 2 usage and :class:`UserError` (parse, type and build
 errors, incomplete systems), 3 :class:`ResourceError`, 4 any other
 internal invariant breach.
 
-Every command runs in a process of its own, so start-up counts.  Only
-``sls``, ``core`` and ``errors`` load with this module; each command
-imports the layers it runs inside its handler.  No command loads
-``dataclasses`` or ``inspect``: the value classes derive from
-:class:`syncreact.core.Record`.  Nor does a well-formed command load
-``argparse`` (and with it ``gettext`` and ``locale``): argparse loads
-only for help, usage and errors.  The ``syncreact`` modules a command
-loads:
+Every command runs in a process of its own, so start-up counts, and
+a command compiles only what it runs.  This module is the dispatcher:
+the table of commands, the direct read of the command line, the run of
+one handler and the mapping from errors to exit statuses.  The handlers
+live in :mod:`syncreact.commands`, one module per family of commands
+that load the same layers, and a command imports only its own family's
+module (:func:`_handler`).  Each handler imports the layers it runs.
+No command loads ``dataclasses`` or ``inspect``: the value classes
+derive from :class:`syncreact.core.Record`.  Nor does a well-formed
+command load ``argparse`` (and with it ``gettext`` and ``locale``):
+argparse loads only for help, usage and errors.  The ``syncreact``
+modules a command loads:
 
-- ``check``, ``bisim``, ``quotient``: ``cli``, ``core``, ``errors``, ``sls``,
-  and ``witness`` for ``bisim`` on a non-bisimilar pair;
+- ``check``, ``bisim``, ``quotient``: ``cli``, ``commands``, ``core``,
+  ``errors``, ``sls`` and ``commands.tables``, and ``witness`` for
+  ``bisim`` on a non-bisimilar pair;
+- ``compose``, ``dot``: the same and ``compose`` or ``dot``;
 - ``seppairs``, ``separators``, ``strongsep``, ``reactime``, ``diff``:
-  those and ``separation`` and ``reactivity``;
-- ``doe``, ``sspseq``, ``ssp``, ``lemma``, ``doe-compose``: the first set
-  and ``separation``, ``lasso`` and ``abstraction``, but not
-  ``reactivity``: ``doe``'s "not reactive" note reads ``separation``.
-  ``ssp`` on two files also loads ``compose`` for their disjoint union;
-- ``compose``: the first set and ``compose``; ``dot``: the first set and
-  ``dot``; ``psyc``: the first set and the ``psyc`` package.
+  the first five and ``commands.pairs``, ``separation`` and
+  ``reactivity``;
+- ``doe``, ``sspseq``, ``ssp``: the first five and ``commands.levels``,
+  ``separation``, ``lasso`` and ``abstraction``, but not ``reactivity``:
+  ``doe``'s "not reactive" note reads ``separation``.  ``ssp`` on two
+  files also loads ``compose`` for their disjoint union;
+- ``lemma``, ``doe-compose``: those of ``doe`` and ``lemma``;
+- ``psyc typecheck``, ``psyc build``: the first five,
+  ``commands.programs`` and the ``psyc`` package.
 
 :data:`COMMANDS` is the one table of the command line: each command's
 help text, handler and arguments.  :func:`main` first reads the command
@@ -34,10 +42,11 @@ required choice, ``psyc``'s subcommand and the defaults, into a
 namespace with the attributes argparse would set.  Anything else, from
 ``-h`` or ``--`` to an abbreviated flag, a missing argument or a value
 its type rejects, is left to argparse, which stays the only source of
-help, usage and error text: :func:`build_parser` builds the one parser
-of every command from the same table.  Importing argparse and parsing
-with it cost a few milliseconds of each command's start-up, much of it
-``gettext`` loading ``locale`` for argparse's first message lookup.
+help, usage and error text: :func:`syncreact.commands.usage.build_parser`
+builds the one parser of every command from the same table.  Importing
+argparse and parsing with it cost a few milliseconds of each command's
+start-up, much of it ``gettext`` loading ``locale`` for argparse's
+first message lookup.
 
 :func:`main` pauses the cyclic garbage collector for the command and
 restores its previous state on the way out.  A command builds tables of
@@ -62,44 +71,11 @@ from __future__ import annotations
 
 import gc
 import sys as _sys
+from importlib import import_module
 from types import SimpleNamespace
 
-from . import sls
-from .core import (
-    SynchronousSystem,
-    bisim_quotient,
-    non_bisimilar,
-    require_complete,
-    validate,
-)
-from .errors import (
-    BuildError,
-    IntRangeExceeded,
-    NonFiniteIntRange,
-    PreconditionFailed,
-    PsyTypeError,
-    ResourceError,
-    SyncReactError,
-    UserError,
-)
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_RESOURCE = 3
-EXIT_INTERNAL = 4
-
-
-def _load_complete(path: str) -> SynchronousSystem:
-    """Load a system for analysis; every analysis assumes completeness."""
-    sys = sls.load(path)
-    report = validate(sys)
-    if report:
-        raise PreconditionFailed(f"{path}: {report[0]}")
-    return sys
-
-
-def _word(text: str) -> list[str]:
-    return text.split()
+from .commands import EXIT_INTERNAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE
+from .errors import ResourceError, SyncReactError, UserError
 
 
 def _at_least(least: int):
@@ -117,232 +93,6 @@ def _at_least(least: int):
     return bound
 
 
-def _print_bool(value: bool) -> int:
-    print("true" if value else "false")
-    return EXIT_OK
-
-
-def cmd_check(args) -> int:
-    sys = sls.load(args.file)
-    report = validate(sys)
-    for issue in report:
-        print(issue, file=_sys.stderr)
-    if report:
-        return EXIT_USAGE
-    print("ok")
-    return EXIT_OK
-
-
-def cmd_quotient(args) -> int:
-    sys = _load_complete(args.file)
-    partition, quotient = bisim_quotient(sys)
-    sls.dump(quotient, args.output)
-    print(f"classes {len(partition.classes)}")
-    return EXIT_OK
-
-
-def cmd_bisim(args) -> int:
-    sys = _load_complete(args.file)
-    witness = non_bisimilar(sys, args.p, args.q)
-    if witness is not None:
-        print(f"witness depth {witness.depth}", file=_sys.stderr)
-    return _print_bool(witness is None)
-
-
-def cmd_seppairs(args) -> int:
-    from . import reactivity
-
-    sys = _load_complete(args.file)
-    result = reactivity.separating_pairs(sys, args.state)
-    det = set(result.deterministic_subset)
-    for pair in result.pairs:
-        suffix = " det" if pair in det else ""
-        print(f"pair {pair[0]} {pair[1]}{suffix}")
-    print(f"seppairs {len(result.pairs)}")
-    return EXIT_OK
-
-
-def cmd_separators(args) -> int:
-    from . import reactivity
-
-    sys = _load_complete(args.file)
-    found = reactivity.separators(sys, args.p, args.q, args.max_len)
-    for (word, deterministic) in found:
-        suffix = " det" if deterministic else ""
-        body = (" " + " ".join(word)) if word else ""
-        print(f"sep{body}{suffix}")
-    print(f"separators {len(found)}")
-    return EXIT_OK
-
-
-def cmd_strongsep(args) -> int:
-    from . import reactivity
-
-    sys = _load_complete(args.file)
-    verdict = reactivity.strongly_separable(sys, args.p, args.q)
-    if verdict.separable:
-        print(f"bound {verdict.bound}", file=_sys.stderr)
-    else:
-        steps = " ".join(f"{p}|{q}:{sym}" for ((p, q), sym) in verdict.cycle)
-        print(f"eq-cycle {steps}", file=_sys.stderr)
-    return _print_bool(verdict.separable)
-
-
-def cmd_reactime(args) -> int:
-    from . import reactivity
-
-    sys = _load_complete(args.file)
-    result = reactivity.det_reaction_time(sys, args.state)
-    if not result.is_finite:
-        print("reactime infinite")
-    elif result.witness:
-        print(f"reactime finite {result.time} witness " + " ".join(result.witness))
-    else:
-        print(f"reactime finite {result.time}")
-    return EXIT_OK
-
-
-def cmd_diff(args) -> int:
-    from . import reactivity
-
-    sys = _load_complete(args.file)
-    word = _word(args.word)
-    table = reactivity.diff(sys, args.p, args.q, word)
-    for index, values in enumerate(table):
-        rendered = []
-        for value in sorted(values, key=lambda v: ("", "") if v is None else v):
-            rendered.append("*" if value is None else f"({value[0]},{value[1]})")
-        print(f"diff {index} " + " ".join(rendered))
-    return EXIT_OK
-
-
-def cmd_doe(args) -> int:
-    from . import abstraction
-    from .lasso import format_effect_sequence
-    from .separation import separating_ids
-
-    sys = _load_complete(args.file)
-    (i,) = require_complete(sys, args.state)
-    if not separating_ids(sys, i, i)[0]:
-        print(f"note: state {args.state} is not reactive", file=_sys.stderr)
-    print(format_effect_sequence(abstraction.doe(sys, args.state)))
-    return EXIT_OK
-
-
-def cmd_ssp(args) -> int:
-    from . import abstraction
-    from .compose import disjoint_union
-    from .lasso import format_pair_set
-
-    sys, p = _load_complete(args.file), args.p
-    if len(args.rest) == 1:
-        q = args.rest[0]
-    elif len(args.rest) == 2:
-        other, q = _load_complete(args.rest[0]), args.rest[1]
-        union, prefix_a, prefix_b = disjoint_union(sys, other)
-        sys.check_state(p)
-        other.check_state(q)
-        sys, p, q = union, prefix_a + p, prefix_b + q
-    else:
-        print("error: ssp takes FILE P [FILE2] Q", file=_sys.stderr)
-        return EXIT_USAGE
-    pairs = abstraction.ssp(sys, p, q)
-    print(format_pair_set(frozenset(pairs)))
-    return EXIT_OK
-
-
-def cmd_sspseq(args) -> int:
-    from . import abstraction
-    from .lasso import format_pair_set_sequence
-
-    sys = _load_complete(args.file)
-    print(format_pair_set_sequence(abstraction.ssp_seq(sys, args.state)))
-    return EXIT_OK
-
-
-def cmd_compose(args) -> int:
-    from . import compose
-
-    sys_f = _load_complete(args.f)
-    sys_g = _load_complete(args.g)
-    if args.seq:
-        composed = compose.seq_compose(sys_f, sys_g)
-    else:
-        composed = compose.par_compose(sys_f, sys_g)
-    sls.dump(composed.system, args.output)
-    print(f"states {len(composed.system.states)}")
-    return EXIT_OK
-
-
-def cmd_lemma(args) -> int:
-    from . import abstraction
-
-    sys_f = _load_complete(args.f)
-    sys_g = _load_complete(args.g)
-    verdict = abstraction.lemma_check(sys_f, args.qf, sys_g, args.qg)
-    if verdict.guaranteed:
-        print(f"GuaranteedReactive {verdict.index}")
-    else:
-        print("NoGuarantee")
-    return EXIT_OK
-
-
-def cmd_doe_compose(args) -> int:
-    from . import abstraction
-    from .lasso import format_effect_sequence
-
-    sys_f = _load_complete(args.f)
-    sys_g = _load_complete(args.g)
-    result = abstraction.doe_compose(sys_f, args.qf, sys_g, args.qg, args.t)
-    print(format_effect_sequence(result))
-    return EXIT_OK
-
-
-def _typed_program(path):
-    """The ``.psy`` program at path and its type; a type error names the file,
-    as :func:`cmd_psyc_build` does a build error."""
-    from . import psyc as psyc_frontend
-
-    program = psyc_frontend.load(path)
-    try:
-        return program, program.typecheck()
-    except PsyTypeError as exc:
-        raise PsyTypeError(f"{path}: {exc}") from None
-
-
-def cmd_psyc_typecheck(args) -> int:
-    print(str(_typed_program(args.file)[1]))
-    return EXIT_OK
-
-
-def cmd_psyc_build(args) -> int:
-    from . import psyc as psyc_frontend
-
-    program = _typed_program(args.file)[0]
-    try:
-        system = psyc_frontend.build_lts(
-            program.machine, program.body, args.max_states, name=program.name
-        )
-    except (IntRangeExceeded, NonFiniteIntRange, BuildError) as exc:
-        raise type(exc)(f"{args.file}: {exc}") from None
-    sls.dump(system, args.output)
-    print(f"states {len(system.states)}")
-    return EXIT_OK
-
-
-def cmd_dot(args) -> int:
-    from . import dot
-
-    sys = sls.load(args.file)
-    text = dot.export_dot(sys)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
 def _option(*flags, **options) -> tuple:
     """An option of a :data:`COMMANDS` entry: its flags and add_argument options."""
     return flags, options
@@ -352,79 +102,43 @@ _OUTPUT = _option("-o", "--output", required=True)
 _SENDER_RECEIVER = ("f", "g", _option("--qf", required=True), _option("--qg", required=True))
 
 # Every command, in the order help lists them: its help, its handler and
-# its arguments.  An argument is a positional name or an _option; a tuple
-# of flags is a choice of exactly one of them (``compose``), and the
-# handler of ``psyc`` is a table of its subcommands.
+# its arguments.  A handler is named ``module.function`` in
+# ``syncreact.commands`` (see _handler), and the handler of ``psyc`` is a
+# table of its subcommands.  An argument is a positional name or an
+# _option; a tuple of flags is a choice of exactly one of them (``compose``).
 # fmt: off
 COMMANDS = {
-    "check": ("validate a .sls file", cmd_check, "file"),
-    "quotient": ("write the bisimulation quotient", cmd_quotient, "file", _OUTPUT),
-    "bisim": ("are two states bisimilar?", cmd_bisim, "file", "p", "q"),
-    "seppairs": ("separating pairs of a state", cmd_seppairs, "file", "state"),
-    "separators": ("minimal separators of a state pair", cmd_separators, "file", "p", "q",
+    "check": ("validate a .sls file", "tables.cmd_check", "file"),
+    "quotient": ("write the bisimulation quotient", "tables.cmd_quotient", "file", _OUTPUT),
+    "bisim": ("are two states bisimilar?", "tables.cmd_bisim", "file", "p", "q"),
+    "seppairs": ("separating pairs of a state", "pairs.cmd_seppairs", "file", "state"),
+    "separators": ("minimal separators of a state pair", "pairs.cmd_separators", "file", "p", "q",
                    _option("--max-len", type=_at_least(0), default=4)),
-    "strongsep": ("is a state pair strongly separable?", cmd_strongsep, "file", "p", "q"),
-    "reactime": ("deterministic reaction time of a state", cmd_reactime, "file", "state"),
-    "diff": ("observable effects along a word", cmd_diff, "file", "p", "q",
+    "strongsep": ("is a state pair strongly separable?", "pairs.cmd_strongsep", "file", "p", "q"),
+    "reactime": ("deterministic reaction time of a state", "pairs.cmd_reactime", "file", "state"),
+    "diff": ("observable effects along a word", "pairs.cmd_diff", "file", "p", "q",
              _option("-w", "--word", required=True, help="input word, e.g. 'tt ff'")),
-    "doe": ("deterministic observable effects of a state", cmd_doe, "file", "state"),
-    "ssp": ("strongly separating pairs of two states", cmd_ssp, "file", "p",
+    "doe": ("deterministic observable effects of a state", "levels.cmd_doe", "file", "state"),
+    "ssp": ("strongly separating pairs of two states", "levels.cmd_ssp", "file", "p",
             _option("rest", nargs="+", metavar="[FILE2] Q")),
-    "sspseq": ("strongly separating pair sequence", cmd_sspseq, "file", "state"),
-    "compose": ("compose two systems", cmd_compose, ("--seq", "--par"), "f", "g", _OUTPUT),
-    "lemma": ("reactivity guarantee for a composition", cmd_lemma, *_SENDER_RECEIVER),
-    "doe-compose": ("composite observable effects at index t", cmd_doe_compose,
+    "sspseq": ("strongly separating pair sequence", "levels.cmd_sspseq", "file", "state"),
+    "compose": ("compose two systems", "tables.cmd_compose", ("--seq", "--par"), "f", "g", _OUTPUT),
+    "lemma": ("reactivity guarantee for a composition", "levels.cmd_lemma", *_SENDER_RECEIVER),
+    "doe-compose": ("composite observable effects at index t", "levels.cmd_doe_compose",
                     *_SENDER_RECEIVER, _option("-t", type=int, required=True)),
     "psyc": ("language frontend", {
-        "typecheck": ("typecheck a .psy program", cmd_psyc_typecheck, "file"),
-        "build": ("build the system of a .psy program", cmd_psyc_build, "file",
+        "typecheck": ("typecheck a .psy program", "programs.cmd_psyc_typecheck", "file"),
+        "build": ("build the system of a .psy program", "programs.cmd_psyc_build", "file",
                   _option("--max-states", type=_at_least(1), default=10_000), _OUTPUT),
     }),
-    "dot": ("export a system to DOT", cmd_dot, "file", _option("-o", "--output")),
+    "dot": ("export a system to DOT", "tables.cmd_dot", "file", _option("-o", "--output")),
 }
 # fmt: on
 
 
-def _add(sub, name: str, entry: tuple) -> None:
-    """Add the command ``name`` with its :data:`COMMANDS` entry to the subparsers ``sub``."""
-    text, handler, *arguments = entry
-    parser = sub.add_parser(name, help=text)
-    if isinstance(handler, dict):
-        nested = parser.add_subparsers(dest=f"{name}_command", required=True)
-        for inner in handler.items():
-            _add(nested, *inner)
-        return
-    for argument in arguments:
-        if isinstance(argument, str):
-            parser.add_argument(argument)
-        elif isinstance(argument[0], str):
-            group = parser.add_mutually_exclusive_group(required=True)
-            for flag in argument:
-                group.add_argument(flag, action="store_true")
-        else:
-            flags, options = argument
-            parser.add_argument(*flags, **options)
-    parser.set_defaults(func=handler)
-
-
-def build_parser():
-    """The argparse parser of every command, the one source of help, usage and errors."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="syncreact",
-        description="Analyze finite synchronous systems for reactivity,"
-        " observable effects, and reaction time.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, entry in COMMANDS.items():
-        _add(sub, name, entry)
-    return parser
-
-
 def _read(argv: list[str], table: dict = COMMANDS, dest: str = "command"):
-    """The namespace :func:`build_parser` would make of ``argv``, read
-    straight from its :data:`COMMANDS` entry, or None to leave it to argparse.
+    """The namespace argparse would make of ``argv``, read straight from
+    its :data:`COMMANDS` entry, or None to leave it to argparse.
 
     It declines whatever argparse might answer with help, usage or an
     error: an unknown command, a token starting with ``-`` that is not
@@ -497,6 +211,13 @@ def _read(argv: list[str], table: dict = COMMANDS, dest: str = "command"):
     return SimpleNamespace(**values)
 
 
+def _handler(name: str):
+    """The handler a :data:`COMMANDS` entry names, ``module.function`` in
+    :mod:`syncreact.commands`, imported with its module alone."""
+    module, _, function = name.partition(".")
+    return getattr(import_module(f".commands.{module}", __package__), function)
+
+
 def main(argv=None) -> int:
     """Run one command with the cyclic garbage collector paused (see the module notes)."""
     enabled = gc.isenabled()
@@ -513,12 +234,14 @@ def _run(argv) -> int:
         argv = _sys.argv[1:]
     args = _read(argv)
     if args is None:
+        from .commands.usage import build_parser
+
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(COMMANDS).parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return _handler(args.func)(args)
     except UserError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

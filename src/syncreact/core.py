@@ -35,11 +35,11 @@ STAR = None
 
 # Tokens are whitespace-free and may not contain the comment or lasso
 # separator characters of the textual formats.
-_TOKEN_RE = re.compile(r"[^\s#|]+$")
+_TOKEN_RE = re.compile(r"[^\s#|]+")
 
 
 def is_token(text: str) -> bool:
-    return bool(text) and bool(_TOKEN_RE.match(text))
+    return _TOKEN_RE.fullmatch(text) is not None
 
 
 def symbol_components(symbol: str) -> tuple[str, ...]:

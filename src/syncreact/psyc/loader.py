@@ -24,7 +24,7 @@ from .semantics import Machine, VarDecl
 from .syntax import Ast, parse
 from .typecheck import Ty, typecheck
 
-_INT_RE = re.compile(r"-?\d+$")
+_INT_RE = re.compile(r"-?\d+")
 _VAR_RE = re.compile(
     r"var\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(bool|int\[(-?\d+)\.\.(-?\d+)\]|int)\s*$"
 )
@@ -55,7 +55,7 @@ def component_types(alphabet: Alphabet, what: str) -> tuple[str, ...]:
         values = {symbol_components(s)[i] for s in alphabet}
         if values <= {"tt", "ff"}:
             types.append("bool")
-        elif all(_INT_RE.match(v) for v in values):
+        elif all(_INT_RE.fullmatch(v) for v in values):
             types.append("int")
         else:
             raise FormatError(

@@ -29,6 +29,7 @@ from syncreact import (
     validate,
 )
 from syncreact.cli import main
+from syncreact.commands import usage
 
 from .conftest import FIXTURES, count_refinements
 from .oracles import chain_sender, perfbench_module, sized_system
@@ -122,10 +123,15 @@ def package_imports() -> list[tuple[str, int, str, bool, bool, bool]]:
 SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 
-BASE = {"syncreact", "syncreact.cli", "syncreact.core", "syncreact.errors", "syncreact.sls"}
-PAIR_GRAPH = BASE | {"syncreact.separation", "syncreact.reactivity"}
-LEVEL_SETS = BASE | {"syncreact.separation", "syncreact.lasso", "syncreact.abstraction"}
-PSYC = {"syncreact.psyc"} | {
+CORE = {"syncreact", "syncreact.core", "syncreact.errors"}
+BASE = CORE | {"syncreact.cli", "syncreact.commands", "syncreact.sls"}
+PAIR_LAYERS = CORE | {"syncreact.separation", "syncreact.reactivity"}
+LEVEL_LAYERS = CORE | {"syncreact.separation", "syncreact.lasso", "syncreact.abstraction"}
+TABLES = BASE | {"syncreact.commands.tables"}
+PAIR_GRAPH = BASE | PAIR_LAYERS | {"syncreact.commands.pairs"}
+LEVEL_SETS = BASE | LEVEL_LAYERS | {"syncreact.commands.levels"}
+LEMMA = LEVEL_SETS | {"syncreact.lemma"}
+PSYC = BASE | {"syncreact.commands.programs", "syncreact.psyc"} | {
     f"syncreact.psyc.{m}" for m in ("loader", "semantics", "syntax", "typecheck")
 }
 _DELAY1_RECEIVER = ("delay1.sls", "receiver.sls", "--qf", "s0", "--qg", "g0")
@@ -133,10 +139,10 @@ _DELAY1_RECEIVER = ("delay1.sls", "receiver.sls", "--qf", "s0", "--qg", "g0")
 # One run of every command (both of ``psyc``'s) on the fixtures, and the
 # ``syncreact`` modules it loads.
 COMMAND_MODULES = [
-    (["check", "p1.sls"], BASE),
-    (["quotient", "p1.sls", "-o", "OUT"], BASE),
-    (["bisim", "p1.sls", "p0", "p2"], BASE | {"syncreact.witness"}),
-    (["bisim", "p1.sls", "p0", "p0"], BASE),
+    (["check", "p1.sls"], TABLES),
+    (["quotient", "p1.sls", "-o", "OUT"], TABLES),
+    (["bisim", "p1.sls", "p0", "p2"], TABLES | {"syncreact.witness"}),
+    (["bisim", "p1.sls", "p0", "p0"], TABLES),
     (["seppairs", "p1.sls", "p0"], PAIR_GRAPH),
     (["separators", "p1.sls", "p0", "p2"], PAIR_GRAPH),
     (["strongsep", "p1.sls", "p1", "p0"], PAIR_GRAPH),
@@ -144,13 +150,14 @@ COMMAND_MODULES = [
     (["diff", "p1.sls", "p0", "p1", "-w", "tt ff"], PAIR_GRAPH),
     (["doe", "p1.sls", "p0"], LEVEL_SETS),
     (["ssp", "union1.sls", "u0", "union2.sls", "v1"], LEVEL_SETS | {"syncreact.compose"}),
+    (["ssp", "union1.sls", "u0", "u1"], LEVEL_SETS),
     (["sspseq", "p1.sls", "p0"], LEVEL_SETS),
-    (["compose", "--par", "p1.sls", "toggle.sls", "-o", "OUT"], BASE | {"syncreact.compose"}),
-    (["lemma", *_DELAY1_RECEIVER], LEVEL_SETS),
-    (["doe-compose", *_DELAY1_RECEIVER, "-t", "1"], LEVEL_SETS),
-    (["psyc", "typecheck", "program1.psy"], BASE | PSYC),
-    (["psyc", "build", "program1.psy", "-o", "OUT"], BASE | PSYC),
-    (["dot", "p1.sls"], BASE | {"syncreact.dot"}),
+    (["compose", "--par", "p1.sls", "toggle.sls", "-o", "OUT"], TABLES | {"syncreact.compose"}),
+    (["lemma", *_DELAY1_RECEIVER], LEMMA),
+    (["doe-compose", *_DELAY1_RECEIVER, "-t", "1"], LEMMA),
+    (["psyc", "typecheck", "program1.psy"], PSYC),
+    (["psyc", "build", "program1.psy", "-o", "OUT"], PSYC),
+    (["dot", "p1.sls"], TABLES | {"syncreact.dot"}),
 ]
 
 
@@ -180,8 +187,52 @@ class TestImports:
 
     def test_import_core_loads_neither_witnesses_nor_compositions(self):
         # Every command compiles ``core``; what only some commands run stays out of it.
-        loaded = loaded_modules("import syncreact.core")
-        assert ours(loaded) == {"syncreact", "syncreact.core", "syncreact.errors"}
+        assert ours(loaded_modules("import syncreact.core")) == CORE
+
+    def test_import_abstraction_loads_no_lemma(self):
+        # Every level walk compiles ``abstraction``; only ``lemma`` and
+        # ``doe-compose`` run the lemma's walk.
+        assert ours(loaded_modules("import syncreact.abstraction")) == LEVEL_LAYERS
+
+    def test_no_module_imports_the_cli(self):
+        # Under ``python -m syncreact.cli`` the cli is ``__main__``: a module
+        # importing ``syncreact.cli`` by name would compile and run it again.
+        root = pathlib.Path(syncreact.__file__).parent
+        offenders, checked = [], 0
+        for path in sorted(root.rglob("*.py")):
+            package = ["syncreact", *path.relative_to(root).parent.parts]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = package[: len(package) - node.level + 1] if node.level else []
+                    module = ".".join(base + ([node.module] if node.module else []))
+                    targets = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                checked += 1
+                if "syncreact.cli" in targets:
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert checked >= 100
+        assert offenders == []
+
+    def test_every_handler_resolves_in_its_module(self):
+        # The table names each handler as ``module.function`` and the
+        # cli imports it on the command's first run; resolve every one here.
+        tables, handlers = [cli.COMMANDS], []
+        for table in tables:
+            for _, handler, *_ in table.values():
+                if isinstance(handler, dict):
+                    tables.append(handler)
+                else:
+                    handlers.append(handler)
+        assert len(handlers) == 17
+        for name in handlers:
+            module, _, function = name.partition(".")
+            handler = cli._handler(name)
+            assert callable(handler), name
+            home = (handler.__module__, handler.__name__)
+            assert home == (f"syncreact.commands.{module}", function), name
 
     def test_no_module_imports_dataclasses(self):
         files = sorted(pathlib.Path(syncreact.__file__).parent.rglob("*.py"))
@@ -269,10 +320,8 @@ class TestImports:
 
     def test_import_syncreact_loads_no_submodule(self):
         assert ours(loaded_modules("import syncreact")) == {"syncreact"}
-        from_doe = ours(loaded_modules("from syncreact import doe"))
-        assert from_doe == LEVEL_SETS - {"syncreact.cli", "syncreact.sls"}
-        from_seppairs = ours(loaded_modules("from syncreact import separating_pairs"))
-        assert from_seppairs == PAIR_GRAPH - {"syncreact.cli", "syncreact.sls"}
+        assert ours(loaded_modules("from syncreact import doe")) == LEVEL_LAYERS
+        assert ours(loaded_modules("from syncreact import separating_pairs")) == PAIR_LAYERS
 
     def test_public_names_are_their_defining_modules_objects(self):
         assert len(syncreact.__all__) == len(set(syncreact.__all__)) == 46
@@ -903,6 +952,15 @@ class TestPsyc:
         assert err.startswith(f"error: {src}: ")
         assert message in err
 
+    def test_a_program_name_ending_in_a_line_break_exits_2(self, capsys, tmp_path):
+        # The system is named after the file's stem, which must be a token.
+        src = tmp_path / "prog\n.psy"
+        src.write_text((FIXTURES / "program1.psy").read_text())
+        target = tmp_path / "x.sls"
+        code, out, err = run(capsys, "psyc", "build", src, "-o", target)
+        assert (code, out, err) == (2, "", "error: bad system name 'prog\\n'\n")
+        assert not target.exists()
+
     def test_parse_error_names_the_file_line_and_column(self, capsys, tmp_path):
         bad = tmp_path / "bad.psy"
         bad.write_text("inputs tt ff\noutputs tt ff\nvar x : bool\nx := tt: ff\n")
@@ -1315,7 +1373,7 @@ class TestDirectRead:
         rng = random.Random(1)
         seeds = golden + EDGE_ARGVS
         argvs = seeds + [token_mutant(argv, rng, inserts) for argv in seeds for _ in range(20)]
-        parser, declined = cli.build_parser(), []
+        parser, declined = usage.build_parser(cli.COMMANDS), []
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in argvs:
                 try:

@@ -62,6 +62,35 @@ class TestSymbols:
         with pytest.raises(UnknownSymbol):
             Alphabet(())
 
+    @pytest.mark.parametrize("bad", ["a\n", "a\r", "\n", "a\nb"])
+    def test_a_name_ending_in_a_line_break_is_no_token(self, bad):
+        with pytest.raises(UnknownSymbol):
+            Alphabet(("b", bad))
+        with pytest.raises(UnknownSymbol):
+            pair_symbol(bad, "b")
+        with pytest.raises(UnknownSymbol):
+            pair_symbol("b", bad)
+        with pytest.raises(UnknownSymbol, match="bad system name"):
+            SynchronousSystem(
+                name=bad,
+                inputs=Alphabet(("a",)),
+                outputs=Alphabet(("0",)),
+                states=("s",),
+                transitions=(("s", "a", "s"),),
+                out_label={"s": "0"},
+                initial="s",
+            )
+        with pytest.raises(UnknownState, match="bad state token"):
+            SynchronousSystem(
+                name="ok",
+                inputs=Alphabet(("a",)),
+                outputs=Alphabet(("0",)),
+                states=(bad,),
+                transitions=((bad, "a", bad),),
+                out_label={bad: "0"},
+                initial=bad,
+            )
+
 
 class TestValidate:
     def test_const_is_valid(self, const_sys):
