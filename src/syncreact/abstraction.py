@@ -25,36 +25,23 @@ the cycles its pairs enter; every DOE and SSPseq level walk
 (:func:`_levels`) therefore answers a walk still going at
 :data:`SPLIT_LEVEL` whose frontier holds at most :data:`MAX_ORBITS`
 pairs from one walk per pair, combining the orbits' keys as
-per-key-bit bitsets over time (:func:`_orbits`, :func:`_combine`).
-Where the orbits pass a bound the joint walk goes on instead.  The DOE
-walk of :func:`doe` ends sooner, at the first level holding a
-bisimilar pair, after which every position is silent.
+per-key-bit bitsets over time (:mod:`syncreact.orbits`, which loads
+only for such a walk).  Where the orbits pass a bound the joint walk
+goes on instead.  The DOE walk of :func:`doe` ends sooner, at the first
+level holding a bisimilar pair, after which every position is silent.
+The lemma's queries, :func:`lemma_check` and :func:`doe_compose`, run
+in :mod:`syncreact.lemma`, which loads only when they are asked.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, reduce
-from math import isqrt, lcm
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import BisimOracle, Record, SynchronousSystem, require_complete
-from .errors import (
-    LevelBoundExceeded,
-    NotReactive,
-    PeriodBoundExceeded,
-    PreconditionFailed,
-    ResourceError,
-)
-from .lasso import (
-    STAR,
-    STAR_FOREVER,
-    EffectSequence,
-    EffectSymbol,
-    PairSetSequence,
-    merge_sequences,
-    star_prepend,
-)
+from .errors import LevelBoundExceeded, NotReactive, ResourceError
+from .lasso import STAR, STAR_FOREVER, EffectSequence, EffectSymbol, PairSetSequence
 from .separation import class_gaps, row_orientations, separating_ids
 
 __all__ = [
@@ -93,12 +80,6 @@ MAX_LEVELS = 200_000
 # them one by one repeats the joint walk many times; those stay joint.
 SPLIT_LEVEL = 256
 MAX_ORBITS = 12
-# The lcm of the orbits' periods is the length in bits of the bitsets
-# they are combined in (256 KiB each at this bound); past it the orbits
-# give up before building them.  It exceeds MAX_LEVELS because it sizes
-# bitsets, not levels: cycles of 29, 31, 37 and 41 combine to 1,363,783
-# bits, while their DOE and SSPseq repeat every level from the split on.
-MAX_PERIOD = 1 << 21
 
 
 class _Image(dict):
@@ -257,19 +238,22 @@ def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list,
     so the key of a union is the OR of its parts' keys, and ``named``
     maps a key to its level set.  A walk that has not looped after
     :data:`SPLIT_LEVEL` levels, with at most :data:`MAX_ORBITS` pairs
-    in its frontier, is answered from its orbits (:func:`_orbits`,
-    :func:`_combine`), whose lasso repeats with the least period of
-    the key bits ``signals`` keeps (all of them by default).  Should
-    the orbits pass a bound the joint walk answers; should it pass
-    :data:`MAX_LEVELS` too, the orbits' error is raised.
+    in its frontier, is answered from its orbits
+    (:func:`syncreact.orbits.combined`, imported only then), whose
+    lasso repeats with the least period of the key bits ``signals``
+    keeps (all of them by default).  Should the orbits pass a bound the
+    joint walk answers; should it pass :data:`MAX_LEVELS` too, the
+    orbits' error is raised.
     """
     step, start, key, named = walk
     joint = _Walk(step, start, key)
     joint.run(SPLIT_LEVEL)
     pairs = sum(bits.bit_count() for _, bits in joint.frontier)
     if joint.loop is None and pairs <= MAX_ORBITS:
+        from . import orbits
+
         try:
-            keys, loop = _combine(_orbits(step, key, joint.frontier), signals)
+            keys, loop = orbits.combined(step, key, joint.frontier, signals)
             return [named(k) for k in joint.values + keys], len(joint.values) + loop
         except ResourceError as exc:
             try:
@@ -278,71 +262,6 @@ def _levels(walk: tuple, signals: Callable = lambda tails: tails) -> tuple[list,
                 raise exc from None
     joint.run()
     return [named(k) for k in joint.values], joint.loop
-
-
-def _orbits(step: Callable, key: Callable, frontier: tuple) -> list:
-    """The walk of each pair of ``frontier`` alone, its orbit, as a lasso of keys."""
-    lassos = []
-    for p, bits in frontier:
-        while bits:
-            pair = bits & -bits
-            bits ^= pair
-            orbit = _Walk(step, ((p, pair),), key)
-            orbit.run()
-            lassos.append((orbit.values, orbit.loop))
-    return lassos
-
-
-def _combine(lassos: list[tuple[list, int]], signals: Callable) -> tuple[list[int], int]:
-    """The keys of the union of the orbits' walks, as a lasso.
-
-    The orbits' keys from the level where every orbit has looped on
-    become, per key bit b, a bitset over time: bit t is set when b is
-    at level t.  An orbit's cycle pattern is repeated to the combined
-    period P, the lcm of the orbits' periods, by one product with
-    (2^P - 1)/(2^n - 1), n its period; the orbits' bitsets are ORed.
-    ``signals`` maps these bitsets to the ones the query reads, whose
-    least common period d divides P; only those d levels are built as
-    keys.  Raises PeriodBoundExceeded past :data:`MAX_PERIOD` for P, and
-    LevelBoundExceeded past :data:`MAX_LEVELS` for the levels built.
-    """
-    period = lcm(*(len(keys) - loop for keys, loop in lassos))
-    if period > MAX_PERIOD:
-        raise PeriodBoundExceeded(MAX_PERIOD)
-    start = max((loop for _, loop in lassos), default=0)
-    prefix = [0] * start
-    cycles: dict[int, list[int]] = {}  # orbit period -> ORed keys from level start on
-    for keys, loop in lassos:
-        n = len(keys) - loop
-        cycle = cycles.setdefault(n, [0] * n)
-        for t in range(start):
-            prefix[t] |= lasso_at(keys, loop, t)
-        for t in range(n):
-            cycle[t] |= lasso_at(keys, loop, start + t)
-    width = max((k.bit_length() for cycle in cycles.values() for k in cycle), default=0)
-    tails = [0] * width
-    for n, cycle in cycles.items():
-        repeat = ((1 << period) - 1) // ((1 << n) - 1)
-        for b in range(width):
-            bits = "".join("1" if k >> b & 1 else "0" for k in reversed(cycle))
-            tails[b] |= int(bits, 2) * repeat
-    read = signals(tails)
-    d = _least_period(read, period)
-    if start + d > MAX_LEVELS:
-        raise LevelBoundExceeded(MAX_LEVELS)
-    keys = [0] * d
-    for b, bits in enumerate(read):
-        for t, bit in enumerate(reversed(format(bits & ((1 << d) - 1), f"0{d}b"))):
-            if bit == "1":
-                keys[t] |= 1 << b
-    return prefix + keys, start
-
-
-def _least_period(bitsets: list[int], n: int) -> int:
-    """The least d dividing n such that each bitset of n bits repeats every d bits."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    periods = small + [n // d for d in reversed(small)]
-    return next(d for d in periods if all(x >> d == x & ((1 << (n - d)) - 1) for x in bitsets))
 
 
 def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
@@ -578,21 +497,18 @@ def lemma_check(
     """Reactivity guarantee for a sequential-composition state pair.
 
     Guaranteed at the least index i where the lemma holds
-    (:class:`_Lemma`).  Every synchronized run pair of the composite
-    successors then differs at output index i+2, whatever the inputs, so
-    a positive verdict implies composite reactivity; the fit alone does
-    not, since separating-pair trajectories can diverge from the
-    diagonal paths a composition drives the receiver along.  A weakening
-    of the sender's DOE only erases positions, so its non-silent
-    positions are all the lemma asks about.
+    (:class:`syncreact.lemma._Lemma`).  Every synchronized run pair of
+    the composite successors then differs at output index i+2, whatever
+    the inputs, so a positive verdict implies composite reactivity; the
+    fit alone does not, since separating-pair trajectories can diverge
+    from the diagonal paths a composition drives the receiver along.  A
+    weakening of the sender's DOE only erases positions, so its
+    non-silent positions are all the lemma asks about.  Runs in
+    :mod:`syncreact.lemma`, which only this and :func:`doe_compose` load.
     """
-    from .lemma import _Lemma
+    from . import lemma
 
-    lemma = _Lemma(sys_f, q_f, sys_g, q_g)
-    if not lemma.reactive:
-        return LemmaVerdict(False)
-    i = next(filter(lemma.holds, range(lemma.window)), None)
-    return LemmaVerdict(i is not None, i)
+    return lemma.lemma_check(sys_f, q_f, sys_g, q_g)
 
 
 def doe_compose(
@@ -602,35 +518,14 @@ def doe_compose(
 
     Requires both states to be reactive and the sender's effect (x1, x2)
     at t to fit: to be a strongly separating pair of the receiver at
-    level t+1.  Silent unless the lemma holds at t (:class:`_Lemma`).
+    level t+1.  Silent unless the lemma holds at t
+    (:class:`syncreact.lemma._Lemma`).
     Otherwise t+1 silent ticks, the first being the communication delay
     of the synchronous model, then the merged receiver DOEs of every
     state reachable in exactly t+1 composite steps.  x1 feeds the first
     copy, so each merged pair is reversed when x1 is declared after x2
-    among the receiver's inputs.
+    among the receiver's inputs.  Runs in :mod:`syncreact.lemma`.
     """
-    if t < 0:
-        raise PreconditionFailed("witness index must be nonnegative")
-    from .lemma import _Lemma
+    from . import lemma
 
-    lemma = _Lemma(sys_f, q_f, sys_g, q_g)
-    if not lemma.reactive:
-        raise PreconditionFailed("both composed states must be reactive")
-    if not lemma.fits(t):
-        raise PreconditionFailed(
-            f"effect at index {t} is not a strongly separating pair at level {t + 1}"
-        )
-    if not lemma.holds(t):
-        return STAR_FOREVER
-    # On input a the composite's sender steps on a, its receiver on the sender's output.
-    inputs, fed = range(len(sys_f.inputs)), lemma.fed
-    rows = PairRows(sys_f.succ, sys_g.succ, lambda f: [(a, fed[f], -1) for a in inputs])
-    walk = _Walk(rows.step, _frontier([lemma.root]), tuple)
-    walk.run(t + 2)
-    reached = reduce(int.__or__, (bits for _, bits in lasso_at(walk.values, walk.loop, t + 1)), 0)
-    receivers = sorted(g for i, g in enumerate(sys_g.states) if reached >> i & 1)
-    merged = merge_sequences([doe(sys_g, g) for g in receivers])
-    if sys_g.inputs.canonical_pair(*lemma.d[t]) != lemma.d[t]:
-        parts = (merged.prefix, merged.cycle)
-        merged = EffectSequence(*(tuple(e and e[::-1] for e in part) for part in parts))
-    return star_prepend(t + 1, merged)
+    return lemma.doe_compose(sys_f, q_f, sys_g, q_g, t)

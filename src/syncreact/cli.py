@@ -30,7 +30,10 @@ modules a command loads:
   ``separation``, ``lasso`` and ``abstraction``, but not ``reactivity``:
   ``doe``'s "not reactive" note reads ``separation``.  ``ssp`` on two
   files also loads ``compose`` for their disjoint union;
-- ``lemma``, ``doe-compose``: those of ``doe`` and ``lemma``;
+- ``lemma``, ``doe-compose``: the first five and ``commands.lemma``,
+  ``separation``, ``lasso``, ``abstraction`` and ``lemma``;
+- ``doe``, ``sspseq``, ``lemma``, ``doe-compose``: also ``orbits``, for a
+  level walk still going at ``abstraction.SPLIT_LEVEL`` that splits;
 - ``psyc typecheck``, ``psyc build``: the first five,
   ``commands.programs`` and the ``psyc`` package.
 
@@ -49,7 +52,9 @@ start-up, much of it ``gettext`` loading ``locale`` for argparse's
 first message lookup.
 
 :func:`main` pauses the cyclic garbage collector for the command and
-restores its previous state on the way out.  A command builds tables of
+restores its previous state on the way out; run as a process, this
+module pauses it before its own imports, which compile ``commands``,
+``core``, ``sls`` and ``errors``.  A command builds tables of
 tens of thousands of containers that live until it exits.  Each
 collection their allocation sets off would scan them again and free
 next to nothing: what a command leaves in cycles is a few hundred
@@ -70,6 +75,10 @@ started around the command still writes its data.
 from __future__ import annotations
 
 import gc
+
+if __name__ == "__main__":
+    gc.disable()  # run as a process: this module's own imports compile with it paused
+
 import sys as _sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -123,8 +132,8 @@ COMMANDS = {
             _option("rest", nargs="+", metavar="[FILE2] Q")),
     "sspseq": ("strongly separating pair sequence", "levels.cmd_sspseq", "file", "state"),
     "compose": ("compose two systems", "tables.cmd_compose", ("--seq", "--par"), "f", "g", _OUTPUT),
-    "lemma": ("reactivity guarantee for a composition", "levels.cmd_lemma", *_SENDER_RECEIVER),
-    "doe-compose": ("composite observable effects at index t", "levels.cmd_doe_compose",
+    "lemma": ("reactivity guarantee for a composition", "lemma.cmd_lemma", *_SENDER_RECEIVER),
+    "doe-compose": ("composite observable effects at index t", "lemma.cmd_doe_compose",
                     *_SENDER_RECEIVER, _option("-t", type=int, required=True)),
     "psyc": ("language frontend", {
         "typecheck": ("typecheck a .psy program", "programs.cmd_psyc_typecheck", "file"),

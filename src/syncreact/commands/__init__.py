@@ -9,7 +9,8 @@ same layers:
 - :mod:`.tables`: ``check``, ``bisim``, ``quotient``, ``compose``, ``dot``;
 - :mod:`.pairs`: ``seppairs``, ``separators``, ``strongsep``,
   ``reactime``, ``diff``;
-- :mod:`.levels`: ``doe``, ``sspseq``, ``ssp``, ``lemma``, ``doe-compose``;
+- :mod:`.levels`: ``doe``, ``sspseq``, ``ssp``;
+- :mod:`.lemma`: ``lemma``, ``doe-compose``;
 - :mod:`.programs`: ``psyc typecheck``, ``psyc build``.
 
 :mod:`.usage` builds the argparse parser, for help, usage and errors

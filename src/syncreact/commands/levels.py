@@ -1,7 +1,7 @@
-"""Commands on level walks: ``doe``, ``sspseq``, ``ssp``, ``lemma`` and
-``doe-compose``.  Each loads ``abstraction``, and with it ``lasso`` and
-``separation`` but not ``reactivity``; ``lemma`` and ``doe-compose``
-also load ``lemma``, and ``ssp`` on two files ``compose``."""
+"""Commands on level walks: ``doe``, ``sspseq`` and ``ssp``.  Each loads
+``abstraction``, and with it ``lasso`` and ``separation`` but not
+``reactivity``; ``doe`` and ``sspseq`` load ``orbits`` for a walk that
+splits, and ``ssp`` on two files ``compose``."""
 
 from __future__ import annotations
 
@@ -45,23 +45,4 @@ def cmd_ssp(args) -> int:
 def cmd_sspseq(args) -> int:
     sys = load_complete(args.file)
     print(format_pair_set_sequence(abstraction.ssp_seq(sys, args.state)))
-    return EXIT_OK
-
-
-def cmd_lemma(args) -> int:
-    sys_f = load_complete(args.f)
-    sys_g = load_complete(args.g)
-    verdict = abstraction.lemma_check(sys_f, args.qf, sys_g, args.qg)
-    if verdict.guaranteed:
-        print(f"GuaranteedReactive {verdict.index}")
-    else:
-        print("NoGuarantee")
-    return EXIT_OK
-
-
-def cmd_doe_compose(args) -> int:
-    sys_f = load_complete(args.f)
-    sys_g = load_complete(args.g)
-    result = abstraction.doe_compose(sys_f, args.qf, sys_g, args.qg, args.t)
-    print(format_effect_sequence(result))
     return EXIT_OK

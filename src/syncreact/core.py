@@ -503,20 +503,23 @@ class _Refinement:
     round it was born in (``born``); a round-0 block is its own parent,
     born at 0.  A block never gains members after it is born, so a
     state's block at round k is the first block on the parent chain
-    from its final block that was born by round k (:meth:`id_at`), one
-    step up per change of the state's id.  Ids name blocks uniquely,
-    so two states share a block at round k iff their ids at round k are
-    equal.  ``rounds`` is the first stable
-    round: the last round that split a block, 0 if none did, so the
-    round-k partition for every k >= ``rounds`` is bisimilarity.
+    from its final block that was born by round k, one step up per
+    change of the state's id.  Ids name blocks uniquely, so two states
+    share a block at round k iff their ids at round k are equal; only
+    witnesses read the genealogy (:func:`syncreact.witness.id_at`).
+    ``rounds`` is the first stable round: the last round that split a
+    block, 0 if none did, so the round-k partition for every k >=
+    ``rounds`` is bisimilarity.
     """
 
     def __init__(self, succ: Sequence[tuple[tuple[int, ...], ...]], out: Sequence[int]):
         self.succ = succ
+        # preds[j] lists i once per move of i into j; a round re-signs a set.
         preds: list[list[int]] = [[] for _ in succ]
         for i, moves in enumerate(succ):
-            for j in set(itertools.chain.from_iterable(moves)):
-                preds[j].append(i)
+            for ts in moves:
+                for j in ts:
+                    preds[j].append(i)
         first: dict[int, int] = {}
         cls = [first.setdefault(o, len(first)) for o in out]
         class_of = cls.__getitem__
@@ -580,47 +583,6 @@ class _Refinement:
         self.parent, self.born = parent, born
         self.rounds = stable
 
-    def id_at(self, i: int, k: int) -> int:
-        """Block id of state ``i`` after round ``k`` >= 0."""
-        c, parent, born = self.cls[i], self.parent, self.born
-        while born[c] > k:
-            c = parent[c]
-        return c
-
-    def depth(self, i: int, j: int) -> Optional[int]:
-        """Least round at which the ids of i and j differ, None if never."""
-        if self.cls[i] == self.cls[j]:
-            return None
-        lo, hi = 0, self.rounds
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.id_at(i, mid) == self.id_at(j, mid):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def move(self, i: int, j: int, k: int) -> tuple[int, str, int, list[tuple[int, int]]]:
-        """First move of a depth-k proof that i and j differ, k > 0.
-
-        Returns the input index, the side that moves, its chosen successor
-        and the successor pairs the opponent can answer with, each of
-        which differs at round k-1.  Inputs, sides and successors are
-        tried in declaration order.
-        """
-        below = k - 1
-        id_at = self.id_at
-        for a, (ps, qs) in enumerate(zip(self.succ[i], self.succ[j])):
-            for p2 in ps:
-                c = id_at(p2, below)
-                if all(id_at(q2, below) != c for q2 in qs):
-                    return a, "left", p2, [(p2, q2) for q2 in qs]
-            for q2 in qs:
-                c = id_at(q2, below)
-                if all(id_at(p2, below) != c for p2 in ps):
-                    return a, "right", q2, [(p2, q2) for p2 in ps]
-        raise AssertionError("refinement genealogy is inconsistent")
-
 
 def bisim_classes(sys: SynchronousSystem) -> Partition:
     """Coarsest partition refining output equality and stable under steps.
@@ -683,9 +645,9 @@ class BisimOracle:
     """Non-bisimilarity queries on one system, from its cached ``refinement``.
 
     ``cls`` gives the final block of each state id (equal blocks iff
-    bisimilar); the refinement's block genealogy answers the separation
-    depth of two state ids and the moves of every witness
-    (:mod:`syncreact.witness`).
+    bisimilar).  The refinement's block genealogy is read only by
+    :mod:`syncreact.witness`, for the separation depth of two state ids
+    and the moves of every witness.
     """
 
     def __init__(self, system: SynchronousSystem):

@@ -5,14 +5,16 @@ output mismatch (:class:`BaseWitness`), or a move of one side that no
 move of the other can answer, with a witness below for every answer
 (:class:`IndWitness`).  :func:`syncreact.core.non_bisimilar` answers a
 bisimilar pair itself and loads this module only to build a witness,
-so only a command that prints one compiles it.
+so only a command that prints one compiles it, and with it the reading
+of the refinement's block genealogy (:func:`id_at`, :func:`depth`,
+:func:`move`).
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
-from .core import Record, SynchronousSystem, fold
+from .core import Record, SynchronousSystem, _Refinement, fold
 
 
 class BaseWitness(Record):
@@ -78,11 +80,55 @@ class IndWitness:
 NonBisimWitness = Union[BaseWitness, IndWitness]
 
 
+def id_at(ref: _Refinement, i: int, k: int) -> int:
+    """Block id of state ``i`` after round ``k`` >= 0, read from ``ref``'s genealogy."""
+    c, parent, born = ref.cls[i], ref.parent, ref.born
+    while born[c] > k:
+        c = parent[c]
+    return c
+
+
+def depth(ref: _Refinement, i: int, j: int) -> Optional[int]:
+    """Least round at which the ids of i and j differ, None if never."""
+    if ref.cls[i] == ref.cls[j]:
+        return None
+    lo, hi = 0, ref.rounds
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if id_at(ref, i, mid) == id_at(ref, j, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def move(ref: _Refinement, i: int, j: int, k: int) -> tuple[int, str, int, list[tuple[int, int]]]:
+    """First move of a depth-k proof that i and j differ, k > 0.
+
+    Returns the input index, the side that moves, its chosen successor
+    and the successor pairs the opponent can answer with, each of
+    which differs at round k-1.  Inputs, sides and successors are
+    tried in declaration order.
+    """
+    below = k - 1
+    for a, (ps, qs) in enumerate(zip(ref.succ[i], ref.succ[j])):
+        for p2 in ps:
+            c = id_at(ref, p2, below)
+            if all(id_at(ref, q2, below) != c for q2 in qs):
+                return a, "left", p2, [(p2, q2) for q2 in qs]
+        for q2 in qs:
+            c = id_at(ref, q2, below)
+            if all(id_at(ref, p2, below) != c for p2 in ps):
+                return a, "right", q2, [(p2, q2) for p2 in ps]
+    raise AssertionError("refinement genealogy is inconsistent")
+
+
 def build_witness(sys: SynchronousSystem, root: tuple[int, int]) -> NonBisimWitness:
     """Minimal-depth witness that the states of ``root``, two non-bisimilar ids, differ.
 
-    Every layer follows ``sys.refinement``: the pair's separation depth
-    and the first move of a proof of that depth.  Each state pair's
+    Every layer follows ``sys.refinement``'s genealogy: the pair's
+    separation depth (:func:`depth`) and the first move of a proof of
+    that depth (:func:`move`).  Each state pair's
     sub-witness is built once and shared.
     """
     ref, names, out = sys.refinement, sys.states, sys.out_ids
@@ -91,11 +137,11 @@ def build_witness(sys: SynchronousSystem, root: tuple[int, int]) -> NonBisimWitn
 
     def rule(pair: tuple[int, int]):
         p, q = pair
-        k = ref.depth(p, q)
+        k = depth(ref, p, q)
         if k == 0:
             w = BaseWitness(names[p], names[q], outputs[out[p]], outputs[out[q]])
         else:
-            a, side, chosen, children = ref.move(p, q, k)
+            a, side, chosen, children = move(ref, p, q, k)
             opponent = 1 if side == "left" else 0
             subs = []
             for c in children:

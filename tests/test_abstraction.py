@@ -27,7 +27,7 @@ from syncreact import (
     ssp_seq,
     strongly_separable,
 )
-from syncreact import abstraction, psyc
+from syncreact import abstraction, orbits, psyc
 from syncreact.abstraction import PairRows, _effects, _frontier, doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch, UnknownState
 from syncreact.lasso import PairSetSequence, star_prepend
@@ -305,13 +305,13 @@ class TestOrbits:
         monkeypatch.setattr(abstraction, "SPLIT_LEVEL", level)
         monkeypatch.setattr(abstraction, "MAX_ORBITS", max_orbits)
         split = []
-        orbits = abstraction._orbits
+        original = orbits._orbits
 
         def counted(rows, key, frontier):
             split.append(frontier)
-            return orbits(rows, key, frontier)
+            return original(rows, key, frontier)
 
-        monkeypatch.setattr(abstraction, "_orbits", counted)
+        monkeypatch.setattr(orbits, "_orbits", counted)
         return split
 
     @staticmethod
@@ -366,7 +366,7 @@ class TestOrbits:
     def test_orbits_past_the_period_bound_leave_the_answer_to_the_joint_walk(
         self, split, monkeypatch
     ):
-        monkeypatch.setattr(abstraction, "MAX_PERIOD", 1)
+        monkeypatch.setattr(orbits, "MAX_PERIOD", 1)
         for lengths in ((2, 3), (7, 11, 13)):
             self.assert_joint_answers(GEN.cyc(lengths, random.Random(str(lengths))), "r")
         for sys in _walk_systems(9):

@@ -37,6 +37,7 @@ from syncreact import (
 )
 from syncreact.errors import PreconditionFailed
 from syncreact.psyc import build_lts, load as load_program
+from syncreact.witness import depth as witness_depth
 
 from .conftest import ALL_SYSTEM_FIXTURES, FIXTURES, load_fixture, on_union
 from .oracles import (
@@ -294,7 +295,7 @@ def test_criterion_7a_bisimulation_oracle_equivalence():
                 witness = non_bisimilar(sys, p, q)
                 assert (witness is None) == ((p, q) in naive)
                 depth = naive_separation_depth(sys, p, q, levels)
-                assert oracle.refinement.depth(sys.index[p], sys.index[q]) == depth
+                assert witness_depth(oracle.refinement, sys.index[p], sys.index[q]) == depth
                 assert (None if witness is None else witness.depth) == depth
     report(
         7,

@@ -30,6 +30,7 @@ from syncreact import (
 from syncreact.abstraction import ssp_levels
 from syncreact.errors import PreconditionFailed, SignatureMismatch
 from syncreact.lasso import STAR
+from syncreact.witness import depth as witness_depth
 
 from .conftest import load_fixture, on_union
 from .oracles import (
@@ -149,7 +150,7 @@ def test_two_system_queries_equal_the_one_system_query_on_the_union(sys_a, sys_b
 
 
 def _depth(union, p, q):
-    return BisimOracle(union).refinement.depth(union.index[p], union.index[q])
+    return witness_depth(BisimOracle(union).refinement, union.index[p], union.index[q])
 
 
 # Each query asked about a state of each of two systems, the one way it

@@ -23,6 +23,7 @@ from syncreact import (
     compose,
     core,
     errors,
+    orbits,
     par_compose,
     reactivity,
     sls,
@@ -130,7 +131,7 @@ LEVEL_LAYERS = CORE | {"syncreact.separation", "syncreact.lasso", "syncreact.abs
 TABLES = BASE | {"syncreact.commands.tables"}
 PAIR_GRAPH = BASE | PAIR_LAYERS | {"syncreact.commands.pairs"}
 LEVEL_SETS = BASE | LEVEL_LAYERS | {"syncreact.commands.levels"}
-LEMMA = LEVEL_SETS | {"syncreact.lemma"}
+LEMMA = BASE | LEVEL_LAYERS | {"syncreact.commands.lemma", "syncreact.lemma"}
 PSYC = BASE | {"syncreact.commands.programs", "syncreact.psyc"} | {
     f"syncreact.psyc.{m}" for m in ("loader", "semantics", "syntax", "typecheck")
 }
@@ -191,8 +192,29 @@ class TestImports:
 
     def test_import_abstraction_loads_no_lemma(self):
         # Every level walk compiles ``abstraction``; only ``lemma`` and
-        # ``doe-compose`` run the lemma's walk.
-        assert ours(loaded_modules("import syncreact.abstraction")) == LEVEL_LAYERS
+        # ``doe-compose`` run the lemma's walk, and only a walk that
+        # splits runs the orbits.
+        loaded = ours(loaded_modules("import syncreact.abstraction"))
+        assert loaded == LEVEL_LAYERS
+        assert not loaded & {"syncreact.orbits", "syncreact.lemma"}
+
+    def test_only_a_walk_that_splits_loads_the_orbits(self, tmp_path):
+        # The cycle root's walks are still going at SPLIT_LEVEL: its joint
+        # walk loops after lcm(7, 11, 13) = 1001 levels.
+        target = tmp_path / "cyc.sls"
+        sls.dump(GEN.cyc((7, 11, 13), random.Random(1)), target)
+        for argv, split in [
+            (["doe", "p1.sls", "p0"], False),
+            (["sspseq", "p1.sls", "p0"], False),
+            (["doe", str(target), "r"], True),
+            (["sspseq", str(target), "r"], True),
+        ]:
+            code = (
+                "import contextlib, io\nfrom syncreact.cli import main\n"
+                f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+            )
+            loaded = ours(loaded_modules(code))
+            assert loaded == LEVEL_SETS | ({"syncreact.orbits"} if split else set()), argv
 
     def test_no_module_imports_the_cli(self):
         # Under ``python -m syncreact.cli`` the cli is ``__main__``: a module
@@ -442,16 +464,46 @@ class TestCollectorPause:
         project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
         module, _, name = project["scripts"]["syncreact"].partition(":")
         tree = ast.parse(pathlib.Path(cli.__file__).read_text())
-        block = next(
+        blocks = [
             node for node in tree.body
             if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
-        )
-        called = [
-            node.func.id for node in ast.walk(block)
-            if isinstance(node, ast.Call) and node.func.id != "SystemExit"
         ]
+        calls = [
+            [ast.unparse(n.func) for n in ast.walk(block) if isinstance(n, ast.Call)]
+            for block in blocks
+        ]
+        # The first ``__main__`` block pauses the collector; the process runs the one calling entry.
+        called = [c for c in next(c for c in calls if "entry" in c) if c != "SystemExit"]
         assert (module, called) == ("syncreact.cli", [name])
         assert getattr(cli, name) is cli.entry
+
+    def test_process_pauses_the_collector_before_the_cli_imports_core(self, tmp_path):
+        """Under ``python -m syncreact.cli`` the cli's own imports run with
+        the collector paused; an in-process import leaves it on."""
+        (tmp_path / "sitecustomize.py").write_text(
+            "import gc, sys\n\n\n"
+            "class Probe:\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name == 'syncreact.core':\n"
+            "            print('core', gc.isenabled(), file=sys.stderr)\n\n\n"
+            "sys.meta_path.insert(0, Probe)\n"
+        )
+        src = pathlib.Path(syncreact.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)])}
+        runs = [
+            ["-m", "syncreact.cli", "check", str(FIXTURES / "p1.sls")],
+            ["-c", "import gc, syncreact.cli; print(gc.isenabled())"],
+        ]
+        done = [
+            subprocess.run(
+                [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            for argv in runs
+        ]
+        assert [(d.returncode, d.stderr, d.stdout) for d in done] == [
+            (0, "core False\n", "ok\n"),
+            (0, "core True\n", "True\n"),
+        ]
 
     @pytest.mark.parametrize("command", ["compose", "lemma", "sspseq"])
     def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, tmp_path, command):
@@ -1116,6 +1168,23 @@ class TestLevelBound:
         assert run(capsys, *argv, "60")[0] == 3
         assert run(capsys, *argv, "-1") == (2, "", "error: witness index must be nonnegative\n")
 
+    def test_a_silent_sender_answers_without_the_receivers_walk(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # The cycle root's DOE is silent and its walk loops within 30
+        # levels; the receiver's SSPseq walk takes 62, past the bound.
+        sender, receiver = tmp_path / "cyc.sls", tmp_path / "chain.sls"
+        sls.dump(GEN.cyc((2, 3, 5), random.Random(1)), sender)
+        sls.dump(chain_sender(60, ("0", "1", "2"), ("o", "x")), receiver)
+        monkeypatch.setattr(abstraction, "MAX_LEVELS", 40)
+        assert run(capsys, "sspseq", receiver, "r")[0] == 3
+        assert run(capsys, "doe", sender, "r") == (0, "| *\n", "")
+        argv = (sender, receiver, "--qf", "r", "--qg", "r")
+        assert run(capsys, "lemma", *argv) == (0, "NoGuarantee\n", "")
+        assert run(capsys, "doe-compose", *argv, "-t", "3") == (
+            2, "", "error: effect at index 3 is not a strongly separating pair at level 4\n"
+        )
+
     def test_orbits_past_the_period_bound_leave_the_answer_to_the_joint_walk(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -1126,7 +1195,7 @@ class TestLevelBound:
         argvs = [("doe", target, "r"), ("sspseq", target, "r")]
         answers = [run(capsys, *argv) for argv in argvs]
         assert [code for code, _, _ in answers] == [0, 0]
-        monkeypatch.setattr(abstraction, "MAX_PERIOD", 1000)
+        monkeypatch.setattr(orbits, "MAX_PERIOD", 1000)
         assert [run(capsys, *argv) for argv in argvs] == answers
         monkeypatch.setattr(abstraction, "MAX_LEVELS", 600)
         for argv in argvs:
