@@ -14,9 +14,9 @@ discharged exactly by level-set constructions: the frontier of run
 pairs after n shared inputs ranges over a finite powerset, so both DOE
 and SSPseq are ultimately periodic and are extracted as lassos by
 frontier hashing.  Frontiers are per-row bitsets, and each step
-relation is one :class:`PairRows`, which owns its masked columns and
-their image tables; this is the one module that reads the format, and
-each level keeps only an integer key of what a query reads.
+relation is one :class:`~syncreact.frontier.PairRows`; both live in
+:mod:`syncreact.frontier`, and each level keeps only an integer key of
+what a query reads.
 
 A step is a union of per-pair steps and a key is the OR of its pairs'
 keys, so a frontier's future is the union of its pairs' own walks,
@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import BisimOracle, Record, SynchronousSystem, require_complete
 from .errors import LevelBoundExceeded, NotReactive, ResourceError
+from .frontier import PairRows, _carriers, _frontier, _output_pairs
 from .lasso import STAR, STAR_FOREVER, EffectSequence, EffectSymbol, PairSetSequence
 from .separation import class_gaps, row_orientations, separating_ids
 
@@ -80,113 +81,6 @@ MAX_LEVELS = 200_000
 # them one by one repeats the joint walk many times; those stay joint.
 SPLIT_LEVEL = 256
 MAX_ORBITS = 12
-
-
-class _Image(dict):
-    """Successor bitsets of one set of inputs, each set's image computed once.
-
-    ``image[bits]`` is the union of the successors, on any of the inputs
-    (bit a of ``inputs`` marks input a), of the states in ``bits``.  For
-    one state q it is ``single[q]``.  A larger set is read through byte
-    tables: the table of chunk c maps each byte value b to the union of
-    ``single[q]`` over the states q = 8c + k with bit k set in b (the
-    "Four Russians" tables of Arlazarov, Dinic, Kronrod and Faradzev
-    1970), built the first time a set of two or more states reads that
-    chunk.
-    """
-
-    def __init__(self, succ: Sequence, inputs: int):
-        super().__init__()
-        ids = [a for a in range(inputs.bit_length()) if inputs >> a & 1]
-        self.single = []
-        for moves in succ:
-            bits = 0
-            for a in ids:
-                for t in moves[a]:
-                    bits |= 1 << t
-            self.single.append(bits)
-        self.width = (len(succ) + 7) // 8
-        self.chunks: list[Optional[list[int]]] = [None] * self.width
-
-    def _chunk(self, c: int) -> list[int]:
-        table = [0]
-        for row in self.single[8 * c : 8 * c + 8]:
-            table += [image | row for image in table]
-        table += [0] * (256 - len(table))
-        self.chunks[c] = table
-        return table
-
-    def __missing__(self, bits: int) -> int:
-        if not bits & (bits - 1):
-            image = self.single[bits.bit_length() - 1]
-        else:
-            image = 0
-            chunks = self.chunks
-            for c, byte in enumerate(bits.to_bytes(self.width, "little")):
-                if byte:
-                    image |= (chunks[c] or self._chunk(c))[byte]
-        self[bits] = image
-        return image
-
-
-class PairRows(dict):
-    """Sets of state pairs of two successor tables, stepped along masked columns.
-
-    A pair (p, q) holds a state id p of ``succ_a`` and q of ``succ_b``.  A
-    frontier (:func:`_frontier`) is the tuple of ``(p, bits)`` over its
-    nonempty rows in increasing p, where bit q of ``bits`` marks the
-    pair (p, q); equal sets are equal tuples.  ``masked(p)`` lists row
-    p's columns ``(ae, af, mask)``, and a step follows them: every p' in
-    ``succ_a[p][ae]`` gains the af-image of ``bits & mask`` (mask -1
-    keeps every bit).  Columns of a row with one successor tuple and one
-    mask form one group, which reads the image of all their af inputs at
-    once; ``self[p]`` is row p's groups as ``(targets, mask, image)``,
-    built on first lookup.  A step thus costs, per row and column group,
-    one table lookup per 8-state chunk its masked bits touch; a set met
-    before, such as a row's one bit, costs one dictionary lookup.
-    """
-
-    def __init__(self, succ_a: Sequence, succ_b: Sequence, masked: Callable):
-        super().__init__()
-        self.succ_a, self.succ_b, self.masked = succ_a, succ_b, masked
-        self._images: dict[int, _Image] = {}
-
-    def __missing__(self, p: int) -> list:
-        afs: dict[tuple, int] = {}
-        moves = self.succ_a[p]
-        for ae, af, mask in self.masked(p):
-            key = (moves[ae], mask)
-            afs[key] = afs.get(key, 0) | 1 << af
-        groups = []
-        for (targets, mask), inputs in afs.items():
-            image = self._images.get(inputs)
-            if image is None:
-                image = self._images[inputs] = _Image(self.succ_b, inputs)
-            groups.append((targets, mask, image))
-        self[p] = groups
-        return groups
-
-    def step(self, frontier: tuple) -> tuple:
-        rows: dict[int, int] = {}
-        for p, bits in frontier:
-            for targets, mask, image in self[p]:
-                masked = bits & mask
-                if masked:
-                    image_bits = image[masked]
-                    for t in targets:
-                        if t in rows:
-                            rows[t] |= image_bits
-                        else:
-                            rows[t] = image_bits
-        return tuple(sorted(rows.items()))
-
-
-def _frontier(pairs: Iterable[tuple[int, int]]) -> tuple:
-    """The frontier holding the given pairs."""
-    rows: dict[int, int] = {}
-    for p, q in pairs:
-        rows[p] = rows.get(p, 0) | 1 << q
-    return tuple(sorted(rows.items()))
 
 
 class _Walk:
@@ -269,8 +163,7 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
 
     Its first frontier holds every successor combination of every
     separating pair of q in input declaration order; a step follows
-    every shared input.  Bit x * m + y of a key marks the output id pair
-    (x, y), m outputs.
+    every shared input; keys are :func:`syncreact.frontier._output_pairs`.
     """
     (i,) = require_complete(sys, q)
     succ = sys.succ
@@ -279,9 +172,7 @@ def _doe_walk(sys: SynchronousSystem, q: str) -> tuple:
         raise NotReactive(f"state {q} of {sys.name} has no separating pair")
     start = _frontier((x, y) for a1, a2 in pairs for x in succ[i][a1] for y in succ[i][a2])
     every = [(a, a, -1) for a in range(len(sys.inputs))]
-    m = len(sys.outputs)
-    named = cache(lambda key: frozenset(divmod(k, m) for k in range(m * m) if key >> k & 1))
-    return PairRows(succ, succ, lambda p: every).step, start, _output_pairs(sys), named
+    return (PairRows(succ, succ, lambda p: every).step, start, *_output_pairs(sys))
 
 
 def doe_levels(sys: SynchronousSystem, q: str) -> tuple[list[frozenset], int]:
@@ -296,34 +187,6 @@ def doe_levels(sys: SynchronousSystem, q: str) -> tuple[list[frozenset], int]:
     which may be shorter than the joint walk's.
     """
     return _levels(_doe_walk(sys, q))
-
-
-def _emitting(sys: SynchronousSystem) -> list[int]:
-    """Per output id, the bitset of the states that emit it."""
-    emitting = [0] * len(sys.outputs)
-    for q, o in enumerate(sys.out_ids):
-        emitting[o] |= 1 << q
-    return emitting
-
-
-def _output_pairs(sys: SynchronousSystem) -> Callable:
-    """Key of a frontier over two copies of sys: bit x * m + y marks output id pair (x, y)."""
-    out, emitting = sys.out_ids, _emitting(sys)
-    m = len(emitting)
-
-    def key(frontier: tuple) -> int:
-        by_output = [0] * m
-        for p, bits in frontier:
-            by_output[out[p]] |= bits
-        key, pair = 0, 1
-        for bits in by_output:
-            for e in emitting:
-                if bits & e:
-                    key |= pair
-                pair <<= 1
-        return key
-
-    return key
 
 
 def _effect_signals(m: int) -> Callable:
@@ -364,14 +227,11 @@ def doe(sys: SynchronousSystem, q: str) -> EffectSequence:
     except NotReactive:
         return STAR_FOREVER
     cls = BisimOracle(sys).cls
-    blocks: dict[int, int] = {}
-    for x, c in enumerate(cls):
-        blocks[c] = blocks.get(c, 0) | 1 << x
-    block_of = [blocks[c] for c in cls]  # per state, the bitset of its block
+    blocks = _carriers(cls)
 
     def step(frontier: tuple) -> tuple:
         for p, bits in frontier:
-            if bits & block_of[p]:
+            if bits & blocks(cls[p]):
                 return ()
         return rows_step(frontier)
 
@@ -429,6 +289,7 @@ def _ssp_walk(sys: SynchronousSystem, q1: str, q2: str) -> tuple:
     candidates = list(itertools.combinations(range(len(symbols)), 2))
     everything = (1 << len(succ)) - 1
     gaps = class_gaps(succ, cls, len(symbols))
+
     held: dict[int, tuple[list, list[int]]] = {}
 
     def row(p: int) -> tuple[list, list[int]]:

@@ -25,13 +25,13 @@ modules a command loads:
 - ``compose``, ``dot``: the same and ``compose`` or ``dot``;
 - ``seppairs``, ``separators``, ``strongsep``, ``reactime``, ``diff``:
   the first five and ``commands.pairs``, ``separation`` and
-  ``reactivity``;
+  ``reactivity``, and ``frontier`` for ``separators`` and ``diff``;
 - ``doe``, ``sspseq``, ``ssp``: the first five and ``commands.levels``,
-  ``separation``, ``lasso`` and ``abstraction``, but not ``reactivity``:
-  ``doe``'s "not reactive" note reads ``separation``.  ``ssp`` on two
-  files also loads ``compose`` for their disjoint union;
+  ``separation``, ``lasso``, ``frontier`` and ``abstraction``, but not
+  ``reactivity``: ``doe``'s "not reactive" note reads ``separation``.
+  ``ssp`` on two files also loads ``compose`` for their disjoint union;
 - ``lemma``, ``doe-compose``: the first five and ``commands.lemma``,
-  ``separation``, ``lasso``, ``abstraction`` and ``lemma``;
+  ``separation``, ``lasso``, ``frontier``, ``abstraction`` and ``lemma``;
 - ``doe``, ``sspseq``, ``lemma``, ``doe-compose``: also ``orbits``, for a
   level walk still going at ``abstraction.SPLIT_LEVEL`` that splits;
 - ``psyc typecheck``, ``psyc build``: the first five,

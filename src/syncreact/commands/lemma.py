@@ -1,7 +1,8 @@
 """Commands on the sequential-composition lemma: ``lemma`` and
-``doe-compose``.  Each loads ``abstraction``, with ``lasso`` and
-``separation``, and ``lemma``, which ``abstraction`` imports when either
-query is asked; ``orbits`` too for a level walk that splits."""
+``doe-compose``.  Each loads ``abstraction``, with ``lasso``,
+``frontier`` and ``separation``, and ``lemma``, which ``abstraction``
+imports when either query is asked; ``orbits`` too for a level walk
+that splits."""
 
 from __future__ import annotations
 

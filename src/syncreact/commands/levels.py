@@ -1,7 +1,7 @@
 """Commands on level walks: ``doe``, ``sspseq`` and ``ssp``.  Each loads
-``abstraction``, and with it ``lasso`` and ``separation`` but not
-``reactivity``; ``doe`` and ``sspseq`` load ``orbits`` for a walk that
-splits, and ``ssp`` on two files ``compose``."""
+``abstraction``, and with it ``lasso``, ``frontier`` and ``separation``
+but not ``reactivity``; ``doe`` and ``sspseq`` load ``orbits`` for a
+walk that splits, and ``ssp`` on two files ``compose``."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Commands on the synchronized pair graph: ``seppairs``,
 ``separators``, ``strongsep``, ``reactime`` and ``diff``.  Each loads
-``reactivity``, and with it ``separation``."""
+``reactivity``, and with it ``separation``; ``separators`` and ``diff``
+also load ``frontier``."""
 
 from __future__ import annotations
 

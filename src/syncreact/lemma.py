@@ -15,9 +15,10 @@ from functools import cache, cached_property, reduce
 from math import lcm
 
 from . import abstraction
-from .abstraction import LemmaVerdict, PairRows, _emitting, _frontier, _Walk, lasso_at
+from .abstraction import LemmaVerdict, _Walk, lasso_at
 from .core import SynchronousSystem, feed_of, require_complete
 from .errors import PreconditionFailed
+from .frontier import PairRows, _carriers, _frontier
 from .lasso import (
     STAR,
     STAR_FOREVER,
@@ -81,7 +82,7 @@ class _Lemma:
     def walk(self) -> _Walk:
         levels, loop = abstraction.doe_levels(self.sys_f, self.q_f)
         sys_g, fed = self.sys_g, self.fed
-        succ_g, out_g, emitting = sys_g.succ, sys_g.out_ids, _emitting(sys_g)
+        succ_g, out_g, emitting = sys_g.succ, sys_g.out_ids, _carriers(sys_g.out_ids)
         feed = dict(zip(self.sys_f.out_ids, fed))
 
         @cache
@@ -94,7 +95,7 @@ class _Lemma:
             return (j + 1 if j + 1 < len(levels) else loop), rows(levels[j]).step(pairs)
 
         def equal(state: tuple) -> bool:
-            return any(bits & emitting[out_g[p]] for p, bits in state[1])
+            return any(bits & emitting(out_g[p]) for p, bits in state[1])
 
         i_f, i_g = self.root
         moves = succ_g[i_g][fed[i_f]]

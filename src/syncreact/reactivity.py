@@ -1,18 +1,18 @@
 """Separating pairs, separators, observable effects, and reaction time.
 
-Everything here walks the synchronized product of a system with itself,
-stepping on one shared input per tick (:func:`_successor_pairs`), lazily
-and only as far as a query needs; states of two systems are compared on
-their disjoint union.  A node is EQ when both components
-emit the same output and DIFF otherwise.  Quantifications over infinite
-input words are discharged by graph arguments: completeness and finite
-branching make the set of run-pair paths a finitely-branching tree, so
-an infinite all-EQ path exists iff the region reachable through EQ
-nodes has a cycle, and worst-case first difference indices are longest
-paths in the acyclic case.  The separating pairs of a state are the one
-query here that walks no product: :func:`separating_pairs` names what
-:func:`syncreact.separation.separating_ids` reads off the bisimulation
-blocks.
+Each query walks the synchronized product of a system with itself,
+stepping on one shared input per tick, lazily and only as far as it
+needs; states of two systems are compared on their disjoint union.  A
+node is EQ when both components emit the same output and DIFF
+otherwise.  ``diff`` and ``separators`` step sets of run pairs as
+:mod:`syncreact.frontier` frontiers, imported in their bodies only.
+Strong separability and reaction time search node by node
+(:func:`_successor_pairs`): completeness and finite branching make the
+run-pair paths a finitely-branching tree, so an infinite all-EQ path
+exists iff the region reachable through EQ nodes has a cycle, and
+worst-case first difference indices are longest paths in the acyclic
+case.  :func:`separating_pairs` walks no product: it names what
+:func:`syncreact.separation.separating_ids` reads off the blocks.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .separation import separating_ids
 Pair = tuple[str, str]
 
 # separators raises SeparatorBoundExceeded when a level holds more words
-# still to extend.  The frontier can double with every level (p1.sls p0
-# p0 holds 2^n words after n); at this bound it takes about 70 MB.
+# still to extend.  They can double with every level (p1.sls p0 p0 holds
+# 2^n after n); at this bound (--max-len 16) they peak at about 32 MB.
 MAX_PENDING_WORDS = 1 << 16
 
 
@@ -87,39 +87,40 @@ def separators(
     extending a deterministic separator are pruned: they carry no new
     information because every extension still separates.  A level with
     more than :data:`MAX_PENDING_WORDS` words still to extend raises
-    SeparatorBoundExceeded.
-
-    A word keeps its pending nodes, whose run pairs have not differed,
-    and one flag for "some run pair has differed".  That relies on
-    completeness, which every analysis requires: a differed run pair
-    stays differed on every extension.
+    SeparatorBoundExceeded.  A word keeps the frontier of its pending
+    run pairs, which have not differed, and one flag for "some run pair
+    has differed": on a complete system a differed run pair stays
+    differed on every extension.
     """
+    from .frontier import _carriers, _frontier, _letter_steps
+
     root = require_complete(sys, p, q)
-    succ, out = sys.succ, sys.out_ids
+    out = sys.out_ids
     if out[root[0]] != out[root[1]]:
         # The empty word already separates: output at index 0 differs.
         return [((), True)]
     symbols = sys.inputs.symbols
+    emitting = list(map(_carriers(out), range(len(sys.outputs))))
+    steps = _letter_steps(sys.succ, len(symbols))
     results: list[tuple[tuple[str, ...], bool]] = []
-    frontier: list[tuple[tuple[str, ...], set, bool]] = [((), {root}, False)]
+    frontier: list[tuple[tuple[str, ...], tuple, bool]] = [((), _frontier([root]), False)]
     for _ in range(max_len):
         next_frontier = []
         for (word, pending, differed) in frontier:
-            reached: list[set] = [set() for _ in symbols]
-            split = [differed] * len(symbols)
-            for node in pending:
-                for (a, t) in _successor_pairs(succ, node):
-                    if out[t[0]] == out[t[1]]:
-                        reached[a].add(t)
-                    else:
-                        split[a] = True
             for a, sym in enumerate(symbols):
-                if split[a]:
-                    results.append((word + (sym,), not reached[a]))
-                if reached[a]:
+                reached, split = [], differed
+                for t, bits in steps[a](pending):
+                    equal = bits & emitting[out[t]]
+                    if equal:
+                        reached.append((t, equal))
+                    if equal != bits:
+                        split = True
+                if split:
+                    results.append((word + (sym,), not reached))
+                if reached:
                     if len(next_frontier) == MAX_PENDING_WORDS:
                         raise SeparatorBoundExceeded(MAX_PENDING_WORDS)
-                    next_frontier.append((word + (sym,), reached[a], split[a]))
+                    next_frontier.append((word + (sym,), tuple(reached), split))
         frontier = next_frontier
     return results
 
@@ -213,23 +214,16 @@ def diff(sys: SynchronousSystem, p: str, q: str, word: Sequence[str]) -> list[se
     Indices run from 0 to len(word) inclusive; a singleton non-silent
     set means a guaranteed effect at that index.
     """
+    from .frontier import _frontier, _letter_steps, _output_pairs
+
     root = require_complete(sys, p, q)
     sys.check_word(word)
-    inputs = [sys.inputs.index(sym) for sym in word]
-    outputs = sys.outputs.symbols
-    succ, out = sys.succ, sys.out_ids
-    frontier = {root}
-    result = []
-    for i in range(len(word) + 1):
-        values: set = set()
-        for (r1, r2) in frontier:
-            o1, o2 = out[r1], out[r2]
-            values.add((outputs[o1], outputs[o2]) if o1 != o2 else STAR)
-        result.append(values)
-        if i < len(word):
-            a = inputs[i]
-            frontier = {(x, y) for (r1, r2) in frontier for x in succ[r1][a] for y in succ[r2][a]}
-    return result
+    outputs, (key, named) = sys.outputs.symbols, _output_pairs(sys)
+    steps = _letter_steps(sys.succ, len(sys.inputs))
+    inputs = map(sys.inputs.index, word)
+    frontiers = itertools.accumulate(inputs, lambda f, a: steps[a](f), initial=_frontier([root]))
+    pairs = map(named, map(key, frontiers))
+    return [{STAR if x == y else (outputs[x], outputs[y]) for x, y in at} for at in pairs]
 
 
 class ReactionTime(Record):

@@ -262,6 +262,17 @@ def brute_separators(sys_a, p, sys_b, q, max_len):
     return minimal
 
 
+def brute_diff(sys, p, q, word):
+    """``diff`` by run enumeration: index n holds, over every pair of runs
+    on word[:n], the ordered output pair at n, or STAR where they agree."""
+    table = []
+    for n in range(len(word) + 1):
+        outs_p = [run_outputs(sys, r)[n] for r in runs(sys, p, word[:n])]
+        outs_q = [run_outputs(sys, r)[n] for r in runs(sys, q, word[:n])]
+        table.append({STAR if o1 == o2 else (o1, o2) for o1 in outs_p for o2 in outs_q})
+    return table
+
+
 def guaranteed_diff_index(sys_a, p, sys_b, q, word):
     """Least n such that every pair of runs on word[:n] differs at n."""
     for n in range(len(word) + 1):

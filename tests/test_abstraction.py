@@ -1,7 +1,11 @@
 """Deterministic observable effects and the compositional machinery."""
 
 import gc
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -28,8 +32,9 @@ from syncreact import (
     strongly_separable,
 )
 from syncreact import abstraction, orbits, psyc
-from syncreact.abstraction import PairRows, _effects, _frontier, doe_levels, ssp_levels
+from syncreact.abstraction import _effects, doe_levels, ssp_levels
 from syncreact.errors import NotReactive, PreconditionFailed, SignatureMismatch, UnknownState
+from syncreact.frontier import PairRows, _frontier
 from syncreact.lasso import PairSetSequence, star_prepend
 
 from .conftest import FIXTURES, count_refinements, load_fixture, on_union
@@ -283,6 +288,45 @@ class TestPairRows:
                     assert _pair_set(step) == reference
             grouped += sum(len(rows[p]) < len(columns[p]) for p in rows)
         assert grouped
+
+    def test_doe_of_a_large_composite_builds_only_the_images_it_reads(self):
+        """The walk of a 32,629-state composite reads a few rows' images.
+
+        The child caps its address space at its size after building the
+        composite and its refinement, plus 100 MB.  One successor bitset
+        per state of the system, for each input set of the walk, would
+        pass that cap.
+        """
+        pytest.importorskip("resource")
+        if not pathlib.Path("/proc/self/status").exists():
+            pytest.skip("the child reads its size from /proc/self/status")
+        code = (
+            "import random, resource\n"
+            "from syncreact.abstraction import doe\n"
+            "from syncreact.compose import seq_compose\n"
+            "from syncreact.lasso import format_effect_sequence\n"
+            "from tests.oracles import perfbench_module\n"
+            "gen = perfbench_module('gen')\n"
+            "sender, receiver = (gen.snd(200, random.Random('1:snd-200')),\n"
+            "                    gen.rcv(200, random.Random('1:rcv-200')))\n"
+            "composite = seq_compose(sender, receiver).system\n"
+            "composite.refinement\n"
+            "with open('/proc/self/status') as status:\n"
+            "    size = next(int(s.split()[1]) for s in status if s.startswith('VmSize:')) << 10\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (100 << 20), hard))\n"
+            "print(len(composite.states), format_effect_sequence(doe(composite, composite.initial)))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "32629 * (v,w) | *\n", "")
 
 
 class TestOrbits:

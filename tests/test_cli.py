@@ -127,9 +127,14 @@ SLOW_IMPORTS = {"dataclasses", "inspect"}
 CORE = {"syncreact", "syncreact.core", "syncreact.errors"}
 BASE = CORE | {"syncreact.cli", "syncreact.commands", "syncreact.sls"}
 PAIR_LAYERS = CORE | {"syncreact.separation", "syncreact.reactivity"}
-LEVEL_LAYERS = CORE | {"syncreact.separation", "syncreact.lasso", "syncreact.abstraction"}
+LEVEL_LAYERS = CORE | {
+    "syncreact.separation", "syncreact.lasso", "syncreact.frontier", "syncreact.abstraction"
+}
 TABLES = BASE | {"syncreact.commands.tables"}
 PAIR_GRAPH = BASE | PAIR_LAYERS | {"syncreact.commands.pairs"}
+# ``diff`` and ``separators`` step the frontier kernel; the other pair
+# commands search pairs of state ids and compile none of it.
+PAIR_FRONTIERS = PAIR_GRAPH | {"syncreact.frontier"}
 LEVEL_SETS = BASE | LEVEL_LAYERS | {"syncreact.commands.levels"}
 LEMMA = BASE | LEVEL_LAYERS | {"syncreact.commands.lemma", "syncreact.lemma"}
 PSYC = BASE | {"syncreact.commands.programs", "syncreact.psyc"} | {
@@ -145,10 +150,10 @@ COMMAND_MODULES = [
     (["bisim", "p1.sls", "p0", "p2"], TABLES | {"syncreact.witness"}),
     (["bisim", "p1.sls", "p0", "p0"], TABLES),
     (["seppairs", "p1.sls", "p0"], PAIR_GRAPH),
-    (["separators", "p1.sls", "p0", "p2"], PAIR_GRAPH),
+    (["separators", "p1.sls", "p0", "p2"], PAIR_FRONTIERS),
     (["strongsep", "p1.sls", "p1", "p0"], PAIR_GRAPH),
     (["reactime", "p1.sls", "p0"], PAIR_GRAPH),
-    (["diff", "p1.sls", "p0", "p1", "-w", "tt ff"], PAIR_GRAPH),
+    (["diff", "p1.sls", "p0", "p1", "-w", "tt ff"], PAIR_FRONTIERS),
     (["doe", "p1.sls", "p0"], LEVEL_SETS),
     (["ssp", "union1.sls", "u0", "union2.sls", "v1"], LEVEL_SETS | {"syncreact.compose"}),
     (["ssp", "union1.sls", "u0", "u1"], LEVEL_SETS),

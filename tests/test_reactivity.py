@@ -25,6 +25,7 @@ from syncreact.separation import class_gaps, row_orientations
 
 from .conftest import count_expansions
 from .oracles import (
+    brute_diff,
     brute_separators,
     guaranteed_diff_index,
     naive_non_bisimilar,
@@ -153,12 +154,16 @@ class TestSeparators:
 
     def test_matches_brute_force_on_random_systems(self):
         rng = random.Random(11)
-        for i in range(25):
-            sys = random_system(rng, f"r{i}", 6, ("a", "b"), ("0", "1"))
+        nondeterministic = 0
+        for i in range(150):
+            inputs = ("a", "b", "c")[: rng.randint(2, 3)]
+            sys = random_system(rng, f"r{i}", 6, inputs, ("0", "1", "2"), nondet_prob=0.4)
             p, q = rng.choice(sys.states), rng.choice(sys.states)
             fast = separators(sys, p, q, 5)
             brute = brute_separators(sys, p, sys, q, 5)
-            assert sorted(fast) == sorted(brute)
+            assert sorted(fast) == sorted(brute), (sys.transitions, p, q)
+            nondeterministic += any(not det for _, det in fast)
+        assert nondeterministic > 30
 
 
 class TestStronglySeparable:
@@ -320,6 +325,22 @@ class TestDiff:
         # Nondeterministic branches both agree and disagree at index 1.
         assert STAR in table[1]
         assert ("1", "2") in table[1]
+
+    def test_matches_run_enumeration_on_random_nondeterministic_systems(self):
+        rng = random.Random(39)
+        cases = mixed = 0
+        while cases < 300:
+            inputs = ("a", "b", "c")[: rng.randint(2, 3)]
+            sys = random_system(rng, f"r{cases}", 7, inputs, ("0", "1", "2"), nondet_prob=0.4)
+            if all(len(targets) == 1 for moves in sys.succ for targets in moves):
+                continue
+            p, q = rng.choice(sys.states), rng.choice(sys.states)
+            word = [rng.choice(inputs) for _ in range(rng.randint(0, 6))]
+            table = diff(sys, p, q, word)
+            assert table == brute_diff(sys, p, q, word), (sys.transitions, p, q, word)
+            cases += 1
+            mixed += any(len(values) > 1 for values in table)
+        assert mixed > 30
 
 
     @given(
