@@ -55,10 +55,6 @@ class PsyTypeError(UserError):
     """A typing rule was violated; the message names the rule."""
 
 
-class StuckConfiguration(SyncReactError):
-    """No reduction rule applies. Signals an evaluator bug for typed programs."""
-
-
 class StateBudgetExceeded(ResourceError):
     def __init__(self, bound: int):
         super().__init__(f"state budget of {bound} states exceeded")

@@ -22,7 +22,7 @@ from ..errors import FormatError, PsySyntaxError, UnknownSymbol
 from ..sls import read_text
 from .semantics import Machine, VarDecl
 from .syntax import Ast, parse
-from .typecheck import Ty, typecheck
+from .typecheck import Ty
 
 _INT_RE = re.compile(r"-?\d+")
 _VAR_RE = re.compile(
@@ -37,11 +37,7 @@ class ProgramFile(Record):
         self.name, self.machine, self.body = name, machine, body
 
     def typecheck(self) -> Ty:
-        env = {v.name: v.base for v in self.machine.variables}
-        ty = typecheck(
-            self.body, env, self.machine.in_types, self.machine.out_types
-        )
-        return ty
+        return self.machine.typecheck(self.body)
 
 
 def component_types(alphabet: Alphabet, what: str) -> tuple[str, ...]:
@@ -93,12 +89,8 @@ def loads(text: str, source: str = "<string>", name: str = "program") -> Program
                     vname, ty, low, high = match.groups()
                     if any(v.name == vname for v in variables):
                         raise FormatError(f"duplicate var {vname}")
-                    if ty == "bool":
-                        variables.append(VarDecl(vname, "bool"))
-                    elif ty == "int":
-                        variables.append(VarDecl(vname, "int"))
-                    else:
-                        variables.append(VarDecl(vname, "int", int(low), int(high)))
+                    bounds = () if low is None else (int(low), int(high))
+                    variables.append(VarDecl(vname, "bool" if ty == "bool" else "int", *bounds))
                     body_lines.append("")
                     continue
                 in_body = True

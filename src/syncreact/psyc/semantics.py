@@ -12,6 +12,12 @@ takes one more step, so a round of k contractions needs a budget of
 k + 1.  An error is raised at the step where the relation meets it, or
 as ``RoundDivergence`` if the budget is spent before.
 
+The evaluator runs typed programs only: ``build_lts`` typechecks its
+program once, before the first round.  By progress and preservation, a
+round of a program that types as ``comm`` never gets stuck, so no
+operand's type is checked at run time.  A conditional is a statement
+only: a round that meets one in expression position raises ``BuildError``.
+
 ``run_round`` walks statements on a stack of the second halves of the
 sequences it enters, and evaluates expressions from flat postfix op
 lists compiled once per term (terms are interned).  It builds the
@@ -35,9 +41,9 @@ from ..errors import (
     BuildError,
     IntRangeExceeded,
     NonFiniteIntRange,
+    PsyTypeError,
     RoundDivergence,
     StateBudgetExceeded,
-    StuckConfiguration,
 )
 from .syntax import (
     Assign,
@@ -57,6 +63,7 @@ from .syntax import (
     While,
     unparse,
 )
+from .typecheck import COMM, Ty, typecheck
 
 Value = Union[bool, int]
 Store = tuple[tuple[str, Value], ...]
@@ -75,17 +82,12 @@ class VarDecl(Record):
         self.base = base  # "bool" or "int"
         self.low, self.high = low, high
 
-    def default(self) -> Value:
-        return False if self.base == "bool" else 0
-
 
 _SKIP = Skip()
 
-# Codes of the postfix ops an expression compiles to; the first five are
-# contractions.  _ISBOOL checks that a conjunction's left operand is
-# boolean before its right operand runs; _STUCK raises its message, or
-# on the value on top of the stack when it has none.
-_LOAD, _GET, _DEC, _NOTZERO, _CONJ, _CONST, _ISBOOL, _STUCK = range(8)
+# Codes of the postfix ops an expression compiles to; all but _CONST are
+# contractions.
+_LOAD, _GET, _DEC, _NOTZERO, _CONJ, _CONST = range(6)
 
 
 def _value_text(value: Value) -> str:
@@ -94,8 +96,9 @@ def _value_text(value: Value) -> str:
     return str(value)
 
 
-def _stuck(value: Value) -> StuckConfiguration:
-    return StuckConfiguration(f"no rule applies to {_value_text(value)!r}")
+def _conditional(node: Ast) -> BuildError:
+    """The error of a round that meets a conditional where it needs a value or a variable."""
+    return BuildError(f"no rule evaluates {unparse(node)!r}: a conditional is a statement only")
 
 
 def _budget(steps: int) -> None:
@@ -106,14 +109,12 @@ def _budget(steps: int) -> None:
 
 @cache
 def _compile(exprs) -> tuple[list, int]:
-    """Postfix ops of an expression or a tuple of them, and the contractions they make.
+    """Postfix ops of a typed expression or a tuple of them, and the contractions they make.
 
-    Each op is ``(code, argument, contractions before it)``, in the
-    order the small-step relation reduces operands; a term it is
-    stuck on compiles to a _STUCK op where the relation meets it.
-    ``todo`` holds terms, and operators whose operands are done.  Terms
-    are interned, so each is compiled once per process, for every
-    machine and for :func:`reads`.
+    Each op is ``(code, argument)``, in the order the small-step
+    relation reduces operands.  ``todo`` holds terms, and operators
+    whose operands are done.  Terms are interned, so each is compiled
+    once per process, for every machine.
     """
     ops: list = []
     steps = 0
@@ -122,27 +123,22 @@ def _compile(exprs) -> tuple[list, int]:
         node = todo.pop()
         cls = node.__class__
         if cls is tuple:
-            ops.append((*node, steps))
-            steps += node[0] < _CONST
+            ops.append(node)
+            steps += 1
         elif cls is BoolLit or cls is IntLit:
-            ops.append((_CONST, node.value, steps))
+            ops.append((_CONST, node.value))
         elif cls is Deref and node.target.__class__ is VarRef:
-            ops.append((_LOAD, node.target.name, steps))
+            ops.append((_LOAD, node.target.name))
             steps += 1
         elif cls is Get:
-            ops.append((_GET, node.index, steps))
+            ops.append((_GET, node.index))
             steps += 1
         elif cls is Dec or cls is NotZero:
             todo += ((_DEC if cls is Dec else _NOTZERO, None), node.inner)
-        elif cls is Deref:  # of a non-variable: stuck on the operand's value
-            todo += ((_STUCK, None), node.target)
-        elif cls is Conj:  # a left operand that may not be boolean is checked first
-            todo += ((_CONJ, None), node.right)
-            if node.left.__class__ not in (BoolLit, NotZero, Conj):
-                todo.append((_ISBOOL, None))
-            todo.append(node.left)
-        else:
-            ops.append((_STUCK, f"no rule applies to {unparse(node)!r}", steps))
+        elif cls is Conj:
+            todo += ((_CONJ, None), node.right, node.left)
+        else:  # a conditional, or `!` of one: the only other typed expressions
+            raise _conditional(node)
     return ops, steps
 
 
@@ -165,63 +161,39 @@ class Machine:
         self.var_decl = {v.name: v for v in variables}
         self._values: dict = {}  # input symbol -> its component values
 
+    def typecheck(self, term: Ast) -> Ty:
+        """The type of ``term`` under the declared variables and component types."""
+        env = {v.name: v.base for v in self.variables}
+        return typecheck(term, env, self.in_types, self.out_types)
+
     def initial_store(self) -> Store:
-        store = []
+        """Every variable at its default: ``ff`` or 0."""
         for v in self.variables:
-            value = v.default()
             if v.base == "int" and v.low is not None and not v.low <= 0 <= v.high:
                 raise BuildError(f"default 0 outside declared range of variable {v.name}")
-            store.append((v.name, value))
-        return tuple(store)
-
-    def check_assignment(self, name: str, value: Value) -> None:
-        decl = self.var_decl.get(name)
-        if decl is None:
-            raise StuckConfiguration(f"assignment to undeclared variable {name}")
-        if decl.base == "int" and not isinstance(value, bool):
-            if decl.low is None:
-                raise NonFiniteIntRange(f"integer variable {name} has no declared range")
-            if not decl.low <= value <= decl.high:
-                raise IntRangeExceeded(
-                    f"assignment {name} := {value} leaves range"
-                    f" [{decl.low}..{decl.high}]"
-                )
+        return tuple([(v.name, False if v.base == "bool" else 0) for v in self.variables])
 
     def _eval(self, exprs, steps: int, store: Store, values: tuple) -> tuple[list, int]:
         """The values of ``exprs`` entered after ``steps`` contractions, and the count after."""
         ops, cost = _compile(exprs)
         stack: list = []
-        try:
-            for op, arg, before in ops:
-                if op == _CONST:
-                    stack.append(arg)
-                elif op == _LOAD:
-                    for name, value in store:
-                        if name == arg:
-                            break
-                    else:
-                        raise StuckConfiguration(f"variable {arg!r} missing from store")
-                    stack.append(value)
-                elif op == _GET:
-                    stack.append(values[arg])
-                elif op == _CONJ:
-                    right = stack.pop()
-                    if right.__class__ is not bool:
-                        raise _stuck(right)
-                    stack[-1] = stack[-1] and right
-                elif op == _STUCK:
-                    raise _stuck(stack[-1]) if arg is None else StuckConfiguration(arg)
-                else:
-                    value = stack[-1]
-                    if value.__class__ is not (bool if op == _ISBOOL else int):
-                        raise _stuck(value)
-                    if op == _DEC:
-                        stack[-1] = value - 1
-                    elif op == _NOTZERO:
-                        stack[-1] = value != 0
-        except StuckConfiguration:
-            _budget(steps + before)
-            raise
+        for op, arg in ops:
+            if op == _CONST:
+                stack.append(arg)
+            elif op == _LOAD:
+                for name, value in store:
+                    if name == arg:
+                        break
+                stack.append(value)
+            elif op == _GET:
+                stack.append(values[arg])
+            elif op == _DEC:
+                stack[-1] -= 1
+            elif op == _NOTZERO:
+                stack[-1] = stack[-1] != 0
+            else:
+                right = stack.pop()
+                stack[-1] = stack[-1] and right
         return stack, steps + cost
 
     def run_round(
@@ -230,6 +202,10 @@ class Machine:
         """Evaluate until a tick fires: ``(output, store, continuation)``.
 
         Every input symbol's branch starts from them; None if the program ends first.
+        ``term`` must type as ``comm`` under this machine, and every integer
+        variable must have a range: :func:`build_lts` checks both.  On other
+        terms the result is unspecified, but the round ends: the last rule of
+        the dispatch is the tick's, which reads ``args``, and no expression has them.
         """
         values = self._values.get(pending)
         if values is None:
@@ -255,9 +231,6 @@ class Machine:
                     _budget(steps)
                     steps += 1
                 [cond], steps = evaluate(term.cond, steps, store, values)
-                if cond.__class__ is not bool:
-                    _budget(steps)
-                    raise _stuck(cond)
                 if cls is If:
                     term = term.then_branch if cond else term.else_branch
                 elif cond:
@@ -269,12 +242,18 @@ class Machine:
             elif cls is Assign:
                 [value], steps = evaluate(term.value, steps, store, values)
                 _budget(steps)
-                name = term.target.name
-                self.check_assignment(name, value)
-                store = tuple([(n, value if n == name else v) for (n, v) in store])
+                target = term.target
+                if target.__class__ is not VarRef:
+                    raise _conditional(target)
+                decl = self.var_decl[target.name]
+                if decl.base == "int" and not decl.low <= value <= decl.high:
+                    raise IntRangeExceeded(
+                        f"assignment {decl.name} := {value} leaves range [{decl.low}..{decl.high}]"
+                    )
+                store = tuple([(n, value if n == decl.name else v) for (n, v) in store])
                 steps += 1
                 term = _SKIP
-            elif cls is Tick:
+            else:  # Tick
                 out, steps = evaluate(term.args, steps, store, values)
                 _budget(steps)
                 symbol = ",".join(map(_value_text, out))
@@ -284,16 +263,21 @@ class Machine:
                 for second in reversed(seconds):
                     cont = Seq(cont, second)
                 return symbol, store, cont
-            else:  # an expression in statement position is stuck on its value
-                [value], steps = evaluate(term, steps, store, values)
-                _budget(steps)
-                raise _stuck(value)
 
 
+@cache
 def reads(exprs) -> frozenset:
-    """Variables an expression, or a tuple of them, dereferences: the names its loads read."""
-    ops, _ = _compile(exprs)
-    return frozenset([name for op, name, _ in ops if op == _LOAD])
+    """Variables an expression, or a tuple of them, dereferences; total, as :func:`live_in` is."""
+    names = []
+    todo: list = list(exprs) if exprs.__class__ is tuple else [exprs]
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is Deref and node.target.__class__ is VarRef:
+            names.append(node.target.name)
+        elif cls is Deref or cls is Dec or cls is NotZero or cls is Conj:
+            todo += [getattr(node, field) for field in cls.__slots__]  # the operands
+    return frozenset(names)
 
 
 _LIVE: dict = {}  # (term, live-out set) -> its live-in set
@@ -363,6 +347,10 @@ def build_lts(
 ) -> SynchronousSystem:
     """Unfold a program into its reachable finite synchronous system.
 
+    The program must type as ``comm`` under ``machine``, and every
+    integer variable needs a declared range: both are checked here,
+    once, before the first round, and the rounds rely on them.
+
     States are interned at tick boundaries, keyed by the emitted output,
     the continuation program, and the store restricted to the
     continuation's live variables.  Completeness holds by construction
@@ -370,6 +358,9 @@ def build_lts(
     first declared input symbol fills the pending-input slot before the
     first tick.
     """
+    ty = machine.typecheck(program)
+    if ty != COMM:
+        raise PsyTypeError(f"program has type {ty}, not comm")
     for v in machine.variables:
         if v.base == "int" and v.low is None:
             raise NonFiniteIntRange(

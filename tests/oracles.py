@@ -48,7 +48,7 @@ from syncreact.errors import (
     PsyTypeError,
     RoundDivergence,
     StateBudgetExceeded,
-    StuckConfiguration,
+    SyncReactError,
     UnknownState,
 )
 from syncreact.lasso import STAR, STAR_FOREVER, EffectSequence, merge_sequences, star_prepend
@@ -865,6 +865,11 @@ def naive_doe_compose(sys_f, q_f, sys_g, q_g, t):
 # for its declarations (alphabets, component types, variables).
 
 NAIVE_ROUND_STEP_BUDGET = 100_000
+
+
+class StuckConfiguration(SyncReactError):
+    """No reduction rule applies: only an ill-typed program reaches one."""
+
 
 NaiveConfig = namedtuple("NaiveConfig", "store pending prog")
 NaiveLeaf = namedtuple("NaiveLeaf", "config")

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from syncreact import sls
+from syncreact import Alphabet, sls
 from syncreact.errors import (
     BuildError,
     IntRangeExceeded,
@@ -23,7 +23,17 @@ from syncreact.errors import (
     RoundDivergence,
     SyncReactError,
 )
-from syncreact.psyc import build_lts, live_in, loads, parse, semantics, typecheck, unparse
+from syncreact.psyc import (
+    Machine,
+    VarDecl,
+    build_lts,
+    live_in,
+    loads,
+    parse,
+    semantics,
+    typecheck,
+    unparse,
+)
 from syncreact.psyc.syntax import (
     Assign,
     BoolLit,
@@ -97,7 +107,10 @@ def reached_rounds(machine, body):
     while todo:
         config = todo.pop()
         yield config
-        _, store, cont = machine.run_round(*config)
+        result = machine.run_round(*config)
+        if result is None:
+            continue
+        _, store, cont = result
         for child in ((store, s, cont) for s in machine.inputs):
             if child not in seen:
                 seen.add(child)
@@ -273,38 +286,49 @@ def test_seeded_programs_stop_at_the_same_step(monkeypatch):
     assert {"ok", IntRangeExceeded, RoundDivergence, BuildError} <= seen
 
 
-# Rounds that end without a tick or get stuck: a terminating program,
-# ill-typed operands of each operator and of a condition (a conjunction's
-# left operand is checked before its right one runs), `!` of a value, a
-# variable without `!`, undeclared variables, and expressions that only a
-# hand-built term puts in statement position.
+# Bodies whose first round ends without a tick, on each input and at
+# every budget.  Only the first types as comm: it terminates.  Each other
+# body breaks a typing rule, so ``build_lts`` rejects it, before any
+# round, with the error ``typecheck`` gives it: ill-typed operands of
+# each operator and of a condition, an integer emitted as a boolean
+# output, `!` of a value, a variable without `!`, undeclared variables,
+# and expressions that only a hand-built term puts in statement
+# position, down to a bare expression as the whole program.
 X, Y = VarRef("x"), VarRef("y")
 ENDING_BODIES = [
-    "x := get && !x; y := 3; y := !y - 1; skip",
-    "x := get && !y",
-    "x := !y && get",
-    "y := !x - 1",
-    "x := !x != 0",
-    "if !y - 1 then skip else skip",
-    "while !y != 0 && !x do skip done; tick(!y)",
-    "tick(!!x)",
-    "x := tt; tick(get && y)",
-    "x := tt; z := 1",
-    "tick(!z)",
-    Seq(Assign(X, Get(0)), Get(0)),
-    Seq(Skip(), Conj(Get(0), Deref(X))),
-    Seq(Assign(Y, IntLit(1)), Dec(Deref(Y))),
-    Y,
-    IntLit(3),
+    ("x := get && !x; y := 3; y := !y - 1; skip", None),
+    ("x := get && !y", "Conj: right operand has type exp(int), not exp(bool)"),
+    ("x := !y && get", "Conj: left operand has type exp(int), not exp(bool)"),
+    ("y := !x - 1", "Dec: operand has type exp(bool), not exp(int)"),
+    ("x := !x != 0", "NotZero: operand has type exp(bool), not exp(int)"),
+    ("if !y - 1 then skip else skip", "If: condition has type exp(int), not exp(bool)"),
+    (
+        "while !y != 0 && !x do skip done; tick(!y)",
+        "Tick: argument 0 has type exp(int), not exp(bool)",
+    ),
+    ("tick(!!x)", "Deref: !!x needs a variable"),
+    ("x := tt; tick(get && y)", "Conj: right operand has type var(int), not exp(bool)"),
+    ("x := tt; z := 1", "Var: variable 'z' is not declared"),
+    ("tick(!z)", "Var: variable 'z' is not declared"),
+    (Seq(Assign(X, Get(0)), Get(0)), "Seq: right of ';' has type exp(bool), not comm"),
+    (Seq(Skip(), Conj(Get(0), Deref(X))), "Seq: right of ';' has type exp(bool), not comm"),
+    (Seq(Assign(Y, IntLit(1)), Dec(Deref(Y))), "Seq: right of ';' has type exp(int), not comm"),
+    (Y, "program has type var(int), not comm"),
+    (IntLit(3), "program has type exp(int), not comm"),
 ]
 
 
-@pytest.mark.parametrize("body", ENDING_BODIES, ids=range(len(ENDING_BODIES)))
-def test_ending_and_stuck_rounds_stop_at_the_same_step(monkeypatch, body):
+@pytest.mark.parametrize("body, type_error", ENDING_BODIES, ids=range(len(ENDING_BODIES)))
+def test_ending_and_stuck_rounds_stop_at_the_same_step(monkeypatch, body, type_error):
     header = "inputs tt ff\noutputs tt ff\nvar x : bool\nvar y : int[0..3]\n"
     program = loads(header + (body if isinstance(body, str) else "skip"), name="end")
     machine = program.machine
     prog = program.body if isinstance(body, str) else body
+    if type_error is not None:
+        typed = outcome(lambda: str(machine.typecheck(prog)))
+        assert type_error in (typed[1], f"program has type {typed[1]}, not comm")
+        assert outcome(lambda: build_lts(machine, prog, 10)) == (PsyTypeError, type_error)
+        return
     seen = set()
     for pending in machine.inputs:
         config = (machine.initial_store(), pending, prog)
@@ -315,6 +339,46 @@ def test_ending_and_stuck_rounds_stop_at_the_same_step(monkeypatch, body):
             assert got == expected, f"{pending}, budget {budget}"
             seen.add(got[0])
     assert seen - {RoundDivergence}
+
+
+@pytest.mark.parametrize("body", [Y, IntLit(3), Get(0)], ids=unparse)
+def test_a_bare_expression_ends_the_round(body):
+    # Outside the typed contract any error will do, but the round must end:
+    # the statement dispatch ends in the tick rule, and no expression has args.
+    machine = loads("inputs tt ff\noutputs tt ff\nvar y : int[0..3]\nskip").machine
+    with pytest.raises(AttributeError):
+        machine.run_round(machine.initial_store(), "tt", body)
+
+
+# Typed conditionals in expression position, which only a hand-built
+# term holds: a round that meets one is a build error naming it.  The
+# small-step relation reduces the first (it emits tt on input tt).
+CONDITIONAL_EXPRESSIONS = {
+    "tick argument": (
+        Seq(Tick((If(Get(0), BoolLit(True), BoolLit(False)),)), Skip()),
+        "'if get then tt else ff'",
+    ),
+    "`!` operand": (
+        While(BoolLit(True), Tick((Deref(If(Get(0), X, X)),))),
+        "'!if get then x else x'",
+    ),
+    "assignment target": (
+        While(BoolLit(True), Seq(Assign(If(Get(0), X, X), Get(0)), Tick((Get(0),)))),
+        "'if get then x else x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", CONDITIONAL_EXPRESSIONS)
+def test_a_round_meeting_a_conditional_expression_is_a_build_error(shape):
+    prog, named = CONDITIONAL_EXPRESSIONS[shape]
+    machine = loads("inputs tt ff\noutputs tt ff\nvar x : bool\nskip").machine
+    assert machine.typecheck(prog) == COMM
+    if shape == "tick argument":
+        config = (machine.initial_store(), "tt", prog)
+        assert naive_round(machine, config)[0] == "tt"
+    message = f"no rule evaluates {named}: a conditional is a statement only"
+    assert outcome(lambda: build_lts(machine, prog, 10)) == (BuildError, message)
 
 
 # The tree walks on core.fold against textbook structural recursion.
@@ -420,3 +484,49 @@ def test_expression_statements_do_not_type_as_comm(shape):
     prog, expected = EXPRESSION_STATEMENTS[shape]
     assert type_outcome(typecheck, prog, ("bool",)) == expected
     assert type_outcome(oracles.naive_typecheck, prog, ("bool",)) == expected
+
+
+# Progress: a round of a program that types as comm always has a rule to
+# apply, so the small-step relation never gets stuck on one.  This is why
+# ``run_round`` checks no operand's type and ``build_lts`` checks types
+# once, up front.
+
+
+def typed_rounds_never_get_stuck(machine, body, budget):
+    """Check every round a build of ``body`` reaches; the number checked."""
+    count = 0
+    try:
+        for config in reached_rounds(machine, body):
+            got = outcome(lambda: naive_round(machine, config, budget))
+            assert got[0] is not oracles.StuckConfiguration, got[1]
+            count += 1
+    except (IntRangeExceeded, RoundDivergence, BuildError):
+        pass  # the walk ends where the build would
+    return count
+
+
+def test_typed_rounds_never_get_stuck(monkeypatch):
+    monkeypatch.setattr(semantics, "ROUND_STEP_BUDGET", 200)
+    seeded = 0
+    for seed in range(150):
+        program = random_program(random.Random(seed))
+        assert program.typecheck() == COMM
+        seeded += typed_rounds_never_get_stuck(program.machine, program.body, 200)
+    # Hand-built trees that type as comm, drawn with ill-typed slips.
+    variables = (VarDecl("x", "bool"), VarDecl("y", "int", 0, 3), VarDecl("b", "bool"))
+    assert {v.name: v.base for v in variables} == ENV
+    inputs = Alphabet(("tt,0", "ff,1", "tt,3"))
+    outputs = {
+        ("bool",): Alphabet(("tt", "ff")),
+        ("bool", "int"): Alphabet(tuple(f"{b},{n}" for b in ("tt", "ff") for n in range(4))),
+    }
+    trees = rounds = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        out_types = rng.choice(list(outputs))
+        prog = random_stmt_ast(rng, rng.randint(1, 40), out_types, rng.choice([0.03, 0.1]))
+        machine = Machine(inputs, outputs[out_types], IN_TYPES, out_types, variables)
+        if type_outcome(typecheck, prog, out_types) == ("ok", "comm"):
+            rounds += typed_rounds_never_get_stuck(machine, prog, 200)
+            trees += 1
+    assert seeded >= 500 and trees >= 150 and rounds >= 300, (seeded, trees, rounds)
